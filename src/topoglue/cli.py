@@ -1,7 +1,7 @@
 """Command-line interface: batch validation and construction over documents.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error, 3 search
-budget exceeded.
+budget exceeded; each error class declares its code in ``topoglue.errors``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import (
     IllDefined,
     NotCovering,
     NotEquivalence,
-    SearchBudgetExceeded,
     TopoglueError,
     UnknownCommand,
     UnknownTarget,
@@ -41,21 +40,6 @@ COMMANDS = (
     "cover-functor",
     "site-check",
     "render-dot",
-)
-
-_INPUT_ERRORS = (
-    "ParseError",
-    "UnresolvedReference",
-    "DuplicateName",
-    "UnknownCommand",
-    "UnknownTarget",
-    "UnknownPoint",
-    "MissingLeg",
-    "MissingComponent",
-    "BadArity",
-    "InvalidTopology",
-    "CompositionMismatch",
-    "NotDetermined",
 )
 
 
@@ -393,16 +377,12 @@ def main(argv=None) -> int:
     try:
         doc = parse_spec(text, derive_triples=opts.derive_triples)
         report = run(doc, opts.command, opts.targets, opts)
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValidationFailed, NotEquivalence, IllDefined, NotCovering, HypothesisBFailed) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except TopoglueError as exc:
-        code = 2 if type(exc).__name__ in _INPUT_ERRORS else 1
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return exc.exit_code
     print(report.machine() if opts.machine else report.human())
     return report.exit_code
 

@@ -10,7 +10,7 @@ site axioms are verified per instance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import fintop
@@ -24,7 +24,7 @@ from .fintop import (
     pair_tag,
     pullback,
 )
-from .gdata import CheckEntry, GluingData, derive_triple_maps, make_gluing_data
+from .gdata import GluingData, Report, derive_triple_maps, make_gluing_data
 from .glidx import single
 from .glue import Cone, GluedSpace, glue, mediate
 
@@ -41,24 +41,9 @@ class Covering:
         return [leg for _, leg in self.family]
 
 
-@dataclass
-class CoveringReport:
-    entries: list[CheckEntry] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def add(self, name, subject, ok, witness=None):
-        self.entries.append(CheckEntry(name, subject, ok, witness))
-
-    def __str__(self):
-        return "\n".join(str(e) for e in self.entries)
-
-
-def check_covering(c: Covering) -> CoveringReport:
+def check_covering(c: Covering) -> Report:
     """Validate the leg conditions for the covering's kind, plus coverage."""
-    rep = CoveringReport()
+    rep = Report()
     if c.kind not in KINDS:
         rep.add("kind", c.kind, False, "unknown kind")
         return rep
@@ -118,7 +103,7 @@ class CoverFunctorResult:
     data: GluingData
     glued: GluedSpace
     iso: SpaceMap
-    report: CoveringReport
+    report: Report
 
 
 def functor_of_covering(c: Covering) -> CoverFunctorResult:
@@ -137,7 +122,7 @@ def functor_of_covering(c: Covering) -> CoverFunctorResult:
     legs = {i: leg for i, (_, leg) in zip(idx, c.family)}
     cone = Cone(c.base, {single(i): legs[i] for i in idx})
     mu = mediate(gd, glued, cone)
-    rep = CoveringReport()
+    rep = Report()
     rep.add("glued-size", "points", len(glued.space.points) == len(c.base.points))
     rep.add("mediate-iso", "base", is_homeomorphism(mu))
     for i in idx:

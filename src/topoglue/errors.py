@@ -1,12 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each error class declares the CLI exit code it ends in as ``exit_code``:
+1 a check failed (the default), 2 input error, 3 search budget exceeded.
+"""
 
 
 class TopoglueError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class InvalidTopology(TopoglueError):
     """A minimal-open table violates the finite-topology axioms."""
+
+    exit_code = 2
 
     def __init__(self, point, offender, message=None):
         self.point = point
@@ -17,9 +25,13 @@ class InvalidTopology(TopoglueError):
 class UnknownPoint(TopoglueError):
     """A point was referenced that is not in the space it was used with."""
 
+    exit_code = 2
+
 
 class CompositionMismatch(TopoglueError):
     """Two maps (or morphisms) were composed whose endpoints do not line up."""
+
+    exit_code = 2
 
 
 class SearchBudgetExceeded(TopoglueError):
@@ -28,9 +40,13 @@ class SearchBudgetExceeded(TopoglueError):
     Budget exhaustion is always an error, never a silent pass.
     """
 
+    exit_code = 3
+
 
 class BadArity(TopoglueError):
     """An index tuple of unsupported length was given."""
+
+    exit_code = 2
 
 
 class ValidationFailed(TopoglueError):
@@ -43,6 +59,8 @@ class ValidationFailed(TopoglueError):
 
 class NotDetermined(TopoglueError):
     """A triple transition could not be derived uniquely from the pair data."""
+
+    exit_code = 2
 
     def __init__(self, i, j, k, point, candidates):
         self.key = (i, j, k)
@@ -65,6 +83,8 @@ class NotEquivalence(TopoglueError):
 class MissingLeg(TopoglueError):
     """A cone is missing a leg for an object it must cover."""
 
+    exit_code = 2
+
 
 class IllDefined(TopoglueError):
     """A mediating map disagrees on an identified pair of points."""
@@ -80,6 +100,8 @@ class NotCovering(TopoglueError):
 
 class MissingComponent(TopoglueError):
     """A refinement is missing a component that is not uniquely forced."""
+
+    exit_code = 2
 
 
 class UnknownMorphism(TopoglueError):
@@ -97,6 +119,8 @@ class HypothesisBFailed(TopoglueError):
 class ParseError(TopoglueError):
     """A document could not be parsed."""
 
+    exit_code = 2
+
     def __init__(self, line_no, message):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
@@ -105,14 +129,22 @@ class ParseError(TopoglueError):
 class UnresolvedReference(TopoglueError):
     """A document references a name that was never declared."""
 
+    exit_code = 2
+
 
 class DuplicateName(TopoglueError):
     """A document declares the same name twice."""
+
+    exit_code = 2
 
 
 class UnknownCommand(TopoglueError):
     """The CLI was asked to run a command it does not know."""
 
+    exit_code = 2
+
 
 class UnknownTarget(TopoglueError):
     """A command was pointed at a name that does not denote a usable target."""
+
+    exit_code = 2

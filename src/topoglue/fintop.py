@@ -83,7 +83,7 @@ class MapReport:
 
     @property
     def homeomorphism(self) -> bool:
-        return self.embedding and self.open_map and self.surjective
+        return self.continuous and self.injective and self.surjective and self.open_map
 
     # surjectivity is recorded as the absence of a "surjective" witness
     @property
@@ -210,8 +210,7 @@ def analyze_map(f: SpaceMap) -> MapReport:
 
 
 def is_homeomorphism(f: SpaceMap) -> bool:
-    r = analyze_map(f)
-    return r.continuous and r.injective and r.surjective and r.open_map
+    return analyze_map(f).homeomorphism
 
 
 def coproduct_tag(point: str, tag: str) -> str:

@@ -46,10 +46,6 @@ def circle4(space_id: str = "C4") -> FiniteSpace:
     )
 
 
-def c4() -> FiniteSpace:
-    return circle4()
-
-
 def _product(space_id: str, a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
     points = [f"{x}|{y}" for x in sorted(a.points) for y in sorted(b.points)]
     table = {

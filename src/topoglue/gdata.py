@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from . import fintop, glidx
-from .errors import NotDetermined, UnknownMorphism, ValidationFailed
+from .errors import NotDetermined, UnknownMorphism, UnresolvedReference, ValidationFailed
 from .fintop import FiniteSpace, SpaceMap, analyze_map, compose, identity_map
 from .glidx import GlGen, GlMorphism, GlObject, normalize
 
@@ -36,7 +36,9 @@ class CheckEntry:
 
 
 @dataclass
-class ValidationReport:
+class Report:
+    """A list of named check rows; passes when every row is ok."""
+
     entries: list[CheckEntry] = field(default_factory=list)
 
     @property
@@ -143,7 +145,9 @@ def make_gluing_data(
         if key not in table
     ]
     if missing:
-        raise KeyError(f"gluing data is missing entries for pairs {sorted(set(missing))}")
+        raise UnresolvedReference(
+            f"gluing data is missing entries for pairs {sorted(set(missing))}"
+        )
     spaces, projs = _triple_tables(idx, overlap, anchor)
     return GluingData(
         index=idx,
@@ -206,7 +210,7 @@ def _maps_equal(f: SpaceMap, g: SpaceMap) -> str | None:
     return None
 
 
-def validate(gd: GluingData) -> ValidationReport:
+def validate(gd: GluingData) -> Report:
     """Check the gluing-data laws clause by clause.
 
     a) the diagonal overlap is the patch; b) diagonal anchor and transition
@@ -221,7 +225,7 @@ def validate(gd: GluingData) -> ValidationReport:
     as [i,i,k] stay distinct objects (isomorphic to their pair through the
     index category, never identified with it) and are flagged for the reader.
     """
-    rep = ValidationReport()
+    rep = Report()
     for obj in glidx.objects(gd.index):
         if obj.arity == 3 and obj.head in obj.rest:
             rep.add(
@@ -342,7 +346,7 @@ def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
     return gd.triple_map(i, j, k)
 
 
-def functor_tables(gd: GluingData, report: ValidationReport | None = None) -> GluingFunctor:
+def functor_tables(gd: GluingData, report: Report | None = None) -> GluingFunctor:
     """Realize the data as tables without validating it first."""
     obj_table = {o: gd.space_of(o) for o in glidx.objects(gd.index)}
     gen_table: dict[tuple[GlObject, GlObject], SpaceMap] = {}
@@ -385,7 +389,7 @@ def _image_of(fun: GluingFunctor, m: GlMorphism) -> SpaceMap:
     return out
 
 
-def _check_functoriality(fun: GluingFunctor, report: ValidationReport) -> None:
+def _check_functoriality(fun: GluingFunctor, report: Report) -> None:
     idx = fun.index
 
     def img(m):

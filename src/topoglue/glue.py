@@ -10,7 +10,7 @@ any divergence is surfaced as a cocycle diagnostic instead of silently closed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import fintop, glidx
@@ -31,7 +31,7 @@ from .fintop import (
     enumerate_continuous_maps,
     is_open,
 )
-from .gdata import CheckEntry, GluingData, _maps_equal, validate
+from .gdata import GluingData, Report, _maps_equal, validate
 from .glidx import GlObject, normalize, pair, single
 
 CONE_MODES = ("full", "figure3", "figure4")
@@ -158,8 +158,8 @@ def check_equivalence(relation: Iterable[tuple[str, str]], gd: GluingData) -> Eq
 def glue(gd: GluingData) -> GluedSpace:
     """Quotient the patches by the overlap relation and assemble all legs.
 
-    Pair legs factor through patch legs via the anchors; triple legs factor
-    through pair legs via the pullback projections.
+    The patch legs are the quotient projection restricted to each patch;
+    ``complete_cone`` extends them to the pair and triple legs.
     """
     relation = build_relation(gd)
     eq = check_equivalence(relation, gd)
@@ -167,18 +167,8 @@ def glue(gd: GluingData) -> GluedSpace:
         raise NotEquivalence(eq.witness, f"overlap relation is not an equivalence: {eq}")
     total, injections = disjoint_union([gd.patch[i] for i in gd.index], list(gd.index))
     q, projection = fintop.quotient(total, relation)
-    legs: dict[GlObject, SpaceMap] = {}
-    for i, eps in zip(gd.index, injections):
-        legs[single(i)] = compose(projection, eps)
-    for i in gd.index:
-        for j in gd.index:
-            if i != j:
-                legs[pair(i, j)] = compose(legs[single(i)], gd.anchor[(i, j)])
-    for obj in glidx.objects(gd.index):
-        if obj.arity == 3:
-            i = obj.head
-            j = obj.rest[0]
-            legs[obj] = compose(legs[pair(i, j)], gd.triple_proj[(obj, j)])
+    patch_legs = {i: compose(projection, eps) for i, eps in zip(gd.index, injections)}
+    legs = complete_cone(gd, q, patch_legs).legs
     classes: dict[str, set[str]] = {qp: set() for qp in q.points}
     for x in total.points:
         classes[projection(x)].add(x)
@@ -275,21 +265,6 @@ def check_cone(gd: GluingData, cone: Cone, mode: str = "full") -> bool:
     return ok
 
 
-@dataclass
-class GluedPropertiesReport:
-    entries: list[CheckEntry] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def add(self, name, subject, ok, witness=None):
-        self.entries.append(CheckEntry(name, subject, ok, witness))
-
-    def __str__(self):
-        return "\n".join(str(e) for e in self.entries)
-
-
 def as_candidate(gd: GluingData, space: FiniteSpace, legs: Mapping[GlObject, SpaceMap]) -> GluedSpace:
     """Wrap a candidate (space, legs) as a glued-space-shaped value.
 
@@ -322,7 +297,7 @@ def as_candidate(gd: GluingData, space: FiniteSpace, legs: Mapping[GlObject, Spa
     )
 
 
-def check_glued_properties(gd: GluingData, candidate: GluedSpace) -> GluedPropertiesReport:
+def check_glued_properties(gd: GluingData, candidate: GluedSpace) -> Report:
     """The six named glued-object properties for a candidate (space, legs).
 
     (a) pair legs factor through the anchors; (b) triple legs factor through
@@ -330,7 +305,7 @@ def check_glued_properties(gd: GluingData, candidate: GluedSpace) -> GluedProper
     leg images cover the space; (e) overlap images equal pairwise intersections
     of patch images; (f) every patch leg is injective and continuous.
     """
-    rep = GluedPropertiesReport()
+    rep = Report()
     idx = gd.index
     for i in idx:
         for j in idx:
@@ -421,20 +396,13 @@ def mediate(gd: GluingData, glued: GluedSpace, cone: Cone) -> SpaceMap:
 
 
 @dataclass
-class UniversalReport:
-    entries: list[CheckEntry] = field(default_factory=list)
+class UniversalReport(Report):
+    """A report that also counts the compatible cone families it checked."""
+
     cones_checked: int = 0
 
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def add(self, name, subject, ok, witness=None):
-        self.entries.append(CheckEntry(name, subject, ok, witness))
-
     def __str__(self):
-        head = f"{self.cones_checked} cones checked"
-        return head + "\n" + "\n".join(str(e) for e in self.entries)
+        return f"{self.cones_checked} cones checked\n{super().__str__()}"
 
 
 def default_apexes() -> list[FiniteSpace]:
@@ -523,20 +491,18 @@ def verify_universal(
 
 
 @dataclass
-class OtopReport:
-    applicable: bool
-    entries: list[CheckEntry] = field(default_factory=list)
+class OtopReport(Report):
+    """A report that also records whether all anchors and transitions are open.
 
-    @property
-    def passed(self) -> bool:
-        return self.applicable and all(e.ok for e in self.entries)
+    Not applicable always comes with a failing ``data-open`` entry, so such a
+    report never passes.
+    """
 
-    def add(self, name, subject, ok, witness=None):
-        self.entries.append(CheckEntry(name, subject, ok, witness))
+    applicable: bool = True
 
     def __str__(self):
         head = "applicable" if self.applicable else "not applicable (some map is not open)"
-        return head + "\n" + "\n".join(str(e) for e in self.entries)
+        return f"{head}\n{super().__str__()}"
 
 
 def check_otop(gd: GluingData, glued: GluedSpace) -> OtopReport:
@@ -545,17 +511,15 @@ def check_otop(gd: GluingData, glued: GluedSpace) -> OtopReport:
     When some anchor or transition is not an open map the report is marked
     not applicable, but the leg facts are still recorded.
     """
-    applicable = True
-    rep = OtopReport(True)
+    rep = OtopReport()
     for key in sorted(gd.anchor):
         if not analyze_map(gd.anchor[key]).open_map:
-            applicable = False
+            rep.applicable = False
             rep.add("data-open", f"anchor{key}", False, "not an open map")
     for key in sorted(gd.transition):
         if not analyze_map(gd.transition[key]).open_map:
-            applicable = False
+            rep.applicable = False
             rep.add("data-open", f"transition{key}", False, "not an open map")
-    rep.applicable = applicable
     covered = set()
     for i in gd.index:
         leg = glued.leg(single(i))

@@ -10,7 +10,7 @@ bookkeeping stays implicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from . import glidx
@@ -27,8 +27,8 @@ from .fintop import (
     pair_tag,
 )
 from .gdata import (
-    CheckEntry,
     GluingFunctor,
+    Report,
     _maps_equal,
     derive_triple_maps,
     evaluate,
@@ -77,21 +77,6 @@ def reindex_morphism(gamma: IndexMap, m: GlMorphism) -> GlMorphism:
         if g2.dom != g2.cod:
             witness.append(g2)
     return GlMorphism(dom, cod, tuple(witness))
-
-
-@dataclass
-class Reindexing:
-    """Object and generator tables of the functor induced by an index map."""
-
-    gamma: IndexMap
-    objects: dict[GlObject, GlObject]
-    gens: dict[GlGen, GlGen]
-
-
-def reindex(gamma: IndexMap) -> Reindexing:
-    objs = {o: reindex_object(gamma, o) for o in glidx.objects(gamma.source)}
-    gens = {g: reindex_gen(gamma, g) for g in glidx.raw_generators(gamma.source)}
-    return Reindexing(gamma, objs, gens)
 
 
 @dataclass
@@ -178,24 +163,9 @@ def complete_refinement(
     return Refinement(gamma, fine, coarse, comps)
 
 
-@dataclass
-class RefinementReport:
-    entries: list[CheckEntry] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def add(self, name, subject, ok, witness=None):
-        self.entries.append(CheckEntry(name, subject, ok, witness))
-
-    def __str__(self):
-        return "\n".join(str(e) for e in self.entries)
-
-
-def check_refinement(r: Refinement) -> RefinementReport:
+def check_refinement(r: Refinement) -> Report:
     """Verify every naturality square over the coarse index's generators."""
-    rep = RefinementReport()
+    rep = Report()
     for m in glidx.generators(r.gamma.source):
         if m.dom == m.cod:
             continue
@@ -287,22 +257,7 @@ class GdfGluingData:
     edge: dict[tuple[GlObject, GlObject], Refinement]
 
 
-@dataclass
-class ComposeReport:
-    entries: list[CheckEntry] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def add(self, name, subject, ok, witness=None):
-        self.entries.append(CheckEntry(name, subject, ok, witness))
-
-    def __str__(self):
-        return "\n".join(str(e) for e in self.entries)
-
-
-def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, ComposeReport]:
+def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
     """Glue every node and assemble the glued spaces into one gluing functor.
 
     Patches and overlaps of the composed datum are glued node spaces; anchors
@@ -312,7 +267,7 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, ComposeReport]:
     spaces assembled from the projection edges must be an isomorphism;
     ``HypothesisBFailed`` reports any triple where it is not.
     """
-    rep = ComposeReport()
+    rep = Report()
     idx = tuple(sorted(set(meta.index)))
     glued: dict[GlObject, GluedSpace] = {}
     for obj in sorted(meta.node, key=repr):
@@ -371,8 +326,7 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, ComposeReport]:
         if ok:
             canonical = SpaceMap(glued[obj].space, target, table)
             ra = analyze_map(canonical)
-            iso = ra.continuous and ra.injective and ra.surjective and ra.open_map
-            if not iso:
+            if not ra.homeomorphism:
                 ok = False
                 witness = f"canonical map is not an isomorphism: {ra.witnesses}"
         rep.add("pushout-condition", repr(obj), ok, witness)

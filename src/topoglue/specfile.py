@@ -68,7 +68,7 @@ from .gdata import GluingData, GluingFunctor, derive_triple_maps, functor_of, ma
 from .glidx import GlGen, GlObject, normalize
 from .glue import Cone
 from .refine import GdfGluingData, IndexMap, Refinement, complete_refinement
-from .cover import Covering
+from .cover import KINDS, Covering
 
 
 @dataclass
@@ -340,6 +340,8 @@ def _parse_covering(block: _Block, doc: SpecDocument) -> CoveringDecl:
         if key == "base":
             base = _need(doc.spaces, value, "space", no)
         elif key == "kind":
+            if value not in KINDS:
+                raise ParseError(no, f"unknown covering kind {value!r}")
             kind = value
         elif key == "leg":
             leg = _need(doc.maps, value, "map", no)

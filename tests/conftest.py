@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from topoglue import cover, fintop
-from topoglue.fixtures import arc3, c4, disc2, pt, sierp, sq9
+from topoglue.fixtures import arc3, circle4, disc2, pt, sierp, sq9
 
 
 @pytest.fixture
@@ -15,7 +15,7 @@ def spaces():
         "DISC2": disc2(),
         "ARC3": arc3(),
         "SQ9": sq9(),
-        "C4": c4(),
+        "C4": circle4(),
     }
 
 

@@ -25,7 +25,7 @@ from topoglue.fintop import (
 )
 from topoglue.fixtures import (
     arc3,
-    c4,
+    circle4,
     counter_meta,
     disc2,
     gd_circ,
@@ -172,7 +172,7 @@ def test_criterion_3_cone_mode_equivalence():
     gd = gd_circ()
     glued = glue(gd)
     objects = glidx.objects(gd.index)
-    apexes = [pt(), sierp(), disc2(), arc3(), c4()]
+    apexes = [pt(), sierp(), disc2(), arc3(), circle4()]
     disagreements = 0
     checked = 0
     for trial in range(120):
@@ -273,7 +273,7 @@ def test_criterion_6_torus_pipeline():
 
 
 def test_criterion_7_covering_correspondence():
-    base_c4 = c4()
+    base_c4 = circle4()
     u1, i1 = subspace(base_c4, {"l", "ma", "r"})
     u2, i2 = subspace(base_c4, {"l", "mb", "r"})
     arcs = Covering(base_c4, [(u1, i1), (u2, i2)], "open")

@@ -6,7 +6,9 @@ import pytest
 from doc_fixtures import BROKEN_TRIPLE_DOC, CIRCLE_DOC, torus_document
 from topoglue.cli import main
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+REPO = Path(__file__).resolve().parent.parent
+EXAMPLES = REPO / "docs" / "examples"
+GOLDEN_MACHINE = Path(__file__).resolve().parent / "golden" / "machine.jsonl"
 
 
 @pytest.fixture
@@ -230,6 +232,53 @@ digraph CIRC {
         assert "refines" in out
 
 
+# The README's nine commands plus the four other report commands, on the
+# committed examples; paths are relative to the repository root.
+GOLDEN_COMMANDS = (
+    ("glue", "docs/examples/circle.glue", "CIRC", "--derive-triples"),
+    ("check-cone", "docs/examples/circle.glue", "PARAM", "--derive-triples"),
+    ("mediate", "docs/examples/circle.glue", "CIRC", "PARAM", "--derive-triples"),
+    ("verify-universal", "docs/examples/circle.glue", "CIRC", "--derive-triples"),
+    ("compose", "docs/examples/torus.glue", "TORUS", "--derive-triples"),
+    ("validate", "docs/examples/broken.glue", "BROKEN", "--derive-triples"),
+    ("cover-functor", "docs/examples/circle.glue", "TWOARCS", "--derive-triples"),
+    ("site-check", "docs/examples/circle.glue", "--count", "25", "--seed", "0"),
+    ("render-dot", "docs/examples/circle.glue", "index:i,j,k"),
+    ("check-glued", "docs/examples/circle.glue", "PARAM", "--derive-triples"),
+    ("check-otop", "docs/examples/circle.glue", "CIRC", "--derive-triples"),
+    ("check-refinement", "docs/examples/torus.glue", "INCL1", "--derive-triples"),
+    ("cover-check", "docs/examples/circle.glue", "TWOARCS", "--derive-triples"),
+)
+
+
+def golden_record(capsys, argv) -> dict:
+    """Run one golden command with ``--machine``; its argv, exit code and stdout."""
+    command, path, *rest = argv
+    code, out, _ = run_cli(capsys, command, str(REPO / path), *rest, "--machine")
+    return {"argv": list(argv), "exit": code, "stdout": out}
+
+
+class TestMachineGolden:
+    """``--machine`` stdout and exit codes pinned byte for byte.
+
+    Regenerate ``golden/machine.jsonl`` only for an intended output change:
+    write ``json.dumps(golden_record(capsys, argv), sort_keys=True)`` for each
+    entry of ``GOLDEN_COMMANDS``, one per line.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        lines = GOLDEN_MACHINE.read_text(encoding="utf-8").splitlines()
+        return {tuple(r["argv"]): r for r in map(json.loads, lines)}
+
+    def test_golden_covers_every_command(self, golden):
+        assert sorted(golden) == sorted(GOLDEN_COMMANDS)
+
+    @pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=lambda a: f"{a[0]}-{a[2]}")
+    def test_machine_output_matches_golden(self, capsys, golden, argv):
+        assert golden_record(capsys, argv) == golden[argv]
+
+
 class TestExitCodes:
     def test_parse_error_is_input_error(self, capsys, tmp_path):
         f = tmp_path / "bad.glue"
@@ -263,6 +312,75 @@ class TestExitCodes:
             capsys, "validate", broken_file, "BROKEN", "--derive-triples"
         )
         assert code == 1
+
+    def test_stderr_prefixes(self, capsys, broken_file):
+        code, _, err = run_cli(
+            capsys, "mediate", broken_file, "BROKEN", "PARAM", "--derive-triples"
+        )
+        assert code == 1 and err.startswith("check failed: validation failed")
+        code, _, err = run_cli(
+            capsys, "verify-universal", broken_file, "CIRC",
+            "--derive-triples", "--budget", "2",
+        )
+        assert code == 3 and err.startswith("error: ")
+
+    def test_gluing_without_pair_entries(self, capsys, tmp_path):
+        f = tmp_path / "bare.glue"
+        f.write_text(
+            CIRCLE_DOC + "\ngluing BARE\n  index: 1 2\n  patch 1: ARC3A\n"
+            "  patch 2: ARC3B\nend\n"
+        )
+        code, _, err = run_cli(capsys, "validate", str(f), "BARE")
+        assert code == 2
+        assert err.startswith("error: gluing data is missing entries")
+
+    def test_unknown_covering_kind(self, capsys, tmp_path):
+        f = tmp_path / "kind.glue"
+        f.write_text(CIRCLE_DOC.replace("kind: open", "kind: bogus"))
+        code, _, err = run_cli(capsys, "cover-check", str(f), "TWOARCS")
+        assert code == 2
+        assert "unknown covering kind 'bogus'" in err
+
+
+# Every error class and the exit code the README's table gives it.
+ERROR_EXIT_CODES = {
+    "TopoglueError": 1,
+    "InvalidTopology": 2,
+    "UnknownPoint": 2,
+    "CompositionMismatch": 2,
+    "SearchBudgetExceeded": 3,
+    "BadArity": 2,
+    "ValidationFailed": 1,
+    "NotDetermined": 2,
+    "NotEquivalence": 1,
+    "MissingLeg": 2,
+    "IllDefined": 1,
+    "NotCovering": 1,
+    "MissingComponent": 2,
+    "UnknownMorphism": 1,
+    "HypothesisBFailed": 1,
+    "ParseError": 2,
+    "UnresolvedReference": 2,
+    "DuplicateName": 2,
+    "UnknownCommand": 2,
+    "UnknownTarget": 2,
+}
+
+
+class TestErrorExitCodes:
+    def test_every_error_class_declares_the_readme_code(self):
+        from topoglue import errors
+
+        classes = {
+            name: cls
+            for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, errors.TopoglueError)
+        }
+        assert sorted(classes) == sorted(ERROR_EXIT_CODES)
+        assert {n: c.exit_code for n, c in classes.items()} == ERROR_EXIT_CODES
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        table = "`1` a check failed, `2` input error,\n`3` search budget exceeded"
+        assert table in readme
 
 
 class TestRunApi:

@@ -20,12 +20,12 @@ from topoglue.fintop import (
     make_map,
     subspace,
 )
-from topoglue.fixtures import arc3, c4, gd_circ, pt, sierp, sq9, trivial_data
+from topoglue.fixtures import arc3, circle4, gd_circ, pt, sierp, sq9, trivial_data
 from topoglue.glue import glue
 
 
 def two_arc_covering(kind="gluing"):
-    base = c4()
+    base = circle4()
     u1, i1 = subspace(base, {"l", "ma", "r"})
     u2, i2 = subspace(base, {"l", "mb", "r"})
     return Covering(base, [(u1, i1), (u2, i2)], kind)
@@ -78,7 +78,7 @@ class TestFunctorOfCovering:
         res = functor_of_covering(two_arc_covering())
         assert res.report.passed, str(res.report)
         assert is_homeomorphism(res.iso)
-        assert find_homeomorphism(res.glued.space, c4()) is not None
+        assert find_homeomorphism(res.glued.space, circle4()) is not None
 
     def test_two_strips_reconstruct_square(self):
         res = functor_of_covering(two_strip_covering())
@@ -141,12 +141,12 @@ class TestCoveringOfGlued:
 
 class TestSiteAxioms:
     def test_iso_identity(self):
-        assert site_axiom_iso(identity_map(c4()))
+        assert site_axiom_iso(identity_map(circle4()))
 
     def test_iso_circle_witness(self):
         gd = gd_circ()
         glued = glue(gd)
-        w = find_homeomorphism(glued.space, c4())
+        w = find_homeomorphism(glued.space, circle4())
         assert w is not None
         assert site_axiom_iso(w)
 
@@ -195,14 +195,14 @@ class TestSiteAxioms:
 
     def test_basechange_identity(self):
         c = two_arc_covering()
-        out, ok = site_axiom_basechange(c, identity_map(c4()))
+        out, ok = site_axiom_basechange(c, identity_map(circle4()))
         assert ok
         assert len(out.family) == 2
         assert out.kind == c.kind
 
     def test_basechange_point_into_arc_interior(self):
         c = two_arc_covering()
-        phi = make_map(pt(), c4(), {"p": "ma"})
+        phi = make_map(pt(), circle4(), {"p": "ma"})
         out, ok = site_axiom_basechange(c, phi)
         assert ok
         sizes = sorted(len(sp.points) for sp, _ in out.family)
@@ -212,7 +212,7 @@ class TestSiteAxioms:
         c = two_arc_covering()
         from topoglue.fixtures import disc2
 
-        phi = make_map(disc2(), c4(), {"a": "ma", "b": "mb"})
+        phi = make_map(disc2(), circle4(), {"a": "ma", "b": "mb"})
         out, ok = site_axiom_basechange(c, phi)
         assert ok
         sizes = sorted(len(sp.points) for sp, _ in out.family)

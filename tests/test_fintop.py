@@ -29,7 +29,7 @@ from topoglue.fintop import (
     quotient,
     subspace,
 )
-from topoglue.fixtures import arc3, c4, disc2, pt, sierp, sq9
+from topoglue.fixtures import arc3, circle4, disc2, pt, sierp, sq9
 
 
 class TestMakeSpace:
@@ -274,7 +274,7 @@ class TestQuotient:
         assert sorted(q.points) == ["l@1", "m@1", "m@2", "r@1"]
         assert q.min_open["l@1"] == frozenset({"l@1"})
         assert q.min_open["m@1"] == frozenset({"l@1", "m@1", "r@1"})
-        assert find_homeomorphism(q, c4()) is not None
+        assert find_homeomorphism(q, circle4()) is not None
         # final topology, exhaustively over all class subsets
         for k in range(len(q.points) + 1):
             for sub in itertools.combinations(sorted(q.points), k):

@@ -18,7 +18,7 @@ from topoglue.fintop import (
     make_space,
     quotient,
 )
-from topoglue.fixtures import arc3, c4, disc2, gd_circ, pt, sierp, trivial_data
+from topoglue.fixtures import arc3, circle4, disc2, gd_circ, pt, sierp, trivial_data
 from topoglue.gdata import make_gluing_data, derive_triple_maps, validate
 from topoglue.glidx import pair, single
 from topoglue.glue import (
@@ -231,7 +231,7 @@ class TestGlue:
     def test_circle(self):
         glued = glue(gd_circ())
         assert sorted(glued.space.points) == ["l@1", "m@1", "m@2", "r@1"]
-        assert find_homeomorphism(glued.space, c4()) is not None
+        assert find_homeomorphism(glued.space, circle4()) is not None
 
     def test_one_point_weld_is_three_point_discrete(self):
         glued = glue(one_point_weld())
@@ -312,7 +312,7 @@ class TestCheckCone:
 
     def test_modes_agree_on_random_families(self):
         gd = gd_circ()
-        apexes = [pt(), sierp(), disc2(), arc3(), c4()]
+        apexes = [pt(), sierp(), disc2(), arc3(), circle4()]
         rng = random.Random(5)
         objs = sorted(
             set(list(gd.patch) and []) | set(),
@@ -463,7 +463,7 @@ class TestMediate:
     def test_parameterization_gives_the_expected_homeomorphism(self):
         gd = gd_circ()
         glued = glue(gd)
-        target = c4()
+        target = circle4()
         cone = complete_cone(
             gd, target,
             {
@@ -557,7 +557,7 @@ class TestCheckOtop:
         )
         glued = glue(gd)
         rep = check_otop(gd, glued)
-        assert not rep.applicable
+        assert not rep.applicable and not rep.passed
         # and the second patch leg image is indeed not open
         img = glued.leg(single("2")).image()
         assert not is_open(glued.space, img)

@@ -10,7 +10,7 @@ import itertools
 
 from topoglue.cover import Covering, functor_of_covering
 from topoglue.fintop import find_homeomorphism, is_homeomorphism, subspace
-from topoglue.fixtures import c4, disc2, pt, sierp
+from topoglue.fixtures import circle4, disc2, pt, sierp
 from topoglue.gdata import validate
 from topoglue.glidx import normalize
 from topoglue.glue import (
@@ -25,7 +25,7 @@ from topoglue.glue import (
 
 
 def three_arc_data():
-    base = c4()
+    base = circle4()
     u1, i1 = subspace(base, {"l", "ma", "r"})
     u2, i2 = subspace(base, {"l", "mb", "r"})
     u3, i3 = subspace(base, {"l", "r"})
@@ -38,7 +38,7 @@ class TestThreeArcCovering:
         res = three_arc_data()
         assert res.report.passed, str(res.report)
         assert is_homeomorphism(res.iso)
-        assert find_homeomorphism(res.glued.space, c4()) is not None
+        assert find_homeomorphism(res.glued.space, circle4()) is not None
 
     def test_has_nondegenerate_triples(self):
         res = three_arc_data()

@@ -13,7 +13,7 @@ from topoglue.fintop import (
 )
 from topoglue.fixtures import (
     arc3,
-    c4,
+    circle4,
     counter_meta,
     gd_circ,
     product_c4_c4,
@@ -22,7 +22,15 @@ from topoglue.fixtures import (
     trivial_data,
 )
 from topoglue.gdata import _maps_equal, functor_of
-from topoglue.glidx import GlGen, morphism_of, normalize, objects, pair, single
+from topoglue.glidx import (
+    GlGen,
+    morphism_of,
+    normalize,
+    objects,
+    pair,
+    raw_generators,
+    single,
+)
 from topoglue.glue import complete_cone, glue, mediate
 from topoglue.refine import (
     GdfGluingData,
@@ -34,8 +42,9 @@ from topoglue.refine import (
     identity_refinement,
     induced_map,
     paste,
-    reindex,
+    reindex_gen,
     reindex_morphism,
+    reindex_object,
 )
 
 from test_glue import self_weld_arc
@@ -44,23 +53,22 @@ from test_glue import self_weld_arc
 class TestReindex:
     def test_identity(self):
         gamma = IndexMap(("1", "2"), ("1", "2"), {"1": "1", "2": "2"})
-        r = reindex(gamma)
-        assert all(r.objects[o] == o for o in r.objects)
-        assert all(r.gens[g] == g for g in r.gens)
+        assert all(reindex_object(gamma, o) == o for o in objects(gamma.source))
+        assert all(reindex_gen(gamma, g) == g for g in raw_generators(gamma.source))
 
     def test_constant_collapses_pairs(self):
         gamma = IndexMap(("1", "2"), ("*",), {"1": "*", "2": "*"})
-        r = reindex(gamma)
-        assert r.objects[pair("1", "2")] == single("*")
+        objs = {o: reindex_object(gamma, o) for o in objects(gamma.source)}
+        assert objs[pair("1", "2")] == single("*")
         eta = GlGen("eta", ("1", "2"))
         mapped = reindex_morphism(gamma, morphism_of(eta))
         assert mapped.dom == mapped.cod == single("*")
 
     def test_injective_relabel(self):
         gamma = IndexMap(("1", "2"), ("1", "2", "3"), {"1": "1", "2": "2"})
-        r = reindex(gamma)
-        assert r.objects[pair("1", "2")] == pair("1", "2")
-        assert r.objects[normalize(("1", "1", "2"))] == normalize(("1", "1", "2"))
+        objs = {o: reindex_object(gamma, o) for o in objects(gamma.source)}
+        assert objs[pair("1", "2")] == pair("1", "2")
+        assert objs[normalize(("1", "1", "2"))] == normalize(("1", "1", "2"))
 
     def test_functoriality_on_relation_families(self):
         rng = random.Random(9)
@@ -195,10 +203,10 @@ class TestInducedMap:
 
     def test_gamma_must_reach_every_fine_index(self):
         fine = functor_of(gd_circ())
-        coarse = functor_of(trivial_data(c4(), "0"))
+        coarse = functor_of(trivial_data(circle4(), "0"))
         gamma = IndexMap(("0",), ("1", "2"), {"0": "1"})
         rho = make_map(
-            fine.space(single("1")), c4(), {"l": "l", "m": "ma", "r": "r"}
+            fine.space(single("1")), circle4(), {"l": "l", "m": "ma", "r": "r"}
         )
         r = Refinement(gamma, fine, coarse, {single("0"): rho})
         with pytest.raises(MissingComponent):
