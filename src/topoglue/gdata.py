@@ -128,7 +128,10 @@ def make_gluing_data(
     for label in idx:
         if "@" in label:
             # '@' separates point tags from patch labels in the coproduct
-            raise KeyError(f"index label {label!r} must not contain '@'")
+            raise UnresolvedReference(f"index label {label!r} must not contain '@'")
+    unpatched = sorted(set(idx) - set(patch))
+    if unpatched:
+        raise UnresolvedReference(f"no patch for index labels {unpatched}")
     patch = dict(patch)
     overlap = dict(overlap)
     anchor = dict(anchor)

@@ -29,9 +29,10 @@ from .fintop import (
     coproduct_tag,
     disjoint_union,
     enumerate_continuous_maps,
+    identity_map,
     is_open,
 )
-from .gdata import GluingData, Report, _maps_equal, validate
+from .gdata import GluingData, Report, _maps_equal, functor_tables, validate
 from .glidx import GlObject, normalize, pair, single
 
 CONE_MODES = ("full", "figure3", "figure4")
@@ -213,27 +214,25 @@ def _leg_equal(a: SpaceMap, b: SpaceMap) -> bool:
 def check_cone(gd: GluingData, cone: Cone, mode: str = "full") -> bool:
     """Evaluate the commuting conditions for a candidate cone.
 
-    ``full`` checks every morphism of the index category; ``figure3`` checks
-    the transition, anchor and projection triangles; ``figure4`` replaces the
-    transition triangle with its through-the-patch form.  The three modes are
-    equivalent verdicts for lawful data.
+    ``full`` checks ``leg(a) . F(e) == leg(b)`` for every non-identity
+    generator edge e: a -> b of the index category, after typing every leg
+    against its object.  That covers every morphism: the index category is
+    thin and every morphism is a path of generator edges, so when each edge
+    commutes every path commutes, and each edge is itself a morphism.
+    ``figure3`` checks the transition, anchor and projection triangles;
+    ``figure4`` replaces the transition triangle with its through-the-patch
+    form.  The three modes are equivalent verdicts for lawful data.
     """
     if mode not in CONE_MODES:
         raise ValueError(f"unknown cone mode {mode!r}")
     idx = gd.index
     if mode == "full":
-        from .gdata import evaluate, functor_tables
-
         fun = functor_tables(gd)
         for a in glidx.objects(idx):
-            for b in glidx.objects(idx):
-                m = glidx.hom(idx, a, b)
-                if m is None:
-                    continue
-                lhs = compose(cone.leg(a), evaluate(fun, m))
-                if not _leg_equal(lhs, cone.leg(b)):
-                    return False
-        return True
+            compose(cone.leg(a), identity_map(fun.obj[a]))  # raises on a missing or mistyped leg
+        return all(
+            _leg_equal(compose(cone.leg(a), f), cone.leg(b)) for (a, b), f in fun.gen.items()
+        )
     ok = True
     for i in idx:
         for j in idx:

@@ -192,7 +192,10 @@ def _parse_map(block: _Block, doc: SpecDocument) -> tuple[str, SpaceMap]:
         if "->" not in line:
             raise ParseError(no, f"expected 'point -> point', got {line!r}")
         src, _, dst = line.partition("->")
-        table[src.strip()] = dst.strip()
+        src = src.strip()
+        if src in table:
+            raise DuplicateName(f"line {no}: map {name.strip()!r} sends {src!r} twice")
+        table[src] = dst.strip()
     return name.strip(), make_map(dom, cod, table)
 
 
@@ -203,9 +206,14 @@ def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:
     anchor = {}
     transition = {}
     triples = {}
+    seen: dict[str, int] = {}
     for no, line in block.lines:
         key, value = _kv(no, line)
         fields = key.split()
+        entry = " ".join(fields)
+        if entry in seen:
+            raise DuplicateName(f"line {no}: gluing entry {entry!r} repeats line {seen[entry]}")
+        seen[entry] = no
         if key == "index":
             index = value.split()
         elif fields[0] == "patch" and len(fields) == 2:
@@ -227,6 +235,10 @@ def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:
             raise ParseError(block.line_no, "index labels must not contain '@'")
         if i not in patch:
             raise UnresolvedReference(f"line {block.line_no}: no patch for index {i!r}")
+    for entry, no in seen.items():
+        for label in entry.split()[1:]:
+            if label not in index:
+                raise UnresolvedReference(f"line {no}: index label {label!r} is not in 'index:'")
     data = make_gluing_data(index, patch, overlap, anchor, transition, triples)
     if derive:
         data = derive_triple_maps(data)
@@ -420,7 +432,10 @@ def serialize(doc: SpecDocument) -> str:
 
 
 def _space_name(doc: SpecDocument, space: FiniteSpace) -> str:
-    for name, sp in doc.spaces.items():
-        if sp is space or sp == space:
-            return name
+    # equality ignores space_id, so two declared spaces with one table are
+    # equal; the identical object names the space the map was declared with
+    for same in (lambda sp: sp is space, lambda sp: sp == space):
+        for name, sp in doc.spaces.items():
+            if same(sp):
+                return name
     raise UnresolvedReference(f"space {space.space_id!r} is not declared in the document")

@@ -48,3 +48,22 @@ def random_lawful_data(rng: random.Random, max_patches=3, max_points=4):
         sp, incl = fintop.subspace(base, s)
         family.append((sp, incl))
     return cover.data_of_covering(cover.Covering(base, family, "gluing"))
+
+
+def digital_circle_data(m: int, k: int):
+    """Canonical data of DC_m covered by k open arcs.
+
+    DC_m has open points o_s and closed points c_s with U(c_s) =
+    {o_s, c_s, o_s+1}; neighbouring arcs share o_s, c_s, o_s+1.
+    """
+    table = {}
+    for s in range(m):
+        table[f"o{s}"] = [f"o{s}"]
+        table[f"c{s}"] = [f"o{s}", f"c{s}", f"o{(s + 1) % m}"]
+    base = fintop.make_space(f"DC{m}", table, table)
+    family = []
+    for j in range(k):
+        lo, hi = j * m // k, (j + 1) * m // k
+        arc = [f"o{s % m}" for s in range(lo, hi + 2)] + [f"c{s % m}" for s in range(lo, hi + 1)]
+        family.append(fintop.subspace(base, arc))
+    return cover.data_of_covering(cover.Covering(base, family, "open"))

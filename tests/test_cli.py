@@ -342,6 +342,28 @@ class TestExitCodes:
         assert "unknown covering kind 'bogus'" in err
 
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("patch 3: ARC3A", "error: line 58: index label '3' is not in 'index:'"),
+            ("patch 1: ARC3B", "error: line 58: gluing entry 'patch 1' repeats line 50"),
+        ],
+    )
+    def test_gluing_entry_outside_index_or_repeated(self, capsys, tmp_path, line, message):
+        f = tmp_path / "extra.glue"
+        f.write_text(CIRCLE_DOC.replace("  transition 2 1: t21\n", f"  transition 2 1: t21\n  {line}\n", 1))
+        code, out, err = run_cli(capsys, "glue", str(f), "CIRC", "--derive-triples")
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
+
+    def test_repeated_map_source(self, capsys, tmp_path):
+        f = tmp_path / "twice.glue"
+        f.write_text(CIRCLE_DOC.replace("  a -> l\n  b -> r\n", "  a -> l\n  b -> r\n  a -> r\n", 1))
+        code, _, err = run_cli(capsys, "validate", str(f), "CIRC", "--derive-triples")
+        assert code == 2
+        assert "map 'a12' sends 'a' twice" in err
+
+
 # Every error class and the exit code the README's table gives it.
 ERROR_EXIT_CODES = {
     "TopoglueError": 1,

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_lawful_data
-from topoglue.errors import NotDetermined, ValidationFailed
+from topoglue.errors import NotDetermined, UnresolvedReference, ValidationFailed
 from topoglue.fintop import SpaceMap, compose, identity_map, make_map, make_space
 from topoglue.fixtures import arc3, disc2, gd_circ, pt, trivial_data
 from topoglue.gdata import (
@@ -101,6 +101,19 @@ def _ambiguous_instance():
             ("3", "2"): m(d32, d23, {"a": "a", "b": "b"}),
         },
     )
+
+
+class TestMakeGluingData:
+    def test_index_label_with_at_sign(self):
+        sp = arc3()
+        with pytest.raises(UnresolvedReference, match="must not contain '@'") as info:
+            make_gluing_data(["a@b"], patch={"a@b": sp}, overlap={}, anchor={}, transition={})
+        assert info.value.exit_code == 2
+
+    def test_index_label_without_patch(self):
+        with pytest.raises(UnresolvedReference, match=r"no patch for index labels \['2'\]") as info:
+            make_gluing_data(["1", "2"], patch={"1": arc3()}, overlap={}, anchor={}, transition={})
+        assert info.value.exit_code == 2
 
 
 class TestDeriveTripleMaps:

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from conftest import random_lawful_data
-from topoglue.errors import IllDefined, NotEquivalence
+from conftest import digital_circle_data, random_lawful_data
+from topoglue import glidx
+from topoglue import glue as glue_mod
+from topoglue.errors import CompositionMismatch, IllDefined, MissingLeg, NotEquivalence
 from topoglue.fintop import (
     SpaceMap,
     compose,
@@ -18,8 +20,17 @@ from topoglue.fintop import (
     make_space,
     quotient,
 )
-from topoglue.fixtures import arc3, circle4, disc2, gd_circ, pt, sierp, trivial_data
-from topoglue.gdata import make_gluing_data, derive_triple_maps, validate
+from topoglue.fixtures import (
+    arc3,
+    circle4,
+    cylinder_data,
+    disc2,
+    gd_circ,
+    pt,
+    sierp,
+    trivial_data,
+)
+from topoglue.gdata import derive_triple_maps, evaluate, functor_tables, make_gluing_data, validate
 from topoglue.glidx import pair, single
 from topoglue.glue import (
     CONE_MODES,
@@ -333,6 +344,102 @@ class TestCheckCone:
             assert len(set(verdicts.values())) == 1, verdicts
             agreements += 1
         assert agreements == 60
+
+
+def _morphism_maps(gd):
+    """(a, b, F(a -> b)) for every ordered object pair with a morphism, found by BFS."""
+    fun = functor_tables(gd)
+    objs = glidx.objects(gd.index)
+    out = []
+    for a in objs:
+        for b in objs:
+            m = glidx.hom(gd.index, a, b)
+            if m is not None:
+                out.append((a, b, evaluate(fun, m)))
+    return out
+
+
+def _all_pairs_verdict(cone, morphism_maps):
+    """The cone condition on every morphism of the index category, one pair at a time."""
+    for a, b, f in morphism_maps:
+        if compose(cone.leg(a), f) != cone.leg(b):
+            return False
+    return True
+
+
+def _redirected(cone, rng, n):
+    """The cone with n leg entries sent to another apex point."""
+    legs = dict(cone.legs)
+    nonempty = sorted((obj for obj in legs if legs[obj].dom.points), key=repr)
+    for _ in range(n):
+        obj = rng.choice(nonempty)
+        leg = legs[obj]
+        x = rng.choice(sorted(leg.dom.points))
+        table = dict(leg.table)
+        table[x] = rng.choice(sorted(leg.cod.points - {leg(x)}))
+        legs[obj] = SpaceMap(leg.dom, leg.cod, table)
+    return Cone(cone.apex, legs)
+
+
+class TestFullConeEdgeCheck:
+    """``full`` checks generator edges; the all-pairs loop over every morphism is the reference."""
+
+    def test_same_verdict_as_all_pairs_on_seeded_cones(self):
+        rng = random.Random(23)
+        sources = [
+            (gd_circ(), 250),
+            (cylinder_data("1"), 250),
+            (digital_circle_data(12, 3), 60),
+            (digital_circle_data(8, 4), 40),
+        ]
+        verdicts = []
+        for gd, count in sources:
+            maps = _morphism_maps(gd)
+            glued_cone = cone_of(glue(gd))
+            for _ in range(count):
+                cone = _redirected(glued_cone, rng, rng.randint(0, 2))
+                if rng.random() < 0.5:
+                    # pair and triple legs forced from the patch legs: such a cone
+                    # fails only where the patch legs disagree across an overlap
+                    singles = {i: cone.leg(single(i)) for i in gd.index}
+                    cone = complete_cone(gd, cone.apex, singles)
+                verdict = check_cone(gd, cone, "full")
+                assert verdict == _all_pairs_verdict(cone, maps)
+                verdicts.append(verdict)
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("gd", [gd_circ(), trivial_data(arc3())], ids=["circle", "single"])
+    def test_missing_leg_raises(self, gd):
+        legs = dict(cone_of(glue(gd)).legs)
+        del legs[single(gd.index[-1])]
+        cone = Cone(pt(), legs)
+        with pytest.raises(MissingLeg):
+            _all_pairs_verdict(cone, _morphism_maps(gd))
+        with pytest.raises(MissingLeg):
+            check_cone(gd, cone, "full")
+
+    def test_leg_with_wrong_domain_raises(self):
+        gd = gd_circ()
+        legs = dict(cone_of(glue(gd)).legs)
+        legs[single("1")] = legs[pair("1", "2")]
+        cone = Cone(pt(), legs)
+        with pytest.raises(CompositionMismatch):
+            _all_pairs_verdict(cone, _morphism_maps(gd))
+        with pytest.raises(CompositionMismatch):
+            check_cone(gd, cone, "full")
+
+    def test_compose_calls_stay_linear_in_objects_and_edges(self, monkeypatch):
+        gd = digital_circle_data(96, 8)
+        cone = cone_of(glue(gd))
+        calls = []
+
+        def counting_compose(g, f):
+            calls.append(1)
+            return compose(g, f)
+
+        monkeypatch.setattr(glue_mod, "compose", counting_compose)
+        assert check_cone(gd, cone, "full")
+        assert len(calls) <= len(glidx.objects(gd.index)) + len(functor_tables(gd).gen)
 
 
 class TestConeErrors:

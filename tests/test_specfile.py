@@ -122,6 +122,34 @@ class TestParse:
         doc = parse_spec(CIRCLE)
         assert doc.gluings["CIRC"].triple_transition == {}
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "patch 3: ARC3A",
+            "overlap 1 3: D12",
+            "anchor 3 1: a12",
+            "transition 1 3: t12",
+            "triple 1 2 3: t12",
+        ],
+    )
+    def test_gluing_entry_outside_index(self, line):
+        text = CIRCLE.replace("  transition 2 1: t21\n", f"  transition 2 1: t21\n  {line}\n")
+        with pytest.raises(UnresolvedReference, match="not in 'index:'"):
+            parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "line", ["index: 1 2", "patch 1: ARC3B", "anchor  1 2: a12", "transition 2 1: t21"]
+    )
+    def test_repeated_gluing_entry(self, line):
+        text = CIRCLE.replace("  transition 2 1: t21\n", f"  transition 2 1: t21\n  {line}\n")
+        with pytest.raises(DuplicateName, match="repeats line"):
+            parse_spec(text)
+
+    def test_repeated_map_source(self):
+        text = CIRCLE.replace("  a -> l\n  b -> r\n", "  a -> l\n  b -> r\n  a -> r\n", 1)
+        with pytest.raises(DuplicateName, match="sends 'a' twice"):
+            parse_spec(text)
+
 
 class TestRoundTrip:
     def test_serialize_reparses_equal(self):
@@ -136,6 +164,19 @@ class TestRoundTrip:
         for name in doc.gluings:
             a, b = doc.gluings[name], doc2.gluings[name]
             assert a.patch == b.patch and a.anchor == b.anchor
+
+    def test_map_between_equal_tables_keeps_its_header(self):
+        text = (
+            "space A\n  points: p q\n  opens: p\nend\n"
+            "space B\n  points: p q\n  opens: p\nend\n"
+            "map m: B -> A\n  p -> p\n  q -> q\nend\n"
+        )
+        doc = parse_spec(text)
+        assert doc.spaces["A"] == doc.spaces["B"]
+        out = serialize(doc)
+        assert "map m: B -> A" in out.splitlines()
+        again = parse_spec(out).maps["m"]
+        assert (again.dom.space_id, again.cod.space_id) == ("B", "A")
 
     def test_serialize_deterministic(self):
         doc = parse_spec(CIRCLE)
