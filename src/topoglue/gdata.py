@@ -349,85 +349,40 @@ def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
     return gd.triple_map(i, j, k)
 
 
-def functor_tables(gd: GluingData, report: Report | None = None) -> GluingFunctor:
+def functor_tables(gd: GluingData) -> GluingFunctor:
     """Realize the data as tables without validating it first."""
     obj_table = {o: gd.space_of(o) for o in glidx.objects(gd.index)}
     gen_table: dict[tuple[GlObject, GlObject], SpaceMap] = {}
     for gen in glidx.raw_generators(gd.index):
         d, c = gen.dom, gen.cod
-        if d == c:
-            continue
-        img = _generator_image(gd, gen)
-        prev = gen_table.get((d, c))
-        if prev is not None and report is not None and _maps_equal(prev, img) is not None:
-            report.add("generator-coherence", gen.display(), False, _maps_equal(prev, img))
-        gen_table[(d, c)] = img
+        if d != c:
+            gen_table[(d, c)] = _generator_image(gd, gen)
     return GluingFunctor(gd, obj_table, gen_table)
 
 
 def functor_of(gd: GluingData) -> GluingFunctor:
     """Validate the data and realize it as tables over the index category.
 
-    Functoriality amounts to the five relation families of the index category
-    becoming equalities of maps; each is re-checked on the realized tables and
-    any failure is reported through ``ValidationFailed``.
+    ``validate`` is the only law check.  When the triple tables come from
+    ``make_gluing_data`` (``derive_triple_maps`` copies them), a passing
+    report implies the relation families of ``glidx.verify_relations`` on
+    the tables; write t(..) for triple transitions.  (a) identity generators
+    are not tabled and evaluate to identities, which the diagonal clauses tie
+    to the diagonal data.  (b) is transition-inverse, (c1) cocycle and (e)
+    projection-square, clause for clause.  (d) holds by construction: each
+    triple space is the pullback of anchors (i,j) and (i,k).  (c2): for a
+    point p of [i,j,k], q = t(j,i,k) t(i,j,k) p has the (i,j)-coordinate of
+    p by projection-square at (i,j,k) and (j,i,k) and transition-inverse at
+    (i,j); cocycle at (i,j,k) and (j,i,k) gives t(i,k,j) q = t(i,k,j) p, so
+    projection-square at (i,k,j) and transition-inverse at (i,k) give q the
+    (i,k)-coordinate of p, and a pullback point is fixed by its two
+    coordinates.  The tables are coherent: raw generators share endpoints
+    only as eta3 pairs, which read the same projection.
     """
     report = validate(gd)
     if not report.passed:
         raise ValidationFailed(report)
-    fun = functor_tables(gd, report)
-    _check_functoriality(fun, report)
-    if not report.passed:
-        raise ValidationFailed(report)
-    return fun
-
-
-def _image_of(fun: GluingFunctor, m: GlMorphism) -> SpaceMap:
-    out = identity_map(fun.obj[m.cod])
-    for gen in reversed(m.witness):
-        d, c = gen.dom, gen.cod
-        if d == c:
-            continue
-        out = compose(fun.gen[(d, c)], out)
-    return out
-
-
-def _check_functoriality(fun: GluingFunctor, report: Report) -> None:
-    idx = fun.index
-
-    def img(m):
-        return _image_of(fun, m)
-
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                sub = f"({i},{j},{k})"
-                lhs = img(glidx.compose_hom(glidx._tau3(i, j, k), glidx._tau3(j, k, i)))
-                rhs = img(glidx._tau3(i, k, j))
-                w = _maps_equal(lhs, rhs)
-                rep_ok = w is None
-                if not rep_ok:
-                    report.add("functor-tau3-cocycle", sub, False, w)
-                lhs = img(glidx.compose_hom(glidx._tau3(i, j, k), glidx._tau3(j, i, k)))
-                w = _maps_equal(lhs, identity_map(fun.obj[normalize((i, j, k))]))
-                if w is not None:
-                    report.add("functor-tau3-inverse", sub, False, w)
-                lhs = img(glidx.compose_hom(glidx._eta3(i, j, k, j), glidx._eta(i, j)))
-                rhs = img(glidx.compose_hom(glidx._eta3(i, j, k, k), glidx._eta(i, k)))
-                w = _maps_equal(lhs, rhs)
-                if w is not None:
-                    report.add("functor-eta3-square", sub, False, w)
-                lhs = img(glidx.compose_hom(glidx._tau3(i, j, k), glidx._eta3(j, i, k, i)))
-                rhs = img(glidx.compose_hom(glidx._eta3(i, j, k, j), glidx._tau(i, j)))
-                w = _maps_equal(lhs, rhs)
-                if w is not None:
-                    report.add("functor-exchange", sub, False, w)
-    for i in idx:
-        for j in idx:
-            lhs = img(glidx.compose_hom(glidx._tau(i, j), glidx._tau(j, i)))
-            w = _maps_equal(lhs, identity_map(fun.obj[glidx.pair(i, j)]))
-            if w is not None:
-                report.add("functor-tau-inverse", f"({i},{j})", False, w)
+    return functor_tables(gd)
 
 
 def evaluate(fun: GluingFunctor, m: GlMorphism) -> SpaceMap:
@@ -443,10 +398,15 @@ def evaluate(fun: GluingFunctor, m: GlMorphism) -> SpaceMap:
         path = glidx.hom(fun.index, m.dom, m.cod)
         if path is None:
             raise UnknownMorphism(f"no morphism {m.dom} -> {m.cod}")
-    for gen in path.witness:
-        if (gen.dom, gen.cod) not in fun.gen and gen.dom != gen.cod:
+    out = identity_map(fun.obj[m.cod])
+    for gen in reversed(path.witness):
+        d, c = gen.dom, gen.cod
+        if d == c:
+            continue
+        if (d, c) not in fun.gen:
             raise UnknownMorphism(f"generator {gen.display()} outside this functor")
-    return _image_of(fun, path)
+        out = compose(fun.gen[(d, c)], out)
+    return out
 
 
 def extract_data(fun: GluingFunctor) -> GluingData:

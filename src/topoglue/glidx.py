@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadArity, CompositionMismatch
 
@@ -249,8 +249,8 @@ class RelationsReport:
         return f"{len(self.failures)} relation failures: " + "; ".join(self.failures)
 
 
-def verify_relations(index: Iterable[str]) -> RelationsReport:
-    """Check the five relation families forced by morphism uniqueness.
+def relation_instances(index: Iterable[str]) -> Iterator[tuple[str, GlMorphism, GlMorphism]]:
+    """Both sides of every instance of the five relation families.
 
     (a) eta(i,i) = tau(i,i) = id
     (b) tau(i,j) . tau(j,i) = id
@@ -259,21 +259,12 @@ def verify_relations(index: Iterable[str]) -> RelationsReport:
     (e) tau3(i,j,k) . eta3(j,i,k,i) = eta3(i,j,k,j) . tau(i,j)
     """
     idx = sorted(set(index))
-    failures = []
-    checked = 0
-
-    def check(label, lhs, rhs):
-        nonlocal checked
-        checked += 1
-        if lhs != rhs:
-            failures.append(f"{label}: {lhs!r} != {rhs!r}")
-
     for i in idx:
-        check(f"(a) eta({i},{i})", _eta(i, i), identity(single(i)))
-        check(f"(a) tau({i},{i})", _tau(i, i), identity(single(i)))
+        yield f"(a) eta({i},{i})", _eta(i, i), identity(single(i))
+        yield f"(a) tau({i},{i})", _tau(i, i), identity(single(i))
     for i in idx:
         for j in idx:
-            check(
+            yield (
                 f"(b) tau({i},{j}).tau({j},{i})",
                 compose_hom(_tau(i, j), _tau(j, i)),
                 identity(pair(i, j)),
@@ -281,24 +272,30 @@ def verify_relations(index: Iterable[str]) -> RelationsReport:
     for i in idx:
         for j in idx:
             for k in idx:
-                check(
+                yield (
                     f"(c1) at ({i},{j},{k})",
                     compose_hom(_tau3(i, j, k), _tau3(j, k, i)),
                     _tau3(i, k, j),
                 )
-                check(
+                yield (
                     f"(c2) at ({i},{j},{k})",
                     compose_hom(_tau3(i, j, k), _tau3(j, i, k)),
                     identity(normalize((i, j, k))),
                 )
-                check(
+                yield (
                     f"(d) at ({i},{j},{k})",
                     compose_hom(_eta3(i, j, k, j), _eta(i, j)),
                     compose_hom(_eta3(i, j, k, k), _eta(i, k)),
                 )
-                check(
+                yield (
                     f"(e) at ({i},{j},{k})",
                     compose_hom(_tau3(i, j, k), _eta3(j, i, k, i)),
                     compose_hom(_eta3(i, j, k, j), _tau(i, j)),
                 )
-    return RelationsReport(checked, failures)
+
+
+def verify_relations(index: Iterable[str]) -> RelationsReport:
+    """Check the five relation families forced by morphism uniqueness."""
+    instances = list(relation_instances(index))
+    failures = [f"{label}: {lhs!r} != {rhs!r}" for label, lhs, rhs in instances if lhs != rhs]
+    return RelationsReport(len(instances), failures)

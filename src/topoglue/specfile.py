@@ -3,7 +3,8 @@
 A document is a sequence of named blocks, one declaration per line, closed by
 ``end``.  Comments start with ``#`` and blank lines separate nothing.  All
 references are by name and resolved at parse time; forward references are not
-allowed, so a document reads top to bottom.
+allowed, so a document reads top to bottom.  A key appears at most once per
+block; only ``opens`` and a covering's ``leg`` repeat.
 
     space ARC3
       points: l m r
@@ -141,10 +142,46 @@ def _split_blocks(text: str) -> list[_Block]:
 
 
 def _kv(line_no: int, line: str) -> tuple[str, str]:
-    if ":" not in line:
+    key, colon, value = line.partition(":")
+    if not colon or not key.strip():
         raise ParseError(line_no, f"expected 'key: value', got {line!r}")
-    key, _, value = line.partition(":")
-    return key.strip(), value.strip()
+    return " ".join(key.split()), value.strip()
+
+
+# entries keyed by an index-category object: "leg 1 2 3" repeats "leg 1 3 2"
+_OBJECT_KEYS = {"cone": "leg", "refinement": "component", "meta": "node"}
+
+
+def _once(block: _Block, first: dict, entry, line_no: int, shown: str) -> None:
+    if entry in first:
+        raise DuplicateName(
+            f"line {line_no}: {block.kind} entry {shown!r} repeats line {first[entry]}"
+        )
+    first[entry] = line_no
+
+
+def _entries(block: _Block, repeatable: tuple[str, ...] = ()):
+    """Yield ``(line_no, key, value)`` for each ``key: value`` line.
+
+    A key given twice in one block raises ``DuplicateName`` naming both lines,
+    except the keys in ``repeatable``.  Object keys (``leg``, ``component``,
+    ``node``) repeat when they name one normalized object, ``edge`` keys when
+    their generators share endpoints.
+    """
+    first: dict = {}
+    for no, line in block.lines:
+        key, value = _kv(no, line)
+        fields = key.split()
+        if fields[0] == _OBJECT_KEYS.get(block.kind):
+            entry = _parse_object(no, fields[1:])
+        elif block.kind == "meta" and fields[0] == "edge":
+            gen = _parse_gen(no, fields[1:])
+            entry = (gen.dom, gen.cod)
+        else:
+            entry = key
+        if key not in repeatable:
+            _once(block, first, entry, no, key)
+        yield no, key, value
 
 
 def _need(doc_table: dict, name: str, what: str, line_no: int):
@@ -157,8 +194,7 @@ def _parse_space(block: _Block) -> FiniteSpace:
     points: list[str] = []
     minopen: dict[str, list[str]] = {}
     opens: list[list[str]] = []
-    for no, line in block.lines:
-        key, value = _kv(no, line)
+    for no, key, value in _entries(block, repeatable=("opens",)):
         fields = key.split()
         if key == "points":
             points = value.split()
@@ -188,13 +224,13 @@ def _parse_map(block: _Block, doc: SpecDocument) -> tuple[str, SpaceMap]:
     dom = _need(doc.spaces, dom_name.strip(), "space", block.line_no)
     cod = _need(doc.spaces, cod_name.strip(), "space", block.line_no)
     table = {}
+    first: dict[str, int] = {}
     for no, line in block.lines:
         if "->" not in line:
             raise ParseError(no, f"expected 'point -> point', got {line!r}")
         src, _, dst = line.partition("->")
         src = src.strip()
-        if src in table:
-            raise DuplicateName(f"line {no}: map {name.strip()!r} sends {src!r} twice")
+        _once(block, first, src, no, src)
         table[src] = dst.strip()
     return name.strip(), make_map(dom, cod, table)
 
@@ -206,14 +242,10 @@ def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:
     anchor = {}
     transition = {}
     triples = {}
-    seen: dict[str, int] = {}
-    for no, line in block.lines:
-        key, value = _kv(no, line)
+    labels: list[tuple[int, list[str]]] = []
+    for no, key, value in _entries(block):
         fields = key.split()
-        entry = " ".join(fields)
-        if entry in seen:
-            raise DuplicateName(f"line {no}: gluing entry {entry!r} repeats line {seen[entry]}")
-        seen[entry] = no
+        labels.append((no, fields[1:]))
         if key == "index":
             index = value.split()
         elif fields[0] == "patch" and len(fields) == 2:
@@ -235,8 +267,8 @@ def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:
             raise ParseError(block.line_no, "index labels must not contain '@'")
         if i not in patch:
             raise UnresolvedReference(f"line {block.line_no}: no patch for index {i!r}")
-    for entry, no in seen.items():
-        for label in entry.split()[1:]:
+    for no, entry_labels in labels:
+        for label in entry_labels:
             if label not in index:
                 raise UnresolvedReference(f"line {no}: index label {label!r} is not in 'index:'")
     data = make_gluing_data(index, patch, overlap, anchor, transition, triples)
@@ -256,8 +288,7 @@ def _parse_cone(block: _Block, doc: SpecDocument) -> ConeDecl:
     apex = None
     legs: dict[GlObject, SpaceMap] = {}
     single_legs: dict[str, SpaceMap] = {}
-    for no, line in block.lines:
-        key, value = _kv(no, line)
+    for no, key, value in _entries(block):
         fields = key.split()
         if key == "over":
             over = value
@@ -285,8 +316,7 @@ def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:
     coarse = None
     gamma_table: dict[str, str] = {}
     components: dict[GlObject, SpaceMap] = {}
-    for no, line in block.lines:
-        key, value = _kv(no, line)
+    for no, key, value in _entries(block):
         fields = key.split()
         if key == "fine":
             _need(doc.gluings, value, "gluing", no)
@@ -322,8 +352,7 @@ def _parse_meta(block: _Block, doc: SpecDocument) -> GdfGluingData:
     index: list[str] = []
     node: dict[GlObject, GluingFunctor] = {}
     edge: dict[tuple[GlObject, GlObject], Refinement] = {}
-    for no, line in block.lines:
-        key, value = _kv(no, line)
+    for no, key, value in _entries(block):
         fields = key.split()
         if key == "index":
             index = value.split()
@@ -347,8 +376,7 @@ def _parse_covering(block: _Block, doc: SpecDocument) -> CoveringDecl:
     base = None
     kind = "gluing"
     family = []
-    for no, line in block.lines:
-        key, value = _kv(no, line)
+    for no, key, value in _entries(block, repeatable=("leg",)):
         if key == "base":
             base = _need(doc.spaces, value, "space", no)
         elif key == "kind":

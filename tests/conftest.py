@@ -4,6 +4,8 @@ import pytest
 from hypothesis import strategies as st
 
 from topoglue import cover, fintop
+from topoglue.fintop import SpaceMap
+from topoglue.gdata import GluingData
 from topoglue.fixtures import arc3, circle4, disc2, pt, sierp, sq9
 
 
@@ -67,3 +69,51 @@ def digital_circle_data(m: int, k: int):
         arc = [f"o{s % m}" for s in range(lo, hi + 2)] + [f"c{s % m}" for s in range(lo, hi + 1)]
         family.append(fintop.subspace(base, arc))
     return cover.data_of_covering(cover.Covering(base, family, "open"))
+
+
+def mutate_transition(rng, gd):
+    """Redirect one point of one off-diagonal transition; None if none can move."""
+    options = [
+        (i, j)
+        for (i, j) in gd.transition
+        if i != j
+        and gd.overlap[(i, j)].points
+        and len(gd.overlap[(j, i)].points) >= 2
+    ]
+    if not options:
+        return None
+    key = rng.choice(sorted(options))
+    old = gd.transition[key]
+    x = rng.choice(sorted(old.dom.points))
+    other = rng.choice(sorted(old.cod.points - {old(x)}))
+    table = dict(old.table)
+    table[x] = other
+    new_transition = dict(gd.transition)
+    new_transition[key] = SpaceMap(old.dom, old.cod, table)
+    return GluingData(
+        gd.index, gd.patch, gd.overlap, gd.anchor, new_transition,
+        gd.triple_space, gd.triple_proj, gd.triple_transition,
+    )
+
+
+def mutate_triple(rng, gd):
+    """Redirect one point of one triple transition; None if none can move."""
+    options = [
+        key
+        for key, m in gd.triple_transition.items()
+        if m.dom.points and len(m.cod.points) >= 2
+    ]
+    if not options:
+        return None
+    key = rng.choice(sorted(options))
+    old = gd.triple_transition[key]
+    x = rng.choice(sorted(old.dom.points))
+    other = rng.choice(sorted(old.cod.points - {old(x)}))
+    table = dict(old.table)
+    table[x] = other
+    new_triples = dict(gd.triple_transition)
+    new_triples[key] = SpaceMap(old.dom, old.cod, table)
+    return GluingData(
+        gd.index, gd.patch, gd.overlap, gd.anchor, gd.transition,
+        gd.triple_space, gd.triple_proj, new_triples,
+    )

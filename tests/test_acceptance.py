@@ -7,7 +7,7 @@ Every criterion carries its stated runtime bound where one applies.
 import random
 import time
 
-from conftest import random_lawful_data
+from conftest import mutate_transition, mutate_triple, random_lawful_data
 from oracles import all_tuples, tuple_equivalence
 from topoglue import glidx
 from topoglue.cover import Covering, check_covering, functor_of_covering, random_covering, random_space, site_axiom_basechange, site_axiom_compose, site_axiom_iso
@@ -35,7 +35,7 @@ from topoglue.fixtures import (
     sq9,
     torus_meta,
 )
-from topoglue.gdata import GluingData, validate
+from topoglue.gdata import validate
 from topoglue.glidx import normalize, single, verify_relations
 from topoglue.glue import (
     CONE_MODES,
@@ -78,52 +78,6 @@ def test_criterion_1_index_category_laws():
     report(1, elapsed < 5.0, f"relation families and normalize oracle in {elapsed:.2f}s")
 
 
-def _mutate_transition(rng, gd):
-    options = [
-        (i, j)
-        for (i, j) in gd.transition
-        if i != j
-        and gd.overlap[(i, j)].points
-        and len(gd.overlap[(j, i)].points) >= 2
-    ]
-    if not options:
-        return None
-    key = rng.choice(sorted(options))
-    old = gd.transition[key]
-    x = rng.choice(sorted(old.dom.points))
-    other = rng.choice(sorted(old.cod.points - {old(x)}))
-    table = dict(old.table)
-    table[x] = other
-    new_transition = dict(gd.transition)
-    new_transition[key] = SpaceMap(old.dom, old.cod, table)
-    return GluingData(
-        gd.index, gd.patch, gd.overlap, gd.anchor, new_transition,
-        gd.triple_space, gd.triple_proj, gd.triple_transition,
-    )
-
-
-def _mutate_triple(rng, gd):
-    options = [
-        key
-        for key, m in gd.triple_transition.items()
-        if m.dom.points and len(m.cod.points) >= 2
-    ]
-    if not options:
-        return None
-    key = rng.choice(sorted(options))
-    old = gd.triple_transition[key]
-    x = rng.choice(sorted(old.dom.points))
-    other = rng.choice(sorted(old.cod.points - {old(x)}))
-    table = dict(old.table)
-    table[x] = other
-    new_triples = dict(gd.triple_transition)
-    new_triples[key] = SpaceMap(old.dom, old.cod, table)
-    return GluingData(
-        gd.index, gd.patch, gd.overlap, gd.anchor, gd.transition,
-        gd.triple_space, gd.triple_proj, new_triples,
-    )
-
-
 def test_criterion_2_equivalence_relation():
     t0 = time.monotonic()
     rng = random.Random(2024)
@@ -139,7 +93,7 @@ def test_criterion_2_equivalence_relation():
     while mutants_failed < 20 and attempts < 400:
         attempts += 1
         gd = random_lawful_data(rng, max_patches=3, max_points=4)
-        mutant = (_mutate_transition if rng.random() < 0.5 else _mutate_triple)(rng, gd)
+        mutant = (mutate_transition if rng.random() < 0.5 else mutate_triple)(rng, gd)
         if mutant is None:
             continue
         vrep = validate(mutant)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doc_fixtures import BROKEN_TRIPLE_DOC, CIRCLE_DOC, torus_document
 from topoglue.cli import main
@@ -286,6 +291,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "validate", str(f))
         assert code == 2
 
+    def test_empty_key_is_input_error(self, capsys, tmp_path):
+        f = tmp_path / "empty.glue"
+        f.write_text("space X\n  points: a\n  : p\nend\n")
+        code, out, err = run_cli(capsys, "validate", str(f), "X")
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: expected 'key: value', got ': p'\n"
+
     def test_unresolved_reference(self, capsys, tmp_path):
         f = tmp_path / "bad.glue"
         f.write_text("map f: A -> B\n  x -> y\nend\n")
@@ -361,7 +373,58 @@ class TestExitCodes:
         f.write_text(CIRCLE_DOC.replace("  a -> l\n  b -> r\n", "  a -> l\n  b -> r\n  a -> r\n", 1))
         code, _, err = run_cli(capsys, "validate", str(f), "CIRC", "--derive-triples")
         assert code == 2
-        assert "map 'a12' sends 'a' twice" in err
+        assert "map entry 'a' repeats line" in err
+
+
+# The README's commands on their examples, without the two search-bound ones.
+FUZZ_COMMANDS = tuple(
+    (command, path, *[a for a in rest if a != "--derive-triples"])
+    for command, path, *rest in GOLDEN_COMMANDS[:9]
+    if command not in ("verify-universal", "site-check")
+)
+FUZZ_WORDS = ("x", "1", "3", "end", ":", "->", "@", ",", "leg", "index", "CIRC", "ARC3A", "D12")
+
+
+@st.composite
+def mutated_runs(draw):
+    """A README command and its example with one to three lines mutated."""
+    command, path, *targets = draw(st.sampled_from(FUZZ_COMMANDS))
+    lines = (REPO / path).read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "truncate", "empty-key", "word"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        elif op == "empty-key":
+            lines.insert(i, "  : p")
+        else:
+            words = lines[i].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(FUZZ_WORDS))
+            lines[i] = "  " + " ".join(words)
+        if not lines:
+            lines = [""]
+    return [command, *targets], "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(mutated_runs())
+    def test_mutated_examples_end_in_an_exit_code(self, run):
+        (command, *targets), text = run
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "doc.glue"
+            f.write_text(text)
+            argv = [command, str(f), *targets, "--derive-triples", "--budget", "20000"]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in (0, 1, 2, 3)
 
 
 # Every error class and the exit code the README's table gives it.

@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from conftest import random_lawful_data
+from conftest import digital_circle_data, mutate_transition, mutate_triple, random_lawful_data
+from test_glue import self_weld_arc
 from topoglue.errors import NotDetermined, UnresolvedReference, ValidationFailed
 from topoglue.fintop import SpaceMap, compose, identity_map, make_map, make_space
-from topoglue.fixtures import arc3, disc2, gd_circ, pt, trivial_data
+from topoglue.fixtures import arc3, cylinder_data, disc2, gd_circ, pt, trivial_data
 from topoglue.gdata import (
     GluingData,
     derive_triple_maps,
@@ -15,7 +17,16 @@ from topoglue.gdata import (
     make_gluing_data,
     validate,
 )
-from topoglue.glidx import GlGen, hom, morphism_of, normalize, pair, single
+from topoglue.glidx import (
+    GlGen,
+    hom,
+    morphism_of,
+    normalize,
+    pair,
+    raw_generators,
+    relation_instances,
+    single,
+)
 
 
 def _mutated_transition(gd, key, table):
@@ -146,6 +157,101 @@ class TestDeriveTripleMaps:
             )
         )
         assert rebuilt.triple_transition == supplied
+
+
+def _constant_anchor_data(triples_for=("1", "2")):
+    """Three one-point patches glued along two-point discrete overlaps.
+
+    Every anchor is constant, so each genuine triple space is a 4-point
+    product and ``derive_triple_maps`` cannot force its transition.  The
+    lawful ones come from a Z/2 model: overlap point x of (i,j) stands for
+    y_j - y_i + e(i,j) with the head's y fixed at 0, and e is 1 only at
+    (1,2), whose transitions swap.  Triple transitions built for e at another
+    pair (``triples_for``) break projection-square and nothing else.
+    """
+    idx = ["1", "2", "3"]
+    e = {(i, j): int((i, j) == ("1", "2")) for i in idx for j in idx}
+    f = {(i, j): int((i, j) == triples_for) for i in idx for j in idx}
+    patch = {i: make_space(f"P{i}", ["p"], {"p": ["p"]}) for i in idx}
+    overlap = {
+        (i, j): make_space(f"O{i}{j}", ["0", "1"], {"0": ["0"], "1": ["1"]})
+        for i in idx for j in idx if i != j
+    }
+    anchor = {key: make_map(sp, patch[key[0]], {"0": "p", "1": "p"}) for key, sp in overlap.items()}
+    transition = {
+        (i, j): make_map(sp, overlap[(j, i)], {x: str((int(x) + e[(i, j)] + e[(j, i)]) % 2) for x in "01"})
+        for (i, j), sp in overlap.items()
+    }
+    bare = make_gluing_data(idx, patch, overlap, anchor, transition)
+    triples = {}
+    for i, j, k in itertools.permutations(idx):
+        dom = bare.space_of(normalize((i, j, k)))
+        cod = bare.space_of(normalize((j, i, k)))
+        table = {}
+        for p in dom.points:
+            a, b = int(bare.coord_map(i, j, k)(p)), int(bare.coord_map(i, k, j)(p))
+            ji = str((a + f[(i, j)] + f[(j, i)]) % 2)
+            jk = str((a + b + f[(i, j)] + f[(i, k)] + f[(j, k)]) % 2)
+            (table[p],) = [
+                q for q in cod.points
+                if bare.coord_map(j, i, k)(q) == ji and bare.coord_map(j, k, i)(q) == jk
+            ]
+        triples[(i, j, k)] = make_map(dom, cod, table)
+    return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition, triples))
+
+
+class TestValidateImpliesFunctoriality:
+    """``validate`` is the only law check: a passing report must make every
+    relation instance of the index category an equality of realized maps."""
+
+    @staticmethod
+    def _corpus():
+        rng = random.Random(4)
+        lawful = [
+            gd_circ(),
+            cylinder_data("1"),
+            self_weld_arc(),
+            digital_circle_data(12, 3),
+            _constant_anchor_data(),
+        ]
+        lawful += [random_lawful_data(rng) for _ in range(30)]
+        moved = [m for gd in lawful for _ in range(2) if (m := mutate_transition(rng, gd))]
+        mutants = moved + [m for gd in lawful for _ in range(2) if (m := mutate_triple(rng, gd))]
+        mutants.append(_constant_anchor_data(triples_for=("1", "3")))
+        return lawful, mutants
+
+    def test_relations_hold_wherever_validate_passes(self):
+        lawful, mutants = self._corpus()
+        assert all(validate(gd).passed for gd in lawful)
+        rejected = 0
+        for gd in lawful + mutants:
+            rep = validate(gd)
+            if not rep.passed:
+                rejected += 1
+                with pytest.raises(ValidationFailed) as info:
+                    functor_of(gd)
+                assert info.value.report.entries == rep.entries
+                continue
+            fun = functor_of(gd)
+            for label, lhs, rhs in relation_instances(gd.index):
+                assert evaluate(fun, lhs) == evaluate(fun, rhs), f"{label} on {gd.index}"
+        assert rejected > 0
+
+    def test_constant_anchor_triples_are_not_derivable(self):
+        gd = _constant_anchor_data()
+        with pytest.raises(NotDetermined):
+            derive_triple_maps(make_gluing_data(gd.index, gd.patch, gd.overlap, gd.anchor, gd.transition))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_shared_generator_endpoints_read_one_entry(self, n):
+        # the realized tables keep one map per endpoint pair; the raw
+        # generators that share a pair are eta3 slots naming one projection
+        reads: dict = {}
+        for gen in raw_generators(str(k) for k in range(n)):
+            if gen.dom != gen.cod:
+                entry = (gen.cod, gen.indices[3]) if gen.kind == "eta3" else gen
+                reads.setdefault((gen.dom, gen.cod), set()).add(entry)
+        assert all(len(entries) == 1 for entries in reads.values())
 
 
 class TestFunctorOf:

@@ -1,8 +1,22 @@
+from pathlib import Path
+
 import pytest
 
 from topoglue.errors import DuplicateName, ParseError, UnresolvedReference
 from topoglue.fixtures import gd_circ, sierp
 from topoglue.specfile import parse_spec, serialize
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+
+def _example_with(name: str, after: str, line: str) -> tuple[str, int]:
+    """An example document with ``line`` inserted after its first ``after``
+    line, and the line number ``line`` lands on."""
+    text = (EXAMPLES / name).read_text()
+    lines = text.splitlines()
+    at = lines.index(after) + 1
+    return "\n".join(lines[:at] + [line] + lines[at:]) + "\n", at + 1
+
 
 MINIMAL = """
 space PT
@@ -147,8 +161,54 @@ class TestParse:
 
     def test_repeated_map_source(self):
         text = CIRCLE.replace("  a -> l\n  b -> r\n", "  a -> l\n  b -> r\n  a -> r\n", 1)
-        with pytest.raises(DuplicateName, match="sends 'a' twice"):
+        with pytest.raises(DuplicateName, match=r"line 31: map entry 'a' repeats line 29"):
             parse_spec(text)
+
+
+class TestEntryKeys:
+    @pytest.mark.parametrize(
+        "name, after",
+        [
+            ("circle.glue", "  points: l m r"),
+            ("circle.glue", "  index: 1 2"),
+            ("circle.glue", "  over: CIRC"),
+            ("torus.glue", "  gamma 1: 1"),
+            ("torus.glue", "  node 1: CYL1"),
+            ("circle.glue", "  kind: open"),
+        ],
+        ids=["space", "gluing", "cone", "refinement", "meta", "covering"],
+    )
+    def test_empty_key(self, name, after):
+        text, no = _example_with(name, after, "  : p")
+        with pytest.raises(ParseError, match=f"line {no}: expected 'key: value', got ': p'"):
+            parse_spec(text, derive_triples=True)
+
+    @pytest.mark.parametrize(
+        "name, after, line, kind, key",
+        [
+            ("circle.glue", "  minopen m: l m r", "  minopen m: m", "space", "minopen m"),
+            ("circle.glue", "  points: l m r", "  points:  l m", "space", "points"),
+            ("circle.glue", "  a -> l", "  a -> r", "map", "a"),
+            ("circle.glue", "  index: 1 2", "  index: 1", "gluing", "index"),
+            ("circle.glue", "  leg 1: psi1", "  leg  1: psi2", "cone", "leg 1"),
+            ("circle.glue", "  over: CIRC", "  over: CIRC", "cone", "over"),
+            ("torus.glue", "  gamma 1: 1", "  gamma 1: 2", "refinement", "gamma 1"),
+            ("torus.glue", "  component 1: incl1p1", "  component 1: incl1p2", "refinement", "component 1"),
+            ("torus.glue", "  node 1 1 2: BND1", "  node 1 2 1: BND2", "meta", "node 1 2 1"),
+            ("torus.glue", "  edge eta3 1 1 2 1: INCL1", "  edge eta3 1 2 1 1: IDB1", "meta", "edge eta3 1 2 1 1"),
+            ("circle.glue", "  kind: open", "  kind: gluing", "covering", "kind"),
+        ],
+    )
+    def test_repeated_entry(self, name, after, line, kind, key):
+        text, no = _example_with(name, after, line)
+        with pytest.raises(DuplicateName, match=f"line {no}: {kind} entry '{key}' repeats line {no - 1}$") as info:
+            parse_spec(text, derive_triples=True)
+        assert info.value.exit_code == 2
+
+    def test_opens_and_covering_legs_repeat(self):
+        doc = parse_spec((EXAMPLES / "circle.glue").read_text())
+        assert len(doc.spaces["D12"].points) == 2
+        assert len(doc.coverings["TWOARCS"].covering.family) == 2
 
 
 class TestRoundTrip:
