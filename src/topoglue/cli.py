@@ -353,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="declaration document")
     p.add_argument("targets", nargs="*", help="declared names the command acts on")
     p.add_argument("--budget", type=int, default=fintop.DEFAULT_MAP_BUDGET,
-                   help="search budget for enumeration oracles")
+                   help="search budget for enumeration oracles: point or leg "
+                   "assignments each search may try (search nodes)")
     p.add_argument("--derive-triples", action="store_true",
                    help="fill missing triple transitions when uniquely forced")
     p.add_argument("--mode", choices=glue_mod.CONE_MODES, default=None,

@@ -37,10 +37,18 @@ class CompositionMismatch(TopoglueError):
 class SearchBudgetExceeded(TopoglueError):
     """A brute-force search exceeded its configured budget.
 
-    Budget exhaustion is always an error, never a silent pass.
+    Budget exhaustion is always an error, never a silent pass.  ``search``
+    names the search, ``used`` is the node count it reached and ``limit`` is
+    the budget it was given.
     """
 
     exit_code = 3
+
+    def __init__(self, search, used, limit):
+        self.search = search
+        self.used = used
+        self.limit = limit
+        super().__init__(f"{search} tried {used} nodes, over its budget of {limit}")
 
 
 class BadArity(TopoglueError):

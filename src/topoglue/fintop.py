@@ -13,9 +13,8 @@ function of its inputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CompositionMismatch,
@@ -338,35 +337,81 @@ def quotient(
     return q, projection
 
 
+_EXHAUSTED = object()
+
+
+def backtrack(
+    search: str, depth: int, options: Callable[[list], Iterable], budget: int
+) -> Iterator[tuple]:
+    """Depth-first search over ``depth`` positions, yielding every complete choice tuple.
+
+    ``options(prefix)`` lists the choices for position ``len(prefix)`` that
+    are consistent with the choices in ``prefix``; complete tuples come out in
+    the lexicographic order those lists induce.  Every choice taken is one
+    search node, and more than ``budget`` nodes raises SearchBudgetExceeded
+    naming ``search``.  The stack is explicit, so depth is not limited by the
+    interpreter's recursion limit.
+    """
+    if depth == 0:
+        yield ()
+        return
+    prefix: list = []
+    stack = [iter(options(prefix))]
+    nodes = 0
+    while stack:
+        del prefix[len(stack) - 1:]
+        choice = next(stack[-1], _EXHAUSTED)
+        if choice is _EXHAUSTED:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(search, nodes, budget)
+        prefix.append(choice)
+        if len(prefix) == depth:
+            yield tuple(prefix)
+        else:
+            stack.append(iter(options(prefix)))
+
+
 def enumerate_continuous_maps(
     a: FiniteSpace, b: FiniteSpace, budget: int = DEFAULT_MAP_BUDGET
 ) -> list[SpaceMap]:
     """All continuous maps a -> b, in lexicographic table order.
 
-    The candidate count |b| ** |a| must stay within ``budget``.
+    A map of finite spaces is continuous iff it preserves the specialization
+    preorder: z in U(x) implies f(z) in U(f(x)) (Stong 1966).  The search
+    assigns the sorted points of ``a`` in turn and offers x only the images
+    consistent with every point already assigned, so every dead end is cut
+    at the first pair of points that breaks the order.  ``budget`` bounds the
+    number of point assignments tried (search nodes).
     """
     dom = sorted(a.points)
-    cod = sorted(b.points)
-    if not dom:
-        return [SpaceMap(a, b, {})]
-    candidates = len(cod) ** len(dom)
-    if candidates > budget:
-        raise SearchBudgetExceeded(
-            f"{candidates} candidate maps {a.space_id!r} -> {b.space_id!r} "
-            f"exceed budget {budget}"
-        )
-    out = []
-    for images in itertools.product(cod, repeat=len(dom)):
-        table = dict(zip(dom, images))
-        ok = True
-        for x in dom:
-            fx = table[x]
-            if any(table[y] not in b.min_open[fx] for y in a.min_open[x]):
-                ok = False
-                break
-        if ok:
-            out.append(SpaceMap(a, b, table))
-    return out
+    pos = {x: p for p, x in enumerate(dom)}
+    # below[p]: earlier points inside U(x); above[p]: earlier points whose U holds x
+    below = [[pos[z] for z in a.min_open[x] if pos[z] < p] for p, x in enumerate(dom)]
+    above: list[list[int]] = [[] for _ in dom]
+    for q, x in enumerate(dom):
+        for z in a.min_open[x]:
+            if pos[z] > q:
+                above[pos[z]].append(q)
+    # up[y]: the points whose minimal open contains y
+    up = {y: frozenset(z for z in b.points if y in b.min_open[z]) for y in b.points}
+
+    def images(img: list) -> list[str]:
+        p = len(img)
+        allowed = b.points
+        for q in below[p]:
+            allowed = allowed & up[img[q]]
+        for q in above[p]:
+            allowed = allowed & b.min_open[img[q]]
+        return sorted(allowed)
+
+    search = f"map search {a.space_id!r} -> {b.space_id!r}"
+    return [
+        SpaceMap(a, b, dict(zip(dom, img)))
+        for img in backtrack(search, len(dom), images, budget)
+    ]
 
 
 def _signature(space: FiniteSpace) -> dict[str, tuple[int, int]]:
@@ -421,7 +466,7 @@ def find_homeomorphism(
             visited += 1
             if visited > node_budget:
                 raise SearchBudgetExceeded(
-                    f"homeomorphism search visited more than {node_budget} nodes"
+                    f"homeomorphism search {a.space_id!r} -> {b.space_id!r}", visited, node_budget
                 )
             if consistent(x, y):
                 assignment[x] = y

@@ -9,7 +9,6 @@ any divergence is surfaced as a cocycle diagnostic instead of silently closed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -413,28 +412,44 @@ def default_apexes() -> list[FiniteSpace]:
 def enumerate_cones(
     gd: GluingData, apex: FiniteSpace, budget: int = fintop.DEFAULT_MAP_BUDGET
 ) -> list[dict[str, SpaceMap]]:
-    """All compatible patch-leg families into an apex (brute-force oracle)."""
-    per_patch = [
-        enumerate_continuous_maps(gd.patch[i], apex, budget) for i in gd.index
-    ]
-    out = []
-    for combo in itertools.product(*per_patch):
-        legs = dict(zip(gd.index, combo))
-        ok = True
-        for i in gd.index:
-            for j in gd.index:
-                lhs = compose(legs[i], gd.anchor[(i, j)])
-                rhs = compose(
-                    compose(legs[j], gd.anchor[(j, i)]), gd.transition[(i, j)]
-                )
-                if not _leg_equal(lhs, rhs):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(legs)
-    return out
+    """All compatible patch-leg families into an apex (brute-force oracle).
+
+    A family is compatible when the legs of patches i and j agree on every
+    overlap point u: leg_i(anchor_ij(u)) == leg_j(anchor_ji(transition_ij(u))).
+    The search picks patch legs in index order and offers patch i only the
+    continuous maps that agree with the legs already picked (and with
+    themselves across the diagonal overlap), so families come out in the
+    order of the Cartesian product of the per-patch map lists.  ``budget``
+    bounds each map search and the number of legs tried.
+    """
+    idx = gd.index
+    per_patch = [enumerate_continuous_maps(gd.patch[i], apex, budget) for i in idx]
+    # links[(i, j)]: point pairs (x in patch i, y in patch j) whose legs must agree
+    links: dict[tuple[str, str], list[tuple[str, str]]] = {(i, j): [] for i in idx for j in idx}
+    for i in idx:
+        for j in idx:
+            anchor_ij, anchor_ji, trans = gd.anchor[(i, j)], gd.anchor[(j, i)], gd.transition[(i, j)]
+            for u in sorted(gd.overlap[(i, j)].points):
+                x, y = anchor_ij(u), anchor_ji(trans(u))
+                links[(i, j)].append((x, y))
+                if i != j:
+                    links[(j, i)].append((y, x))
+
+    def legs(chosen: list[SpaceMap]) -> list[SpaceMap]:
+        p = len(chosen)
+        i = idx[p]
+        return [
+            leg
+            for leg in per_patch[p]
+            if all(
+                leg.table[x] == other.table[y]
+                for j, other in zip(idx, [*chosen, leg])
+                for x, y in links[(i, j)]
+            )
+        ]
+
+    search = f"cone search into {apex.space_id!r}"
+    return [dict(zip(idx, fam)) for fam in fintop.backtrack(search, len(idx), legs, budget)]
 
 
 def verify_universal(
@@ -447,7 +462,12 @@ def verify_universal(
 
     For each apex, every compatible patch-leg family is enumerated and the
     continuous maps out of the glued space commuting with all legs are counted;
-    exactly one must exist and it must agree with ``mediate``.
+    exactly one must exist and it must agree with ``mediate``.  The count is a
+    hash join: each candidate h is filed under its restriction tuple, the
+    tables of h . leg_i over the sorted points of every patch i, and each
+    family is looked up under the tuple of its own leg tables.  The tables
+    are compared alone because h . leg_i and the family's leg i both run
+    from patch i to the apex.
     """
     rep = UniversalReport()
     if apexes is None:
@@ -457,19 +477,18 @@ def verify_universal(
     # is what rules out finer-than-lawful quotients.
     is_cone = check_cone(gd, Cone(glued.space, dict(glued.legs)), "figure4")
     rep.add("candidate-is-cone", glued.space.space_id, is_cone)
+    patch_points = [(i, sorted(gd.patch[i].points)) for i in gd.index]
+    # the glued point each patch point lands on, in restriction-tuple order
+    route = [glued.leg(single(i))(x) for i, pts in patch_points for x in pts]
     for apex in apexes:
-        candidates = enumerate_continuous_maps(glued.space, apex, budget)
+        by_restriction: dict[tuple[str, ...], list[SpaceMap]] = {}
+        for h in enumerate_continuous_maps(glued.space, apex, budget):
+            by_restriction.setdefault(tuple(h.table[q] for q in route), []).append(h)
         families = enumerate_cones(gd, apex, budget)
         rep.cones_checked += len(families)
         for fam in families:
-            mediators = [
-                h
-                for h in candidates
-                if all(
-                    _leg_equal(compose(h, glued.leg(single(i))), fam[i])
-                    for i in gd.index
-                )
-            ]
+            key = tuple(fam[i].table[x] for i, pts in patch_points for x in pts)
+            mediators = by_restriction.get(key, [])
             if len(mediators) != 1:
                 rep.add(
                     "unique-mediator",
@@ -481,8 +500,8 @@ def verify_universal(
                 continue
             if not is_cone:
                 continue
-            cone = complete_cone(gd, apex, fam)
-            mu = mediate(gd, glued, cone)
+            # mediate reads only the patch legs, so the family needs no completion
+            mu = mediate(gd, glued, Cone(apex, {single(i): leg for i, leg in fam.items()}))
             if not _leg_equal(mu, mediators[0]):
                 rep.add("mediate-agrees", apex.space_id, False, "mediate differs from oracle")
         rep.add("apex-done", apex.space_id, True)

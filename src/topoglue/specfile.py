@@ -262,11 +262,6 @@ def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:
             raise ParseError(no, f"unknown gluing entry {key!r}")
     if not index:
         raise ParseError(block.line_no, "gluing needs an index line")
-    for i in index:
-        if "@" in i:
-            raise ParseError(block.line_no, "index labels must not contain '@'")
-        if i not in patch:
-            raise UnresolvedReference(f"line {block.line_no}: no patch for index {i!r}")
     for no, entry_labels in labels:
         for label in entry_labels:
             if label not in index:

@@ -353,6 +353,22 @@ class TestExitCodes:
         assert code == 2
         assert "unknown covering kind 'bogus'" in err
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (
+                "  index: a@b\n  patch a@b: ARC3A\n",
+                "error: index label 'a@b' must not contain '@'\n",
+            ),
+            ("  index: 1 2\n  patch 1: ARC3A\n", "error: no patch for index labels ['2']\n"),
+        ],
+        ids=["at-sign", "unpatched"],
+    )
+    def test_index_label_rejected_by_make_gluing_data(self, capsys, tmp_path, block, message):
+        f = tmp_path / "labels.glue"
+        f.write_text(CIRCLE_DOC + f"\ngluing LABELS\n{block}end\n")
+        code, out, err = run_cli(capsys, "validate", str(f), "LABELS")
+        assert (code, out, err) == (2, "", message)
 
     @pytest.mark.parametrize(
         "line, message",

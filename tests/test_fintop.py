@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import small_spaces
 from oracles import all_opens, closure_opens, min_open_from_lattice
-from topoglue import fintop
+from topoglue import cover, fintop
 from topoglue.errors import (
     CompositionMismatch,
     InvalidTopology,
@@ -29,7 +31,9 @@ from topoglue.fintop import (
     quotient,
     subspace,
 )
-from topoglue.fixtures import arc3, circle4, disc2, pt, sierp, sq9
+from topoglue.fixtures import arc3, circle4, disc2, pt, sierp, sq9, torus_meta
+from topoglue.glue import glue
+from topoglue.refine import compose_gdf
 
 
 class TestMakeSpace:
@@ -328,6 +332,72 @@ class TestEnumerateContinuousMaps:
         assert [m.table for m in a] == [m.table for m in b]
 
 
+def _filtered_maps(a, b):
+    """Every table in |b| ** |a|, kept when continuous: the reference for the search."""
+    dom, cod = sorted(a.points), sorted(b.points)
+    out = []
+    for images in itertools.product(cod, repeat=len(dom)):
+        table = dict(zip(dom, images))
+        if all(table[z] in b.min_open[table[x]] for x in dom for z in a.min_open[x]):
+            out.append(table)
+    return out
+
+
+def _torus():
+    meta, _ = torus_meta()
+    return glue(compose_gdf(meta)[0].data).space
+
+
+class TestMapSearch:
+    """The backtracking search against the |b| ** |a| filter it replaced."""
+
+    def test_same_maps_in_same_order_as_filter(self):
+        rng = random.Random(29)
+        empty = make_space("E", [], {})
+        pairs = [(empty, pt()), (empty, empty), (pt(), empty)]
+        for _ in range(300):
+            a = cover.random_space(rng, max_points=5, space_id="A")
+            pairs.append((a, cover.random_space(rng, max_points=4, space_id="B")))
+        counts = []
+        for a, b in pairs:
+            maps = enumerate_continuous_maps(a, b)
+            assert all(m.dom is a and m.cod is b for m in maps)
+            assert [m.table for m in maps] == _filtered_maps(a, b)
+            counts.append(len(maps))
+        assert counts[:3] == [1, 1, 0]
+        assert max(counts) > 100
+
+    def test_torus_counts_match_its_open_sets(self):
+        torus = _torus()
+        points = sorted(torus.points)
+        opens = [
+            frozenset(sub)
+            for k in range(len(points) + 1)
+            for sub in itertools.combinations(points, k)
+            if is_open(torus, sub)
+        ]
+        # maps into SIERP are the preimages of its open point t; maps into
+        # ARC3 are the ordered pairs of disjoint preimages of l and r
+        assert len(enumerate_continuous_maps(torus, sierp())) == len(opens) == 430
+        disjoint = sum(1 for u in opens for v in opens if not u & v)
+        assert len(enumerate_continuous_maps(torus, arc3())) == disjoint == 1137
+
+    def test_budget_counts_search_nodes(self):
+        assert len(enumerate_continuous_maps(pt(), sierp(), budget=2)) == 2
+        with pytest.raises(SearchBudgetExceeded) as info:
+            enumerate_continuous_maps(pt(), sierp(), budget=1)
+        assert (info.value.used, info.value.limit) == (2, 1)
+        assert info.value.search == "map search 'PT' -> 'SIERP'"
+        assert str(info.value) == "map search 'PT' -> 'SIERP' tried 2 nodes, over its budget of 1"
+
+    def test_deep_domain_needs_no_recursion(self):
+        n = sys.getrecursionlimit() + 10
+        points = [f"x{k}" for k in range(n)]
+        discrete = make_space("D", points, {x: [x] for x in points})
+        (only,) = enumerate_continuous_maps(discrete, pt(), budget=n)
+        assert set(only.table.values()) == {"p"}
+
+
 class TestFindHomeomorphism:
     def test_identity_exists(self):
         w = find_homeomorphism(sierp(), sierp())
@@ -340,6 +410,12 @@ class TestFindHomeomorphism:
     def test_budget(self):
         with pytest.raises(SearchBudgetExceeded):
             find_homeomorphism(sq9(), sq9(), node_budget=3)
+
+    def test_budget_error_names_search_use_and_limit(self):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            find_homeomorphism(sq9(), sq9(), node_budget=3)
+        assert (info.value.used, info.value.limit) == (4, 3)
+        assert info.value.search == "homeomorphism search 'SQ9' -> 'SQ9'"
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())

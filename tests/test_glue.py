@@ -6,12 +6,19 @@ import pytest
 from conftest import digital_circle_data, random_lawful_data
 from topoglue import glidx
 from topoglue import glue as glue_mod
-from topoglue.errors import CompositionMismatch, IllDefined, MissingLeg, NotEquivalence
+from topoglue.errors import (
+    CompositionMismatch,
+    IllDefined,
+    MissingLeg,
+    NotEquivalence,
+    SearchBudgetExceeded,
+)
 from topoglue.fintop import (
     SpaceMap,
     compose,
     coproduct_tag,
     disjoint_union,
+    enumerate_continuous_maps,
     find_homeomorphism,
     identity_map,
     is_homeomorphism,
@@ -35,6 +42,7 @@ from topoglue.glidx import pair, single
 from topoglue.glue import (
     CONE_MODES,
     Cone,
+    UniversalReport,
     as_candidate,
     build_relation,
     check_cone,
@@ -43,6 +51,8 @@ from topoglue.glue import (
     check_otop,
     complete_cone,
     cone_of,
+    default_apexes,
+    enumerate_cones,
     glue,
     mediate,
     verify_universal,
@@ -628,6 +638,120 @@ class TestVerifyUniversal:
             glued = glue(gd)
             rep = verify_universal(gd, glued, apexes=[pt(), sierp()])
             assert rep.passed, str(rep)
+
+
+def _product_cones(gd, apex):
+    """Every family in the Cartesian product of patch maps, kept when compatible: the reference."""
+    per_patch = [enumerate_continuous_maps(gd.patch[i], apex) for i in gd.index]
+    out = []
+    for combo in itertools.product(*per_patch):
+        legs = dict(zip(gd.index, combo))
+        if all(
+            compose(legs[i], gd.anchor[(i, j)])
+            == compose(compose(legs[j], gd.anchor[(j, i)]), gd.transition[(i, j)])
+            for i in gd.index
+            for j in gd.index
+        ):
+            out.append(legs)
+    return out
+
+
+def _scan_report(gd, glued, apexes):
+    """``verify_universal`` with the candidates x families x legs scan: the reference."""
+    rep = UniversalReport()
+    is_cone = check_cone(gd, Cone(glued.space, dict(glued.legs)), "figure4")
+    rep.add("candidate-is-cone", glued.space.space_id, is_cone)
+    for apex in apexes:
+        candidates = enumerate_continuous_maps(glued.space, apex)
+        families = _product_cones(gd, apex)
+        rep.cones_checked += len(families)
+        for fam in families:
+            mediators = [
+                h
+                for h in candidates
+                if all(compose(h, glued.leg(single(i))) == fam[i] for i in gd.index)
+            ]
+            if len(mediators) != 1:
+                rep.add(
+                    "unique-mediator",
+                    apex.space_id,
+                    False,
+                    f"{len(mediators)} mediators for legs "
+                    + str({i: sorted(fam[i].table.items()) for i in gd.index}),
+                )
+                continue
+            if is_cone and mediate(gd, glued, complete_cone(gd, apex, fam)) != mediators[0]:
+                rep.add("mediate-agrees", apex.space_id, False, "mediate differs from oracle")
+        rep.add("apex-done", apex.space_id, True)
+    return rep
+
+
+class TestConeSearch:
+    def test_same_families_in_same_order_as_product(self):
+        rng = random.Random(31)
+        data = [gd_circ(), cylinder_data("1")] + [random_lawful_data(rng) for _ in range(20)]
+        total = 0
+        for gd in data:
+            for apex in (pt(), sierp(), disc2(), arc3()):
+                families = enumerate_cones(gd, apex)
+                expected = _product_cones(gd, apex)
+                assert [{i: f.table for i, f in fam.items()} for fam in families] == [
+                    {i: f.table for i, f in fam.items()} for fam in expected
+                ]
+                total += len(families)
+        assert total > 900
+
+    def test_budget_counts_legs_tried(self):
+        gd = gd_circ()
+        # 5 legs for patch 1, and 7 for patch 2 that agree with one of them
+        assert len(enumerate_cones(gd, sierp(), budget=12)) == 7
+        with pytest.raises(SearchBudgetExceeded) as info:
+            enumerate_cones(gd, sierp(), budget=11)
+        assert (info.value.search, info.value.used) == ("cone search into 'SIERP'", 12)
+
+
+class TestMediatorHashJoin:
+    """The report entries of the hash join against the scan it replaced."""
+
+    @staticmethod
+    def _quotient_candidate(gd, pairs):
+        total, injections = disjoint_union([gd.patch[i] for i in gd.index], list(gd.index))
+        q, proj = quotient(total, pairs)
+        legs = {single(i): compose(proj, eps) for i, eps in zip(gd.index, injections)}
+        return as_candidate(gd, q, legs)
+
+    def test_finer_quotient_is_not_a_cone(self):
+        gd = gd_circ()
+        candidate = self._quotient_candidate(gd, [("l@1", "l@2")])  # r is never identified
+        rep = verify_universal(gd, candidate)
+        assert rep == _scan_report(gd, candidate, default_apexes() + [candidate.space])
+        # every family factors uniquely through the finer quotient: only the
+        # cone check rejects it
+        assert [e.name for e in rep.failures()] == ["candidate-is-cone"]
+
+    def test_coarser_quotient_without_mediators(self):
+        gd = gd_circ()
+        candidate = self._quotient_candidate(gd, list(glue(gd).relation) + [("l@1", "r@1")])
+        apexes = [sierp(), disc2(), arc3()]
+        rep = verify_universal(gd, candidate, apexes)
+        assert rep == _scan_report(gd, candidate, apexes)
+        unique = [e.witness for e in rep.failures() if e.name == "unique-mediator"]
+        # families that separate l from r: 2 into SIERP, none into DISC2, 6 into ARC3
+        assert len(unique) == 8 and all(w.startswith("0 mediators") for w in unique)
+
+    def test_extra_point_gives_two_mediators(self):
+        gd = gd_circ()
+        glued = glue(gd)
+        space = make_space(
+            "CIRC+z", glued.space.points | {"z"}, {**glued.space.min_open, "z": {"z"}}
+        )
+        incl = make_map(glued.space, space, {x: x for x in glued.space.points})
+        legs = {single(i): compose(incl, glued.leg(single(i))) for i in gd.index}
+        candidate = as_candidate(gd, space, legs)
+        rep = verify_universal(gd, candidate, apexes=[disc2()])
+        assert rep == _scan_report(gd, candidate, [disc2()])
+        assert rep.cones_checked == 2
+        assert [e.witness[:11] for e in rep.failures()] == ["2 mediators"] * 2
 
 
 class TestCheckOtop:
