@@ -353,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="declaration document")
     p.add_argument("targets", nargs="*", help="declared names the command acts on")
     p.add_argument("--budget", type=int, default=fintop.DEFAULT_MAP_BUDGET,
-                   help="search budget for enumeration oracles: point or leg "
+                   help="search budget for enumeration oracles: point "
                    "assignments each search may try (search nodes)")
     p.add_argument("--derive-triples", action="store_true",
                    help="fill missing triple transitions when uniquely forced")

@@ -13,6 +13,7 @@ function of its inputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -38,7 +39,7 @@ class FiniteSpace:
 
     space_id: str = field(compare=False)
     points: frozenset[str]
-    min_open: Mapping[str, frozenset[str]]
+    min_open: Mapping[str, frozenset[str]] = field(hash=False)
 
     def __repr__(self):
         return f"FiniteSpace({self.space_id!r}, {len(self.points)} points)"
@@ -54,7 +55,7 @@ class SpaceMap:
 
     dom: FiniteSpace
     cod: FiniteSpace
-    table: Mapping[str, str]
+    table: Mapping[str, str] = field(hash=False)
 
     def __call__(self, point: str) -> str:
         if point not in self.table:
@@ -167,6 +168,16 @@ def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
     return SpaceMap(f.dom, g.cod, {x: g(f(x)) for x in f.dom.points})
 
 
+def discontinuities(f: SpaceMap) -> list[str]:
+    """The sorted points x where f(min_open(x)) is not inside min_open(f(x)).
+
+    The list is empty iff f is continuous.
+    """
+    return [
+        x for x in sorted(f.dom.points) if not f.image(f.dom.min_open[x]) <= f.cod.min_open[f(x)]
+    ]
+
+
 def analyze_map(f: SpaceMap) -> MapReport:
     """Check continuity, injectivity, openness and the embedding criterion.
 
@@ -175,13 +186,9 @@ def analyze_map(f: SpaceMap) -> MapReport:
     embedding:  injective, continuous, and the image of each minimal open is
                 exactly min_open(f(x)) intersected with the image of f.
     """
-    witnesses: list[tuple[str, str]] = []
-    continuous = True
-    for x in sorted(f.dom.points):
-        img = f.image(f.dom.min_open[x])
-        if not img <= f.cod.min_open[f(x)]:
-            continuous = False
-            witnesses.append(("continuous", x))
+    broken = discontinuities(f)
+    continuous = not broken
+    witnesses = [("continuous", x) for x in broken]
     injective = True
     seen: dict[str, str] = {}
     for x in sorted(f.dom.points):
@@ -374,43 +381,57 @@ def backtrack(
             stack.append(iter(options(prefix)))
 
 
+def _allowed_images(
+    order: Sequence, min_open: Mapping, cod: FiniteSpace
+) -> Callable[[Sequence[str]], frozenset[str]]:
+    """The order constraint of a point-by-point search for continuous maps.
+
+    ``order`` lists the domain points in search order and ``min_open[x]`` is
+    x's minimal open among them.  The returned function maps the images of a
+    prefix of ``order`` to the points of ``cod`` the next point x may take.
+    A map is continuous iff z in U(x) implies f(z) in U(f(x)) (Stong 1966),
+    so an earlier z in U(x) needs f(x) in up(f(z)) and an earlier z with x
+    in U(z) needs f(x) in U(f(z)); a dead end is cut at the first pair of
+    points that breaks the order.
+    """
+    pos = {x: p for p, x in enumerate(order)}
+    # below[p]: earlier points inside U(x); above[p]: earlier points whose U holds x
+    below = [[pos[z] for z in min_open[x] if pos[z] < p] for p, x in enumerate(order)]
+    above: list[list[int]] = [[] for _ in order]
+    for q, x in enumerate(order):
+        for z in min_open[x]:
+            if pos[z] > q:
+                above[pos[z]].append(q)
+    # up[y]: the points whose minimal open contains y
+    up = {y: frozenset(z for z in cod.points if y in cod.min_open[z]) for y in cod.points}
+
+    def allowed(img: Sequence[str]) -> frozenset[str]:
+        p = len(img)
+        out = cod.points
+        for q in below[p]:
+            out = out & up[img[q]]
+        for q in above[p]:
+            out = out & cod.min_open[img[q]]
+        return out
+
+    return allowed
+
+
 def enumerate_continuous_maps(
     a: FiniteSpace, b: FiniteSpace, budget: int = DEFAULT_MAP_BUDGET
 ) -> list[SpaceMap]:
     """All continuous maps a -> b, in lexicographic table order.
 
-    A map of finite spaces is continuous iff it preserves the specialization
-    preorder: z in U(x) implies f(z) in U(f(x)) (Stong 1966).  The search
-    assigns the sorted points of ``a`` in turn and offers x only the images
-    consistent with every point already assigned, so every dead end is cut
-    at the first pair of points that breaks the order.  ``budget`` bounds the
-    number of point assignments tried (search nodes).
+    The search assigns the sorted points of ``a`` in turn and offers each
+    the images ``_allowed_images`` leaves it, in sorted order.  ``budget``
+    bounds the number of point assignments tried (search nodes).
     """
     dom = sorted(a.points)
-    pos = {x: p for p, x in enumerate(dom)}
-    # below[p]: earlier points inside U(x); above[p]: earlier points whose U holds x
-    below = [[pos[z] for z in a.min_open[x] if pos[z] < p] for p, x in enumerate(dom)]
-    above: list[list[int]] = [[] for _ in dom]
-    for q, x in enumerate(dom):
-        for z in a.min_open[x]:
-            if pos[z] > q:
-                above[pos[z]].append(q)
-    # up[y]: the points whose minimal open contains y
-    up = {y: frozenset(z for z in b.points if y in b.min_open[z]) for y in b.points}
-
-    def images(img: list) -> list[str]:
-        p = len(img)
-        allowed = b.points
-        for q in below[p]:
-            allowed = allowed & up[img[q]]
-        for q in above[p]:
-            allowed = allowed & b.min_open[img[q]]
-        return sorted(allowed)
-
+    allowed = _allowed_images(dom, a.min_open, b)
     search = f"map search {a.space_id!r} -> {b.space_id!r}"
     return [
         SpaceMap(a, b, dict(zip(dom, img)))
-        for img in backtrack(search, len(dom), images, budget)
+        for img in backtrack(search, len(dom), lambda img: sorted(allowed(img)), budget)
     ]
 
 
@@ -422,61 +443,67 @@ def _signature(space: FiniteSpace) -> dict[str, tuple[int, int]]:
     return {x: (len(space.min_open[x]), indeg[x]) for x in space.points}
 
 
+def _connected_order(space: FiniteSpace, key: Callable[[str], tuple]) -> list[str]:
+    """The points breadth-first through the specialization graph.
+
+    Each component starts at its point of least ``key`` and neighbours are
+    queued in ``key`` order, so every point after a component's first comes
+    after a neighbour.
+    """
+    near = {x: set(space.min_open[x]) for x in space.points}
+    for x in space.points:
+        for z in space.min_open[x]:
+            near[z].add(x)
+    order: list[str] = []
+    seen: set[str] = set()
+    for root in sorted(space.points, key=key):
+        queue = [] if root in seen else [root]
+        seen.update(queue)
+        for x in queue:  # the queue grows while it is read
+            fresh = sorted(near[x] - seen, key=key)
+            seen.update(fresh)
+            queue.extend(fresh)
+        order += queue
+    return order
+
+
 def find_homeomorphism(
     a: FiniteSpace, b: FiniteSpace, node_budget: int = DEFAULT_HOMEO_BUDGET
 ) -> SpaceMap | None:
     """Search for a homeomorphism a -> b; returns a witness map or None.
 
-    Backtracking over points sorted by signature rarity; candidates are pruned
-    by (minimal-open size, in-degree) signatures and by consistency of the
-    specialization relation with all previously assigned points.
+    The signature of x is (|U(x)|, the number of points whose minimal open
+    holds x).  After the size and signature-count checks, the search assigns
+    the points of ``a`` breadth-first through its specialization graph,
+    starting each component at its rarest signature, and offers x the images
+    ``_allowed_images`` leaves it that have x's signature and are not used
+    yet.  ``node_budget`` bounds the number of point assignments tried.
+
+    Complete: a homeomorphism preserves the specialization order and the
+    signature and is injective, so it passes every filter.  Sound: the first
+    tuple found is a continuous injection with |U(f(x))| = |U(x)| for every x;
+    f(U(x)) lies in U(f(x)) by continuity and has |U(x)| points by
+    injectivity, so f(U(x)) = U(f(x)).  A bijection (|a| = |b|) that sends
+    minimal opens onto minimal opens is continuous and open, so it is a
+    homeomorphism.
     """
     if len(a.points) != len(b.points):
         return None
     sig_a, sig_b = _signature(a), _signature(b)
+    counts = Counter(sig_a.values())
+    if counts != Counter(sig_b.values()):
+        return None
     by_sig: dict[tuple[int, int], list[str]] = {}
     for y in sorted(b.points):
         by_sig.setdefault(sig_b[y], []).append(y)
-    counts_a: dict[tuple[int, int], int] = {}
-    for x in a.points:
-        counts_a[sig_a[x]] = counts_a.get(sig_a[x], 0) + 1
-    if {k: len(v) for k, v in by_sig.items()} != counts_a:
-        return None
-    order = sorted(a.points, key=lambda x: (len(by_sig[sig_a[x]]), x))
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-    visited = 0
+    order = _connected_order(a, lambda x: (counts[sig_a[x]], x))
+    allowed = _allowed_images(order, a.min_open, b)
 
-    def consistent(x: str, y: str) -> bool:
-        for x2, y2 in assignment.items():
-            if (x2 in a.min_open[x]) != (y2 in b.min_open[y]):
-                return False
-            if (x in a.min_open[x2]) != (y in b.min_open[y2]):
-                return False
-        return True
+    def images(img: list) -> list[str]:
+        ok, used = allowed(img), set(img)
+        return [y for y in by_sig[sig_a[order[len(img)]]] if y in ok and y not in used]
 
-    def search(pos: int) -> bool:
-        nonlocal visited
-        if pos == len(order):
-            return True
-        x = order[pos]
-        for y in by_sig[sig_a[x]]:
-            if y in used:
-                continue
-            visited += 1
-            if visited > node_budget:
-                raise SearchBudgetExceeded(
-                    f"homeomorphism search {a.space_id!r} -> {b.space_id!r}", visited, node_budget
-                )
-            if consistent(x, y):
-                assignment[x] = y
-                used.add(y)
-                if search(pos + 1):
-                    return True
-                del assignment[x]
-                used.remove(y)
-        return False
-
-    if search(0):
-        return SpaceMap(a, b, dict(assignment))
+    search = f"homeomorphism search {a.space_id!r} -> {b.space_id!r}"
+    for img in backtrack(search, len(order), images, node_budget):
+        return SpaceMap(a, b, dict(zip(order, img)))
     return None

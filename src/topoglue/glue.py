@@ -387,9 +387,9 @@ def mediate(gd: GluingData, glued: GluedSpace, cone: Cone) -> SpaceMap:
             raise IllDefined((qp, sorted(values)))
         table[qp] = values.pop()
     mu = SpaceMap(glued.space, cone.apex, table)
-    r = analyze_map(mu)
-    if not r.continuous:
-        raise IllDefined((glued.space.space_id, "mediating map not continuous", r.witnesses))
+    if fintop.discontinuities(mu):
+        witnesses = analyze_map(mu).witnesses
+        raise IllDefined((glued.space.space_id, "mediating map not continuous", witnesses))
     return mu
 
 
@@ -416,40 +416,42 @@ def enumerate_cones(
 
     A family is compatible when the legs of patches i and j agree on every
     overlap point u: leg_i(anchor_ij(u)) == leg_j(anchor_ji(transition_ij(u))).
-    The search picks patch legs in index order and offers patch i only the
-    continuous maps that agree with the legs already picked (and with
-    themselves across the diagonal overlap), so families come out in the
-    order of the Cartesian product of the per-patch map lists.  ``budget``
-    bounds each map search and the number of legs tried.
+    One search assigns the patch points (i, x), for i in index order and x in
+    sorted patch points, with the map search's order constraint inside each
+    patch; each overlap link is an equality with the linked point assigned
+    first.  Families come out in the order of the Cartesian product of the
+    per-patch map lists, and ``budget`` bounds the point assignments tried.
     """
     idx = gd.index
-    per_patch = [enumerate_continuous_maps(gd.patch[i], apex, budget) for i in idx]
-    # links[(i, j)]: point pairs (x in patch i, y in patch j) whose legs must agree
-    links: dict[tuple[str, str], list[tuple[str, str]]] = {(i, j): [] for i in idx for j in idx}
+    patch_points = [(i, sorted(gd.patch[i].points)) for i in idx]
+    order = [(i, x) for i, pts in patch_points for x in pts]
+    pos = {ix: p for p, ix in enumerate(order)}
+    min_open = {(i, x): [(i, z) for z in gd.patch[i].min_open[x]] for i, x in order}
+    allowed = fintop._allowed_images(order, min_open, apex)
+    # equal[p]: earlier positions whose image the point at p must share
+    equal: list[set[int]] = [set() for _ in order]
     for i in idx:
         for j in idx:
             anchor_ij, anchor_ji, trans = gd.anchor[(i, j)], gd.anchor[(j, i)], gd.transition[(i, j)]
-            for u in sorted(gd.overlap[(i, j)].points):
-                x, y = anchor_ij(u), anchor_ji(trans(u))
-                links[(i, j)].append((x, y))
-                if i != j:
-                    links[(j, i)].append((y, x))
+            for u in gd.overlap[(i, j)].points:
+                p, q = sorted((pos[(i, anchor_ij(u))], pos[(j, anchor_ji(trans(u)))]))
+                if p != q:
+                    equal[q].add(p)
 
-    def legs(chosen: list[SpaceMap]) -> list[SpaceMap]:
-        p = len(chosen)
-        i = idx[p]
-        return [
-            leg
-            for leg in per_patch[p]
-            if all(
-                leg.table[x] == other.table[y]
-                for j, other in zip(idx, [*chosen, leg])
-                for x, y in links[(i, j)]
-            )
-        ]
+    def images(img: list) -> list[str]:
+        ok = allowed(img)
+        for q in equal[len(img)]:
+            ok = ok & {img[q]}
+        return sorted(ok)
 
     search = f"cone search into {apex.space_id!r}"
-    return [dict(zip(idx, fam)) for fam in fintop.backtrack(search, len(idx), legs, budget)]
+    families = []
+    for img in fintop.backtrack(search, len(order), images, budget):
+        rest = iter(img)  # each zip stops at the end of pts, taking its patch's images only
+        families.append(
+            {i: SpaceMap(gd.patch[i], apex, dict(zip(pts, rest))) for i, pts in patch_points}
+        )
+    return families
 
 
 def verify_universal(
@@ -467,7 +469,9 @@ def verify_universal(
     tables of h . leg_i over the sorted points of every patch i, and each
     family is looked up under the tuple of its own leg tables.  The tables
     are compared alone because h . leg_i and the family's leg i both run
-    from patch i to the apex.
+    from patch i to the apex.  Both searches per apex, the maps out of the
+    glued space and ``enumerate_cones``, count point assignments against
+    ``budget``, so an apex too large to search ends in SearchBudgetExceeded.
     """
     rep = UniversalReport()
     if apexes is None:

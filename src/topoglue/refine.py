@@ -29,6 +29,7 @@ from .fintop import (
 from .gdata import (
     GluingFunctor,
     Report,
+    _add_continuity,
     _maps_equal,
     derive_triple_maps,
     evaluate,
@@ -182,11 +183,7 @@ def check_refinement(r: Refinement) -> Report:
         w = _maps_equal(lhs, rhs)
         rep.add("naturality", f"{a}->{b}", w is None, w)
     for obj, comp in sorted(r.components.items(), key=lambda kv: repr(kv[0])):
-        ra = analyze_map(comp)
-        rep.add(
-            "component-continuous", repr(obj), ra.continuous,
-            None if ra.continuous else str(ra.witnesses),
-        )
+        _add_continuity(rep, "component-continuous", repr(obj), comp)
     return rep
 
 

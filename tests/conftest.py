@@ -52,17 +52,18 @@ def random_lawful_data(rng: random.Random, max_patches=3, max_points=4):
     return cover.data_of_covering(cover.Covering(base, family, "gluing"))
 
 
-def digital_circle_data(m: int, k: int):
-    """Canonical data of DC_m covered by k open arcs.
-
-    DC_m has open points o_s and closed points c_s with U(c_s) =
-    {o_s, c_s, o_s+1}; neighbouring arcs share o_s, c_s, o_s+1.
-    """
+def digital_circle(m: int):
+    """DC_m: open points o_s and closed points c_s with U(c_s) = {o_s, c_s, o_s+1}."""
     table = {}
     for s in range(m):
         table[f"o{s}"] = [f"o{s}"]
         table[f"c{s}"] = [f"o{s}", f"c{s}", f"o{(s + 1) % m}"]
-    base = fintop.make_space(f"DC{m}", table, table)
+    return fintop.make_space(f"DC{m}", table, table)
+
+
+def digital_circle_data(m: int, k: int):
+    """Canonical data of DC_m covered by k open arcs; neighbouring arcs share o_s, c_s, o_s+1."""
+    base = digital_circle(m)
     family = []
     for j in range(k):
         lo, hi = j * m // k, (j + 1) * m // k

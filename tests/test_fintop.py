@@ -19,6 +19,7 @@ from topoglue.fintop import (
     SpaceMap,
     analyze_map,
     compose,
+    discontinuities,
     disjoint_union,
     enumerate_continuous_maps,
     find_homeomorphism,
@@ -425,6 +426,116 @@ class TestFindHomeomorphism:
         w = find_homeomorphism(a, b)
         if w is not None:
             assert fintop.is_homeomorphism(w)
+
+
+def _recursive_homeomorphism(a, b):
+    """The recursive search ``find_homeomorphism`` ran before: the reference.
+
+    Points in signature-rarity order; a candidate must keep both directions
+    of the specialization relation with every point already assigned.
+    """
+    if len(a.points) != len(b.points):
+        return None
+    sig_a, sig_b = fintop._signature(a), fintop._signature(b)
+    by_sig = {}
+    for y in sorted(b.points):
+        by_sig.setdefault(sig_b[y], []).append(y)
+    counts_a = {}
+    for x in a.points:
+        counts_a[sig_a[x]] = counts_a.get(sig_a[x], 0) + 1
+    if {k: len(v) for k, v in by_sig.items()} != counts_a:
+        return None
+    order = sorted(a.points, key=lambda x: (len(by_sig[sig_a[x]]), x))
+    assignment = {}
+
+    def consistent(x, y):
+        return all(
+            (x2 in a.min_open[x]) == (y2 in b.min_open[y])
+            and (x in a.min_open[x2]) == (y in b.min_open[y2])
+            for x2, y2 in assignment.items()
+        )
+
+    def search(pos):
+        if pos == len(order):
+            return True
+        x = order[pos]
+        for y in by_sig[sig_a[x]]:
+            if y not in assignment.values() and consistent(x, y):
+                assignment[x] = y
+                if search(pos + 1):
+                    return True
+                del assignment[x]
+        return False
+
+    return SpaceMap(a, b, dict(assignment)) if search(0) else None
+
+
+def _relabelled(rng, space):
+    """A copy of ``space`` with its points renamed by a random bijection."""
+    points = sorted(space.points)
+    names = dict(zip(points, rng.sample([f"q{k}" for k in range(len(points))], len(points))))
+    table = {names[x]: [names[z] for z in space.min_open[x]] for x in points}
+    return make_space("R", table, table)
+
+
+class TestHomeomorphismSearch:
+    """The search on ``backtrack`` against the recursive search it replaced."""
+
+    def test_agrees_with_recursive_search(self):
+        rng = random.Random(37)
+        found = []
+        for n in range(320):
+            a = cover.random_space(rng, max_points=6, space_id="A")
+            if n % 2:
+                b = _relabelled(rng, a)
+            else:
+                b = cover.random_space(rng, max_points=6, space_id="B")
+            w = find_homeomorphism(a, b)
+            assert (w is None) == (_recursive_homeomorphism(a, b) is None)
+            if w is not None:
+                assert w.dom is a and w.cod is b and fintop.is_homeomorphism(w)
+            found.append(w is not None)
+        # every relabelled copy is found, and some unrelated pairs are too
+        assert all(found[1::2]) and 0 < sum(found[::2]) < 160
+
+    def test_large_discrete_space_needs_no_recursion(self):
+        points = [f"x{k}" for k in range(1100)]
+        discrete = make_space("D", points, {x: [x] for x in points})
+        w = find_homeomorphism(discrete, discrete)
+        assert w is not None and fintop.is_homeomorphism(w)
+
+    def test_points_are_visited_next_to_an_assigned_one(self):
+        order = fintop._connected_order(sq9(), lambda x: x)
+        assert sorted(order) == sorted(sq9().points)
+        for p, x in enumerate(order[1:], start=1):
+            earlier = set(order[:p])
+            assert any(z in earlier for z in sq9().min_open[x]) or any(
+                x in sq9().min_open[z] for z in earlier
+            )
+
+
+class TestHashable:
+    def test_equal_spaces_hash_equal(self):
+        assert len({sierp(), sierp()}) == 1
+        assert hash(sierp()) == hash(sierp())
+
+    def test_maps_hash(self):
+        assert hash(identity_map(sierp())) == hash(identity_map(sierp()))
+        assert len({identity_map(sierp()), identity_map(sierp()), identity_map(pt())}) == 2
+
+
+class TestDiscontinuities:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_same_points_as_analyze_map(self, data):
+        a = data.draw(small_spaces(max_points=4))
+        b = data.draw(small_spaces(max_points=3))
+        cod = sorted(b.points)
+        table = {x: data.draw(st.sampled_from(cod)) for x in sorted(a.points)}
+        f = make_map(a, b, table)
+        witnesses = [x for prop, x in analyze_map(f).witnesses if prop == "continuous"]
+        assert discontinuities(f) == witnesses
+        assert analyze_map(f).continuous == (not witnesses)
 
 
 def _all_topologies(points):

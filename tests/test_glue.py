@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import digital_circle_data, random_lawful_data
+from conftest import digital_circle, digital_circle_data, random_lawful_data
 from topoglue import glidx
 from topoglue import glue as glue_mod
 from topoglue.errors import (
@@ -701,13 +701,33 @@ class TestConeSearch:
                 total += len(families)
         assert total > 900
 
-    def test_budget_counts_legs_tried(self):
+    def test_budget_counts_point_assignments(self):
         gd = gd_circ()
-        # 5 legs for patch 1, and 7 for patch 2 that agree with one of them
-        assert len(enumerate_cones(gd, sierp(), budget=12)) == 7
+        # patch 1 (l, m, r) takes 2 + 3 + 5 nodes for its 5 legs; patch 2 takes
+        # 5 + 8 + 7, its l and r being linked to patch 1: 30 nodes for 7 families
+        assert len(enumerate_cones(gd, sierp(), budget=30)) == 7
         with pytest.raises(SearchBudgetExceeded) as info:
-            enumerate_cones(gd, sierp(), budget=11)
-        assert (info.value.search, info.value.used) == ("cone search into 'SIERP'", 12)
+            enumerate_cones(gd, sierp(), budget=29)
+        assert (info.value.search, info.value.used, info.value.limit) == (
+            "cone search into 'SIERP'", 30, 29
+        )
+
+    def test_budget_bounds_the_search_into_a_large_apex(self):
+        # the glued cylinder as its own apex needs more than 10**6 nodes; every
+        # point assignment counts, so the search stops at the limit
+        gd = cylinder_data("1")
+        apex = glue(gd).space
+        with pytest.raises(SearchBudgetExceeded) as info:
+            enumerate_cones(gd, apex, budget=20_000)
+        assert (info.value.search, info.value.used) == (f"cone search into {apex.space_id!r}", 20_001)
+
+
+class TestGluedDigitalCircle:
+    @pytest.mark.parametrize("m, k", [(12, 3), (24, 4), (48, 6), (96, 8)])
+    def test_homeomorphic_to_its_base_within_default_budget(self, m, k):
+        glued = glue(digital_circle_data(m, k))
+        w = find_homeomorphism(glued.space, digital_circle(m))
+        assert w is not None and is_homeomorphism(w)
 
 
 class TestMediatorHashJoin:
