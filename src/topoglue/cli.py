@@ -151,8 +151,7 @@ def _cmd_check_glued(doc, targets, opts):
     name = _one_target("check-glued", targets)
     decl = _cone(doc, name)
     gd = _gluing(doc, decl.over)
-    candidate = glue_mod.as_candidate(gd, decl.cone.apex, decl.cone.legs)
-    rep = glue_mod.check_glued_properties(gd, candidate)
+    rep = glue_mod.check_glued_properties(gd, decl.cone)
     return RunReport(
         "check-glued", name, rep.passed,
         _entries_to_lines(rep.entries), {"entries": _entries_to_data(rep.entries)},

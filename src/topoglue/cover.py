@@ -74,27 +74,13 @@ def data_of_covering(c: Covering) -> GluingData:
     idx = [str(n) for n in range(len(c.family))]
     patch = {i: sp for i, (sp, _) in zip(idx, c.family)}
     legs = {i: leg for i, (_, leg) in zip(idx, c.family)}
-    overlap = {}
-    anchor = {}
+    pullbacks = {(i, j): pullback(legs[i], legs[j]) for i in idx for j in idx if i != j}
+    overlap = {key: sp for key, (sp, _, _) in pullbacks.items()}
+    anchor = {key: pi for key, (_, pi, _) in pullbacks.items()}
     transition = {}
-    for i in idx:
-        for j in idx:
-            if i == j:
-                continue
-            sp, pi, pj = pullback(legs[i], legs[j])
-            overlap[(i, j)] = sp
-            anchor[(i, j)] = pi
-            swapped = {
-                pair_tag(u, v): pair_tag(v, u)
-                for u, v in (
-                    (pi(t), pj(t)) for t in sp.points
-                )
-            }
-            transition[(i, j)] = ("swap", sp, swapped)
-    # second pass: transitions need both pullbacks to exist first
-    for key, (_, sp, swapped) in list(transition.items()):
-        i, j = key
-        transition[key] = SpaceMap(sp, overlap[(j, i)], swapped)
+    for (i, j), (sp, pi, pj) in pullbacks.items():
+        swapped = {pair_tag(u, v): pair_tag(v, u) for u, v in ((pi(t), pj(t)) for t in sp.points)}
+        transition[(i, j)] = SpaceMap(sp, overlap[(j, i)], swapped)
     return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition))
 
 

@@ -20,16 +20,10 @@ def render_index(index: tuple[str, ...]) -> str:
     lines = ["digraph gluing_index {"]
     for obj in glidx.objects(index):
         lines.append(f"  {_quote(repr(obj))};")
-    edges = []
-    seen = set()
-    for gen in glidx.raw_generators(index):
-        d, c = gen.dom, gen.cod
-        if d == c or (d, c) in seen:
-            continue
-        seen.add((d, c))
-        edges.append(
-            f"  {_quote(repr(d))} -> {_quote(repr(c))} [label={_quote(gen.display())}];"
-        )
+    edges = [
+        f"  {_quote(repr(d))} -> {_quote(repr(c))} [label={_quote(gen.display())}];"
+        for (d, c), gen in glidx.edges(index).items()
+    ]
     lines.extend(sorted(edges))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -42,16 +36,10 @@ def render_gluing(name: str, gd: GluingData, glued=None) -> str:
         sp = gd.space_of(obj)
         label = f"{obj!r}\\n{sp.space_id} ({len(sp.points)}p)"
         lines.append(f"  {_quote(repr(obj))} [label={_quote(label)}];")
-    edges = []
-    seen = set()
-    for gen in glidx.raw_generators(gd.index):
-        d, c = gen.dom, gen.cod
-        if d == c or (d, c) in seen:
-            continue
-        seen.add((d, c))
-        edges.append(
-            f"  {_quote(repr(c))} -> {_quote(repr(d))} [label={_quote(gen.display())}];"
-        )
+    edges = [
+        f"  {_quote(repr(c))} -> {_quote(repr(d))} [label={_quote(gen.display())}];"
+        for (d, c), gen in glidx.edges(gd.index).items()
+    ]
     lines.extend(sorted(edges))
     if glued is not None:
         glabel = f"glued\\n{len(glued.space.points)}p"

@@ -342,11 +342,7 @@ def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
 def functor_tables(gd: GluingData) -> GluingFunctor:
     """Realize the data as tables without validating it first."""
     obj_table = {o: gd.space_of(o) for o in glidx.objects(gd.index)}
-    gen_table: dict[tuple[GlObject, GlObject], SpaceMap] = {}
-    for gen in glidx.raw_generators(gd.index):
-        d, c = gen.dom, gen.cod
-        if d != c:
-            gen_table[(d, c)] = _generator_image(gd, gen)
+    gen_table = {dc: _generator_image(gd, gen) for dc, gen in glidx.edges(gd.index).items()}
     return GluingFunctor(gd, obj_table, gen_table)
 
 

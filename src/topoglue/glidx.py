@@ -172,15 +172,20 @@ def generators(index: Iterable[str]) -> list[GlMorphism]:
     return [seen[k] for k in sorted(seen, key=lambda dc: (repr(dc[0]), repr(dc[1])))]
 
 
+def edges(index: Iterable[str]) -> dict[tuple[GlObject, GlObject], GlGen]:
+    """One raw generator per non-identity endpoint pair (dom, cod), the first in raw order."""
+    first: dict[tuple[GlObject, GlObject], GlGen] = {}
+    for gen in raw_generators(index):
+        d, c = gen.dom, gen.cod
+        if d != c:
+            first.setdefault((d, c), gen)
+    return first
+
+
 @lru_cache(maxsize=None)
 def _adjacency(index: tuple[str, ...]) -> dict[GlObject, list[tuple[GlObject, GlGen]]]:
     adj: dict[GlObject, list[tuple[GlObject, GlGen]]] = {o: [] for o in objects(index)}
-    seen = set()
-    for gen in raw_generators(index):
-        d, c = gen.dom, gen.cod
-        if d == c or (d, c) in seen:
-            continue
-        seen.add((d, c))
+    for (d, c), gen in edges(index).items():
         adj[d].append((c, gen))
     for d in adj:
         adj[d].sort(key=lambda e: repr(e[0]))

@@ -1,10 +1,14 @@
-"""Glued spaces: the standard quotient, cones, and the universal property.
+"""Glued spaces: the standard quotient as a cone, and the universal property.
 
 The glued space of a gluing datum is the disjoint union of the patches modulo
-the overlap relation, carrying the final topology.  The relation is emitted
-raw (one pair per overlap point); lawful data already yields an equivalence
-relation, so the quotient's union-find closure is asserted to add nothing and
-any divergence is surfaced as a cocycle diagnostic instead of silently closed.
+the overlap relation, carrying the final topology.  With its legs it is a cone
+over the gluing data functor, the candidate colimit: ``GluedSpace`` is a
+``Cone`` that also keeps the overlap relation and each glued point's class.
+The cone checks, the six glued-object properties, ``mediate`` and the oracles
+take any cone.  The relation is emitted raw (one pair per overlap point);
+lawful data already yields an equivalence relation, so the quotient's
+union-find closure is asserted to add nothing and any divergence is surfaced
+as a cocycle diagnostic instead of silently closed.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import fintop, glidx
 from .errors import (
+    CompositionMismatch,
     IllDefined,
     MissingLeg,
     NotCovering,
@@ -28,11 +33,10 @@ from .fintop import (
     coproduct_tag,
     disjoint_union,
     enumerate_continuous_maps,
-    identity_map,
     is_open,
 )
 from .gdata import GluingData, Report, _maps_equal, functor_tables, validate
-from .glidx import GlObject, normalize, pair, single
+from .glidx import GlObject, pair, single
 
 CONE_MODES = ("full", "figure3", "figure4")
 
@@ -51,20 +55,18 @@ class Cone:
 
 
 @dataclass
-class GluedSpace:
-    """The glued quotient with its legs and full provenance."""
+class GluedSpace(Cone):
+    """The glued quotient as a cone, with the raw overlap relation and each point's class.
 
-    space: FiniteSpace
-    legs: dict[GlObject, SpaceMap]
+    ``classes[q]`` holds the tagged patch points (``x@i``) that land on q.
+    """
+
     relation: tuple[tuple[str, str], ...]
     classes: dict[str, frozenset[str]]
-    coproduct: FiniteSpace
-    projection: SpaceMap
 
-    def leg(self, obj: GlObject) -> SpaceMap:
-        if obj not in self.legs:
-            raise MissingLeg(f"glued space has no leg for {obj}")
-        return self.legs[obj]
+    @property
+    def space(self) -> FiniteSpace:
+        return self.apex
 
 
 def build_relation(gd: GluingData) -> list[tuple[str, str]]:
@@ -168,17 +170,14 @@ def glue(gd: GluingData) -> GluedSpace:
     total, injections = disjoint_union([gd.patch[i] for i in gd.index], list(gd.index))
     q, projection = fintop.quotient(total, relation)
     patch_legs = {i: compose(projection, eps) for i, eps in zip(gd.index, injections)}
-    legs = complete_cone(gd, q, patch_legs).legs
     classes: dict[str, set[str]] = {qp: set() for qp in q.points}
     for x in total.points:
         classes[projection(x)].add(x)
     return GluedSpace(
-        space=q,
-        legs=legs,
+        q,
+        complete_cone(gd, q, patch_legs).legs,
         relation=tuple(relation),
         classes={k: frozenset(v) for k, v in classes.items()},
-        coproduct=total,
-        projection=projection,
     )
 
 
@@ -202,101 +201,62 @@ def complete_cone(
     return Cone(apex, legs)
 
 
-def cone_of(glued: GluedSpace) -> Cone:
-    return Cone(glued.space, dict(glued.legs))
-
-
 def _leg_equal(a: SpaceMap, b: SpaceMap) -> bool:
     return _maps_equal(a, b) is None
+
+
+def _cone_edges(gd: GluingData, mode: str) -> list[tuple[GlObject, GlObject, SpaceMap]]:
+    """The triples (a, b, f) whose triangles ``leg(a) . f == leg(b)`` a mode checks.
+
+    ``full``: every non-identity generator edge a -> b of the index category,
+    with its image f under the functor.  ``figure3``: the anchor triangles
+    [i] -> [i,j], the transition triangles [j,i] -> [i,j] and the projection
+    triangles [i,n] -> [i|{j,k}].  ``figure4``: the same, with the transition
+    triangle in its through-the-patch form [j] -> [i,j].
+    """
+    if mode == "full":
+        return [(a, b, f) for (a, b), f in functor_tables(gd).gen.items()]
+    idx = gd.index
+    edges = []
+    for i in idx:
+        for j in idx:
+            edges.append((single(i), pair(i, j), gd.anchor[(i, j)]))
+            if mode == "figure3":
+                edges.append((pair(j, i), pair(i, j), gd.transition[(i, j)]))
+            else:
+                through = compose(gd.anchor[(j, i)], gd.transition[(i, j)])
+                edges.append((single(j), pair(i, j), through))
+    for obj in glidx.objects(idx):
+        if obj.arity == 3:
+            edges += [(pair(obj.head, n), obj, gd.triple_proj[(obj, n)]) for n in obj.rest]
+    return edges
 
 
 def check_cone(gd: GluingData, cone: Cone, mode: str = "full") -> bool:
     """Evaluate the commuting conditions for a candidate cone.
 
-    ``full`` checks ``leg(a) . F(e) == leg(b)`` for every non-identity
-    generator edge e: a -> b of the index category, after typing every leg
-    against its object.  That covers every morphism: the index category is
-    thin and every morphism is a path of generator edges, so when each edge
-    commutes every path commutes, and each edge is itself a morphism.
-    ``figure3`` checks the transition, anchor and projection triangles;
-    ``figure4`` replaces the transition triangle with its through-the-patch
-    form.  The three modes are equivalent verdicts for lawful data.
+    Every leg is first typed against its object, so a missing or mistyped leg
+    raises in every mode.  Then ``leg(a) . f == leg(b)`` is checked for each
+    triple of ``_cone_edges``.  ``full`` checks the generator edges.  That
+    covers every morphism: the index category is thin and every morphism is a
+    path of generator edges, so when each edge commutes every path commutes,
+    and each edge is itself a morphism.  ``figure3`` and ``figure4`` check the
+    paper's triangles.  The three modes are equivalent verdicts for lawful
+    data.
     """
     if mode not in CONE_MODES:
         raise ValueError(f"unknown cone mode {mode!r}")
-    idx = gd.index
-    if mode == "full":
-        fun = functor_tables(gd)
-        for a in glidx.objects(idx):
-            compose(cone.leg(a), identity_map(fun.obj[a]))  # raises on a missing or mistyped leg
-        return all(
-            _leg_equal(compose(cone.leg(a), f), cone.leg(b)) for (a, b), f in fun.gen.items()
-        )
-    ok = True
-    for i in idx:
-        for j in idx:
-            # anchor triangle: leg of [i,j] factors through patch leg i
-            lhs = compose(cone.leg(single(i)), gd.anchor[(i, j)])
-            if not _leg_equal(lhs, cone.leg(pair(i, j))):
-                ok = False
-            if mode == "figure3":
-                # transition triangle: legs of opposite overlaps agree
-                lhs = compose(cone.leg(pair(j, i)), gd.transition[(i, j)])
-            else:
-                # through-the-patch form of the same triangle
-                lhs = compose(
-                    compose(cone.leg(single(j)), gd.anchor[(j, i)]),
-                    gd.transition[(i, j)],
-                )
-            if not _leg_equal(lhs, cone.leg(pair(i, j))):
-                ok = False
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                obj = normalize((i, j, k))
-                if obj.arity != 3:
-                    continue
-                for n in (j, k):
-                    lhs = compose(cone.leg(pair(i, n)), gd.triple_proj[(obj, n)])
-                    if not _leg_equal(lhs, cone.leg(obj)):
-                        ok = False
-    return ok
-
-
-def as_candidate(gd: GluingData, space: FiniteSpace, legs: Mapping[GlObject, SpaceMap]) -> GluedSpace:
-    """Wrap a candidate (space, legs) as a glued-space-shaped value.
-
-    Missing pair and triple legs are completed by the forced factorizations;
-    provenance is recomputed from the patch legs.
-    """
-    singles = {i: legs[single(i)] for i in gd.index if single(i) in legs}
-    cone = complete_cone(gd, space, singles)
-    full = dict(cone.legs)
-    for obj, leg in legs.items():
-        full[obj] = leg
-    classes: dict[str, set[str]] = {q: set() for q in space.points}
-    for i in gd.index:
-        leg = full[single(i)]
-        for x in gd.patch[i].points:
-            classes[leg(x)].add(coproduct_tag(x, i))
-    total, _ = disjoint_union([gd.patch[i] for i in gd.index], list(gd.index))
-    proj_table = {}
-    for qp, mem in classes.items():
-        for m in mem:
-            proj_table[m] = qp
-    projection = SpaceMap(total, space, proj_table) if len(proj_table) == len(total.points) else None
-    return GluedSpace(
-        space=space,
-        legs=full,
-        relation=(),
-        classes={k: frozenset(v) for k, v in classes.items()},
-        coproduct=total,
-        projection=projection,
+    for a in glidx.objects(gd.index):
+        space = gd.space_of(a)
+        if cone.leg(a).dom != space:
+            raise CompositionMismatch(f"the leg of {a} does not start at {space.space_id!r}")
+    return all(
+        _leg_equal(compose(cone.leg(a), f), cone.leg(b)) for a, b, f in _cone_edges(gd, mode)
     )
 
 
-def check_glued_properties(gd: GluingData, candidate: GluedSpace) -> Report:
-    """The six named glued-object properties for a candidate (space, legs).
+def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
+    """The six named glued-object properties for a candidate cone.
 
     (a) pair legs factor through the anchors; (b) triple legs factor through
     the projections; (c) the two routes across an overlap agree; (d) the patch
@@ -341,7 +301,7 @@ def check_glued_properties(gd: GluingData, candidate: GluedSpace) -> Report:
     covered = set()
     for i in idx:
         covered |= candidate.leg(single(i)).image()
-    missing = sorted(candidate.space.points - covered)
+    missing = sorted(candidate.apex.points - covered)
     rep.add("d-covering", "all", not missing, missing[0] if missing else None)
     for i in idx:
         for j in idx:
@@ -367,29 +327,31 @@ def check_glued_properties(gd: GluingData, candidate: GluedSpace) -> Report:
     return rep
 
 
-def mediate(gd: GluingData, glued: GluedSpace, cone: Cone) -> SpaceMap:
+def mediate(gd: GluingData, glued: Cone, cone: Cone) -> SpaceMap:
     """The unique map from the glued space matching the cone's patch legs.
 
-    Well-definedness is verified on every identified pair; disagreement means
-    the cone conditions were violated.  Continuity is automatic from the final
-    topology but still checked.
+    For each patch i and point x, the glued point ``glued.leg([i])(x)`` is
+    sent to ``cone.leg([i])(x)``.  A glued point no patch point reaches has no
+    provenance; one sent to two apex points means the cone conditions were
+    violated.  Continuity is automatic from the final topology but still
+    checked.
     """
+    values: dict[str, set[str]] = {qp: set() for qp in glued.apex.points}
+    for i in gd.index:
+        into_glued, into_apex = glued.leg(single(i)), cone.leg(single(i))
+        for x in gd.patch[i].points:
+            values[into_glued(x)].add(into_apex(x))
     table: dict[str, str] = {}
-    for qp in sorted(glued.space.points):
-        members = glued.classes.get(qp, frozenset())
-        if not members:
+    for qp in sorted(values):
+        if not values[qp]:
             raise NotCovering(f"glued point {qp!r} has no provenance")
-        values = set()
-        for tagged in sorted(members):
-            x, _, i = tagged.rpartition("@")
-            values.add(cone.leg(single(i))(x))
-        if len(values) != 1:
-            raise IllDefined((qp, sorted(values)))
-        table[qp] = values.pop()
-    mu = SpaceMap(glued.space, cone.apex, table)
+        if len(values[qp]) != 1:
+            raise IllDefined((qp, sorted(values[qp])))
+        (table[qp],) = values[qp]
+    mu = SpaceMap(glued.apex, cone.apex, table)
     if fintop.discontinuities(mu):
         witnesses = analyze_map(mu).witnesses
-        raise IllDefined((glued.space.space_id, "mediating map not continuous", witnesses))
+        raise IllDefined((glued.apex.space_id, "mediating map not continuous", witnesses))
     return mu
 
 
@@ -456,37 +418,41 @@ def enumerate_cones(
 
 def verify_universal(
     gd: GluingData,
-    glued: GluedSpace,
+    glued: Cone,
     apexes: Sequence[FiniteSpace] | None = None,
     budget: int = fintop.DEFAULT_MAP_BUDGET,
 ) -> UniversalReport:
     """Oracle for the universal property: every cone has exactly one mediator.
 
-    For each apex, every compatible patch-leg family is enumerated and the
-    continuous maps out of the glued space commuting with all legs are counted;
-    exactly one must exist and it must agree with ``mediate``.  The count is a
-    hash join: each candidate h is filed under its restriction tuple, the
-    tables of h . leg_i over the sorted points of every patch i, and each
-    family is looked up under the tuple of its own leg tables.  The tables
-    are compared alone because h . leg_i and the family's leg i both run
-    from patch i to the apex.  Both searches per apex, the maps out of the
-    glued space and ``enumerate_cones``, count point assignments against
-    ``budget``, so an apex too large to search ends in SearchBudgetExceeded.
+    The candidate must itself be a cone with continuous legs.  For each apex,
+    every compatible patch-leg family is enumerated and the continuous maps
+    out of the glued space commuting with all legs are counted; exactly one
+    must exist and it must agree with ``mediate``.  The count is a hash join:
+    each candidate h is filed under its restriction tuple, the tables of
+    h . leg_i over the sorted points of every patch i, and each family is
+    looked up under the tuple of its own leg tables.  The tables are compared
+    alone because h . leg_i and the family's leg i both run from patch i to
+    the apex.  Both searches per apex, the maps out of the glued space and
+    ``enumerate_cones``, count point assignments against ``budget``, so an
+    apex too large to search ends in SearchBudgetExceeded.
     """
     rep = UniversalReport()
     if apexes is None:
-        apexes = default_apexes() + [glued.space]
+        apexes = default_apexes() + [glued.apex]
     # A terminal cone must itself be a cone: a candidate whose legs do not
-    # commute can still receive a unique map from every cone, so this check
-    # is what rules out finer-than-lawful quotients.
-    is_cone = check_cone(gd, Cone(glued.space, dict(glued.legs)), "figure4")
-    rep.add("candidate-is-cone", glued.space.space_id, is_cone)
+    # commute, or are not continuous, can still receive a unique map from
+    # every cone, so this check is what rules out finer-than-lawful quotients
+    # and topologies finer than the final one.
+    is_cone = check_cone(gd, glued, "figure4") and not any(
+        fintop.discontinuities(leg) for leg in glued.legs.values()
+    )
+    rep.add("candidate-is-cone", glued.apex.space_id, is_cone)
     patch_points = [(i, sorted(gd.patch[i].points)) for i in gd.index]
     # the glued point each patch point lands on, in restriction-tuple order
     route = [glued.leg(single(i))(x) for i, pts in patch_points for x in pts]
     for apex in apexes:
         by_restriction: dict[tuple[str, ...], list[SpaceMap]] = {}
-        for h in enumerate_continuous_maps(glued.space, apex, budget):
+        for h in enumerate_continuous_maps(glued.apex, apex, budget):
             by_restriction.setdefault(tuple(h.table[q] for q in route), []).append(h)
         families = enumerate_cones(gd, apex, budget)
         rep.cones_checked += len(families)
@@ -527,7 +493,7 @@ class OtopReport(Report):
         return f"{head}\n{super().__str__()}"
 
 
-def check_otop(gd: GluingData, glued: GluedSpace) -> OtopReport:
+def check_otop(gd: GluingData, glued: Cone) -> OtopReport:
     """Open-map strengthening: with all-open data, legs are open embeddings.
 
     When some anchor or transition is not an open map the report is marked
@@ -548,7 +514,7 @@ def check_otop(gd: GluingData, glued: GluedSpace) -> OtopReport:
         r = analyze_map(leg)
         rep.add("leg-embedding", i, r.embedding, None if r.embedding else str(r.witnesses))
         img = leg.image()
-        rep.add("leg-image-open", i, is_open(glued.space, img))
+        rep.add("leg-image-open", i, is_open(glued.apex, img))
         covered |= img
-    rep.add("legs-cover", "all", covered == glued.space.points)
+    rep.add("legs-cover", "all", covered == glued.apex.points)
     return rep

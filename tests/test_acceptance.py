@@ -40,7 +40,6 @@ from topoglue.glidx import normalize, single, verify_relations
 from topoglue.glue import (
     CONE_MODES,
     Cone,
-    as_candidate,
     build_relation,
     check_cone,
     check_equivalence,
@@ -179,8 +178,8 @@ def test_criterion_4_glued_object_roundtrip():
     # drop one identification and the candidate stops being a glued object
     total, injections = disjoint_union([gd.patch[i] for i in gd.index], list(gd.index))
     q, proj = quotient(total, [("l@1", "l@2")])
-    legs = {single(i): compose(proj, eps) for i, eps in zip(gd.index, injections)}
-    mutant = as_candidate(gd, q, legs)
+    legs = {i: compose(proj, eps) for i, eps in zip(gd.index, injections)}
+    mutant = complete_cone(gd, q, legs)
     bad = verify_universal(gd, mutant, apexes=[pt(), sierp(), disc2(), arc3()])
     assert not bad.passed
     elapsed = time.monotonic() - t0

@@ -7,6 +7,7 @@ from topoglue.errors import BadArity, CompositionMismatch
 from topoglue.glidx import (
     GlGen,
     compose_hom,
+    edges,
     generators,
     hom,
     identity,
@@ -99,6 +100,14 @@ class TestGenerators:
         for m in generators(I3):
             assert m.dom in objects(I3)
             assert m.cod in objects(I3)
+
+    @pytest.mark.parametrize("idx", [("i",), I2, I3])
+    def test_edges_are_the_first_raw_generator_per_endpoint_pair(self, idx):
+        raw = raw_generators(idx)
+        first = edges(idx)
+        assert set(first) == {(m.dom, m.cod) for m in generators(idx) if m.dom != m.cod}
+        for (d, c), gen in first.items():
+            assert gen == next(g for g in raw if (g.dom, g.cod) == (d, c))
 
 
 class TestHom:

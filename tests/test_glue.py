@@ -10,11 +10,13 @@ from topoglue.errors import (
     CompositionMismatch,
     IllDefined,
     MissingLeg,
+    NotCovering,
     NotEquivalence,
     SearchBudgetExceeded,
 )
 from topoglue.fintop import (
     SpaceMap,
+    analyze_map,
     compose,
     coproduct_tag,
     disjoint_union,
@@ -38,19 +40,17 @@ from topoglue.fixtures import (
     trivial_data,
 )
 from topoglue.gdata import derive_triple_maps, evaluate, functor_tables, make_gluing_data, validate
-from topoglue.glidx import pair, single
+from topoglue.glidx import normalize, pair, single
 from topoglue.glue import (
     CONE_MODES,
     Cone,
     UniversalReport,
-    as_candidate,
     build_relation,
     check_cone,
     check_equivalence,
     check_glued_properties,
     check_otop,
     complete_cone,
-    cone_of,
     default_apexes,
     enumerate_cones,
     glue,
@@ -244,6 +244,11 @@ class TestCheckEquivalence:
 
 
 class TestGlue:
+    def test_glued_space_is_a_cone(self):
+        glued = glue(gd_circ())
+        assert isinstance(glued, Cone)
+        assert glued.space is glued.apex
+
     def test_single_patch_is_homeomorphic_copy(self):
         gd = trivial_data(arc3())
         glued = glue(gd)
@@ -293,9 +298,8 @@ class TestCheckCone:
     def test_glued_space_is_a_cone_in_all_modes(self):
         gd = gd_circ()
         glued = glue(gd)
-        cone = cone_of(glued)
         for mode in CONE_MODES:
-            assert check_cone(gd, cone, mode)
+            assert check_cone(gd, glued, mode)
 
     def test_perturbed_leg_fails_all_modes(self):
         # pair and triple legs are fully pinned by the factorization
@@ -405,7 +409,7 @@ class TestFullConeEdgeCheck:
         verdicts = []
         for gd, count in sources:
             maps = _morphism_maps(gd)
-            glued_cone = cone_of(glue(gd))
+            glued_cone = glue(gd)
             for _ in range(count):
                 cone = _redirected(glued_cone, rng, rng.randint(0, 2))
                 if rng.random() < 0.5:
@@ -420,7 +424,7 @@ class TestFullConeEdgeCheck:
 
     @pytest.mark.parametrize("gd", [gd_circ(), trivial_data(arc3())], ids=["circle", "single"])
     def test_missing_leg_raises(self, gd):
-        legs = dict(cone_of(glue(gd)).legs)
+        legs = dict(glue(gd).legs)
         del legs[single(gd.index[-1])]
         cone = Cone(pt(), legs)
         with pytest.raises(MissingLeg):
@@ -430,7 +434,7 @@ class TestFullConeEdgeCheck:
 
     def test_leg_with_wrong_domain_raises(self):
         gd = gd_circ()
-        legs = dict(cone_of(glue(gd)).legs)
+        legs = dict(glue(gd).legs)
         legs[single("1")] = legs[pair("1", "2")]
         cone = Cone(pt(), legs)
         with pytest.raises(CompositionMismatch):
@@ -438,9 +442,24 @@ class TestFullConeEdgeCheck:
         with pytest.raises(CompositionMismatch):
             check_cone(gd, cone, "full")
 
+    @pytest.mark.parametrize("mode", CONE_MODES)
+    @pytest.mark.parametrize(
+        "obj, wrong",
+        [(pair("1", "2"), single("1")), (normalize(("1", "1", "2")), pair("1", "2"))],
+        ids=["pair", "triple"],
+    )
+    def test_mistyped_leg_raises_in_every_mode(self, mode, obj, wrong):
+        # a triple leg is only ever compared in figure3 and figure4, never
+        # composed, so only the typing pass catches it there
+        gd = gd_circ()
+        legs = dict(glue(gd).legs)
+        legs[obj] = legs[wrong]
+        with pytest.raises(CompositionMismatch):
+            check_cone(gd, Cone(pt(), legs), mode)
+
     def test_compose_calls_stay_linear_in_objects_and_edges(self, monkeypatch):
         gd = digital_circle_data(96, 8)
-        cone = cone_of(glue(gd))
+        cone = glue(gd)
         calls = []
 
         def counting_compose(g, f):
@@ -475,7 +494,7 @@ class TestConeErrors:
         legs = {
             obj: SpaceMap(m.dom, bigger, dict(m.table)) for obj, m in glued.legs.items()
         }
-        candidate = as_candidate(gd, bigger, legs)
+        candidate = Cone(bigger, legs)
         cone = complete_cone(
             gd, pt(), {i: make_map(gd.patch[i], pt(), {x: "p" for x in gd.patch[i].points})
                        for i in gd.index},
@@ -532,7 +551,7 @@ class TestCheckGluedProperties:
         legs = {
             obj: SpaceMap(m.dom, bigger, dict(m.table)) for obj, m in glued.legs.items()
         }
-        candidate = as_candidate(gd, bigger, legs)
+        candidate = Cone(bigger, legs)
         rep = check_glued_properties(gd, candidate)
         assert not rep.passed
         assert any(e.name == "d-covering" and not e.ok for e in rep.entries)
@@ -542,7 +561,7 @@ class TestCheckGluedProperties:
         glued = glue(gd)
         squash, proj = quotient(glued.space, [("m@1", "m@2")])
         legs = {obj: compose(proj, m) for obj, m in glued.legs.items()}
-        candidate = as_candidate(gd, squash, legs)
+        candidate = Cone(squash, legs)
         rep = check_glued_properties(gd, candidate)
         assert not rep.passed
         assert any(e.name == "e-intersections" and not e.ok for e in rep.entries)
@@ -552,7 +571,7 @@ class TestCheckGluedProperties:
         glued = glue(gd)
         squash, proj = quotient(glued.space, [("l@1", "m@1")])
         legs = {obj: compose(proj, m) for obj, m in glued.legs.items()}
-        candidate = as_candidate(gd, squash, legs)
+        candidate = Cone(squash, legs)
         rep = check_glued_properties(gd, candidate)
         assert not rep.passed
         assert any(e.name == "f-leg-embedding-free" and not e.ok for e in rep.entries)
@@ -562,7 +581,7 @@ class TestMediate:
     def test_self_cone_gives_identity(self):
         gd = gd_circ()
         glued = glue(gd)
-        mu = mediate(gd, glued, cone_of(glued))
+        mu = mediate(gd, glued, glued)
         assert mu == identity_map(glued.space)
 
     def test_constant_cone(self):
@@ -606,6 +625,71 @@ class TestMediate:
             mediate(gd, glued, cone)
 
 
+def _mediate_by_tags(gd, glued, cone):
+    """``mediate`` as it was: each glued point's class, with the patch parsed from each tag."""
+    table = {}
+    for qp in sorted(glued.space.points):
+        members = glued.classes.get(qp, frozenset())
+        if not members:
+            raise NotCovering(f"glued point {qp!r} has no provenance")
+        values = set()
+        for tagged in sorted(members):
+            x, _, i = tagged.rpartition("@")
+            values.add(cone.leg(single(i))(x))
+        if len(values) != 1:
+            raise IllDefined((qp, sorted(values)))
+        table[qp] = values.pop()
+    mu = SpaceMap(glued.space, cone.apex, table)
+    report = analyze_map(mu)
+    if not report.continuous:
+        raise IllDefined((glued.space.space_id, "mediating map not continuous", report.witnesses))
+    return mu
+
+
+def _outcome(fn, *args):
+    """The table of a mediating map, or the exception class and its witness."""
+    try:
+        return fn(*args).table
+    except (IllDefined, NotCovering) as exc:
+        return type(exc), getattr(exc, "witness", str(exc))
+
+
+class TestMediateThroughPatchLegs:
+    """``mediate`` routes through the glued space's patch legs; the tag parser is the reference."""
+
+    def test_same_outcome_as_class_and_tag_reference(self):
+        rng = random.Random(41)
+        data = [gd_circ(), cylinder_data("1"), digital_circle_data(12, 3)]
+        data += [random_lawful_data(rng) for _ in range(12)]
+        kinds = set()
+
+        def random_map(dom, apex):
+            return SpaceMap(dom, apex, {x: rng.choice(sorted(apex.points)) for x in dom.points})
+
+        for gd in data:
+            glued = glue(gd)
+            for apex in (pt(), sierp(), disc2(), arc3()):
+                # compatible families h . leg_i, with h continuous or not, and
+                # independent random families, mostly incompatible
+                families = []
+                for _ in range(3):
+                    h = random_map(glued.space, apex)
+                    families.append({i: compose(h, glued.leg(single(i))) for i in gd.index})
+                for _ in range(6):
+                    families.append({i: random_map(gd.patch[i], apex) for i in gd.index})
+                for fam in families:
+                    cone = Cone(apex, {single(i): leg for i, leg in fam.items()})
+                    expected = _outcome(_mediate_by_tags, gd, glued, cone)
+                    assert _outcome(mediate, gd, glued, cone) == expected
+                    if isinstance(expected, dict):
+                        kinds.add("table")
+                    elif "mediating map not continuous" in expected[1]:
+                        kinds.add("not continuous")
+                    else:
+                        kinds.add("ill-defined")
+        assert kinds == {"table", "not continuous", "ill-defined"}
+
+
 class TestVerifyUniversal:
     def test_trivial_data(self):
         gd = trivial_data(arc3())
@@ -626,10 +710,24 @@ class TestVerifyUniversal:
             [gd.patch[i] for i in gd.index], list(gd.index)
         )
         q, proj = quotient(total, [("l@1", "l@2")])  # r is never identified
-        legs = {single(i): compose(proj, eps) for i, eps in zip(gd.index, injections)}
-        candidate = as_candidate(gd, q, legs)
+        legs = {i: compose(proj, eps) for i, eps in zip(gd.index, injections)}
+        candidate = complete_cone(gd, q, legs)
         rep = verify_universal(gd, candidate)
         assert not rep.passed
+
+    def test_discontinuous_legs_are_not_a_cone(self):
+        # the glued circle's points with the discrete topology: the legs commute
+        # and every cone has a unique mediator, but the legs are not continuous
+        gd = gd_circ()
+        glued = glue(gd)
+        points = sorted(glued.space.points)
+        discrete = make_space("CIRC-discrete", points, {x: [x] for x in points})
+        legs = {i: SpaceMap(gd.patch[i], discrete, glued.leg(single(i)).table) for i in gd.index}
+        candidate = complete_cone(gd, discrete, legs)
+        assert check_cone(gd, candidate, "figure4")
+        rep = verify_universal(gd, candidate)
+        assert rep.cones_checked == 29
+        assert [e.name for e in rep.failures()] == ["candidate-is-cone"]
 
     def test_random_lawful_instances(self):
         rng = random.Random(23)
@@ -659,10 +757,12 @@ def _product_cones(gd, apex):
 def _scan_report(gd, glued, apexes):
     """``verify_universal`` with the candidates x families x legs scan: the reference."""
     rep = UniversalReport()
-    is_cone = check_cone(gd, Cone(glued.space, dict(glued.legs)), "figure4")
-    rep.add("candidate-is-cone", glued.space.space_id, is_cone)
+    is_cone = check_cone(gd, glued, "figure4") and all(
+        analyze_map(leg).continuous for leg in glued.legs.values()
+    )
+    rep.add("candidate-is-cone", glued.apex.space_id, is_cone)
     for apex in apexes:
-        candidates = enumerate_continuous_maps(glued.space, apex)
+        candidates = enumerate_continuous_maps(glued.apex, apex)
         families = _product_cones(gd, apex)
         rep.cones_checked += len(families)
         for fam in families:
@@ -737,14 +837,14 @@ class TestMediatorHashJoin:
     def _quotient_candidate(gd, pairs):
         total, injections = disjoint_union([gd.patch[i] for i in gd.index], list(gd.index))
         q, proj = quotient(total, pairs)
-        legs = {single(i): compose(proj, eps) for i, eps in zip(gd.index, injections)}
-        return as_candidate(gd, q, legs)
+        legs = {i: compose(proj, eps) for i, eps in zip(gd.index, injections)}
+        return complete_cone(gd, q, legs)
 
     def test_finer_quotient_is_not_a_cone(self):
         gd = gd_circ()
         candidate = self._quotient_candidate(gd, [("l@1", "l@2")])  # r is never identified
         rep = verify_universal(gd, candidate)
-        assert rep == _scan_report(gd, candidate, default_apexes() + [candidate.space])
+        assert rep == _scan_report(gd, candidate, default_apexes() + [candidate.apex])
         # every family factors uniquely through the finer quotient: only the
         # cone check rejects it
         assert [e.name for e in rep.failures()] == ["candidate-is-cone"]
@@ -766,8 +866,8 @@ class TestMediatorHashJoin:
             "CIRC+z", glued.space.points | {"z"}, {**glued.space.min_open, "z": {"z"}}
         )
         incl = make_map(glued.space, space, {x: x for x in glued.space.points})
-        legs = {single(i): compose(incl, glued.leg(single(i))) for i in gd.index}
-        candidate = as_candidate(gd, space, legs)
+        legs = {i: compose(incl, glued.leg(single(i))) for i in gd.index}
+        candidate = complete_cone(gd, space, legs)
         rep = verify_universal(gd, candidate, apexes=[disc2()])
         assert rep == _scan_report(gd, candidate, [disc2()])
         assert rep.cones_checked == 2

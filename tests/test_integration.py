@@ -18,7 +18,6 @@ from topoglue.glue import (
     check_cone,
     check_glued_properties,
     check_otop,
-    cone_of,
     glue,
     verify_universal,
 )
@@ -64,9 +63,8 @@ class TestThreeArcCovering:
         gd = res.data
         glued = res.glued
         assert check_glued_properties(gd, glued).passed
-        cone = cone_of(glued)
         for mode in CONE_MODES:
-            assert check_cone(gd, cone, mode)
+            assert check_cone(gd, glued, mode)
 
     def test_universal_property_within_budget(self):
         res = three_arc_data()
