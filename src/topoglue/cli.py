@@ -26,23 +26,6 @@ from .errors import (
 )
 from .specfile import SpecDocument, parse_spec
 
-COMMANDS = (
-    "validate",
-    "glue",
-    "check-cone",
-    "check-glued",
-    "mediate",
-    "verify-universal",
-    "check-otop",
-    "check-refinement",
-    "compose",
-    "cover-check",
-    "cover-functor",
-    "site-check",
-    "render-dot",
-)
-
-
 @dataclass
 class RunReport:
     command: str
@@ -83,22 +66,10 @@ def _entries_to_data(entries):
     ]
 
 
-def _gluing(doc: SpecDocument, name: str) -> gdata.GluingData:
-    if name not in doc.gluings:
-        raise UnknownTarget(f"no gluing named {name!r}")
-    return doc.gluings[name]
-
-
-def _cone(doc: SpecDocument, name: str):
-    if name not in doc.cones:
-        raise UnknownTarget(f"no cone named {name!r}")
-    return doc.cones[name]
-
-
-def _covering(doc: SpecDocument, name: str):
-    if name not in doc.coverings:
-        raise UnknownTarget(f"no covering named {name!r}")
-    return doc.coverings[name].covering
+def _named(table: dict, kind: str, name: str):
+    if name not in table:
+        raise UnknownTarget(f"no {kind} named {name!r}")
+    return table[name]
 
 
 def _cmd_validate(doc, targets, opts):
@@ -107,7 +78,7 @@ def _cmd_validate(doc, targets, opts):
     data = {}
     ok = True
     for name in names:
-        rep = gdata.validate(_gluing(doc, name))
+        rep = gdata.validate(_named(doc.gluings, "gluing", name))
         ok = ok and rep.passed
         lines.append(f"gluing {name}: {'pass' if rep.passed else 'FAIL'}")
         lines += ["  " + str(e) for e in rep.failures()]
@@ -117,7 +88,7 @@ def _cmd_validate(doc, targets, opts):
 
 def _cmd_glue(doc, targets, opts):
     name = _one_target("glue", targets)
-    glued = glue_mod.glue(_gluing(doc, name))
+    glued = glue_mod.glue(_named(doc.gluings, "gluing", name))
     classes = {q: sorted(glued.classes[q]) for q in sorted(glued.classes)}
     lines = [f"glued space has {len(glued.space.points)} classes"]
     for q in sorted(classes):
@@ -138,8 +109,8 @@ def _cmd_glue(doc, targets, opts):
 
 def _cmd_check_cone(doc, targets, opts):
     name = _one_target("check-cone", targets)
-    decl = _cone(doc, name)
-    gd = _gluing(doc, decl.over)
+    decl = _named(doc.cones, "cone", name)
+    gd = _named(doc.gluings, "gluing", decl.over)
     modes = [opts.mode] if opts.mode else list(glue_mod.CONE_MODES)
     verdicts = {m: glue_mod.check_cone(gd, decl.cone, m) for m in modes}
     ok = all(verdicts.values())
@@ -149,8 +120,8 @@ def _cmd_check_cone(doc, targets, opts):
 
 def _cmd_check_glued(doc, targets, opts):
     name = _one_target("check-glued", targets)
-    decl = _cone(doc, name)
-    gd = _gluing(doc, decl.over)
+    decl = _named(doc.cones, "cone", name)
+    gd = _named(doc.gluings, "gluing", decl.over)
     rep = glue_mod.check_glued_properties(gd, decl.cone)
     return RunReport(
         "check-glued", name, rep.passed,
@@ -161,8 +132,8 @@ def _cmd_check_glued(doc, targets, opts):
 def _cmd_mediate(doc, targets, opts):
     if len(targets) != 2:
         raise UnknownTarget("mediate needs a gluing name and a cone name")
-    gd = _gluing(doc, targets[0])
-    decl = _cone(doc, targets[1])
+    gd = _named(doc.gluings, "gluing", targets[0])
+    decl = _named(doc.cones, "cone", targets[1])
     glued = glue_mod.glue(gd)
     mu = glue_mod.mediate(gd, glued, decl.cone)
     lines = [f"{k} -> {v}" for k, v in sorted(mu.table.items())]
@@ -173,7 +144,7 @@ def _cmd_mediate(doc, targets, opts):
 
 def _cmd_verify_universal(doc, targets, opts):
     name = _one_target("verify-universal", targets)
-    gd = _gluing(doc, name)
+    gd = _named(doc.gluings, "gluing", name)
     glued = glue_mod.glue(gd)
     rep = glue_mod.verify_universal(gd, glued, budget=opts.budget)
     lines = [f"{rep.cones_checked} cones checked"] + _entries_to_lines(rep.entries)
@@ -185,7 +156,7 @@ def _cmd_verify_universal(doc, targets, opts):
 
 def _cmd_check_otop(doc, targets, opts):
     name = _one_target("check-otop", targets)
-    gd = _gluing(doc, name)
+    gd = _named(doc.gluings, "gluing", name)
     glued = glue_mod.glue(gd)
     rep = glue_mod.check_otop(gd, glued)
     head = "applicable" if rep.applicable else "not applicable"
@@ -198,9 +169,7 @@ def _cmd_check_otop(doc, targets, opts):
 
 def _cmd_check_refinement(doc, targets, opts):
     name = _one_target("check-refinement", targets)
-    if name not in doc.refinements:
-        raise UnknownTarget(f"no refinement named {name!r}")
-    rep = refine_mod.check_refinement(doc.refinements[name])
+    rep = refine_mod.check_refinement(_named(doc.refinements, "refinement", name))
     return RunReport(
         "check-refinement", name, rep.passed,
         _entries_to_lines(rep.entries), {"entries": _entries_to_data(rep.entries)},
@@ -209,9 +178,7 @@ def _cmd_check_refinement(doc, targets, opts):
 
 def _cmd_compose(doc, targets, opts):
     name = _one_target("compose", targets)
-    if name not in doc.metas:
-        raise UnknownTarget(f"no meta gluing named {name!r}")
-    fun, rep = refine_mod.compose_gdf(doc.metas[name])
+    fun, rep = refine_mod.compose_gdf(_named(doc.metas, "meta gluing", name))
     glued = glue_mod.glue(fun.data)
     lines = _entries_to_lines(rep.entries)
     lines.append(f"composed glued space has {len(glued.space.points)} points")
@@ -224,7 +191,7 @@ def _cmd_compose(doc, targets, opts):
 
 def _cmd_cover_check(doc, targets, opts):
     name = _one_target("cover-check", targets)
-    c = _covering(doc, name)
+    c = _named(doc.coverings, "covering", name).covering
     if opts.kind:
         c = cover_mod.Covering(c.base, c.family, opts.kind)
     rep = cover_mod.check_covering(c)
@@ -236,7 +203,7 @@ def _cmd_cover_check(doc, targets, opts):
 
 def _cmd_cover_functor(doc, targets, opts):
     name = _one_target("cover-functor", targets)
-    c = _covering(doc, name)
+    c = _named(doc.coverings, "covering", name).covering
     result = cover_mod.functor_of_covering(c)
     lines = _entries_to_lines(result.report.entries)
     lines.append(f"glued space has {len(result.glued.space.points)} points")
@@ -320,6 +287,7 @@ _DISPATCH = {
     "site-check": _cmd_site_check,
     "render-dot": _cmd_render_dot,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(doc: SpecDocument, command: str, targets=(), opts=None) -> RunReport:

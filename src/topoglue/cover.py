@@ -21,7 +21,7 @@ from .fintop import (
     analyze_map,
     compose,
     is_homeomorphism,
-    pair_tag,
+    lift,
     pullback,
 )
 from .gdata import GluingData, Report, derive_triple_maps, make_gluing_data
@@ -78,9 +78,10 @@ def data_of_covering(c: Covering) -> GluingData:
     overlap = {key: sp for key, (sp, _, _) in pullbacks.items()}
     anchor = {key: pi for key, (_, pi, _) in pullbacks.items()}
     transition = {}
-    for (i, j), (sp, pi, pj) in pullbacks.items():
-        swapped = {pair_tag(u, v): pair_tag(v, u) for u, v in ((pi(t), pj(t)) for t in sp.points)}
-        transition[(i, j)] = SpaceMap(sp, overlap[(j, i)], swapped)
+    for (i, j), (_, pi, pj) in pullbacks.items():
+        _, pj_back, pi_back = pullbacks[(j, i)]
+        transition[(i, j)] = lift([pj, pi], [pj_back, pi_back])
+        assert isinstance(transition[(i, j)], SpaceMap), "a swapped pair is a pullback point"
     return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition))
 
 

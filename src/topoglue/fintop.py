@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CompositionMismatch,
+    DuplicateName,
     InvalidTopology,
     SearchBudgetExceeded,
     UnknownPoint,
@@ -258,34 +259,74 @@ def subspace(space: FiniteSpace, subset: Iterable[str]) -> tuple[FiniteSpace, Sp
     return sp, SpaceMap(sp, space, {x: x for x in sub})
 
 
-def pair_tag(u: str, v: str) -> str:
-    """Deterministic tag for a pullback/product point."""
-    return f"({u},{v})"
-
-
 def pullback(f: SpaceMap, g: SpaceMap) -> tuple[FiniteSpace, SpaceMap, SpaceMap]:
-    """Pullback of a cospan: pairs with equal images, product topology restricted."""
+    """Pullback of a cospan: pairs with equal images, product topology restricted.
+
+    The pair (u, v) is the point named ``(u,v)``; no other function makes
+    such names.  Two pairs that would get one name (a point name holding
+    ``,``) raise DuplicateName.
+    """
     if f.cod != g.cod:
         raise CompositionMismatch("pullback needs maps into a common codomain")
-    pairs = [
-        (u, v)
-        for u in sorted(f.dom.points)
-        for v in sorted(g.dom.points)
-        if f(u) == g(v)
-    ]
-    pair_set = {pair_tag(u, v) for u, v in pairs}
-    table = {}
-    for u, v in pairs:
-        cell = {
-            pair_tag(a, b)
+    fiber: dict[str, list[str]] = {}
+    for v in sorted(g.dom.points):
+        fiber.setdefault(g(v), []).append(v)
+    pair_of: dict[str, tuple[str, str]] = {}
+    name: dict[tuple[str, str], str] = {}
+    for u in sorted(f.dom.points):
+        for v in fiber.get(f(u), ()):
+            tag = f"({u},{v})"
+            if tag in pair_of:
+                raise DuplicateName(
+                    f"pullback pairs {pair_of[tag]} and {(u, v)} both get the name {tag!r}"
+                )
+            pair_of[tag] = (u, v)
+            name[(u, v)] = tag
+    table = {
+        tag: frozenset(
+            name[(a, b)]
             for a in f.dom.min_open[u]
             for b in g.dom.min_open[v]
-        }
-        table[pair_tag(u, v)] = frozenset(cell) & frozenset(pair_set)
-    sp = make_space(f"{f.dom.space_id}*{g.dom.space_id}", pair_set, table)
-    proj_f = SpaceMap(sp, f.dom, {pair_tag(u, v): u for u, v in pairs})
-    proj_g = SpaceMap(sp, g.dom, {pair_tag(u, v): v for u, v in pairs})
+            if (a, b) in name
+        )
+        for tag, (u, v) in pair_of.items()
+    }
+    sp = make_space(f"{f.dom.space_id}*{g.dom.space_id}", pair_of, table)
+    proj_f = SpaceMap(sp, f.dom, {tag: u for tag, (u, _) in pair_of.items()})
+    proj_g = SpaceMap(sp, g.dom, {tag: v for tag, (_, v) in pair_of.items()})
     return sp, proj_f, proj_g
+
+
+def lift(
+    want: Sequence[SpaceMap], along: Sequence[SpaceMap]
+) -> SpaceMap | tuple[str, list[str]]:
+    """The map sending each t to the one point u with ``along[n](u) == want[n](t)`` for every n.
+
+    With one ``along`` map this lifts through its singleton fibers; with the
+    two projections of a pullback it pairs into the pullback.  The ``want``
+    maps share a domain T, the ``along`` maps share a domain U, and
+    ``want[n]`` and ``along[n]`` share a codomain, else CompositionMismatch.
+    When some t has no such u or several, the first such t in sorted order
+    is returned with its sorted candidates instead of a map, so that the
+    caller raises its own error.
+    """
+    dom, cod = want[0].dom, along[0].dom
+    if len(want) != len(along) or any(
+        w.dom != dom or a.dom != cod or w.cod != a.cod for w, a in zip(want, along)
+    ):
+        raise CompositionMismatch(
+            f"cannot lift {list(want)!r} along {list(along)!r}: endpoints differ"
+        )
+    fibers: dict[tuple[str, ...], list[str]] = {}
+    for u in sorted(cod.points):
+        fibers.setdefault(tuple(a(u) for a in along), []).append(u)
+    table = {}
+    for t in sorted(dom.points):
+        candidates = fibers.get(tuple(w(t) for w in want), [])
+        if len(candidates) != 1:
+            return t, candidates
+        table[t] = candidates[0]
+    return SpaceMap(dom, cod, table)
 
 
 class _UnionFind:

@@ -280,40 +280,29 @@ def counter_meta():
     """The torus meta gluing with one triple node replaced by a point.
 
     The replacement node still refines its neighbours (all components are the
-    constant maps onto a compatible family of points), but its glued space is
+    constant maps onto a compatible family of points; ``complete_refinement``
+    reads the triple ones off the triple projections), but its glued space is
     a single point, so the pushout condition at that triple must fail.
     """
-    from .refine import GdfGluingData, IndexMap, Refinement
+    from .refine import GdfGluingData, IndexMap, complete_refinement
 
     meta, _ = torus_meta()
     point_fun = functor_of(trivial_data(pt("collapse", "p"), "1"))
     gamma = IndexMap(("1", "2"), ("1",), {"1": "1", "2": "1"})
     p = pt("collapse", "p")
 
-    def const_refinement(coarse: GluingFunctor, base_points) -> Refinement:
-        comps = {}
-        for obj in glidx.objects(("1", "2")):
-            target = coarse.space(obj)
-            comps[obj] = SpaceMap(p, target, {"p": base_points[obj]})
-        return Refinement(gamma, point_fun, coarse, comps)
+    def const_refinement(coarse: GluingFunctor):
+        comps = {
+            obj: SpaceMap(p, coarse.space(obj), {"p": "l|l"})
+            for obj in glidx.objects(("1", "2"))
+            if obj.arity < 3
+        }
+        return complete_refinement(gamma, point_fun, coarse, comps)
 
-    cyl1 = meta.node[single("1")]
-    bnd1 = meta.node[pair("1", "2")]
-    from .fintop import pair_tag
-
-    base = "l|l"
-    cyl_points = {
-        single("1"): base,
-        single("2"): base,
-        pair("1", "2"): base,
-        pair("2", "1"): base,
-        normalize(("1", "1", "2")): pair_tag(base, base),
-        normalize(("2", "2", "1")): pair_tag(base, base),
-    }
     t112 = normalize(("1", "1", "2"))
     edges = dict(meta.edge)
-    edges[(single("1"), t112)] = const_refinement(cyl1, cyl_points)
-    edges[(pair("1", "2"), t112)] = const_refinement(bnd1, cyl_points)
+    edges[(single("1"), t112)] = const_refinement(meta.node[single("1")])
+    edges[(pair("1", "2"), t112)] = const_refinement(meta.node[pair("1", "2")])
     edges.pop((pair("2", "1"), t112), None)
     edges.pop((t112, pair("2", "1")), None)
     nodes = dict(meta.node)

@@ -13,7 +13,7 @@ realize point the other way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from . import fintop, glidx
@@ -167,10 +167,10 @@ def make_gluing_data(
 def derive_triple_maps(gd: GluingData) -> GluingData:
     """Fill every missing triple transition with its unique compatible map.
 
-    For a point t of the [i,j,k]-space, the candidate images are the points of
-    the [j,i,k]-space whose (j,i)-coordinate equals the transition image of
-    t's (i,j)-coordinate.  Anything but exactly one candidate raises
-    ``NotDetermined``: the map must then be supplied explicitly.
+    The image of a point t of the [i,j,k]-space is the point of the
+    [j,i,k]-space whose (j,i)-coordinate equals the transition image of t's
+    (i,j)-coordinate (``fintop.lift``).  Anything but exactly one candidate
+    raises ``NotDetermined``: the map must then be supplied explicitly.
     """
     derived = dict(gd.triple_transition)
     for i in gd.index:
@@ -178,29 +178,12 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
             for k in gd.index:
                 if i == j or (i, j, k) in derived:
                     continue
-                dom_sp = gd.space_of(normalize((i, j, k)))
-                cod_sp = gd.space_of(normalize((j, i, k)))
-                out_coord = gd.coord_map(i, j, k)
-                in_coord = gd.coord_map(j, i, k)
-                phi = gd.transition[(i, j)]
-                table = {}
-                for t in sorted(dom_sp.points):
-                    target = phi(out_coord(t))
-                    cands = [u for u in sorted(cod_sp.points) if in_coord(u) == target]
-                    if len(cands) != 1:
-                        raise NotDetermined(i, j, k, t, cands)
-                    table[t] = cands[0]
-                derived[(i, j, k)] = SpaceMap(dom_sp, cod_sp, table)
-    return GluingData(
-        index=gd.index,
-        patch=gd.patch,
-        overlap=gd.overlap,
-        anchor=gd.anchor,
-        transition=gd.transition,
-        triple_space=gd.triple_space,
-        triple_proj=gd.triple_proj,
-        triple_transition=derived,
-    )
+                want = compose(gd.transition[(i, j)], gd.coord_map(i, j, k))
+                lifted = fintop.lift([want], [gd.coord_map(j, i, k)])
+                if not isinstance(lifted, SpaceMap):
+                    raise NotDetermined(i, j, k, *lifted)
+                derived[(i, j, k)] = lifted
+    return replace(gd, triple_transition=derived)
 
 
 def _maps_equal(f: SpaceMap, g: SpaceMap) -> str | None:

@@ -201,10 +201,6 @@ def complete_cone(
     return Cone(apex, legs)
 
 
-def _leg_equal(a: SpaceMap, b: SpaceMap) -> bool:
-    return _maps_equal(a, b) is None
-
-
 def _cone_edges(gd: GluingData, mode: str) -> list[tuple[GlObject, GlObject, SpaceMap]]:
     """The triples (a, b, f) whose triangles ``leg(a) . f == leg(b)`` a mode checks.
 
@@ -232,27 +228,44 @@ def _cone_edges(gd: GluingData, mode: str) -> list[tuple[GlObject, GlObject, Spa
     return edges
 
 
-def check_cone(gd: GluingData, cone: Cone, mode: str = "full") -> bool:
-    """Evaluate the commuting conditions for a candidate cone.
+def cone_failure(
+    gd: GluingData, cone: Cone, mode: str = "full"
+) -> tuple[GlObject, GlObject, str] | None:
+    """The first triangle ``leg(a) . f == leg(b)`` of a mode that fails, as (a, b, point).
 
-    Every leg is first typed against its object, so a missing or mistyped leg
-    raises in every mode.  Then ``leg(a) . f == leg(b)`` is checked for each
-    triple of ``_cone_edges``.  ``full`` checks the generator edges.  That
-    covers every morphism: the index category is thin and every morphism is a
-    path of generator edges, so when each edge commutes every path commutes,
-    and each edge is itself a morphism.  ``figure3`` and ``figure4`` check the
-    paper's triangles.  The three modes are equivalent verdicts for lawful
-    data.
+    Every leg is first looked up and then typed against its object and the
+    apex, so a missing or mistyped leg raises in every mode.  Then the
+    triples of ``_cone_edges`` are compared in turn; the point is the first
+    one where the two sides differ, and None means every triangle commutes.
     """
     if mode not in CONE_MODES:
         raise ValueError(f"unknown cone mode {mode!r}")
-    for a in glidx.objects(gd.index):
+    legs = {a: cone.leg(a) for a in glidx.objects(gd.index)}
+    for a, leg in legs.items():
         space = gd.space_of(a)
-        if cone.leg(a).dom != space:
+        if leg.dom != space:
             raise CompositionMismatch(f"the leg of {a} does not start at {space.space_id!r}")
-    return all(
-        _leg_equal(compose(cone.leg(a), f), cone.leg(b)) for a, b, f in _cone_edges(gd, mode)
-    )
+        if leg.cod != cone.apex:
+            raise CompositionMismatch(
+                f"the leg of {a} does not land in the apex {cone.apex.space_id!r}"
+            )
+    for a, b, f in _cone_edges(gd, mode):
+        point = _maps_equal(compose(legs[a], f), legs[b])
+        if point is not None:
+            return a, b, point
+    return None
+
+
+def check_cone(gd: GluingData, cone: Cone, mode: str = "full") -> bool:
+    """Whether the candidate is a cone: ``cone_failure`` finds no failing triangle.
+
+    ``full`` checks the generator edges.  That covers every morphism: the
+    index category is thin and every morphism is a path of generator edges,
+    so when each edge commutes every path commutes, and each edge is itself
+    a morphism.  ``figure3`` and ``figure4`` check the paper's triangles.
+    The three modes are equivalent verdicts for lawful data.
+    """
+    return cone_failure(gd, cone, mode) is None
 
 
 def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
@@ -339,6 +352,10 @@ def mediate(gd: GluingData, glued: Cone, cone: Cone) -> SpaceMap:
     values: dict[str, set[str]] = {qp: set() for qp in glued.apex.points}
     for i in gd.index:
         into_glued, into_apex = glued.leg(single(i)), cone.leg(single(i))
+        if into_apex.cod != cone.apex:
+            raise CompositionMismatch(
+                f"the leg of {single(i)} does not land in the apex {cone.apex.space_id!r}"
+            )
         for x in gd.patch[i].points:
             values[into_glued(x)].add(into_apex(x))
     table: dict[str, str] = {}
@@ -443,10 +460,20 @@ def verify_universal(
     # commute, or are not continuous, can still receive a unique map from
     # every cone, so this check is what rules out finer-than-lawful quotients
     # and topologies finer than the final one.
-    is_cone = check_cone(gd, glued, "figure4") and not any(
-        fintop.discontinuities(leg) for leg in glued.legs.values()
-    )
-    rep.add("candidate-is-cone", glued.apex.space_id, is_cone)
+    failure = cone_failure(gd, glued, "figure4")
+    if failure is not None:
+        witness = "triangle {} -> {} fails at {!r}".format(*failure)
+    else:
+        witness = next(
+            (
+                f"leg {obj} is not continuous at {bad}"
+                for obj, leg in glued.legs.items()
+                if (bad := fintop.discontinuities(leg))
+            ),
+            None,
+        )
+    is_cone = witness is None
+    rep.add("candidate-is-cone", glued.apex.space_id, is_cone, witness)
     patch_points = [(i, sorted(gd.patch[i].points)) for i in gd.index]
     # the glued point each patch point lands on, in restriction-tuple order
     route = [glued.leg(single(i))(x) for i, pts in patch_points for x in pts]
@@ -472,7 +499,7 @@ def verify_universal(
                 continue
             # mediate reads only the patch legs, so the family needs no completion
             mu = mediate(gd, glued, Cone(apex, {single(i): leg for i, leg in fam.items()}))
-            if not _leg_equal(mu, mediators[0]):
+            if _maps_equal(mu, mediators[0]) is not None:
                 rep.add("mediate-agrees", apex.space_id, False, "mediate differs from oracle")
         rep.add("apex-done", apex.space_id, True)
     return rep

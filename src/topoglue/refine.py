@@ -24,7 +24,7 @@ from .fintop import (
     analyze_map,
     compose,
     identity_map,
-    pair_tag,
+    lift,
 )
 from .gdata import (
     GluingFunctor,
@@ -123,44 +123,30 @@ def complete_refinement(
             obj = pair(i, j)
             if obj in comps or obj.arity == 1:
                 continue
-            fine_sp = fine.space(reindex_object(gamma, obj))
             eta = glidx.hom(gamma.source, single(i), obj)
             fine_eta = evaluate(fine, reindex_morphism(gamma, eta))
             known = compose(comps[single(i)], fine_eta)
-            anchor = coarse.data.anchor[(i, j)]
-            fibers: dict[str, list[str]] = {}
-            for u in sorted(anchor.dom.points):
-                fibers.setdefault(anchor(u), []).append(u)
-            table = {}
-            for t in sorted(fine_sp.points):
-                cand = fibers.get(known(t), [])
-                if len(cand) != 1:
-                    raise MissingComponent(
-                        f"pair component {obj} not uniquely forced at {t!r}"
-                    )
-                table[t] = cand[0]
-            comps[obj] = SpaceMap(fine_sp, coarse.space(obj), table)
+            lifted = lift([known], [coarse.data.anchor[(i, j)]])
+            if not isinstance(lifted, SpaceMap):
+                raise MissingComponent(
+                    f"pair component {obj} not uniquely forced at {lifted[0]!r}"
+                )
+            comps[obj] = lifted
     for obj in glidx.objects(gamma.source):
         if obj.arity != 3 or obj in comps:
             continue
-        i = obj.head
-        j, k = obj.rest
-        fine_sp = fine.space(reindex_object(gamma, obj))
-        target = coarse.space(obj)
-        legs = {}
-        for n in (j, k):
-            eta3 = glidx.hom(gamma.source, pair(i, n), obj)
+        want, along = [], []
+        for n in obj.rest:
+            eta3 = glidx.hom(gamma.source, pair(obj.head, n), obj)
             fine_proj = evaluate(fine, reindex_morphism(gamma, eta3))
-            legs[n] = compose(comps[pair(i, n)], fine_proj)
-        table = {}
-        for t in sorted(fine_sp.points):
-            tag = pair_tag(legs[j](t), legs[k](t))
-            if tag not in target.points:
-                raise MissingComponent(
-                    f"triple component {obj} coordinates fall outside the pullback at {t!r}"
-                )
-            table[t] = tag
-        comps[obj] = SpaceMap(fine_sp, target, table)
+            want.append(compose(comps[pair(obj.head, n)], fine_proj))
+            along.append(coarse.data.triple_proj[(obj, n)])
+        lifted = lift(want, along)
+        if not isinstance(lifted, SpaceMap):
+            raise MissingComponent(
+                f"triple component {obj} coordinates fall outside the pullback at {lifted[0]!r}"
+            )
+        comps[obj] = lifted
     return Refinement(gamma, fine, coarse, comps)
 
 
@@ -305,30 +291,18 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
         if obj not in meta.node:
             rep.add("pushout-condition", repr(obj), True, "no node given; skipped")
             continue
-        i = obj.head
-        j, k = obj.rest
-        target = composed.triple_space[obj]
-        mj = induced(pair(i, j), obj)
-        mk = induced(pair(i, k), obj)
-        table = {}
-        ok = True
+        canonical = lift(
+            [induced(pair(obj.head, n), obj) for n in obj.rest],
+            [composed.triple_proj[(obj, n)] for n in obj.rest],
+        )
         witness = None
-        for q in sorted(glued[obj].space.points):
-            tag = pair_tag(mj(q), mk(q))
-            if tag not in target.points:
-                ok = False
-                witness = f"{q!r} lands outside the pullback"
-                break
-            table[q] = tag
-        if ok:
-            canonical = SpaceMap(glued[obj].space, target, table)
-            ra = analyze_map(canonical)
-            if not ra.homeomorphism:
-                ok = False
-                witness = f"canonical map is not an isomorphism: {ra.witnesses}"
-        rep.add("pushout-condition", repr(obj), ok, witness)
-        if not ok:
-            raise HypothesisBFailed(i, j, k, f"triple {obj}: {witness}")
+        if not isinstance(canonical, SpaceMap):
+            witness = f"{canonical[0]!r} lands outside the pullback"
+        elif not (ra := analyze_map(canonical)).homeomorphism:
+            witness = f"canonical map is not an isomorphism: {ra.witnesses}"
+        rep.add("pushout-condition", repr(obj), witness is None, witness)
+        if witness is not None:
+            raise HypothesisBFailed(obj.head, *obj.rest, f"triple {obj}: {witness}")
     fun = functor_of(composed)
     rep.add("composed-validates", "all", True)
     return fun, rep

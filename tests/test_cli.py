@@ -384,6 +384,32 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(message)
 
+    @pytest.mark.parametrize("argv", [("check-cone", "PARAM"), ("mediate", "CIRC", "PARAM")])
+    def test_legs_outside_the_apex(self, capsys, tmp_path, argv):
+        f = tmp_path / "apex.glue"
+        f.write_text(CIRCLE_DOC.replace("  apex: C4\n", "  apex: ARC3A\n", 1))
+        command, *targets = argv
+        code, out, err = run_cli(capsys, command, str(f), *targets, "--derive-triples")
+        assert (code, out) == (2, "")
+        assert err == "error: the leg of [1] does not land in the apex 'ARC3A'\n"
+
+    def test_pullback_name_collision(self, capsys, tmp_path):
+        # the two legs meet at (a, "b,c") and ("a,b", c), both named "(a,b,c)"
+        f = tmp_path / "comma.glue"
+        f.write_text(
+            "space B\n  points: p q\n  opens: p\n  opens: q\nend\n"
+            "space X\n  points: a a,b\n  opens: a\n  opens: a,b\nend\n"
+            "space Y\n  points: b,c c\n  opens: b,c\n  opens: c\nend\n"
+            "map x: X -> B\n  a -> p\n  a,b -> q\nend\n"
+            "map y: Y -> B\n  b,c -> p\n  c -> q\nend\n"
+            "covering XY\n  base: B\n  leg: x\n  leg: y\nend\n"
+        )
+        code, out, err = run_cli(capsys, "cover-functor", str(f), "XY")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: pullback pairs ('a', 'b,c') and ('a,b', 'c') both get the name '(a,b,c)'\n"
+        )
+
     def test_repeated_map_source(self, capsys, tmp_path):
         f = tmp_path / "twice.glue"
         f.write_text(CIRCLE_DOC.replace("  a -> l\n  b -> r\n", "  a -> l\n  b -> r\n  a -> r\n", 1))

@@ -11,6 +11,7 @@ from oracles import all_opens, closure_opens, min_open_from_lattice
 from topoglue import cover, fintop
 from topoglue.errors import (
     CompositionMismatch,
+    DuplicateName,
     InvalidTopology,
     SearchBudgetExceeded,
     UnknownPoint,
@@ -224,6 +225,19 @@ class TestPullback:
         to_pt = make_map(arc3(), pt(), {x: "p" for x in arc3().points})
         sp, _, _ = pullback(to_pt, to_pt)
         assert len(sp.points) == 9
+
+    def test_pair_name_collision_is_an_input_error(self):
+        # (a, "b,c") and ("a,b", c) would both be named "(a,b,c)"
+        x = make_space("X", ["a", "a,b"], {"a": ["a"], "a,b": ["a,b"]})
+        y = make_space("Y", ["b,c", "c"], {"b,c": ["b,c"], "c": ["c"]})
+        fx = make_map(x, pt(), {u: "p" for u in x.points})
+        fy = make_map(y, pt(), {v: "p" for v in y.points})
+        with pytest.raises(DuplicateName) as info:
+            pullback(fx, fy)
+        assert info.value.exit_code == 2
+        assert str(info.value) == (
+            "pullback pairs ('a', 'b,c') and ('a,b', 'c') both get the name '(a,b,c)'"
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(small_spaces(max_points=3), small_spaces(max_points=3))

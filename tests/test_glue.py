@@ -48,6 +48,7 @@ from topoglue.glue import (
     build_relation,
     check_cone,
     check_equivalence,
+    cone_failure,
     check_glued_properties,
     check_otop,
     complete_cone,
@@ -729,6 +730,24 @@ class TestVerifyUniversal:
         assert rep.cones_checked == 29
         assert [e.name for e in rep.failures()] == ["candidate-is-cone"]
 
+    def test_candidate_row_names_its_witness(self):
+        gd = gd_circ()
+        glued = glue(gd)
+        points = sorted(glued.space.points)
+        discrete = make_space("CIRC-discrete", points, {x: [x] for x in points})
+        legs = {i: SpaceMap(gd.patch[i], discrete, glued.leg(single(i)).table) for i in gd.index}
+        total, injections = disjoint_union([gd.patch[i] for i in gd.index], list(gd.index))
+        q, proj = quotient(total, [("l@1", "l@2")])  # r is never identified
+        finer = {i: compose(proj, eps) for i, eps in zip(gd.index, injections)}
+        rows = [
+            verify_universal(gd, complete_cone(gd, apex, legs), [pt()]).entries[0]
+            for apex, legs in ((discrete, legs), (q, finer))
+        ]
+        assert [(e.name, e.ok, e.witness) for e in rows] == [
+            ("candidate-is-cone", False, "leg [1] is not continuous at ['m']"),
+            ("candidate-is-cone", False, "triangle [2] -> [1,2] fails at 'b'"),
+        ]
+
     def test_random_lawful_instances(self):
         rng = random.Random(23)
         for _ in range(5):
@@ -757,10 +776,19 @@ def _product_cones(gd, apex):
 def _scan_report(gd, glued, apexes):
     """``verify_universal`` with the candidates x families x legs scan: the reference."""
     rep = UniversalReport()
-    is_cone = check_cone(gd, glued, "figure4") and all(
-        analyze_map(leg).continuous for leg in glued.legs.values()
-    )
-    rep.add("candidate-is-cone", glued.apex.space_id, is_cone)
+    failure = cone_failure(gd, glued, "figure4")
+    broken = [
+        (obj, [x for prop, x in analyze_map(leg).witnesses if prop == "continuous"])
+        for obj, leg in glued.legs.items()
+        if not analyze_map(leg).continuous
+    ]
+    witness = None
+    if failure is not None:
+        witness = "triangle {} -> {} fails at {!r}".format(*failure)
+    elif broken:
+        witness = f"leg {broken[0][0]} is not continuous at {broken[0][1]}"
+    is_cone = witness is None
+    rep.add("candidate-is-cone", glued.apex.space_id, is_cone, witness)
     for apex in apexes:
         candidates = enumerate_continuous_maps(glued.apex, apex)
         families = _product_cones(gd, apex)
