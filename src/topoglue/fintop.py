@@ -220,33 +220,44 @@ def is_homeomorphism(f: SpaceMap) -> bool:
     return analyze_map(f).homeomorphism
 
 
-def coproduct_tag(point: str, tag: str) -> str:
+def _coproduct_tag(point: str, tag: str) -> str:
     return f"{point}@{tag}"
 
 
 def disjoint_union(
     spaces: Sequence[FiniteSpace], tags: Sequence[str] | None = None
 ) -> tuple[FiniteSpace, list[SpaceMap]]:
-    """Disjoint union with tagged points and the canonical injections."""
+    """Disjoint union with tagged points and the canonical injections.
+
+    The point x of the space tagged i is named ``x@i``; no other function
+    makes such names.  Two (point, tag) pairs that would get one name (a
+    point or tag holding ``@``) raise DuplicateName.
+    """
     if tags is None:
         tags = [str(i) for i in range(len(spaces))]
     if len(tags) != len(spaces) or len(set(tags)) != len(tags):
         raise ValueError("tags must be distinct and match the space list")
-    points = []
-    table = {}
+    source: dict[str, tuple[str, str]] = {}
+    names = []
     for sp, tag in zip(spaces, tags):
-        for x in sp.points:
-            points.append(coproduct_tag(x, tag))
-            table[coproduct_tag(x, tag)] = frozenset(
-                coproduct_tag(y, tag) for y in sp.min_open[x]
-            )
+        name = {}
+        for x in sorted(sp.points):
+            name[x] = _coproduct_tag(x, tag)
+            if name[x] in source:
+                raise DuplicateName(
+                    f"disjoint union points {source[name[x]]} and {(x, tag)} "
+                    f"both get the name {name[x]!r}"
+                )
+            source[name[x]] = (x, tag)
+        names.append(name)
+    table = {
+        name[x]: frozenset(name[y] for y in sp.min_open[x])
+        for sp, name in zip(spaces, names)
+        for x in sp.points
+    }
     union_id = "+".join(s.space_id for s in spaces) or "empty"
-    total = make_space(union_id, points, table)
-    injections = [
-        SpaceMap(sp, total, {x: coproduct_tag(x, tag) for x in sp.points})
-        for sp, tag in zip(spaces, tags)
-    ]
-    return total, injections
+    total = make_space(union_id, source, table)
+    return total, [SpaceMap(sp, total, name) for sp, name in zip(spaces, names)]
 
 
 def subspace(space: FiniteSpace, subset: Iterable[str]) -> tuple[FiniteSpace, SpaceMap]:

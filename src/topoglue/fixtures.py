@@ -13,6 +13,7 @@ from . import glidx
 from .fintop import FiniteSpace, SpaceMap, make_space
 from .gdata import GluingData, GluingFunctor, derive_triple_maps, functor_of, make_gluing_data
 from .glidx import normalize, pair, single
+from .glue import Cone, glue
 
 ARC = ("l", "m", "r")
 CIRCLE4 = ("l", "ma", "r", "mb")
@@ -28,6 +29,11 @@ def sierp() -> FiniteSpace:
 
 def disc2() -> FiniteSpace:
     return make_space("DISC2", ["a", "b"], {"a": ["a"], "b": ["b"]})
+
+
+def indisc2() -> FiniteSpace:
+    """Indiscrete 2-point space: its two points are topologically indistinguishable."""
+    return make_space("I2", ["a", "b"], {"a": ["a", "b"], "b": ["a", "b"]})
 
 
 def arc3(space_id: str = "ARC3") -> FiniteSpace:
@@ -240,22 +246,20 @@ def _two_circles(space_id: str) -> FiniteSpace:
     return make_space(space_id, points, table)
 
 
-def _circle_to_cylinder(dom: FiniteSpace, cyl_space: FiniteSpace) -> SpaceMap:
+def _circle_to_cylinder(dom: FiniteSpace, cyl: Cone) -> SpaceMap:
     # circle coordinates: l and r are the shared edge columns, ma lives in
-    # square A (coproduct tag @1), mb in square B (tag @2)
+    # square A (patch 1), mb in square B (patch 2)
     rename = {"l": ("l", "1"), "r": ("r", "1"), "ma": ("m", "1"), "mb": ("m", "2")}
     table = {}
     for c in CIRCLE4:
-        col, tag = rename[c]
+        col, i = rename[c]
         for y in ("l", "r"):
-            table[f"{c}|{y}"] = f"{col}|{y}@{tag}"
-    return SpaceMap(dom, cyl_space, table)
+            table[f"{c}|{y}"] = cyl.leg(single(i))(f"{col}|{y}")
+    return SpaceMap(dom, cyl.apex, table)
 
 
 def sequential_torus_data() -> GluingData:
     """Glued cylinders glued along explicit two-circle overlap spaces."""
-    from .glue import glue
-
     q1 = glue(cylinder_data("1"))
     q2 = glue(cylinder_data("2"))
     w12 = _two_circles("circles12")
@@ -265,8 +269,8 @@ def sequential_torus_data() -> GluingData:
         patch={"1": q1.space, "2": q2.space},
         overlap={("1", "2"): w12, ("2", "1"): w21},
         anchor={
-            ("1", "2"): _circle_to_cylinder(w12, q1.space),
-            ("2", "1"): _circle_to_cylinder(w21, q2.space),
+            ("1", "2"): _circle_to_cylinder(w12, q1),
+            ("2", "1"): _circle_to_cylinder(w21, q2),
         },
         transition={
             ("1", "2"): _name_map(w12, w21),

@@ -202,6 +202,20 @@ def _add_continuity(rep: Report, name: str, subject: str, f: SpaceMap) -> None:
     rep.add(name, subject, ok, None if ok else str(analyze_map(f).witnesses))
 
 
+def _triples_present(gd: GluingData, rep: Report) -> bool:
+    """Add a failing ``triple-present`` row per missing triple transition; True if none is."""
+    missing = [
+        (i, j, k)
+        for i in gd.index
+        for j in gd.index
+        for k in gd.index
+        if i != j and (i, j, k) not in gd.triple_transition
+    ]
+    for key in missing:
+        rep.add("triple-present", str(key), False, "missing triple transition")
+    return not missing
+
+
 def validate(gd: GluingData) -> Report:
     """Check the gluing-data laws clause by clause.
 
@@ -255,16 +269,7 @@ def validate(gd: GluingData) -> Report:
                 identity_map(gd.overlap[(i, j)]),
             )
             rep.add("transition-inverse", f"({i},{j})", w is None, w)
-    missing = [
-        (i, j, k)
-        for i in gd.index
-        for j in gd.index
-        for k in gd.index
-        if i != j and (i, j, k) not in gd.triple_transition
-    ]
-    for key in missing:
-        rep.add("triple-present", str(key), False, "missing triple transition")
-    if missing:
+    if not _triples_present(gd, rep):
         return rep
     for i in gd.index:
         for j in gd.index:
@@ -323,7 +328,15 @@ def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
 
 
 def functor_tables(gd: GluingData) -> GluingFunctor:
-    """Realize the data as tables without validating it first."""
+    """Realize the data as tables without validating it first.
+
+    Only a missing triple transition, which leaves a generator without a
+    map, raises ValidationFailed, with the ``triple-present`` rows of
+    ``validate``.
+    """
+    rep = Report()
+    if not _triples_present(gd, rep):
+        raise ValidationFailed(rep)
     obj_table = {o: gd.space_of(o) for o in glidx.objects(gd.index)}
     gen_table = {dc: _generator_image(gd, gen) for dc, gen in glidx.edges(gd.index).items()}
     return GluingFunctor(gd, obj_table, gen_table)

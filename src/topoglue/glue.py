@@ -30,7 +30,6 @@ from .fintop import (
     SpaceMap,
     analyze_map,
     compose,
-    coproduct_tag,
     disjoint_union,
     enumerate_continuous_maps,
     is_open,
@@ -69,27 +68,39 @@ class GluedSpace(Cone):
         return self.apex
 
 
-def build_relation(gd: GluingData) -> list[tuple[str, str]]:
-    """Raw identification pairs on the tagged disjoint union of patches.
+def _links(gd: GluingData) -> dict[tuple[str, str], list[tuple[str, str, str]]]:
+    """The identification each overlap point makes, per ordered pair (i, j) in index order.
 
-    For each ordered pair (i,j) and each overlap point u, the anchor image of
-    u in patch i is identified with the anchor image of the transited point in
+    For each sorted point u of overlap (i, j), the link (u, x, y) identifies
+    x = anchor_ij(u) in patch i with y = anchor_ji(transition_ij(u)) in
     patch j.
     """
+    links = {}
+    for i in gd.index:
+        for j in gd.index:
+            anchor_ij, anchor_ji = gd.anchor[(i, j)], gd.anchor[(j, i)]
+            trans = gd.transition[(i, j)]
+            links[(i, j)] = [
+                (u, anchor_ij(u), anchor_ji(trans(u))) for u in sorted(gd.overlap[(i, j)].points)
+            ]
+    return links
+
+
+def _union(gd: GluingData) -> tuple[FiniteSpace, dict[str, SpaceMap]]:
+    """The disjoint union of the patches, with each patch's injection into it."""
+    total, injections = disjoint_union([gd.patch[i] for i in gd.index], list(gd.index))
+    return total, dict(zip(gd.index, injections))
+
+
+def build_relation(gd: GluingData) -> list[tuple[str, str]]:
+    """Raw identification pairs on the disjoint union of patches, one per link."""
     report = validate(gd)
     if not report.passed:
         raise ValidationFailed(report)
-    pairs = []
-    for i in gd.index:
-        for j in gd.index:
-            anchor_ij = gd.anchor[(i, j)]
-            anchor_ji = gd.anchor[(j, i)]
-            trans = gd.transition[(i, j)]
-            for u in sorted(gd.overlap[(i, j)].points):
-                x = anchor_ij(u)
-                y = anchor_ji(trans(u))
-                pairs.append((coproduct_tag(x, i), coproduct_tag(y, j)))
-    return sorted(set(pairs))
+    _, inj = _union(gd)
+    return sorted(
+        {(inj[i](x), inj[j](y)) for (i, j), links in _links(gd).items() for _, x, y in links}
+    )
 
 
 @dataclass
@@ -119,42 +130,23 @@ def check_equivalence(relation: Iterable[tuple[str, str]], gd: GluingData) -> Eq
     not cohere, and the witness triple names the offending points.
     """
     rel = set(relation)
-    domain = set()
-    for i in gd.index:
-        for x in gd.patch[i].points:
-            domain.add(coproduct_tag(x, i))
-    reflexive = True
-    refl_witness = None
-    for p in sorted(domain):
-        if (p, p) not in rel:
-            reflexive = False
-            refl_witness = (p,)
-            break
-    symmetric = True
-    sym_witness = None
-    for a, b in sorted(rel):
-        if (b, a) not in rel:
-            symmetric = False
-            sym_witness = (a, b)
-            break
-    transitive = True
-    trans_witness = None
+    domain, _ = _union(gd)
     succ: dict[str, set[str]] = {}
     for a, b in rel:
         succ.setdefault(a, set()).add(b)
-    for a in sorted(succ):
-        for b in sorted(succ[a]):
-            for c in sorted(succ.get(b, ())):
-                if (a, c) not in rel:
-                    transitive = False
-                    trans_witness = (a, b, c)
-                    break
-            if trans_witness:
-                break
-        if trans_witness:
-            break
-    witness = refl_witness or sym_witness or trans_witness
-    return EquivalenceReport(reflexive, symmetric, transitive, witness)
+    refl = next(((p,) for p in sorted(domain.points) if (p, p) not in rel), None)
+    sym = next(((a, b) for a, b in sorted(rel) if (b, a) not in rel), None)
+    trans = next(
+        (
+            (a, b, c)
+            for a in sorted(succ)
+            for b in sorted(succ[a])
+            for c in sorted(succ.get(b, ()))
+            if (a, c) not in rel
+        ),
+        None,
+    )
+    return EquivalenceReport(refl is None, sym is None, trans is None, refl or sym or trans)
 
 
 def glue(gd: GluingData) -> GluedSpace:
@@ -167,9 +159,9 @@ def glue(gd: GluingData) -> GluedSpace:
     eq = check_equivalence(relation, gd)
     if not eq.passed:
         raise NotEquivalence(eq.witness, f"overlap relation is not an equivalence: {eq}")
-    total, injections = disjoint_union([gd.patch[i] for i in gd.index], list(gd.index))
+    total, inj = _union(gd)
     q, projection = fintop.quotient(total, relation)
-    patch_legs = {i: compose(projection, eps) for i, eps in zip(gd.index, injections)}
+    patch_legs = {i: compose(projection, inj[i]) for i in gd.index}
     classes: dict[str, set[str]] = {qp: set() for qp in q.points}
     for x in total.points:
         classes[projection(x)].add(x)
@@ -228,19 +220,14 @@ def _cone_edges(gd: GluingData, mode: str) -> list[tuple[GlObject, GlObject, Spa
     return edges
 
 
-def cone_failure(
-    gd: GluingData, cone: Cone, mode: str = "full"
-) -> tuple[GlObject, GlObject, str] | None:
-    """The first triangle ``leg(a) . f == leg(b)`` of a mode that fails, as (a, b, point).
+def _typed_legs(gd: GluingData, cone: Cone, objs: Iterable[GlObject]) -> dict[GlObject, SpaceMap]:
+    """The cone's legs at ``objs``, each typed against its object and the apex.
 
-    Every leg is first looked up and then typed against its object and the
-    apex, so a missing or mistyped leg raises in every mode.  Then the
-    triples of ``_cone_edges`` are compared in turn; the point is the first
-    one where the two sides differ, and None means every triangle commutes.
+    Every leg is looked up before any is typed, so a missing leg raises
+    MissingLeg first; a leg that does not start at its object's space or does
+    not land in the apex raises CompositionMismatch.
     """
-    if mode not in CONE_MODES:
-        raise ValueError(f"unknown cone mode {mode!r}")
-    legs = {a: cone.leg(a) for a in glidx.objects(gd.index)}
+    legs = {a: cone.leg(a) for a in objs}
     for a, leg in legs.items():
         space = gd.space_of(a)
         if leg.dom != space:
@@ -249,6 +236,22 @@ def cone_failure(
             raise CompositionMismatch(
                 f"the leg of {a} does not land in the apex {cone.apex.space_id!r}"
             )
+    return legs
+
+
+def cone_failure(
+    gd: GluingData, cone: Cone, mode: str = "full"
+) -> tuple[GlObject, GlObject, str] | None:
+    """The first triangle ``leg(a) . f == leg(b)`` of a mode that fails, as (a, b, point).
+
+    Every leg is typed first (``_typed_legs``), so a missing or mistyped leg
+    raises in every mode.  Then the triples of ``_cone_edges`` are compared
+    in turn; the point is the first one where the two sides differ, and None
+    means every triangle commutes.
+    """
+    if mode not in CONE_MODES:
+        raise ValueError(f"unknown cone mode {mode!r}")
+    legs = _typed_legs(gd, cone, glidx.objects(gd.index))
     for a, b, f in _cone_edges(gd, mode):
         point = _maps_equal(compose(legs[a], f), legs[b])
         if point is not None:
@@ -274,89 +277,65 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
     (a) pair legs factor through the anchors; (b) triple legs factor through
     the projections; (c) the two routes across an overlap agree; (d) the patch
     leg images cover the space; (e) overlap images equal pairwise intersections
-    of patch images; (f) every patch leg is injective and continuous.
+    of patch images; (f) every patch leg is injective and continuous.  Every
+    leg is typed first (``_typed_legs``), so a missing or mistyped leg raises.
     """
     rep = Report()
     idx = gd.index
+    legs = _typed_legs(gd, candidate, glidx.objects(idx))
     for i in idx:
         for j in idx:
-            if i == j:
-                continue
-            w = _maps_equal(
-                candidate.leg(pair(i, j)),
-                compose(candidate.leg(single(i)), gd.anchor[(i, j)]),
-            )
-            rep.add("a-pair-factors", f"({i},{j})", w is None, w)
+            if i != j:
+                w = _maps_equal(compose(legs[single(i)], gd.anchor[(i, j)]), legs[pair(i, j)])
+                rep.add("a-pair-factors", f"({i},{j})", w is None, w)
     for obj in glidx.objects(idx):
-        if obj.arity != 3:
-            continue
-        i = obj.head
-        ok = True
-        wit = None
-        for n in obj.rest:
-            w = _maps_equal(
-                candidate.leg(obj),
-                compose(candidate.leg(pair(i, n)), gd.triple_proj[(obj, n)]),
-            )
-            if w is not None:
-                ok = False
-                wit = w
-        rep.add("b-triple-factors", repr(obj), ok, wit)
-    for i in idx:
-        for j in idx:
-            lhs = compose(candidate.leg(single(i)), gd.anchor[(i, j)])
-            rhs = compose(
-                compose(candidate.leg(single(j)), gd.anchor[(j, i)]),
-                gd.transition[(i, j)],
-            )
-            w = _maps_equal(lhs, rhs)
-            rep.add("c-overlap-agree", f"({i},{j})", w is None, w)
-    covered = set()
-    for i in idx:
-        covered |= candidate.leg(single(i)).image()
-    missing = sorted(candidate.apex.points - covered)
+        if obj.arity == 3:
+            witnesses = [
+                _maps_equal(compose(legs[pair(obj.head, n)], gd.triple_proj[(obj, n)]), legs[obj])
+                for n in obj.rest
+            ]
+            failed = [w for w in witnesses if w is not None]
+            rep.add("b-triple-factors", repr(obj), not failed, failed[-1] if failed else None)
+    links = _links(gd)
+    for (i, j), pairs in links.items():
+        leg_i, leg_j = legs[single(i)], legs[single(j)]
+        w = next((u for u, x, y in pairs if leg_i(x) != leg_j(y)), None)
+        rep.add("c-overlap-agree", f"({i},{j})", w is None, w)
+    images = {i: legs[single(i)].image() for i in idx}
+    missing = sorted(candidate.apex.points.difference(*images.values()))
     rep.add("d-covering", "all", not missing, missing[0] if missing else None)
-    for i in idx:
-        for j in idx:
-            img_i = candidate.leg(single(i)).image()
-            img_j = candidate.leg(single(j)).image()
-            via_ij = compose(candidate.leg(single(i)), gd.anchor[(i, j)]).image()
-            via_ji = compose(candidate.leg(single(j)), gd.anchor[(j, i)]).image()
-            ok = via_ij == via_ji == (img_i & img_j)
-            rep.add(
-                "e-intersections",
-                f"({i},{j})",
-                ok,
-                None if ok else f"{sorted(via_ij)} vs {sorted(via_ji)} vs {sorted(img_i & img_j)}",
-            )
-    for i in idx:
-        r = analyze_map(candidate.leg(single(i)))
+    for i, j in links:
+        via_ij = {legs[single(i)](x) for _, x, _ in links[(i, j)]}
+        via_ji = {legs[single(j)](x) for _, x, _ in links[(j, i)]}
+        both = images[i] & images[j]
+        ok = via_ij == via_ji == both
         rep.add(
-            "f-leg-embedding-free",
-            i,
-            r.injective and r.continuous,
-            None if r.injective and r.continuous else str(r.witnesses),
+            "e-intersections",
+            f"({i},{j})",
+            ok,
+            None if ok else f"{sorted(via_ij)} vs {sorted(via_ji)} vs {sorted(both)}",
         )
+    for i in idx:
+        r = analyze_map(legs[single(i)])
+        ok = r.injective and r.continuous
+        rep.add("f-leg-embedding-free", i, ok, None if ok else str(r.witnesses))
     return rep
 
 
 def mediate(gd: GluingData, glued: Cone, cone: Cone) -> SpaceMap:
     """The unique map from the glued space matching the cone's patch legs.
 
-    For each patch i and point x, the glued point ``glued.leg([i])(x)`` is
-    sent to ``cone.leg([i])(x)``.  A glued point no patch point reaches has no
+    The cone's patch legs are typed first (``_typed_legs``).  For each patch i
+    and point x, the glued point ``glued.leg([i])(x)`` is sent to
+    ``cone.leg([i])(x)``.  A glued point no patch point reaches has no
     provenance; one sent to two apex points means the cone conditions were
     violated.  Continuity is automatic from the final topology but still
     checked.
     """
     values: dict[str, set[str]] = {qp: set() for qp in glued.apex.points}
-    for i in gd.index:
-        into_glued, into_apex = glued.leg(single(i)), cone.leg(single(i))
-        if into_apex.cod != cone.apex:
-            raise CompositionMismatch(
-                f"the leg of {single(i)} does not land in the apex {cone.apex.space_id!r}"
-            )
-        for x in gd.patch[i].points:
+    for obj, into_apex in _typed_legs(gd, cone, map(single, gd.index)).items():
+        into_glued = glued.leg(obj)
+        for x in gd.patch[obj.head].points:
             values[into_glued(x)].add(into_apex(x))
     table: dict[str, str] = {}
     for qp in sorted(values):
@@ -409,13 +388,11 @@ def enumerate_cones(
     allowed = fintop._allowed_images(order, min_open, apex)
     # equal[p]: earlier positions whose image the point at p must share
     equal: list[set[int]] = [set() for _ in order]
-    for i in idx:
-        for j in idx:
-            anchor_ij, anchor_ji, trans = gd.anchor[(i, j)], gd.anchor[(j, i)], gd.transition[(i, j)]
-            for u in gd.overlap[(i, j)].points:
-                p, q = sorted((pos[(i, anchor_ij(u))], pos[(j, anchor_ji(trans(u)))]))
-                if p != q:
-                    equal[q].add(p)
+    for (i, j), links in _links(gd).items():
+        for _, x, y in links:
+            p, q = sorted((pos[(i, x)], pos[(j, y)]))
+            if p != q:
+                equal[q].add(p)
 
     def images(img: list) -> list[str]:
         ok = allowed(img)
@@ -452,6 +429,16 @@ def verify_universal(
     the apex.  Both searches per apex, the maps out of the glued space and
     ``enumerate_cones``, count point assignments against ``budget``, so an
     apex too large to search ends in SearchBudgetExceeded.
+
+    SIERP and the indiscrete 2-point space I2 suffice once the candidate C is
+    a cone with continuous legs.  Write Q for the glued space and m: Q -> C
+    for its mediating map; C is a colimit iff m is a homeomorphism.  Every
+    function into I2 is continuous, so every function on Q gives a cone into
+    I2.  If the legs miss a point of C, two maps C -> I2 that differ only
+    there mediate the same cone.  If m(q) = m(q') for q != q', no map
+    mediates the cone separating q from q'.  So I2 makes m a bijection.  An
+    open U of Q gives the cone of U's indicator Q -> SIERP; its only
+    candidate mediator is continuous iff m(U) is open, so SIERP makes m open.
     """
     rep = UniversalReport()
     if apexes is None:
@@ -497,8 +484,13 @@ def verify_universal(
                 continue
             if not is_cone:
                 continue
-            # mediate reads only the patch legs, so the family needs no completion
-            mu = mediate(gd, glued, Cone(apex, {single(i): leg for i, leg in fam.items()}))
+            # mediate reads only the patch legs, so the family needs no completion;
+            # it finds no provenance for a candidate point the legs miss
+            try:
+                mu = mediate(gd, glued, Cone(apex, {single(i): leg for i, leg in fam.items()}))
+            except NotCovering as exc:
+                rep.add("mediate-agrees", apex.space_id, False, str(exc))
+                continue
             if _maps_equal(mu, mediators[0]) is not None:
                 rep.add("mediate-agrees", apex.space_id, False, "mediate differs from oracle")
         rep.add("apex-done", apex.space_id, True)

@@ -384,7 +384,9 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(message)
 
-    @pytest.mark.parametrize("argv", [("check-cone", "PARAM"), ("mediate", "CIRC", "PARAM")])
+    @pytest.mark.parametrize(
+        "argv", [("check-cone", "PARAM"), ("check-glued", "PARAM"), ("mediate", "CIRC", "PARAM")]
+    )
     def test_legs_outside_the_apex(self, capsys, tmp_path, argv):
         f = tmp_path / "apex.glue"
         f.write_text(CIRCLE_DOC.replace("  apex: C4\n", "  apex: ARC3A\n", 1))
@@ -392,6 +394,31 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, command, str(f), *targets, "--derive-triples")
         assert (code, out) == (2, "")
         assert err == "error: the leg of [1] does not land in the apex 'ARC3A'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-cone", "PARAM"),
+            ("check-cone", "PARAM", "--mode", "full"),
+            ("glue", "CIRC"),
+            ("mediate", "CIRC", "PARAM"),
+        ],
+    )
+    def test_missing_triple_transitions(self, capsys, argv):
+        # the circle example without --derive-triples gives no triple transitions
+        command, *targets = argv
+        code, out, err = run_cli(capsys, command, str(EXAMPLES / "circle.glue"), *targets)
+        assert (code, out) == (1, "")
+        assert err.startswith("check failed: validation failed:\n")
+        rows = [line for line in err.splitlines() if line.startswith("FAIL")]
+        assert rows == [
+            f"FAIL triple-present {key} (witness: missing triple transition)"
+            for key in [("1", "2", "1"), ("1", "2", "2"), ("2", "1", "1"), ("2", "1", "2")]
+        ]
+
+    def test_figure3_needs_no_triple_transitions(self, capsys):
+        argv = ("check-cone", str(EXAMPLES / "circle.glue"), "PARAM", "--mode", "figure3")
+        assert run_cli(capsys, *argv) == (0, "PASS check-cone PARAM\nmode figure3: cone\n", "")
 
     def test_pullback_name_collision(self, capsys, tmp_path):
         # the two legs meet at (a, "b,c") and ("a,b", c), both named "(a,b,c)"
@@ -418,10 +445,10 @@ class TestExitCodes:
         assert "map entry 'a' repeats line" in err
 
 
-# The README's commands on their examples, without the two search-bound ones.
+# The golden commands on their examples, without the two search-bound ones.
 FUZZ_COMMANDS = tuple(
     (command, path, *[a for a in rest if a != "--derive-triples"])
-    for command, path, *rest in GOLDEN_COMMANDS[:9]
+    for command, path, *rest in GOLDEN_COMMANDS
     if command not in ("verify-universal", "site-check")
 )
 FUZZ_WORDS = ("x", "1", "3", "end", ":", "->", "@", ",", "leg", "index", "CIRC", "ARC3A", "D12")
@@ -429,8 +456,11 @@ FUZZ_WORDS = ("x", "1", "3", "end", ":", "->", "@", ",", "leg", "index", "CIRC",
 
 @st.composite
 def mutated_runs(draw):
-    """A README command and its example with one to three lines mutated."""
+    """A golden command, with or without ``--derive-triples``, and its example with
+    one to three lines mutated."""
     command, path, *targets = draw(st.sampled_from(FUZZ_COMMANDS))
+    if draw(st.booleans()):
+        targets.append("--derive-triples")
     lines = (REPO / path).read_text().splitlines()
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
@@ -463,7 +493,7 @@ class TestFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             f = Path(tmp) / "doc.glue"
             f.write_text(text)
-            argv = [command, str(f), *targets, "--derive-triples", "--budget", "20000"]
+            argv = [command, str(f), *targets, "--budget", "20000"]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
         assert code in (0, 1, 2, 3)

@@ -193,6 +193,23 @@ class TestDisjointUnion:
             r = analyze_map(eps)
             assert r.embedding and r.open_map
 
+    def test_name_collision_is_an_input_error(self):
+        # x tagged "a@b" and "x@a" tagged "b" would both be named "x@a@b"
+        x = make_space("X", ["x"], {"x": ["x"]})
+        y = make_space("Y", ["x@a"], {"x@a": ["x@a"]})
+        with pytest.raises(DuplicateName) as info:
+            disjoint_union([x, y], ["a@b", "b"])
+        assert info.value.exit_code == 2
+        assert str(info.value) == (
+            "disjoint union points ('x', 'a@b') and ('x@a', 'b') both get the name 'x@a@b'"
+        )
+
+    def test_points_named_through_their_tags(self):
+        total, (eps_a, eps_b) = disjoint_union([sierp(), sierp()], ["a", "b"])
+        assert total.points == {"t@a", "b@a", "t@b", "b@b"}
+        assert eps_b.table == {"t": "t@b", "b": "b@b"}
+        assert total.min_open["b@a"] == {"t@a", "b@a"}
+
 
 class TestSubspace:
     def test_sierpinski_top(self):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import digital_circle, digital_circle_data, random_lawful_data
-from topoglue import glidx
+from topoglue import fintop, glidx
 from topoglue import glue as glue_mod
 from topoglue.errors import (
     CompositionMismatch,
@@ -18,10 +18,10 @@ from topoglue.fintop import (
     SpaceMap,
     analyze_map,
     compose,
-    coproduct_tag,
     disjoint_union,
     enumerate_continuous_maps,
     find_homeomorphism,
+    from_opens,
     identity_map,
     is_homeomorphism,
     is_open,
@@ -35,11 +35,20 @@ from topoglue.fixtures import (
     cylinder_data,
     disc2,
     gd_circ,
+    indisc2,
     pt,
     sierp,
     trivial_data,
 )
-from topoglue.gdata import derive_triple_maps, evaluate, functor_tables, make_gluing_data, validate
+from topoglue.gdata import (
+    Report,
+    _maps_equal,
+    derive_triple_maps,
+    evaluate,
+    functor_tables,
+    make_gluing_data,
+    validate,
+)
 from topoglue.glidx import normalize, pair, single
 from topoglue.glue import (
     CONE_MODES,
@@ -195,7 +204,7 @@ class TestBuildRelation:
     def test_single_patch_is_diagonal(self):
         gd = trivial_data(arc3())
         rel = build_relation(gd)
-        assert rel == sorted((coproduct_tag(x, "1"), coproduct_tag(x, "1")) for x in arc3().points)
+        assert rel == sorted((f"{x}@1", f"{x}@1") for x in arc3().points)
 
     def test_circle_pairs(self):
         rel = set(build_relation(gd_circ()))
@@ -210,7 +219,44 @@ class TestBuildRelation:
         assert off_diagonal == {("a@1", "a@2"), ("a@2", "a@1")}
 
 
+def _equivalence_reference(relation, domain):
+    """``check_equivalence`` with one flag-and-break loop per property: the reference."""
+    rel = set(relation)
+    refl = sym = trans = None
+    for p in sorted(domain):
+        if (p, p) not in rel:
+            refl = (p,)
+            break
+    for a, b in sorted(rel):
+        if (b, a) not in rel:
+            sym = (a, b)
+            break
+    succ = {}
+    for a, b in rel:
+        succ.setdefault(a, set()).add(b)
+    for a in sorted(succ):
+        for b in sorted(succ[a]):
+            for c in sorted(succ.get(b, ())):
+                if trans is None and (a, c) not in rel:
+                    trans = (a, b, c)
+    return refl is None, sym is None, trans is None, refl or sym or trans
+
+
 class TestCheckEquivalence:
+    def test_same_report_as_reference_on_random_relations(self):
+        rng = random.Random(61)
+        gd = gd_circ()
+        domain = [f"{x}@{i}" for i in gd.index for x in sorted(gd.patch[i].points)]
+        outcomes = set()
+        for _ in range(300):
+            relation = [tuple(rng.sample(domain, 2)) for _ in range(rng.randint(0, 8))]
+            relation += [(p, p) for p in domain if rng.random() < 0.9]
+            rep = check_equivalence(relation, gd)
+            expected = _equivalence_reference(relation, domain)
+            assert (rep.reflexive, rep.symmetric, rep.transitive, rep.witness) == expected
+            outcomes.add(expected[:3])
+        assert len(outcomes) >= 6
+
     def test_circle_is_equivalence(self):
         gd = gd_circ()
         rep = check_equivalence(build_relation(gd), gd)
@@ -578,6 +624,133 @@ class TestCheckGluedProperties:
         assert any(e.name == "f-leg-embedding-free" and not e.ok for e in rep.entries)
 
 
+def _glued_properties_reference(gd, candidate):
+    """``check_glued_properties`` with its own anchor and transition loops: the reference."""
+    rep = Report()
+    idx = gd.index
+    for i in idx:
+        for j in idx:
+            if i == j:
+                continue
+            w = _maps_equal(
+                candidate.leg(pair(i, j)),
+                compose(candidate.leg(single(i)), gd.anchor[(i, j)]),
+            )
+            rep.add("a-pair-factors", f"({i},{j})", w is None, w)
+    for obj in glidx.objects(idx):
+        if obj.arity != 3:
+            continue
+        i = obj.head
+        ok = True
+        wit = None
+        for n in obj.rest:
+            w = _maps_equal(
+                candidate.leg(obj),
+                compose(candidate.leg(pair(i, n)), gd.triple_proj[(obj, n)]),
+            )
+            if w is not None:
+                ok = False
+                wit = w
+        rep.add("b-triple-factors", repr(obj), ok, wit)
+    for i in idx:
+        for j in idx:
+            lhs = compose(candidate.leg(single(i)), gd.anchor[(i, j)])
+            rhs = compose(
+                compose(candidate.leg(single(j)), gd.anchor[(j, i)]),
+                gd.transition[(i, j)],
+            )
+            w = _maps_equal(lhs, rhs)
+            rep.add("c-overlap-agree", f"({i},{j})", w is None, w)
+    covered = set()
+    for i in idx:
+        covered |= candidate.leg(single(i)).image()
+    missing = sorted(candidate.apex.points - covered)
+    rep.add("d-covering", "all", not missing, missing[0] if missing else None)
+    for i in idx:
+        for j in idx:
+            img_i = candidate.leg(single(i)).image()
+            img_j = candidate.leg(single(j)).image()
+            via_ij = compose(candidate.leg(single(i)), gd.anchor[(i, j)]).image()
+            via_ji = compose(candidate.leg(single(j)), gd.anchor[(j, i)]).image()
+            ok = via_ij == via_ji == (img_i & img_j)
+            rep.add(
+                "e-intersections",
+                f"({i},{j})",
+                ok,
+                None if ok else f"{sorted(via_ij)} vs {sorted(via_ji)} vs {sorted(img_i & img_j)}",
+            )
+    for i in idx:
+        r = analyze_map(candidate.leg(single(i)))
+        rep.add(
+            "f-leg-embedding-free",
+            i,
+            r.injective and r.continuous,
+            None if r.injective and r.continuous else str(r.witnesses),
+        )
+    return rep
+
+
+class TestGluedPropertiesThroughLinks:
+    """Rows read off the overlap links and the typed legs; the per-row loops are the reference."""
+
+    def test_same_rows_as_reference_on_seeded_cones(self):
+        rng = random.Random(47)
+        data = [gd_circ(), cylinder_data("1"), digital_circle_data(12, 3)]
+        data += [random_lawful_data(rng) for _ in range(12)]
+        failing = set()
+        for gd in data:
+            glued = glue(gd)
+            cones = [glued]
+            for _ in range(8 if len(glued.space.points) > 1 else 0):
+                cone = _redirected(glued, rng, rng.randint(1, 4))
+                cones.append(cone)
+                singles = {i: cone.leg(single(i)) for i in gd.index}
+                cones.append(complete_cone(gd, cone.apex, singles))
+            for apex in (pt(), sierp(), disc2(), arc3(), circle4()):
+                table = {q: rng.choice(sorted(apex.points)) for q in glued.space.points}
+                h = SpaceMap(glued.space, apex, table)
+                cones.append(Cone(apex, {obj: compose(h, leg) for obj, leg in glued.legs.items()}))
+            for cone in cones:
+                rows = check_glued_properties(gd, cone).entries
+                assert rows == _glued_properties_reference(gd, cone).entries
+                failing |= {e.name for e in rows if not e.ok}
+        assert failing == {
+            "a-pair-factors",
+            "b-triple-factors",
+            "c-overlap-agree",
+            "d-covering",
+            "e-intersections",
+            "f-leg-embedding-free",
+        }
+
+    @pytest.mark.parametrize(
+        "obj, wrong",
+        [(single("1"), pair("1", "2")), (normalize(("1", "1", "2")), pair("1", "2"))],
+        ids=["patch", "triple"],
+    )
+    def test_leg_with_wrong_domain_raises(self, obj, wrong):
+        gd = gd_circ()
+        legs = dict(glue(gd).legs)
+        legs[obj] = legs[wrong]
+        with pytest.raises(CompositionMismatch) as info:
+            check_glued_properties(gd, Cone(glue(gd).space, legs))
+        assert str(info.value).startswith(f"the leg of {obj} does not start at")
+
+    def test_leg_outside_the_apex_raises(self):
+        gd = gd_circ()
+        glued = glue(gd)
+        with pytest.raises(CompositionMismatch) as info:
+            check_glued_properties(gd, Cone(circle4(), dict(glued.legs)))
+        assert str(info.value) == "the leg of [1] does not land in the apex 'C4'"
+
+    def test_missing_leg_raises_before_typing(self):
+        gd = gd_circ()
+        legs = dict(glue(gd).legs)
+        del legs[pair("2", "1")]
+        with pytest.raises(MissingLeg):
+            check_glued_properties(gd, Cone(pt(), legs))
+
+
 class TestMediate:
     def test_self_cone_gives_identity(self):
         gd = gd_circ()
@@ -612,6 +785,17 @@ class TestMediate:
         assert mu.table == {"l@1": "l", "m@1": "ma", "m@2": "mb", "r@1": "r"}
         assert is_homeomorphism(mu)
         assert find_homeomorphism(glued.space, target) is not None
+
+    def test_patch_leg_domains_are_typed(self):
+        # the leg of [1] has patch 1's points but not its topology
+        gd = gd_circ()
+        glued = glue(gd)
+        discrete = make_space("ARC3-discrete", ["l", "m", "r"], {x: [x] for x in "lmr"})
+        legs = dict(glued.legs)
+        legs[single("1")] = SpaceMap(discrete, glued.space, dict(glued.leg(single("1")).table))
+        with pytest.raises(CompositionMismatch) as info:
+            mediate(gd, glued, Cone(glued.space, legs))
+        assert str(info.value) == "the leg of [1] does not start at 'arcA'"
 
     def test_incompatible_cone_is_ill_defined(self):
         gd = gd_circ()
@@ -757,6 +941,85 @@ class TestVerifyUniversal:
             assert rep.passed, str(rep)
 
 
+def _colimit_verdict(gd, candidate):
+    """Whether the candidate is a continuous cone whose mediating map is a homeomorphism."""
+    if not check_cone(gd, candidate, "full"):
+        return False
+    if any(fintop.discontinuities(leg) for leg in candidate.legs.values()):
+        return False
+    return is_homeomorphism(mediate(gd, glue(gd), candidate))
+
+
+def _seeded_candidates(rng, gd):
+    """The glued cone, and cones over it with two points merged, a point added, or a
+    coarser or a finer topology (either of which may come out equal)."""
+    glued = glue(gd)
+    q = glued.space
+    points = sorted(q.points)
+    opens = [q.min_open[x] for x in points]
+
+    def over(space, f):
+        return Cone(space, {obj: compose(f, leg) for obj, leg in glued.legs.items()})
+
+    def renamed(space):
+        return over(space, SpaceMap(q, space, {x: x for x in points}))
+
+    out = [glued]
+    if len(points) > 1:
+        merged, proj = quotient(q, [tuple(rng.sample(points, 2))])
+        out.append(over(merged, proj))
+    z_open = rng.choice([{"z"}, q.points | {"z"}])
+    plus = make_space("Q+z", points + ["z"], {**q.min_open, "z": z_open})
+    out.append(over(plus, SpaceMap(q, plus, {x: x for x in points})))
+    some = rng.sample(opens, rng.randint(0, len(opens)))
+    out.append(renamed(from_opens("coarser", points, some)))
+    extra = [rng.sample(points, rng.randint(1, len(points))) for _ in range(rng.randint(1, 2))]
+    out.append(renamed(from_opens("finer", points, opens + extra)))
+    return out
+
+
+class TestTwoPointApexes:
+    """SIERP and I2 decide the universal property for a continuous cone."""
+
+    @staticmethod
+    def _point_from_i2():
+        gd = trivial_data(indisc2())
+        to_pt = SpaceMap(indisc2(), pt(), {"a": "p", "b": "p"})
+        return gd, complete_cone(gd, pt(), {"1": to_pt})
+
+    def test_i2_rejects_the_merge_no_t0_apex_sees(self):
+        gd, candidate = self._point_from_i2()
+        rep = verify_universal(gd, candidate, [pt(), sierp(), indisc2()])
+        assert rep.cones_checked == 7
+        assert {(e.name, e.subject) for e in rep.failures()} == {("unique-mediator", "I2")}
+        rep = verify_universal(gd, candidate, [pt(), sierp(), disc2(), arc3(), candidate.apex])
+        assert rep.passed and rep.cones_checked == 9
+
+    def test_each_apex_is_needed(self):
+        # SIERP alone cannot see the non-T0 merge; I2 alone cannot see a coarser topology
+        gd, candidate = self._point_from_i2()
+        assert verify_universal(gd, candidate, [sierp()]).passed
+        gd = gd_circ()
+        glued = glue(gd)
+        points = sorted(glued.space.points)
+        indiscrete = make_space("CIRC-indiscrete", points, {x: points for x in points})
+        legs = {i: SpaceMap(gd.patch[i], indiscrete, glued.leg(single(i)).table) for i in gd.index}
+        candidate = complete_cone(gd, indiscrete, legs)
+        assert verify_universal(gd, candidate, [indisc2()]).passed
+        assert not verify_universal(gd, candidate, [sierp()]).passed
+
+    def test_verdict_matches_homeomorphic_mediator_on_seeded_candidates(self):
+        rng = random.Random(53)
+        verdicts = []
+        for _ in range(30):
+            gd = random_lawful_data(rng, max_patches=2, max_points=3)
+            for candidate in _seeded_candidates(rng, gd):
+                expected = _colimit_verdict(gd, candidate)
+                assert verify_universal(gd, candidate, [pt(), sierp(), indisc2()]).passed == expected
+                verdicts.append(expected)
+        assert verdicts.count(True) >= 30 and verdicts.count(False) >= 60
+
+
 def _product_cones(gd, apex):
     """Every family in the Cartesian product of patch maps, kept when compatible: the reference."""
     per_patch = [enumerate_continuous_maps(gd.patch[i], apex) for i in gd.index]
@@ -900,6 +1163,21 @@ class TestMediatorHashJoin:
         assert rep == _scan_report(gd, candidate, [disc2()])
         assert rep.cones_checked == 2
         assert [e.witness[:11] for e in rep.failures()] == ["2 mediators"] * 2
+
+    def test_extra_point_fails_mediate_at_a_point_apex(self):
+        # into PT every family has one mediator, but mediate finds no provenance for z
+        gd = gd_circ()
+        glued = glue(gd)
+        space = make_space(
+            "CIRC+z", glued.space.points | {"z"}, {**glued.space.min_open, "z": {"z"}}
+        )
+        incl = make_map(glued.space, space, {x: x for x in glued.space.points})
+        legs = {i: compose(incl, glued.leg(single(i))) for i in gd.index}
+        candidate = complete_cone(gd, space, legs)
+        rep = verify_universal(gd, candidate, apexes=[pt()])
+        assert [(e.name, e.witness) for e in rep.failures()] == [
+            ("mediate-agrees", "glued point 'z' has no provenance")
+        ]
 
 
 class TestCheckOtop:

@@ -21,9 +21,11 @@ from topoglue.fixtures import (
     torus_meta,
     trivial_data,
 )
-from topoglue.gdata import _maps_equal, functor_of
+from topoglue import refine as refine_mod
+from topoglue.gdata import Report, _add_continuity, _maps_equal, evaluate, functor_of
 from topoglue.glidx import (
     GlGen,
+    generators,
     morphism_of,
     normalize,
     objects,
@@ -115,7 +117,52 @@ class TestReindex:
                                 assert ml == reindex_morphism(gamma, rhs)
 
 
+def _check_refinement_reference(r):
+    """``check_refinement`` over ``generators``, evaluating reindexed morphisms: the reference."""
+    rep = Report()
+    for m in generators(r.gamma.source):
+        if m.dom == m.cod:
+            continue
+        a, b = m.dom, m.cod
+        try:
+            rho_a = r.component(a)
+            rho_b = r.component(b)
+        except MissingComponent as exc:
+            rep.add("component-present", f"{a}->{b}", False, str(exc))
+            continue
+        lhs = compose(rho_a, evaluate(r.fine, reindex_morphism(r.gamma, m)))
+        rhs = compose(evaluate(r.coarse, m), rho_b)
+        w = _maps_equal(lhs, rhs)
+        rep.add("naturality", f"{a}->{b}", w is None, w)
+    for obj, comp in sorted(r.components.items(), key=lambda kv: repr(kv[0])):
+        _add_continuity(rep, "component-continuous", repr(obj), comp)
+    return rep
+
+
 class TestCheckRefinement:
+    def test_same_rows_as_reference_on_seeded_refinements(self):
+        rng = random.Random(59)
+        refinements = [identity_refinement(functor_of(gd_circ()))]
+        refinements += list(torus_meta()[0].edge.values()) + list(counter_meta().edge.values())
+        cases = []
+        for r in refinements:
+            cases.append(r)
+            comps = dict(r.components)
+            obj = rng.choice(sorted((o for o in comps if len(comps[o].cod.points) > 1), key=repr))
+            x = rng.choice(sorted(comps[obj].dom.points))
+            table = dict(comps[obj].table)
+            table[x] = rng.choice(sorted(comps[obj].cod.points - {table[x]}))
+            moved = SpaceMap(comps[obj].dom, comps[obj].cod, table)
+            cases.append(Refinement(r.gamma, r.fine, r.coarse, {**comps, obj: moved}))
+            del comps[rng.choice(sorted(comps, key=repr))]
+            cases.append(Refinement(r.gamma, r.fine, r.coarse, comps))
+        verdicts = set()
+        for r in cases:
+            rep = check_refinement(r)
+            assert rep.entries == _check_refinement_reference(r).entries
+            verdicts |= {(e.name, e.ok) for e in rep.entries}
+        assert {("naturality", False), ("component-present", False)} <= verdicts
+
     def test_identity_refinement(self):
         fun = functor_of(gd_circ())
         rep = check_refinement(identity_refinement(fun))
@@ -256,6 +303,18 @@ class TestPaste:
 
 
 class TestComposeGdf:
+    def test_each_edge_is_checked_once(self, monkeypatch):
+        meta, _ = torus_meta()
+        checked = []
+
+        def counting_check(r):
+            checked.append(r)
+            return check_refinement(r)
+
+        monkeypatch.setattr(refine_mod, "check_refinement", counting_check)
+        compose_gdf(meta)
+        assert len(checked) == len(meta.edge) == 12
+
     def test_single_node(self):
         fun = functor_of(trivial_data(arc3(), "1"))
         meta = GdfGluingData(("1",), {single("1"): fun}, {})
