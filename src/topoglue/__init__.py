@@ -10,6 +10,9 @@ Modules:
   cover    gluing coverings and the Grothendieck-topology axioms
   specfile declaration-document parser
   cli      command dispatcher
+  dot      DOT rendering of index categories and gluing diagrams
+  errors   error classes and the exit code each one ends in
+  fixtures standard spaces and the circle, cylinder and torus gluings
 """
 
 __version__ = "0.1.0"

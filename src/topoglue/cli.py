@@ -10,7 +10,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import cover as cover_mod
 from . import dot, fintop, gdata, glue as glue_mod, refine as refine_mod
@@ -55,15 +55,14 @@ class RunReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _entries_to_lines(entries) -> list[str]:
-    return [str(e) for e in entries]
+def _rows(rep: gdata.Report) -> list[dict]:
+    return [asdict(e) for e in rep.entries]
 
 
-def _entries_to_data(entries):
-    return [
-        {"name": e.name, "subject": e.subject, "ok": e.ok, "witness": e.witness}
-        for e in entries
-    ]
+def _checked(command, target, rep: gdata.Report, head=(), tail=(), **data) -> RunReport:
+    """A check report: ``head``, one line per row, ``tail``; the rows as ``entries``."""
+    lines = [*head, *map(str, rep.entries), *tail]
+    return RunReport(command, target, rep.passed, lines, {**data, "entries": _rows(rep)})
 
 
 def _named(table: dict, kind: str, name: str):
@@ -82,7 +81,7 @@ def _cmd_validate(doc, targets, opts):
         ok = ok and rep.passed
         lines.append(f"gluing {name}: {'pass' if rep.passed else 'FAIL'}")
         lines += ["  " + str(e) for e in rep.failures()]
-        data[name] = _entries_to_data(rep.entries)
+        data[name] = _rows(rep)
     return RunReport("validate", " ".join(names), ok, lines, data)
 
 
@@ -122,11 +121,7 @@ def _cmd_check_glued(doc, targets, opts):
     name = _one_target("check-glued", targets)
     decl = _named(doc.cones, "cone", name)
     gd = _named(doc.gluings, "gluing", decl.over)
-    rep = glue_mod.check_glued_properties(gd, decl.cone)
-    return RunReport(
-        "check-glued", name, rep.passed,
-        _entries_to_lines(rep.entries), {"entries": _entries_to_data(rep.entries)},
-    )
+    return _checked("check-glued", name, glue_mod.check_glued_properties(gd, decl.cone))
 
 
 def _cmd_mediate(doc, targets, opts):
@@ -147,11 +142,8 @@ def _cmd_verify_universal(doc, targets, opts):
     gd = _named(doc.gluings, "gluing", name)
     glued = glue_mod.glue(gd)
     rep = glue_mod.verify_universal(gd, glued, budget=opts.budget)
-    lines = [f"{rep.cones_checked} cones checked"] + _entries_to_lines(rep.entries)
-    return RunReport(
-        "verify-universal", name, rep.passed, lines,
-        {"cones": rep.cones_checked, "entries": _entries_to_data(rep.entries)},
-    )
+    head = [f"{rep.cones_checked} cones checked"]
+    return _checked("verify-universal", name, rep, head, cones=rep.cones_checked)
 
 
 def _cmd_check_otop(doc, targets, opts):
@@ -159,34 +151,22 @@ def _cmd_check_otop(doc, targets, opts):
     gd = _named(doc.gluings, "gluing", name)
     glued = glue_mod.glue(gd)
     rep = glue_mod.check_otop(gd, glued)
-    head = "applicable" if rep.applicable else "not applicable"
-    return RunReport(
-        "check-otop", name, rep.passed,
-        [head] + _entries_to_lines(rep.entries),
-        {"applicable": rep.applicable, "entries": _entries_to_data(rep.entries)},
-    )
+    head = ["applicable" if rep.applicable else "not applicable"]
+    return _checked("check-otop", name, rep, head, applicable=rep.applicable)
 
 
 def _cmd_check_refinement(doc, targets, opts):
     name = _one_target("check-refinement", targets)
     rep = refine_mod.check_refinement(_named(doc.refinements, "refinement", name))
-    return RunReport(
-        "check-refinement", name, rep.passed,
-        _entries_to_lines(rep.entries), {"entries": _entries_to_data(rep.entries)},
-    )
+    return _checked("check-refinement", name, rep)
 
 
 def _cmd_compose(doc, targets, opts):
     name = _one_target("compose", targets)
     fun, rep = refine_mod.compose_gdf(_named(doc.metas, "meta gluing", name))
-    glued = glue_mod.glue(fun.data)
-    lines = _entries_to_lines(rep.entries)
-    lines.append(f"composed glued space has {len(glued.space.points)} points")
-    data = {
-        "entries": _entries_to_data(rep.entries),
-        "glued_points": sorted(glued.space.points),
-    }
-    return RunReport("compose", name, rep.passed, lines, data)
+    points = sorted(glue_mod.glue(fun.data).space.points)
+    tail = [f"composed glued space has {len(points)} points"]
+    return _checked("compose", name, rep, tail=tail, glued_points=points)
 
 
 def _cmd_cover_check(doc, targets, opts):
@@ -194,23 +174,15 @@ def _cmd_cover_check(doc, targets, opts):
     c = _named(doc.coverings, "covering", name).covering
     if opts.kind:
         c = cover_mod.Covering(c.base, c.family, opts.kind)
-    rep = cover_mod.check_covering(c)
-    return RunReport(
-        "cover-check", name, rep.passed,
-        _entries_to_lines(rep.entries), {"entries": _entries_to_data(rep.entries)},
-    )
+    return _checked("cover-check", name, cover_mod.check_covering(c))
 
 
 def _cmd_cover_functor(doc, targets, opts):
     name = _one_target("cover-functor", targets)
     c = _named(doc.coverings, "covering", name).covering
     result = cover_mod.functor_of_covering(c)
-    lines = _entries_to_lines(result.report.entries)
-    lines.append(f"glued space has {len(result.glued.space.points)} points")
-    return RunReport(
-        "cover-functor", name, result.report.passed, lines,
-        {"entries": _entries_to_data(result.report.entries)},
-    )
+    tail = [f"glued space has {len(result.glued.space.points)} points"]
+    return _checked("cover-functor", name, result.report, tail=tail)
 
 
 def _cmd_site_check(doc, targets, opts):

@@ -4,7 +4,9 @@ The circle fixture glues two 3-point arcs along their endpoint pairs and
 yields the 4-point pseudocircle.  The torus pipeline does the analogous thing
 one dimension up: two square models glue into a cylinder model along their
 vertical edges, and two cylinder models glue into a torus model along their
-boundary circles.
+boundary circles.  Every one of these is a two-patch gluing built by
+``_two_patches``, and every strip it glues along is a product with the
+two-point discrete space ``_ends``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .fintop import FiniteSpace, SpaceMap, make_space
 from .gdata import GluingData, GluingFunctor, derive_triple_maps, functor_of, make_gluing_data
 from .glidx import normalize, pair, single
 from .glue import Cone, glue
+from .refine import GdfGluingData, IndexMap, complete_refinement, identity_refinement
 
 ARC = ("l", "m", "r")
 CIRCLE4 = ("l", "ma", "r", "mb")
@@ -52,6 +55,11 @@ def circle4(space_id: str = "C4") -> FiniteSpace:
     )
 
 
+def _ends() -> FiniteSpace:
+    """The two endpoints l and r of an interval model, as a discrete space."""
+    return make_space("ENDS", ["l", "r"], {"l": ["l"], "r": ["r"]})
+
+
 def _product(space_id: str, a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
     points = [f"{x}|{y}" for x in sorted(a.points) for y in sorted(b.points)]
     table = {
@@ -71,27 +79,36 @@ def product_c4_c4() -> FiniteSpace:
     return _product("C4xC4", circle4(), circle4())
 
 
-def gd_circ() -> GluingData:
-    """Two arcs glued along their endpoints: the glued space is the pseudocircle."""
-    a1 = arc3("arcA")
-    a2 = arc3("arcB")
-    d12 = disc2()
-    d21 = disc2()
-    table = {"a": "l", "b": "r"}
+def _name_map(dom: FiniteSpace, cod: FiniteSpace) -> SpaceMap:
+    return SpaceMap(dom, cod, {p: p for p in dom.points})
+
+
+def _two_patches(
+    p1: FiniteSpace, p2: FiniteSpace, o12: FiniteSpace, o21: FiniteSpace,
+    a12: dict[str, str], a21: dict[str, str],
+) -> GluingData:
+    """Patches 1 and 2 glued along overlaps o12 and o21, which share point names.
+
+    ``a12`` and ``a21`` are the anchor tables into p1 and p2; each transition
+    sends an overlap point to the point of the same name in the other overlap.
+    """
     data = make_gluing_data(
         ["1", "2"],
-        patch={"1": a1, "2": a2},
-        overlap={("1", "2"): d12, ("2", "1"): d21},
+        patch={"1": p1, "2": p2},
+        overlap={("1", "2"): o12, ("2", "1"): o21},
         anchor={
-            ("1", "2"): SpaceMap(d12, a1, table),
-            ("2", "1"): SpaceMap(d21, a2, table),
+            ("1", "2"): SpaceMap(o12, p1, dict(a12)),
+            ("2", "1"): SpaceMap(o21, p2, dict(a21)),
         },
-        transition={
-            ("1", "2"): SpaceMap(d12, d21, {"a": "a", "b": "b"}),
-            ("2", "1"): SpaceMap(d21, d12, {"a": "a", "b": "b"}),
-        },
+        transition={("1", "2"): _name_map(o12, o21), ("2", "1"): _name_map(o21, o12)},
     )
     return derive_triple_maps(data)
+
+
+def gd_circ() -> GluingData:
+    """Two arcs glued along their endpoints: the glued space is the pseudocircle."""
+    table = {"a": "l", "b": "r"}
+    return _two_patches(arc3("arcA"), arc3("arcB"), disc2(), disc2(), table, table)
 
 
 def trivial_data(space: FiniteSpace | None = None, label: str = "1") -> GluingData:
@@ -102,79 +119,22 @@ def trivial_data(space: FiniteSpace | None = None, label: str = "1") -> GluingDa
     )
 
 
-def _edge_columns(space_id: str) -> FiniteSpace:
-    points = [f"{c}|{y}" for c in ("l", "r") for y in ARC]
-    table = {
-        f"{c}|{y}": [f"{c}|{v}" for v in arc3().min_open[y]]
-        for c in ("l", "r")
-        for y in ARC
-    }
-    return make_space(space_id, points, table)
-
-
 def cylinder_data(tag: str) -> GluingData:
     """Two square models glued along both vertical edges into a cylinder model."""
-    sq_a = sq9(f"sqA{tag}")
-    sq_b = sq9(f"sqB{tag}")
-    e12 = _edge_columns(f"edges{tag}a")
-    e21 = _edge_columns(f"edges{tag}b")
+    e12 = _product(f"edges{tag}a", _ends(), arc3())
+    e21 = _product(f"edges{tag}b", _ends(), arc3())
     incl = {p: p for p in e12.points}
-    data = make_gluing_data(
-        ["1", "2"],
-        patch={"1": sq_a, "2": sq_b},
-        overlap={("1", "2"): e12, ("2", "1"): e21},
-        anchor={
-            ("1", "2"): SpaceMap(e12, sq_a, dict(incl)),
-            ("2", "1"): SpaceMap(e21, sq_b, dict(incl)),
-        },
-        transition={
-            ("1", "2"): SpaceMap(e12, e21, dict(incl)),
-            ("2", "1"): SpaceMap(e21, e12, dict(incl)),
-        },
-    )
-    return derive_triple_maps(data)
-
-
-def _boundary_rows(space_id: str) -> FiniteSpace:
-    points = [f"{c}|{y}" for c in ARC for y in ("l", "r")]
-    table = {
-        f"{c}|{y}": [f"{u}|{y}" for u in arc3().min_open[c]]
-        for c in ARC
-        for y in ("l", "r")
-    }
-    return make_space(space_id, points, table)
-
-
-def _corners(space_id: str) -> FiniteSpace:
-    points = [f"{c}|{y}" for c in ("l", "r") for y in ("l", "r")]
-    return make_space(space_id, points, {p: [p] for p in points})
+    return _two_patches(sq9(f"sqA{tag}"), sq9(f"sqB{tag}"), e12, e21, incl, incl)
 
 
 def boundary_data(tag: str) -> GluingData:
     """The two boundary circles of a cylinder model, as a gluing of row strips."""
-    rows_a = _boundary_rows(f"rowsA{tag}")
-    rows_b = _boundary_rows(f"rowsB{tag}")
-    c12 = _corners(f"corners{tag}a")
-    c21 = _corners(f"corners{tag}b")
+    c12 = _product(f"corners{tag}a", _ends(), _ends())
+    c21 = _product(f"corners{tag}b", _ends(), _ends())
     incl = {p: p for p in c12.points}
-    data = make_gluing_data(
-        ["1", "2"],
-        patch={"1": rows_a, "2": rows_b},
-        overlap={("1", "2"): c12, ("2", "1"): c21},
-        anchor={
-            ("1", "2"): SpaceMap(c12, rows_a, dict(incl)),
-            ("2", "1"): SpaceMap(c21, rows_b, dict(incl)),
-        },
-        transition={
-            ("1", "2"): SpaceMap(c12, c21, dict(incl)),
-            ("2", "1"): SpaceMap(c21, c12, dict(incl)),
-        },
-    )
-    return derive_triple_maps(data)
-
-
-def _name_map(dom: FiniteSpace, cod: FiniteSpace) -> SpaceMap:
-    return SpaceMap(dom, cod, {p: p for p in dom.points})
+    rows_a = _product(f"rowsA{tag}", arc3(), _ends())
+    rows_b = _product(f"rowsB{tag}", arc3(), _ends())
+    return _two_patches(rows_a, rows_b, c12, c21, incl, incl)
 
 
 def torus_meta():
@@ -184,13 +144,6 @@ def torus_meta():
     square models into cylinder models, and ``seq_data`` is the hand-built
     cylinder-level gluing datum whose glued space is the torus model.
     """
-    from .refine import (
-        GdfGluingData,
-        IndexMap,
-        complete_refinement,
-        identity_refinement,
-    )
-
     cyl1 = functor_of(cylinder_data("1"))
     cyl2 = functor_of(cylinder_data("2"))
     bnd1 = functor_of(boundary_data("1"))
@@ -235,49 +188,26 @@ def torus_meta():
     return meta, seq
 
 
-def _two_circles(space_id: str) -> FiniteSpace:
-    circ = circle4()
-    points = [f"{c}|{y}" for c in CIRCLE4 for y in ("l", "r")]
-    table = {
-        f"{c}|{y}": [f"{u}|{y}" for u in circ.min_open[c]]
-        for c in CIRCLE4
-        for y in ("l", "r")
-    }
-    return make_space(space_id, points, table)
-
-
-def _circle_to_cylinder(dom: FiniteSpace, cyl: Cone) -> SpaceMap:
+def _circle_to_cylinder(cyl: Cone) -> dict[str, str]:
     # circle coordinates: l and r are the shared edge columns, ma lives in
     # square A (patch 1), mb in square B (patch 2)
     rename = {"l": ("l", "1"), "r": ("r", "1"), "ma": ("m", "1"), "mb": ("m", "2")}
-    table = {}
-    for c in CIRCLE4:
-        col, i = rename[c]
-        for y in ("l", "r"):
-            table[f"{c}|{y}"] = cyl.leg(single(i))(f"{col}|{y}")
-    return SpaceMap(dom, cyl.apex, table)
+    return {
+        f"{c}|{y}": cyl.leg(single(i))(f"{col}|{y}")
+        for c, (col, i) in rename.items()
+        for y in ("l", "r")
+    }
 
 
 def sequential_torus_data() -> GluingData:
     """Glued cylinders glued along explicit two-circle overlap spaces."""
     q1 = glue(cylinder_data("1"))
     q2 = glue(cylinder_data("2"))
-    w12 = _two_circles("circles12")
-    w21 = _two_circles("circles21")
-    data = make_gluing_data(
-        ["1", "2"],
-        patch={"1": q1.space, "2": q2.space},
-        overlap={("1", "2"): w12, ("2", "1"): w21},
-        anchor={
-            ("1", "2"): _circle_to_cylinder(w12, q1),
-            ("2", "1"): _circle_to_cylinder(w21, q2),
-        },
-        transition={
-            ("1", "2"): _name_map(w12, w21),
-            ("2", "1"): _name_map(w21, w12),
-        },
+    w12 = _product("circles12", circle4(), _ends())
+    w21 = _product("circles21", circle4(), _ends())
+    return _two_patches(
+        q1.space, q2.space, w12, w21, _circle_to_cylinder(q1), _circle_to_cylinder(q2)
     )
-    return derive_triple_maps(data)
 
 
 def counter_meta():
@@ -288,12 +218,10 @@ def counter_meta():
     reads the triple ones off the triple projections), but its glued space is
     a single point, so the pushout condition at that triple must fail.
     """
-    from .refine import GdfGluingData, IndexMap, complete_refinement
-
     meta, _ = torus_meta()
-    point_fun = functor_of(trivial_data(pt("collapse", "p"), "1"))
-    gamma = IndexMap(("1", "2"), ("1",), {"1": "1", "2": "1"})
     p = pt("collapse", "p")
+    point_fun = functor_of(trivial_data(p, "1"))
+    gamma = IndexMap(("1", "2"), ("1",), {"1": "1", "2": "1"})
 
     def const_refinement(coarse: GluingFunctor):
         comps = {

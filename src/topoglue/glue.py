@@ -516,8 +516,10 @@ def check_otop(gd: GluingData, glued: Cone) -> OtopReport:
     """Open-map strengthening: with all-open data, legs are open embeddings.
 
     When some anchor or transition is not an open map the report is marked
-    not applicable, but the leg facts are still recorded.
+    not applicable, but the leg facts are still recorded.  The patch legs are
+    typed first (``_typed_legs``), so a missing or mistyped leg raises.
     """
+    legs = _typed_legs(gd, glued, map(single, gd.index))
     rep = OtopReport()
     for key in sorted(gd.anchor):
         if not analyze_map(gd.anchor[key]).open_map:
@@ -528,12 +530,11 @@ def check_otop(gd: GluingData, glued: Cone) -> OtopReport:
             rep.applicable = False
             rep.add("data-open", f"transition{key}", False, "not an open map")
     covered = set()
-    for i in gd.index:
-        leg = glued.leg(single(i))
+    for obj, leg in legs.items():
         r = analyze_map(leg)
-        rep.add("leg-embedding", i, r.embedding, None if r.embedding else str(r.witnesses))
+        rep.add("leg-embedding", obj.head, r.embedding, None if r.embedding else str(r.witnesses))
         img = leg.image()
-        rep.add("leg-image-open", i, is_open(glued.apex, img))
+        rep.add("leg-image-open", obj.head, is_open(glued.apex, img))
         covered |= img
     rep.add("legs-cover", "all", covered == glued.apex.points)
     return rep

@@ -97,11 +97,6 @@ class SpecDocument:
     order: list[tuple[str, str]] = field(default_factory=list)
     sources: dict[tuple[str, str], list[str]] = field(default_factory=dict)
 
-    def functor(self, gluing_name: str) -> GluingFunctor:
-        if gluing_name not in self.gluings:
-            raise UnresolvedReference(f"no gluing named {gluing_name!r}")
-        return functor_of(self.gluings[gluing_name])
-
 
 def _strip(line: str) -> str:
     if "#" in line:
@@ -314,11 +309,9 @@ def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:
     for no, key, value in _entries(block):
         fields = key.split()
         if key == "fine":
-            _need(doc.gluings, value, "gluing", no)
-            fine = doc.functor(value)
+            fine = functor_of(_need(doc.gluings, value, "gluing", no))
         elif key == "coarse":
-            _need(doc.gluings, value, "gluing", no)
-            coarse = doc.functor(value)
+            coarse = functor_of(_need(doc.gluings, value, "gluing", no))
         elif fields[0] == "gamma" and len(fields) == 2:
             gamma_table[fields[1]] = value
         elif fields[0] == "component":
@@ -353,8 +346,7 @@ def _parse_meta(block: _Block, doc: SpecDocument) -> GdfGluingData:
             index = value.split()
         elif fields[0] == "node":
             obj = _parse_object(no, fields[1:])
-            _need(doc.gluings, value, "gluing", no)
-            node[obj] = doc.functor(value)
+            node[obj] = functor_of(_need(doc.gluings, value, "gluing", no))
         elif fields[0] == "edge":
             gen = _parse_gen(no, fields[1:])
             if gen.dom == gen.cod:

@@ -452,19 +452,39 @@ FUZZ_COMMANDS = tuple(
     if command not in ("verify-universal", "site-check")
 )
 FUZZ_WORDS = ("x", "1", "3", "end", ":", "->", "@", ",", "leg", "index", "CIRC", "ARC3A", "D12")
+GRAMMAR_MUTATIONS = ("delete", "duplicate", "swap", "truncate", "empty-key", "word")
+
+
+def map_blocks(lines):
+    """The line numbers of the ``x -> y`` entries of each map block, one list per block."""
+    blocks, run = [], []
+    for k, line in enumerate(lines + [""]):
+        if "->" in line and not line.startswith("map "):
+            run.append(k)
+        elif run:
+            blocks.append(run)
+            run = []
+    return blocks
 
 
 @st.composite
 def mutated_runs(draw):
     """A golden command, with or without ``--derive-triples``, and its example with
-    one to three lines mutated."""
+    one to three lines mutated.
+
+    Half the examples edit lines in ways that mostly break the grammar.  The
+    other half only retarget map entries (one entry takes the target of another
+    entry of the same map), which keeps the document parseable, so the run
+    reaches the checks behind the parser.
+    """
     command, path, *targets = draw(st.sampled_from(FUZZ_COMMANDS))
     if draw(st.booleans()):
         targets.append("--derive-triples")
     lines = (REPO / path).read_text().splitlines()
+    grammar = draw(st.booleans())
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(["delete", "duplicate", "swap", "truncate", "empty-key", "word"]))
+        op = draw(st.sampled_from(GRAMMAR_MUTATIONS)) if grammar else "retarget"
         if op == "delete":
             del lines[i]
         elif op == "duplicate":
@@ -476,10 +496,15 @@ def mutated_runs(draw):
             lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
         elif op == "empty-key":
             lines.insert(i, "  : p")
-        else:
+        elif op == "word":
             words = lines[i].split() or [""]
             words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(FUZZ_WORDS))
             lines[i] = "  " + " ".join(words)
+        elif map_blocks(lines):
+            block = draw(st.sampled_from(map_blocks(lines)))
+            k, j = draw(st.sampled_from(block)), draw(st.sampled_from(block))
+            source, _, _ = lines[k].partition("->")
+            lines[k] = source + "->" + lines[j].partition("->")[2]
         if not lines:
             lines = [""]
     return [command, *targets], "\n".join(lines) + "\n"

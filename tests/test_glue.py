@@ -1194,6 +1194,24 @@ class TestCheckOtop:
         rep = check_otop(gd, glued)
         assert rep.applicable and rep.passed
 
+    def test_leg_outside_the_apex_raises_like_check_glued(self):
+        gd = gd_circ()
+        cone = Cone(circle4(), dict(glue(gd).legs))
+        messages = []
+        for check in (check_otop, check_glued_properties):
+            with pytest.raises(CompositionMismatch) as info:
+                check(gd, cone)
+            messages.append(str(info.value))
+        assert messages == ["the leg of [1] does not land in the apex 'C4'"] * 2
+
+    def test_patch_leg_with_wrong_domain_raises(self):
+        gd = gd_circ()
+        legs = dict(glue(gd).legs)
+        legs[single("1")] = legs[pair("1", "2")]
+        with pytest.raises(CompositionMismatch) as info:
+            check_otop(gd, Cone(glue(gd).space, legs))
+        assert str(info.value).startswith("the leg of [1] does not start at")
+
     def test_anchor_on_closed_point_not_applicable(self):
         s = sierp()
         p1, p2 = pt("o12"), pt("o21")
