@@ -112,10 +112,6 @@ class MissingComponent(TopoglueError):
     exit_code = 2
 
 
-class UnknownMorphism(TopoglueError):
-    """No morphism exists between the requested objects."""
-
-
 class HypothesisBFailed(TopoglueError):
     """A meta-gluing triple node does not glue to the pullback of pair nodes."""
 

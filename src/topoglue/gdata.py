@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from . import fintop, glidx
-from .errors import NotDetermined, UnknownMorphism, UnresolvedReference, ValidationFailed
+from .errors import NotDetermined, UnresolvedReference, ValidationFailed
 from .fintop import FiniteSpace, SpaceMap, analyze_map, compose, discontinuities, identity_map
-from .glidx import GlGen, GlMorphism, GlObject, normalize
+from .glidx import GlGen, GlObject, normalize
 
 
 @dataclass
@@ -349,9 +349,10 @@ def functor_of(gd: GluingData) -> GluingFunctor:
     ``make_gluing_data`` (``derive_triple_maps`` copies them), a passing
     report implies the relation families of ``glidx.verify_relations`` on
     the tables; write t(..) for triple transitions.  (a) identity generators
-    are not tabled and evaluate to identities, which the diagonal clauses tie
-    to the diagonal data.  (b) is transition-inverse, (c1) cocycle and (e)
-    projection-square, clause for clause.  (d) holds by construction: each
+    have no table entry, so a realization reads them as identities; the
+    diagonal clauses tie that to the diagonal data.  (b) is
+    transition-inverse, (c1) cocycle and (e) projection-square, clause for
+    clause.  (d) holds by construction: each
     triple space is the pullback of anchors (i,j) and (i,k).  (c2): for a
     point p of [i,j,k], q = t(j,i,k) t(i,j,k) p has the (i,j)-coordinate of
     p by projection-square at (i,j,k) and (j,i,k) and transition-inverse at
@@ -365,30 +366,6 @@ def functor_of(gd: GluingData) -> GluingFunctor:
     if not report.passed:
         raise ValidationFailed(report)
     return functor_tables(gd)
-
-
-def evaluate(fun: GluingFunctor, m: GlMorphism) -> SpaceMap:
-    """The continuous map realizing a morphism, computed along its witness path.
-
-    The result is independent of the chosen path; morphisms without a witness
-    are resolved through the generator graph first.
-    """
-    if m.dom == m.cod:
-        return identity_map(fun.obj[m.dom])
-    path = m
-    if not m.witness:
-        path = glidx.hom(fun.index, m.dom, m.cod)
-        if path is None:
-            raise UnknownMorphism(f"no morphism {m.dom} -> {m.cod}")
-    out = identity_map(fun.obj[m.cod])
-    for gen in reversed(path.witness):
-        d, c = gen.dom, gen.cod
-        if d == c:
-            continue
-        if (d, c) not in fun.gen:
-            raise UnknownMorphism(f"generator {gen.display()} outside this functor")
-        out = compose(fun.gen[(d, c)], out)
-    return out
 
 
 def extract_data(fun: GluingFunctor) -> GluingData:

@@ -5,20 +5,24 @@ i != j, or a triple [i|{j,k}] whose second component is an unordered pair of
 distinct indices (either of which may equal i).  Normalization applies
 (i,i) -> i, (i,j,j) -> (i,j) and (i,j,k) -> (i,k,j).
 
-Between any two objects there is at most one morphism, so morphisms compare
-equal by endpoints alone; generator paths are kept only as witnesses for
-diagnostics and evaluation.
+The category is thin: between any two objects there is at most one morphism,
+so a morphism is its endpoint pair and ``hom`` is reachability along the
+generator edges.  The objects, edges and reachability of an index set are
+built once and returned read-only.  Generator paths appear only where the
+relation families are listed (``relation_instances``) and checked
+(``compose_path``), so that a realization can evaluate each side of a relation
+along its own path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from itertools import product
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .errors import BadArity, CompositionMismatch
-
-SINGLE, PAIR, TRIPLE = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,8 @@ def pair(i: str, j: str) -> GlObject:
     return GlObject(i, (j,))
 
 
-def normalize(raw: Sequence[str]) -> GlObject:
+@lru_cache(maxsize=None)
+def normalize(raw: tuple[str, ...]) -> GlObject:
     """Canonical object for a raw index tuple of length 1 to 3."""
     if len(raw) == 1:
         return single(raw[0])
@@ -89,59 +94,31 @@ class GlGen:
 
     @property
     def cod(self) -> GlObject:
-        if self.kind in ("eta", "tau"):
-            return normalize(self.indices)
         return normalize(self.indices[:3])
 
     def display(self) -> str:
         return f"{self.kind}({','.join(self.indices)})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GlMorphism:
-    """The unique morphism dom -> cod, witnessed by a generator path."""
+    """The unique morphism dom -> cod."""
 
     dom: GlObject
     cod: GlObject
-    witness: tuple[GlGen, ...] = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, GlMorphism):
-            return NotImplemented
-        return self.dom == other.dom and self.cod == other.cod
-
-    def __hash__(self):
-        return hash((self.dom, self.cod))
 
     def __repr__(self):
         return f"{self.dom}->{self.cod}"
 
 
-def identity(a: GlObject) -> GlMorphism:
-    return GlMorphism(a, a, ())
-
-
-def morphism_of(gen: GlGen) -> GlMorphism:
-    d, c = gen.dom, gen.cod
-    if d == c:
-        return identity(d)
-    return GlMorphism(d, c, (gen,))
-
-
-def objects(index: Iterable[str]) -> list[GlObject]:
-    """All normalized objects over the index set, in display order."""
-    idx = sorted(set(index))
-    out = [single(i) for i in idx]
-    out += [pair(i, j) for i in idx for j in idx if i != j]
-    seen = set()
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                o = normalize((i, j, k))
-                if o.arity == TRIPLE and o not in seen:
-                    seen.add(o)
-                    out.append(o)
-    return sorted(out, key=lambda o: (o.arity, o.head, o.rest))
+def compose_path(dom: GlObject, path: Iterable[GlGen]) -> GlMorphism:
+    """The morphism a generator path out of ``dom`` denotes (generators in the order they apply)."""
+    cod = dom
+    for gen in path:
+        if gen.dom != cod:
+            raise CompositionMismatch(f"cannot compose {gen.display()} after a path to {cod!r}")
+        cod = gen.cod
+    return GlMorphism(dom, cod)
 
 
 def raw_generators(index: Iterable[str]) -> list[GlGen]:
@@ -161,82 +138,60 @@ def raw_generators(index: Iterable[str]) -> list[GlGen]:
     return gens
 
 
-def generators(index: Iterable[str]) -> list[GlMorphism]:
-    """Generator morphisms, deduplicated by endpoints (identities included once)."""
-    seen = {}
-    for gen in raw_generators(index):
-        m = morphism_of(gen)
-        key = (m.dom, m.cod)
-        if key not in seen:
-            seen[key] = m
-    return [seen[k] for k in sorted(seen, key=lambda dc: (repr(dc[0]), repr(dc[1])))]
+@dataclass(frozen=True)
+class _Category:
+    """The objects, generator edges and reachability of one index set."""
 
-
-def edges(index: Iterable[str]) -> dict[tuple[GlObject, GlObject], GlGen]:
-    """One raw generator per non-identity endpoint pair (dom, cod), the first in raw order."""
-    first: dict[tuple[GlObject, GlObject], GlGen] = {}
-    for gen in raw_generators(index):
-        d, c = gen.dom, gen.cod
-        if d != c:
-            first.setdefault((d, c), gen)
-    return first
+    objects: tuple[GlObject, ...]
+    edges: Mapping[tuple[GlObject, GlObject], GlGen]
+    reach: Mapping[GlObject, frozenset[GlObject]]
 
 
 @lru_cache(maxsize=None)
-def _adjacency(index: tuple[str, ...]) -> dict[GlObject, list[tuple[GlObject, GlGen]]]:
-    adj: dict[GlObject, list[tuple[GlObject, GlGen]]] = {o: [] for o in objects(index)}
-    for (d, c), gen in edges(index).items():
-        adj[d].append((c, gen))
-    for d in adj:
-        adj[d].sort(key=lambda e: repr(e[0]))
-    return adj
+def _category(idx: tuple[str, ...]) -> _Category:
+    # every object is the normal form of some 3-tuple: (i,i,i) -> [i], (i,j,j) -> [i,j]
+    objs = sorted(
+        {normalize(raw) for raw in product(idx, repeat=3)},
+        key=lambda o: (o.arity, o.head, o.rest),
+    )
+    first: dict[tuple[GlObject, GlObject], GlGen] = {}
+    for gen in raw_generators(idx):
+        if gen.dom != gen.cod:
+            first.setdefault((gen.dom, gen.cod), gen)
+    out: dict[GlObject, list[GlObject]] = {o: [] for o in objs}
+    for d, c in first:
+        out[d].append(c)
+    reach = {}
+    for a in objs:
+        seen, todo = {a}, [a]
+        while todo:
+            for c in out[todo.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    todo.append(c)
+        reach[a] = frozenset(seen)
+    return _Category(tuple(objs), MappingProxyType(first), MappingProxyType(reach))
+
+
+def _of(index: Iterable[str]) -> _Category:
+    return _category(tuple(sorted(set(index))))
+
+
+def objects(index: Iterable[str]) -> tuple[GlObject, ...]:
+    """All normalized objects over the index set, in display order."""
+    return _of(index).objects
+
+
+def edges(index: Iterable[str]) -> Mapping[tuple[GlObject, GlObject], GlGen]:
+    """One raw generator per non-identity endpoint pair (dom, cod), the first in raw order."""
+    return _of(index).edges
 
 
 def hom(index: Iterable[str], a: GlObject, b: GlObject) -> GlMorphism | None:
-    """The unique morphism a -> b, or None; found by search in the generator graph."""
-    if a == b:
-        return identity(a)
-    adj = _adjacency(tuple(sorted(set(index))))
-    if a not in adj or b not in adj:
-        return None
-    frontier = [(a, ())]
-    visited = {a}
-    while frontier:
-        nxt = []
-        for obj, path in frontier:
-            for tgt, gen in adj[obj]:
-                if tgt in visited:
-                    continue
-                full = path + (gen,)
-                if tgt == b:
-                    return GlMorphism(a, b, full)
-                visited.add(tgt)
-                nxt.append((tgt, full))
-        frontier = nxt
+    """The unique morphism a -> b; None if either is not an object or b is not reachable from a."""
+    if b in _of(index).reach.get(a, ()):
+        return GlMorphism(a, b)
     return None
-
-
-def compose_hom(g: GlMorphism, f: GlMorphism) -> GlMorphism:
-    """The unique composite; witnesses are concatenated for diagnostics."""
-    if f.cod != g.dom:
-        raise CompositionMismatch(f"cannot compose {g!r} after {f!r}")
-    return GlMorphism(f.dom, g.cod, f.witness + g.witness)
-
-
-def _eta(i, j):
-    return morphism_of(GlGen("eta", (i, j)))
-
-
-def _tau(i, j):
-    return morphism_of(GlGen("tau", (i, j)))
-
-
-def _eta3(i, j, k, n):
-    return morphism_of(GlGen("eta3", (i, j, k, n)))
-
-
-def _tau3(i, j, k):
-    return morphism_of(GlGen("tau3", (i, j, k)))
 
 
 @dataclass
@@ -254,8 +209,30 @@ class RelationsReport:
         return f"{len(self.failures)} relation failures: " + "; ".join(self.failures)
 
 
-def relation_instances(index: Iterable[str]) -> Iterator[tuple[str, GlMorphism, GlMorphism]]:
-    """Both sides of every instance of the five relation families.
+def _eta(i, j):
+    return GlGen("eta", (i, j))
+
+
+def _tau(i, j):
+    return GlGen("tau", (i, j))
+
+
+def _eta3(i, j, k, n):
+    return GlGen("eta3", (i, j, k, n))
+
+
+def _tau3(i, j, k):
+    return GlGen("tau3", (i, j, k))
+
+
+def relation_instances(
+    index: Iterable[str],
+) -> Iterator[tuple[str, GlObject, tuple[GlGen, ...], tuple[GlGen, ...]]]:
+    """Both sides of every instance of the five relation families, as generator paths.
+
+    Each instance is (label, dom, lhs, rhs): two paths out of ``dom`` whose
+    generators are listed in the order they apply; the empty path is the
+    identity.
 
     (a) eta(i,i) = tau(i,i) = id
     (b) tau(i,j) . tau(j,i) = id
@@ -265,42 +242,47 @@ def relation_instances(index: Iterable[str]) -> Iterator[tuple[str, GlMorphism, 
     """
     idx = sorted(set(index))
     for i in idx:
-        yield f"(a) eta({i},{i})", _eta(i, i), identity(single(i))
-        yield f"(a) tau({i},{i})", _tau(i, i), identity(single(i))
+        yield f"(a) eta({i},{i})", single(i), (_eta(i, i),), ()
+        yield f"(a) tau({i},{i})", single(i), (_tau(i, i),), ()
     for i in idx:
         for j in idx:
-            yield (
-                f"(b) tau({i},{j}).tau({j},{i})",
-                compose_hom(_tau(i, j), _tau(j, i)),
-                identity(pair(i, j)),
-            )
+            yield f"(b) tau({i},{j}).tau({j},{i})", pair(i, j), (_tau(j, i), _tau(i, j)), ()
     for i in idx:
         for j in idx:
             for k in idx:
                 yield (
                     f"(c1) at ({i},{j},{k})",
-                    compose_hom(_tau3(i, j, k), _tau3(j, k, i)),
-                    _tau3(i, k, j),
+                    normalize((k, i, j)),
+                    (_tau3(j, k, i), _tau3(i, j, k)),
+                    (_tau3(i, k, j),),
                 )
                 yield (
                     f"(c2) at ({i},{j},{k})",
-                    compose_hom(_tau3(i, j, k), _tau3(j, i, k)),
-                    identity(normalize((i, j, k))),
+                    normalize((i, j, k)),
+                    (_tau3(j, i, k), _tau3(i, j, k)),
+                    (),
                 )
                 yield (
                     f"(d) at ({i},{j},{k})",
-                    compose_hom(_eta3(i, j, k, j), _eta(i, j)),
-                    compose_hom(_eta3(i, j, k, k), _eta(i, k)),
+                    single(i),
+                    (_eta(i, j), _eta3(i, j, k, j)),
+                    (_eta(i, k), _eta3(i, j, k, k)),
                 )
                 yield (
                     f"(e) at ({i},{j},{k})",
-                    compose_hom(_tau3(i, j, k), _eta3(j, i, k, i)),
-                    compose_hom(_eta3(i, j, k, j), _tau(i, j)),
+                    pair(j, i),
+                    (_eta3(j, i, k, i), _tau3(i, j, k)),
+                    (_tau(i, j), _eta3(i, j, k, j)),
                 )
 
 
 def verify_relations(index: Iterable[str]) -> RelationsReport:
-    """Check the five relation families forced by morphism uniqueness."""
-    instances = list(relation_instances(index))
-    failures = [f"{label}: {lhs!r} != {rhs!r}" for label, lhs, rhs in instances if lhs != rhs]
-    return RelationsReport(len(instances), failures)
+    """Check that both sides of every relation instance compose to one morphism."""
+    checked = 0
+    failures = []
+    for label, dom, lhs, rhs in relation_instances(index):
+        checked += 1
+        ml, mr = compose_path(dom, lhs), compose_path(dom, rhs)
+        if ml != mr:
+            failures.append(f"{label}: {ml!r} != {mr!r}")
+    return RelationsReport(checked, failures)

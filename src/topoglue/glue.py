@@ -108,7 +108,7 @@ class EquivalenceReport:
     reflexive: bool
     symmetric: bool
     transitive: bool
-    witness: tuple | None = None
+    witness: None | tuple[str, ...] = None  # the first failing point, pair or triple
 
     @property
     def passed(self) -> bool:

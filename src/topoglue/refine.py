@@ -35,7 +35,7 @@ from .gdata import (
     functor_of,
     make_gluing_data,
 )
-from .glidx import GlGen, GlMorphism, GlObject, normalize, pair, single
+from .glidx import GlObject, normalize, pair, single
 from .glue import Cone, GluedSpace, glue, mediate
 
 
@@ -63,10 +63,6 @@ def reindex_object(gamma: IndexMap, obj: GlObject) -> GlObject:
     return normalize(tuple(gamma(i) for i in raw))
 
 
-def reindex_gen(gamma: IndexMap, gen: GlGen) -> GlGen:
-    return GlGen(gen.kind, tuple(gamma(i) for i in gen.indices))
-
-
 def _reindexed_map(gamma: IndexMap, fun: GluingFunctor, a: GlObject, b: GlObject) -> SpaceMap:
     """The map of ``fun`` realizing the reindexed generator a -> b.
 
@@ -75,18 +71,6 @@ def _reindexed_map(gamma: IndexMap, fun: GluingFunctor, a: GlObject, b: GlObject
     """
     fa, fb = reindex_object(gamma, a), reindex_object(gamma, b)
     return identity_map(fun.obj[fa]) if fa == fb else fun.gen[(fa, fb)]
-
-
-def reindex_morphism(gamma: IndexMap, m: GlMorphism) -> GlMorphism:
-    """Image of a morphism: map the witness generators and renormalize."""
-    dom = reindex_object(gamma, m.dom)
-    cod = reindex_object(gamma, m.cod)
-    witness = []
-    for gen in m.witness:
-        g2 = reindex_gen(gamma, gen)
-        if g2.dom != g2.cod:
-            witness.append(g2)
-    return GlMorphism(dom, cod, tuple(witness))
 
 
 @dataclass

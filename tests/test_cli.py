@@ -193,7 +193,7 @@ class TestRenderDot:
         code, out, _ = run_cli(capsys, "render-dot", circle_file, "index:i,j,k")
         assert code == 0
         edge_lines = [l for l in out.splitlines() if "->" in l]
-        expected = len([m for m in glidx.generators(("i", "j", "k")) if m.dom != m.cod])
+        expected = len(glidx.edges(("i", "j", "k")))
         assert len(edge_lines) == expected
 
     GOLDEN_CIRC_DOT = """\
@@ -539,7 +539,6 @@ ERROR_EXIT_CODES = {
     "IllDefined": 1,
     "NotCovering": 1,
     "MissingComponent": 2,
-    "UnknownMorphism": 1,
     "HypothesisBFailed": 1,
     "ParseError": 2,
     "UnresolvedReference": 2,

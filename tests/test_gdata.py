@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import digital_circle_data, mutate_transition, mutate_triple, random_lawful_data
+from paths import find_path, realize
 from test_glue import self_weld_arc
 from topoglue.errors import NotDetermined, UnresolvedReference, ValidationFailed
 from topoglue.fintop import SpaceMap, compose, identity_map, make_map, make_space
@@ -11,7 +12,6 @@ from topoglue.fixtures import arc3, cylinder_data, disc2, gd_circ, pt, trivial_d
 from topoglue.gdata import (
     GluingData,
     derive_triple_maps,
-    evaluate,
     extract_data,
     functor_of,
     make_gluing_data,
@@ -19,8 +19,7 @@ from topoglue.gdata import (
 )
 from topoglue.glidx import (
     GlGen,
-    hom,
-    morphism_of,
+    edges,
     normalize,
     pair,
     raw_generators,
@@ -233,8 +232,10 @@ class TestValidateImpliesFunctoriality:
                 assert info.value.report.entries == rep.entries
                 continue
             fun = functor_of(gd)
-            for label, lhs, rhs in relation_instances(gd.index):
-                assert evaluate(fun, lhs) == evaluate(fun, rhs), f"{label} on {gd.index}"
+            # each side along its own generator path: endpoints alone would
+            # name one map for both sides
+            for label, dom, lhs, rhs in relation_instances(gd.index):
+                assert realize(fun, dom, lhs) == realize(fun, dom, rhs), f"{label} on {gd.index}"
         assert rejected > 0
 
     def test_constant_anchor_triples_are_not_derivable(self):
@@ -263,16 +264,13 @@ class TestFunctorOf:
         from topoglue.fintop import is_homeomorphism
 
         fun = functor_of(gd_circ())
-        tau = morphism_of(GlGen("tau", ("1", "2")))
-        assert is_homeomorphism(evaluate(fun, tau))
+        tau = GlGen("tau", ("1", "2"))
+        assert is_homeomorphism(realize(fun, tau.dom, (tau,)))
 
     def test_tau_roundtrip_is_identity(self):
         fun = functor_of(gd_circ())
-        from topoglue.glidx import compose_hom
-
-        t12 = morphism_of(GlGen("tau", ("1", "2")))
-        t21 = morphism_of(GlGen("tau", ("2", "1")))
-        img = evaluate(fun, compose_hom(t12, t21))
+        roundtrip = (GlGen("tau", ("2", "1")), GlGen("tau", ("1", "2")))
+        img = realize(fun, pair("1", "2"), roundtrip)
         assert img == identity_map(fun.space(pair("1", "2")))
 
     def test_invalid_data_raises(self):
@@ -283,18 +281,18 @@ class TestFunctorOf:
 
 
 class TestEvaluate:
+    """A functor evaluated along generator paths (``paths.realize``)."""
+
     def test_identity(self):
         fun = functor_of(gd_circ())
         a = pair("1", "2")
-        from topoglue.glidx import identity as gl_id
-
-        assert evaluate(fun, gl_id(a)) == identity_map(fun.space(a))
+        assert realize(fun, a, ()) == identity_map(fun.space(a))
 
     def test_eta_is_the_anchor(self):
         gd = gd_circ()
         fun = functor_of(gd)
-        eta = morphism_of(GlGen("eta", ("1", "2")))
-        assert evaluate(fun, eta) == gd.anchor[("1", "2")]
+        eta = GlGen("eta", ("1", "2"))
+        assert realize(fun, eta.dom, (eta,)) == gd.anchor[("1", "2")]
 
     def test_path_independence(self):
         # two factorizations of the same morphism give the same map
@@ -302,46 +300,28 @@ class TestEvaluate:
         fun = functor_of(gd)
         t = normalize(("1", "1", "2"))
         p = pair("2", "1")
-        direct = hom(gd.index, t, p)
+        direct = find_path(gd.index, t, p)
         assert direct is not None
-        img_direct = evaluate(fun, direct)
-        # alternate witness: out of the triple into [1,2], then transit
-        from topoglue.glidx import compose_hom
-
-        leg1 = hom(gd.index, t, pair("1", "2"))
-        leg2 = hom(gd.index, pair("1", "2"), p)
-        img_alt = evaluate(fun, compose_hom(leg2, leg1))
-        assert img_direct == img_alt
+        # alternate path: out of the triple into [1,2], then transit
+        alt = find_path(gd.index, t, pair("1", "2")) + find_path(gd.index, pair("1", "2"), p)
+        assert alt != direct
+        assert realize(fun, t, direct) == realize(fun, t, alt)
 
     def test_all_two_step_paths_agree(self):
         gd = gd_circ()
         fun = functor_of(gd)
-        from topoglue.glidx import compose_hom, generators
-
-        gens = [m for m in generators(gd.index) if m.dom != m.cod]
+        gens = list(edges(gd.index).values())
         by_dom = {}
-        for m in gens:
-            by_dom.setdefault(m.dom, []).append(m)
+        for g in gens:
+            by_dom.setdefault(g.dom, []).append(g)
         checked = 0
         for f in gens:
             for g in by_dom.get(f.cod, []):
-                composite = compose_hom(g, f)
-                lhs = evaluate(fun, composite)
-                rhs = compose(evaluate(fun, f), evaluate(fun, g))
+                lhs = realize(fun, f.dom, (f, g))
+                rhs = compose(realize(fun, f.dom, (f,)), realize(fun, g.dom, (g,)))
                 assert lhs == rhs
                 checked += 1
         assert checked > 0
-
-
-class TestEvaluateErrors:
-    def test_unknown_morphism(self):
-        from topoglue.errors import UnknownMorphism
-        from topoglue.glidx import GlMorphism, single
-
-        fun = functor_of(gd_circ())
-        ghost = GlMorphism(normalize(("1", "1", "2")), single("1"), ())
-        with pytest.raises(UnknownMorphism):
-            evaluate(fun, ghost)
 
 
 class TestRepresentativeInvariance:
@@ -405,6 +385,7 @@ class TestRoundTrip:
             fun = functor_of(gd)
             for i in gd.index:
                 for j in gd.index:
-                    fwd = evaluate(fun, morphism_of(GlGen("tau", (i, j))))
-                    bwd = evaluate(fun, morphism_of(GlGen("tau", (j, i))))
+                    tau_ij, tau_ji = GlGen("tau", (i, j)), GlGen("tau", (j, i))
+                    fwd = realize(fun, tau_ij.dom, (tau_ij,))
+                    bwd = realize(fun, tau_ji.dom, (tau_ji,))
                     assert compose(bwd, fwd) == identity_map(gd.overlap[(i, j)])

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import digital_circle, digital_circle_data, random_lawful_data
+from paths import find_path, realize
 from topoglue import fintop, glidx
 from topoglue import glue as glue_mod
 from topoglue.errors import (
@@ -44,7 +45,6 @@ from topoglue.gdata import (
     Report,
     _maps_equal,
     derive_triple_maps,
-    evaluate,
     functor_tables,
     make_gluing_data,
     validate,
@@ -408,15 +408,15 @@ class TestCheckCone:
 
 
 def _morphism_maps(gd):
-    """(a, b, F(a -> b)) for every ordered object pair with a morphism, found by BFS."""
+    """(a, b, F(a -> b)) for every ordered object pair with a morphism, along a BFS path."""
     fun = functor_tables(gd)
     objs = glidx.objects(gd.index)
     out = []
     for a in objs:
         for b in objs:
-            m = glidx.hom(gd.index, a, b)
-            if m is not None:
-                out.append((a, b, evaluate(fun, m)))
+            path = find_path(gd.index, a, b)
+            if path is not None:
+                out.append((a, b, realize(fun, a, path)))
     return out
 
 

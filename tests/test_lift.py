@@ -11,15 +11,16 @@ import random
 import pytest
 
 from conftest import digital_circle_data, mutate_transition, random_lawful_data
+from paths import find_path, realize, reindex
 from test_gdata import _ambiguous_instance
 from test_glue import self_weld_arc, three_patch_chain
 from topoglue import cover, glidx
 from topoglue.errors import CompositionMismatch, MissingComponent, NotDetermined, TopoglueError
 from topoglue.fintop import SpaceMap, compose, identity_map, lift, make_map, make_space, pullback
 from topoglue.fixtures import arc3, cylinder_data, disc2, gd_circ, pt, torus_meta
-from topoglue.gdata import derive_triple_maps, evaluate, functor_of, make_gluing_data
+from topoglue.gdata import derive_triple_maps, functor_of, make_gluing_data
 from topoglue.glidx import normalize, pair, single
-from topoglue.refine import IndexMap, complete_refinement, reindex_morphism, reindex_object
+from topoglue.refine import IndexMap, complete_refinement, reindex_object
 
 
 def _fold():
@@ -103,8 +104,8 @@ def _loop_complete(gamma, fine, coarse, components):
             if obj in comps or obj.arity == 1:
                 continue
             fine_sp = fine.space(reindex_object(gamma, obj))
-            eta = glidx.hom(gamma.source, single(i), obj)
-            known = compose(comps[single(i)], evaluate(fine, reindex_morphism(gamma, eta)))
+            eta = find_path(gamma.source, single(i), obj)
+            known = compose(comps[single(i)], realize(fine, *reindex(gamma, single(i), eta)))
             anchor = coarse.data.anchor[(i, j)]
             fibers = {}
             for u in sorted(anchor.dom.points):
@@ -125,8 +126,8 @@ def _loop_complete(gamma, fine, coarse, components):
         target = coarse.space(obj)
         legs = {}
         for n in (j, k):
-            eta3 = glidx.hom(gamma.source, pair(i, n), obj)
-            legs[n] = compose(comps[pair(i, n)], evaluate(fine, reindex_morphism(gamma, eta3)))
+            eta3 = find_path(gamma.source, pair(i, n), obj)
+            legs[n] = compose(comps[pair(i, n)], realize(fine, *reindex(gamma, pair(i, n), eta3)))
         table = {}
         for t in sorted(fine_sp.points):
             tag = f"({legs[j](t)},{legs[k](t)})"

@@ -22,15 +22,16 @@ from topoglue.fixtures import (
     trivial_data,
 )
 from topoglue import refine as refine_mod
-from topoglue.gdata import Report, _add_continuity, _maps_equal, evaluate, functor_of
+from topoglue.gdata import Report, _add_continuity, _maps_equal, functor_of
 from topoglue.glidx import (
     GlGen,
-    generators,
-    morphism_of,
+    compose_path,
+    edges,
     normalize,
     objects,
     pair,
     raw_generators,
+    relation_instances,
     single,
 )
 from topoglue.glue import complete_cone, glue, mediate
@@ -44,11 +45,10 @@ from topoglue.refine import (
     identity_refinement,
     induced_map,
     paste,
-    reindex_gen,
-    reindex_morphism,
     reindex_object,
 )
 
+from paths import realize, reindex
 from test_glue import self_weld_arc
 
 
@@ -56,14 +56,15 @@ class TestReindex:
     def test_identity(self):
         gamma = IndexMap(("1", "2"), ("1", "2"), {"1": "1", "2": "2"})
         assert all(reindex_object(gamma, o) == o for o in objects(gamma.source))
-        assert all(reindex_gen(gamma, g) == g for g in raw_generators(gamma.source))
+        for g in raw_generators(gamma.source):
+            assert reindex(gamma, g.dom, (g,)) == (g.dom, (g,))
 
     def test_constant_collapses_pairs(self):
         gamma = IndexMap(("1", "2"), ("*",), {"1": "*", "2": "*"})
         objs = {o: reindex_object(gamma, o) for o in objects(gamma.source)}
         assert objs[pair("1", "2")] == single("*")
         eta = GlGen("eta", ("1", "2"))
-        mapped = reindex_morphism(gamma, morphism_of(eta))
+        mapped = compose_path(*reindex(gamma, eta.dom, (eta,)))
         assert mapped.dom == mapped.cod == single("*")
 
     def test_injective_relabel(self):
@@ -73,6 +74,8 @@ class TestReindex:
         assert objs[normalize(("1", "1", "2"))] == normalize(("1", "1", "2"))
 
     def test_functoriality_on_relation_families(self):
+        # both reindexed sides of every relation instance still compose, and
+        # to one morphism (an identity side stays an identity)
         rng = random.Random(9)
         for _ in range(12):
             ni = rng.randint(1, 3)
@@ -80,58 +83,24 @@ class TestReindex:
             src = tuple(f"s{k}" for k in range(ni))
             dst = tuple(f"d{k}" for k in range(nj))
             gamma = IndexMap(src, dst, {i: rng.choice(dst) for i in src})
-            from topoglue.glidx import compose_hom
-
-            def tau3(i, j, k):
-                return morphism_of(GlGen("tau3", (i, j, k)))
-
-            def eta3(i, j, k, n):
-                return morphism_of(GlGen("eta3", (i, j, k, n)))
-
-            def eta(i, j):
-                return morphism_of(GlGen("eta", (i, j)))
-
-            def tau(i, j):
-                return morphism_of(GlGen("tau", (i, j)))
-
-            for i in src:
-                for j in src:
-                    for k in src:
-                        pairs = [
-                            (compose_hom(tau3(i, j, k), tau3(j, k, i)), tau3(i, k, j)),
-                            (
-                                compose_hom(eta3(i, j, k, j), eta(i, j)),
-                                compose_hom(eta3(i, j, k, k), eta(i, k)),
-                            ),
-                            (
-                                compose_hom(tau3(i, j, k), eta3(j, i, k, i)),
-                                compose_hom(eta3(i, j, k, j), tau(i, j)),
-                            ),
-                            (compose_hom(tau(i, j), tau(j, i)), None),
-                        ]
-                        for lhs, rhs in pairs:
-                            ml = reindex_morphism(gamma, lhs)
-                            if rhs is None:
-                                assert ml.dom == ml.cod  # an identity stays one
-                            else:
-                                assert ml == reindex_morphism(gamma, rhs)
+            for label, dom, lhs, rhs in relation_instances(src):
+                ml = compose_path(*reindex(gamma, dom, lhs))
+                assert ml == compose_path(*reindex(gamma, dom, rhs)), label
 
 
 def _check_refinement_reference(r):
-    """``check_refinement`` over ``generators``, evaluating reindexed morphisms: the reference."""
+    """``check_refinement`` realizing each generator edge and its reindexed path: the reference."""
     rep = Report()
-    for m in generators(r.gamma.source):
-        if m.dom == m.cod:
-            continue
-        a, b = m.dom, m.cod
+    by_endpoints = sorted(edges(r.gamma.source).items(), key=lambda e: (repr(e[0][0]), repr(e[0][1])))
+    for (a, b), gen in by_endpoints:
         try:
             rho_a = r.component(a)
             rho_b = r.component(b)
         except MissingComponent as exc:
             rep.add("component-present", f"{a}->{b}", False, str(exc))
             continue
-        lhs = compose(rho_a, evaluate(r.fine, reindex_morphism(r.gamma, m)))
-        rhs = compose(evaluate(r.coarse, m), rho_b)
+        lhs = compose(rho_a, realize(r.fine, *reindex(r.gamma, a, (gen,))))
+        rhs = compose(realize(r.coarse, a, (gen,)), rho_b)
         w = _maps_equal(lhs, rhs)
         rep.add("naturality", f"{a}->{b}", w is None, w)
     for obj, comp in sorted(r.components.items(), key=lambda kv: repr(kv[0])):
