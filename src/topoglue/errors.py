@@ -58,11 +58,18 @@ class BadArity(TopoglueError):
 
 
 class ValidationFailed(TopoglueError):
-    """An operation required validated gluing data and the report failed."""
+    """An operation required validated gluing data and the report failed.
+
+    The message lists the report's rows; it is formatted only when read.
+    """
 
     def __init__(self, report, message="validation failed"):
         self.report = report
-        super().__init__(f"{message}:\n{report}")
+        self.message = message
+        super().__init__(message)
+
+    def __str__(self):
+        return f"{self.message}:\n{self.report}"
 
 
 class NotDetermined(TopoglueError):

@@ -7,14 +7,16 @@ of its points), so continuity, openness and embeddings reduce to per-point
 checks.  Points are plain strings scoped to their space; nothing identifies
 points across spaces except explicit maps.
 
-All values are immutable after construction and every operation is a pure
-function of its inputs.
+Spaces and maps are frozen: their tables are read-only copies of what the
+constructor was given, so no reference a caller keeps can change them.  Every
+operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -29,18 +31,28 @@ DEFAULT_MAP_BUDGET = 10**6
 DEFAULT_HOMEO_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
+def read_only(table: Mapping) -> Mapping:
+    """A read-only copy of ``table``: no reference to ``table`` can change it."""
+    return MappingProxyType(table.copy() if isinstance(table, MappingProxyType) else dict(table))
+
+
+@dataclass(frozen=True, init=False)
 class FiniteSpace:
     """A finite topological space given by its minimal-open table.
 
     ``space_id`` is a label for diagnostics only; it does not take part in
     equality.  Two spaces are equal iff they have the same points and the
-    same minimal-open table.
+    same minimal-open table.  The space keeps a read-only copy of the table.
     """
 
     space_id: str = field(compare=False)
     points: frozenset[str]
     min_open: Mapping[str, frozenset[str]] = field(hash=False)
+
+    def __init__(self, space_id: str, points: Iterable[str], min_open: Mapping[str, frozenset[str]]):
+        object.__setattr__(self, "space_id", space_id)
+        object.__setattr__(self, "points", frozenset(points))
+        object.__setattr__(self, "min_open", read_only(min_open))
 
     def __repr__(self):
         return f"FiniteSpace({self.space_id!r}, {len(self.points)} points)"
@@ -50,18 +62,27 @@ class FiniteSpace:
             raise UnknownPoint(f"{point!r} is not a point of {self.space_id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpaceMap:
-    """A point-to-point table between two finite spaces (not necessarily continuous)."""
+    """A point-to-point table between two finite spaces (not necessarily continuous).
+
+    The map keeps a read-only copy of the table.
+    """
 
     dom: FiniteSpace
     cod: FiniteSpace
     table: Mapping[str, str] = field(hash=False)
 
+    def __init__(self, dom: FiniteSpace, cod: FiniteSpace, table: Mapping[str, str]):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "table", read_only(table))
+
     def __call__(self, point: str) -> str:
-        if point not in self.table:
-            raise UnknownPoint(f"{point!r} is not a point of {self.dom.space_id!r}")
-        return self.table[point]
+        try:
+            return self.table[point]
+        except KeyError:
+            raise UnknownPoint(f"{point!r} is not a point of {self.dom.space_id!r}") from None
 
     def image(self, subset: Iterable[str] | None = None) -> frozenset[str]:
         if subset is None:
@@ -166,14 +187,87 @@ def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
         raise CompositionMismatch(
             f"cannot compose {g!r} after {f!r}: middle spaces differ"
         )
-    return SpaceMap(f.dom, g.cod, {x: g(f(x)) for x in f.dom.points})
+    outer, inner = g.table, f.table
+    try:
+        table = {x: outer[inner[x]] for x in f.dom.points}
+    except KeyError:  # a table gap: calling the maps names it
+        table = {x: g(f(x)) for x in f.dom.points}
+    return SpaceMap(f.dom, g.cod, table)
+
+
+def _composite(path: Sequence[SpaceMap]) -> SpaceMap:
+    """The composite of a path listed outermost first: ``(g, f)`` is g after f."""
+    out = path[-1]
+    for outer in reversed(path[:-1]):
+        out = compose(outer, out)
+    return out
+
+
+def _same(a: FiniteSpace, b: FiniteSpace) -> bool:
+    return a is b or a == b
+
+
+def _images(path: Sequence[SpaceMap], points: list[str]) -> list[str] | None:
+    """The images of ``points`` along a path, read from the tables.
+
+    None when two consecutive maps do not meet; KeyError on a table gap.
+    """
+    inner = None
+    for m in reversed(path):
+        if inner is not None and not _same(m.dom, inner.cod):
+            return None
+        table = m.table
+        points = [table[x] for x in points]
+        inner = m
+    return points
+
+
+def disagreement(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> str | None:
+    """Where the composites of two paths of maps differ; None when they are one map.
+
+    Each path lists its maps outermost first, as ``compose`` nests them:
+    ``(g, f)`` is g after f.  The answer is the first sorted domain point
+    where the two composites differ, or ``"<endpoint mismatch>"`` when their
+    domains or codomains differ.  A path whose middle spaces differ raises
+    CompositionMismatch, and a point missing from a table UnknownPoint, as
+    ``compose`` does.
+
+    The fast path compares the two image lists read straight from the
+    tables.  Only a mismatch or a failed lookup composes the paths and scans
+    the sorted points, which names the witness and raises the errors.
+    """
+    try:
+        if _same(left[-1].dom, right[-1].dom) and _same(left[0].cod, right[0].cod):
+            points = list(left[-1].dom.points)
+            images = _images(left, points)
+            if images is not None and images == _images(right, points):
+                return None
+    except KeyError:
+        pass
+    f, g = _composite(left), _composite(right)
+    if f.dom != g.dom or f.cod != g.cod:
+        return "<endpoint mismatch>"
+    for x in sorted(f.dom.points):
+        if f(x) != g(x):
+            return x
+    return None
 
 
 def discontinuities(f: SpaceMap) -> list[str]:
     """The sorted points x where f(min_open(x)) is not inside min_open(f(x)).
 
-    The list is empty iff f is continuous.
+    The list is empty iff f is continuous.  The fast path reads the tables
+    directly; only a failure, or a failed lookup, takes the sorted scan.
     """
+    table, dom_open, cod_open = f.table, f.dom.min_open, f.cod.min_open
+    try:
+        for x, ux in dom_open.items():
+            if not cod_open[table[x]].issuperset([table[z] for z in ux]):
+                break
+        else:
+            return []
+    except KeyError:
+        pass
     return [
         x for x in sorted(f.dom.points) if not f.image(f.dom.min_open[x]) <= f.cod.min_open[f(x)]
     ]

@@ -9,20 +9,35 @@ freedom to choose any pullback is resolved by this fixed representative.
 
 All stored maps are the continuous direction; the index-category arrows they
 realize point the other way.
+
+A datum is frozen: its tables are read-only copies of what it was built
+from.  So it has one verdict, and ``validate`` computes its rows once per
+datum; ``dataclasses.replace`` and ``derive_triple_maps`` build a new datum,
+which gets its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import fintop, glidx
 from .errors import NotDetermined, UnresolvedReference, ValidationFailed
-from .fintop import FiniteSpace, SpaceMap, analyze_map, compose, discontinuities, identity_map
+from .fintop import (
+    FiniteSpace,
+    SpaceMap,
+    analyze_map,
+    compose,
+    disagreement,
+    discontinuities,
+    identity_map,
+    read_only,
+)
 from .glidx import GlGen, GlObject, normalize
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckEntry:
     name: str
     subject: str
@@ -55,18 +70,30 @@ class Report:
         return "\n".join(str(e) for e in self.entries)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GluingData:
-    """Validated-or-not gluing data; treat as immutable once built."""
+    """Gluing data, lawful or not, with its seven tables held as read-only copies."""
 
     index: tuple[str, ...]
-    patch: dict[str, FiniteSpace]
-    overlap: dict[tuple[str, str], FiniteSpace]
-    anchor: dict[tuple[str, str], SpaceMap]
-    transition: dict[tuple[str, str], SpaceMap]
-    triple_space: dict[GlObject, FiniteSpace]
-    triple_proj: dict[tuple[GlObject, str], SpaceMap]
-    triple_transition: dict[tuple[str, str, str], SpaceMap]
+    patch: Mapping[str, FiniteSpace]
+    overlap: Mapping[tuple[str, str], FiniteSpace]
+    anchor: Mapping[tuple[str, str], SpaceMap]
+    transition: Mapping[tuple[str, str], SpaceMap]
+    triple_space: Mapping[GlObject, FiniteSpace]
+    triple_proj: Mapping[tuple[GlObject, str], SpaceMap]
+    triple_transition: Mapping[tuple[str, str, str], SpaceMap]
+
+    __hash__ = None  # the tables are not hashable
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", tuple(self.index))
+        for table in fields(self)[1:]:  # every field after the index is a table
+            object.__setattr__(self, table.name, read_only(getattr(self, table.name)))
+
+    @cached_property
+    def _law_rows(self) -> tuple[CheckEntry, ...]:
+        """The rows of ``validate``, from the one clause pass this datum gets."""
+        return tuple(_check_laws(self).entries)
 
     def space_of(self, obj: GlObject) -> FiniteSpace:
         if obj.arity == 1:
@@ -104,8 +131,8 @@ def _triple_tables(index, overlap, anchor):
         sp, pj, pk = fintop.pullback(anchor[(i, j)], anchor[(i, k)])
         sp = FiniteSpace(f"T[{i},{j},{k}]", sp.points, sp.min_open)
         spaces[obj] = sp
-        projs[(obj, j)] = SpaceMap(sp, pj.cod, dict(pj.table))
-        projs[(obj, k)] = SpaceMap(sp, pk.cod, dict(pk.table))
+        projs[(obj, j)] = SpaceMap(sp, pj.cod, pj.table)
+        projs[(obj, k)] = SpaceMap(sp, pk.cod, pk.table)
     return spaces, projs
 
 
@@ -186,16 +213,6 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
     return replace(gd, triple_transition=derived)
 
 
-def _maps_equal(f: SpaceMap, g: SpaceMap) -> str | None:
-    """None when equal, else a witness point (or a shape mismatch marker)."""
-    if f.dom != g.dom or f.cod != g.cod:
-        return "<endpoint mismatch>"
-    for x in sorted(f.dom.points):
-        if f(x) != g(x):
-            return x
-    return None
-
-
 def _add_continuity(rep: Report, name: str, subject: str, f: SpaceMap) -> None:
     """One continuity row; the full ``analyze_map`` runs only for a failure's witnesses."""
     ok = not discontinuities(f)
@@ -217,7 +234,17 @@ def _triples_present(gd: GluingData, rep: Report) -> bool:
 
 
 def validate(gd: GluingData) -> Report:
-    """Check the gluing-data laws clause by clause.
+    """Check the gluing-data laws clause by clause, as a fresh report.
+
+    The rows come from one clause pass per datum (``_check_laws``), run on
+    first use and kept by the frozen datum; so ``functor_of`` and
+    ``glue.build_relation`` reuse a verdict already reached.
+    """
+    return Report(list(gd._law_rows))
+
+
+def _check_laws(gd: GluingData) -> Report:
+    """The clause pass behind ``validate``.
 
     a) the diagonal overlap is the patch; b) diagonal anchor and transition
     are identities; continuity of every anchor and transition; the inverse law
@@ -243,12 +270,12 @@ def validate(gd: GluingData) -> Report:
         rep.add(
             "anchor-diagonal",
             f"({i},{i})",
-            _maps_equal(gd.anchor[(i, i)], identity_map(gd.patch[i])) is None,
+            disagreement([gd.anchor[(i, i)]], [identity_map(gd.patch[i])]) is None,
         )
         rep.add(
             "transition-diagonal",
             f"({i},{i})",
-            _maps_equal(gd.transition[(i, i)], identity_map(gd.overlap[(i, i)])) is None,
+            disagreement([gd.transition[(i, i)]], [identity_map(gd.overlap[(i, i)])]) is None,
         )
     for i in gd.index:
         for j in gd.index:
@@ -264,9 +291,8 @@ def validate(gd: GluingData) -> Report:
                 _add_continuity(rep, "transition-continuous", f"({i},{j})", t)
     for i in gd.index:
         for j in gd.index:
-            w = _maps_equal(
-                compose(gd.transition[(j, i)], gd.transition[(i, j)]),
-                identity_map(gd.overlap[(i, j)]),
+            w = disagreement(
+                [gd.transition[(j, i)], gd.transition[(i, j)]], [identity_map(gd.overlap[(i, j)])]
             )
             rep.add("transition-inverse", f"({i},{j})", w is None, w)
     if not _triples_present(gd, rep):
@@ -277,30 +303,34 @@ def validate(gd: GluingData) -> Report:
                 sub = f"({i},{j},{k})"
                 fwd = gd.triple_map(i, j, k)
                 _add_continuity(rep, "triple-continuous", sub, fwd)
-                w = _maps_equal(
-                    compose(gd.triple_map(j, k, i), fwd), gd.triple_map(i, k, j)
-                )
+                w = disagreement([gd.triple_map(j, k, i), fwd], [gd.triple_map(i, k, j)])
                 rep.add("cocycle", sub, w is None, w)
-                w = _maps_equal(
-                    compose(gd.coord_map(j, i, k), fwd),
-                    compose(gd.transition[(i, j)], gd.coord_map(i, j, k)),
+                w = disagreement(
+                    [gd.coord_map(j, i, k), fwd], [gd.transition[(i, j)], gd.coord_map(i, j, k)]
                 )
                 rep.add("projection-square", sub, w is None, w)
     return rep
 
 
-@dataclass
+@dataclass(frozen=True)
 class GluingFunctor:
     """Realization of gluing data on the index category.
 
     ``obj`` maps every normalized object to its space; ``gen`` maps the
     endpoints of every non-identity generator to the continuous map realizing
-    it (running from the codomain's space to the domain's space).
+    it (running from the codomain's space to the domain's space).  Both are
+    read-only copies.
     """
 
     data: GluingData
-    obj: dict[GlObject, FiniteSpace]
-    gen: dict[tuple[GlObject, GlObject], SpaceMap]
+    obj: Mapping[GlObject, FiniteSpace]
+    gen: Mapping[tuple[GlObject, GlObject], SpaceMap]
+
+    __hash__ = None  # the tables are not hashable
+
+    def __post_init__(self):
+        object.__setattr__(self, "obj", read_only(self.obj))
+        object.__setattr__(self, "gen", read_only(self.gen))
 
     @property
     def index(self) -> tuple[str, ...]:

@@ -30,22 +30,32 @@ from .fintop import (
     SpaceMap,
     analyze_map,
     compose,
+    disagreement,
     disjoint_union,
     enumerate_continuous_maps,
     is_open,
+    read_only,
 )
-from .gdata import GluingData, Report, _maps_equal, functor_tables, validate
+from .gdata import GluingData, Report, functor_tables, validate
 from .glidx import GlObject, pair, single
 
 CONE_MODES = ("full", "figure3", "figure4")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cone:
-    """An apex with one leg per index-category object, in the continuous direction."""
+    """An apex with one leg per index-category object, in the continuous direction.
+
+    Frozen: ``legs`` is a read-only copy of the table the cone was built from.
+    """
 
     apex: FiniteSpace
-    legs: dict[GlObject, SpaceMap]
+    legs: Mapping[GlObject, SpaceMap]
+
+    __hash__ = None  # the leg table is not hashable
+
+    def __post_init__(self):
+        object.__setattr__(self, "legs", read_only(self.legs))
 
     def leg(self, obj: GlObject) -> SpaceMap:
         if obj not in self.legs:
@@ -53,15 +63,23 @@ class Cone:
         return self.legs[obj]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GluedSpace(Cone):
     """The glued quotient as a cone, with the raw overlap relation and each point's class.
 
-    ``classes[q]`` holds the tagged patch points (``x@i``) that land on q.
+    ``classes[q]`` holds the tagged patch points (``x@i``) that land on q;
+    like ``legs``, the table is a read-only copy.
     """
 
     relation: tuple[tuple[str, str], ...]
-    classes: dict[str, frozenset[str]]
+    classes: Mapping[str, frozenset[str]]
+
+    __hash__ = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "relation", tuple(self.relation))
+        object.__setattr__(self, "classes", read_only(self.classes))
 
     @property
     def space(self) -> FiniteSpace:
@@ -253,7 +271,7 @@ def cone_failure(
         raise ValueError(f"unknown cone mode {mode!r}")
     legs = _typed_legs(gd, cone, glidx.objects(gd.index))
     for a, b, f in _cone_edges(gd, mode):
-        point = _maps_equal(compose(legs[a], f), legs[b])
+        point = disagreement([legs[a], f], [legs[b]])
         if point is not None:
             return a, b, point
     return None
@@ -286,12 +304,12 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
     for i in idx:
         for j in idx:
             if i != j:
-                w = _maps_equal(compose(legs[single(i)], gd.anchor[(i, j)]), legs[pair(i, j)])
+                w = disagreement([legs[single(i)], gd.anchor[(i, j)]], [legs[pair(i, j)]])
                 rep.add("a-pair-factors", f"({i},{j})", w is None, w)
     for obj in glidx.objects(idx):
         if obj.arity == 3:
             witnesses = [
-                _maps_equal(compose(legs[pair(obj.head, n)], gd.triple_proj[(obj, n)]), legs[obj])
+                disagreement([legs[pair(obj.head, n)], gd.triple_proj[(obj, n)]], [legs[obj]])
                 for n in obj.rest
             ]
             failed = [w for w in witnesses if w is not None]
@@ -491,7 +509,7 @@ def verify_universal(
             except NotCovering as exc:
                 rep.add("mediate-agrees", apex.space_id, False, str(exc))
                 continue
-            if _maps_equal(mu, mediators[0]) is not None:
+            if disagreement([mu], [mediators[0]]) is not None:
                 rep.add("mediate-agrees", apex.space_id, False, "mediate differs from oracle")
         rep.add("apex-done", apex.space_id, True)
     return rep

@@ -23,6 +23,7 @@ from .fintop import (
     SpaceMap,
     analyze_map,
     compose,
+    disagreement,
     identity_map,
     lift,
 )
@@ -30,7 +31,6 @@ from .gdata import (
     GluingFunctor,
     Report,
     _add_continuity,
-    _maps_equal,
     derive_triple_maps,
     functor_of,
     make_gluing_data,
@@ -150,9 +150,9 @@ def check_refinement(r: Refinement) -> Report:
         except MissingComponent as exc:
             rep.add("component-present", f"{a}->{b}", False, str(exc))
             continue
-        lhs = compose(rho_a, _reindexed_map(r.gamma, r.fine, a, b))
-        rhs = compose(r.coarse.gen[(a, b)], rho_b)
-        w = _maps_equal(lhs, rhs)
+        w = disagreement(
+            [rho_a, _reindexed_map(r.gamma, r.fine, a, b)], [r.coarse.gen[(a, b)], rho_b]
+        )
         rep.add("naturality", f"{a}->{b}", w is None, w)
     for obj, comp in sorted(r.components.items(), key=lambda kv: repr(kv[0])):
         _add_continuity(rep, "component-continuous", repr(obj), comp)
@@ -209,7 +209,7 @@ def _induced_map(r: Refinement, glued_fine: GluedSpace, glued_coarse: GluedSpace
             for i in sources
         ]
         for other in candidates[1:]:
-            if _maps_equal(candidates[0], other) is not None:
+            if disagreement([candidates[0]], [other]) is not None:
                 raise MissingComponent(
                     f"collapsed indices {sources} disagree on the leg for {j!r}"
                 )

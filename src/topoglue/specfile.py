@@ -67,7 +67,7 @@ from .errors import DuplicateName, ParseError, UnresolvedReference
 from .fintop import FiniteSpace, SpaceMap, from_opens, make_map, make_space
 from .gdata import GluingData, GluingFunctor, derive_triple_maps, functor_of, make_gluing_data
 from .glidx import GlGen, GlObject, normalize
-from .glue import Cone
+from .glue import Cone, complete_cone
 from .refine import GdfGluingData, IndexMap, Refinement, complete_refinement
 from .cover import KINDS, Covering
 
@@ -294,11 +294,9 @@ def _parse_cone(block: _Block, doc: SpecDocument) -> ConeDecl:
     if over is None or apex is None:
         raise ParseError(block.line_no, "cone needs 'over' and 'apex'")
     gd = _need(doc.gluings, over, "gluing", block.line_no)
-    from .glue import complete_cone
-
-    cone = complete_cone(gd, apex, single_legs)
-    cone.legs.update(legs)
-    return ConeDecl(block.name, over, cone)
+    # the declared legs override the completed ones before the cone is built
+    legs = {**complete_cone(gd, apex, single_legs).legs, **legs}
+    return ConeDecl(block.name, over, Cone(apex, legs))
 
 
 def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:

@@ -8,7 +8,15 @@ from __future__ import annotations
 
 import itertools
 
-from topoglue.fintop import FiniteSpace
+from topoglue.fintop import FiniteSpace, SpaceMap
+
+
+def first_difference(f: SpaceMap, g: SpaceMap) -> str | None:
+    """None when f and g are one map, else the first sorted point where they
+    differ, or ``"<endpoint mismatch>"``: the reference for ``fintop.disagreement``."""
+    if f.dom != g.dom or f.cod != g.cod:
+        return "<endpoint mismatch>"
+    return next((x for x in sorted(f.dom.points) if f(x) != g(x)), None)
 
 
 def all_opens(space: FiniteSpace) -> set[frozenset]:

@@ -1,15 +1,19 @@
 import contextlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doc_fixtures import BROKEN_TRIPLE_DOC, CIRCLE_DOC, torus_document
+from topoglue import cover as cover_mod
+from topoglue import glue as glue_mod
 from topoglue.cli import main
+from topoglue.specfile import parse_spec
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO / "docs" / "examples"
@@ -522,6 +526,190 @@ class TestFuzz:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
         assert code in (0, 1, 2, 3)
+
+
+# Names the parser takes apart nowhere but that the library joins: pullbacks
+# name pairs "(u,v)", disjoint unions name points "x@i".
+# The pool makes two pairs of one pullback share a name often enough:
+# ("a", "b,a") and ("a,b", "a") are both named "(a,b,a)".
+NAME_CHARS = "ab,@()"
+NAME_POOL = ("a", "b", "a,b", "b,a", ",", "a,", ",a", "(a", "a)", "(a,b)", "a@b", "@")
+
+
+def _names(draw, count, chars=NAME_CHARS):
+    name = st.sampled_from([n for n in NAME_POOL if set(n) <= set(chars)]) | st.text(chars, min_size=1, max_size=3)
+    return draw(st.lists(name, min_size=count, max_size=count, unique=True))
+
+
+def _space_block(name, points, min_open):
+    lines = [f"space {name}", "  points: " + " ".join(points)]
+    lines += [f"  minopen {x}: " + " ".join(sorted(min_open[x])) for x in points]
+    return lines + ["end"]
+
+
+def _map_block(name, dom, cod, table):
+    return [f"map {name}: {dom} -> {cod}", *(f"  {x} -> {y}" for x, y in table.items()), "end"]
+
+
+# Two base points x, y named so that the pairs over them in one pullback
+# collide: ("a", "b,a") and ("a,b", "a") are both named "(a,b,a)".
+PLANTED = (("a", "a,b"), ("b,a", "a"))
+
+
+@st.composite
+def glue_documents(draw):
+    """A covering of a base space B and the gluing of its patches, with generated names.
+
+    B has 1 to 5 points and the topology of up to four generating opens; one
+    to three patches cover it, each with the subspace topology under its own
+    point names.  The covering ``COV`` has the inclusions as legs.  The
+    gluing ``GL`` glues the same patches along overlaps with their own point
+    names, under generated index labels.  Names come from ``NAME_POOL`` and
+    ``NAME_CHARS``; a third of the documents plant a name collision in the
+    legs' pullback and a third in the triple pullback [0|{0,1}] of the
+    gluing.  Returns the text and a model: per patch its names by base point,
+    per ordered pair the overlap names, and the labels.
+    """
+    base = _names(draw, draw(st.integers(1, 5)))
+    gens = draw(st.lists(st.sets(st.sampled_from(base)), max_size=4))
+    up = {x: frozenset(base).intersection(*(g for g in gens if x in g)) for x in base}
+    count = draw(st.integers(1, 3))
+    parts = [draw(st.sets(st.sampled_from(base), min_size=1)) for _ in range(count)]
+    parts[-1] |= set(base).difference(*parts)
+    plant = draw(st.sampled_from([None, "legs", "anchors"])) if count > 1 and len(base) > 1 else None
+    if plant:
+        parts[0] |= set(base[:2])
+        parts[1] |= set(base[:2])
+    names = [dict(zip(sorted(part), _names(draw, len(part)))) for part in parts]
+    # index labels may not hold "@": one document in six tries one anyway
+    labels = _names(draw, count, NAME_CHARS if draw(st.integers(0, 5)) == 0 else "ab,()")
+    overlap = {
+        (i, j): dict(zip(sorted(parts[i] & parts[j]), _names(draw, len(parts[i] & parts[j]))))
+        for i in range(count) for j in range(count) if i != j
+    }
+    first, second = PLANTED
+    if plant == "legs":
+        names[0].update(zip(base, first))
+        names[1].update(zip(base, second))
+    elif plant == "anchors":
+        # the pullback pairs a point of patch 0 with one of overlap (0,1), in label order
+        if labels[1] < labels[0]:
+            first, second = second, first
+        names[0].update(zip(base, first))
+        overlap[(0, 1)].update(zip(base, second))
+    assume(all(len(set(n.values())) == len(n) for n in [*names, *overlap.values()]))
+
+    def induced(name):
+        return {name[x]: {name[z] for z in up[x] & name.keys()} for x in name}
+
+    lines = ["space B", "  points: " + " ".join(base), *(f"  opens: {' '.join(sorted(g))}" for g in gens if g)]
+    lines.append("end")
+    for i, name in enumerate(names):
+        lines += _space_block(f"P{i}", list(name.values()), induced(name))
+        lines += _map_block(f"l{i}", f"P{i}", "B", {name[x]: x for x in name})
+    lines += ["covering COV", "  base: B", *(f"  leg: l{i}" for i in range(count)), "end"]
+    gluing = ["gluing GL", "  index: " + " ".join(labels)]
+    gluing += [f"  patch {label}: P{i}" for i, label in enumerate(labels)]
+    for (i, j), name in overlap.items():
+        lines += _space_block(f"O{i}_{j}", list(name.values()), induced(name))
+    for (i, j), name in overlap.items():
+        lines += _map_block(f"a{i}_{j}", f"O{i}_{j}", f"P{i}", {name[x]: names[i][x] for x in name})
+        lines += _map_block(f"t{i}_{j}", f"O{i}_{j}", f"O{j}_{i}", {name[x]: overlap[(j, i)][x] for x in name})
+        gluing += [
+            f"  overlap {labels[i]} {labels[j]}: O{i}_{j}",
+            f"  anchor {labels[i]} {labels[j]}: a{i}_{j}",
+            f"  transition {labels[i]} {labels[j]}: t{i}_{j}",
+        ]
+    lines += gluing + ["end"]
+    model = {"base": base, "names": names, "overlap": overlap, "labels": labels}
+    return "\n".join(lines) + "\n", model
+
+
+def _pullbacks_collide(name_of, labels):
+    """Whether two pairs of one triple pullback [i|{j,k}] get one ``(u,v)`` name.
+
+    ``name_of(i, j)`` maps each base point of overlap (i, j) to the name of
+    its point there; overlap (i, i) is patch i.  The pullback of anchors
+    (i, j) and (i, k) pairs the points over one base point, with j before k
+    in label order.
+    """
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
+    for i in by_label:
+        for j, k in itertools.combinations(by_label, 2):
+            left, right = name_of(i, j), name_of(i, k)
+            shared = left.keys() & right.keys()
+            if len({f"({left[x]},{right[x]})" for x in shared}) < len(shared):
+                return True
+    return False
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestGeneratedDocuments:
+    """Whole documents generated with ``,``, ``@``, ``(`` and ``)`` in every name."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(glue_documents())
+    def test_pullback_and_union_sizes_or_duplicate_name(self, document):
+        text, model = document
+        base, names, overlap, labels = model["base"], model["names"], model["overlap"], model["labels"]
+        count = len(names)
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "doc.glue"
+            f.write_text(text)
+            runs = [
+                _run_quietly(["cover-functor", str(f), "COV", "--machine"]),
+                _run_quietly(["glue", str(f), "GL", "--derive-triples", "--machine"]),
+            ]
+        for code, out, err in runs:
+            assert code in (0, 1, 2, 3) and "Traceback" not in out + err
+
+        # the gluing's triple spaces are pullbacks of its declared anchors,
+        # computed when the document is parsed, so they fail both runs
+        def gluing_name(i, j):
+            return names[i] if i == j else overlap[(i, j)]
+
+        if any("@" in label for label in labels):
+            assert all((code, out) == (2, "") and "must not contain '@'" in err for code, out, err in runs)
+            return
+        if _pullbacks_collide(gluing_name, labels):
+            assert all((code, out) == (2, "") and "both get the name" in err for code, out, err in runs)
+            return
+        (cover_code, cover_out, cover_err), (glue_code, glue_out, _) = runs
+        classes = json.loads(glue_out)["data"]["classes"]
+        assert glue_code == 0 and len(classes) == len(base)
+        assert sum(len(members) for members in classes.values()) == sum(len(n) for n in names)
+        gd = parse_spec(text, derive_triples=True).gluings["GL"]
+        for obj, space in gd.triple_space.items():
+            i, j, k = (labels.index(label) for label in (obj.head, *obj.rest))
+            assert len(space.points) == len(names[i].keys() & names[j].keys() & names[k].keys())
+
+        # the covering's overlaps are the pullbacks of its legs, named (u,v)
+        def cover_name(i, j):
+            if i == j:
+                return names[i]
+            return {x: f"({names[i][x]},{names[j][x]})" for x in names[i].keys() & names[j].keys()}
+
+        pairs_collide = any(
+            len(set(cover_name(i, j).values())) < len(cover_name(i, j))
+            for i in range(count) for j in range(count)
+        )
+        if pairs_collide or _pullbacks_collide(cover_name, [str(i) for i in range(count)]):
+            assert (cover_code, cover_out) == (2, "") and "both get the name" in cover_err
+            return
+        rows = {(e["name"], e["subject"]): e["ok"] for e in json.loads(cover_out)["data"]["entries"]}
+        assert cover_code in (0, 1) and rows[("glued-size", "points")]
+        covering = parse_spec(text).coverings["COV"].covering
+        gd = cover_mod.data_of_covering(covering)
+        for (i, j), space in gd.overlap.items():
+            assert len(space.points) == len(cover_name(int(i), int(j)))
+        glued = glue_mod.glue(gd)
+        assert sum(len(members) for members in glued.classes.values()) == sum(len(n) for n in names)
 
 
 # Every error class and the exit code the README's table gives it.

@@ -1,13 +1,15 @@
+import dataclasses
 import itertools
 import random
 import sys
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_spaces
-from oracles import all_opens, closure_opens, min_open_from_lattice
+from oracles import all_opens, closure_opens, first_difference, min_open_from_lattice
 from topoglue import cover, fintop
 from topoglue.errors import (
     CompositionMismatch,
@@ -20,6 +22,7 @@ from topoglue.fintop import (
     SpaceMap,
     analyze_map,
     compose,
+    disagreement,
     discontinuities,
     disjoint_union,
     enumerate_continuous_maps,
@@ -567,6 +570,100 @@ class TestDiscontinuities:
         witnesses = [x for prop, x in analyze_map(f).witnesses if prop == "continuous"]
         assert discontinuities(f) == witnesses
         assert analyze_map(f).continuous == (not witnesses)
+        # the open-set definition: the preimage of every open set is open
+        continuous = all(
+            is_open(a, [x for x in a.points if f(x) in u]) for u in all_opens(b)
+        )
+        assert continuous == (not witnesses)
+
+    def test_table_gap_raises_unknown_point(self):
+        gap = SpaceMap(sierp(), sierp(), {"t": "t"})
+        with pytest.raises(UnknownPoint, match="'b' is not a point of 'SIERP'"):
+            discontinuities(gap)
+
+
+def _random_map(data, dom, cod):
+    return SpaceMap(dom, cod, {x: data.draw(st.sampled_from(sorted(cod.points))) for x in dom.points})
+
+
+class TestDisagreement:
+    """The table-level path comparison against composing the paths and scanning."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_answer_as_composing_and_scanning(self, data):
+        a = data.draw(small_spaces(max_points=4))
+        b = data.draw(small_spaces(max_points=3))
+        c = data.draw(small_spaces(max_points=3))
+        f, g, h = _random_map(data, a, b), _random_map(data, b, c), _random_map(data, a, c)
+        assert disagreement([g, f], [h]) == first_difference(compose(g, f), h)
+        assert disagreement([h], [g, f]) == first_difference(h, compose(g, f))
+        assert disagreement([g, f], [g, f]) is None
+        k = _random_map(data, c, c)
+        assert disagreement([k, g, f], [k, h]) == first_difference(
+            compose(k, compose(g, f)), compose(k, h)
+        )
+
+    def test_first_sorted_witness(self):
+        a = make_space("A", "pqrs", {x: [x] for x in "pqrs"})
+        f = make_map(a, disc2(), {"p": "a", "q": "a", "r": "a", "s": "a"})
+        g = make_map(a, disc2(), {"p": "a", "q": "b", "r": "a", "s": "b"})
+        assert disagreement([f], [g]) == "q"
+        assert disagreement([identity_map(disc2()), f], [g]) == "q"
+
+    def test_endpoint_mismatch(self):
+        f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
+        assert disagreement([f], [identity_map(disc2())]) == "<endpoint mismatch>"
+        assert disagreement([identity_map(sierp()), f], [f]) is None
+
+    def test_mistyped_path_raises_composition_mismatch(self):
+        f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
+        with pytest.raises(CompositionMismatch, match="middle spaces differ"):
+            disagreement([f, f], [f])
+        with pytest.raises(CompositionMismatch):
+            disagreement([f], [f, f])
+
+    def test_table_gap_raises_unknown_point(self):
+        gap = SpaceMap(disc2(), sierp(), {"a": "t"})
+        full = make_map(disc2(), sierp(), {"a": "t", "b": "t"})
+        with pytest.raises(UnknownPoint, match="'b' is not a point of 'DISC2'"):
+            disagreement([full], [gap])
+        with pytest.raises(UnknownPoint, match="'b' is not a point of 'DISC2'"):
+            disagreement([identity_map(sierp()), gap], [full])
+
+
+class TestFrozen:
+    def test_tables_are_read_only(self):
+        sp = sierp()
+        with pytest.raises(TypeError):
+            sp.min_open["b"] = frozenset({"b"})
+        f = identity_map(sp)
+        with pytest.raises(TypeError):
+            f.table["t"] = "b"
+        assert sp.min_open["b"] == {"t", "b"} and f("t") == "t"
+
+    def test_attributes_are_frozen(self):
+        f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.table = {"a": "b", "b": "b"}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.dom.min_open = {}
+
+    def test_constructor_tables_are_copied(self):
+        points, min_open = {"t", "b"}, {"t": frozenset("t"), "b": frozenset("tb")}
+        sp = fintop.FiniteSpace("S", points, min_open)
+        table = {"t": "t", "b": "b"}
+        f = SpaceMap(sp, sp, table)
+        points.add("x")
+        min_open["t"] = frozenset("tb")
+        table["t"] = "b"
+        assert sp == sierp() and isinstance(sp.points, frozenset)
+        assert f == identity_map(sierp())
+        # a read-only view of a caller's table is copied too
+        view = {"t": "t", "b": "b"}
+        g = SpaceMap(sp, sp, MappingProxyType(view))
+        view["t"] = "b"
+        assert g == f
 
 
 def _all_topologies(points):

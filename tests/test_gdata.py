@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,8 +7,9 @@ import pytest
 from conftest import digital_circle_data, mutate_transition, mutate_triple, random_lawful_data
 from paths import find_path, realize
 from test_glue import self_weld_arc
+from topoglue import gdata
 from topoglue.errors import NotDetermined, UnresolvedReference, ValidationFailed
-from topoglue.fintop import SpaceMap, compose, identity_map, make_map, make_space
+from topoglue.fintop import SpaceMap, compose, identity_map, make_map, make_space, subspace
 from topoglue.fixtures import arc3, cylinder_data, disc2, gd_circ, pt, trivial_data
 from topoglue.gdata import (
     GluingData,
@@ -17,6 +19,7 @@ from topoglue.gdata import (
     make_gluing_data,
     validate,
 )
+from topoglue.glue import glue
 from topoglue.glidx import (
     GlGen,
     edges,
@@ -76,6 +79,85 @@ class TestValidate:
         rep = validate(stripped)
         assert not rep.passed
         assert any(e.name == "triple-present" for e in rep.failures())
+
+
+TABLES = ("patch", "overlap", "anchor", "transition", "triple_space", "triple_proj", "triple_transition")
+
+
+class TestFrozenDatum:
+    def test_tables_and_attributes_are_read_only(self):
+        gd = gd_circ()
+        for name in TABLES:
+            table = getattr(gd, name)
+            with pytest.raises(TypeError):
+                table[next(iter(table))] = None
+        for f in dataclasses.fields(gd):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(gd, f.name, getattr(gd, f.name))
+
+    def test_constructor_tables_are_copied(self):
+        gd = gd_circ()
+        tables = {name: dict(getattr(gd, name)) for name in TABLES}
+        copy = GluingData(list(gd.index), **tables)
+        for table in tables.values():
+            table.clear()
+        assert copy == gd
+        assert copy.index == gd.index and validate(copy).passed
+
+    def test_check_entries_and_functor_tables_are_frozen(self):
+        gd = gd_circ()
+        entry = validate(gd).entries[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.ok = not entry.ok
+        fun = functor_of(gd)
+        with pytest.raises(TypeError):
+            fun.gen[next(iter(fun.gen))] = None
+        with pytest.raises(TypeError):
+            fun.obj[next(iter(fun.obj))] = None
+
+
+class TestValidateOnce:
+    """A frozen datum has one verdict: its clause pass runs once, on first use."""
+
+    def test_one_clause_pass_behind_validate_functor_of_and_glue(self, monkeypatch):
+        gd = gd_circ()
+        calls = []
+        clause_pass = gdata._check_laws
+        monkeypatch.setattr(gdata, "_check_laws", lambda d: calls.append(d) or clause_pass(d))
+        assert validate(gd).passed
+        functor_of(gd)
+        glue(gd)
+        assert calls == [gd] and calls[0] is gd
+
+    def test_a_replaced_datum_gets_its_own_verdict(self):
+        gd = gd_circ()
+        assert validate(gd).passed
+        swap = _mutated_transition(gd, ("2", "1"), {"a": "b", "b": "a"}).transition
+        bad = dataclasses.replace(gd, transition=swap)
+        assert not validate(bad).passed
+        stripped = dataclasses.replace(gd, triple_transition={})
+        assert [e.name for e in validate(stripped).failures()][0] == "triple-present"
+        assert validate(derive_triple_maps(stripped)).passed
+        assert validate(gd).passed
+
+    def test_appending_to_a_report_does_not_leak(self):
+        gd = gd_circ()
+        rep = validate(gd)
+        rows = list(rep.entries)
+        rep.add("extra", "row", False)
+        rep.entries.clear()
+        again = validate(gd)
+        assert again.passed and again.entries == rows and again is not rep
+
+    def test_glue_after_a_failing_validate_raises_the_same_rows(self):
+        bad = _mutated_transition(gd_circ(), ("2", "1"), {"a": "b", "b": "a"})
+        rep = validate(bad)
+        assert not rep.passed
+        for later in (glue, functor_of):
+            with pytest.raises(ValidationFailed) as info:
+                later(bad)
+            assert info.value.report.entries == rep.entries
+            assert str(info.value) == f"validation failed:\n{rep}"
 
 
 def _ambiguous_instance():
@@ -199,6 +281,39 @@ def _constant_anchor_data(triples_for=("1", "2")):
     return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition, triples))
 
 
+def _sub_pullback_data():
+    """Two patches whose degenerate triple [1,{1,2}] keeps only part of its pullback.
+
+    With the triple tables of ``make_gluing_data``, cocycle and
+    projection-square at (i,j,i) and (j,i,i) already imply transition-inverse
+    at (i,j), so no such datum fails that clause alone.  Here overlap (1,2) =
+    {a, b} folds onto overlap (2,1) = {p}, t21 sends p back to a, and the
+    triple space of [1,{1,2}] keeps only the point over a: t21 . t12 moves b,
+    and every other clause holds.
+    """
+    d, p = disc2(), pt("P", "p")
+    gd = make_gluing_data(
+        ["1", "2"],
+        patch={"1": d, "2": p},
+        overlap={("1", "2"): d, ("2", "1"): p},
+        anchor={("1", "2"): make_map(d, d, {"a": "a", "b": "b"}), ("2", "1"): make_map(p, p, {"p": "p"})},
+        transition={
+            ("1", "2"): make_map(d, p, {"a": "p", "b": "p"}),
+            ("2", "1"): make_map(p, d, {"p": "a"}),
+        },
+    )
+    obj = normalize(("1", "1", "2"))
+    part, incl = subspace(gd.triple_space[obj], ["(a,a)"])
+    projs = {(obj, n): compose(gd.triple_proj[(obj, n)], incl) for n in ("1", "2")}
+    return derive_triple_maps(
+        dataclasses.replace(
+            gd,
+            triple_space={**gd.triple_space, obj: part},
+            triple_proj={**gd.triple_proj, **projs},
+        )
+    )
+
+
 class TestValidateImpliesFunctoriality:
     """``validate`` is the only law check: a passing report must make every
     relation instance of the index category an equality of realized maps."""
@@ -217,7 +332,14 @@ class TestValidateImpliesFunctoriality:
         moved = [m for gd in lawful for _ in range(2) if (m := mutate_transition(rng, gd))]
         mutants = moved + [m for gd in lawful for _ in range(2) if (m := mutate_triple(rng, gd))]
         mutants.append(_constant_anchor_data(triples_for=("1", "3")))
+        mutants.append(_sub_pullback_data())
         return lawful, mutants
+
+    def test_a_mutant_fails_transition_inverse_alone(self):
+        rep = validate(_sub_pullback_data())
+        assert [(e.name, e.subject, e.witness) for e in rep.failures()] == [
+            ("transition-inverse", "(1,2)", "b")
+        ]
 
     def test_relations_hold_wherever_validate_passes(self):
         lawful, mutants = self._corpus()

@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import random
+from collections.abc import Mapping
 
 import pytest
 
 from conftest import digital_circle, digital_circle_data, random_lawful_data
+from oracles import first_difference
 from paths import find_path, realize
 from topoglue import fintop, glidx
 from topoglue import glue as glue_mod
@@ -43,7 +46,6 @@ from topoglue.fixtures import (
 )
 from topoglue.gdata import (
     Report,
-    _maps_equal,
     derive_triple_maps,
     functor_tables,
     make_gluing_data,
@@ -295,6 +297,24 @@ class TestGlue:
         glued = glue(gd_circ())
         assert isinstance(glued, Cone)
         assert glued.space is glued.apex
+
+    def test_legs_classes_and_fields_are_read_only(self):
+        glued = glue(gd_circ())
+        with pytest.raises(TypeError):
+            glued.legs[single("1")] = glued.leg(single("2"))
+        with pytest.raises(TypeError):
+            glued.classes["l@1"] = frozenset()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            glued.apex = circle4()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            glued.relation = ()
+
+    def test_a_cone_copies_its_leg_table(self):
+        gd = gd_circ()
+        legs = dict(glue(gd).legs)
+        cone = Cone(circle4(), legs)
+        legs.clear()
+        assert set(cone.legs) == set(glidx.objects(gd.index))
 
     def test_single_patch_is_homeomorphic_copy(self):
         gd = trivial_data(arc3())
@@ -632,7 +652,7 @@ def _glued_properties_reference(gd, candidate):
         for j in idx:
             if i == j:
                 continue
-            w = _maps_equal(
+            w = first_difference(
                 candidate.leg(pair(i, j)),
                 compose(candidate.leg(single(i)), gd.anchor[(i, j)]),
             )
@@ -644,7 +664,7 @@ def _glued_properties_reference(gd, candidate):
         ok = True
         wit = None
         for n in obj.rest:
-            w = _maps_equal(
+            w = first_difference(
                 candidate.leg(obj),
                 compose(candidate.leg(pair(i, n)), gd.triple_proj[(obj, n)]),
             )
@@ -659,7 +679,7 @@ def _glued_properties_reference(gd, candidate):
                 compose(candidate.leg(single(j)), gd.anchor[(j, i)]),
                 gd.transition[(i, j)],
             )
-            w = _maps_equal(lhs, rhs)
+            w = first_difference(lhs, rhs)
             rep.add("c-overlap-agree", f"({i},{j})", w is None, w)
     covered = set()
     for i in idx:
@@ -866,7 +886,7 @@ class TestMediateThroughPatchLegs:
                     cone = Cone(apex, {single(i): leg for i, leg in fam.items()})
                     expected = _outcome(_mediate_by_tags, gd, glued, cone)
                     assert _outcome(mediate, gd, glued, cone) == expected
-                    if isinstance(expected, dict):
+                    if isinstance(expected, Mapping):
                         kinds.add("table")
                     elif "mediating map not continuous" in expected[1]:
                         kinds.add("not continuous")

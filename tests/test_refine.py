@@ -22,7 +22,7 @@ from topoglue.fixtures import (
     trivial_data,
 )
 from topoglue import refine as refine_mod
-from topoglue.gdata import Report, _add_continuity, _maps_equal, functor_of
+from topoglue.gdata import Report, _add_continuity, functor_of
 from topoglue.glidx import (
     GlGen,
     compose_path,
@@ -48,6 +48,7 @@ from topoglue.refine import (
     reindex_object,
 )
 
+from oracles import first_difference
 from paths import realize, reindex
 from test_glue import self_weld_arc
 
@@ -101,7 +102,7 @@ def _check_refinement_reference(r):
             continue
         lhs = compose(rho_a, realize(r.fine, *reindex(r.gamma, a, (gen,))))
         rhs = compose(realize(r.coarse, a, (gen,)), rho_b)
-        w = _maps_equal(lhs, rhs)
+        w = first_difference(lhs, rhs)
         rep.add("naturality", f"{a}->{b}", w is None, w)
     for obj, comp in sorted(r.components.items(), key=lambda kv: repr(kv[0])):
         _add_continuity(rep, "component-continuous", repr(obj), comp)
@@ -164,7 +165,7 @@ class TestCompleteRefinement:
         singles = {o: c for o, c in r.components.items() if o.arity == 1}
         rebuilt = complete_refinement(r.gamma, r.fine, r.coarse, singles)
         for obj in objects(("1", "2")):
-            assert _maps_equal(rebuilt.component(obj), r.component(obj)) is None
+            assert first_difference(rebuilt.component(obj), r.component(obj)) is None
 
     def test_not_forced_when_anchor_collapses(self):
         fun = functor_of(self_weld_arc())
@@ -251,7 +252,7 @@ class TestInducedMap:
             for i in r.gamma.source:
                 lhs = compose(h, glued_fine.leg(single(r.gamma(i))))
                 rhs = compose(glued_coarse.leg(single(i)), r.component(single(i)))
-                if _maps_equal(lhs, rhs) is not None:
+                if first_difference(lhs, rhs) is not None:
                     ok = False
                     break
             if ok:
