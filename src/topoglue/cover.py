@@ -31,11 +31,16 @@ from .glue import Cone, GluedSpace, glue, mediate
 KINDS = ("gluing", "open")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Covering:
+    """A base space with a family of (patch, leg) pairs; ``family`` is held as a tuple."""
+
     base: FiniteSpace
-    family: list[tuple[FiniteSpace, SpaceMap]]
+    family: tuple[tuple[FiniteSpace, SpaceMap], ...]
     kind: str = "gluing"
+
+    def __post_init__(self):
+        object.__setattr__(self, "family", tuple(self.family))
 
     def legs(self) -> list[SpaceMap]:
         return [leg for _, leg in self.family]
@@ -85,7 +90,7 @@ def data_of_covering(c: Covering) -> GluingData:
     return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoverFunctorResult:
     data: GluingData
     glued: GluedSpace

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import product
+from typing import Callable, Iterable, Mapping
 
 from . import fintop, glidx
 from .errors import NotDetermined, UnresolvedReference, ValidationFailed
@@ -34,7 +35,7 @@ from .fintop import (
     identity_map,
     read_only,
 )
-from .glidx import GlGen, GlObject, normalize
+from .glidx import GlGen, GlObject, normalize, pair, single
 
 
 @dataclass(frozen=True)
@@ -341,20 +342,15 @@ class GluingFunctor:
 
 
 def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
+    """The map realizing a non-identity generator (an entry of ``glidx.edges``)."""
     if gen.kind == "eta":
-        i, j = gen.indices
-        return gd.anchor[(i, j)]
+        return gd.anchor[gen.indices]
     if gen.kind == "tau":
-        i, j = gen.indices
-        return gd.transition[(i, j)]
+        return gd.transition[gen.indices]
     if gen.kind == "eta3":
         i, j, k, n = gen.indices
-        obj = normalize((i, j, k))
-        if obj.arity != 3:
-            return identity_map(gd.space_of(obj))
-        return gd.triple_proj[(obj, n)]
-    i, j, k = gen.indices
-    return gd.triple_map(i, j, k)
+        return gd.triple_proj[(normalize((i, j, k)), n)]
+    return gd.triple_map(*gen.indices)
 
 
 def functor_tables(gd: GluingData) -> GluingFunctor:
@@ -398,31 +394,29 @@ def functor_of(gd: GluingData) -> GluingFunctor:
     return functor_tables(gd)
 
 
+def _pair_tables(index: tuple[str, ...], space_at: Callable, map_at: Callable) -> tuple[dict, ...]:
+    """The patch, overlap, anchor and transition tables of the datum a functor realizes.
+
+    ``space_at`` gives the space at an object and ``map_at(a, b)`` the map
+    realizing the generator edge a -> b.  Every space is read before any map
+    and every anchor before any transition; the diagonal entries are left to
+    ``make_gluing_data``.
+    """
+    pairs = [(i, j) for i in index for j in index if i != j]
+    patch = {i: space_at(single(i)) for i in index}
+    overlap = {(i, j): space_at(pair(i, j)) for i, j in pairs}
+    anchor = {(i, j): map_at(single(i), pair(i, j)) for i, j in pairs}
+    transition = {(i, j): map_at(pair(j, i), pair(i, j)) for i, j in pairs}
+    return patch, overlap, anchor, transition
+
+
 def extract_data(fun: GluingFunctor) -> GluingData:
     """Read the gluing data back off the functor tables (round trip)."""
     idx = fun.index
-    patch = {i: fun.obj[glidx.single(i)] for i in idx}
-    overlap = {}
-    anchor = {}
-    transition = {}
-    for i in idx:
-        for j in idx:
-            overlap[(i, j)] = fun.obj[glidx.pair(i, j)]
-            if i == j:
-                anchor[(i, j)] = identity_map(patch[i])
-                transition[(i, j)] = identity_map(patch[i])
-            else:
-                anchor[(i, j)] = fun.gen[(glidx.single(i), glidx.pair(i, j))]
-                transition[(i, j)] = fun.gen[(glidx.pair(j, i), glidx.pair(i, j))]
-    triple_transition = {}
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                if i == j:
-                    continue
-                d = normalize((j, i, k))
-                c = normalize((i, j, k))
-                if d == c:
-                    continue
-                triple_transition[(i, j, k)] = fun.gen[(d, c)]
-    return make_gluing_data(idx, patch, overlap, anchor, transition, triple_transition)
+    tables = _pair_tables(idx, fun.space, lambda a, b: fun.gen[(a, b)])
+    triple_transition = {
+        (i, j, k): fun.gen[(normalize((j, i, k)), normalize((i, j, k)))]
+        for i, j, k in product(idx, repeat=3)
+        if i != j
+    }
+    return make_gluing_data(idx, *tables, triple_transition)

@@ -5,10 +5,11 @@ the overlap relation, carrying the final topology.  With its legs it is a cone
 over the gluing data functor, the candidate colimit: ``GluedSpace`` is a
 ``Cone`` that also keeps the overlap relation and each glued point's class.
 The cone checks, the six glued-object properties, ``mediate`` and the oracles
-take any cone.  The relation is emitted raw (one pair per overlap point);
-lawful data already yields an equivalence relation, so the quotient's
-union-find closure is asserted to add nothing and any divergence is surfaced
-as a cocycle diagnostic instead of silently closed.
+take any cone.  The relation is emitted raw (one pair per overlap point).
+Data that passes ``validate`` need not yield an equivalence relation when an
+anchor is not injective, so ``glue`` checks the raw relation with
+``check_equivalence`` and raises ``NotEquivalence``, a cocycle diagnostic,
+instead of silently closing it.
 """
 
 from __future__ import annotations
@@ -375,9 +376,6 @@ class UniversalReport(Report):
 
     cones_checked: int = 0
 
-    def __str__(self):
-        return f"{self.cones_checked} cones checked\n{super().__str__()}"
-
 
 def default_apexes() -> list[FiniteSpace]:
     from .fixtures import arc3, disc2, pt, sierp
@@ -524,10 +522,6 @@ class OtopReport(Report):
     """
 
     applicable: bool = True
-
-    def __str__(self):
-        head = "applicable" if self.applicable else "not applicable (some map is not open)"
-        return f"{head}\n{super().__str__()}"
 
 
 def check_otop(gd: GluingData, glued: Cone) -> OtopReport:

@@ -20,17 +20,20 @@ from .errors import (
     ValidationFailed,
 )
 from .fintop import (
+    FiniteSpace,
     SpaceMap,
     analyze_map,
     compose,
     disagreement,
     identity_map,
     lift,
+    read_only,
 )
 from .gdata import (
     GluingFunctor,
     Report,
     _add_continuity,
+    _pair_tables,
     derive_triple_maps,
     functor_of,
     make_gluing_data,
@@ -41,13 +44,16 @@ from .glue import Cone, GluedSpace, glue, mediate
 
 @dataclass(frozen=True)
 class IndexMap:
-    """A total map between index sets."""
+    """A total map between index sets; ``table`` is a read-only copy."""
 
     source: tuple[str, ...]
     target: tuple[str, ...]
     table: Mapping[str, str]
 
+    __hash__ = None  # the table is not hashable
+
     def __post_init__(self):
+        object.__setattr__(self, "table", read_only(self.table))
         for i in self.source:
             if i not in self.table:
                 raise MissingComponent(f"index map undefined at {i!r}")
@@ -73,14 +79,22 @@ def _reindexed_map(gamma: IndexMap, fun: GluingFunctor, a: GlObject, b: GlObject
     return identity_map(fun.obj[fa]) if fa == fb else fun.gen[(fa, fb)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Refinement:
-    """An index map with one component per coarse object, fine-to-coarse."""
+    """An index map with one component per coarse object, fine-to-coarse.
+
+    Frozen: ``components`` is a read-only copy of the table it was built from.
+    """
 
     gamma: IndexMap
     fine: GluingFunctor
     coarse: GluingFunctor
-    components: dict[GlObject, SpaceMap]
+    components: Mapping[GlObject, SpaceMap]
+
+    __hash__ = None  # the component table is not hashable
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", read_only(self.components))
 
     def component(self, obj: GlObject) -> SpaceMap:
         if obj not in self.components:
@@ -102,39 +116,28 @@ def complete_refinement(
 ) -> Refinement:
     """Fill missing pair and triple components where commutation forces them.
 
-    A missing pair component must land in the fiber of the coarse anchor over
-    the known patch component; a missing triple component is assembled from
-    its two pair coordinates.  Anything not uniquely forced raises
-    ``MissingComponent``.
+    Pairs come before triples.  A missing component at ``obj`` is lifted along
+    the coarse functor's generator edges into ``obj`` from its faces: the
+    patch of its head for a pair, and its two pair coordinates for a triple.
+    Anything not uniquely forced raises ``MissingComponent``.
     """
     comps = dict(components)
     for i in gamma.source:
         if single(i) not in comps:
             raise MissingComponent(f"patch component for {i!r} must be given")
-    for i in gamma.source:
-        for j in gamma.source:
-            obj = pair(i, j)
-            if obj in comps or obj.arity == 1:
-                continue
-            known = compose(comps[single(i)], _reindexed_map(gamma, fine, single(i), obj))
-            lifted = lift([known], [coarse.data.anchor[(i, j)]])
-            if not isinstance(lifted, SpaceMap):
-                raise MissingComponent(
-                    f"pair component {obj} not uniquely forced at {lifted[0]!r}"
-                )
-            comps[obj] = lifted
     for obj in glidx.objects(gamma.source):
-        if obj.arity != 3 or obj in comps:
+        if obj.arity == 1 or obj in comps:
             continue
-        want, along = [], []
-        for n in obj.rest:
-            fine_proj = _reindexed_map(gamma, fine, pair(obj.head, n), obj)
-            want.append(compose(comps[pair(obj.head, n)], fine_proj))
-            along.append(coarse.data.triple_proj[(obj, n)])
-        lifted = lift(want, along)
+        faces = [single(obj.head)] if obj.arity == 2 else [pair(obj.head, n) for n in obj.rest]
+        lifted = lift(
+            [compose(comps[a], _reindexed_map(gamma, fine, a, obj)) for a in faces],
+            [coarse.gen[(a, obj)] for a in faces],
+        )
         if not isinstance(lifted, SpaceMap):
             raise MissingComponent(
-                f"triple component {obj} coordinates fall outside the pullback at {lifted[0]!r}"
+                f"pair component {obj} not uniquely forced at {lifted[0]!r}"
+                if obj.arity == 2
+                else f"triple component {obj} coordinates fall outside the pullback at {lifted[0]!r}"
             )
         comps[obj] = lifted
     return Refinement(gamma, fine, coarse, comps)
@@ -218,17 +221,25 @@ def _induced_map(r: Refinement, glued_fine: GluedSpace, glued_coarse: GluedSpace
     return mediate(r.fine.data, glued_fine, cone)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GdfGluingData:
     """Gluing data whose nodes are gluing functors and edges are refinements.
 
     ``edge[(a, b)]`` is the refinement realizing the generator a -> b, with
-    fine functor ``node[b]`` and coarse functor ``node[a]``.
+    fine functor ``node[b]`` and coarse functor ``node[a]``.  Frozen: both
+    tables are read-only copies.
     """
 
     index: tuple[str, ...]
-    node: dict[GlObject, GluingFunctor]
-    edge: dict[tuple[GlObject, GlObject], Refinement]
+    node: Mapping[GlObject, GluingFunctor]
+    edge: Mapping[tuple[GlObject, GlObject], Refinement]
+
+    __hash__ = None  # the tables are not hashable
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", tuple(self.index))
+        object.__setattr__(self, "node", read_only(self.node))
+        object.__setattr__(self, "edge", read_only(self.edge))
 
 
 def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
@@ -236,10 +247,11 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
 
     Patches and overlaps of the composed datum are glued node spaces; anchors
     and transitions are the induced maps of the edges.  Triple spaces are the
-    canonical pullbacks of the composed anchors, with transitions derived.
-    For each triple node present, the map into the pullback of its glued pair
-    spaces assembled from the projection edges must be an isomorphism;
-    ``HypothesisBFailed`` reports any triple where it is not.
+    canonical pullbacks of the composed anchors, with transitions derived,
+    and the composed datum must validate.  For each triple node present, the
+    map into the pullback of its glued pair spaces assembled from the
+    projection edges must be an isomorphism; ``HypothesisBFailed`` reports any
+    triple where it is not.  A missing node or edge raises ``MissingComponent``.
     """
     rep = Report()
     idx = tuple(sorted(set(meta.index)))
@@ -247,45 +259,32 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
     for obj in sorted(meta.node, key=repr):
         glued[obj] = glue(meta.node[obj].data)
         rep.add("node-glued", repr(obj), True, f"{len(glued[obj].space.points)} points")
-    for key in sorted(meta.edge, key=repr):
-        a, b = key
-        r = meta.edge[key]
+    for (a, b), r in sorted(meta.edge.items(), key=lambda kv: repr(kv[0])):
         edge_rep = check_refinement(r)
         rep.add("edge-checks", f"{a}->{b}", edge_rep.passed)
         if not edge_rep.passed:
             raise ValidationFailed(edge_rep, f"edge {a}->{b} does not check")
 
+    def space_at(obj: GlObject) -> FiniteSpace:
+        if obj not in glued:
+            raise MissingComponent(f"meta gluing has no node for {obj}")
+        return glued[obj].space
+
     def induced(a: GlObject, b: GlObject) -> SpaceMap:
-        if a == b:
-            return identity_map(glued[a].space)
         if (a, b) not in meta.edge:
             raise MissingComponent(f"meta gluing has no edge for {a}->{b}")
         return _induced_map(meta.edge[(a, b)], glued[b], glued[a])
 
-    patch = {i: glued[single(i)].space for i in idx}
-    overlap = {}
-    anchor = {}
-    transition = {}
-    for i in idx:
-        for j in idx:
-            if i == j:
-                continue
-            overlap[(i, j)] = glued[pair(i, j)].space
-            anchor[(i, j)] = induced(single(i), pair(i, j))
-            transition[(i, j)] = induced(pair(j, i), pair(i, j))
-    composed = derive_triple_maps(
-        make_gluing_data(idx, patch, overlap, anchor, transition)
-    )
+    composed = derive_triple_maps(make_gluing_data(idx, *_pair_tables(idx, space_at, induced)))
+    fun = functor_of(composed)
     for obj in glidx.objects(idx):
         if obj.arity != 3:
             continue
         if obj not in meta.node:
             rep.add("pushout-condition", repr(obj), True, "no node given; skipped")
             continue
-        canonical = lift(
-            [induced(pair(obj.head, n), obj) for n in obj.rest],
-            [composed.triple_proj[(obj, n)] for n in obj.rest],
-        )
+        faces = [pair(obj.head, n) for n in obj.rest]
+        canonical = lift([induced(a, obj) for a in faces], [fun.gen[(a, obj)] for a in faces])
         witness = None
         if not isinstance(canonical, SpaceMap):
             witness = f"{canonical[0]!r} lands outside the pullback"
@@ -294,6 +293,5 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
         rep.add("pushout-condition", repr(obj), witness is None, witness)
         if witness is not None:
             raise HypothesisBFailed(obj.head, *obj.rest, f"triple {obj}: {witness}")
-    fun = functor_of(composed)
     rep.add("composed-validates", "all", True)
     return fun, rep

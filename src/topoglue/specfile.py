@@ -257,14 +257,19 @@ def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:
             raise ParseError(no, f"unknown gluing entry {key!r}")
     if not index:
         raise ParseError(block.line_no, "gluing needs an index line")
-    for no, entry_labels in labels:
-        for label in entry_labels:
-            if label not in index:
-                raise UnresolvedReference(f"line {no}: index label {label!r} is not in 'index:'")
+    _check_labels(labels, index)
     data = make_gluing_data(index, patch, overlap, anchor, transition, triples)
     if derive:
         data = derive_triple_maps(data)
     return data
+
+
+def _check_labels(labels: list[tuple[int, list[str]]], index: list[str]) -> None:
+    """Raise ``UnresolvedReference`` for the first entry label that is not in ``index``."""
+    for no, entry_labels in labels:
+        for label in entry_labels:
+            if label not in index:
+                raise UnresolvedReference(f"line {no}: index label {label!r} is not in 'index:'")
 
 
 def _parse_object(line_no: int, fields: list[str]) -> GlObject:
@@ -338,8 +343,10 @@ def _parse_meta(block: _Block, doc: SpecDocument) -> GdfGluingData:
     index: list[str] = []
     node: dict[GlObject, GluingFunctor] = {}
     edge: dict[tuple[GlObject, GlObject], Refinement] = {}
+    labels: list[tuple[int, list[str]]] = []
     for no, key, value in _entries(block):
         fields = key.split()
+        labels.append((no, fields[2:] if fields[0] == "edge" else fields[1:]))
         if key == "index":
             index = value.split()
         elif fields[0] == "node":
@@ -354,6 +361,7 @@ def _parse_meta(block: _Block, doc: SpecDocument) -> GdfGluingData:
             raise ParseError(no, f"unknown meta entry {key!r}")
     if not index:
         raise ParseError(block.line_no, "meta needs an index line")
+    _check_labels(labels, index)
     return GdfGluingData(tuple(sorted(set(index))), node, edge)
 
 

@@ -449,6 +449,105 @@ class TestExitCodes:
         assert "map entry 'a' repeats line" in err
 
 
+# One input per error path: a document (None: the circle example), the command
+# with its targets, and the message on stderr.
+INPUT_ERRORS = {
+    "minopen-and-opens": (
+        "space X\n  points: a\n  minopen a: a\n  opens: a\nend\n", ("validate",),
+        "line 1: give either minopen lines or opens lines, not both",
+    ),
+    "map-header-without-arrow": (
+        "space A\n  points: a\nend\nmap f: A A\n  a -> a\nend\n", ("validate",),
+        "line 4: map header must read 'map NAME: DOM -> COD'",
+    ),
+    "gluing-without-index": (
+        "space A\n  points: a\nend\ngluing G\n  patch 1: A\nend\n", ("validate",),
+        "line 4: gluing needs an index line",
+    ),
+    "cone-without-apex": (
+        "cone K\n  over: G\nend\n", ("validate",), "line 1: cone needs 'over' and 'apex'",
+    ),
+    "four-index-leg": (
+        "cone K\n  leg 1 2 1 2: f\nend\n", ("validate",),
+        "line 2: object needs 1 to 3 indices, got ['1', '2', '1', '2']",
+    ),
+    "unknown-generator-kind": (
+        "meta M\n  edge foo 1 2: R\nend\n", ("validate",), "line 2: unknown generator kind 'foo'",
+    ),
+    "generator-arity": (
+        "meta M\n  edge eta 1: R\nend\n", ("validate",), "line 2: generator eta needs 2 indices",
+    ),
+    "identity-edge": (
+        "meta M\n  index: 1\n  edge tau 1 1: R\nend\n", ("validate",),
+        "line 3: edge generator is an identity",
+    ),
+    "meta-without-index": ("meta M\nend\n", ("validate",), "line 1: meta needs an index line"),
+    "covering-without-base": (
+        "covering C\n  kind: open\nend\n", ("validate",), "line 1: covering needs a base",
+    ),
+    "mediate-one-target": (None, ("mediate", "CIRC"), "mediate needs a gluing name and a cone name"),
+    "render-dot-unknown-name": (
+        None, ("render-dot", "NOPE"), "'NOPE' is not an index set, gluing, or meta gluing",
+    ),
+    "glue-two-targets": (None, ("glue", "CIRC", "PARAM"), "glue needs exactly one target name"),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("case", INPUT_ERRORS)
+    def test_each_error_path_is_an_input_error(self, capsys, tmp_path, case):
+        text, (command, *targets), message = INPUT_ERRORS[case]
+        f = tmp_path / "doc.glue"
+        f.write_text(CIRCLE_DOC if text is None else text)
+        code, out, err = run_cli(capsys, command, str(f), *targets, "--derive-triples")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_kind_option_overrides_the_declared_kind(self, capsys, tmp_path):
+        f = tmp_path / "gluing-kind.glue"
+        f.write_text(CIRCLE_DOC.replace("kind: open", "kind: gluing"))
+        code, out, _ = run_cli(capsys, "cover-check", str(f), "TWOARCS")
+        assert code == 0 and "leg-open" not in out
+        code, out, _ = run_cli(capsys, "cover-check", str(f), "TWOARCS", "--kind", "open")
+        assert code == 0 and out.count("ok   leg-open") == 2
+
+
+class TestMetaErrors:
+    """A malformed meta gluing ends in a typed input error, never a traceback."""
+
+    def compose(self, capsys, tmp_path, text):
+        f = tmp_path / "torus.glue"
+        f.write_text(text)
+        return run_cli(capsys, "compose", str(f), "TORUS", "--derive-triples")
+
+    @pytest.mark.parametrize("line, node", [("node 1: CYL1", "[1]"), ("node 2 1: BND2", "[2,1]")])
+    def test_missing_node(self, capsys, tmp_path, line, node):
+        text = torus_document().replace(f"  {line}\n", "", 1)
+        assert self.compose(capsys, tmp_path, text) == (
+            2, "", f"error: meta gluing has no node for {node}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "line, relabelled",
+        [("node 1 2: BND1", "node 1 3: BND1"), ("edge eta 1 2: INCL1", "edge eta 1 3: INCL1")],
+    )
+    def test_label_outside_the_index(self, capsys, tmp_path, line, relabelled):
+        text = torus_document().replace(f"  {line}\n", f"  {relabelled}\n", 1)
+        no = text.splitlines().index(f"  {relabelled}") + 1
+        assert self.compose(capsys, tmp_path, text) == (
+            2, "", f"error: line {no}: index label '3' is not in 'index:'\n"
+        )
+
+    def test_each_meta_line_deleted(self, capsys, tmp_path):
+        # an exception that is not a typed error propagates out of main and fails the test
+        lines = torus_document().splitlines()
+        start = lines.index("meta TORUS")
+        end = lines.index("end", start)
+        assert end - start - 1 == 19
+        for k in range(start + 1, end):
+            code, _, _ = self.compose(capsys, tmp_path, "\n".join(lines[:k] + lines[k + 1 :]) + "\n")
+            assert code in (0, 1, 2, 3), lines[k]
+
+
 # The golden commands on their examples, without the two search-bound ones.
 FUZZ_COMMANDS = tuple(
     (command, path, *[a for a in rest if a != "--derive-triples"])

@@ -1,4 +1,7 @@
+import dataclasses
 import random
+
+import pytest
 
 from topoglue.cover import (
     Covering,
@@ -257,3 +260,17 @@ class TestRandomizedSite:
                     assert ok
                     assert pulled.kind == kind
         assert rounds == 60
+
+
+class TestFrozenCovering:
+    def test_family_is_a_tuple_copy_and_fields_are_frozen(self):
+        family = list(two_arc_covering().family)
+        c = Covering(circle4(), family, "open")
+        family.clear()
+        assert isinstance(c.family, tuple) and len(c.family) == 2
+        assert hash(c) == hash(Covering(c.base, list(c.family), c.kind))
+        result = functor_of_covering(c)
+        for value in (c, result):
+            for f in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, f.name, getattr(value, f.name))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -320,6 +321,12 @@ class TestComposeGdf:
         assert compose(mu2, mu1) == identity_map(g_meta.space)
         assert compose(mu1, mu2) == identity_map(g_seq.space)
 
+    def test_missing_pair_node_is_a_missing_component(self):
+        meta, _ = torus_meta()
+        nodes = {obj: fun for obj, fun in meta.node.items() if obj != pair("2", "1")}
+        with pytest.raises(MissingComponent, match=r"meta gluing has no node for \[2,1\]"):
+            compose_gdf(GdfGluingData(meta.index, nodes, meta.edge))
+
     def test_pushout_condition_failure_raises(self):
         with pytest.raises(HypothesisBFailed) as info:
             compose_gdf(counter_meta())
@@ -334,3 +341,38 @@ class TestComposeGdf:
             glued = glue(gd)
             rep = check_otop(gd, glued)
             assert rep.applicable and rep.passed, str(rep)
+
+
+class TestFrozenRefinementLayer:
+    def test_tables_and_attributes_are_read_only(self):
+        meta, _ = torus_meta()
+        r = meta.edge[(single("1"), pair("1", "2"))]
+        with pytest.raises(TypeError):
+            r.components[single("1")] = r.components[single("1")]
+        with pytest.raises(TypeError):
+            r.gamma.table["1"] = "2"
+        with pytest.raises(AttributeError):
+            meta.node.clear()
+        with pytest.raises(TypeError):
+            meta.edge[(single("1"), pair("1", "2"))] = r
+        for value in (r, r.gamma, meta):
+            for f in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, f.name, getattr(value, f.name))
+            with pytest.raises(TypeError):
+                hash(value)
+
+    def test_constructor_tables_are_copied(self):
+        meta, _ = torus_meta()
+        r = meta.edge[(single("1"), pair("1", "2"))]
+        table = dict(r.gamma.table)
+        gamma = IndexMap(r.gamma.source, r.gamma.target, table)
+        comps = dict(r.components)
+        copy = Refinement(gamma, r.fine, r.coarse, comps)
+        node, edge = dict(meta.node), dict(meta.edge)
+        meta_copy = GdfGluingData(list(meta.index), node, edge)
+        for d in (table, comps, node, edge):
+            d.clear()
+        assert copy.gamma.table == r.gamma.table and copy.components == r.components
+        assert check_refinement(copy).passed
+        assert (meta_copy.index, meta_copy.node, meta_copy.edge) == (meta.index, meta.node, meta.edge)
