@@ -14,16 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import cover as cover_mod
 from . import dot, fintop, gdata, glue as glue_mod, refine as refine_mod
-from .errors import (
-    HypothesisBFailed,
-    IllDefined,
-    NotCovering,
-    NotEquivalence,
-    TopoglueError,
-    UnknownCommand,
-    UnknownTarget,
-    ValidationFailed,
-)
+from .errors import TopoglueError, UnknownCommand, UnknownTarget
 from .specfile import SpecDocument, parse_spec
 
 @dataclass
@@ -277,10 +268,8 @@ def render_dot(doc: SpecDocument, target: str) -> str:
 
 
 def _default_opts():
-    return argparse.Namespace(
-        budget=fintop.DEFAULT_MAP_BUDGET, mode=None, kind=None, seed=0, count=25,
-        machine=False, derive_triples=False,
-    )
+    """The options of a command line that sets none of them."""
+    return _build_parser().parse_args([COMMANDS[0], ""])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -317,11 +306,9 @@ def main(argv=None) -> int:
     try:
         doc = parse_spec(text, derive_triples=opts.derive_triples)
         report = run(doc, opts.command, opts.targets, opts)
-    except (ValidationFailed, NotEquivalence, IllDefined, NotCovering, HypothesisBFailed) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return exc.exit_code
     except TopoglueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        prefix = "check failed" if exc.exit_code == 1 else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
     print(report.machine() if opts.machine else report.human())
     return report.exit_code

@@ -223,15 +223,18 @@ def _add_continuity(rep: Report, name: str, subject: str, f: SpaceMap) -> None:
 def _triples_present(gd: GluingData, rep: Report) -> bool:
     """Add a failing ``triple-present`` row per missing triple transition; True if none is."""
     missing = [
-        (i, j, k)
-        for i in gd.index
-        for j in gd.index
-        for k in gd.index
-        if i != j and (i, j, k) not in gd.triple_transition
+        t for t in product(gd.index, repeat=3) if t[0] != t[1] and t not in gd.triple_transition
     ]
     for key in missing:
         rep.add("triple-present", str(key), False, "missing triple transition")
     return not missing
+
+
+def _require_triples(gd: GluingData) -> None:
+    """Raise ValidationFailed, with the ``triple-present`` rows, if a triple transition is missing."""
+    rep = Report()
+    if not _triples_present(gd, rep):
+        raise ValidationFailed(rep)
 
 
 def validate(gd: GluingData) -> Report:
@@ -360,9 +363,7 @@ def functor_tables(gd: GluingData) -> GluingFunctor:
     map, raises ValidationFailed, with the ``triple-present`` rows of
     ``validate``.
     """
-    rep = Report()
-    if not _triples_present(gd, rep):
-        raise ValidationFailed(rep)
+    _require_triples(gd)
     obj_table = {o: gd.space_of(o) for o in glidx.objects(gd.index)}
     gen_table = {dc: _generator_image(gd, gen) for dc, gen in glidx.edges(gd.index).items()}
     return GluingFunctor(gd, obj_table, gen_table)

@@ -140,10 +140,11 @@ def raw_generators(index: Iterable[str]) -> list[GlGen]:
 
 @dataclass(frozen=True)
 class _Category:
-    """The objects, generator edges and reachability of one index set."""
+    """The objects, generator edges, faces and reachability of one index set."""
 
     objects: tuple[GlObject, ...]
     edges: Mapping[tuple[GlObject, GlObject], GlGen]
+    faces: Mapping[GlObject, tuple[GlObject, ...]]
     reach: Mapping[GlObject, frozenset[GlObject]]
 
 
@@ -159,8 +160,11 @@ def _category(idx: tuple[str, ...]) -> _Category:
         if gen.dom != gen.cod:
             first.setdefault((gen.dom, gen.cod), gen)
     out: dict[GlObject, list[GlObject]] = {o: [] for o in objs}
-    for d, c in first:
+    into: dict[GlObject, list[GlObject]] = {o: [] for o in objs}
+    for (d, c), gen in first.items():
         out[d].append(c)
+        if gen.kind in ("eta", "eta3"):
+            into[c].append(d)
     reach = {}
     for a in objs:
         seen, todo = {a}, [a]
@@ -170,7 +174,8 @@ def _category(idx: tuple[str, ...]) -> _Category:
                     seen.add(c)
                     todo.append(c)
         reach[a] = frozenset(seen)
-    return _Category(tuple(objs), MappingProxyType(first), MappingProxyType(reach))
+    faces = {o: tuple(into[o]) for o in objs if into[o]}
+    return _Category(tuple(objs), *map(MappingProxyType, (first, faces, reach)))
 
 
 def _of(index: Iterable[str]) -> _Category:
@@ -185,6 +190,12 @@ def objects(index: Iterable[str]) -> tuple[GlObject, ...]:
 def edges(index: Iterable[str]) -> Mapping[tuple[GlObject, GlObject], GlGen]:
     """One raw generator per non-identity endpoint pair (dom, cod), the first in raw order."""
     return _of(index).edges
+
+
+def faces(index: Iterable[str]) -> Mapping[GlObject, tuple[GlObject, ...]]:
+    """Each pair and triple object, in display order, to the sources of its eta and eta3 edges:
+    ``[i,j] -> ([i],)`` and ``[i|{j,k}] -> ([i,j], [i,k])``, where ``[i,i]`` reads ``[i]``."""
+    return _of(index).faces
 
 
 def hom(index: Iterable[str], a: GlObject, b: GlObject) -> GlMorphism | None:

@@ -37,8 +37,8 @@ from .fintop import (
     is_open,
     read_only,
 )
-from .gdata import GluingData, Report, functor_tables, validate
-from .glidx import GlObject, pair, single
+from .gdata import GluingData, Report, _generator_image, _require_triples, validate
+from .glidx import GlObject, single
 
 CONE_MODES = ("full", "figure3", "figure4")
 
@@ -195,47 +195,40 @@ def glue(gd: GluingData) -> GluedSpace:
 def complete_cone(
     gd: GluingData, apex: FiniteSpace, single_legs: Mapping[str, SpaceMap]
 ) -> Cone:
-    """Extend patch legs to a full leg family using the forced factorizations."""
+    """Extend patch legs to a full leg family using the forced factorizations.
+
+    Each pair and triple leg, pairs first, is its first face's leg composed
+    with the map of the edge between them (``glidx.faces``).
+    """
     legs: dict[GlObject, SpaceMap] = {}
     for i in gd.index:
         if i not in single_legs:
             raise MissingLeg(f"no leg for patch {i!r}")
         legs[single(i)] = single_legs[i]
-    for i in gd.index:
-        for j in gd.index:
-            if i != j:
-                legs[pair(i, j)] = compose(legs[single(i)], gd.anchor[(i, j)])
-    for obj in glidx.objects(gd.index):
-        if obj.arity == 3:
-            j = obj.rest[0]
-            legs[obj] = compose(legs[pair(obj.head, j)], gd.triple_proj[(obj, j)])
+    edges = glidx.edges(gd.index)
+    for obj, (a, *_) in glidx.faces(gd.index).items():
+        legs[obj] = compose(legs[a], _generator_image(gd, edges[(a, obj)]))
     return Cone(apex, legs)
 
 
 def _cone_edges(gd: GluingData, mode: str) -> list[tuple[GlObject, GlObject, SpaceMap]]:
     """The triples (a, b, f) whose triangles ``leg(a) . f == leg(b)`` a mode checks.
 
-    ``full``: every non-identity generator edge a -> b of the index category,
-    with its image f under the functor.  ``figure3``: the anchor triangles
-    [i] -> [i,j], the transition triangles [j,i] -> [i,j] and the projection
-    triangles [i,n] -> [i|{j,k}].  ``figure4``: the same, with the transition
-    triangle in its through-the-patch form [j] -> [i,j].
+    A filter of the generator edges a -> b, in edge order, with f the edge's
+    map.  ``full`` keeps every edge (so it needs every triple transition).
+    ``figure3`` drops the tau3 edges, keeping the anchor, transition and
+    projection triangles; ``figure4`` drops them too and takes each
+    transition triangle [j,i] -> [i,j] through the patch, as [j] -> [i,j].
     """
     if mode == "full":
-        return [(a, b, f) for (a, b), f in functor_tables(gd).gen.items()]
-    idx = gd.index
+        _require_triples(gd)
     edges = []
-    for i in idx:
-        for j in idx:
-            edges.append((single(i), pair(i, j), gd.anchor[(i, j)]))
-            if mode == "figure3":
-                edges.append((pair(j, i), pair(i, j), gd.transition[(i, j)]))
-            else:
-                through = compose(gd.anchor[(j, i)], gd.transition[(i, j)])
-                edges.append((single(j), pair(i, j), through))
-    for obj in glidx.objects(idx):
-        if obj.arity == 3:
-            edges += [(pair(obj.head, n), obj, gd.triple_proj[(obj, n)]) for n in obj.rest]
+    for (a, b), gen in glidx.edges(gd.index).items():
+        if gen.kind == "tau" and mode == "figure4":
+            i, j = gen.indices
+            edges.append((single(j), b, compose(gd.anchor[(j, i)], gd.transition[(i, j)])))
+        elif gen.kind != "tau3" or mode == "full":
+            edges.append((a, b, _generator_image(gd, gen)))
     return edges
 
 
@@ -281,10 +274,11 @@ def cone_failure(
 def check_cone(gd: GluingData, cone: Cone, mode: str = "full") -> bool:
     """Whether the candidate is a cone: ``cone_failure`` finds no failing triangle.
 
-    ``full`` checks the generator edges.  That covers every morphism: the
-    index category is thin and every morphism is a path of generator edges,
-    so when each edge commutes every path commutes, and each edge is itself
-    a morphism.  ``figure3`` and ``figure4`` check the paper's triangles.
+    Each mode is a filter of the generator edges (``_cone_edges``).  ``full``
+    covers every morphism: the index category is thin and every morphism is
+    a path of generator edges, so when each edge commutes every path
+    commutes.  ``figure3`` and ``figure4`` check the paper's triangles; like
+    ``full`` they compare no identity, so no diagonal anchor or transition.
     The three modes are equivalent verdicts for lawful data.
     """
     return cone_failure(gd, cone, mode) is None
@@ -302,19 +296,15 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
     rep = Report()
     idx = gd.index
     legs = _typed_legs(gd, candidate, glidx.objects(idx))
-    for i in idx:
-        for j in idx:
-            if i != j:
-                w = disagreement([legs[single(i)], gd.anchor[(i, j)]], [legs[pair(i, j)]])
-                rep.add("a-pair-factors", f"({i},{j})", w is None, w)
-    for obj in glidx.objects(idx):
-        if obj.arity == 3:
-            witnesses = [
-                disagreement([legs[pair(obj.head, n)], gd.triple_proj[(obj, n)]], [legs[obj]])
-                for n in obj.rest
-            ]
-            failed = [w for w in witnesses if w is not None]
-            rep.add("b-triple-factors", repr(obj), not failed, failed[-1] if failed else None)
+    edges = glidx.edges(idx)
+    for obj, faces in glidx.faces(idx).items():
+        paths = [[legs[a], _generator_image(gd, edges[(a, obj)])] for a in faces]
+        failed = [w for p in paths if (w := disagreement(p, [legs[obj]])) is not None]
+        if obj.arity == 2:
+            name, subject = "a-pair-factors", f"({obj.head},{obj.rest[0]})"
+        else:
+            name, subject = "b-triple-factors", repr(obj)
+        rep.add(name, subject, not failed, failed[-1] if failed else None)
     links = _links(gd)
     for (i, j), pairs in links.items():
         leg_i, leg_j = legs[single(i)], legs[single(j)]
@@ -533,14 +523,11 @@ def check_otop(gd: GluingData, glued: Cone) -> OtopReport:
     """
     legs = _typed_legs(gd, glued, map(single, gd.index))
     rep = OtopReport()
-    for key in sorted(gd.anchor):
-        if not analyze_map(gd.anchor[key]).open_map:
-            rep.applicable = False
-            rep.add("data-open", f"anchor{key}", False, "not an open map")
-    for key in sorted(gd.transition):
-        if not analyze_map(gd.transition[key]).open_map:
-            rep.applicable = False
-            rep.add("data-open", f"transition{key}", False, "not an open map")
+    for kind, table in (("anchor", gd.anchor), ("transition", gd.transition)):
+        for key in sorted(table):
+            if not analyze_map(table[key]).open_map:
+                rep.applicable = False
+                rep.add("data-open", f"{kind}{key}", False, "not an open map")
     covered = set()
     for obj, leg in legs.items():
         r = analyze_map(leg)

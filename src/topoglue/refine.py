@@ -15,6 +15,7 @@ from typing import Mapping
 
 from . import glidx
 from .errors import (
+    CompositionMismatch,
     HypothesisBFailed,
     MissingComponent,
     ValidationFailed,
@@ -38,7 +39,7 @@ from .gdata import (
     functor_of,
     make_gluing_data,
 )
-from .glidx import GlObject, normalize, pair, single
+from .glidx import GlObject, normalize, single
 from .glue import Cone, GluedSpace, glue, mediate
 
 
@@ -117,18 +118,18 @@ def complete_refinement(
     """Fill missing pair and triple components where commutation forces them.
 
     Pairs come before triples.  A missing component at ``obj`` is lifted along
-    the coarse functor's generator edges into ``obj`` from its faces: the
-    patch of its head for a pair, and its two pair coordinates for a triple.
+    the coarse functor's generator edges into ``obj`` from its faces
+    (``glidx.faces``): the patch of its head for a pair, and its two pair
+    coordinates for a triple.
     Anything not uniquely forced raises ``MissingComponent``.
     """
     comps = dict(components)
     for i in gamma.source:
         if single(i) not in comps:
             raise MissingComponent(f"patch component for {i!r} must be given")
-    for obj in glidx.objects(gamma.source):
-        if obj.arity == 1 or obj in comps:
+    for obj, faces in glidx.faces(gamma.source).items():
+        if obj in comps:
             continue
-        faces = [single(obj.head)] if obj.arity == 2 else [pair(obj.head, n) for n in obj.rest]
         lifted = lift(
             [compose(comps[a], _reindexed_map(gamma, fine, a, obj)) for a in faces],
             [coarse.gen[(a, obj)] for a in faces],
@@ -245,13 +246,16 @@ class GdfGluingData:
 def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
     """Glue every node and assemble the glued spaces into one gluing functor.
 
-    Patches and overlaps of the composed datum are glued node spaces; anchors
-    and transitions are the induced maps of the edges.  Triple spaces are the
-    canonical pullbacks of the composed anchors, with transitions derived,
-    and the composed datum must validate.  For each triple node present, the
-    map into the pullback of its glued pair spaces assembled from the
-    projection edges must be an isomorphism; ``HypothesisBFailed`` reports any
-    triple where it is not.  A missing node or edge raises ``MissingComponent``.
+    Every edge a -> b must run from fine functor ``node[b]`` to coarse functor
+    ``node[a]`` (else ``CompositionMismatch``) and check.  Patches and overlaps
+    of the composed datum are glued node spaces; anchors and transitions are
+    the induced maps of the eta and tau edges.  Triple spaces are the
+    canonical pullbacks of the composed anchors, with transitions derived, and
+    the composed datum must validate.  For each triple node present, the map
+    into the pullback of its glued pair spaces assembled from the eta3 edges
+    into it must be an isomorphism (``HypothesisBFailed``).  The tau3 edges
+    are checked but not read.  A missing node or read edge raises
+    ``MissingComponent``.
     """
     rep = Report()
     idx = tuple(sorted(set(meta.index)))
@@ -259,15 +263,25 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
     for obj in sorted(meta.node, key=repr):
         glued[obj] = glue(meta.node[obj].data)
         rep.add("node-glued", repr(obj), True, f"{len(glued[obj].space.points)} points")
+
+    def node_at(obj: GlObject) -> GluingFunctor:
+        if obj not in meta.node:
+            raise MissingComponent(f"meta gluing has no node for {obj}")
+        return meta.node[obj]
+
     for (a, b), r in sorted(meta.edge.items(), key=lambda kv: repr(kv[0])):
+        coarse, fine = node_at(a), node_at(b)
+        if r.coarse.obj != coarse.obj or r.fine.obj != fine.obj:
+            raise CompositionMismatch(
+                f"the refinement on edge {a}->{b} does not run from node {b} to node {a}"
+            )
         edge_rep = check_refinement(r)
         rep.add("edge-checks", f"{a}->{b}", edge_rep.passed)
         if not edge_rep.passed:
             raise ValidationFailed(edge_rep, f"edge {a}->{b} does not check")
 
     def space_at(obj: GlObject) -> FiniteSpace:
-        if obj not in glued:
-            raise MissingComponent(f"meta gluing has no node for {obj}")
+        node_at(obj)  # MissingComponent unless obj is a node
         return glued[obj].space
 
     def induced(a: GlObject, b: GlObject) -> SpaceMap:
@@ -277,13 +291,12 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
 
     composed = derive_triple_maps(make_gluing_data(idx, *_pair_tables(idx, space_at, induced)))
     fun = functor_of(composed)
-    for obj in glidx.objects(idx):
+    for obj, faces in glidx.faces(idx).items():
         if obj.arity != 3:
             continue
         if obj not in meta.node:
             rep.add("pushout-condition", repr(obj), True, "no node given; skipped")
             continue
-        faces = [pair(obj.head, n) for n in obj.rest]
         canonical = lift([induced(a, obj) for a in faces], [fun.gen[(a, obj)] for a in faces])
         witness = None
         if not isinstance(canonical, SpaceMap):

@@ -1,0 +1,65 @@
+"""Cone legs and cone triangles spelled out table by table: the reference for tests.
+
+The library walks the index category's generator edges (``glidx.edges`` and
+``glidx.faces``) to build cone legs and to list the triangles each cone mode
+compares.  These helpers keep the hand-built versions, which read the anchor,
+transition and projection tables directly, so that a test can compare the
+two.
+
+- ``complete_cone`` extends patch legs through the anchors and projections;
+- ``cone_edges`` lists a mode's triangles, the diagonal (i = i) ones included;
+- ``cone_failure`` is the first failing triangle of a mode, as (a, b, point).
+"""
+
+from __future__ import annotations
+
+from topoglue import glidx
+from topoglue.fintop import compose, disagreement
+from topoglue.gdata import functor_tables
+from topoglue.glidx import pair, single
+from topoglue.glue import Cone, _typed_legs
+
+
+def complete_cone(gd, apex, single_legs) -> Cone:
+    legs = {single(i): single_legs[i] for i in gd.index}
+    for i in gd.index:
+        for j in gd.index:
+            if i != j:
+                legs[pair(i, j)] = compose(legs[single(i)], gd.anchor[(i, j)])
+    for obj in glidx.objects(gd.index):
+        if obj.arity == 3:
+            j = obj.rest[0]
+            legs[obj] = compose(legs[pair(obj.head, j)], gd.triple_proj[(obj, j)])
+    return Cone(apex, legs)
+
+
+def cone_edges(gd, mode):
+    """``full``: the functor's generator table.  ``figure3``: the anchor triangles
+    [i] -> [i,j], the transition triangles [j,i] -> [i,j] and the projection
+    triangles [i,n] -> [i|{j,k}].  ``figure4``: the same, with each transition
+    triangle in its through-the-patch form [j] -> [i,j]."""
+    if mode == "full":
+        return [(a, b, f) for (a, b), f in functor_tables(gd).gen.items()]
+    idx = gd.index
+    edges = []
+    for i in idx:
+        for j in idx:
+            edges.append((single(i), pair(i, j), gd.anchor[(i, j)]))
+            if mode == "figure3":
+                edges.append((pair(j, i), pair(i, j), gd.transition[(i, j)]))
+            else:
+                through = compose(gd.anchor[(j, i)], gd.transition[(i, j)])
+                edges.append((single(j), pair(i, j), through))
+    for obj in glidx.objects(idx):
+        if obj.arity == 3:
+            edges += [(pair(obj.head, n), obj, gd.triple_proj[(obj, n)]) for n in obj.rest]
+    return edges
+
+
+def cone_failure(gd, cone, mode):
+    legs = _typed_legs(gd, cone, glidx.objects(gd.index))
+    for a, b, f in cone_edges(gd, mode):
+        point = disagreement([legs[a], f], [legs[b]])
+        if point is not None:
+            return a, b, point
+    return None

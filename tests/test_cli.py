@@ -13,6 +13,7 @@ from doc_fixtures import BROKEN_TRIPLE_DOC, CIRCLE_DOC, torus_document
 from topoglue import cover as cover_mod
 from topoglue import glue as glue_mod
 from topoglue.cli import main
+from topoglue.gdata import Report
 from topoglue.specfile import parse_spec
 
 REPO = Path(__file__).resolve().parent.parent
@@ -519,7 +520,10 @@ class TestMetaErrors:
         f.write_text(text)
         return run_cli(capsys, "compose", str(f), "TORUS", "--derive-triples")
 
-    @pytest.mark.parametrize("line, node", [("node 1: CYL1", "[1]"), ("node 2 1: BND2", "[2,1]")])
+    @pytest.mark.parametrize(
+        "line, node",
+        [("node 1: CYL1", "[1]"), ("node 2 1: BND2", "[2,1]"), ("node 1 1 2: BND1", "[1,1,2]")],
+    )
     def test_missing_node(self, capsys, tmp_path, line, node):
         text = torus_document().replace(f"  {line}\n", "", 1)
         assert self.compose(capsys, tmp_path, text) == (
@@ -535,6 +539,13 @@ class TestMetaErrors:
         no = text.splitlines().index(f"  {relabelled}") + 1
         assert self.compose(capsys, tmp_path, text) == (
             2, "", f"error: line {no}: index label '3' is not in 'index:'\n"
+        )
+
+    def test_edge_refinement_between_other_nodes(self, capsys, tmp_path):
+        # IDB1 refines BND1 to BND1, but the coarse node of [1]->[1,2] is CYL1
+        text = torus_document().replace("  edge eta 1 2: INCL1\n", "  edge eta 1 2: IDB1\n", 1)
+        assert self.compose(capsys, tmp_path, text) == (
+            2, "", "error: the refinement on edge [1]->[1,2] does not run from node [1,2] to node [1]\n"
         )
 
     def test_each_meta_line_deleted(self, capsys, tmp_path):
@@ -849,6 +860,37 @@ class TestErrorExitCodes:
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         table = "`1` a check failed, `2` input error,\n`3` search budget exceeded"
         assert table in readme
+
+
+# Constructor arguments of the error classes that take more than a message.
+ERROR_ARGS = {
+    "InvalidTopology": ("a", "b"),
+    "SearchBudgetExceeded": ("search", 2, 1),
+    "ValidationFailed": (Report(),),
+    "NotDetermined": ("1", "2", "3", "p", []),
+    "NotEquivalence": (("a", "b"),),
+    "IllDefined": (("q", ["a", "b"]),),
+    "HypothesisBFailed": ("1", "2", "3"),
+    "ParseError": (1, "bad line"),
+}
+
+
+class TestErrorPrefixes:
+    @pytest.mark.parametrize("name", ERROR_EXIT_CODES)
+    def test_main_prints_the_prefix_of_the_exit_code(
+        self, capsys, monkeypatch, circle_file, name
+    ):
+        from topoglue import cli, errors
+
+        exc = getattr(errors, name)(*ERROR_ARGS.get(name, ("boom",)))
+
+        def raising(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "run", raising)
+        code = ERROR_EXIT_CODES[name]
+        prefix = "check failed" if code == 1 else "error"
+        assert run_cli(capsys, "validate", circle_file) == (code, "", f"{prefix}: {exc}\n")
 
 
 class TestRunApi:

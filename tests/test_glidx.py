@@ -9,6 +9,7 @@ from topoglue.glidx import (
     GlMorphism,
     compose_path,
     edges,
+    faces,
     hom,
     normalize,
     objects,
@@ -117,6 +118,34 @@ class TestGenerators:
         assert set(first) == {(g.dom, g.cod) for g in raw if g.dom != g.cod}
         for (d, c), gen in first.items():
             assert gen == next(g for g in raw if (g.dom, g.cod) == (d, c))
+
+
+class TestFaces:
+    def test_shapes(self):
+        table = faces(I3)
+        assert table[pair("2", "3")] == (single("2"),)
+        assert table[normalize(("1", "2", "3"))] == (pair("1", "2"), pair("1", "3"))
+        assert table[normalize(("2", "1", "3"))] == (pair("2", "1"), pair("2", "3"))
+
+    def test_degenerate_triple(self):
+        # [i|{i,k}] has the patch [i] and the pair [i,k] as faces, in the order of rest
+        assert faces(I3)[normalize(("1", "1", "3"))] == (single("1"), pair("1", "3"))
+        assert faces(I3)[normalize(("3", "1", "3"))] == (pair("3", "1"), single("3"))
+
+    @pytest.mark.parametrize("idx", [("i",), I2, I3, ("1", "2", "3", "4")])
+    def test_pairs_before_triples_each_with_the_sources_of_its_eta_edges(self, idx):
+        table = faces(idx)
+        assert list(table) == [o for o in objects(idx) if o.arity > 1]
+        for obj, sources in table.items():
+            ns = (obj.head,) if obj.arity == 2 else obj.rest
+            assert sources == tuple(pair(obj.head, n) for n in ns)
+            into = [(d, g.kind) for (d, c), g in edges(idx).items() if c == obj]
+            assert [d for d, kind in into if kind in ("eta", "eta3")] == list(sources)
+
+    def test_built_once_and_read_only(self):
+        assert faces(I3) is faces(reversed(I3))
+        with pytest.raises(TypeError):
+            faces(I3)[pair("1", "2")] = (single("2"),)
 
 
 class TestHom:

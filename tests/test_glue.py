@@ -5,6 +5,7 @@ from collections.abc import Mapping
 
 import pytest
 
+import cone_reference
 from conftest import digital_circle, digital_circle_data, random_lawful_data
 from oracles import first_difference
 from paths import find_path, realize
@@ -536,6 +537,53 @@ class TestFullConeEdgeCheck:
         monkeypatch.setattr(glue_mod, "compose", counting_compose)
         assert check_cone(gd, cone, "full")
         assert len(calls) <= len(glidx.objects(gd.index)) + len(functor_tables(gd).gen)
+
+
+class TestConeEdgesMatchTableReference:
+    """Legs and cone triangles read off the generator edges; the table-by-table lists are the reference."""
+
+    def test_same_failure_and_legs_as_reference_on_seeded_cones(self):
+        rng = random.Random(31)
+        data = [
+            (gd_circ(), 120),
+            (cylinder_data("1"), 120),
+            (digital_circle_data(12, 3), 40),
+            (digital_circle_data(8, 4), 30),
+        ]
+        data += [(random_lawful_data(rng), 12) for _ in range(10)]
+        failures = {mode: 0 for mode in CONE_MODES}
+        checks = 0
+        for gd, count in data:
+            glued = glue(gd)
+            if len(glued.space.points) < 2:
+                continue
+            for _ in range(count):
+                cone = _redirected(glued, rng, rng.randint(0, 3))
+                singles = {i: cone.leg(single(i)) for i in gd.index}
+                completed = complete_cone(gd, cone.apex, singles)
+                reference = cone_reference.complete_cone(gd, cone.apex, singles)
+                assert dict(completed.legs) == dict(reference.legs)
+                for candidate in (cone, completed):
+                    checks += 1
+                    for mode in CONE_MODES:
+                        failure = cone_failure(gd, candidate, mode)
+                        assert failure == cone_reference.cone_failure(gd, candidate, mode)
+                        failures[mode] += failure is not None
+        assert all(0 < n < checks for n in failures.values()), (failures, checks)
+
+    def test_figure_modes_skip_the_diagonal_like_full(self):
+        # a non-identity diagonal anchor is unlawful (validate rejects it); the
+        # figure modes compare no identity triangle, so like full they pass
+        a = arc3()
+        swap = SpaceMap(a, a, {"l": "r", "m": "m", "r": "l"})
+        gd = make_gluing_data(["1"], {"1": a}, {}, {("1", "1"): swap}, {})
+        cone = Cone(a, {single("1"): identity_map(a)})
+        assert not validate(gd).passed
+        assert [cone_failure(gd, cone, mode) for mode in CONE_MODES] == [None] * 3
+        assert cone_reference.cone_failure(gd, cone, "full") is None
+        expected = (single("1"), single("1"), "l")
+        assert cone_reference.cone_failure(gd, cone, "figure3") == expected
+        assert cone_reference.cone_failure(gd, cone, "figure4") == expected
 
 
 class TestConeErrors:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from topoglue.errors import HypothesisBFailed, MissingComponent
+from topoglue.errors import CompositionMismatch, HypothesisBFailed, MissingComponent
 from topoglue.fintop import (
     SpaceMap,
     compose,
@@ -326,6 +326,13 @@ class TestComposeGdf:
         nodes = {obj: fun for obj, fun in meta.node.items() if obj != pair("2", "1")}
         with pytest.raises(MissingComponent, match=r"meta gluing has no node for \[2,1\]"):
             compose_gdf(GdfGluingData(meta.index, nodes, meta.edge))
+
+    def test_edge_between_other_nodes_is_a_composition_mismatch(self):
+        meta, _ = torus_meta()
+        eta, tau = (single("1"), pair("1", "2")), (pair("2", "1"), pair("1", "2"))
+        edge = {**meta.edge, eta: meta.edge[tau]}  # its coarse functor is node [2,1], not [1]
+        with pytest.raises(CompositionMismatch, match=r"edge \[1\]->\[1,2\] does not run"):
+            compose_gdf(GdfGluingData(meta.index, meta.node, edge))
 
     def test_pushout_condition_failure_raises(self):
         with pytest.raises(HypothesisBFailed) as info:
