@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import cover as cover_mod
 from . import dot, fintop, gdata, glue as glue_mod, refine as refine_mod
-from .errors import TopoglueError, UnknownCommand, UnknownTarget
+from .errors import TopoglueError, UnknownCommand, UnknownTarget, ValidationFailed
 from .specfile import SpecDocument, parse_spec
 
 @dataclass
@@ -102,10 +102,19 @@ def _cmd_check_cone(doc, targets, opts):
     decl = _named(doc.cones, "cone", name)
     gd = _named(doc.gluings, "gluing", decl.over)
     modes = [opts.mode] if opts.mode else list(glue_mod.CONE_MODES)
-    verdicts = {m: glue_mod.check_cone(gd, decl.cone, m) for m in modes}
-    ok = all(verdicts.values())
-    lines = [f"mode {m}: {'cone' if v else 'not a cone'}" for m, v in verdicts.items()]
-    return RunReport("check-cone", name, ok, lines, {"verdicts": verdicts})
+    verdicts, missing = {}, None
+    for m in modes:
+        try:
+            verdicts[m] = glue_mod.check_cone(gd, decl.cone, m)
+        except ValidationFailed as exc:  # full mode without every triple transition
+            if opts.mode:
+                raise
+            verdicts[m], missing = None, exc.report
+    words = {True: "cone", False: "not a cone", None: "not checked"}
+    head = [f"mode {m}: {words[v]}" for m, v in verdicts.items()]
+    if missing is not None:
+        return _checked("check-cone", name, missing, head, verdicts=verdicts)
+    return RunReport("check-cone", name, all(verdicts.values()), head, {"verdicts": verdicts})
 
 
 def _cmd_check_glued(doc, targets, opts):

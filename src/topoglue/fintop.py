@@ -364,12 +364,15 @@ def subspace(space: FiniteSpace, subset: Iterable[str]) -> tuple[FiniteSpace, Sp
     return sp, SpaceMap(sp, space, {x: x for x in sub})
 
 
-def pullback(f: SpaceMap, g: SpaceMap) -> tuple[FiniteSpace, SpaceMap, SpaceMap]:
+def pullback(
+    f: SpaceMap, g: SpaceMap, space_id: str | None = None
+) -> tuple[FiniteSpace, SpaceMap, SpaceMap]:
     """Pullback of a cospan: pairs with equal images, product topology restricted.
 
     The pair (u, v) is the point named ``(u,v)``; no other function makes
     such names.  Two pairs that would get one name (a point name holding
-    ``,``) raise DuplicateName.
+    ``,``) raise DuplicateName.  The space is named ``space_id``, by default
+    ``A*B`` for the domains A of ``f`` and B of ``g``.
     """
     if f.cod != g.cod:
         raise CompositionMismatch("pullback needs maps into a common codomain")
@@ -396,7 +399,7 @@ def pullback(f: SpaceMap, g: SpaceMap) -> tuple[FiniteSpace, SpaceMap, SpaceMap]
         )
         for tag, (u, v) in pair_of.items()
     }
-    sp = make_space(f"{f.dom.space_id}*{g.dom.space_id}", pair_of, table)
+    sp = make_space(space_id or f"{f.dom.space_id}*{g.dom.space_id}", pair_of, table)
     proj_f = SpaceMap(sp, f.dom, {tag: u for tag, (u, _) in pair_of.items()})
     proj_g = SpaceMap(sp, g.dom, {tag: v for tag, (_, v) in pair_of.items()})
     return sp, proj_f, proj_g

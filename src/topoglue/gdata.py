@@ -12,8 +12,9 @@ realize point the other way.
 
 A datum is frozen: its tables are read-only copies of what it was built
 from.  So it has one verdict, and ``validate`` computes its rows once per
-datum; ``dataclasses.replace`` and ``derive_triple_maps`` build a new datum,
-which gets its own.
+datum (as ``glue`` builds the patches' disjoint union once);
+``dataclasses.replace`` and ``derive_triple_maps`` build a new datum, which
+gets its own.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class CheckEntry:
 
 @dataclass
 class Report:
-    """A list of named check rows; passes when every row is ok."""
+    """A list of named check rows, passing when every row is ok: what every check returns."""
 
     entries: list[CheckEntry] = field(default_factory=list)
 
@@ -96,6 +97,12 @@ class GluingData:
         """The rows of ``validate``, from the one clause pass this datum gets."""
         return tuple(_check_laws(self).entries)
 
+    @cached_property
+    def _union(self) -> tuple[FiniteSpace, Mapping[str, SpaceMap]]:
+        """The disjoint union of the patches with each patch's injection, built once."""
+        total, injections = fintop.disjoint_union([self.patch[i] for i in self.index], self.index)
+        return total, read_only(dict(zip(self.index, injections)))
+
     def space_of(self, obj: GlObject) -> FiniteSpace:
         if obj.arity == 1:
             return self.patch[obj.head]
@@ -129,11 +136,9 @@ def _triple_tables(index, overlap, anchor):
             continue
         i = obj.head
         j, k = obj.rest
-        sp, pj, pk = fintop.pullback(anchor[(i, j)], anchor[(i, k)])
-        sp = FiniteSpace(f"T[{i},{j},{k}]", sp.points, sp.min_open)
-        spaces[obj] = sp
-        projs[(obj, j)] = SpaceMap(sp, pj.cod, pj.table)
-        projs[(obj, k)] = SpaceMap(sp, pk.cod, pk.table)
+        spaces[obj], projs[(obj, j)], projs[(obj, k)] = fintop.pullback(
+            anchor[(i, j)], anchor[(i, k)], f"T[{i},{j},{k}]"
+        )
     return spaces, projs
 
 

@@ -20,9 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import BadArity, CompositionMismatch
+
+if TYPE_CHECKING:
+    from .gdata import Report
 
 
 @dataclass(frozen=True)
@@ -205,21 +208,6 @@ def hom(index: Iterable[str], a: GlObject, b: GlObject) -> GlMorphism | None:
     return None
 
 
-@dataclass
-class RelationsReport:
-    checked: int
-    failures: list[str]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def __str__(self):
-        if self.passed:
-            return f"all {self.checked} relation instances hold"
-        return f"{len(self.failures)} relation failures: " + "; ".join(self.failures)
-
-
 def _eta(i, j):
     return GlGen("eta", (i, j))
 
@@ -287,13 +275,21 @@ def relation_instances(
                 )
 
 
-def verify_relations(index: Iterable[str]) -> RelationsReport:
-    """Check that both sides of every relation instance compose to one morphism."""
-    checked = 0
-    failures = []
+def verify_relations(index: Iterable[str]) -> Report:
+    """One report row per relation family, (a) to (e).
+
+    A row passes when both sides of every instance of its family compose to
+    one morphism; its witness is the first failing instance, as
+    ``label: lhs != rhs``.
+    """
+    from .gdata import Report  # gdata imports this module
+
+    witness: dict[str, str] = {}
     for label, dom, lhs, rhs in relation_instances(index):
-        checked += 1
         ml, mr = compose_path(dom, lhs), compose_path(dom, rhs)
         if ml != mr:
-            failures.append(f"{label}: {ml!r} != {mr!r}")
-    return RelationsReport(checked, failures)
+            witness.setdefault(label.partition(" ")[0], f"{label}: {ml!r} != {mr!r}")
+    rep = Report()
+    for family in ("(a)", "(b)", "(c1)", "(c2)", "(d)", "(e)"):
+        rep.add(family, "all", family not in witness, witness.get(family))
+    return rep

@@ -8,8 +8,9 @@ The cone checks, the six glued-object properties, ``mediate`` and the oracles
 take any cone.  The relation is emitted raw (one pair per overlap point).
 Data that passes ``validate`` need not yield an equivalence relation when an
 anchor is not injective, so ``glue`` checks the raw relation with
-``check_equivalence`` and raises ``NotEquivalence``, a cocycle diagnostic,
-instead of silently closing it.
+``check_equivalence``, a report with one row per property (reflexive,
+symmetric, transitive), and raises ``NotEquivalence``, a cocycle diagnostic
+naming the first failing row's witness, instead of silently closing it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .fintop import (
     analyze_map,
     compose,
     disagreement,
-    disjoint_union,
     enumerate_continuous_maps,
     is_open,
     read_only,
@@ -105,55 +105,31 @@ def _links(gd: GluingData) -> dict[tuple[str, str], list[tuple[str, str, str]]]:
     return links
 
 
-def _union(gd: GluingData) -> tuple[FiniteSpace, dict[str, SpaceMap]]:
-    """The disjoint union of the patches, with each patch's injection into it."""
-    total, injections = disjoint_union([gd.patch[i] for i in gd.index], list(gd.index))
-    return total, dict(zip(gd.index, injections))
-
-
 def build_relation(gd: GluingData) -> list[tuple[str, str]]:
     """Raw identification pairs on the disjoint union of patches, one per link."""
     report = validate(gd)
     if not report.passed:
         raise ValidationFailed(report)
-    _, inj = _union(gd)
+    _, inj = gd._union
     return sorted(
         {(inj[i](x), inj[j](y)) for (i, j), links in _links(gd).items() for _, x, y in links}
     )
 
 
-@dataclass
-class EquivalenceReport:
-    reflexive: bool
-    symmetric: bool
-    transitive: bool
-    witness: None | tuple[str, ...] = None  # the first failing point, pair or triple
-
-    @property
-    def passed(self) -> bool:
-        return self.reflexive and self.symmetric and self.transitive
-
-    def __str__(self):
-        if self.passed:
-            return "relation is an equivalence"
-        return (
-            f"reflexive={self.reflexive} symmetric={self.symmetric} "
-            f"transitive={self.transitive} witness={self.witness}"
-        )
-
-
-def check_equivalence(relation: Iterable[tuple[str, str]], gd: GluingData) -> EquivalenceReport:
+def check_equivalence(relation: Iterable[tuple[str, str]], gd: GluingData) -> Report:
     """Check the raw relation itself (not its closure) is an equivalence.
 
-    A transitivity failure is a cocycle diagnostic: it means the pair data do
-    not cohere, and the witness triple names the offending points.
+    One row per property, ``reflexive``, ``symmetric`` and ``transitive``,
+    each with subject ``relation`` and the first failing point, pair or triple
+    as its witness.  A transitivity failure is a cocycle diagnostic: it means
+    the pair data do not cohere, and the witness triple names the offending
+    points.
     """
     rel = set(relation)
-    domain, _ = _union(gd)
     succ: dict[str, set[str]] = {}
     for a, b in rel:
         succ.setdefault(a, set()).add(b)
-    refl = next(((p,) for p in sorted(domain.points) if (p, p) not in rel), None)
+    refl = next(((p,) for p in sorted(gd._union[0].points) if (p, p) not in rel), None)
     sym = next(((a, b) for a, b in sorted(rel) if (b, a) not in rel), None)
     trans = next(
         (
@@ -165,7 +141,10 @@ def check_equivalence(relation: Iterable[tuple[str, str]], gd: GluingData) -> Eq
         ),
         None,
     )
-    return EquivalenceReport(refl is None, sym is None, trans is None, refl or sym or trans)
+    rep = Report()
+    for name, witness in (("reflexive", refl), ("symmetric", sym), ("transitive", trans)):
+        rep.add(name, "relation", witness is None, witness)
+    return rep
 
 
 def glue(gd: GluingData) -> GluedSpace:
@@ -177,8 +156,12 @@ def glue(gd: GluingData) -> GluedSpace:
     relation = build_relation(gd)
     eq = check_equivalence(relation, gd)
     if not eq.passed:
-        raise NotEquivalence(eq.witness, f"overlap relation is not an equivalence: {eq}")
-    total, inj = _union(gd)
+        flags = " ".join(f"{e.name}={e.ok}" for e in eq.entries)
+        witness = eq.failures()[0].witness
+        raise NotEquivalence(
+            witness, f"overlap relation is not an equivalence: {flags} witness={witness}"
+        )
+    total, inj = gd._union
     q, projection = fintop.quotient(total, relation)
     patch_legs = {i: compose(projection, inj[i]) for i in gd.index}
     classes: dict[str, set[str]] = {qp: set() for qp in q.points}

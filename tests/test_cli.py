@@ -13,7 +13,7 @@ from doc_fixtures import BROKEN_TRIPLE_DOC, CIRCLE_DOC, torus_document
 from topoglue import cover as cover_mod
 from topoglue import glue as glue_mod
 from topoglue.cli import main
-from topoglue.gdata import Report
+from topoglue.gdata import CheckEntry, Report
 from topoglue.specfile import parse_spec
 
 REPO = Path(__file__).resolve().parent.parent
@@ -403,7 +403,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("check-cone", "PARAM"),
             ("check-cone", "PARAM", "--mode", "full"),
             ("glue", "CIRC"),
             ("mediate", "CIRC", "PARAM"),
@@ -420,6 +419,22 @@ class TestExitCodes:
             f"FAIL triple-present {key} (witness: missing triple transition)"
             for key in [("1", "2", "1"), ("1", "2", "2"), ("2", "1", "1"), ("2", "1", "2")]
         ]
+
+    def test_all_modes_without_triple_transitions(self, capsys):
+        # figure3 and figure4 need no triple transitions; full is not checked
+        path = str(EXAMPLES / "circle.glue")
+        rows = [
+            f"FAIL triple-present {key} (witness: missing triple transition)"
+            for key in [("1", "2", "1"), ("1", "2", "2"), ("2", "1", "1"), ("2", "1", "2")]
+        ]
+        head = ["FAIL check-cone PARAM", "mode full: not checked", "mode figure3: cone"]
+        expected = "\n".join(head + ["mode figure4: cone"] + rows) + "\n"
+        assert run_cli(capsys, "check-cone", path, "PARAM") == (1, expected, "")
+        code, out, err = run_cli(capsys, "check-cone", path, "PARAM", "--machine")
+        assert (code, err) == (1, "")
+        data = json.loads(out)["data"]
+        assert data["verdicts"] == {"full": None, "figure3": True, "figure4": True}
+        assert [str(CheckEntry(**row)) for row in data["entries"]] == rows
 
     def test_figure3_needs_no_triple_transitions(self, capsys):
         argv = ("check-cone", str(EXAMPLES / "circle.glue"), "PARAM", "--mode", "figure3")

@@ -246,6 +246,12 @@ class TestPullback:
         sp, _, _ = pullback(to_pt, to_pt)
         assert len(sp.points) == 9
 
+    def test_space_name(self):
+        f = make_map(disc2(), arc3(), {"a": "l", "b": "r"})
+        assert pullback(f, f)[0].space_id == "DISC2*DISC2"
+        sp, proj_f, proj_g = pullback(f, f, "T")
+        assert sp.space_id == "T" and proj_f.dom is sp and proj_g.dom is sp
+
     def test_pair_name_collision_is_an_input_error(self):
         # (a, "b,c") and ("a,b", c) would both be named "(a,b,c)"
         x = make_space("X", ["a", "a,b"], {"a": ["a"], "a,b": ["a,b"]})

@@ -207,6 +207,17 @@ class TestMakeGluingData:
             make_gluing_data(["1", "2"], patch={"1": arc3()}, overlap={}, anchor={}, transition={})
         assert info.value.exit_code == 2
 
+    def test_triple_projections_start_at_the_named_triple_space(self):
+        gd = digital_circle_data(12, 3)
+        assert len(gd.triple_space) == 9
+        for obj, space in gd.triple_space.items():
+            i, (j, k) = obj.head, obj.rest
+            assert space.space_id == f"T[{i},{j},{k}]"
+            for n in (j, k):
+                proj = gd.triple_proj[(obj, n)]
+                assert proj.dom is space
+                assert proj.cod is gd.overlap[(i, n)]
+
 
 class TestDeriveTripleMaps:
     def test_single_patch_nothing_to_derive(self):

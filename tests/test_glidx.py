@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_tuples, tuple_equivalence
+from topoglue import glidx
 from topoglue.errors import BadArity, CompositionMismatch
 from topoglue.glidx import (
     GlGen,
@@ -233,6 +234,23 @@ class TestVerifyRelations:
         idx = tuple(str(k) for k in range(n))
         rep = verify_relations(idx)
         assert rep.passed, str(rep)
+        assert [(e.name, e.subject) for e in rep.entries] == [
+            (family, "all") for family in ("(a)", "(b)", "(c1)", "(c2)", "(d)", "(e)")
+        ]
+
+    def test_a_failing_family_names_its_first_failing_instance(self, monkeypatch):
+        s1, p12 = single("1"), pair("1", "2")
+        eta, tau = GlGen("eta", ("1", "2")), GlGen("tau", ("1", "2"))
+        instances = [
+            ("(b) ok", p12, (GlGen("tau", ("2", "1")), tau), ()),
+            ("(d) first", s1, (eta,), ()),
+            ("(d) second", s1, (), (eta,)),
+        ]
+        monkeypatch.setattr(glidx, "relation_instances", lambda index: iter(instances))
+        rep = verify_relations(I2)
+        assert [e.name for e in rep.failures()] == ["(d)"]
+        assert rep.failures()[0].witness == "(d) first: [1]->[1,2] != [1]->[1]"
+        assert len(rep.entries) == 6
 
     def test_hom_uniqueness_under_closure(self):
         # every path between two objects denotes the same morphism: collect

@@ -245,6 +245,15 @@ def _equivalence_reference(relation, domain):
     return refl is None, sym is None, trans is None, refl or sym or trans
 
 
+def _equivalence_flags(rep):
+    """A ``check_equivalence`` report as the reference's tuple: three flags, the first witness."""
+    assert [(e.name, e.subject) for e in rep.entries] == [
+        ("reflexive", "relation"), ("symmetric", "relation"), ("transitive", "relation"),
+    ]
+    failures = rep.failures()
+    return (*(e.ok for e in rep.entries), failures[0].witness if failures else None)
+
+
 class TestCheckEquivalence:
     def test_same_report_as_reference_on_random_relations(self):
         rng = random.Random(61)
@@ -256,7 +265,7 @@ class TestCheckEquivalence:
             relation += [(p, p) for p in domain if rng.random() < 0.9]
             rep = check_equivalence(relation, gd)
             expected = _equivalence_reference(relation, domain)
-            assert (rep.reflexive, rep.symmetric, rep.transitive, rep.witness) == expected
+            assert _equivalence_flags(rep) == expected
             outcomes.add(expected[:3])
         assert len(outcomes) >= 6
 
@@ -272,9 +281,9 @@ class TestCheckEquivalence:
     def test_self_weld_breaks_transitivity(self):
         gd = self_weld_arc()
         assert validate(gd).passed, str(validate(gd))
-        rep = check_equivalence(build_relation(gd), gd)
-        assert not rep.transitive
-        assert rep.witness is not None and len(rep.witness) == 3
+        _, _, transitive, witness = _equivalence_flags(check_equivalence(build_relation(gd), gd))
+        assert not transitive
+        assert witness is not None and len(witness) == 3
 
     def test_chained_overlaps_cannot_complete_triples(self):
         from topoglue.errors import NotDetermined
@@ -288,9 +297,11 @@ class TestCheckEquivalence:
     def test_three_patch_weld_breaks_transitivity(self):
         gd = three_patch_weld()
         assert validate(gd).passed, str(validate(gd))
-        rep = check_equivalence(build_relation(gd), gd)
-        assert rep.reflexive and rep.symmetric and not rep.transitive
-        assert rep.witness is not None and len(rep.witness) == 3
+        reflexive, symmetric, transitive, witness = _equivalence_flags(
+            check_equivalence(build_relation(gd), gd)
+        )
+        assert reflexive and symmetric and not transitive
+        assert witness is not None and len(witness) == 3
 
 
 class TestGlue:
@@ -335,6 +346,23 @@ class TestGlue:
     def test_self_weld_raises(self):
         with pytest.raises(NotEquivalence):
             glue(self_weld_arc())
+
+    @pytest.mark.parametrize("weld", [self_weld_arc, three_patch_weld])
+    def test_weld_message_names_the_failing_row(self, weld):
+        with pytest.raises(NotEquivalence) as info:
+            glue(weld())
+        assert info.value.witness == ("l@1", "r@2", "r@1")
+        assert str(info.value) == (
+            "overlap relation is not an equivalence: reflexive=True symmetric=True "
+            "transitive=False witness=('l@1', 'r@2', 'r@1')"
+        )
+
+    def test_one_disjoint_union_per_glue(self, monkeypatch):
+        calls = []
+        union = fintop.disjoint_union
+        monkeypatch.setattr(fintop, "disjoint_union", lambda *a: calls.append(a) or union(*a))
+        glue(digital_circle_data(12, 3))
+        assert len(calls) == 1
 
     def test_leg_factorizations_hold(self):
         gd = gd_circ()

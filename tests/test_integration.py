@@ -6,30 +6,42 @@ so the full triple-transition machinery (cocycle, projection squares,
 derivation) runs through non-trivial slots.
 """
 
+import importlib
+import inspect
 import itertools
+import pkgutil
 
-from topoglue.cover import Covering, functor_of_covering
+import pytest
+
+import topoglue
+from topoglue.cover import Covering, check_covering, functor_of_covering
 from topoglue.fintop import find_homeomorphism, is_homeomorphism, subspace
-from topoglue.fixtures import circle4, disc2, pt, sierp
-from topoglue.gdata import validate
-from topoglue.glidx import normalize
+from topoglue.fixtures import circle4, disc2, gd_circ, pt, sierp, torus_meta
+from topoglue.gdata import Report, functor_of, validate
+from topoglue.glidx import normalize, verify_relations
 from topoglue.glue import (
     CONE_MODES,
+    build_relation,
     check_cone,
+    check_equivalence,
     check_glued_properties,
     check_otop,
     glue,
     verify_universal,
 )
+from topoglue.refine import check_refinement, compose_gdf, identity_refinement
 
 
-def three_arc_data():
+def three_arc_covering():
     base = circle4()
     u1, i1 = subspace(base, {"l", "ma", "r"})
     u2, i2 = subspace(base, {"l", "mb", "r"})
     u3, i3 = subspace(base, {"l", "r"})
-    covering = Covering(base, [(u1, i1), (u2, i2), (u3, i3)], "open")
-    return functor_of_covering(covering)
+    return Covering(base, [(u1, i1), (u2, i2), (u3, i3)], "open")
+
+
+def three_arc_data():
+    return functor_of_covering(three_arc_covering())
 
 
 class TestThreeArcCovering:
@@ -95,3 +107,43 @@ class TestThreeArcCovering:
                     for i in gd.index
                 )
                 assert is_open(glued.space, sub) == expect
+
+
+class TestOneReportType:
+    """Every public check returns a ``gdata.Report`` of named rows."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda gd, glued: validate(gd),
+            lambda gd, glued: check_equivalence(build_relation(gd), gd),
+            lambda gd, glued: verify_relations(gd.index),
+            lambda gd, glued: check_glued_properties(gd, glued),
+            lambda gd, glued: verify_universal(gd, glued),
+            lambda gd, glued: check_otop(gd, glued),
+            lambda gd, glued: check_refinement(identity_refinement(functor_of(gd))),
+            lambda gd, glued: check_covering(three_arc_covering()),
+            lambda gd, glued: compose_gdf(torus_meta()[0])[1],
+            lambda gd, glued: functor_of_covering(three_arc_covering()).report,
+        ],
+        ids=[
+            "validate", "check_equivalence", "verify_relations", "check_glued_properties",
+            "verify_universal", "check_otop", "check_refinement", "check_covering",
+            "compose_gdf", "functor_of_covering",
+        ],
+    )
+    def test_check_returns_a_report(self, check):
+        gd = gd_circ()
+        rep = check(gd, glue(gd))
+        assert isinstance(rep, Report)
+        assert rep.entries and rep.passed
+
+    def test_only_report_defines_passed(self):
+        owners = {
+            f"{mod.__name__}.{cls.__qualname__}"
+            for info in pkgutil.iter_modules(topoglue.__path__)
+            for mod in [importlib.import_module(f"topoglue.{info.name}")]
+            for _, cls in inspect.getmembers(mod, inspect.isclass)
+            if cls.__module__ == mod.__name__ and "passed" in vars(cls)
+        }
+        assert owners == {"topoglue.gdata.Report"}
