@@ -4,7 +4,7 @@ Modules:
   fintop   finite spaces, maps, subspace/coproduct/pullback/quotient,
            brute-force enumeration oracles
   glidx    the gluing index category (normalized objects, generator edges,
-           hom by reachability), built once per index set
+           faces), built once per index set
   gdata    concrete gluing data, its validator, and the functor realization
   glue     glued quotient spaces, cones, mediating maps, universal property
   refine   reindexing, refinements, induced maps, meta gluing composition

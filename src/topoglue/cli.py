@@ -226,6 +226,8 @@ def _cmd_render_dot(doc, targets, opts):
     name = _one_target("render-dot", targets)
     if name.startswith("index:"):
         labels = tuple(sorted(set(name[len("index:"):].split(","))))
+        if "" in labels:
+            raise UnknownTarget(f"{name!r} has an empty index label")
         text = dot.render_index(labels)
     elif name in doc.gluings:
         gd = doc.gluings[name]

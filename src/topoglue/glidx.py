@@ -6,10 +6,9 @@ distinct indices (either of which may equal i).  Normalization applies
 (i,i) -> i, (i,j,j) -> (i,j) and (i,j,k) -> (i,k,j).
 
 The category is thin: between any two objects there is at most one morphism,
-so a morphism is its endpoint pair and ``hom`` is reachability along the
-generator edges.  The objects, edges and reachability of an index set are
-built once and returned read-only.  Generator paths appear only where the
-relation families are listed (``relation_instances``) and checked
+so a morphism is its endpoint pair.  The objects, edges and faces of an index
+set are built once and returned read-only.  Generator paths appear only where
+the relation families are listed (``relation_instances``) and checked
 (``compose_path``), so that a realization can evaluate each side of a relation
 along its own path.
 """
@@ -103,25 +102,14 @@ class GlGen:
         return f"{self.kind}({','.join(self.indices)})"
 
 
-@dataclass(frozen=True)
-class GlMorphism:
-    """The unique morphism dom -> cod."""
-
-    dom: GlObject
-    cod: GlObject
-
-    def __repr__(self):
-        return f"{self.dom}->{self.cod}"
-
-
-def compose_path(dom: GlObject, path: Iterable[GlGen]) -> GlMorphism:
-    """The morphism a generator path out of ``dom`` denotes (generators in the order they apply)."""
+def compose_path(dom: GlObject, path: Iterable[GlGen]) -> GlObject:
+    """The codomain of a generator path out of ``dom`` (generators in the order they apply)."""
     cod = dom
     for gen in path:
         if gen.dom != cod:
             raise CompositionMismatch(f"cannot compose {gen.display()} after a path to {cod!r}")
         cod = gen.cod
-    return GlMorphism(dom, cod)
+    return cod
 
 
 def raw_generators(index: Iterable[str]) -> list[GlGen]:
@@ -143,12 +131,11 @@ def raw_generators(index: Iterable[str]) -> list[GlGen]:
 
 @dataclass(frozen=True)
 class _Category:
-    """The objects, generator edges, faces and reachability of one index set."""
+    """The objects, generator edges and faces of one index set."""
 
     objects: tuple[GlObject, ...]
     edges: Mapping[tuple[GlObject, GlObject], GlGen]
     faces: Mapping[GlObject, tuple[GlObject, ...]]
-    reach: Mapping[GlObject, frozenset[GlObject]]
 
 
 @lru_cache(maxsize=None)
@@ -162,23 +149,12 @@ def _category(idx: tuple[str, ...]) -> _Category:
     for gen in raw_generators(idx):
         if gen.dom != gen.cod:
             first.setdefault((gen.dom, gen.cod), gen)
-    out: dict[GlObject, list[GlObject]] = {o: [] for o in objs}
     into: dict[GlObject, list[GlObject]] = {o: [] for o in objs}
     for (d, c), gen in first.items():
-        out[d].append(c)
         if gen.kind in ("eta", "eta3"):
             into[c].append(d)
-    reach = {}
-    for a in objs:
-        seen, todo = {a}, [a]
-        while todo:
-            for c in out[todo.pop()]:
-                if c not in seen:
-                    seen.add(c)
-                    todo.append(c)
-        reach[a] = frozenset(seen)
     faces = {o: tuple(into[o]) for o in objs if into[o]}
-    return _Category(tuple(objs), *map(MappingProxyType, (first, faces, reach)))
+    return _Category(tuple(objs), MappingProxyType(first), MappingProxyType(faces))
 
 
 def _of(index: Iterable[str]) -> _Category:
@@ -199,13 +175,6 @@ def faces(index: Iterable[str]) -> Mapping[GlObject, tuple[GlObject, ...]]:
     """Each pair and triple object, in display order, to the sources of its eta and eta3 edges:
     ``[i,j] -> ([i],)`` and ``[i|{j,k}] -> ([i,j], [i,k])``, where ``[i,i]`` reads ``[i]``."""
     return _of(index).faces
-
-
-def hom(index: Iterable[str], a: GlObject, b: GlObject) -> GlMorphism | None:
-    """The unique morphism a -> b; None if either is not an object or b is not reachable from a."""
-    if b in _of(index).reach.get(a, ()):
-        return GlMorphism(a, b)
-    return None
 
 
 def _eta(i, j):
@@ -280,15 +249,25 @@ def verify_relations(index: Iterable[str]) -> Report:
 
     A row passes when both sides of every instance of its family compose to
     one morphism; its witness is the first failing instance, as
-    ``label: lhs != rhs``.
+    ``label: [d]->[c] != [d]->[c']``.
+
+    Only the instances over the first three sorted labels are checked, and
+    they give the rows, witnesses and errors of the full enumeration.
+    ``normalize``, ``pair`` and every generator endpoint depend only on which
+    indices are equal and on their sorted order, so an instance's outcome
+    (its two codomains or the error it raises) depends only on the order
+    type of its (i, j, k).  There are 13 order types, and the
+    lexicographically first instance of each uses only the first three
+    sorted labels.  The first failing or raising instance of a family in the
+    full enumeration is the first of its order type, so it is one of these.
     """
     from .gdata import Report  # gdata imports this module
 
     witness: dict[str, str] = {}
-    for label, dom, lhs, rhs in relation_instances(index):
-        ml, mr = compose_path(dom, lhs), compose_path(dom, rhs)
-        if ml != mr:
-            witness.setdefault(label.partition(" ")[0], f"{label}: {ml!r} != {mr!r}")
+    for label, dom, lhs, rhs in relation_instances(sorted(set(index))[:3]):
+        cl, cr = compose_path(dom, lhs), compose_path(dom, rhs)
+        if cl != cr:
+            witness.setdefault(label.partition(" ")[0], f"{label}: {dom!r}->{cl!r} != {dom!r}->{cr!r}")
     rep = Report()
     for family in ("(a)", "(b)", "(c1)", "(c2)", "(d)", "(e)"):
         rep.add(family, "all", family not in witness, witness.get(family))

@@ -486,30 +486,31 @@ def verify_universal(
     return rep
 
 
-@dataclass
 class OtopReport(Report):
-    """A report that also records whether all anchors and transitions are open.
+    """A report that also says whether all anchors and transitions are open.
 
-    Not applicable always comes with a failing ``data-open`` entry, so such a
-    report never passes.
+    It is applicable iff it has no ``data-open`` row; since those rows fail,
+    a report that is not applicable never passes.
     """
 
-    applicable: bool = True
+    @property
+    def applicable(self) -> bool:
+        return all(e.name != "data-open" for e in self.entries)
 
 
 def check_otop(gd: GluingData, glued: Cone) -> OtopReport:
     """Open-map strengthening: with all-open data, legs are open embeddings.
 
-    When some anchor or transition is not an open map the report is marked
-    not applicable, but the leg facts are still recorded.  The patch legs are
-    typed first (``_typed_legs``), so a missing or mistyped leg raises.
+    Each anchor or transition that is not an open map adds a failing
+    ``data-open`` row, which makes the report not applicable, but the leg
+    facts are still recorded.  The patch legs are typed first
+    (``_typed_legs``), so a missing or mistyped leg raises.
     """
     legs = _typed_legs(gd, glued, map(single, gd.index))
     rep = OtopReport()
     for kind, table in (("anchor", gd.anchor), ("transition", gd.transition)):
         for key in sorted(table):
             if not analyze_map(table[key]).open_map:
-                rep.applicable = False
                 rep.add("data-open", f"{kind}{key}", False, "not an open map")
     covered = set()
     for obj, leg in legs.items():

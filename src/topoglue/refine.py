@@ -190,8 +190,8 @@ def induced_map(
 
     Determined by sending the image of each fine patch leg through the
     matching component and coarse leg; computed as the mediating map of the
-    cone this builds on the fine gluing.  The index map must reach every fine
-    index, and collapsed indices must agree on their induced leg.
+    cone this builds on the fine gluing.  The index map must be onto the fine
+    index set, and collapsed indices must agree on their induced leg.
     """
     rep = check_refinement(r)
     if not rep.passed:

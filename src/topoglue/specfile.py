@@ -264,12 +264,14 @@ def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:
     return data
 
 
-def _check_labels(labels: list[tuple[int, list[str]]], index: list[str]) -> None:
+def _check_labels(
+    labels: list[tuple[int, list[str]]], index: list[str] | tuple[str, ...], where: str = "'index:'"
+) -> None:
     """Raise ``UnresolvedReference`` for the first entry label that is not in ``index``."""
     for no, entry_labels in labels:
         for label in entry_labels:
             if label not in index:
-                raise UnresolvedReference(f"line {no}: index label {label!r} is not in 'index:'")
+                raise UnresolvedReference(f"line {no}: index label {label!r} is not in {where}")
 
 
 def _parse_object(line_no: int, fields: list[str]) -> GlObject:
@@ -283,8 +285,10 @@ def _parse_cone(block: _Block, doc: SpecDocument) -> ConeDecl:
     apex = None
     legs: dict[GlObject, SpaceMap] = {}
     single_legs: dict[str, SpaceMap] = {}
+    labels: list[tuple[int, list[str]]] = []
     for no, key, value in _entries(block):
         fields = key.split()
+        labels.append((no, fields[1:]))
         if key == "over":
             over = value
         elif key == "apex":
@@ -299,6 +303,7 @@ def _parse_cone(block: _Block, doc: SpecDocument) -> ConeDecl:
     if over is None or apex is None:
         raise ParseError(block.line_no, "cone needs 'over' and 'apex'")
     gd = _need(doc.gluings, over, "gluing", block.line_no)
+    _check_labels(labels, gd.index, f"the index of gluing {over!r}")
     # the declared legs override the completed ones before the cone is built
     legs = {**complete_cone(gd, apex, single_legs).legs, **legs}
     return ConeDecl(block.name, over, Cone(apex, legs))
@@ -309,8 +314,10 @@ def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:
     coarse = None
     gamma_table: dict[str, str] = {}
     components: dict[GlObject, SpaceMap] = {}
+    labels: list[tuple[int, list[str]]] = []
     for no, key, value in _entries(block):
         fields = key.split()
+        labels.append((no, fields[1:]))
         if key == "fine":
             fine = functor_of(_need(doc.gluings, value, "gluing", no))
         elif key == "coarse":
@@ -323,6 +330,7 @@ def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:
             raise ParseError(no, f"unknown refinement entry {key!r}")
     if fine is None or coarse is None:
         raise ParseError(block.line_no, "refinement needs 'fine' and 'coarse'")
+    _check_labels(labels, coarse.index, "the index of the coarse gluing")
     gamma = IndexMap(coarse.index, fine.index, gamma_table)
     return complete_refinement(gamma, fine, coarse, components)
 

@@ -467,6 +467,8 @@ class TestExitCodes:
 
 # One input per error path: a document (None: the circle example), the command
 # with its targets, and the message on stderr.
+INCL1_HEAD = "refinement INCL1\n  fine: BND1\n  coarse: CYL1\n"
+
 INPUT_ERRORS = {
     "minopen-and-opens": (
         "space X\n  points: a\n  minopen a: a\n  opens: a\nend\n", ("validate",),
@@ -506,6 +508,23 @@ INPUT_ERRORS = {
         None, ("render-dot", "NOPE"), "'NOPE' is not an index set, gluing, or meta gluing",
     ),
     "glue-two-targets": (None, ("glue", "CIRC", "PARAM"), "glue needs exactly one target name"),
+    "render-dot-empty-index": (None, ("render-dot", "index:"), "'index:' has an empty index label"),
+    "render-dot-empty-index-label": (
+        None, ("render-dot", "index:1,,2"), "'index:1,,2' has an empty index label",
+    ),
+    "cone-leg-outside-the-index": (
+        CIRCLE_DOC.replace("  leg 2: psi2\n", "  leg 2: psi2\n  leg 7: psi2\n"), ("check-cone", "PARAM"),
+        "line 85: index label '7' is not in the index of gluing 'CIRC'",
+    ),
+    "refinement-gamma-outside-the-index": (
+        torus_document().replace(INCL1_HEAD, INCL1_HEAD + "  gamma 9: 1\n"), ("check-refinement", "INCL1"),
+        "line 362: index label '9' is not in the index of the coarse gluing",
+    ),
+    "refinement-component-outside-the-index": (
+        torus_document().replace(INCL1_HEAD, INCL1_HEAD + "  component 9: incl1p2\n"),
+        ("check-refinement", "INCL1"),
+        "line 362: index label '9' is not in the index of the coarse gluing",
+    ),
 }
 
 

@@ -3,19 +3,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_tuples, tuple_equivalence
+from paths import find_path
 from topoglue import glidx
 from topoglue.errors import BadArity, CompositionMismatch
+from topoglue.gdata import Report
 from topoglue.glidx import (
     GlGen,
-    GlMorphism,
+    GlObject,
     compose_path,
     edges,
     faces,
-    hom,
     normalize,
     objects,
     pair,
     raw_generators,
+    relation_instances,
     single,
     verify_relations,
 )
@@ -150,13 +152,14 @@ class TestFaces:
 
 
 class TestHom:
+    """A morphism a -> b exists iff a generator path a -> b does."""
+
     def test_identity(self):
         a = pair("1", "2")
-        assert hom(I2, a, a) == GlMorphism(a, a)
+        assert find_path(I2, a, a) is not None
 
     def test_opposite_pairs_connected(self):
-        m = hom(I2, pair("2", "1"), pair("1", "2"))
-        assert m == GlMorphism(pair("2", "1"), pair("1", "2"))
+        assert find_path(I2, pair("2", "1"), pair("1", "2")) is not None
 
     @pytest.mark.parametrize(
         "a, b",
@@ -164,29 +167,29 @@ class TestHom:
         ids=["same", "dom", "cod"],
     )
     def test_none_unless_both_endpoints_are_objects(self, a, b):
-        assert hom(I2, a, b) is None
+        assert find_path(I2, a, b) is None
 
     def test_no_arrow_from_triple_to_single(self):
         triples = [o for o in objects(I3) if o.arity == 3]
         singles = [o for o in objects(I3) if o.arity == 1]
         for t in triples:
             for s in singles:
-                assert hom(I3, t, s) is None
+                assert find_path(I3, t, s) is None
 
     def test_degenerate_triple_isomorphic_to_pair(self):
         t = normalize(("1", "1", "2"))
         p = pair("1", "2")
-        assert hom(I2, t, p) == GlMorphism(t, p)
-        assert hom(I2, p, t) == GlMorphism(p, t)
+        assert find_path(I2, t, p) is not None
+        assert find_path(I2, p, t) is not None
 
 
 class TestComposeHom:
-    """Composition along generator paths (``compose_path``)."""
+    """Composition along generator paths (``compose_path``), compared by codomain."""
 
     def test_tau_tau_is_identity(self):
         p = pair("1", "2")
         roundtrip = (GlGen("tau", ("2", "1")), GlGen("tau", ("1", "2")))
-        assert compose_path(p, roundtrip) == GlMorphism(p, p)
+        assert compose_path(p, roundtrip) == p
 
     def test_tau3_cocycle(self):
         i, j, k = I3
@@ -207,7 +210,7 @@ class TestComposeHom:
 
     def test_associativity_on_samples(self):
         # the category is thin: every composable chain of three generator
-        # edges composes to the one morphism hom names, however it is split
+        # edges composes to one reachable codomain, however it is split
         gens = list(edges(I3).values())
         by_dom = {}
         for g in gens:
@@ -217,15 +220,15 @@ class TestComposeHom:
             for g in by_dom.get(f.cod, []):
                 for h in by_dom.get(g.cod, []):
                     whole = compose_path(f.dom, (f, g, h))
-                    assert whole == hom(I3, f.dom, h.cod)
-                    assert compose_path(compose_path(f.dom, (f, g)).cod, (h,)).cod == whole.cod
+                    assert whole == h.cod and find_path(I3, f.dom, whole) is not None
+                    assert compose_path(compose_path(f.dom, (f, g)), (h,)) == whole
                     checked += 1
         assert checked > 0
 
     def test_identity_laws(self):
         for g in raw_generators(I3):
-            assert compose_path(g.dom, ()) == GlMorphism(g.dom, g.dom)
-            assert compose_path(g.dom, (g,)) == GlMorphism(g.dom, g.cod)
+            assert compose_path(g.dom, ()) == g.dom
+            assert compose_path(g.dom, (g,)) == g.cod
 
 
 class TestVerifyRelations:
@@ -254,13 +257,85 @@ class TestVerifyRelations:
 
     def test_hom_uniqueness_under_closure(self):
         # every path between two objects denotes the same morphism: collect
-        # all two-step composites and check against hom
+        # all two-step composites and check them against a shortest path
         gens = list(edges(I3).values())
         by_dom = {}
         for g in gens:
             by_dom.setdefault(g.dom, []).append(g)
         for f in gens:
             for g in by_dom.get(f.cod, []):
-                expect = hom(I3, f.dom, g.cod)
-                assert expect is not None
-                assert compose_path(f.dom, (f, g)) == expect
+                shortest = find_path(I3, f.dom, g.cod)
+                assert shortest is not None
+                assert compose_path(f.dom, (f, g)) == compose_path(f.dom, shortest)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_match_the_full_enumeration(self, n):
+        idx = _labels(n)
+        assert _outcome(verify_relations, idx) == _outcome(_verify_relations_reference, idx)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("mutant", ["unsorted-triple-cod", "eta3-cod-drops-j"])
+    def test_a_mutant_gives_the_rows_or_error_of_the_full_enumeration(self, monkeypatch, mutant, n):
+        cod = GlGen.cod.fget
+
+        def unsorted_triple(gen):
+            i, *rest = gen.indices[:3]
+            return GlObject(i, tuple(rest)) if len(set(rest)) == 2 else cod(gen)
+
+        def eta3_drops_j(gen):
+            # only on three distinct indices: its first failure needs three labels
+            ix = gen.indices
+            if gen.kind == "eta3" and ix[3] == ix[2] and len(set(ix[:3])) == 3:
+                return pair(ix[0], ix[2])
+            return cod(gen)
+
+        patched = {"unsorted-triple-cod": unsorted_triple, "eta3-cod-drops-j": eta3_drops_j}[mutant]
+        idx = _labels(n)
+        expect = _outcome(verify_relations, idx)
+        monkeypatch.setattr(GlGen, "cod", property(patched))
+        got = _outcome(verify_relations, idx)
+        assert got == _outcome(_verify_relations_reference, idx)
+        if n >= 3:
+            assert got != expect  # the mutant changes the outcome
+
+    def test_cost_does_not_grow_with_the_index(self, monkeypatch):
+        calls = []
+        real = glidx.compose_path
+
+        def counted(dom, path):
+            calls.append(dom)
+            return real(dom, path)
+
+        monkeypatch.setattr(glidx, "compose_path", counted)
+        counts = []
+        for n in (3, 8):
+            calls.clear()
+            verify_relations(_labels(n))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
+def _labels(n):
+    # listed against their sorted order, so the check must sort them itself
+    return tuple(f"x{k}" for k in reversed(range(n)))
+
+
+def _verify_relations_reference(index) -> Report:
+    """``verify_relations`` over every relation instance: the reference."""
+    witness = {}
+    for label, dom, lhs, rhs in relation_instances(index):
+        cl, cr = compose_path(dom, lhs), compose_path(dom, rhs)
+        if cl != cr:
+            witness.setdefault(label.partition(" ")[0], f"{label}: {dom!r}->{cl!r} != {dom!r}->{cr!r}")
+    rep = Report()
+    for family in ("(a)", "(b)", "(c1)", "(c2)", "(d)", "(e)"):
+        rep.add(family, "all", family not in witness, witness.get(family))
+    return rep
+
+
+def _outcome(check, index):
+    """The rows a check gives, or the composition error it raises."""
+    try:
+        return check(index).entries
+    except CompositionMismatch as exc:
+        return str(exc)

@@ -66,8 +66,8 @@ class TestReindex:
         objs = {o: reindex_object(gamma, o) for o in objects(gamma.source)}
         assert objs[pair("1", "2")] == single("*")
         eta = GlGen("eta", ("1", "2"))
-        mapped = compose_path(*reindex(gamma, eta.dom, (eta,)))
-        assert mapped.dom == mapped.cod == single("*")
+        dom, path = reindex(gamma, eta.dom, (eta,))
+        assert dom == compose_path(dom, path) == single("*")
 
     def test_injective_relabel(self):
         gamma = IndexMap(("1", "2"), ("1", "2", "3"), {"1": "1", "2": "2"})
