@@ -228,6 +228,9 @@ def _cmd_render_dot(doc, targets, opts):
         labels = tuple(sorted(set(name[len("index:"):].split(","))))
         if "" in labels:
             raise UnknownTarget(f"{name!r} has an empty index label")
+        # a spec file splits its index lines on whitespace, so no label holds any
+        if any(label.split() != [label] for label in labels):
+            raise UnknownTarget(f"{name!r} has an index label with whitespace")
         text = dot.render_index(labels)
     elif name in doc.gluings:
         gd = doc.gluings[name]

@@ -19,9 +19,12 @@ from .fintop import (
     FiniteSpace,
     SpaceMap,
     analyze_map,
+    collisions,
     compose,
+    discontinuities,
     is_homeomorphism,
     lift,
+    non_open_points,
     pullback,
 )
 from .gdata import GluingData, Report, derive_triple_maps, make_gluing_data
@@ -59,11 +62,14 @@ def check_covering(c: Covering) -> Report:
         rep.add("leg-typing", subject, ok_typing)
         if not ok_typing:
             continue
-        r = analyze_map(leg)
-        rep.add("leg-injective", subject, r.injective, None if r.injective else str(r.witnesses))
-        rep.add("leg-continuous", subject, r.continuous, None if r.continuous else str(r.witnesses))
+        broken, clashes = discontinuities(leg), collisions(leg)
+        closed = non_open_points(leg) if c.kind == "open" else []
+        # the full analysis runs only for a failure's witnesses
+        witnesses = str(analyze_map(leg).witnesses) if broken or clashes or closed else None
+        rep.add("leg-injective", subject, not clashes, witnesses if clashes else None)
+        rep.add("leg-continuous", subject, not broken, witnesses if broken else None)
         if c.kind == "open":
-            rep.add("leg-open", subject, r.open_map, None if r.open_map else str(r.witnesses))
+            rep.add("leg-open", subject, not closed, witnesses if closed else None)
         covered |= leg.image()
     missing = sorted(c.base.points - covered)
     rep.add("coverage", "base", not missing, missing[0] if missing else None)
@@ -75,6 +81,9 @@ def data_of_covering(c: Covering) -> GluingData:
 
     Patches are the covering's own patches, overlaps are the pullbacks of leg
     pairs with the projections as anchors, and transitions swap coordinates.
+    Two legs with disjoint images have an empty overlap both ways round
+    (``fintop.pullback`` sees this from the images alone), and the swap
+    between two empty overlaps is the empty map, built without a lift.
     """
     idx = [str(n) for n in range(len(c.family))]
     patch = {i: sp for i, (sp, _) in zip(idx, c.family)}
@@ -83,8 +92,11 @@ def data_of_covering(c: Covering) -> GluingData:
     overlap = {key: sp for key, (sp, _, _) in pullbacks.items()}
     anchor = {key: pi for key, (_, pi, _) in pullbacks.items()}
     transition = {}
-    for (i, j), (_, pi, pj) in pullbacks.items():
-        _, pj_back, pi_back = pullbacks[(j, i)]
+    for (i, j), (sp, pi, pj) in pullbacks.items():
+        back, pj_back, pi_back = pullbacks[(j, i)]
+        if not sp.points:
+            transition[(i, j)] = SpaceMap(sp, back, {})
+            continue
         transition[(i, j)] = lift([pj, pi], [pj_back, pi_back])
         assert isinstance(transition[(i, j)], SpaceMap), "a swapped pair is a pullback point"
     return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition))
@@ -111,16 +123,18 @@ def functor_of_covering(c: Covering) -> CoverFunctorResult:
     gd = data_of_covering(c)
     glued = glue(gd)
     idx = gd.index
-    legs = {i: leg for i, (_, leg) in zip(idx, c.family)}
+    # patch n is labelled str(n), and the index sorts its labels as strings
+    legs = {str(n): leg for n, leg in enumerate(c.legs())}
     cone = Cone(c.base, {single(i): legs[i] for i in idx})
     mu = mediate(gd, glued, cone)
     rep = Report()
     rep.add("glued-size", "points", len(glued.space.points) == len(c.base.points))
     rep.add("mediate-iso", "base", is_homeomorphism(mu))
+    images = {i: leg.image() for i, leg in legs.items()}
     for i in idx:
         for j in idx:
             via = compose(legs[i], gd.anchor[(i, j)]).image()
-            expect = legs[i].image() & legs[j].image()
+            expect = images[i] & images[j]
             rep.add(
                 "intersection-images",
                 f"({i},{j})",

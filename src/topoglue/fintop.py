@@ -207,19 +207,31 @@ def _same(a: FiniteSpace, b: FiniteSpace) -> bool:
     return a is b or a == b
 
 
-def _images(path: Sequence[SpaceMap], points: list[str]) -> list[str] | None:
-    """The images of ``points`` along a path, read from the tables.
-
-    None when two consecutive maps do not meet; KeyError on a table gap.
-    """
-    inner = None
+def _images(path: Sequence[SpaceMap], points: list[str]) -> list[str]:
+    """The images of ``points`` along a composable path, read from the tables; KeyError on a table gap."""
     for m in reversed(path):
-        if inner is not None and not _same(m.dom, inner.cod):
-            return None
         table = m.table
         points = [table[x] for x in points]
-        inner = m
     return points
+
+
+def composable(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> bool:
+    """Whether each path's consecutive maps meet and the two paths share their endpoints.
+
+    Each path lists its maps outermost first, as ``disagreement`` takes
+    them.  Two paths out of a space with no points are the one map out of
+    it exactly when they are composable: ``disagreement`` then answers None,
+    and otherwise it names the endpoint mismatch or raises.  So a check on
+    an empty space can stop at this test, calling ``disagreement`` only
+    when it fails.
+    """
+    for path in (left, right):
+        inner = path[-1]
+        for outer in path[-2::-1]:
+            if not _same(outer.dom, inner.cod):
+                return False
+            inner = outer
+    return _same(left[-1].dom, right[-1].dom) and _same(left[0].cod, right[0].cod)
 
 
 def disagreement(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> str | None:
@@ -232,15 +244,15 @@ def disagreement(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> str | N
     CompositionMismatch, and a point missing from a table UnknownPoint, as
     ``compose`` does.
 
-    The fast path compares the two image lists read straight from the
-    tables.  Only a mismatch or a failed lookup composes the paths and scans
-    the sorted points, which names the witness and raises the errors.
+    The fast path, for composable paths, compares the two image lists read
+    straight from the tables.  Only a mismatch or a failed lookup composes
+    the paths and scans the sorted points, which names the witness and
+    raises the errors.
     """
     try:
-        if _same(left[-1].dom, right[-1].dom) and _same(left[0].cod, right[0].cod):
+        if composable(left, right):
             points = list(left[-1].dom.points)
-            images = _images(left, points)
-            if images is not None and images == _images(right, points):
+            if _images(left, points) == _images(right, points):
                 return None
     except KeyError:
         pass
@@ -273,6 +285,54 @@ def discontinuities(f: SpaceMap) -> list[str]:
     ]
 
 
+def collisions(f: SpaceMap) -> list[str]:
+    """Each sorted point that f sends where an earlier one went, as ``"x',x"`` with x' the first.
+
+    The list is empty iff f is injective.
+    """
+    seen: dict[str, str] = {}
+    out = []
+    for x in sorted(f.dom.points):
+        y = f(x)
+        if y in seen:
+            out.append(f"{seen[y]},{x}")
+        else:
+            seen[y] = x
+    return out
+
+
+def non_open_points(f: SpaceMap) -> list[str]:
+    """The sorted points x where f(min_open(x)) is not open.
+
+    The list is empty iff f is an open map.  The fast path reads the tables
+    directly; only a failure, or a failed lookup, takes the sorted scan.
+    """
+    table, dom_open, cod_open, cod_points = f.table, f.dom.min_open, f.cod.min_open, f.cod.points
+    try:
+        for x in f.dom.points:
+            img = {table[z] for z in dom_open[x]}
+            if not (img <= cod_points and all(cod_open[y] <= img for y in img)):
+                break
+        else:
+            return []
+    except KeyError:
+        pass
+    return [x for x in sorted(f.dom.points) if not is_open(f.cod, f.image(f.dom.min_open[x]))]
+
+
+def non_embedding_points(f: SpaceMap) -> list[str]:
+    """The sorted points x where f(min_open(x)) is not min_open(f(x)) cut to the image of f.
+
+    For an injective continuous f, the list is empty iff f is an embedding.
+    """
+    full_image = f.image()
+    return [
+        x
+        for x in sorted(f.dom.points)
+        if f.image(f.dom.min_open[x]) != f.cod.min_open[f(x)] & full_image
+    ]
+
+
 def analyze_map(f: SpaceMap) -> MapReport:
     """Check continuity, injectivity, openness and the embedding criterion.
 
@@ -280,38 +340,37 @@ def analyze_map(f: SpaceMap) -> MapReport:
     open:       the image of every minimal open is open.
     embedding:  injective, continuous, and the image of each minimal open is
                 exactly min_open(f(x)) intersected with the image of f.
+
+    Each property has its own helper (``discontinuities``, ``collisions``,
+    ``non_open_points``, ``non_embedding_points``), for a caller that asks
+    about one property alone.
     """
     broken = discontinuities(f)
-    continuous = not broken
+    clashes = collisions(f)
+    closed = non_open_points(f)
+    continuous, injective, open_map = not broken, not clashes, not closed
     witnesses = [("continuous", x) for x in broken]
-    injective = True
-    seen: dict[str, str] = {}
-    for x in sorted(f.dom.points):
-        y = f(x)
-        if y in seen:
-            injective = False
-            witnesses.append(("injective", f"{seen[y]},{x}"))
-        else:
-            seen[y] = x
-    open_map = True
-    for x in sorted(f.dom.points):
-        if not is_open(f.cod, f.image(f.dom.min_open[x])):
-            open_map = False
-            witnesses.append(("open", x))
-    full_image = f.image()
+    witnesses += [("injective", pair) for pair in clashes]
+    witnesses += [("open", x) for x in closed]
     embedding = injective and continuous
     if embedding:
-        for x in sorted(f.dom.points):
-            if f.image(f.dom.min_open[x]) != f.cod.min_open[f(x)] & full_image:
-                embedding = False
-                witnesses.append(("embedding", x))
+        misfits = non_embedding_points(f)
+        embedding = not misfits
+        witnesses += [("embedding", x) for x in misfits]
+    full_image = f.image()
     if full_image != f.cod.points:
         witnesses.append(("surjective", sorted(f.cod.points - full_image)[0]))
     return MapReport(continuous, injective, open_map, embedding, tuple(witnesses))
 
 
 def is_homeomorphism(f: SpaceMap) -> bool:
-    return analyze_map(f).homeomorphism
+    """Continuous, injective, surjective and open, as ``analyze_map`` finds; the first failure stops."""
+    return (
+        not discontinuities(f)
+        and not collisions(f)
+        and f.image() == f.cod.points
+        and not non_open_points(f)
+    )
 
 
 def _coproduct_tag(point: str, tag: str) -> str:
@@ -373,9 +432,23 @@ def pullback(
     such names.  Two pairs that would get one name (a point name holding
     ``,``) raise DuplicateName.  The space is named ``space_id``, by default
     ``A*B`` for the domains A of ``f`` and B of ``g``.
+
+    Two maps whose images are disjoint, as when either domain has no
+    points, have the empty pullback; it is built without a fiber scan once
+    both images are read from the tables (a table gap takes the scan, which
+    raises UnknownPoint).
     """
     if f.cod != g.cod:
         raise CompositionMismatch("pullback needs maps into a common codomain")
+    try:
+        disjoint = frozenset(map(f.table.__getitem__, f.dom.points)).isdisjoint(
+            map(g.table.__getitem__, g.dom.points)
+        )
+    except KeyError:
+        disjoint = False
+    if disjoint:
+        sp = FiniteSpace(space_id or f"{f.dom.space_id}*{g.dom.space_id}", (), {})
+        return sp, SpaceMap(sp, f.dom, {}), SpaceMap(sp, g.dom, {})
     fiber: dict[str, list[str]] = {}
     for v in sorted(g.dom.points):
         fiber.setdefault(g(v), []).append(v)

@@ -30,6 +30,7 @@ from .fintop import (
     FiniteSpace,
     SpaceMap,
     analyze_map,
+    composable,
     compose,
     disagreement,
     discontinuities,
@@ -204,18 +205,27 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
     [j,i,k]-space whose (j,i)-coordinate equals the transition image of t's
     (i,j)-coordinate (``fintop.lift``).  Anything but exactly one candidate
     raises ``NotDetermined``: the map must then be supplied explicitly.
+
+    A [i,j,k]-space with no points needs no lift.  When the transition
+    after the (i,j)-coordinate map and the (j,i)-coordinate map are typed
+    as one square (``fintop.composable``), the [j,i,k]-space is empty too and
+    the lift is the empty map.  An untyped square goes through ``compose``
+    and ``lift``, which raise CompositionMismatch where the maps do not meet.
     """
     derived = dict(gd.triple_transition)
-    for i in gd.index:
-        for j in gd.index:
-            for k in gd.index:
-                if i == j or (i, j, k) in derived:
-                    continue
-                want = compose(gd.transition[(i, j)], gd.coord_map(i, j, k))
-                lifted = fintop.lift([want], [gd.coord_map(j, i, k)])
-                if not isinstance(lifted, SpaceMap):
-                    raise NotDetermined(i, j, k, *lifted)
-                derived[(i, j, k)] = lifted
+    triples = [t for t in product(gd.index, repeat=3) if t[0] != t[1]]
+    coord = {t: gd.coord_map(*t) for t in triples}
+    for i, j, k in triples:
+        if (i, j, k) in derived:
+            continue
+        transition, out_coord, in_coord = gd.transition[(i, j)], coord[(i, j, k)], coord[(j, i, k)]
+        if not out_coord.dom.points and composable([transition, out_coord], [in_coord]):
+            derived[(i, j, k)] = SpaceMap(out_coord.dom, in_coord.dom, {})
+            continue
+        lifted = fintop.lift([compose(transition, out_coord)], [in_coord])
+        if not isinstance(lifted, SpaceMap):
+            raise NotDetermined(i, j, k, *lifted)
+        derived[(i, j, k)] = lifted
     return replace(gd, triple_transition=derived)
 
 
@@ -266,6 +276,14 @@ def _check_laws(gd: GluingData) -> Report:
     projection-square clauses are typed accordingly.  Degenerate triples such
     as [i,i,k] stay distinct objects (isomorphic to their pair through the
     index category, never identified with it) and are flagged for the reader.
+
+    A diagram out of a space with no points commutes exactly when it is
+    typed, since all such spaces are equal and have one map into each space.
+    So a transition-inverse row on an empty overlap, and the three rows of a
+    triple whose transition starts at an empty space, are decided by
+    ``fintop.composable`` alone.  Only an untyped diagram goes on to
+    ``disagreement``, which names the endpoint mismatch or raises as for any
+    other space.
     """
     rep = Report()
     for obj in glidx.objects(gd.index):
@@ -298,26 +316,35 @@ def _check_laws(gd: GluingData) -> Report:
                 _add_continuity(rep, "anchor-continuous", f"({i},{j})", a)
             if ok_t:
                 _add_continuity(rep, "transition-continuous", f"({i},{j})", t)
-    for i in gd.index:
-        for j in gd.index:
-            w = disagreement(
-                [gd.transition[(j, i)], gd.transition[(i, j)]], [identity_map(gd.overlap[(i, j)])]
-            )
-            rep.add("transition-inverse", f"({i},{j})", w is None, w)
+    for i, j in product(gd.index, repeat=2):
+        overlap = gd.overlap[(i, j)]
+        inverse = [gd.transition[(j, i)], gd.transition[(i, j)]], [identity_map(overlap)]
+        if not overlap.points and composable(*inverse):
+            rep.add("transition-inverse", f"({i},{j})", True)
+            continue
+        w = disagreement(*inverse)
+        rep.add("transition-inverse", f"({i},{j})", w is None, w)
     if not _triples_present(gd, rep):
         return rep
-    for i in gd.index:
-        for j in gd.index:
-            for k in gd.index:
-                sub = f"({i},{j},{k})"
-                fwd = gd.triple_map(i, j, k)
-                _add_continuity(rep, "triple-continuous", sub, fwd)
-                w = disagreement([gd.triple_map(j, k, i), fwd], [gd.triple_map(i, k, j)])
-                rep.add("cocycle", sub, w is None, w)
-                w = disagreement(
-                    [gd.coord_map(j, i, k), fwd], [gd.transition[(i, j)], gd.coord_map(i, j, k)]
-                )
-                rep.add("projection-square", sub, w is None, w)
+    triples = list(product(gd.index, repeat=3))
+    fwd_of = {t: gd.triple_map(*t) for t in triples}
+    coord = {t: gd.coord_map(*t) for t in triples}
+    for t in triples:
+        i, j, k = t
+        sub = f"({i},{j},{k})"
+        fwd = fwd_of[t]
+        cocycle = [fwd_of[(j, k, i)], fwd], [fwd_of[(i, k, j)]]
+        square = [coord[(j, i, k)], fwd], [gd.transition[(i, j)], coord[t]]
+        if not fwd.dom.points and composable(*cocycle) and composable(*square):
+            rep.add("triple-continuous", sub, True)
+            rep.add("cocycle", sub, True)
+            rep.add("projection-square", sub, True)
+            continue
+        _add_continuity(rep, "triple-continuous", sub, fwd)
+        w = disagreement(*cocycle)
+        rep.add("cocycle", sub, w is None, w)
+        w = disagreement(*square)
+        rep.add("projection-square", sub, w is None, w)
     return rep
 
 

@@ -1,0 +1,301 @@
+"""The checks and constructions that treat every object alike: the reference for tests.
+
+The library decides each row, triangle and forced map out of a space with no
+points from endpoint typing alone (``fintop.composable``), builds the empty
+pullback of two maps with disjoint images without a fiber scan, and asks a
+map only for the property a row needs.  These helpers keep the versions that
+run every object through the same path, so that a test can compare the two:
+every composite goes through ``compose`` and every comparison through a
+scan of the composites (``disagreement``), every pullback scans its fibers,
+every triple transition is lifted, and every map property comes from one
+full ``analyze_map`` (``is_homeomorphism`` is its ``homeomorphism``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from oracles import first_difference
+from topoglue import fintop, glidx
+from topoglue.errors import CompositionMismatch, DuplicateName, NotDetermined
+from topoglue.fintop import (
+    MapReport,
+    SpaceMap,
+    compose,
+    discontinuities,
+    identity_map,
+    is_open,
+    lift,
+    make_space,
+)
+from topoglue.gdata import GluingData, Report, _generator_image, _triples_present, make_gluing_data
+from topoglue.glidx import single
+from topoglue.glue import CONE_MODES, Cone, OtopReport, _cone_edges, _links, _typed_legs
+
+
+def disagreement(left, right):
+    """Compose both paths and scan the sorted points."""
+    return first_difference(fintop._composite(left), fintop._composite(right))
+
+
+def analyze_map(f: SpaceMap) -> MapReport:
+    broken = discontinuities(f)
+    continuous = not broken
+    witnesses = [("continuous", x) for x in broken]
+    injective = True
+    seen: dict[str, str] = {}
+    for x in sorted(f.dom.points):
+        y = f(x)
+        if y in seen:
+            injective = False
+            witnesses.append(("injective", f"{seen[y]},{x}"))
+        else:
+            seen[y] = x
+    open_map = True
+    for x in sorted(f.dom.points):
+        if not is_open(f.cod, f.image(f.dom.min_open[x])):
+            open_map = False
+            witnesses.append(("open", x))
+    full_image = f.image()
+    embedding = injective and continuous
+    if embedding:
+        for x in sorted(f.dom.points):
+            if f.image(f.dom.min_open[x]) != f.cod.min_open[f(x)] & full_image:
+                embedding = False
+                witnesses.append(("embedding", x))
+    if full_image != f.cod.points:
+        witnesses.append(("surjective", sorted(f.cod.points - full_image)[0]))
+    return MapReport(continuous, injective, open_map, embedding, tuple(witnesses))
+
+
+def pullback(f, g, space_id=None):
+    if f.cod != g.cod:
+        raise CompositionMismatch("pullback needs maps into a common codomain")
+    fiber: dict[str, list[str]] = {}
+    for v in sorted(g.dom.points):
+        fiber.setdefault(g(v), []).append(v)
+    pair_of: dict[str, tuple[str, str]] = {}
+    name: dict[tuple[str, str], str] = {}
+    for u in sorted(f.dom.points):
+        for v in fiber.get(f(u), ()):
+            tag = f"({u},{v})"
+            if tag in pair_of:
+                raise DuplicateName(
+                    f"pullback pairs {pair_of[tag]} and {(u, v)} both get the name {tag!r}"
+                )
+            pair_of[tag] = (u, v)
+            name[(u, v)] = tag
+    table = {
+        tag: frozenset(
+            name[(a, b)]
+            for a in f.dom.min_open[u]
+            for b in g.dom.min_open[v]
+            if (a, b) in name
+        )
+        for tag, (u, v) in pair_of.items()
+    }
+    sp = make_space(space_id or f"{f.dom.space_id}*{g.dom.space_id}", pair_of, table)
+    proj_f = SpaceMap(sp, f.dom, {tag: u for tag, (u, _) in pair_of.items()})
+    proj_g = SpaceMap(sp, g.dom, {tag: v for tag, (_, v) in pair_of.items()})
+    return sp, proj_f, proj_g
+
+
+def triple_tables(index, overlap, anchor):
+    spaces, projs = {}, {}
+    for obj in glidx.objects(index):
+        if obj.arity != 3:
+            continue
+        i = obj.head
+        j, k = obj.rest
+        spaces[obj], projs[(obj, j)], projs[(obj, k)] = pullback(
+            anchor[(i, j)], anchor[(i, k)], f"T[{i},{j},{k}]"
+        )
+    return spaces, projs
+
+
+def derive_triple_maps(gd: GluingData) -> GluingData:
+    derived = dict(gd.triple_transition)
+    for i in gd.index:
+        for j in gd.index:
+            for k in gd.index:
+                if i == j or (i, j, k) in derived:
+                    continue
+                want = compose(gd.transition[(i, j)], gd.coord_map(i, j, k))
+                lifted = lift([want], [gd.coord_map(j, i, k)])
+                if not isinstance(lifted, SpaceMap):
+                    raise NotDetermined(i, j, k, *lifted)
+                derived[(i, j, k)] = lifted
+    return replace(gd, triple_transition=derived)
+
+
+def data_of_covering(c) -> GluingData:
+    idx = [str(n) for n in range(len(c.family))]
+    patch = {i: sp for i, (sp, _) in zip(idx, c.family)}
+    legs = {i: leg for i, (_, leg) in zip(idx, c.family)}
+    pullbacks = {(i, j): pullback(legs[i], legs[j]) for i in idx for j in idx if i != j}
+    overlap = {key: sp for key, (sp, _, _) in pullbacks.items()}
+    anchor = {key: pi for key, (_, pi, _) in pullbacks.items()}
+    transition = {}
+    for (i, j), (_, pi, pj) in pullbacks.items():
+        _, pj_back, pi_back = pullbacks[(j, i)]
+        transition[(i, j)] = lift([pj, pi], [pj_back, pi_back])
+    return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition))
+
+
+def _add_continuity(rep, name, subject, f):
+    ok = not discontinuities(f)
+    rep.add(name, subject, ok, None if ok else str(analyze_map(f).witnesses))
+
+
+def check_laws(gd: GluingData) -> Report:
+    rep = Report()
+    for obj in glidx.objects(gd.index):
+        if obj.arity == 3 and obj.head in obj.rest:
+            rep.add(
+                "degenerate-triple", repr(obj), True,
+                "kept distinct from its pair object; canonically isomorphic",
+            )
+    for i in gd.index:
+        rep.add("overlap-diagonal", f"({i},{i})", gd.overlap[(i, i)] == gd.patch[i])
+        rep.add(
+            "anchor-diagonal",
+            f"({i},{i})",
+            disagreement([gd.anchor[(i, i)]], [identity_map(gd.patch[i])]) is None,
+        )
+        rep.add(
+            "transition-diagonal",
+            f"({i},{i})",
+            disagreement([gd.transition[(i, i)]], [identity_map(gd.overlap[(i, i)])]) is None,
+        )
+    for i in gd.index:
+        for j in gd.index:
+            a = gd.anchor[(i, j)]
+            t = gd.transition[(i, j)]
+            ok_a = a.dom == gd.overlap[(i, j)] and a.cod == gd.patch[i]
+            ok_t = t.dom == gd.overlap[(i, j)] and t.cod == gd.overlap[(j, i)]
+            rep.add("anchor-typing", f"({i},{j})", ok_a)
+            rep.add("transition-typing", f"({i},{j})", ok_t)
+            if ok_a:
+                _add_continuity(rep, "anchor-continuous", f"({i},{j})", a)
+            if ok_t:
+                _add_continuity(rep, "transition-continuous", f"({i},{j})", t)
+    for i in gd.index:
+        for j in gd.index:
+            w = disagreement(
+                [gd.transition[(j, i)], gd.transition[(i, j)]], [identity_map(gd.overlap[(i, j)])]
+            )
+            rep.add("transition-inverse", f"({i},{j})", w is None, w)
+    if not _triples_present(gd, rep):
+        return rep
+    for i in gd.index:
+        for j in gd.index:
+            for k in gd.index:
+                sub = f"({i},{j},{k})"
+                fwd = gd.triple_map(i, j, k)
+                _add_continuity(rep, "triple-continuous", sub, fwd)
+                w = disagreement([gd.triple_map(j, k, i), fwd], [gd.triple_map(i, k, j)])
+                rep.add("cocycle", sub, w is None, w)
+                w = disagreement(
+                    [gd.coord_map(j, i, k), fwd], [gd.transition[(i, j)], gd.coord_map(i, j, k)]
+                )
+                rep.add("projection-square", sub, w is None, w)
+    return rep
+
+
+def complete_cone(gd, apex, single_legs) -> Cone:
+    legs = {single(i): single_legs[i] for i in gd.index}
+    edges = glidx.edges(gd.index)
+    for obj, (a, *_) in glidx.faces(gd.index).items():
+        legs[obj] = compose(legs[a], _generator_image(gd, edges[(a, obj)]))
+    return Cone(apex, legs)
+
+
+def cone_failure(gd, cone, mode="full"):
+    if mode not in CONE_MODES:
+        raise ValueError(f"unknown cone mode {mode!r}")
+    legs = _typed_legs(gd, cone, glidx.objects(gd.index))
+    for a, b, f in _cone_edges(gd, mode):
+        point = disagreement([legs[a], f], [legs[b]])
+        if point is not None:
+            return a, b, point
+    return None
+
+
+def check_glued_properties(gd, candidate) -> Report:
+    rep = Report()
+    idx = gd.index
+    legs = _typed_legs(gd, candidate, glidx.objects(idx))
+    edges = glidx.edges(idx)
+    for obj, faces in glidx.faces(idx).items():
+        paths = [[legs[a], _generator_image(gd, edges[(a, obj)])] for a in faces]
+        failed = [w for p in paths if (w := disagreement(p, [legs[obj]])) is not None]
+        if obj.arity == 2:
+            name, subject = "a-pair-factors", f"({obj.head},{obj.rest[0]})"
+        else:
+            name, subject = "b-triple-factors", repr(obj)
+        rep.add(name, subject, not failed, failed[-1] if failed else None)
+    links = _links(gd)
+    for (i, j), pairs in links.items():
+        leg_i, leg_j = legs[single(i)], legs[single(j)]
+        w = next((u for u, x, y in pairs if leg_i(x) != leg_j(y)), None)
+        rep.add("c-overlap-agree", f"({i},{j})", w is None, w)
+    images = {i: legs[single(i)].image() for i in idx}
+    missing = sorted(candidate.apex.points.difference(*images.values()))
+    rep.add("d-covering", "all", not missing, missing[0] if missing else None)
+    for i, j in links:
+        via_ij = {legs[single(i)](x) for _, x, _ in links[(i, j)]}
+        via_ji = {legs[single(j)](x) for _, x, _ in links[(j, i)]}
+        both = images[i] & images[j]
+        ok = via_ij == via_ji == both
+        rep.add(
+            "e-intersections",
+            f"({i},{j})",
+            ok,
+            None if ok else f"{sorted(via_ij)} vs {sorted(via_ji)} vs {sorted(both)}",
+        )
+    for i in idx:
+        r = analyze_map(legs[single(i)])
+        ok = r.injective and r.continuous
+        rep.add("f-leg-embedding-free", i, ok, None if ok else str(r.witnesses))
+    return rep
+
+
+def check_otop(gd, glued) -> OtopReport:
+    legs = _typed_legs(gd, glued, map(single, gd.index))
+    rep = OtopReport()
+    for kind, table in (("anchor", gd.anchor), ("transition", gd.transition)):
+        for key in sorted(table):
+            if not analyze_map(table[key]).open_map:
+                rep.add("data-open", f"{kind}{key}", False, "not an open map")
+    covered = set()
+    for obj, leg in legs.items():
+        r = analyze_map(leg)
+        rep.add("leg-embedding", obj.head, r.embedding, None if r.embedding else str(r.witnesses))
+        img = leg.image()
+        rep.add("leg-image-open", obj.head, is_open(glued.apex, img))
+        covered |= img
+    rep.add("legs-cover", "all", covered == glued.apex.points)
+    return rep
+
+
+def check_covering(c) -> Report:
+    rep = Report()
+    if c.kind not in ("gluing", "open"):
+        rep.add("kind", c.kind, False, "unknown kind")
+        return rep
+    covered: set[str] = set()
+    for pos, (patch, leg) in enumerate(c.family):
+        subject = f"leg{pos}({patch.space_id})"
+        ok_typing = leg.dom == patch and leg.cod == c.base
+        rep.add("leg-typing", subject, ok_typing)
+        if not ok_typing:
+            continue
+        r = analyze_map(leg)
+        rep.add("leg-injective", subject, r.injective, None if r.injective else str(r.witnesses))
+        rep.add("leg-continuous", subject, r.continuous, None if r.continuous else str(r.witnesses))
+        if c.kind == "open":
+            rep.add("leg-open", subject, r.open_map, None if r.open_map else str(r.witnesses))
+        covered |= leg.image()
+    missing = sorted(c.base.points - covered)
+    rep.add("coverage", "base", not missing, missing[0] if missing else None)
+    return rep

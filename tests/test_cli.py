@@ -512,6 +512,12 @@ INPUT_ERRORS = {
     "render-dot-empty-index-label": (
         None, ("render-dot", "index:1,,2"), "'index:1,,2' has an empty index label",
     ),
+    "render-dot-index-label-with-whitespace": (
+        None, ("render-dot", "index:1, 2"), "'index:1, 2' has an index label with whitespace",
+    ),
+    "render-dot-index-label-with-inner-whitespace": (
+        None, ("render-dot", "index:1,a\tb"), "'index:1,a\\tb' has an index label with whitespace",
+    ),
     "cone-leg-outside-the-index": (
         CIRCLE_DOC.replace("  leg 2: psi2\n", "  leg 2: psi2\n  leg 7: psi2\n"), ("check-cone", "PARAM"),
         "line 85: index label '7' is not in the index of gluing 'CIRC'",

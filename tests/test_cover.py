@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import digital_circle
 from topoglue.cover import (
     Covering,
     check_covering,
@@ -88,6 +89,15 @@ class TestFunctorOfCovering:
         assert res.report.passed, str(res.report)
         assert is_homeomorphism(res.iso)
         assert find_homeomorphism(res.glued.space, sq9()) is not None
+
+    def test_eleven_patches_keep_their_legs(self):
+        # the labels "0".."10" sort as strings, so "10" comes before "2"
+        base = digital_circle(22)
+        arcs = [[f"o{s}", f"c{s}", f"o{s + 1}", f"c{s + 1}", f"o{(s + 2) % 22}"] for s in range(0, 22, 2)]
+        family = [subspace(base, arc) for arc in arcs]
+        res = functor_of_covering(Covering(base, family, "open"))
+        assert res.report.passed, str(res.report)
+        assert is_homeomorphism(res.iso)
 
     def test_intersection_images_exact(self):
         res = functor_of_covering(two_arc_covering())
