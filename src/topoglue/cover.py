@@ -3,8 +3,11 @@
 A gluing covering of a base space is a family of injective continuous maps
 whose images cover the base; the open kind additionally requires every leg to
 be an open map.  Coverings convert to gluing data (overlaps are pullbacks of
-leg pairs) and back (the patch legs of a glued space cover it), and the three
-site axioms are verified per instance.
+leg pairs), and the patch legs of a glued space cover it.  Gluing that data
+gives the base back only when the base is the glued-up object:
+``functor_of_covering``'s ``mediate-iso`` row says whether it is.  A gluing
+covering can fail it: SIERP covered by its two one-point subspaces glues to
+the discrete space.  The three site axioms are verified per instance.
 """
 
 from __future__ import annotations
@@ -113,9 +116,10 @@ class CoverFunctorResult:
 def functor_of_covering(c: Covering) -> CoverFunctorResult:
     """Build the canonical gluing data of a covering and glue it back.
 
-    The glued space must reconstruct the base: the mediating map of the
-    original legs is checked to be a homeomorphism, and the overlap images
-    must realize the pairwise intersections of leg images.
+    The report says whether the glued space rebuilds the base: the
+    ``mediate-iso`` row passes when the mediating map of the original legs
+    is a homeomorphism, and the ``intersection-images`` rows when the overlap
+    images realize the pairwise intersections of leg images.
     """
     pre = check_covering(c)
     if not pre.passed:

@@ -20,9 +20,9 @@ gets its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import fintop, glidx
 from .errors import NotDetermined, UnresolvedReference, ValidationFailed
@@ -68,6 +68,10 @@ class Report:
 
     def add(self, name, subject, ok, witness=None):
         self.entries.append(CheckEntry(name, subject, ok, witness))
+
+    def extend(self, rows: Iterable[CheckEntry]) -> None:
+        """Append rows already built; rows are frozen, so several reports may share them."""
+        self.entries.extend(rows)
 
     def __str__(self):
         return "\n".join(str(e) for e in self.entries)
@@ -198,6 +202,75 @@ def make_gluing_data(
     )
 
 
+class _Triple(NamedTuple):
+    """One ordered index triple (i, j, k) of a law plan; its partners are positions in the plan."""
+
+    key: tuple[str, str, str]
+    obj: GlObject  # the normal object of (i, j, k)
+    swaps: bool  # i != j: its transition is stored, not an identity
+    proj: tuple[GlObject, str] | None  # its ``triple_proj`` key onto (i, j); None: an identity
+    cocycle: tuple[int, int]  # (j, k, i) and (i, k, j)
+    square: int  # (j, i, k)
+    pair: tuple[str, str]  # (i, j), the key of the transition in its square
+    subject: str
+    passing: tuple[CheckEntry, ...]  # its rows when its space is empty and its diagrams typed
+
+
+class _LawPlan(NamedTuple):
+    """What the index set alone decides of the law pass and of the triple derivation."""
+
+    diagonal: tuple[tuple[str, str], ...]  # each label with its (i,i) subject, in index order
+    pairs: tuple[tuple[tuple[str, str], str], ...]  # each ordered pair with its subject
+    degenerate: tuple[CheckEntry, ...]
+    triples: tuple[_Triple, ...]  # every ordered triple, in index order
+
+
+@lru_cache(maxsize=None)
+def _law_plan(index: tuple[str, ...]) -> _LawPlan:
+    """The law plan of an index set, built on first use.
+
+    The labels are taken in the order given, as the law pass walks a
+    datum's ``index``, so the rows keep their order.
+    """
+    n = len(index)
+
+    def at(a: int, b: int, c: int) -> int:
+        """The position, in product order, of the triple of the labels at a, b, c."""
+        return (a * n + b) * n + c
+
+    triples = []
+    for (x, i), (y, j), (z, k) in product(enumerate(index), repeat=3):
+        obj = normalize((i, j, k))
+        sub = f"({i},{j},{k})"
+        passing = (
+            CheckEntry("triple-continuous", sub, True),
+            CheckEntry("cocycle", sub, True),
+            CheckEntry("projection-square", sub, True),
+        )
+        proj = (obj, j) if obj.arity == 3 else None
+        cocycle, square = (at(y, z, x), at(x, z, y)), at(y, x, z)
+        triples.append(_Triple((i, j, k), obj, i != j, proj, cocycle, square, (i, j), sub, passing))
+    degenerate = tuple(
+        CheckEntry(
+            "degenerate-triple", repr(obj), True,
+            "kept distinct from its pair object; canonically isomorphic",
+        )
+        for obj in glidx.objects(index)
+        if obj.arity == 3 and obj.head in obj.rest
+    )
+    return _LawPlan(
+        tuple((i, f"({i},{i})") for i in index),
+        tuple(((i, j), f"({i},{j})") for i, j in product(index, repeat=2)),
+        degenerate,
+        tuple(triples),
+    )
+
+
+def _coord(gd: GluingData, t: _Triple) -> SpaceMap:
+    """``gd.coord_map(*t.key)``, read through the plan."""
+    return identity_map(gd.space_of(t.obj)) if t.proj is None else gd.triple_proj[t.proj]
+
+
 def derive_triple_maps(gd: GluingData) -> GluingData:
     """Fill every missing triple transition with its unique compatible map.
 
@@ -206,26 +279,31 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
     (i,j)-coordinate (``fintop.lift``).  Anything but exactly one candidate
     raises ``NotDetermined``: the map must then be supplied explicitly.
 
+    The triples, their square partners and where their coordinate maps
+    are stored come from the law plan of the index set (``_law_plan``),
+    which holds only what the labels decide, never a space or a map; each
+    call reads the datum's coordinate maps off it once.
+
     A [i,j,k]-space with no points needs no lift.  When the transition
     after the (i,j)-coordinate map and the (j,i)-coordinate map are typed
     as one square (``fintop.composable``), the [j,i,k]-space is empty too and
     the lift is the empty map.  An untyped square goes through ``compose``
     and ``lift``, which raise CompositionMismatch where the maps do not meet.
     """
+    triples = _law_plan(gd.index).triples
+    coords = [_coord(gd, t) if t.swaps else None for t in triples]
     derived = dict(gd.triple_transition)
-    triples = [t for t in product(gd.index, repeat=3) if t[0] != t[1]]
-    coord = {t: gd.coord_map(*t) for t in triples}
-    for i, j, k in triples:
-        if (i, j, k) in derived:
+    for t, out_coord in zip(triples, coords):
+        if not t.swaps or t.key in derived:
             continue
-        transition, out_coord, in_coord = gd.transition[(i, j)], coord[(i, j, k)], coord[(j, i, k)]
-        if not out_coord.dom.points and composable([transition, out_coord], [in_coord]):
-            derived[(i, j, k)] = SpaceMap(out_coord.dom, in_coord.dom, {})
+        transition, in_coord = gd.transition[t.pair], coords[t.square]
+        if not out_coord.dom.points and composable((transition, out_coord), (in_coord,)):
+            derived[t.key] = SpaceMap(out_coord.dom, in_coord.dom, {})
             continue
         lifted = fintop.lift([compose(transition, out_coord)], [in_coord])
         if not isinstance(lifted, SpaceMap):
-            raise NotDetermined(i, j, k, *lifted)
-        derived[(i, j, k)] = lifted
+            raise NotDetermined(*t.key, *lifted)
+        derived[t.key] = lifted
     return replace(gd, triple_transition=derived)
 
 
@@ -238,7 +316,9 @@ def _add_continuity(rep: Report, name: str, subject: str, f: SpaceMap) -> None:
 def _triples_present(gd: GluingData, rep: Report) -> bool:
     """Add a failing ``triple-present`` row per missing triple transition; True if none is."""
     missing = [
-        t for t in product(gd.index, repeat=3) if t[0] != t[1] and t not in gd.triple_transition
+        t.key
+        for t in _law_plan(gd.index).triples
+        if t.swaps and t.key not in gd.triple_transition
     ]
     for key in missing:
         rep.add("triple-present", str(key), False, "missing triple transition")
@@ -262,6 +342,22 @@ def validate(gd: GluingData) -> Report:
     return Report(list(gd._law_rows))
 
 
+def _diagrams_typed(
+    fwd: SpaceMap, after: SpaceMap, alt: SpaceMap, back: SpaceMap, transition: SpaceMap, coord: SpaceMap
+) -> bool:
+    """``fintop.composable`` for both diagrams of a triple, unrolled into its seven endpoint tests.
+
+    The cocycle diagram is ``(after, fwd)`` against ``(alt,)`` and the
+    projection square ``(back, fwd)`` against ``(transition, coord)``.
+    """
+    same, dom, cod = fintop._same, fwd.dom, fwd.cod
+    return (
+        same(after.dom, cod) and same(dom, alt.dom) and same(after.cod, alt.cod)
+        and same(back.dom, cod) and same(transition.dom, coord.cod)
+        and same(dom, coord.dom) and same(back.cod, transition.cod)
+    )
+
+
 def _check_laws(gd: GluingData) -> Report:
     """The clause pass behind ``validate``.
 
@@ -281,70 +377,72 @@ def _check_laws(gd: GluingData) -> Report:
     typed, since all such spaces are equal and have one map into each space.
     So a transition-inverse row on an empty overlap, and the three rows of a
     triple whose transition starts at an empty space, are decided by
-    ``fintop.composable`` alone.  Only an untyped diagram goes on to
+    ``fintop.composable`` alone (for a triple's two diagrams, unrolled in
+    ``_diagrams_typed``).  Only an untyped diagram goes on to
     ``disagreement``, which names the endpoint mismatch or raises as for any
     other space.
+
+    The pass walks the law plan of the index set (``_law_plan``): each
+    ordered triple with its normal object, its cocycle and square partners
+    and its pair, each row's subject, and the rows that do not depend on the
+    datum.  The plan holds only what the labels decide, never a space or a
+    map, so one plan serves every datum over the index set.  The rows are
+    frozen, so an empty, typed triple's three passing rows and the
+    ``degenerate-triple`` rows are the plan's own, shared by every report.
     """
+    plan = _law_plan(gd.index)
     rep = Report()
-    for obj in glidx.objects(gd.index):
-        if obj.arity == 3 and obj.head in obj.rest:
-            rep.add(
-                "degenerate-triple", repr(obj), True,
-                "kept distinct from its pair object; canonically isomorphic",
-            )
-    for i in gd.index:
-        rep.add("overlap-diagonal", f"({i},{i})", gd.overlap[(i, i)] == gd.patch[i])
+    rep.extend(plan.degenerate)
+    for i, sub in plan.diagonal:
+        rep.add("overlap-diagonal", sub, gd.overlap[(i, i)] == gd.patch[i])
         rep.add(
             "anchor-diagonal",
-            f"({i},{i})",
+            sub,
             disagreement([gd.anchor[(i, i)]], [identity_map(gd.patch[i])]) is None,
         )
         rep.add(
             "transition-diagonal",
-            f"({i},{i})",
+            sub,
             disagreement([gd.transition[(i, i)]], [identity_map(gd.overlap[(i, i)])]) is None,
         )
-    for i in gd.index:
-        for j in gd.index:
-            a = gd.anchor[(i, j)]
-            t = gd.transition[(i, j)]
-            ok_a = a.dom == gd.overlap[(i, j)] and a.cod == gd.patch[i]
-            ok_t = t.dom == gd.overlap[(i, j)] and t.cod == gd.overlap[(j, i)]
-            rep.add("anchor-typing", f"({i},{j})", ok_a)
-            rep.add("transition-typing", f"({i},{j})", ok_t)
-            if ok_a:
-                _add_continuity(rep, "anchor-continuous", f"({i},{j})", a)
-            if ok_t:
-                _add_continuity(rep, "transition-continuous", f"({i},{j})", t)
-    for i, j in product(gd.index, repeat=2):
+    for (i, j), sub in plan.pairs:
+        a = gd.anchor[(i, j)]
+        t = gd.transition[(i, j)]
+        ok_a = a.dom == gd.overlap[(i, j)] and a.cod == gd.patch[i]
+        ok_t = t.dom == gd.overlap[(i, j)] and t.cod == gd.overlap[(j, i)]
+        rep.add("anchor-typing", sub, ok_a)
+        rep.add("transition-typing", sub, ok_t)
+        if ok_a:
+            _add_continuity(rep, "anchor-continuous", sub, a)
+        if ok_t:
+            _add_continuity(rep, "transition-continuous", sub, t)
+    for (i, j), sub in plan.pairs:
         overlap = gd.overlap[(i, j)]
         inverse = [gd.transition[(j, i)], gd.transition[(i, j)]], [identity_map(overlap)]
         if not overlap.points and composable(*inverse):
-            rep.add("transition-inverse", f"({i},{j})", True)
+            rep.add("transition-inverse", sub, True)
             continue
         w = disagreement(*inverse)
-        rep.add("transition-inverse", f"({i},{j})", w is None, w)
+        rep.add("transition-inverse", sub, w is None, w)
     if not _triples_present(gd, rep):
         return rep
-    triples = list(product(gd.index, repeat=3))
-    fwd_of = {t: gd.triple_map(*t) for t in triples}
-    coord = {t: gd.coord_map(*t) for t in triples}
-    for t in triples:
-        i, j, k = t
-        sub = f"({i},{j},{k})"
-        fwd = fwd_of[t]
-        cocycle = [fwd_of[(j, k, i)], fwd], [fwd_of[(i, k, j)]]
-        square = [coord[(j, i, k)], fwd], [gd.transition[(i, j)], coord[t]]
-        if not fwd.dom.points and composable(*cocycle) and composable(*square):
-            rep.add("triple-continuous", sub, True)
-            rep.add("cocycle", sub, True)
-            rep.add("projection-square", sub, True)
+    triples = plan.triples
+    fwds = [
+        gd.triple_transition[t.key] if t.swaps else identity_map(gd.space_of(t.obj))
+        for t in triples
+    ]
+    coords = [_coord(gd, t) for t in triples]
+    for t, fwd, coord in zip(triples, fwds, coords):
+        after, alt = fwds[t.cocycle[0]], fwds[t.cocycle[1]]
+        back, transition = coords[t.square], gd.transition[t.pair]
+        if not fwd.dom.points and _diagrams_typed(fwd, after, alt, back, transition, coord):
+            rep.extend(t.passing)
             continue
-        _add_continuity(rep, "triple-continuous", sub, fwd)
-        w = disagreement(*cocycle)
-        rep.add("cocycle", sub, w is None, w)
-        w = disagreement(*square)
-        rep.add("projection-square", sub, w is None, w)
+        _add_continuity(rep, "triple-continuous", t.subject, fwd)
+        w = disagreement((after, fwd), (alt,))
+        rep.add("cocycle", t.subject, w is None, w)
+        w = disagreement((back, fwd), (transition, coord))
+        rep.add("projection-square", t.subject, w is None, w)
     return rep
 
 

@@ -32,6 +32,13 @@ class GlObject:
     head: str
     rest: tuple[str, ...]  # () single, (j,) pair, (j,k) sorted triple
 
+    def __post_init__(self):
+        # every table lookup hashes its key: compute the generated hash's value once
+        object.__setattr__(self, "_hash", hash((self.head, self.rest)))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def arity(self) -> int:
         return 1 + len(self.rest)
@@ -43,10 +50,12 @@ class GlObject:
         return self.display()
 
 
+@lru_cache(maxsize=None)
 def single(i: str) -> GlObject:
     return GlObject(i, ())
 
 
+@lru_cache(maxsize=None)
 def pair(i: str, j: str) -> GlObject:
     if i == j:
         return single(i)
@@ -244,6 +253,23 @@ def relation_instances(
                 )
 
 
+@lru_cache(maxsize=None)
+def _representatives(labels: tuple[str, ...]) -> tuple[tuple, ...]:
+    """The first instance of each order type among the relation instances over ``labels``.
+
+    ``labels`` are at most three sorted labels.  The instances are read from
+    ``relation_instances`` once per label tuple; ``verify_relations`` still
+    composes both sides of each on every call.
+    """
+    prefix = [set(labels[:m]) for m in range(len(labels) + 1)]
+    firsts = []
+    for label, dom, lhs, rhs in relation_instances(labels):
+        used = {i for gen in lhs + rhs for i in gen.indices}
+        if used == prefix[len(used)]:  # a later instance of its order type uses a later label
+            firsts.append((label, dom, lhs, rhs))
+    return tuple(firsts)
+
+
 def verify_relations(index: Iterable[str]) -> Report:
     """One report row per relation family, (a) to (e).
 
@@ -263,17 +289,14 @@ def verify_relations(index: Iterable[str]) -> Report:
     each triple family, 57 in all.  The full enumeration lists instances in
     lexicographic order within each family, so its first failing or raising
     instance of a family is the first of its order type, hence one of these,
-    and it comes first among them too.
+    and it comes first among them too.  The representatives are listed once
+    per label prefix (``_representatives``); each call composes both sides of
+    every one of them.
     """
     from .gdata import Report  # gdata imports this module
 
-    labels = sorted(set(index))[:3]
-    prefix = [set(labels[:m]) for m in range(len(labels) + 1)]
     witness: dict[str, str] = {}
-    for label, dom, lhs, rhs in relation_instances(labels):
-        used = {i for gen in lhs + rhs for i in gen.indices}
-        if used != prefix[len(used)]:
-            continue  # a later instance of an order type already checked
+    for label, dom, lhs, rhs in _representatives(tuple(sorted(set(index))[:3])):
         cl, cr = compose_path(dom, lhs), compose_path(dom, rhs)
         if cl != cr:
             witness.setdefault(label.partition(" ")[0], f"{label}: {dom!r}->{cl!r} != {dom!r}->{cr!r}")

@@ -99,6 +99,16 @@ class TestFunctorOfCovering:
         assert res.report.passed, str(res.report)
         assert is_homeomorphism(res.iso)
 
+    def test_sierpinski_by_its_two_points_does_not_glue_back(self):
+        # a gluing covering whose base is not the glued-up object: the glued space is discrete
+        top, top_leg = subspace(sierp(), {"t"})
+        bottom, bottom_leg = subspace(sierp(), {"b"})
+        c = Covering(sierp(), [(top, top_leg), (bottom, bottom_leg)], "gluing")
+        assert check_covering(c).passed
+        res = functor_of_covering(c)
+        assert [e.name for e in res.report.failures()] == ["mediate-iso"]
+        assert not is_homeomorphism(res.iso)
+
     def test_intersection_images_exact(self):
         res = functor_of_covering(two_arc_covering())
         gd = res.data

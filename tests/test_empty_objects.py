@@ -6,14 +6,18 @@ alone; ``empty_reference`` keeps the versions that run every object through
 composition, scans and lifts.  The guard compares rows, witnesses, maps and
 raised errors on digital circles, seeded random coverings, redirected
 entries, and hand-made mistyped maps out of empty objects (each of which
-breaks one typing test of one shortcut).  The count guard checks that the
-law pass, the cone checks and the triple lifts touch nonempty objects only.
+breaks one typing test of one shortcut).  The count guards check that the
+law pass, the cone checks and the triple lifts touch nonempty objects only,
+and that an empty, typed triple adds the law plan's shared rows and reads
+no map of its own.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -63,18 +67,24 @@ def _outcome(fn, *args):
 
 
 def _rows_then_outcome(check, gd):
-    """The rows a report check adds, also those before an error it raises, then its outcome."""
-    rows, add = [], gdata.Report.add
+    """The rows a report check adds, one by one or in bulk, also those before an error it
+    raises, then its outcome."""
+    rows, add, extend = [], gdata.Report.add, gdata.Report.extend
 
     def recorded(self, *row):
         rows.append(gdata.CheckEntry(*row))
         add(self, *row)
 
-    gdata.Report.add = recorded
+    def recorded_in_bulk(self, entries):
+        entries = list(entries)
+        rows.extend(entries)
+        extend(self, entries)
+
+    gdata.Report.add, gdata.Report.extend = recorded, recorded_in_bulk
     try:
         return rows, _outcome(check, gd)
     finally:
-        gdata.Report.add = add
+        gdata.Report.add, gdata.Report.extend = add, extend
 
 
 def _same_everywhere(gd, cones=()):
@@ -275,6 +285,34 @@ class TestMistypedMapsOutOfEmptyObjects:
             )
 
 
+class TestTripleTypingUnrolled:
+    """The law pass types an empty triple's two diagrams with ``_diagrams_typed``; ``composable`` is its reference."""
+
+    @staticmethod
+    def _typed_both_ways(maps):
+        fwd, after, alt, back, transition, coord = maps
+        expect = fintop.composable((after, fwd), (alt,)) and fintop.composable((back, fwd), (transition, coord))
+        assert gdata._diagrams_typed(*maps) == expect
+        return expect
+
+    def test_each_endpoint_moved_alone(self):
+        def space(name):
+            return fintop.FiniteSpace(name, (name,), {name: {name}})
+
+        s_ijk, s_jik, s_kij, o_ij, o_ji = map(space, ("ijk", "jik", "kij", "ij", "ji"))
+        ends = [  # fwd, after, alt, back, transition, coord
+            (s_ijk, s_jik), (s_jik, s_kij), (s_ijk, s_kij), (s_jik, o_ji), (o_ij, o_ji), (s_ijk, o_ij),
+        ]
+        assert self._typed_both_ways([SpaceMap(d, c, {}) for d, c in ends])
+        for pos, end in product(range(len(ends)), (0, 1)):
+            here = ends[pos][end]
+            renamed = fintop.FiniteSpace("renamed", here.points, here.min_open)
+            for moved_to, typed in ((space("elsewhere"), False), (renamed, True)):
+                moved = [list(e) for e in ends]
+                moved[pos][end] = moved_to
+                assert self._typed_both_ways([SpaceMap(d, c, {}) for d, c in moved]) is typed
+
+
 class TestMapPropertiesOneAtATime:
     """Rows that ask for one property of a leg or map; the full ``analyze_map`` is the reference."""
 
@@ -349,3 +387,29 @@ class TestEmptyObjectsCostNoComparison:
         derive_triple_maps(bare)
         assert calls["disagreement"] and all(calls["disagreement"])
         assert calls["lift"] and all(calls["lift"])
+
+    def test_empty_typed_triples_build_no_rows_or_maps(self, monkeypatch):
+        """The law pass shares the plan's rows for them, and neither pass reads their maps one by one."""
+        gd = digital_circle_data(48, 6)
+        bare = replace(gd, triple_transition={})
+        gdata._check_laws(gd)  # the index set's law plan is built on first use
+        calls = Counter()
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(gdata.CheckEntry, "__init__", counted("row", gdata.CheckEntry.__init__))
+        for name in ("coord_map", "triple_map"):
+            monkeypatch.setattr(gdata.GluingData, name, counted(name, getattr(gdata.GluingData, name)))
+        rows = gdata._check_laws(replace(gd)).entries
+        empty = sum(not gd.space_of(normalize(t)).points for t in product(gd.index, repeat=3))
+        shared = 3 * empty + sum(e.name == "degenerate-triple" for e in rows)
+        assert empty == 174 and calls["row"] == len(rows) - shared
+        assert not calls["coord_map"] and not calls["triple_map"]
+        calls.clear()
+        derive_triple_maps(bare)
+        assert not calls

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,20 @@ class TestNormalize:
         t = normalize(("i", "i", "k"))
         assert t.arity == 3
         assert t != pair("i", "k")
+
+    def test_a_directly_built_object_is_the_interned_one_for_tables(self):
+        for built, interned in [
+            (GlObject("i", ()), single("i")),
+            (GlObject("i", ("j",)), pair("i", "j")),
+            (GlObject("i", ("j", "k")), normalize(("i", "k", "j"))),
+        ]:
+            assert built == interned and hash(built) == hash(interned)
+            assert hash(built) == hash((built.head, built.rest))
+            assert {interned: 1}[built] == 1
+            assert repr(built) == repr(interned)
+        assert single("i") is single("i") and pair("i", "j") is pair("i", "j")
+        with pytest.raises(FrozenInstanceError):
+            single("i").head = "j"
 
     def test_bad_arity(self):
         with pytest.raises(BadArity):
@@ -250,7 +266,12 @@ class TestVerifyRelations:
             ("(d) second", s1, (), (eta,)),
         ]
         monkeypatch.setattr(glidx, "relation_instances", lambda index: iter(instances))
-        rep = verify_relations(I2)
+        # the representatives are read from relation_instances once per label prefix
+        glidx._representatives.cache_clear()
+        try:
+            rep = verify_relations(I2)
+        finally:
+            glidx._representatives.cache_clear()
         assert [e.name for e in rep.failures()] == ["(d)"]
         assert rep.failures()[0].witness == "(d) first: [1]->[1,2] != [1]->[1]"
         assert len(rep.entries) == 6
