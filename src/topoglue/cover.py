@@ -21,10 +21,10 @@ from .errors import ValidationFailed
 from .fintop import (
     FiniteSpace,
     SpaceMap,
-    analyze_map,
     collisions,
     compose,
     discontinuities,
+    failure_witnesses,
     is_homeomorphism,
     lift,
     non_open_points,
@@ -65,14 +65,12 @@ def check_covering(c: Covering) -> Report:
         rep.add("leg-typing", subject, ok_typing)
         if not ok_typing:
             continue
-        broken, clashes = discontinuities(leg), collisions(leg)
-        closed = non_open_points(leg) if c.kind == "open" else []
-        # the full analysis runs only for a failure's witnesses
-        witnesses = str(analyze_map(leg).witnesses) if broken or clashes or closed else None
-        rep.add("leg-injective", subject, not clashes, witnesses if clashes else None)
-        rep.add("leg-continuous", subject, not broken, witnesses if broken else None)
+        tests = [("leg-injective", collisions), ("leg-continuous", discontinuities)]
         if c.kind == "open":
-            rep.add("leg-open", subject, not closed, witnesses if closed else None)
+            tests.append(("leg-open", non_open_points))
+        for name, test in tests:
+            w = failure_witnesses(leg, test)
+            rep.add(name, subject, w is None, w)
         covered |= leg.image()
     missing = sorted(c.base.points - covered)
     rep.add("coverage", "base", not missing, missing[0] if missing else None)
@@ -84,9 +82,6 @@ def data_of_covering(c: Covering) -> GluingData:
 
     Patches are the covering's own patches, overlaps are the pullbacks of leg
     pairs with the projections as anchors, and transitions swap coordinates.
-    Two legs with disjoint images have an empty overlap both ways round
-    (``fintop.pullback`` sees this from the images alone), and the swap
-    between two empty overlaps is the empty map, built without a lift.
     """
     idx = [str(n) for n in range(len(c.family))]
     patch = {i: sp for i, (sp, _) in zip(idx, c.family)}
@@ -95,11 +90,8 @@ def data_of_covering(c: Covering) -> GluingData:
     overlap = {key: sp for key, (sp, _, _) in pullbacks.items()}
     anchor = {key: pi for key, (_, pi, _) in pullbacks.items()}
     transition = {}
-    for (i, j), (sp, pi, pj) in pullbacks.items():
-        back, pj_back, pi_back = pullbacks[(j, i)]
-        if not sp.points:
-            transition[(i, j)] = SpaceMap(sp, back, {})
-            continue
+    for (i, j), (_, pi, pj) in pullbacks.items():
+        _, pj_back, pi_back = pullbacks[(j, i)]
         transition[(i, j)] = lift([pj, pi], [pj_back, pi_back])
         assert isinstance(transition[(i, j)], SpaceMap), "a swapped pair is a pullback point"
     return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition))
@@ -154,9 +146,8 @@ def covering_of_glued(gd: GluingData, glued: GluedSpace) -> Covering:
     The kind is open exactly when every anchor and transition of the datum is
     an open map.
     """
-    all_open = all(
-        analyze_map(m).open_map
-        for m in itertools.chain(gd.anchor.values(), gd.transition.values())
+    all_open = not any(
+        non_open_points(m) for m in itertools.chain(gd.anchor.values(), gd.transition.values())
     )
     family = [(gd.patch[i], glued.leg(single(i))) for i in gd.index]
     return Covering(glued.space, family, "open" if all_open else "gluing")

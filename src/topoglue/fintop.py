@@ -190,8 +190,8 @@ def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
     outer, inner = g.table, f.table
     try:
         table = {x: outer[inner[x]] for x in f.dom.points}
-    except KeyError:  # a table gap: calling the maps names it
-        table = {x: g(f(x)) for x in f.dom.points}
+    except KeyError:
+        raise _table_gap((f, g)) from None
     return SpaceMap(f.dom, g.cod, table)
 
 
@@ -201,6 +201,24 @@ def _composite(path: Sequence[SpaceMap]) -> SpaceMap:
     for outer in reversed(path[:-1]):
         out = compose(outer, out)
     return out
+
+
+def _table_gap(maps: Sequence[SpaceMap]) -> UnknownPoint:
+    """The UnknownPoint for a failed table read along ``maps``, listed innermost first.
+
+    It names the least domain point missing from the first table that misses
+    one, else the least value outside its codomain of the first map with one,
+    so a gap is named the same way whatever order the points were read in.
+    """
+    for m in maps:
+        missing = m.dom.points - m.table.keys()
+        if missing:
+            return UnknownPoint(f"{min(missing)!r} is not a point of {m.dom.space_id!r}")
+    for m in maps:
+        stray = {m.table[x] for x in m.dom.points} - m.cod.points
+        if stray:
+            return UnknownPoint(f"{min(stray)!r} is not a point of {m.cod.space_id!r}")
+    return UnknownPoint(f"a table read along {list(maps)!r} leaves its space")  # a bad min_open
 
 
 def _same(a: FiniteSpace, b: FiniteSpace) -> bool:
@@ -219,11 +237,10 @@ def composable(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> bool:
     """Whether each path's consecutive maps meet and the two paths share their endpoints.
 
     Each path lists its maps outermost first, as ``disagreement`` takes
-    them.  Two paths out of a space with no points are the one map out of
-    it exactly when they are composable: ``disagreement`` then answers None,
-    and otherwise it names the endpoint mismatch or raises.  So a check on
-    an empty space can stop at this test, calling ``disagreement`` only
-    when it fails.
+    them.  Two composable paths out of a space with no points are the one
+    map out of it: a diagram out of an empty space commutes exactly when it
+    is typed, and ``disagreement`` answers None for it without reading a
+    table.
     """
     for path in (left, right):
         inner = path[-1]
@@ -238,51 +255,46 @@ def disagreement(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> str | N
     """Where the composites of two paths of maps differ; None when they are one map.
 
     Each path lists its maps outermost first, as ``compose`` nests them:
-    ``(g, f)`` is g after f.  The answer is the first sorted domain point
-    where the two composites differ, or ``"<endpoint mismatch>"`` when their
-    domains or codomains differ.  A path whose middle spaces differ raises
-    CompositionMismatch, and a point missing from a table UnknownPoint, as
-    ``compose`` does.
+    ``(g, f)`` is g after f.  The answer is the least domain point where the
+    two composites differ, or ``"<endpoint mismatch>"`` when their domains
+    or codomains differ.  A path whose middle spaces differ raises
+    CompositionMismatch, and a table gap UnknownPoint, as ``compose`` does.
 
-    The fast path, for composable paths, compares the two image lists read
-    straight from the tables.  Only a mismatch or a failed lookup composes
-    the paths and scans the sorted points, which names the witness and
-    raises the errors.
+    Composable paths (``composable``) out of a space with no points are one
+    map, decided before any table is read.  Otherwise the two image lists
+    are read straight from the tables and compared.
     """
-    try:
-        if composable(left, right):
-            points = list(left[-1].dom.points)
-            if _images(left, points) == _images(right, points):
-                return None
-    except KeyError:
-        pass
-    f, g = _composite(left), _composite(right)
-    if f.dom != g.dom or f.cod != g.cod:
+    if not composable(left, right):
+        _composite(left)  # a path whose middle spaces differ raises here
+        _composite(right)
         return "<endpoint mismatch>"
-    for x in sorted(f.dom.points):
-        if f(x) != g(x):
-            return x
-    return None
+    points = list(left[-1].dom.points)
+    if not points:
+        return None
+    try:
+        ours, theirs = _images(left, points), _images(right, points)
+    except KeyError:
+        raise _table_gap([*reversed(left), *reversed(right)]) from None
+    if ours == theirs:
+        return None
+    return min(x for x, a, b in zip(points, ours, theirs) if a != b)
 
 
 def discontinuities(f: SpaceMap) -> list[str]:
     """The sorted points x where f(min_open(x)) is not inside min_open(f(x)).
 
-    The list is empty iff f is continuous.  The fast path reads the tables
-    directly; only a failure, or a failed lookup, takes the sorted scan.
+    The list is empty iff f is continuous.
     """
-    table, dom_open, cod_open = f.table, f.dom.min_open, f.cod.min_open
+    table, cod_open = f.table, f.cod.min_open
+    broken = []
     try:
-        for x, ux in dom_open.items():
+        for x, ux in f.dom.min_open.items():
             if not cod_open[table[x]].issuperset([table[z] for z in ux]):
-                break
-        else:
-            return []
+                broken.append(x)
     except KeyError:
-        pass
-    return [
-        x for x in sorted(f.dom.points) if not f.image(f.dom.min_open[x]) <= f.cod.min_open[f(x)]
-    ]
+        raise _table_gap((f,)) from None
+    broken.sort()
+    return broken
 
 
 def collisions(f: SpaceMap) -> list[str]:
@@ -304,20 +316,21 @@ def collisions(f: SpaceMap) -> list[str]:
 def non_open_points(f: SpaceMap) -> list[str]:
     """The sorted points x where f(min_open(x)) is not open.
 
-    The list is empty iff f is an open map.  The fast path reads the tables
-    directly; only a failure, or a failed lookup, takes the sorted scan.
+    The list is empty iff f is an open map.
     """
-    table, dom_open, cod_open, cod_points = f.table, f.dom.min_open, f.cod.min_open, f.cod.points
+    table, cod_open, cod_points = f.table, f.cod.min_open, f.cod.points
+    closed = []
     try:
-        for x in f.dom.points:
-            img = {table[z] for z in dom_open[x]}
-            if not (img <= cod_points and all(cod_open[y] <= img for y in img)):
-                break
-        else:
-            return []
+        for x, ux in f.dom.min_open.items():
+            img = {table[z] for z in ux}
+            if not img <= cod_points:
+                raise _table_gap((f,))
+            if not all(cod_open[y] <= img for y in img):
+                closed.append(x)
     except KeyError:
-        pass
-    return [x for x in sorted(f.dom.points) if not is_open(f.cod, f.image(f.dom.min_open[x]))]
+        raise _table_gap((f,)) from None
+    closed.sort()
+    return closed
 
 
 def non_embedding_points(f: SpaceMap) -> list[str]:
@@ -325,12 +338,17 @@ def non_embedding_points(f: SpaceMap) -> list[str]:
 
     For an injective continuous f, the list is empty iff f is an embedding.
     """
-    full_image = f.image()
-    return [
-        x
-        for x in sorted(f.dom.points)
-        if f.image(f.dom.min_open[x]) != f.cod.min_open[f(x)] & full_image
-    ]
+    table, cod_open = f.table, f.cod.min_open
+    misfits = []
+    try:
+        full_image = {table[x] for x in f.dom.points}
+        for x, ux in f.dom.min_open.items():
+            if {table[z] for z in ux} != cod_open[table[x]] & full_image:
+                misfits.append(x)
+    except KeyError:
+        raise _table_gap((f,)) from None
+    misfits.sort()
+    return misfits
 
 
 def analyze_map(f: SpaceMap) -> MapReport:
@@ -343,7 +361,8 @@ def analyze_map(f: SpaceMap) -> MapReport:
 
     Each property has its own helper (``discontinuities``, ``collisions``,
     ``non_open_points``, ``non_embedding_points``), for a caller that asks
-    about one property alone.
+    about one property alone; ``failure_witnesses`` runs the full analysis
+    only when one of them fails, for a report row's witnesses.
     """
     broken = discontinuities(f)
     clashes = collisions(f)
@@ -371,6 +390,16 @@ def is_homeomorphism(f: SpaceMap) -> bool:
         and f.image() == f.cod.points
         and not non_open_points(f)
     )
+
+
+def failure_witnesses(f: SpaceMap, *tests: Callable[[SpaceMap], list]) -> str | None:
+    """None when no property test in ``tests`` finds a point of f, else the row witness.
+
+    The witness is the string of ``analyze_map(f).witnesses``; the first failing test stops the tests.
+    """
+    if any(test(f) for test in tests):
+        return str(analyze_map(f).witnesses)
+    return None
 
 
 def _coproduct_tag(point: str, tag: str) -> str:
@@ -430,39 +459,38 @@ def pullback(
 
     The pair (u, v) is the point named ``(u,v)``; no other function makes
     such names.  Two pairs that would get one name (a point name holding
-    ``,``) raise DuplicateName.  The space is named ``space_id``, by default
-    ``A*B`` for the domains A of ``f`` and B of ``g``.
-
-    Two maps whose images are disjoint, as when either domain has no
-    points, have the empty pullback; it is built without a fiber scan once
-    both images are read from the tables (a table gap takes the scan, which
-    raises UnknownPoint).
+    ``,``) raise DuplicateName, the first such pair in sorted order.  The
+    space is named ``space_id``, by default ``A*B`` for the domains A of
+    ``f`` and B of ``g``.
     """
     if f.cod != g.cod:
         raise CompositionMismatch("pullback needs maps into a common codomain")
-    try:
-        disjoint = frozenset(map(f.table.__getitem__, f.dom.points)).isdisjoint(
-            map(g.table.__getitem__, g.dom.points)
-        )
-    except KeyError:
-        disjoint = False
-    if disjoint:
-        sp = FiniteSpace(space_id or f"{f.dom.space_id}*{g.dom.space_id}", (), {})
-        return sp, SpaceMap(sp, f.dom, {}), SpaceMap(sp, g.dom, {})
+    ftable, gtable = f.table, g.table
     fiber: dict[str, list[str]] = {}
-    for v in sorted(g.dom.points):
-        fiber.setdefault(g(v), []).append(v)
+    pairs = []
+    try:
+        for v in g.dom.points:
+            fiber.setdefault(gtable[v], []).append(v)
+        for u in f.dom.points:
+            for v in fiber.get(ftable[u], ()):
+                pairs.append((u, v))
+    except KeyError:
+        raise _table_gap((g, f)) from None
+    space_id = space_id or f"{f.dom.space_id}*{g.dom.space_id}"
+    if not pairs:  # disjoint images, as when either domain has no points
+        sp = FiniteSpace(space_id, (), {})
+        return sp, SpaceMap(sp, f.dom, {}), SpaceMap(sp, g.dom, {})
+    pairs.sort()
     pair_of: dict[str, tuple[str, str]] = {}
     name: dict[tuple[str, str], str] = {}
-    for u in sorted(f.dom.points):
-        for v in fiber.get(f(u), ()):
-            tag = f"({u},{v})"
-            if tag in pair_of:
-                raise DuplicateName(
-                    f"pullback pairs {pair_of[tag]} and {(u, v)} both get the name {tag!r}"
-                )
-            pair_of[tag] = (u, v)
-            name[(u, v)] = tag
+    for u, v in pairs:
+        tag = f"({u},{v})"
+        if tag in pair_of:
+            raise DuplicateName(
+                f"pullback pairs {pair_of[tag]} and {(u, v)} both get the name {tag!r}"
+            )
+        pair_of[tag] = (u, v)
+        name[(u, v)] = tag
     table = {
         tag: frozenset(
             name[(a, b)]
@@ -472,7 +500,7 @@ def pullback(
         )
         for tag, (u, v) in pair_of.items()
     }
-    sp = make_space(space_id or f"{f.dom.space_id}*{g.dom.space_id}", pair_of, table)
+    sp = make_space(space_id, pair_of, table)
     proj_f = SpaceMap(sp, f.dom, {tag: u for tag, (u, _) in pair_of.items()})
     proj_g = SpaceMap(sp, g.dom, {tag: v for tag, (_, v) in pair_of.items()})
     return sp, proj_f, proj_g

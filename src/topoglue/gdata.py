@@ -29,11 +29,11 @@ from .errors import NotDetermined, UnresolvedReference, ValidationFailed
 from .fintop import (
     FiniteSpace,
     SpaceMap,
-    analyze_map,
     composable,
     compose,
     disagreement,
     discontinuities,
+    failure_witnesses,
     identity_map,
     read_only,
 )
@@ -308,9 +308,9 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
 
 
 def _add_continuity(rep: Report, name: str, subject: str, f: SpaceMap) -> None:
-    """One continuity row; the full ``analyze_map`` runs only for a failure's witnesses."""
-    ok = not discontinuities(f)
-    rep.add(name, subject, ok, None if ok else str(analyze_map(f).witnesses))
+    """One continuity row, witnessed by ``fintop.failure_witnesses``."""
+    w = failure_witnesses(f, discontinuities)
+    rep.add(name, subject, w is None, w)
 
 
 def _triples_present(gd: GluingData, rep: Report) -> bool:
@@ -373,14 +373,10 @@ def _check_laws(gd: GluingData) -> Report:
     as [i,i,k] stay distinct objects (isomorphic to their pair through the
     index category, never identified with it) and are flagged for the reader.
 
-    A diagram out of a space with no points commutes exactly when it is
-    typed, since all such spaces are equal and have one map into each space.
-    So a transition-inverse row on an empty overlap, and the three rows of a
-    triple whose transition starts at an empty space, are decided by
-    ``fintop.composable`` alone (for a triple's two diagrams, unrolled in
-    ``_diagrams_typed``).  Only an untyped diagram goes on to
-    ``disagreement``, which names the endpoint mismatch or raises as for any
-    other space.
+    The three rows of a triple whose transition starts at a space with no
+    points are decided by ``fintop.composable`` alone, unrolled for the
+    triple's two diagrams in ``_diagrams_typed``; only an untyped triple
+    goes on to ``disagreement``, which names the endpoint mismatch or raises.
 
     The pass walks the law plan of the index set (``_law_plan``): each
     ordered triple with its normal object, its cocycle and square partners
@@ -417,12 +413,9 @@ def _check_laws(gd: GluingData) -> Report:
         if ok_t:
             _add_continuity(rep, "transition-continuous", sub, t)
     for (i, j), sub in plan.pairs:
-        overlap = gd.overlap[(i, j)]
-        inverse = [gd.transition[(j, i)], gd.transition[(i, j)]], [identity_map(overlap)]
-        if not overlap.points and composable(*inverse):
-            rep.add("transition-inverse", sub, True)
-            continue
-        w = disagreement(*inverse)
+        w = disagreement(
+            [gd.transition[(j, i)], gd.transition[(i, j)]], [identity_map(gd.overlap[(i, j)])]
+        )
         rep.add("transition-inverse", sub, w is None, w)
     if not _triples_present(gd, rep):
         return rep

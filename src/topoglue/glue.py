@@ -32,11 +32,11 @@ from .fintop import (
     SpaceMap,
     analyze_map,
     collisions,
-    composable,
     compose,
     disagreement,
     discontinuities,
     enumerate_continuous_maps,
+    failure_witnesses,
     is_open,
     non_embedding_points,
     non_open_points,
@@ -186,9 +186,7 @@ def complete_cone(
     """Extend patch legs to a full leg family using the forced factorizations.
 
     Each pair and triple leg, pairs first, is its first face's leg composed
-    with the map of the edge between them (``glidx.faces``).  An object
-    whose space has no points needs no test of its own here: ``compose``
-    checks only that the maps meet and builds the empty map.
+    with the map of the edge between them (``glidx.faces``).
     """
     legs: dict[GlObject, SpaceMap] = {}
     for i in gd.index:
@@ -248,20 +246,14 @@ def cone_failure(
 
     Every leg is typed first (``_typed_legs``), so a missing or mistyped leg
     raises in every mode.  Then the triples of ``_cone_edges`` are compared
-    in turn; the point is the first one where the two sides differ, and None
-    means every triangle commutes.  A triangle out of a space with no points
-    commutes exactly when it is typed (``fintop.composable``), so only an
-    untyped one goes on to ``disagreement``, which names the endpoint
-    mismatch or raises.
+    in turn (``disagreement``); the point is the first one where the two
+    sides differ, and None means every triangle commutes.
     """
     if mode not in CONE_MODES:
         raise ValueError(f"unknown cone mode {mode!r}")
     legs = _typed_legs(gd, cone, glidx.objects(gd.index))
     for a, b, f in _cone_edges(gd, mode):
-        triangle = [legs[a], f], [legs[b]]
-        if not f.dom.points and composable(*triangle):
-            continue
-        point = disagreement(*triangle)
+        point = disagreement([legs[a], f], [legs[b]])
         if point is not None:
             return a, b, point
     return None
@@ -288,12 +280,8 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
     leg images cover the space; (e) overlap images equal pairwise intersections
     of patch images; (f) every patch leg is injective and continuous.  Every
     leg is typed first (``_typed_legs``), so a missing or mistyped leg raises.
-
-    An (a) or (b) row on an object whose space has no points passes exactly
-    when each face's path is typed against the object's leg
-    (``fintop.composable``); only an untyped path goes on to
-    ``disagreement``.  The (f) rows ask only for continuity and injectivity;
-    the full ``analyze_map`` runs only for a failure's witnesses.
+    The (f) rows ask only for continuity and injectivity
+    (``fintop.failure_witnesses``).
     """
     rep = Report()
     idx = gd.index
@@ -301,10 +289,7 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
     edges = glidx.edges(idx)
     for obj, faces in glidx.faces(idx).items():
         paths = [[legs[a], _generator_image(gd, edges[(a, obj)])] for a in faces]
-        if not legs[obj].dom.points and all(composable(p, [legs[obj]]) for p in paths):
-            failed = []
-        else:
-            failed = [w for p in paths if (w := disagreement(p, [legs[obj]])) is not None]
+        failed = [w for p in paths if (w := disagreement(p, [legs[obj]])) is not None]
         if obj.arity == 2:
             name, subject = "a-pair-factors", f"({obj.head},{obj.rest[0]})"
         else:
@@ -330,9 +315,8 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
             None if ok else f"{sorted(via_ij)} vs {sorted(via_ji)} vs {sorted(both)}",
         )
     for i in idx:
-        leg = legs[single(i)]
-        ok = not discontinuities(leg) and not collisions(leg)
-        rep.add("f-leg-embedding-free", i, ok, None if ok else str(analyze_map(leg).witnesses))
+        w = failure_witnesses(legs[single(i)], discontinuities, collisions)
+        rep.add("f-leg-embedding-free", i, w is None, w)
     return rep
 
 
@@ -525,21 +509,19 @@ def check_otop(gd: GluingData, glued: Cone) -> OtopReport:
 
     Each anchor or transition that is not an open map adds a failing
     ``data-open`` row, which makes the report not applicable, but the leg
-    facts are still recorded.  A map out of a space with no points is open,
-    so only the maps out of nonempty overlaps are checked.  The patch legs
-    are typed first (``_typed_legs``), so a missing or mistyped leg raises;
-    the full ``analyze_map`` of a leg runs only for a failure's witnesses.
+    facts are still recorded.  The patch legs are typed first
+    (``_typed_legs``), so a missing or mistyped leg raises.
     """
     legs = _typed_legs(gd, glued, map(single, gd.index))
     rep = OtopReport()
     for kind, table in (("anchor", gd.anchor), ("transition", gd.transition)):
         for key in sorted(table):
-            if table[key].dom.points and non_open_points(table[key]):
+            if non_open_points(table[key]):
                 rep.add("data-open", f"{kind}{key}", False, "not an open map")
     covered = set()
     for obj, leg in legs.items():
-        ok = not discontinuities(leg) and not collisions(leg) and not non_embedding_points(leg)
-        rep.add("leg-embedding", obj.head, ok, None if ok else str(analyze_map(leg).witnesses))
+        w = failure_witnesses(leg, discontinuities, collisions, non_embedding_points)
+        rep.add("leg-embedding", obj.head, w is None, w)
         img = leg.image()
         rep.add("leg-image-open", obj.head, is_open(glued.apex, img))
         covered |= img

@@ -27,6 +27,7 @@ from .fintop import (
     compose,
     disagreement,
     identity_map,
+    is_homeomorphism,
     lift,
     read_only,
 )
@@ -301,8 +302,8 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
         witness = None
         if not isinstance(canonical, SpaceMap):
             witness = f"{canonical[0]!r} lands outside the pullback"
-        elif not (ra := analyze_map(canonical)).homeomorphism:
-            witness = f"canonical map is not an isomorphism: {ra.witnesses}"
+        elif not is_homeomorphism(canonical):
+            witness = f"canonical map is not an isomorphism: {analyze_map(canonical).witnesses}"
         rep.add("pushout-condition", repr(obj), witness is None, witness)
         if witness is not None:
             raise HypothesisBFailed(obj.head, *obj.rest, f"triple {obj}: {witness}")

@@ -15,7 +15,9 @@ from topoglue.cover import (
     site_axiom_compose,
     site_axiom_iso,
 )
+from topoglue.errors import UnknownPoint
 from topoglue.fintop import (
+    SpaceMap,
     compose,
     enumerate_continuous_maps,
     find_homeomorphism,
@@ -62,6 +64,12 @@ class TestCheckCovering:
         rep = check_covering(c)
         assert not rep.passed
         assert any(e.name == "coverage" and e.witness == "b" for e in rep.entries)
+
+    def test_leg_value_outside_the_base_raises_unknown_point(self):
+        leg = SpaceMap(sierp(), sierp(), {"t": "zzz", "b": "b"})
+        for kind in ("gluing", "open"):
+            with pytest.raises(UnknownPoint, match="'zzz' is not a point of 'SIERP'"):
+                check_covering(Covering(sierp(), [(sierp(), leg)], kind))
 
     def test_open_kind_rejects_non_open_leg(self):
         bottom, incl = subspace(sierp(), {"b"})

@@ -7,9 +7,9 @@ composition, scans and lifts.  The guard compares rows, witnesses, maps and
 raised errors on digital circles, seeded random coverings, redirected
 entries, and hand-made mistyped maps out of empty objects (each of which
 breaks one typing test of one shortcut).  The count guards check that the
-law pass, the cone checks and the triple lifts touch nonempty objects only,
-and that an empty, typed triple adds the law plan's shared rows and reads
-no map of its own.
+law pass and the cone checks compare the tables of nonempty objects only,
+that the triple lifts touch nonempty objects only, and that an empty, typed
+triple adds the law plan's shared rows and reads no map of its own.
 """
 
 from __future__ import annotations
@@ -362,13 +362,14 @@ class TestPullbackOfDisjointImages:
 class TestEmptyObjectsCostNoComparison:
     """On DC_48 covered by six arcs, 96 of the 126 objects are empty."""
 
-    def test_disagreement_and_lift_see_only_nonempty_domains(self, monkeypatch):
-        calls = {"disagreement": [], "lift": []}
-        real_disagreement, real_lift = fintop.disagreement, fintop.lift
+    def test_table_comparisons_and_lifts_see_only_nonempty_domains(self, monkeypatch):
+        """``disagreement`` answers for an empty domain before it reads a table."""
+        calls = {"images": [], "lift": []}
+        real_images, real_lift = fintop._images, fintop.lift
 
-        def counted_disagreement(left, right):
-            calls["disagreement"].append(bool(left[-1].dom.points))
-            return real_disagreement(left, right)
+        def counted_images(path, points):
+            calls["images"].append(bool(points))
+            return real_images(path, points)
 
         def counted_lift(want, along):
             calls["lift"].append(bool(want[0].dom.points))
@@ -378,14 +379,13 @@ class TestEmptyObjectsCostNoComparison:
         glued = glue.glue(gd)
         cone = Cone(glued.apex, dict(glued.legs))
         bare = replace(gd, triple_transition={})
-        monkeypatch.setattr(gdata, "disagreement", counted_disagreement)
-        monkeypatch.setattr(glue, "disagreement", counted_disagreement)
+        monkeypatch.setattr(fintop, "_images", counted_images)
         monkeypatch.setattr(fintop, "lift", counted_lift)
         assert gdata.validate(replace(gd)).passed
         for mode in CONE_MODES:
             assert glue.check_cone(gd, cone, mode)
         derive_triple_maps(bare)
-        assert calls["disagreement"] and all(calls["disagreement"])
+        assert calls["images"] and all(calls["images"])
         assert calls["lift"] and all(calls["lift"])
 
     def test_empty_typed_triples_build_no_rows_or_maps(self, monkeypatch):

@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -10,17 +13,20 @@ from hypothesis import strategies as st
 
 from conftest import small_spaces
 from oracles import all_opens, closure_opens, first_difference, min_open_from_lattice
+import topoglue
 from topoglue import cover, fintop
 from topoglue.errors import (
     CompositionMismatch,
     DuplicateName,
     InvalidTopology,
     SearchBudgetExceeded,
+    TopoglueError,
     UnknownPoint,
 )
 from topoglue.fintop import (
     SpaceMap,
     analyze_map,
+    collisions,
     compose,
     disagreement,
     discontinuities,
@@ -29,9 +35,13 @@ from topoglue.fintop import (
     find_homeomorphism,
     from_opens,
     identity_map,
+    is_homeomorphism,
     is_open,
+    lift,
     make_map,
     make_space,
+    non_embedding_points,
+    non_open_points,
     pullback,
     quotient,
     subspace,
@@ -636,6 +646,96 @@ class TestDisagreement:
             disagreement([full], [gap])
         with pytest.raises(UnknownPoint, match="'b' is not a point of 'DISC2'"):
             disagreement([identity_map(sierp()), gap], [full])
+
+
+_LEAST_GAP = """
+from topoglue.errors import UnknownPoint
+from topoglue.fintop import SpaceMap, compose, disagreement, identity_map, make_space
+
+a = make_space("A", "pqrs", {x: [x] for x in "pqrs"})
+f = SpaceMap(a, a, {"p": "p", "q": "q"})
+for call in (
+    lambda: compose(identity_map(a), f),
+    lambda: disagreement([f], [identity_map(a)]),
+    lambda: disagreement([identity_map(a), f], [identity_map(a)]),
+):
+    try:
+        call()
+    except UnknownPoint as exc:
+        print(exc)
+"""
+
+
+class TestTableGaps:
+    """A table gap raises UnknownPoint naming the least missing point or stray value."""
+
+    def test_value_outside_the_codomain(self):
+        f = SpaceMap(sierp(), sierp(), {"t": "zzz", "b": "b"})
+        for check in (
+            discontinuities, non_open_points, non_embedding_points, analyze_map, is_homeomorphism,
+        ):
+            with pytest.raises(UnknownPoint, match="'zzz' is not a point of 'SIERP'"):
+                check(f)
+        with pytest.raises(UnknownPoint, match="'zzz' is not a point of 'SIERP'"):
+            compose(identity_map(sierp()), f)
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_least_missing_point_under_every_hash_seed(self, seed):
+        """Set order follows the string hash seed; the named point must not."""
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": str(seed),
+            "PYTHONPATH": str(Path(topoglue.__file__).parents[1]),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", _LEAST_GAP], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines() == ["'r' is not a point of 'A'"] * 3
+
+
+def _hand_map(data, dom, cod):
+    """A table between two spaces with random gaps and values outside ``cod``."""
+    table = {}
+    for x in sorted(dom.points):
+        kind = data.draw(st.sampled_from(["point", "point", "point", "gap", "stray"]))
+        if kind == "point":
+            table[x] = data.draw(st.sampled_from(sorted(cod.points)))
+        elif kind == "stray":
+            table[x] = data.draw(st.sampled_from(["zzz", "p9"]))
+    return SpaceMap(dom, cod, table)
+
+
+class TestHandBuiltMapsFuzz:
+    """Every reading function returns or raises a TopoglueError on a hand-built table."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_no_raw_lookup_error(self, data):
+        a = data.draw(small_spaces(max_points=3))
+        b = data.draw(small_spaces(max_points=3))
+        f, h, k = _hand_map(data, a, b), _hand_map(data, a, b), _hand_map(data, b, a)
+        g = _hand_map(data, b, b)
+        calls = [
+            (compose, g, f),
+            (compose, k, f),
+            (disagreement, [g, f], [h]),
+            (disagreement, [k, f], [identity_map(a)]),
+            (disagreement, [f], [k]),
+            (pullback, f, h),
+            (pullback, f, g),
+            (lift, [f], [h]),
+            (lift, [f, h], [g, g]),
+        ]
+        checks = (
+            discontinuities, collisions, non_open_points, non_embedding_points,
+            analyze_map, is_homeomorphism,
+        )
+        calls += [(check, m) for m in (f, g, k) for check in checks]
+        for fn, *args in calls:
+            try:
+                fn(*args)
+            except TopoglueError:
+                pass
 
 
 class TestFrozen:

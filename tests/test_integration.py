@@ -147,3 +147,16 @@ class TestOneReportType:
             if cls.__module__ == mod.__name__ and "passed" in vars(cls)
         }
         assert owners == {"topoglue.gdata.Report"}
+
+
+class TestFintopReadsMaps:
+    """Table gaps and map-property witnesses are decided in ``fintop`` alone."""
+
+    def test_only_fintop_catches_lookups_and_formats_witnesses(self):
+        sources = {
+            info.name: inspect.getsource(importlib.import_module(f"topoglue.{info.name}"))
+            for info in pkgutil.iter_modules(topoglue.__path__)
+        }
+        assert [name for name, src in sources.items() if "except KeyError" in src] == ["fintop"]
+        assert [name for name, src in sources.items() if "str(analyze_map(" in src] == ["fintop"]
+        assert sources["fintop"].count("str(analyze_map(") == 1
