@@ -93,26 +93,6 @@ class SpaceMap:
         return f"SpaceMap({self.dom.space_id!r} -> {self.cod.space_id!r})"
 
 
-@dataclass(frozen=True)
-class MapReport:
-    """Per-property analysis of a map, with witnesses for every failure."""
-
-    continuous: bool
-    injective: bool
-    open_map: bool
-    embedding: bool
-    witnesses: tuple[tuple[str, str], ...]
-
-    @property
-    def homeomorphism(self) -> bool:
-        return self.continuous and self.injective and self.surjective and self.open_map
-
-    # surjectivity is recorded as the absence of a "surjective" witness
-    @property
-    def surjective(self) -> bool:
-        return not any(prop == "surjective" for prop, _ in self.witnesses)
-
-
 def make_space(space_id: str, points: Iterable[str], min_open: Mapping[str, Iterable[str]]) -> FiniteSpace:
     """Build a validated finite space from a minimal-open table."""
     pts = frozenset(points)
@@ -351,39 +331,36 @@ def non_embedding_points(f: SpaceMap) -> list[str]:
     return misfits
 
 
-def analyze_map(f: SpaceMap) -> MapReport:
-    """Check continuity, injectivity, openness and the embedding criterion.
+def analyze_map(f: SpaceMap) -> tuple[tuple[str, str], ...]:
+    """The witnesses of every property f fails, as (property, point) pairs.
 
     continuous: f(min_open(x)) is inside min_open(f(x)) for every x.
+    injective:  no two points share an image (``"x',x"`` names a pair).
     open:       the image of every minimal open is open.
-    embedding:  injective, continuous, and the image of each minimal open is
-                exactly min_open(f(x)) intersected with the image of f.
+    embedding:  asked only of an injective continuous f: the image of each
+                minimal open is exactly min_open(f(x)) intersected with the
+                image of f.
+    surjective: the least point of the codomain outside the image.
 
     Each property has its own helper (``discontinuities``, ``collisions``,
     ``non_open_points``, ``non_embedding_points``), for a caller that asks
-    about one property alone; ``failure_witnesses`` runs the full analysis
-    only when one of them fails, for a report row's witnesses.
+    about one property alone.  The tuple is empty iff ``is_homeomorphism(f)``.
     """
     broken = discontinuities(f)
     clashes = collisions(f)
-    closed = non_open_points(f)
-    continuous, injective, open_map = not broken, not clashes, not closed
     witnesses = [("continuous", x) for x in broken]
     witnesses += [("injective", pair) for pair in clashes]
-    witnesses += [("open", x) for x in closed]
-    embedding = injective and continuous
-    if embedding:
-        misfits = non_embedding_points(f)
-        embedding = not misfits
-        witnesses += [("embedding", x) for x in misfits]
+    witnesses += [("open", x) for x in non_open_points(f)]
+    if not broken and not clashes:
+        witnesses += [("embedding", x) for x in non_embedding_points(f)]
     full_image = f.image()
     if full_image != f.cod.points:
-        witnesses.append(("surjective", sorted(f.cod.points - full_image)[0]))
-    return MapReport(continuous, injective, open_map, embedding, tuple(witnesses))
+        witnesses.append(("surjective", min(f.cod.points - full_image)))
+    return tuple(witnesses)
 
 
 def is_homeomorphism(f: SpaceMap) -> bool:
-    """Continuous, injective, surjective and open, as ``analyze_map`` finds; the first failure stops."""
+    """Whether f is continuous, injective, surjective and open; the first failure stops."""
     return (
         not discontinuities(f)
         and not collisions(f)
@@ -395,10 +372,10 @@ def is_homeomorphism(f: SpaceMap) -> bool:
 def failure_witnesses(f: SpaceMap, *tests: Callable[[SpaceMap], list]) -> str | None:
     """None when no property test in ``tests`` finds a point of f, else the row witness.
 
-    The witness is the string of ``analyze_map(f).witnesses``; the first failing test stops the tests.
+    The witness is the string of ``analyze_map(f)``; the first failing test stops the tests.
     """
     if any(test(f) for test in tests):
-        return str(analyze_map(f).witnesses)
+        return str(analyze_map(f))
     return None
 
 
@@ -461,19 +438,27 @@ def pullback(
     such names.  Two pairs that would get one name (a point name holding
     ``,``) raise DuplicateName, the first such pair in sorted order.  The
     space is named ``space_id``, by default ``A*B`` for the domains A of
-    ``f`` and B of ``g``.
+    ``f`` and B of ``g``.  A table gap or a value outside the codomain
+    raises UnknownPoint (``_table_gap``).
     """
     if f.cod != g.cod:
         raise CompositionMismatch("pullback needs maps into a common codomain")
     ftable, gtable = f.table, g.table
     fiber: dict[str, list[str]] = {}
     pairs = []
+    cod = f.cod.points
     try:
         for v in g.dom.points:
             fiber.setdefault(gtable[v], []).append(v)
+        if not fiber.keys() <= cod:
+            raise _table_gap((g, f))
         for u in f.dom.points:
-            for v in fiber.get(ftable[u], ()):
-                pairs.append((u, v))
+            y = ftable[u]
+            if y in fiber:  # so y is a point of cod
+                for v in fiber[y]:
+                    pairs.append((u, v))
+            elif y not in cod:
+                raise _table_gap((g, f))
     except KeyError:
         raise _table_gap((g, f)) from None
     space_id = space_id or f"{f.dom.space_id}*{g.dom.space_id}"
@@ -517,7 +502,9 @@ def lift(
     ``want[n]`` and ``along[n]`` share a codomain, else CompositionMismatch.
     When some t has no such u or several, the first such t in sorted order
     is returned with its sorted candidates instead of a map, so that the
-    caller raises its own error.
+    caller raises its own error.  Every table is read first: a gap or a value
+    outside a codomain raises UnknownPoint (``_table_gap``) before any t is
+    decided.
     """
     dom, cod = want[0].dom, along[0].dom
     if len(want) != len(along) or any(
@@ -527,11 +514,19 @@ def lift(
             f"cannot lift {list(want)!r} along {list(along)!r}: endpoints differ"
         )
     fibers: dict[tuple[str, ...], list[str]] = {}
-    for u in sorted(cod.points):
-        fibers.setdefault(tuple(a(u) for a in along), []).append(u)
+    order = sorted(dom.points)
+    try:
+        for u in sorted(cod.points):
+            fibers.setdefault(tuple([a.table[u] for a in along]), []).append(u)
+        wanted = [tuple([w.table[t] for w in want]) for t in order]
+    except KeyError:
+        raise _table_gap((*along, *want)) from None
+    for n, a in enumerate(along):  # want[n] shares the codomain of a
+        if not {key[n] for keys in (fibers, wanted) for key in keys} <= a.cod.points:
+            raise _table_gap((*along, *want))
     table = {}
-    for t in sorted(dom.points):
-        candidates = fibers.get(tuple(w(t) for w in want), [])
+    for t, key in zip(order, wanted):
+        candidates = fibers.get(key, [])
         if len(candidates) != 1:
             return t, candidates
         table[t] = candidates[0]

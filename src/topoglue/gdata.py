@@ -79,7 +79,11 @@ class Report:
 
 @dataclass(frozen=True)
 class GluingData:
-    """Gluing data, lawful or not, with its seven tables held as read-only copies."""
+    """Gluing data, lawful or not, with its seven tables held as read-only copies.
+
+    ``triple_transition`` is keyed by the triples (i, j, k) with i != j; a
+    triple's map onto its pair (i,j) is read through the law plan (``_coord``).
+    """
 
     index: tuple[str, ...]
     patch: Mapping[str, FiniteSpace]
@@ -114,23 +118,6 @@ class GluingData:
         if obj.arity == 2:
             return self.overlap[(obj.head, obj.rest[0])]
         return self.triple_space[obj]
-
-    def coord_map(self, i: str, j: str, k: str) -> SpaceMap:
-        """The map from the space of [i,j,k] onto overlap (i,j).
-
-        For a genuine triple this is the stored pullback projection; when the
-        tuple collapses to the pair (i,j) it is the identity.
-        """
-        obj = normalize((i, j, k))
-        if obj.arity == 3:
-            return self.triple_proj[(obj, j)]
-        return identity_map(self.space_of(obj))
-
-    def triple_map(self, i: str, j: str, k: str) -> SpaceMap:
-        """The transition from the space of [i,j,k] to the space of [j,i,k]."""
-        if i == j:
-            return identity_map(self.space_of(normalize((i, j, k))))
-        return self.triple_transition[(i, j, k)]
 
 
 def _triple_tables(index, overlap, anchor):
@@ -267,7 +254,8 @@ def _law_plan(index: tuple[str, ...]) -> _LawPlan:
 
 
 def _coord(gd: GluingData, t: _Triple) -> SpaceMap:
-    """``gd.coord_map(*t.key)``, read through the plan."""
+    """The map from the space of t = [i,j,k] onto overlap (i,j): the stored
+    pullback projection, or the identity when the tuple collapses to the pair (i,j)."""
     return identity_map(gd.space_of(t.obj)) if t.proj is None else gd.triple_proj[t.proj]
 
 
@@ -282,7 +270,7 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
     The triples, their square partners and where their coordinate maps
     are stored come from the law plan of the index set (``_law_plan``),
     which holds only what the labels decide, never a space or a map; each
-    call reads the datum's coordinate maps off it once.
+    call reads the datum's coordinate maps off it once, through ``_coord``.
 
     A [i,j,k]-space with no points needs no lift.  When the transition
     after the (i,j)-coordinate map and the (j,i)-coordinate map are typed
@@ -476,7 +464,7 @@ def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
     if gen.kind == "eta3":
         i, j, k, n = gen.indices
         return gd.triple_proj[(normalize((i, j, k)), n)]
-    return gd.triple_map(*gen.indices)
+    return gd.triple_transition[gen.indices]  # a tau3 edge has i != j
 
 
 def functor_tables(gd: GluingData) -> GluingFunctor:

@@ -344,8 +344,7 @@ def mediate(gd: GluingData, glued: Cone, cone: Cone) -> SpaceMap:
         (table[qp],) = values[qp]
     mu = SpaceMap(glued.apex, cone.apex, table)
     if fintop.discontinuities(mu):
-        witnesses = analyze_map(mu).witnesses
-        raise IllDefined((glued.apex.space_id, "mediating map not continuous", witnesses))
+        raise IllDefined((glued.apex.space_id, "mediating map not continuous", analyze_map(mu)))
     return mu
 
 

@@ -303,7 +303,7 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
         if not isinstance(canonical, SpaceMap):
             witness = f"{canonical[0]!r} lands outside the pullback"
         elif not is_homeomorphism(canonical):
-            witness = f"canonical map is not an isomorphism: {analyze_map(canonical).witnesses}"
+            witness = f"canonical map is not an isomorphism: {analyze_map(canonical)}"
         rep.add("pushout-condition", repr(obj), witness is None, witness)
         if witness is not None:
             raise HypothesisBFailed(obj.head, *obj.rest, f"triple {obj}: {witness}")

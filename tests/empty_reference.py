@@ -8,18 +8,20 @@ run every object through the same path, so that a test can compare the two:
 every composite goes through ``compose`` and every comparison through a
 scan of the composites (``disagreement``), every pullback scans its fibers,
 every triple transition is lifted, and every map property comes from one
-full ``analyze_map`` (``is_homeomorphism`` is its ``homeomorphism``).
+full ``analyze_map``, which keeps its own flags beside the witnesses in a
+``MapRecord`` (``is_homeomorphism`` is its ``homeomorphism``).  Coordinate
+maps are read from the labels (``paths.coord``).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from oracles import first_difference
+from paths import coord
 from topoglue import fintop, glidx
 from topoglue.errors import CompositionMismatch, DuplicateName, NotDetermined
 from topoglue.fintop import (
-    MapReport,
     SpaceMap,
     compose,
     discontinuities,
@@ -38,7 +40,30 @@ def disagreement(left, right):
     return first_difference(fintop._composite(left), fintop._composite(right))
 
 
-def analyze_map(f: SpaceMap) -> MapReport:
+@dataclass(frozen=True)
+class MapRecord:
+    """Per-property flags of a map, with witnesses for every failure."""
+
+    continuous: bool
+    injective: bool
+    open_map: bool
+    embedding: bool
+    witnesses: tuple[tuple[str, str], ...]
+
+    @property
+    def homeomorphism(self) -> bool:
+        surjective = not any(prop == "surjective" for prop, _ in self.witnesses)
+        return self.continuous and self.injective and surjective and self.open_map
+
+
+def triple_map(gd: GluingData, i: str, j: str, k: str) -> SpaceMap:
+    """The transition from the space of [i,j,k] to the space of [j,i,k]."""
+    if i == j:
+        return identity_map(gd.space_of(glidx.normalize((i, j, k))))
+    return gd.triple_transition[(i, j, k)]
+
+
+def analyze_map(f: SpaceMap) -> MapRecord:
     broken = discontinuities(f)
     continuous = not broken
     witnesses = [("continuous", x) for x in broken]
@@ -65,7 +90,7 @@ def analyze_map(f: SpaceMap) -> MapReport:
                 witnesses.append(("embedding", x))
     if full_image != f.cod.points:
         witnesses.append(("surjective", sorted(f.cod.points - full_image)[0]))
-    return MapReport(continuous, injective, open_map, embedding, tuple(witnesses))
+    return MapRecord(continuous, injective, open_map, embedding, tuple(witnesses))
 
 
 def pullback(f, g, space_id=None):
@@ -120,8 +145,8 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
             for k in gd.index:
                 if i == j or (i, j, k) in derived:
                     continue
-                want = compose(gd.transition[(i, j)], gd.coord_map(i, j, k))
-                lifted = lift([want], [gd.coord_map(j, i, k)])
+                want = compose(gd.transition[(i, j)], coord(gd, i, j, k))
+                lifted = lift([want], [coord(gd, j, i, k)])
                 if not isinstance(lifted, SpaceMap):
                     raise NotDetermined(i, j, k, *lifted)
                 derived[(i, j, k)] = lifted
@@ -191,12 +216,12 @@ def check_laws(gd: GluingData) -> Report:
         for j in gd.index:
             for k in gd.index:
                 sub = f"({i},{j},{k})"
-                fwd = gd.triple_map(i, j, k)
+                fwd = triple_map(gd, i, j, k)
                 _add_continuity(rep, "triple-continuous", sub, fwd)
-                w = disagreement([gd.triple_map(j, k, i), fwd], [gd.triple_map(i, k, j)])
+                w = disagreement([triple_map(gd, j, k, i), fwd], [triple_map(gd, i, k, j)])
                 rep.add("cocycle", sub, w is None, w)
                 w = disagreement(
-                    [gd.coord_map(j, i, k), fwd], [gd.transition[(i, j)], gd.coord_map(i, j, k)]
+                    [coord(gd, j, i, k), fwd], [gd.transition[(i, j)], coord(gd, i, j, k)]
                 )
                 rep.add("projection-square", sub, w is None, w)
     return rep

@@ -8,7 +8,9 @@ start object; the empty path is the identity.
 
 - ``find_path`` searches ``glidx.edges`` breadth first;
 - ``realize`` composes a functor's generator maps along a path;
-- ``reindex`` maps a path through an index map.
+- ``reindex`` maps a path through an index map;
+- ``coord`` reads a datum's coordinate map of a triple from its labels, as
+  a reference that does not go through the library's law plan.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from functools import lru_cache
 
 from topoglue import glidx
 from topoglue.fintop import SpaceMap, compose, identity_map
-from topoglue.gdata import GluingFunctor
-from topoglue.glidx import GlGen, GlObject
+from topoglue.gdata import GluingData, GluingFunctor
+from topoglue.glidx import GlGen, GlObject, normalize
 from topoglue.refine import IndexMap, reindex_object
 
 Path = tuple[GlGen, ...]
@@ -74,3 +76,15 @@ def reindex(gamma: IndexMap, dom: GlObject, path: Path) -> tuple[GlObject, Path]
     return reindex_object(gamma, dom), tuple(
         GlGen(gen.kind, tuple(gamma(i) for i in gen.indices)) for gen in path
     )
+
+
+def coord(gd: GluingData, i: str, j: str, k: str) -> SpaceMap:
+    """The map from the space of [i,j,k] onto overlap (i,j).
+
+    For a genuine triple this is the stored pullback projection; when the
+    tuple collapses to the pair (i,j) it is the identity.
+    """
+    obj = normalize((i, j, k))
+    if obj.arity == 3:
+        return gd.triple_proj[(obj, j)]
+    return identity_map(gd.space_of(obj))

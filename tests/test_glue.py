@@ -776,13 +776,9 @@ def _glued_properties_reference(gd, candidate):
                 None if ok else f"{sorted(via_ij)} vs {sorted(via_ji)} vs {sorted(img_i & img_j)}",
             )
     for i in idx:
-        r = analyze_map(candidate.leg(single(i)))
-        rep.add(
-            "f-leg-embedding-free",
-            i,
-            r.injective and r.continuous,
-            None if r.injective and r.continuous else str(r.witnesses),
-        )
+        witnesses = analyze_map(candidate.leg(single(i)))
+        ok = not {prop for prop, _ in witnesses} & {"injective", "continuous"}
+        rep.add("f-leg-embedding-free", i, ok, None if ok else str(witnesses))
     return rep
 
 
@@ -921,9 +917,9 @@ def _mediate_by_tags(gd, glued, cone):
             raise IllDefined((qp, sorted(values)))
         table[qp] = values.pop()
     mu = SpaceMap(glued.space, cone.apex, table)
-    report = analyze_map(mu)
-    if not report.continuous:
-        raise IllDefined((glued.space.space_id, "mediating map not continuous", report.witnesses))
+    witnesses = analyze_map(mu)
+    if any(prop == "continuous" for prop, _ in witnesses):
+        raise IllDefined((glued.space.space_id, "mediating map not continuous", witnesses))
     return mu
 
 
@@ -1137,9 +1133,9 @@ def _scan_report(gd, glued, apexes):
     rep = UniversalReport()
     failure = cone_failure(gd, glued, "figure4")
     broken = [
-        (obj, [x for prop, x in analyze_map(leg).witnesses if prop == "continuous"])
+        (obj, points)
         for obj, leg in glued.legs.items()
-        if not analyze_map(leg).continuous
+        if (points := [x for prop, x in analyze_map(leg) if prop == "continuous"])
     ]
     witness = None
     if failure is not None:

@@ -148,6 +148,19 @@ class TestOneReportType:
         }
         assert owners == {"topoglue.gdata.Report"}
 
+    def test_every_report_class_is_a_report(self):
+        """A ``*Report`` class is a ``gdata.Report``; ``cli.RunReport``, the CLI envelope, aside."""
+        strays = {
+            f"{mod.__name__}.{cls.__qualname__}"
+            for info in pkgutil.iter_modules(topoglue.__path__)
+            for mod in [importlib.import_module(f"topoglue.{info.name}")]
+            for _, cls in inspect.getmembers(mod, inspect.isclass)
+            if cls.__module__ == mod.__name__
+            and cls.__name__.endswith("Report")
+            and not issubclass(cls, Report)
+        }
+        assert strays == {"topoglue.cli.RunReport"}
+
 
 class TestFintopReadsMaps:
     """Table gaps and map-property witnesses are decided in ``fintop`` alone."""

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from conftest import digital_circle_data, mutate_transition, random_lawful_data
-from paths import find_path, realize, reindex
+from paths import coord, find_path, realize, reindex
 from test_gdata import _ambiguous_instance
 from test_glue import self_weld_arc, three_patch_chain
 from topoglue import cover, glidx
@@ -81,8 +81,8 @@ def _scan_derive(gd):
                     continue
                 dom_sp = gd.space_of(normalize((i, j, k)))
                 cod_sp = gd.space_of(normalize((j, i, k)))
-                out_coord = gd.coord_map(i, j, k)
-                in_coord = gd.coord_map(j, i, k)
+                out_coord = coord(gd, i, j, k)
+                in_coord = coord(gd, j, i, k)
                 phi = gd.transition[(i, j)]
                 table = {}
                 for t in sorted(dom_sp.points):
