@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import asdict, dataclass, field
@@ -324,7 +325,12 @@ def main(argv=None) -> int:
         prefix = "check failed" if exc.exit_code == 1 else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
-    print(report.machine() if opts.machine else report.human())
+    try:
+        print(report.machine() if opts.machine else report.human())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send the rest, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

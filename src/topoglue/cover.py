@@ -3,7 +3,9 @@
 A gluing covering of a base space is a family of injective continuous maps
 whose images cover the base; the open kind additionally requires every leg to
 be an open map.  Coverings convert to gluing data (overlaps are pullbacks of
-leg pairs), and the patch legs of a glued space cover it.  Gluing that data
+leg pairs, so the nerve is the pairs of patches whose images meet, found
+from the base points they share), and the patch legs of a glued space cover
+it.  The reports on that data walk its nerve.  Gluing that data
 gives the base back only when the base is the glued-up object:
 ``functor_of_covering``'s ``mediate-iso`` row says whether it is.  A gluing
 covering can fail it: SIERP covered by its two one-point subspaces glues to
@@ -12,7 +14,6 @@ the discrete space.  The three site axioms are verified per instance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,14 +26,15 @@ from .fintop import (
     compose,
     discontinuities,
     failure_witnesses,
+    identity_map,
     is_homeomorphism,
     lift,
     non_open_points,
     pullback,
 )
-from .gdata import GluingData, Report, derive_triple_maps, make_gluing_data
+from .gdata import EMPTY, GluingData, Report, derive_triple_maps, make_gluing_data
 from .glidx import single
-from .glue import Cone, GluedSpace, glue, mediate
+from .glue import Cone, GluedSpace, _meeting, glue, mediate
 
 KINDS = ("gluing", "open")
 
@@ -82,16 +84,24 @@ def data_of_covering(c: Covering) -> GluingData:
 
     Patches are the covering's own patches, overlaps are the pullbacks of leg
     pairs with the projections as anchors, and transitions swap coordinates.
+    A pullback has points exactly when the two leg images meet, so only
+    those leg pairs are pulled back, found from the base points each leg
+    image holds; every other overlap is the empty one, with empty maps.
     """
     idx = [str(n) for n in range(len(c.family))]
     patch = {i: sp for i, (sp, _) in zip(idx, c.family)}
     legs = {i: leg for i, (_, leg) in zip(idx, c.family)}
-    pullbacks = {(i, j): pullback(legs[i], legs[j]) for i in idx for j in idx if i != j}
-    overlap = {key: sp for key, (sp, _, _) in pullbacks.items()}
-    anchor = {key: pi for key, (_, pi, _) in pullbacks.items()}
-    transition = {}
-    for (i, j), (_, pi, pj) in pullbacks.items():
+    meet = _meeting({i: set(leg.table.values()) for i, leg in legs.items()})
+    pullbacks = {
+        (i, j): pullback(legs[i], legs[j]) for i in idx for j in idx if i != j and (i, j) in meet
+    }
+    none = {i: SpaceMap(EMPTY, patch[i], {}) for i in idx}
+    overlap = {(i, j): EMPTY for i in idx for j in idx if i != j}
+    anchor = {(i, j): none[i] for i, j in overlap}
+    transition = dict.fromkeys(overlap, identity_map(EMPTY))
+    for (i, j), (sp, pi, pj) in pullbacks.items():
         _, pj_back, pi_back = pullbacks[(j, i)]
+        overlap[(i, j)], anchor[(i, j)] = sp, pi
         transition[(i, j)] = lift([pj, pi], [pj_back, pi_back])
         assert isinstance(transition[(i, j)], SpaceMap), "a swapped pair is a pullback point"
     return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition))
@@ -111,7 +121,9 @@ def functor_of_covering(c: Covering) -> CoverFunctorResult:
     The report says whether the glued space rebuilds the base: the
     ``mediate-iso`` row passes when the mediating map of the original legs
     is a homeomorphism, and the ``intersection-images`` rows when the overlap
-    images realize the pairwise intersections of leg images.
+    images realize the pairwise intersections of leg images.  Those rows are
+    the nerve's pairs: ``data_of_covering`` leaves an overlap empty exactly
+    when the two leg images are disjoint.
     """
     pre = check_covering(c)
     if not pre.passed:
@@ -127,16 +139,15 @@ def functor_of_covering(c: Covering) -> CoverFunctorResult:
     rep.add("glued-size", "points", len(glued.space.points) == len(c.base.points))
     rep.add("mediate-iso", "base", is_homeomorphism(mu))
     images = {i: leg.image() for i, leg in legs.items()}
-    for i in idx:
-        for j in idx:
-            via = compose(legs[i], gd.anchor[(i, j)]).image()
-            expect = images[i] & images[j]
-            rep.add(
-                "intersection-images",
-                f"({i},{j})",
-                via == expect,
-                None if via == expect else f"{sorted(via)} != {sorted(expect)}",
-            )
+    for i, j in gd.nerve.pairs:
+        via = compose(legs[i], gd.anchor[(i, j)]).image()
+        expect = images[i] & images[j]
+        rep.add(
+            "intersection-images",
+            f"({i},{j})",
+            via == expect,
+            None if via == expect else f"{sorted(via)} != {sorted(expect)}",
+        )
     return CoverFunctorResult(gd, glued, mu, rep)
 
 
@@ -147,7 +158,9 @@ def covering_of_glued(gd: GluingData, glued: GluedSpace) -> Covering:
     an open map.
     """
     all_open = not any(
-        non_open_points(m) for m in itertools.chain(gd.anchor.values(), gd.transition.values())
+        non_open_points(table[key])
+        for table in (gd.anchor, gd.transition)
+        for key in gd.nerve.pairs
     )
     family = [(gd.patch[i], glued.leg(single(i))) for i in gd.index]
     return Covering(glued.space, family, "open" if all_open else "gluing")

@@ -30,15 +30,15 @@ def render_index(index: tuple[str, ...]) -> str:
 
 
 def render_gluing(name: str, gd: GluingData, glued=None) -> str:
-    """Objects carrying their space labels, generator edges, and glued legs."""
+    """The nerve's objects carrying their space labels, its generator edges, and glued legs."""
     lines = [f"digraph {name} {{"]
-    for obj in glidx.objects(gd.index):
+    for obj in gd.nerve.objects:
         sp = gd.space_of(obj)
         label = f"{obj!r}\\n{sp.space_id} ({len(sp.points)}p)"
         lines.append(f"  {_quote(repr(obj))} [label={_quote(label)}];")
     edges = [
         f"  {_quote(repr(c))} -> {_quote(repr(d))} [label={_quote(gen.display())}];"
-        for (d, c), gen in glidx.edges(gd.index).items()
+        for (d, c), gen in gd.nerve.edges.items()
     ]
     lines.extend(sorted(edges))
     if glued is not None:

@@ -461,10 +461,6 @@ def pullback(
                 raise _table_gap((g, f))
     except KeyError:
         raise _table_gap((g, f)) from None
-    space_id = space_id or f"{f.dom.space_id}*{g.dom.space_id}"
-    if not pairs:  # disjoint images, as when either domain has no points
-        sp = FiniteSpace(space_id, (), {})
-        return sp, SpaceMap(sp, f.dom, {}), SpaceMap(sp, g.dom, {})
     pairs.sort()
     pair_of: dict[str, tuple[str, str]] = {}
     name: dict[tuple[str, str], str] = {}
@@ -485,7 +481,7 @@ def pullback(
         )
         for tag, (u, v) in pair_of.items()
     }
-    sp = make_space(space_id, pair_of, table)
+    sp = make_space(space_id or f"{f.dom.space_id}*{g.dom.space_id}", pair_of, table)
     proj_f = SpaceMap(sp, f.dom, {tag: u for tag, (u, _) in pair_of.items()})
     proj_g = SpaceMap(sp, g.dom, {tag: v for tag, (_, v) in pair_of.items()})
     return sp, proj_f, proj_g

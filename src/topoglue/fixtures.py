@@ -11,7 +11,6 @@ two-point discrete space ``_ends``.
 
 from __future__ import annotations
 
-from . import glidx
 from .fintop import FiniteSpace, SpaceMap, make_space
 from .gdata import GluingData, GluingFunctor, derive_triple_maps, functor_of, make_gluing_data
 from .glidx import normalize, pair, single
@@ -226,7 +225,7 @@ def counter_meta():
     def const_refinement(coarse: GluingFunctor):
         comps = {
             obj: SpaceMap(p, coarse.space(obj), {"p": "l|l"})
-            for obj in glidx.objects(("1", "2"))
+            for obj in coarse.data.nerve.objects
             if obj.arity < 3
         }
         return complete_refinement(gamma, point_fun, coarse, comps)

@@ -7,6 +7,15 @@ triple between the canonical triple spaces.  The triple space of [i,j,k] is
 always the pullback of the two anchors out of overlaps (i,j) and (i,k); the
 freedom to choose any pullback is resolved by this fixed representative.
 
+A datum stores only its nerve: every patch, the overlaps and triple spaces
+that have points, and their anchors, transitions, projections and triple
+transitions.  Any other object reads as the one shared empty space ``EMPTY``
+and its maps as empty maps, so a map given out of such an object must be
+that empty map, into the right space, or construction raises
+CompositionMismatch.  The datum's ``nerve`` lists its objects, the generator
+edges between them and their faces, in the index category's order; every
+later stage walks it, so an empty overlap or triple costs nothing.
+
 All stored maps are the continuous direction; the index-category arrows they
 realize point the other way.
 
@@ -19,17 +28,16 @@ gets its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import fintop, glidx
-from .errors import NotDetermined, UnresolvedReference, ValidationFailed
+from .errors import CompositionMismatch, NotDetermined, UnresolvedReference, ValidationFailed
 from .fintop import (
     FiniteSpace,
     SpaceMap,
-    composable,
     compose,
     disagreement,
     discontinuities,
@@ -38,6 +46,9 @@ from .fintop import (
     read_only,
 )
 from .glidx import GlGen, GlObject, normalize, pair, single
+
+EMPTY = FiniteSpace("empty", (), {})  # the space of every object outside a datum's nerve
+_NOTHING = identity_map(EMPTY)
 
 
 @dataclass(frozen=True)
@@ -69,20 +80,110 @@ class Report:
     def add(self, name, subject, ok, witness=None):
         self.entries.append(CheckEntry(name, subject, ok, witness))
 
-    def extend(self, rows: Iterable[CheckEntry]) -> None:
-        """Append rows already built; rows are frozen, so several reports may share them."""
-        self.entries.extend(rows)
-
     def __str__(self):
         return "\n".join(str(e) for e in self.entries)
 
 
+def _require_empty(what: str, f: SpaceMap, cod: FiniteSpace) -> None:
+    """Raise CompositionMismatch unless f, given out of an empty object, is the empty map into cod."""
+    if f.dom.points or f.table or not fintop._same(f.cod, cod):
+        raise CompositionMismatch(
+            f"{what} leaves an empty object: it must be the empty map into {cod.space_id!r}"
+        )
+
+
+def _nerve_pairs(index, patch, overlap, anchor, transition) -> tuple[dict, dict, dict]:
+    """The overlap, anchor and transition tables of a datum, one entry per ordered pair in index order.
+
+    Every ordered pair needs all three entries, else UnresolvedReference.
+    An off-diagonal overlap with no points leaves the nerve: its anchor must
+    be the empty map into the patch and its transition the empty map into
+    the opposite overlap, else CompositionMismatch.  Such a pair's entries
+    become the shared ``EMPTY``, the patch's one empty anchor and the
+    empty map into the opposite overlap (shared when that is ``EMPTY``).
+    """
+    pairs = list(product(index, repeat=2))
+    tables = (overlap, anchor, transition)
+    missing = [key for key in pairs for table in tables if key not in table]
+    if missing:
+        raise UnresolvedReference(
+            f"gluing data is missing entries for pairs {sorted(set(missing))}"
+        )
+    kept = {key: overlap[key] for key in pairs if key[0] == key[1] or overlap[key].points}
+    no_anchor = {i: SpaceMap(EMPTY, patch[i], {}) for i in index}
+    spaces, anchors, transitions = {}, {}, {}
+    for i, j in pairs:
+        key = (i, j)
+        if key in kept:
+            spaces[key], anchors[key], transitions[key] = kept[key], anchor[key], transition[key]
+            continue
+        back = kept.get((j, i), EMPTY)
+        _require_empty(f"anchor ({i},{j})", anchor[key], patch[i])
+        _require_empty(f"transition ({i},{j})", transition[key], back)
+        spaces[key], anchors[key] = EMPTY, no_anchor[i]
+        transitions[key] = _NOTHING if back is EMPTY else SpaceMap(EMPTY, back, {})
+    return spaces, anchors, transitions
+
+
+class Nerve(NamedTuple):
+    """What a datum stores, as a full subcategory of the index category, and the law rows' subjects.
+
+    ``objects``, ``edges`` and ``faces`` are ``glidx.restrict`` to every
+    patch and to the pair and triple objects whose spaces have points.
+    ``pairs`` are the ordered pairs (i, j) whose object ([i] when i == j) is
+    one of them, and ``triples`` the ordered triples (i, j, k) whose normal
+    object is, both in index order.
+    """
+
+    objects: tuple[GlObject, ...]
+    edges: Mapping[tuple[GlObject, GlObject], GlGen]
+    faces: Mapping[GlObject, tuple[GlObject, ...]]
+    pairs: tuple[tuple[str, str], ...]
+    triples: tuple[tuple[str, str, str], ...]
+
+
+@lru_cache(maxsize=64)
+def _nerve(index: tuple[str, ...], pairs: frozenset, triples: frozenset) -> Nerve:
+    """The nerve of the data over ``index`` that store these pairs (i, j) and triple objects.
+
+    It depends on nothing else, so it is built once per such shape, as
+    ``glidx`` builds the whole index category once per index set.
+    """
+    pos = {i: n for n, i in enumerate(index)}
+    ordered = tuple(sorted(pairs, key=lambda ij: (pos[ij[0]], pos[ij[1]])))
+    objects = [single(i) for i in index] + [pair(i, j) for i, j in ordered if i != j] + list(triples)
+    cat = glidx.restrict(index, objects)
+    return Nerve(cat.objects, cat.edges, cat.faces, ordered, _triple_keys(index, cat.objects))
+
+
+def _triple_keys(index: tuple[str, ...], objects: Iterable[GlObject]) -> tuple[tuple[str, ...], ...]:
+    """The ordered triples whose normal object is among ``objects``, in index order:
+    (i,i,i) for [i], (i,j,j) for [i,j], and (i,j,k), (i,k,j) for [i|{j,k}]."""
+    keys = []
+    for obj in objects:
+        i = obj.head
+        if obj.arity == 3:
+            j, k = obj.rest
+            keys += [(i, j, k), (i, k, j)]
+        else:
+            j = obj.rest[0] if obj.rest else i
+            keys.append((i, j, j))
+    pos = {i: n for n, i in enumerate(index)}
+    return tuple(sorted(keys, key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]])))
+
+
 @dataclass(frozen=True)
 class GluingData:
-    """Gluing data, lawful or not, with its seven tables held as read-only copies.
+    """Gluing data, lawful or not: its nerve's tables, held as read-only copies.
 
-    ``triple_transition`` is keyed by the triples (i, j, k) with i != j; a
-    triple's map onto its pair (i,j) is read through the law plan (``_coord``).
+    ``overlap``, ``anchor`` and ``transition`` have an entry for every
+    ordered pair; those outside the nerve are the shared empty space and
+    empty maps (``_nerve_pairs``).
+    ``triple_space`` and ``triple_proj`` hold the triple spaces with points
+    and their projections, and ``triple_transition`` is keyed by the triples
+    (i, j, k) with i != j whose normal object the datum stores.  Building a
+    datum drops what is given for an object outside the nerve, after
+    checking it is empty (``_nerve_pairs`` and ``_nerve_triples``).
     """
 
     index: tuple[str, ...]
@@ -97,9 +198,25 @@ class GluingData:
     __hash__ = None  # the tables are not hashable
 
     def __post_init__(self):
-        object.__setattr__(self, "index", tuple(self.index))
-        for table in fields(self)[1:]:  # every field after the index is a table
-            object.__setattr__(self, table.name, read_only(getattr(self, table.name)))
+        index = tuple(self.index)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "patch", read_only(self.patch))
+        tables = _nerve_pairs(index, self.patch, self.overlap, self.anchor, self.transition)
+        for name, table in zip(("overlap", "anchor", "transition"), tables):
+            object.__setattr__(self, name, read_only(table))
+        names = ("triple_space", "triple_proj", "triple_transition")
+        for name, table in zip(names, _nerve_triples(self)):
+            object.__setattr__(self, name, read_only(table))
+
+    @cached_property
+    def nerve(self) -> Nerve:
+        """The objects this datum stores, with their edges, faces and law subjects (``_nerve``)."""
+        return _nerve(self.index, self._pairs, frozenset(self.triple_space))
+
+    @cached_property
+    def _pairs(self) -> frozenset[tuple[str, str]]:
+        """The ordered pairs (i, j) of the nerve: the diagonal ones and those whose overlap has points."""
+        return frozenset(key for key, space in self.overlap.items() if key[0] == key[1] or space.points)
 
     @cached_property
     def _law_rows(self) -> tuple[CheckEntry, ...]:
@@ -112,25 +229,73 @@ class GluingData:
         total, injections = fintop.disjoint_union([self.patch[i] for i in self.index], self.index)
         return total, read_only(dict(zip(self.index, injections)))
 
+    def stores(self, obj: GlObject) -> bool:
+        """Whether ``obj`` is in the nerve: a patch, or a pair or triple object with points."""
+        if obj.arity == 1:
+            return obj.head in self.patch
+        if obj.arity == 2:
+            return (obj.head, obj.rest[0]) in self._pairs
+        return obj in self.triple_space
+
     def space_of(self, obj: GlObject) -> FiniteSpace:
         if obj.arity == 1:
             return self.patch[obj.head]
         if obj.arity == 2:
             return self.overlap[(obj.head, obj.rest[0])]
-        return self.triple_space[obj]
+        return self.triple_space.get(obj, EMPTY)
+
+
+def _nerve_triples(gd: GluingData) -> tuple[dict, dict, dict]:
+    """The triple tables of a datum whose pair tables are set, as its nerve keeps them.
+
+    It runs while the triple tables are still as given.  A triple space
+    with no points is dropped, and so is a projection out of it or a triple
+    transition (i, j, k), i != j, out of an object the datum does not store,
+    once ``_require_empty`` finds it the empty map into overlap (i,n) or the
+    space of (j,i,k).
+    """
+    spaces = {obj: sp for obj, sp in gd.triple_space.items() if sp.points}
+    projs = {}
+    for (obj, n), f in gd.triple_proj.items():
+        if obj in spaces:
+            projs[(obj, n)] = f
+        else:
+            _require_empty(f"projection {obj!r} -> [{obj.head},{n}]", f, gd.overlap[(obj.head, n)])
+    labels, pairs = set(gd.index), gd._pairs
+    transitions = {}
+    for key, f in gd.triple_transition.items():
+        if len(key) != 3 or key[0] == key[1] or not labels.issuperset(key):
+            transitions[key] = f  # not the key of a transition the laws read
+        elif normalize(key) in spaces or (key[1] == key[2] and key[:2] in pairs):
+            transitions[key] = f
+        else:
+            i, j, k = key
+            _require_empty(f"triple transition {key}", f, gd.space_of(normalize((j, i, k))))
+    return spaces, projs, transitions
 
 
 def _triple_tables(index, overlap, anchor):
+    """The triple spaces with points and their projections: canonical pullbacks of anchor pairs.
+
+    The space of [i|{j,k}] is the pullback of anchors (i,j) and (i,k), so it
+    has points only when both overlaps do.  Only those anchor pairs are
+    pulled back: per label i, the pairs of its overlaps with points, (i,i)
+    among them.
+    """
+    near: dict[str, list[str]] = {i: [] for i in index}
+    for (i, j), space in overlap.items():  # in index order
+        if space.points:
+            near[i].append(j)
     spaces: dict[GlObject, FiniteSpace] = {}
     projs: dict[tuple[GlObject, str], SpaceMap] = {}
-    for obj in glidx.objects(index):
-        if obj.arity != 3:
-            continue
-        i = obj.head
-        j, k = obj.rest
-        spaces[obj], projs[(obj, j)], projs[(obj, k)] = fintop.pullback(
-            anchor[(i, j)], anchor[(i, k)], f"T[{i},{j},{k}]"
-        )
+    for i in index:
+        for a, j in enumerate(near[i]):
+            for k in near[i][a + 1:]:
+                tag = f"T[{i},{j},{k}]"
+                space, proj_j, proj_k = fintop.pullback(anchor[(i, j)], anchor[(i, k)], tag)
+                if space.points:
+                    obj = normalize((i, j, k))
+                    spaces[obj], projs[(obj, j)], projs[(obj, k)] = space, proj_j, proj_k
     return spaces, projs
 
 
@@ -145,9 +310,11 @@ def make_gluing_data(
     """Assemble gluing data, filling the forced diagonal entries.
 
     Diagonal overlaps default to the patches with identity anchor and
+    transition.  Every ordered pair needs its overlap, anchor and
     transition.  Triple spaces and their projections are computed as the
-    canonical pullbacks; triple transitions are taken as given (use
-    ``derive_triple_maps`` to fill them when they are forced).
+    canonical pullbacks, for the triples with points; triple transitions
+    are taken as given (use ``derive_triple_maps`` to fill them when they
+    are forced).
     """
     idx = tuple(sorted(set(index)))
     for label in idx:
@@ -157,7 +324,6 @@ def make_gluing_data(
     unpatched = sorted(set(idx) - set(patch))
     if unpatched:
         raise UnresolvedReference(f"no patch for index labels {unpatched}")
-    patch = dict(patch)
     overlap = dict(overlap)
     anchor = dict(anchor)
     transition = dict(transition)
@@ -165,17 +331,7 @@ def make_gluing_data(
         overlap.setdefault((i, i), patch[i])
         anchor.setdefault((i, i), identity_map(patch[i]))
         transition.setdefault((i, i), identity_map(overlap[(i, i)]))
-    missing = [
-        key
-        for i in idx
-        for j in idx
-        for key, table in (((i, j), overlap), ((i, j), anchor), ((i, j), transition))
-        if key not in table
-    ]
-    if missing:
-        raise UnresolvedReference(
-            f"gluing data is missing entries for pairs {sorted(set(missing))}"
-        )
+    overlap, anchor, transition = _nerve_pairs(idx, patch, overlap, anchor, transition)
     spaces, projs = _triple_tables(idx, overlap, anchor)
     return GluingData(
         index=idx,
@@ -189,74 +345,22 @@ def make_gluing_data(
     )
 
 
-class _Triple(NamedTuple):
-    """One ordered index triple (i, j, k) of a law plan; its partners are positions in the plan."""
-
-    key: tuple[str, str, str]
-    obj: GlObject  # the normal object of (i, j, k)
-    swaps: bool  # i != j: its transition is stored, not an identity
-    proj: tuple[GlObject, str] | None  # its ``triple_proj`` key onto (i, j); None: an identity
-    cocycle: tuple[int, int]  # (j, k, i) and (i, k, j)
-    square: int  # (j, i, k)
-    pair: tuple[str, str]  # (i, j), the key of the transition in its square
-    subject: str
-    passing: tuple[CheckEntry, ...]  # its rows when its space is empty and its diagrams typed
-
-
-class _LawPlan(NamedTuple):
-    """What the index set alone decides of the law pass and of the triple derivation."""
-
-    diagonal: tuple[tuple[str, str], ...]  # each label with its (i,i) subject, in index order
-    pairs: tuple[tuple[tuple[str, str], str], ...]  # each ordered pair with its subject
-    degenerate: tuple[CheckEntry, ...]
-    triples: tuple[_Triple, ...]  # every ordered triple, in index order
+def _coords(gd: GluingData, keys: Iterable[tuple[str, str, str]]) -> dict[tuple[str, str, str], SpaceMap]:
+    """The map from the space of each triple (i,j,k) of the nerve in ``keys`` onto overlap (i,j):
+    the stored pullback projection, or the identity when the tuple collapses to the pair (i,j)."""
+    coords = {}
+    for key in keys:
+        obj = normalize(key)
+        if obj.arity == 3:
+            coords[key] = gd.triple_proj[(obj, key[1])]
+        else:
+            coords[key] = identity_map(gd.space_of(obj))
+    return coords
 
 
-@lru_cache(maxsize=None)
-def _law_plan(index: tuple[str, ...]) -> _LawPlan:
-    """The law plan of an index set, built on first use.
-
-    The labels are taken in the order given, as the law pass walks a
-    datum's ``index``, so the rows keep their order.
-    """
-    n = len(index)
-
-    def at(a: int, b: int, c: int) -> int:
-        """The position, in product order, of the triple of the labels at a, b, c."""
-        return (a * n + b) * n + c
-
-    triples = []
-    for (x, i), (y, j), (z, k) in product(enumerate(index), repeat=3):
-        obj = normalize((i, j, k))
-        sub = f"({i},{j},{k})"
-        passing = (
-            CheckEntry("triple-continuous", sub, True),
-            CheckEntry("cocycle", sub, True),
-            CheckEntry("projection-square", sub, True),
-        )
-        proj = (obj, j) if obj.arity == 3 else None
-        cocycle, square = (at(y, z, x), at(x, z, y)), at(y, x, z)
-        triples.append(_Triple((i, j, k), obj, i != j, proj, cocycle, square, (i, j), sub, passing))
-    degenerate = tuple(
-        CheckEntry(
-            "degenerate-triple", repr(obj), True,
-            "kept distinct from its pair object; canonically isomorphic",
-        )
-        for obj in glidx.objects(index)
-        if obj.arity == 3 and obj.head in obj.rest
-    )
-    return _LawPlan(
-        tuple((i, f"({i},{i})") for i in index),
-        tuple(((i, j), f"({i},{j})") for i, j in product(index, repeat=2)),
-        degenerate,
-        tuple(triples),
-    )
-
-
-def _coord(gd: GluingData, t: _Triple) -> SpaceMap:
-    """The map from the space of t = [i,j,k] onto overlap (i,j): the stored
-    pullback projection, or the identity when the tuple collapses to the pair (i,j)."""
-    return identity_map(gd.space_of(t.obj)) if t.proj is None else gd.triple_proj[t.proj]
+def _coord(gd: GluingData, coords: Mapping, key: tuple[str, str, str]) -> SpaceMap:
+    """The coordinate map of any triple: from ``coords`` on the nerve, else the empty map."""
+    return coords[key] if key in coords else SpaceMap(EMPTY, gd.overlap[key[:2]], {})
 
 
 def derive_triple_maps(gd: GluingData) -> GluingData:
@@ -267,31 +371,21 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
     (i,j)-coordinate (``fintop.lift``).  Anything but exactly one candidate
     raises ``NotDetermined``: the map must then be supplied explicitly.
 
-    The triples, their square partners and where their coordinate maps
-    are stored come from the law plan of the index set (``_law_plan``),
-    which holds only what the labels decide, never a space or a map; each
-    call reads the datum's coordinate maps off it once, through ``_coord``.
-
-    A [i,j,k]-space with no points needs no lift.  When the transition
-    after the (i,j)-coordinate map and the (j,i)-coordinate map are typed
-    as one square (``fintop.composable``), the [j,i,k]-space is empty too and
-    the lift is the empty map.  An untyped square goes through ``compose``
-    and ``lift``, which raise CompositionMismatch where the maps do not meet.
+    Only the triples of the nerve need a map (``Nerve.triples``); each has
+    points, so each is lifted.  A square partner outside the nerve reads as
+    the empty space, and the lift into it finds no candidate.
     """
-    triples = _law_plan(gd.index).triples
-    coords = [_coord(gd, t) if t.swaps else None for t in triples]
     derived = dict(gd.triple_transition)
-    for t, out_coord in zip(triples, coords):
-        if not t.swaps or t.key in derived:
+    coords = _coords(gd, [key for key in gd.nerve.triples if key[0] != key[1]])
+    for key, coord in coords.items():
+        i, j, k = key
+        if key in derived:
             continue
-        transition, in_coord = gd.transition[t.pair], coords[t.square]
-        if not out_coord.dom.points and composable((transition, out_coord), (in_coord,)):
-            derived[t.key] = SpaceMap(out_coord.dom, in_coord.dom, {})
-            continue
-        lifted = fintop.lift([compose(transition, out_coord)], [in_coord])
+        want = compose(gd.transition[(i, j)], coord)
+        lifted = fintop.lift([want], [_coord(gd, coords, (j, i, k))])
         if not isinstance(lifted, SpaceMap):
-            raise NotDetermined(*t.key, *lifted)
-        derived[t.key] = lifted
+            raise NotDetermined(*key, *lifted)
+        derived[key] = lifted
     return replace(gd, triple_transition=derived)
 
 
@@ -304,9 +398,7 @@ def _add_continuity(rep: Report, name: str, subject: str, f: SpaceMap) -> None:
 def _triples_present(gd: GluingData, rep: Report) -> bool:
     """Add a failing ``triple-present`` row per missing triple transition; True if none is."""
     missing = [
-        t.key
-        for t in _law_plan(gd.index).triples
-        if t.swaps and t.key not in gd.triple_transition
+        key for key in gd.nerve.triples if key[0] != key[1] and key not in gd.triple_transition
     ]
     for key in missing:
         rep.add("triple-present", str(key), False, "missing triple transition")
@@ -330,22 +422,6 @@ def validate(gd: GluingData) -> Report:
     return Report(list(gd._law_rows))
 
 
-def _diagrams_typed(
-    fwd: SpaceMap, after: SpaceMap, alt: SpaceMap, back: SpaceMap, transition: SpaceMap, coord: SpaceMap
-) -> bool:
-    """``fintop.composable`` for both diagrams of a triple, unrolled into its seven endpoint tests.
-
-    The cocycle diagram is ``(after, fwd)`` against ``(alt,)`` and the
-    projection square ``(back, fwd)`` against ``(transition, coord)``.
-    """
-    same, dom, cod = fintop._same, fwd.dom, fwd.cod
-    return (
-        same(after.dom, cod) and same(dom, alt.dom) and same(after.cod, alt.cod)
-        and same(back.dom, cod) and same(transition.dom, coord.cod)
-        and same(dom, coord.dom) and same(back.cod, transition.cod)
-    )
-
-
 def _check_laws(gd: GluingData) -> Report:
     """The clause pass behind ``validate``.
 
@@ -361,23 +437,22 @@ def _check_laws(gd: GluingData) -> Report:
     as [i,i,k] stay distinct objects (isomorphic to their pair through the
     index category, never identified with it) and are flagged for the reader.
 
-    The three rows of a triple whose transition starts at a space with no
-    points are decided by ``fintop.composable`` alone, unrolled for the
-    triple's two diagrams in ``_diagrams_typed``; only an untyped triple
-    goes on to ``disagreement``, which names the endpoint mismatch or raises.
-
-    The pass walks the law plan of the index set (``_law_plan``): each
-    ordered triple with its normal object, its cocycle and square partners
-    and its pair, each row's subject, and the rows that do not depend on the
-    datum.  The plan holds only what the labels decide, never a space or a
-    map, so one plan serves every datum over the index set.  The rows are
-    frozen, so an empty, typed triple's three passing rows and the
-    ``degenerate-triple`` rows are the plan's own, shared by every report.
+    The pass walks the nerve: its degenerate triples, its pairs and its
+    triples (``Nerve``).  Every map out of an object outside the nerve is
+    the empty map into the right space, so every clause there holds and
+    has no row.  A partner outside the nerve of a triple in it reads as
+    the empty map.
     """
-    plan = _law_plan(gd.index)
+    nerve = gd.nerve
     rep = Report()
-    rep.extend(plan.degenerate)
-    for i, sub in plan.diagonal:
+    for obj in nerve.objects:
+        if obj.arity == 3 and obj.head in obj.rest:
+            rep.add(
+                "degenerate-triple", repr(obj), True,
+                "kept distinct from its pair object; canonically isomorphic",
+            )
+    for i in gd.index:
+        sub = f"({i},{i})"
         rep.add("overlap-diagonal", sub, gd.overlap[(i, i)] == gd.patch[i])
         rep.add(
             "anchor-diagonal",
@@ -389,7 +464,8 @@ def _check_laws(gd: GluingData) -> Report:
             sub,
             disagreement([gd.transition[(i, i)]], [identity_map(gd.overlap[(i, i)])]) is None,
         )
-    for (i, j), sub in plan.pairs:
+    for i, j in nerve.pairs:
+        sub = f"({i},{j})"
         a = gd.anchor[(i, j)]
         t = gd.transition[(i, j)]
         ok_a = a.dom == gd.overlap[(i, j)] and a.cod == gd.patch[i]
@@ -400,41 +476,48 @@ def _check_laws(gd: GluingData) -> Report:
             _add_continuity(rep, "anchor-continuous", sub, a)
         if ok_t:
             _add_continuity(rep, "transition-continuous", sub, t)
-    for (i, j), sub in plan.pairs:
+    for i, j in nerve.pairs:
         w = disagreement(
             [gd.transition[(j, i)], gd.transition[(i, j)]], [identity_map(gd.overlap[(i, j)])]
         )
-        rep.add("transition-inverse", sub, w is None, w)
+        rep.add("transition-inverse", f"({i},{j})", w is None, w)
     if not _triples_present(gd, rep):
         return rep
-    triples = plan.triples
-    fwds = [
-        gd.triple_transition[t.key] if t.swaps else identity_map(gd.space_of(t.obj))
-        for t in triples
-    ]
-    coords = [_coord(gd, t) for t in triples]
-    for t, fwd, coord in zip(triples, fwds, coords):
-        after, alt = fwds[t.cocycle[0]], fwds[t.cocycle[1]]
-        back, transition = coords[t.square], gd.transition[t.pair]
-        if not fwd.dom.points and _diagrams_typed(fwd, after, alt, back, transition, coord):
-            rep.extend(t.passing)
-            continue
-        _add_continuity(rep, "triple-continuous", t.subject, fwd)
-        w = disagreement((after, fwd), (alt,))
-        rep.add("cocycle", t.subject, w is None, w)
-        w = disagreement((back, fwd), (transition, coord))
-        rep.add("projection-square", t.subject, w is None, w)
+    coords = _coords(gd, nerve.triples)
+    fwds = {
+        key: identity_map(gd.space_of(normalize(key))) if key[0] == key[1] else gd.triple_transition[key]
+        for key in nerve.triples
+    }
+
+    def fwd(key):
+        """The transition out of the space of key into that of (j,i,k)."""
+        if key in fwds:
+            return fwds[key]
+        return SpaceMap(EMPTY, gd.space_of(normalize((key[1], key[0], key[2]))), {})
+
+    for key, f in fwds.items():
+        i, j, k = key
+        sub = f"({i},{j},{k})"
+        _add_continuity(rep, "triple-continuous", sub, f)
+        w = disagreement((fwd((j, k, i)), f), (fwd((i, k, j)),))
+        rep.add("cocycle", sub, w is None, w)
+        w = disagreement((_coord(gd, coords, (j, i, k)), f), (gd.transition[(i, j)], coords[key]))
+        rep.add("projection-square", sub, w is None, w)
     return rep
 
 
 @dataclass(frozen=True)
 class GluingFunctor:
-    """Realization of gluing data on the index category.
+    """Realization of gluing data on the nerve of its index category.
 
-    ``obj`` maps every normalized object to its space; ``gen`` maps the
-    endpoints of every non-identity generator to the continuous map realizing
+    ``obj`` maps every object of the datum's nerve to its space; ``gen`` maps
+    the endpoints of every edge of the nerve to the continuous map realizing
     it (running from the codomain's space to the domain's space).  Both are
-    read-only copies.
+    read-only copies.  Any other object reads as the empty space, and any
+    other edge as the empty table between its spaces (``space``, ``map``):
+    the empty map when it runs out of an object outside the nerve.  An edge
+    into the nerve out of an object outside it, which only unlawful data
+    has, so reads as a map with a table gap.
     """
 
     data: GluingData
@@ -452,11 +535,17 @@ class GluingFunctor:
         return self.data.index
 
     def space(self, obj: GlObject) -> FiniteSpace:
-        return self.obj[obj]
+        return self.obj[obj] if obj in self.obj else self.data.space_of(obj)
+
+    def map(self, a: GlObject, b: GlObject) -> SpaceMap:
+        """The map realizing the generator edge a -> b, from b's space to a's."""
+        if (a, b) in self.gen:
+            return self.gen[(a, b)]
+        return SpaceMap(self.space(b), self.space(a), {})
 
 
 def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
-    """The map realizing a non-identity generator (an entry of ``glidx.edges``)."""
+    """The map realizing a non-identity generator (an entry of ``Nerve.edges``)."""
     if gen.kind == "eta":
         return gd.anchor[gen.indices]
     if gen.kind == "tau":
@@ -468,20 +557,21 @@ def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
 
 
 def functor_tables(gd: GluingData) -> GluingFunctor:
-    """Realize the data as tables without validating it first.
+    """Realize the data as tables over its nerve without validating it first.
 
     Only a missing triple transition, which leaves a generator without a
     map, raises ValidationFailed, with the ``triple-present`` rows of
     ``validate``.
     """
     _require_triples(gd)
-    obj_table = {o: gd.space_of(o) for o in glidx.objects(gd.index)}
-    gen_table = {dc: _generator_image(gd, gen) for dc, gen in glidx.edges(gd.index).items()}
+    nerve = gd.nerve
+    obj_table = {o: gd.space_of(o) for o in nerve.objects}
+    gen_table = {dc: _generator_image(gd, gen) for dc, gen in nerve.edges.items()}
     return GluingFunctor(gd, obj_table, gen_table)
 
 
 def functor_of(gd: GluingData) -> GluingFunctor:
-    """Validate the data and realize it as tables over the index category.
+    """Validate the data and realize it as tables over its nerve.
 
     ``validate`` is the only law check.  When the triple tables come from
     ``make_gluing_data`` (``derive_triple_maps`` copies them), a passing
@@ -497,7 +587,8 @@ def functor_of(gd: GluingData) -> GluingFunctor:
     (i,j); cocycle at (i,j,k) and (j,i,k) gives t(i,k,j) q = t(i,k,j) p, so
     projection-square at (i,k,j) and transition-inverse at (i,k) give q the
     (i,k)-coordinate of p, and a pullback point is fixed by its two
-    coordinates.  The tables are coherent: raw generators share endpoints
+    coordinates.  Off the nerve every instance runs out of an empty space,
+    so it holds.  The tables are coherent: raw generators share endpoints
     only as eta3 pairs, which read the same projection.
     """
     report = validate(gd)
@@ -525,10 +616,10 @@ def _pair_tables(index: tuple[str, ...], space_at: Callable, map_at: Callable) -
 def extract_data(fun: GluingFunctor) -> GluingData:
     """Read the gluing data back off the functor tables (round trip)."""
     idx = fun.index
-    tables = _pair_tables(idx, fun.space, lambda a, b: fun.gen[(a, b)])
+    tables = _pair_tables(idx, fun.space, fun.map)
     triple_transition = {
-        (i, j, k): fun.gen[(normalize((j, i, k)), normalize((i, j, k)))]
-        for i, j, k in product(idx, repeat=3)
+        (i, j, k): fun.map(normalize((j, i, k)), normalize((i, j, k)))
+        for i, j, k in _triple_keys(idx, fun.obj)
         if i != j
     }
     return make_gluing_data(idx, *tables, triple_transition)

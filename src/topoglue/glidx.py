@@ -7,7 +7,9 @@ distinct indices (either of which may equal i).  Normalization applies
 
 The category is thin: between any two objects there is at most one morphism,
 so a morphism is its endpoint pair.  The objects, edges and faces of an index
-set are built once and returned read-only.  Generator paths appear only where
+set are built once and returned read-only; ``restrict`` builds those of a
+full subcategory from the generators into its objects alone, which is how a
+gluing datum gets its nerve.  Generator paths appear only where
 the relation families are listed (``relation_instances``) and checked
 (``compose_path``), so that a realization can evaluate each side of a relation
 along its own path.
@@ -139,34 +141,89 @@ def raw_generators(index: Iterable[str]) -> list[GlGen]:
 
 
 @dataclass(frozen=True)
-class _Category:
-    """The objects, generator edges and faces of one index set."""
+class Category:
+    """The objects, generator edges and faces of one index set, or of a full subcategory of it."""
 
     objects: tuple[GlObject, ...]
     edges: Mapping[tuple[GlObject, GlObject], GlGen]
     faces: Mapping[GlObject, tuple[GlObject, ...]]
 
 
-@lru_cache(maxsize=None)
-def _category(idx: tuple[str, ...]) -> _Category:
-    # every object is the normal form of some 3-tuple: (i,i,i) -> [i], (i,j,j) -> [i,j]
-    objs = sorted(
-        {normalize(raw) for raw in product(idx, repeat=3)},
-        key=lambda o: (o.arity, o.head, o.rest),
+def _raw_slots(obj: GlObject, pos: Mapping[str, int]) -> list[tuple[int, str, tuple, GlObject]]:
+    """The raw generators into ``obj`` that are not identities, as (position, kind, indices, domain).
+
+    The position is the generator's place in ``raw_generators``.  An index
+    tuple's generators have its normal object as codomain, so they
+    are those of the tuples normalizing to ``obj``: (i,j) and (i,j,j) for
+    [i,j], (i,j,k) and (i,k,j) for [i|{j,k}].  The domains are those of
+    ``GlGen.dom``; the generators into [i], the eta3 of (i,j,j) and the tau3
+    of (i,i,k) start at their codomain.
+    """
+    n, i = len(pos), obj.head
+    if obj.arity == 1:
+        return []
+    if obj.arity == 2:
+        j = obj.rest[0]
+        at = 2 * (pos[i] * n + pos[j])
+        tau3 = 2 * n * n + 3 * ((pos[i] * n + pos[j]) * n + pos[j]) + 2
+        return [
+            (at, "eta", (i, j), single(i)),
+            (at + 1, "tau", (i, j), pair(j, i)),
+            (tau3, "tau3", (i, j, j), normalize((j, i, j))),
+        ]
+    slots = []
+    for j, k in (obj.rest, obj.rest[::-1]):
+        at = 2 * n * n + 3 * ((pos[i] * n + pos[j]) * n + pos[k])
+        slots.append((at, "eta3", (i, j, k, j), pair(i, j)))
+        slots.append((at + 1, "eta3", (i, j, k, k), pair(i, k)))
+        if j != i:
+            slots.append((at + 2, "tau3", (i, j, k), normalize((j, i, k))))
+    return slots
+
+
+def display_order(obj: GlObject) -> tuple:
+    """The sort key of ``objects``: arity, then head, then the other labels."""
+    return (obj.arity, obj.head, obj.rest)
+
+
+def restrict(index: Iterable[str], objs: Iterable[GlObject]) -> Category:
+    """The full subcategory of the index category on ``objs``.
+
+    Its objects, edges and faces are those of ``objects``, ``edges`` and
+    ``faces`` restricted in order to ``objs``: an edge is kept when both its
+    endpoints are, and a face list keeps the faces of kept edges.  Only the
+    raw generators into ``objs`` are read (``_raw_slots``), so the cost
+    follows the number of objects, not |I|^3.
+    """
+    idx = sorted(set(index))
+    pos = {i: n for n, i in enumerate(idx)}
+    kept = sorted(set(objs), key=display_order)
+    members = set(kept)
+    slots = sorted(
+        (at, kind, indices, d, c)
+        for c in kept
+        for at, kind, indices, d in _raw_slots(c, pos)
+        if d in members
     )
     first: dict[tuple[GlObject, GlObject], GlGen] = {}
-    for gen in raw_generators(idx):
-        if gen.dom != gen.cod:
-            first.setdefault((gen.dom, gen.cod), gen)
-    into: dict[GlObject, list[GlObject]] = {o: [] for o in objs}
+    for _, kind, indices, d, c in slots:
+        if (d, c) not in first:
+            first[(d, c)] = GlGen(kind, indices)
+    into: dict[GlObject, list[GlObject]] = {o: [] for o in kept}
     for (d, c), gen in first.items():
-        if gen.kind in ("eta", "eta3"):
+        if gen.kind != "tau" and gen.kind != "tau3":
             into[c].append(d)
-    faces = {o: tuple(into[o]) for o in objs if into[o]}
-    return _Category(tuple(objs), MappingProxyType(first), MappingProxyType(faces))
+    faces = {o: tuple(into[o]) for o in kept if into[o]}
+    return Category(tuple(kept), MappingProxyType(first), MappingProxyType(faces))
 
 
-def _of(index: Iterable[str]) -> _Category:
+@lru_cache(maxsize=None)
+def _category(idx: tuple[str, ...]) -> Category:
+    # every object is the normal form of some 3-tuple: (i,i,i) -> [i], (i,j,j) -> [i,j]
+    return restrict(idx, {normalize(raw) for raw in product(idx, repeat=3)})
+
+
+def _of(index: Iterable[str]) -> Category:
     return _category(tuple(sorted(set(index))))
 
 
@@ -184,6 +241,13 @@ def faces(index: Iterable[str]) -> Mapping[GlObject, tuple[GlObject, ...]]:
     """Each pair and triple object, in display order, to the sources of its eta and eta3 edges:
     ``[i,j] -> ([i],)`` and ``[i|{j,k}] -> ([i,j], [i,k])``, where ``[i,i]`` reads ``[i]``."""
     return _of(index).faces
+
+
+def faces_of(obj: GlObject) -> tuple[GlObject, ...]:
+    """The faces of one pair or triple object, as ``faces`` lists them over any index holding it."""
+    if obj.arity == 2:
+        return (single(obj.head),)
+    return tuple(pair(obj.head, n) for n in obj.rest)
 
 
 def _eta(i, j):

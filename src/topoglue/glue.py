@@ -11,14 +11,21 @@ anchor is not injective, so ``glue`` checks the raw relation with
 ``check_equivalence``, a report with one row per property (reflexive,
 symmetric, transitive), and raises ``NotEquivalence``, a cocycle diagnostic
 naming the first failing row's witness, instead of silently closing it.
+
+Everything here walks the datum's nerve (``gdata.Nerve``): a cone has one
+leg per object of the nerve, and a triangle, factorization or overlap out
+of an object outside it runs out of the empty space, so it holds and is not
+checked.  Only (e) of the glued-object properties looks further: two
+patches whose legs meet over an empty overlap fail it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from . import fintop, glidx
+from . import fintop
 from .errors import (
     CompositionMismatch,
     IllDefined,
@@ -92,21 +99,29 @@ class GluedSpace(Cone):
         return self.apex
 
 
+def _meeting(images: Mapping[str, Iterable[str]]) -> set[tuple[str, str]]:
+    """The ordered pairs (i, j), i == j among them, of labels whose point sets share a point."""
+    owners: dict[str, list[str]] = {}
+    for i, points in images.items():
+        for y in points:
+            owners.setdefault(y, []).append(i)
+    return set().union(*(product(shared, repeat=2) for shared in owners.values()))
+
+
 def _links(gd: GluingData) -> dict[tuple[str, str], list[tuple[str, str, str]]]:
-    """The identification each overlap point makes, per ordered pair (i, j) in index order.
+    """The identification each overlap point makes, per pair (i, j) of the nerve in index order.
 
     For each sorted point u of overlap (i, j), the link (u, x, y) identifies
     x = anchor_ij(u) in patch i with y = anchor_ji(transition_ij(u)) in
     patch j.
     """
     links = {}
-    for i in gd.index:
-        for j in gd.index:
-            anchor_ij, anchor_ji = gd.anchor[(i, j)], gd.anchor[(j, i)]
-            trans = gd.transition[(i, j)]
-            links[(i, j)] = [
-                (u, anchor_ij(u), anchor_ji(trans(u))) for u in sorted(gd.overlap[(i, j)].points)
-            ]
+    for i, j in gd.nerve.pairs:
+        anchor_ij, anchor_ji = gd.anchor[(i, j)], gd.anchor[(j, i)]
+        trans = gd.transition[(i, j)]
+        links[(i, j)] = [
+            (u, anchor_ij(u), anchor_ji(trans(u))) for u in sorted(gd.overlap[(i, j)].points)
+        ]
     return links
 
 
@@ -185,16 +200,16 @@ def complete_cone(
 ) -> Cone:
     """Extend patch legs to a full leg family using the forced factorizations.
 
-    Each pair and triple leg, pairs first, is its first face's leg composed
-    with the map of the edge between them (``glidx.faces``).
+    Each pair and triple leg of the nerve, pairs first, is its first face's
+    leg composed with the map of the edge between them (``Nerve.faces``).
     """
     legs: dict[GlObject, SpaceMap] = {}
     for i in gd.index:
         if i not in single_legs:
             raise MissingLeg(f"no leg for patch {i!r}")
         legs[single(i)] = single_legs[i]
-    edges = glidx.edges(gd.index)
-    for obj, (a, *_) in glidx.faces(gd.index).items():
+    edges = gd.nerve.edges
+    for obj, (a, *_) in gd.nerve.faces.items():
         legs[obj] = compose(legs[a], _generator_image(gd, edges[(a, obj)]))
     return Cone(apex, legs)
 
@@ -202,8 +217,9 @@ def complete_cone(
 def _cone_edges(gd: GluingData, mode: str) -> list[tuple[GlObject, GlObject, SpaceMap]]:
     """The triples (a, b, f) whose triangles ``leg(a) . f == leg(b)`` a mode checks.
 
-    A filter of the generator edges a -> b, in edge order, with f the edge's
-    map.  ``full`` keeps every edge (so it needs every triple transition).
+    A filter of the nerve's generator edges a -> b, in edge order, with f
+    the edge's map.  ``full`` keeps every edge (so it needs every triple
+    transition).
     ``figure3`` drops the tau3 edges, keeping the anchor, transition and
     projection triangles; ``figure4`` drops them too and takes each
     transition triangle [j,i] -> [i,j] through the patch, as [j] -> [i,j].
@@ -211,7 +227,7 @@ def _cone_edges(gd: GluingData, mode: str) -> list[tuple[GlObject, GlObject, Spa
     if mode == "full":
         _require_triples(gd)
     edges = []
-    for (a, b), gen in glidx.edges(gd.index).items():
+    for (a, b), gen in gd.nerve.edges.items():
         if gen.kind == "tau" and mode == "figure4":
             i, j = gen.indices
             edges.append((single(j), b, compose(gd.anchor[(j, i)], gd.transition[(i, j)])))
@@ -251,7 +267,7 @@ def cone_failure(
     """
     if mode not in CONE_MODES:
         raise ValueError(f"unknown cone mode {mode!r}")
-    legs = _typed_legs(gd, cone, glidx.objects(gd.index))
+    legs = _typed_legs(gd, cone, gd.nerve.objects)
     for a, b, f in _cone_edges(gd, mode):
         point = disagreement([legs[a], f], [legs[b]])
         if point is not None:
@@ -262,11 +278,13 @@ def cone_failure(
 def check_cone(gd: GluingData, cone: Cone, mode: str = "full") -> bool:
     """Whether the candidate is a cone: ``cone_failure`` finds no failing triangle.
 
-    Each mode is a filter of the generator edges (``_cone_edges``).  ``full``
-    covers every morphism: the index category is thin and every morphism is
-    a path of generator edges, so when each edge commutes every path
-    commutes.  ``figure3`` and ``figure4`` check the paper's triangles; like
-    ``full`` they compare no identity, so no diagonal anchor or transition.
+    Each mode is a filter of the nerve's generator edges (``_cone_edges``).
+    ``full`` covers every morphism: the index category is thin and every
+    morphism is a path of generator edges, so when each edge commutes every
+    path commutes; a triangle out of an object outside the nerve runs out
+    of the empty space, so it commutes.  ``figure3`` and ``figure4`` check
+    the paper's triangles; like ``full`` they compare no identity, so no
+    diagonal anchor or transition.
     The three modes are equivalent verdicts for lawful data.
     """
     return cone_failure(gd, cone, mode) is None
@@ -282,12 +300,16 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
     leg is typed first (``_typed_legs``), so a missing or mistyped leg raises.
     The (f) rows ask only for continuity and injectivity
     (``fintop.failure_witnesses``).
+
+    The (a), (b), (c) and (e) rows walk the nerve; a property of an object
+    outside it holds, as all its maps are empty, except (e) for two patches
+    whose images meet over an empty overlap, which gets a failing row.
     """
     rep = Report()
     idx = gd.index
-    legs = _typed_legs(gd, candidate, glidx.objects(idx))
-    edges = glidx.edges(idx)
-    for obj, faces in glidx.faces(idx).items():
+    legs = _typed_legs(gd, candidate, gd.nerve.objects)
+    edges = gd.nerve.edges
+    for obj, faces in gd.nerve.faces.items():
         paths = [[legs[a], _generator_image(gd, edges[(a, obj)])] for a in faces]
         failed = [w for p in paths if (w := disagreement(p, [legs[obj]])) is not None]
         if obj.arity == 2:
@@ -303,9 +325,11 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
     images = {i: legs[single(i)].image() for i in idx}
     missing = sorted(candidate.apex.points.difference(*images.values()))
     rep.add("d-covering", "all", not missing, missing[0] if missing else None)
-    for i, j in links:
-        via_ij = {legs[single(i)](x) for _, x, _ in links[(i, j)]}
-        via_ji = {legs[single(j)](x) for _, x, _ in links[(j, i)]}
+    meeting = set(links) | _meeting(images)
+    pos = {i: n for n, i in enumerate(idx)}
+    for i, j in sorted(meeting, key=lambda ij: (pos[ij[0]], pos[ij[1]])):
+        via_ij = {legs[single(i)](x) for _, x, _ in links.get((i, j), ())}
+        via_ji = {legs[single(j)](x) for _, x, _ in links.get((j, i), ())}
         both = images[i] & images[j]
         ok = via_ij == via_ji == both
         rep.add(
@@ -508,13 +532,14 @@ def check_otop(gd: GluingData, glued: Cone) -> OtopReport:
 
     Each anchor or transition that is not an open map adds a failing
     ``data-open`` row, which makes the report not applicable, but the leg
-    facts are still recorded.  The patch legs are typed first
-    (``_typed_legs``), so a missing or mistyped leg raises.
+    facts are still recorded.  The maps are those of the nerve's pairs: an
+    empty map is open.  The patch legs are typed first (``_typed_legs``), so
+    a missing or mistyped leg raises.
     """
     legs = _typed_legs(gd, glued, map(single, gd.index))
     rep = OtopReport()
     for kind, table in (("anchor", gd.anchor), ("transition", gd.transition)):
-        for key in sorted(table):
+        for key in gd.nerve.pairs:
             if non_open_points(table[key]):
                 rep.add("data-open", f"{kind}{key}", False, "not an open map")
     covered = set()

@@ -32,6 +32,7 @@ from .fintop import (
     read_only,
 )
 from .gdata import (
+    EMPTY,
     GluingFunctor,
     Report,
     _add_continuity,
@@ -40,7 +41,7 @@ from .gdata import (
     functor_of,
     make_gluing_data,
 )
-from .glidx import GlObject, normalize, single
+from .glidx import GlObject, normalize, pair, single
 from .glue import Cone, GluedSpace, glue, mediate
 
 
@@ -75,10 +76,10 @@ def _reindexed_map(gamma: IndexMap, fun: GluingFunctor, a: GlObject, b: GlObject
     """The map of ``fun`` realizing the reindexed generator a -> b.
 
     A reindexed generator is itself a generator or an identity, so this is a
-    table entry of ``fun`` or the identity on its space.
+    map of ``fun`` (``GluingFunctor.map``) or the identity on its space.
     """
     fa, fb = reindex_object(gamma, a), reindex_object(gamma, b)
-    return identity_map(fun.obj[fa]) if fa == fb else fun.gen[(fa, fb)]
+    return identity_map(fun.space(fa)) if fa == fb else fun.map(fa, fb)
 
 
 @dataclass(frozen=True)
@@ -99,14 +100,58 @@ class Refinement:
         object.__setattr__(self, "components", read_only(self.components))
 
     def component(self, obj: GlObject) -> SpaceMap:
-        if obj not in self.components:
-            raise MissingComponent(f"refinement has no component at {obj}")
-        return self.components[obj]
+        """The component at ``obj``.
+
+        Outside the coarse nerve, where the coarse space is empty, it is the
+        empty map when the fine space at the reindexed object is empty too;
+        when that has points no component exists, and ``MissingComponent``
+        is raised as for any component not given.
+        """
+        if obj in self.components:
+            return self.components[obj]
+        if not self.coarse.data.stores(obj):
+            space = self.fine.space(reindex_object(self.gamma, obj))
+            if not space.points:
+                return SpaceMap(space, EMPTY, {})
+        raise MissingComponent(f"refinement has no component at {obj}")
+
+
+def _stranded(gamma: IndexMap, fine: GluingFunctor, coarse: GluingFunctor) -> list[GlObject]:
+    """The coarse objects outside the coarse nerve whose reindexed fine space has points, in display order.
+
+    No component exists at such an object: it would run from those points
+    into the empty space.  Read are the pair objects (i, j) whose reindexed
+    pair is one of the fine nerve's, and the triple objects whose two faces
+    are in the coarse nerve.  A triple with a face outside the nerve needs
+    no look: its fine space maps into the face's (a reindexed generator), so
+    it has points only when the face's has, and the face is listed, before
+    it.  So the cost follows the two nerves and the fibres of gamma, not
+    |I|^2.
+    """
+    data = coarse.data
+    preimage: dict[str, list[str]] = {}
+    for i in data.index:
+        preimage.setdefault(gamma(i), []).append(i)
+    objs = [
+        pair(i, j)
+        for a, b in fine.data.nerve.pairs
+        for i in preimage.get(a, ())
+        for j in preimage.get(b, ())
+    ]
+    near: dict[str, list[str]] = {i: [] for i in data.index}
+    for i, j in data.nerve.pairs:  # in index order
+        near[i].append(j)
+    for i, labels in near.items():
+        objs += [normalize((i, j, k)) for n, j in enumerate(labels) for k in labels[n + 1:]]
+    return sorted(
+        (o for o in objs if not data.stores(o) and fine.space(reindex_object(gamma, o)).points),
+        key=glidx.display_order,
+    )
 
 
 def identity_refinement(fun: GluingFunctor) -> Refinement:
     gamma = IndexMap(fun.index, fun.index, {i: i for i in fun.index})
-    comps = {o: identity_map(fun.space(o)) for o in glidx.objects(fun.index)}
+    comps = {o: identity_map(fun.space(o)) for o in fun.data.nerve.objects}
     return Refinement(gamma, fun, fun, comps)
 
 
@@ -118,22 +163,28 @@ def complete_refinement(
 ) -> Refinement:
     """Fill missing pair and triple components where commutation forces them.
 
-    Pairs come before triples.  A missing component at ``obj`` is lifted along
-    the coarse functor's generator edges into ``obj`` from its faces
-    (``glidx.faces``): the patch of its head for a pair, and its two pair
-    coordinates for a triple.
-    Anything not uniquely forced raises ``MissingComponent``.
+    Pairs come before triples, over the coarse nerve and the objects
+    outside it whose fine space has points (``_stranded``).  A missing
+    component at ``obj`` is lifted along the coarse functor's generator
+    edges into ``obj`` from its faces (``glidx.faces_of``): the patch of its
+    head for a pair, and its two pair coordinates for a triple.  Anything
+    not uniquely forced raises ``MissingComponent``; so does every object
+    outside the nerve with fine points, as nothing lifts into its empty
+    space.  At any other object outside the nerve the component is the
+    empty map (``Refinement.component``).
     """
     comps = dict(components)
     for i in gamma.source:
         if single(i) not in comps:
             raise MissingComponent(f"patch component for {i!r} must be given")
-    for obj, faces in glidx.faces(gamma.source).items():
+    walk = [*coarse.data.nerve.faces, *_stranded(gamma, fine, coarse)]
+    for obj in sorted(walk, key=glidx.display_order):
         if obj in comps:
             continue
+        faces = glidx.faces_of(obj)
         lifted = lift(
             [compose(comps[a], _reindexed_map(gamma, fine, a, obj)) for a in faces],
-            [coarse.gen[(a, obj)] for a in faces],
+            [coarse.map(a, obj) for a in faces],
         )
         if not isinstance(lifted, SpaceMap):
             raise MissingComponent(
@@ -146,9 +197,19 @@ def complete_refinement(
 
 
 def check_refinement(r: Refinement) -> Report:
-    """Verify every naturality square over the coarse index's generator edges."""
+    """Verify every naturality square over the coarse nerve's generator edges.
+
+    The edges between the nerve's objects and those outside it whose fine
+    space has points (``_stranded``) are checked too: no component exists at
+    the latter, so each such edge gives a failing ``component-present`` row
+    unless a component is given.  Any other square into an object outside
+    the nerve runs out of the empty space, so it commutes.
+    """
     rep = Report()
-    for a, b in sorted(glidx.edges(r.gamma.source), key=lambda ab: (repr(ab[0]), repr(ab[1]))):
+    nerve = r.coarse.data.nerve
+    stranded = _stranded(r.gamma, r.fine, r.coarse)
+    edges = glidx.restrict(r.coarse.index, [*nerve.objects, *stranded]).edges if stranded else nerve.edges
+    for a, b in sorted(edges, key=lambda ab: (repr(ab[0]), repr(ab[1]))):
         try:
             rho_a = r.component(a)
             rho_b = r.component(b)
@@ -156,7 +217,7 @@ def check_refinement(r: Refinement) -> Report:
             rep.add("component-present", f"{a}->{b}", False, str(exc))
             continue
         w = disagreement(
-            [rho_a, _reindexed_map(r.gamma, r.fine, a, b)], [r.coarse.gen[(a, b)], rho_b]
+            [rho_a, _reindexed_map(r.gamma, r.fine, a, b)], [r.coarse.map(a, b), rho_b]
         )
         rep.add("naturality", f"{a}->{b}", w is None, w)
     for obj, comp in sorted(r.components.items(), key=lambda kv: repr(kv[0])):
@@ -178,7 +239,7 @@ def paste(outer: Refinement, inner: Refinement) -> Refinement:
         {i: inner.gamma(outer.gamma(i)) for i in outer.gamma.source},
     )
     comps = {}
-    for obj in glidx.objects(outer.gamma.source):
+    for obj in outer.coarse.data.nerve.objects:
         mid = reindex_object(outer.gamma, obj)
         comps[obj] = compose(outer.component(obj), inner.component(mid))
     return Refinement(gamma, inner.fine, outer.coarse, comps)
@@ -254,7 +315,10 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
     canonical pullbacks of the composed anchors, with transitions derived, and
     the composed datum must validate.  For each triple node present, the map
     into the pullback of its glued pair spaces assembled from the eta3 edges
-    into it must be an isomorphism (``HypothesisBFailed``).  The tau3 edges
+    into it must be an isomorphism (``HypothesisBFailed``).  The triples
+    walked are those of the composed datum's nerve and every triple node
+    with points; a node with no points over a composed triple with none
+    maps isomorphically, so it has no row.  The tau3 edges
     are checked but not read.  A missing node or read edge raises
     ``MissingComponent``.
     """
@@ -292,13 +356,18 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
 
     composed = derive_triple_maps(make_gluing_data(idx, *_pair_tables(idx, space_at, induced)))
     fun = functor_of(composed)
-    for obj, faces in glidx.faces(idx).items():
-        if obj.arity != 3:
-            continue
+    labels = set(idx)
+    triples = {obj for obj in fun.data.nerve.objects if obj.arity == 3}
+    triples.update(
+        obj for obj in meta.node
+        if obj.arity == 3 and labels.issuperset((obj.head, *obj.rest)) and glued[obj].space.points
+    )
+    for obj in sorted(triples, key=glidx.display_order):
         if obj not in meta.node:
             rep.add("pushout-condition", repr(obj), True, "no node given; skipped")
             continue
-        canonical = lift([induced(a, obj) for a in faces], [fun.gen[(a, obj)] for a in faces])
+        faces = glidx.faces_of(obj)
+        canonical = lift([induced(a, obj) for a in faces], [fun.map(a, obj) for a in faces])
         witness = None
         if not isinstance(canonical, SpaceMap):
             witness = f"{canonical[0]!r} lands outside the pullback"

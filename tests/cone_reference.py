@@ -9,15 +9,28 @@ two.
 - ``complete_cone`` extends patch legs through the anchors and projections;
 - ``cone_edges`` lists a mode's triangles, the diagonal (i = i) ones included;
 - ``cone_failure`` is the first failing triangle of a mode, as (a, b, point).
+
+Each runs over every object of the index category.  A datum stores only its
+nerve, so an object outside it reads as the empty space and its projections
+as empty maps (``paths.coord``), and ``dense_cone`` gives a cone the empty
+leg there.
 """
 
 from __future__ import annotations
 
+from paths import coord
 from topoglue import glidx
-from topoglue.fintop import compose, disagreement
-from topoglue.gdata import functor_tables
+from topoglue.fintop import SpaceMap, compose, disagreement
+from topoglue.gdata import EMPTY, functor_tables
 from topoglue.glidx import pair, single
 from topoglue.glue import Cone, _typed_legs
+
+
+def dense_cone(gd, cone) -> Cone:
+    """The cone with the empty leg at every object outside the datum's nerve it has none for."""
+    empty = SpaceMap(EMPTY, cone.apex, {})
+    legs = {obj: empty for obj in glidx.objects(gd.index) if not gd.stores(obj)}
+    return Cone(cone.apex, {**legs, **cone.legs})
 
 
 def complete_cone(gd, apex, single_legs) -> Cone:
@@ -28,18 +41,19 @@ def complete_cone(gd, apex, single_legs) -> Cone:
                 legs[pair(i, j)] = compose(legs[single(i)], gd.anchor[(i, j)])
     for obj in glidx.objects(gd.index):
         if obj.arity == 3:
-            j = obj.rest[0]
-            legs[obj] = compose(legs[pair(obj.head, j)], gd.triple_proj[(obj, j)])
+            j, k = obj.rest
+            legs[obj] = compose(legs[pair(obj.head, j)], coord(gd, obj.head, j, k))
     return Cone(apex, legs)
 
 
 def cone_edges(gd, mode):
-    """``full``: the functor's generator table.  ``figure3``: the anchor triangles
+    """``full``: the functor's map of every generator edge.  ``figure3``: the anchor triangles
     [i] -> [i,j], the transition triangles [j,i] -> [i,j] and the projection
     triangles [i,n] -> [i|{j,k}].  ``figure4``: the same, with each transition
     triangle in its through-the-patch form [j] -> [i,j]."""
     if mode == "full":
-        return [(a, b, f) for (a, b), f in functor_tables(gd).gen.items()]
+        fun = functor_tables(gd)
+        return [(a, b, fun.map(a, b)) for a, b in glidx.edges(gd.index)]
     idx = gd.index
     edges = []
     for i in idx:
@@ -52,12 +66,13 @@ def cone_edges(gd, mode):
                 edges.append((single(j), pair(i, j), through))
     for obj in glidx.objects(idx):
         if obj.arity == 3:
-            edges += [(pair(obj.head, n), obj, gd.triple_proj[(obj, n)]) for n in obj.rest]
+            i, (j, k) = obj.head, obj.rest
+            edges += [(pair(i, j), obj, coord(gd, i, j, k)), (pair(i, k), obj, coord(gd, i, k, j))]
     return edges
 
 
 def cone_failure(gd, cone, mode):
-    legs = _typed_legs(gd, cone, glidx.objects(gd.index))
+    legs = _typed_legs(gd, dense_cone(gd, cone), glidx.objects(gd.index))
     for a, b, f in cone_edges(gd, mode):
         point = disagreement([legs[a], f], [legs[b]])
         if point is not None:

@@ -2,7 +2,8 @@
 
 The torus document is generated from the programmatic fixtures so the two
 stay in lockstep; the broken circle document corrupts one explicit triple
-transition so validation fails on the projection square with a point witness.
+transition so validation fails on the projection square with a point witness;
+the disjoint document glues two points over empty overlaps.
 """
 
 from __future__ import annotations
@@ -142,6 +143,104 @@ gluing BROKEN
 end
 """
 
+
+# Two one-point patches whose overlaps are empty: the nerve is the two patches alone.
+DISJOINT_DOC = """
+space P1
+  points: a
+  minopen a: a
+end
+
+space P2
+  points: b
+  minopen b: b
+end
+
+space E
+  points:
+end
+
+map e1: E -> P1
+end
+
+map e2: E -> P2
+end
+
+map ee: E -> E
+end
+
+gluing DISJ
+  index: 1 2
+  patch 1: P1
+  patch 2: P2
+  overlap 1 2: E
+  overlap 2 1: E
+  anchor 1 2: e1
+  anchor 2 1: e2
+  transition 1 2: ee
+  transition 2 1: ee
+end
+"""
+
+
+# DISJ refined by the same two points over one-point overlaps: the fine overlap
+# [1,2] has a point and the coarse one none, so no component exists there.
+ONTO_DISJOINT_DOC = DISJOINT_DOC + """
+space O12
+  points: o
+  minopen o: o
+end
+
+space O21
+  points: o
+  minopen o: o
+end
+
+map o1: O12 -> P1
+  o -> a
+end
+
+map o2: O21 -> P2
+  o -> b
+end
+
+map t12: O12 -> O21
+  o -> o
+end
+
+map t21: O21 -> O12
+  o -> o
+end
+
+gluing OVER
+  index: 1 2
+  patch 1: P1
+  patch 2: P2
+  overlap 1 2: O12
+  overlap 2 1: O21
+  anchor 1 2: o1
+  anchor 2 1: o2
+  transition 1 2: t12
+  transition 2 1: t21
+end
+
+map id1: P1 -> P1
+  a -> a
+end
+
+map id2: P2 -> P2
+  b -> b
+end
+
+refinement ONTO
+  fine: OVER
+  coarse: DISJ
+  gamma 1: 1
+  gamma 2: 2
+  component 1: id1
+  component 2: id2
+end
+"""
 
 def _space_block(name: str, sp: FiniteSpace) -> list[str]:
     lines = [f"space {name}", "  points: " + " ".join(sorted(sp.points))]

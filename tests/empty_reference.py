@@ -1,22 +1,27 @@
 """The checks and constructions that treat every object alike: the reference for tests.
 
-The library decides each row, triangle and forced map out of a space with no
-points from endpoint typing alone (``fintop.composable``), builds the empty
-pullback of two maps with disjoint images without a fiber scan, and asks a
-map only for the property a row needs.  These helpers keep the versions that
-run every object through the same path, so that a test can compare the two:
-every composite goes through ``compose`` and every comparison through a
-scan of the composites (``disagreement``), every pullback scans its fibers,
-every triple transition is lifted, and every map property comes from one
-full ``analyze_map``, which keeps its own flags beside the witnesses in a
-``MapRecord`` (``is_homeomorphism`` is its ``homeomorphism``).  Coordinate
-maps are read from the labels (``paths.coord``).
+A datum stores only its nerve, and the library walks only that: a map out
+of an object outside it is the empty map, so it needs no row, triangle or
+lift.  The library also asks a map only for the property a row needs.  These
+helpers keep the dense versions, which run every object of the index
+category through the same path, so that a test can compare the two: every
+composite goes through ``compose`` and every comparison through a scan of
+the composites (``disagreement``), every pullback scans its fibers, every
+triple transition is lifted, and every map property comes from one full
+``analyze_map``, which keeps its own flags beside the witnesses in a
+``MapRecord`` (``is_homeomorphism`` is its ``homeomorphism``).  An object
+outside the nerve reads as the empty space, its maps as empty maps
+(``paths.coord``, ``triple_map``) and a cone's leg there as the empty leg
+(``cone_reference.dense_cone``).  ``on_nerve`` keeps the rows the library
+gives: those about the nerve's objects, and every failing one.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, replace
 
+from cone_reference import dense_cone
 from oracles import first_difference
 from paths import coord
 from topoglue import fintop, glidx
@@ -30,9 +35,27 @@ from topoglue.fintop import (
     lift,
     make_space,
 )
-from topoglue.gdata import GluingData, Report, _generator_image, _triples_present, make_gluing_data
-from topoglue.glidx import single
-from topoglue.glue import CONE_MODES, Cone, OtopReport, _cone_edges, _links, _typed_legs
+from topoglue.gdata import EMPTY, GluingData, Report, _generator_image, _require_triples, make_gluing_data
+from topoglue.glidx import normalize, pair, single
+from topoglue.glue import CONE_MODES, Cone, OtopReport, _typed_legs
+
+
+def row_object(gd: GluingData, subject: str):
+    """The object a row's subject names: ``(i,j)``, ``(i,j,k)``, ``[i,j,k]``,
+    a triple key's repr or a patch label; None for a subject naming none."""
+    if subject.startswith("('"):
+        return normalize(ast.literal_eval(subject))
+    if subject[:1] in "([" and subject[-1:] in ")]":
+        return normalize(tuple(subject[1:-1].split(",")))
+    return single(subject) if subject in gd.index else None
+
+
+def on_nerve(gd: GluingData, rows) -> list:
+    """The rows about objects of the nerve or about none, and every failing row."""
+    return [
+        e for e in rows
+        if not e.ok or (obj := row_object(gd, e.subject)) is None or gd.stores(obj)
+    ]
 
 
 def disagreement(left, right):
@@ -59,8 +82,23 @@ class MapRecord:
 def triple_map(gd: GluingData, i: str, j: str, k: str) -> SpaceMap:
     """The transition from the space of [i,j,k] to the space of [j,i,k]."""
     if i == j:
-        return identity_map(gd.space_of(glidx.normalize((i, j, k))))
+        return identity_map(gd.space_of(normalize((i, j, k))))
+    if not gd.stores(normalize((i, j, k))):
+        return SpaceMap(EMPTY, gd.space_of(normalize((j, i, k))), {})
     return gd.triple_transition[(i, j, k)]
+
+
+def _triples_present(gd: GluingData, rep: Report) -> bool:
+    missing = [
+        (i, j, k)
+        for i in gd.index
+        for j in gd.index
+        for k in gd.index
+        if i != j and gd.stores(normalize((i, j, k))) and (i, j, k) not in gd.triple_transition
+    ]
+    for key in missing:
+        rep.add("triple-present", str(key), False, "missing triple transition")
+    return not missing
 
 
 def analyze_map(f: SpaceMap) -> MapRecord:
@@ -138,7 +176,8 @@ def triple_tables(index, overlap, anchor):
     return spaces, projs
 
 
-def derive_triple_maps(gd: GluingData) -> GluingData:
+def derive_triple_maps(gd: GluingData) -> dict:
+    """Every triple transition, the derived ones lifted; those out of an empty object too."""
     derived = dict(gd.triple_transition)
     for i in gd.index:
         for j in gd.index:
@@ -150,7 +189,7 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
                 if not isinstance(lifted, SpaceMap):
                     raise NotDetermined(i, j, k, *lifted)
                 derived[(i, j, k)] = lifted
-    return replace(gd, triple_transition=derived)
+    return derived
 
 
 def data_of_covering(c) -> GluingData:
@@ -164,7 +203,8 @@ def data_of_covering(c) -> GluingData:
     for (i, j), (_, pi, pj) in pullbacks.items():
         _, pj_back, pi_back = pullbacks[(j, i)]
         transition[(i, j)] = lift([pj, pi], [pj_back, pi_back])
-    return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition))
+    gd = make_gluing_data(idx, patch, overlap, anchor, transition)
+    return replace(gd, triple_transition=derive_triple_maps(gd))
 
 
 def _add_continuity(rep, name, subject, f):
@@ -229,35 +269,71 @@ def check_laws(gd: GluingData) -> Report:
 
 def complete_cone(gd, apex, single_legs) -> Cone:
     legs = {single(i): single_legs[i] for i in gd.index}
-    edges = glidx.edges(gd.index)
-    for obj, (a, *_) in glidx.faces(gd.index).items():
-        legs[obj] = compose(legs[a], _generator_image(gd, edges[(a, obj)]))
+    for i in gd.index:
+        for j in gd.index:
+            if i != j:
+                legs[pair(i, j)] = compose(legs[single(i)], gd.anchor[(i, j)])
+    for obj in glidx.objects(gd.index):
+        if obj.arity == 3:
+            i, (j, k) = obj.head, obj.rest
+            legs[obj] = compose(legs[pair(i, j)], coord(gd, i, j, k))
     return Cone(apex, legs)
+
+
+def cone_edges(gd, mode):
+    """``glue._cone_edges`` over every generator edge of the index category."""
+    if mode == "full":
+        _require_triples(gd)
+    edges = []
+    for (a, b), gen in glidx.edges(gd.index).items():
+        if gen.kind == "tau" and mode == "figure4":
+            i, j = gen.indices
+            edges.append((single(j), b, compose(gd.anchor[(j, i)], gd.transition[(i, j)])))
+        elif gen.kind != "tau3" or mode == "full":
+            f = _generator_image(gd, gen) if gd.stores(b) else SpaceMap(EMPTY, gd.space_of(a), {})
+            edges.append((a, b, f))
+    return edges
 
 
 def cone_failure(gd, cone, mode="full"):
     if mode not in CONE_MODES:
         raise ValueError(f"unknown cone mode {mode!r}")
-    legs = _typed_legs(gd, cone, glidx.objects(gd.index))
-    for a, b, f in _cone_edges(gd, mode):
+    legs = _typed_legs(gd, dense_cone(gd, cone), glidx.objects(gd.index))
+    for a, b, f in cone_edges(gd, mode):
         point = disagreement([legs[a], f], [legs[b]])
         if point is not None:
             return a, b, point
     return None
 
 
+def _links(gd):
+    """The links (u, anchor_ij(u), anchor_ji(transition_ij(u))) of every ordered pair."""
+    return {
+        (i, j): [
+            (u, gd.anchor[(i, j)](u), gd.anchor[(j, i)](gd.transition[(i, j)](u)))
+            for u in sorted(gd.overlap[(i, j)].points)
+        ]
+        for i in gd.index
+        for j in gd.index
+    }
+
+
 def check_glued_properties(gd, candidate) -> Report:
     rep = Report()
     idx = gd.index
-    legs = _typed_legs(gd, candidate, glidx.objects(idx))
-    edges = glidx.edges(idx)
-    for obj, faces in glidx.faces(idx).items():
-        paths = [[legs[a], _generator_image(gd, edges[(a, obj)])] for a in faces]
-        failed = [w for p in paths if (w := disagreement(p, [legs[obj]])) is not None]
+    legs = _typed_legs(gd, dense_cone(gd, candidate), glidx.objects(idx))
+    for obj in glidx.objects(idx):
+        if obj.arity == 1:
+            continue
+        i = obj.head
         if obj.arity == 2:
-            name, subject = "a-pair-factors", f"({obj.head},{obj.rest[0]})"
+            name, subject = "a-pair-factors", f"({i},{obj.rest[0]})"
+            paths = [[legs[single(i)], gd.anchor[(i, obj.rest[0])]]]
         else:
             name, subject = "b-triple-factors", repr(obj)
+            j, k = obj.rest
+            paths = [[legs[pair(i, j)], coord(gd, i, j, k)], [legs[pair(i, k)], coord(gd, i, k, j)]]
+        failed = [w for p in paths if (w := disagreement(p, [legs[obj]])) is not None]
         rep.add(name, subject, not failed, failed[-1] if failed else None)
     links = _links(gd)
     for (i, j), pairs in links.items():
@@ -289,7 +365,7 @@ def check_otop(gd, glued) -> OtopReport:
     legs = _typed_legs(gd, glued, map(single, gd.index))
     rep = OtopReport()
     for kind, table in (("anchor", gd.anchor), ("transition", gd.transition)):
-        for key in sorted(table):
+        for key in sorted(table):  # every ordered pair
             if not analyze_map(table[key]).open_map:
                 rep.add("data-open", f"{kind}{key}", False, "not an open map")
     covered = set()

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from topoglue import glidx
 from topoglue.fintop import SpaceMap, compose, identity_map
-from topoglue.gdata import GluingData, GluingFunctor
+from topoglue.gdata import EMPTY, GluingData, GluingFunctor
 from topoglue.glidx import GlGen, GlObject, normalize
 from topoglue.refine import IndexMap, reindex_object
 
@@ -60,14 +60,15 @@ def find_path(index, a: GlObject, b: GlObject) -> Path | None:
 def realize(fun: GluingFunctor, dom: GlObject, path: Path) -> SpaceMap:
     """The map ``fun`` gives the path out of ``dom``, running from its end's space to dom's.
 
-    Each generator contributes its table entry; an identity generator has
-    none and contributes the identity.
+    Each generator contributes its map (``GluingFunctor.map``, the empty map
+    into an object outside the nerve); an identity generator has none and
+    contributes the identity.
     """
     glidx.compose_path(dom, path)  # CompositionMismatch unless the path composes
     out = identity_map(fun.space(dom))
     for gen in path:
         if gen.dom != gen.cod:
-            out = compose(out, fun.gen[(gen.dom, gen.cod)])
+            out = compose(out, fun.map(gen.dom, gen.cod))
     return out
 
 
@@ -82,9 +83,12 @@ def coord(gd: GluingData, i: str, j: str, k: str) -> SpaceMap:
     """The map from the space of [i,j,k] onto overlap (i,j).
 
     For a genuine triple this is the stored pullback projection; when the
-    tuple collapses to the pair (i,j) it is the identity.
+    tuple collapses to the pair (i,j) it is the identity; and for an object
+    outside the datum's nerve it is the empty map.
     """
     obj = normalize((i, j, k))
+    if not gd.stores(obj):
+        return SpaceMap(EMPTY, gd.overlap[(i, j)], {})
     if obj.arity == 3:
         return gd.triple_proj[(obj, j)]
     return identity_map(gd.space_of(obj))

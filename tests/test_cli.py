@@ -2,6 +2,9 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doc_fixtures import BROKEN_TRIPLE_DOC, CIRCLE_DOC, torus_document
+from doc_fixtures import BROKEN_TRIPLE_DOC, CIRCLE_DOC, DISJOINT_DOC, ONTO_DISJOINT_DOC, torus_document
 from topoglue import cover as cover_mod
 from topoglue import glue as glue_mod
 from topoglue.cli import main
@@ -240,6 +243,101 @@ digraph CIRC {
         )
         assert code == 0
         assert "refines" in out
+
+
+class TestDisjointPatches:
+    """A gluing whose overlaps are all empty: every report walks the two patches alone."""
+
+    @pytest.fixture
+    def disjoint_file(self, tmp_path):
+        f = tmp_path / "disjoint.glue"
+        f.write_text(DISJOINT_DOC)
+        return f
+
+    def _run(self, capsys, disjoint_file, command, *rest):
+        return run_cli(capsys, command, str(disjoint_file), "DISJ", *rest)
+
+    def test_glue_prints_only_the_patch_legs(self, capsys, disjoint_file):
+        code, out, _ = self._run(capsys, disjoint_file, "glue", "--derive-triples")
+        assert code == 0
+        assert [line.strip() for line in out.splitlines() if "leg" in line] == [
+            "leg [1]: a->a@1", "leg [2]: b->b@2",
+        ]
+        code, out, _ = self._run(capsys, disjoint_file, "glue", "--derive-triples", "--machine")
+        assert sorted(json.loads(out)["data"]["legs"]) == ["[1]", "[2]"]
+
+    def test_validate_has_rows_for_the_patches_only(self, capsys, disjoint_file):
+        code, out, _ = self._run(capsys, disjoint_file, "validate", "--derive-triples", "--machine")
+        assert code == 0
+        rows = json.loads(out)["data"]["DISJ"]
+        assert {row["subject"] for row in rows} == {"(1,1)", "(2,2)", "(1,1,1)", "(2,2,2)"}
+
+    def test_check_otop(self, capsys, disjoint_file):
+        code, out, _ = self._run(capsys, disjoint_file, "check-otop", "--derive-triples")
+        assert code == 0
+        assert out.splitlines()[:2] == ["PASS check-otop DISJ", "applicable"]
+
+    def test_verify_universal(self, capsys, disjoint_file):
+        code, out, _ = self._run(capsys, disjoint_file, "verify-universal", "--derive-triples", "--machine")
+        assert code == 0
+        # a cone into an apex with n points is a pair of points: 1 + 4 + 4 + 9 + 4
+        assert json.loads(out)["data"]["cones"] == 22
+
+    def test_render_dot_draws_the_patches_alone(self, capsys, disjoint_file):
+        code, out, _ = self._run(capsys, disjoint_file, "render-dot")
+        assert code == 0
+        assert out == (
+            "digraph DISJ {\n"
+            '  "[1]" [label="[1]\\nP1 (1p)"];\n'
+            '  "[2]" [label="[2]\\nP2 (1p)"];\n'
+            '  glued [label="glued\\n2p",shape=doublecircle];\n'
+            '  "[1]" -> glued [label="leg 1",style=dashed];\n'
+            '  "[2]" -> glued [label="leg 2",style=dashed];\n'
+            "}\n"
+        )
+
+    def test_refinement_onto_an_empty_overlap_has_no_component(self, capsys, tmp_path):
+        f = tmp_path / "onto.glue"
+        f.write_text(ONTO_DISJOINT_DOC)
+        code, out, err = run_cli(capsys, "check-refinement", str(f), "ONTO", "--derive-triples")
+        assert (code, out) == (2, "")
+        assert err == "error: pair component [1,2] not uniquely forced at 'o'\n"
+
+    def test_anchor_out_of_an_empty_overlap_into_the_wrong_patch(self, capsys, tmp_path):
+        f = tmp_path / "wrong.glue"
+        f.write_text(DISJOINT_DOC.replace("anchor 1 2: e1", "anchor 1 2: e2"))
+        code, _, err = run_cli(capsys, "validate", str(f), "DISJ")
+        assert code == 2
+        assert err == "error: anchor (1,2) leaves an empty object: it must be the empty map into 'P1'\n"
+
+    def test_triple_transition_outside_the_nerve(self, capsys, tmp_path):
+        # the empty map between the right spaces is dropped; any other is an input error
+        f = tmp_path / "triple.glue"
+        f.write_text(DISJOINT_DOC.replace(
+            "  transition 2 1: ee\n", "  transition 2 1: ee\n  triple 1 2 2: ee\n"
+        ))
+        code, out, _ = run_cli(capsys, "validate", str(f), "DISJ", "--machine")
+        assert code == 0
+        f.write_text(DISJOINT_DOC.replace(
+            "  transition 2 1: ee\n", "  transition 2 1: ee\n  triple 1 2 2: e1\n"
+        ))
+        code, _, err = run_cli(capsys, "validate", str(f), "DISJ")
+        assert code == 2
+        assert err.startswith("error: triple transition ('1', '2', '2') leaves an empty object")
+
+
+class TestClosedPipe:
+    def test_a_reader_that_stops_early_ends_no_run_in_a_traceback(self):
+        # more output than a pipe holds, so the child is still writing when the pipe closes
+        labels = "index:" + ",".join("abcdefghij")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "topoglue.cli", "render-dot", str(EXAMPLES / "circle.glue"), labels]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert child.stdout.readline() == b"digraph gluing_index {\n"
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=60) == 0
+        assert err == ""  # no traceback
 
 
 # The README's nine commands plus the four other report commands, on the

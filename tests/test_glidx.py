@@ -161,6 +161,11 @@ class TestFaces:
             into = [(d, g.kind) for (d, c), g in edges(idx).items() if c == obj]
             assert [d for d, kind in into if kind in ("eta", "eta3")] == list(sources)
 
+    @pytest.mark.parametrize("idx", [I2, I3, ("1", "2", "3", "4")])
+    def test_one_object_at_a_time_and_in_display_order(self, idx):
+        assert all(glidx.faces_of(obj) == sources for obj, sources in faces(idx).items())
+        assert list(objects(idx)) == sorted(objects(idx), key=glidx.display_order)
+
     def test_built_once_and_read_only(self):
         assert faces(I3) is faces(reversed(I3))
         with pytest.raises(TypeError):

@@ -8,7 +8,8 @@ import pytest
 import cone_reference
 from conftest import digital_circle, digital_circle_data, random_lawful_data
 from oracles import first_difference
-from paths import find_path, realize
+from empty_reference import on_nerve
+from paths import coord, find_path, realize
 from topoglue import fintop, glidx
 from topoglue import glue as glue_mod
 from topoglue.errors import (
@@ -514,7 +515,7 @@ class TestFullConeEdgeCheck:
                     singles = {i: cone.leg(single(i)) for i in gd.index}
                     cone = complete_cone(gd, cone.apex, singles)
                 verdict = check_cone(gd, cone, "full")
-                assert verdict == _all_pairs_verdict(cone, maps)
+                assert verdict == _all_pairs_verdict(cone_reference.dense_cone(gd, cone), maps)
                 verdicts.append(verdict)
         assert set(verdicts) == {True, False}
 
@@ -590,7 +591,11 @@ class TestConeEdgesMatchTableReference:
                 singles = {i: cone.leg(single(i)) for i in gd.index}
                 completed = complete_cone(gd, cone.apex, singles)
                 reference = cone_reference.complete_cone(gd, cone.apex, singles)
-                assert dict(completed.legs) == dict(reference.legs)
+                # the reference also builds the empty legs of the objects outside the nerve
+                assert dict(completed.legs) == {
+                    obj: leg for obj, leg in reference.legs.items() if gd.stores(obj)
+                }
+                assert not any(leg.dom.points for obj, leg in reference.legs.items() if not gd.stores(obj))
                 for candidate in (cone, completed):
                     checks += 1
                     for mode in CONE_MODES:
@@ -721,9 +726,14 @@ class TestCheckGluedProperties:
 
 
 def _glued_properties_reference(gd, candidate):
-    """``check_glued_properties`` with its own anchor and transition loops: the reference."""
+    """``check_glued_properties`` with its own anchor and transition loops: the reference.
+
+    It walks every object of the index category, reading one outside the
+    nerve as the empty space (``cone_reference.dense_cone``, ``coord``).
+    """
     rep = Report()
     idx = gd.index
+    candidate = cone_reference.dense_cone(gd, candidate)
     for i in idx:
         for j in idx:
             if i == j:
@@ -742,7 +752,7 @@ def _glued_properties_reference(gd, candidate):
         for n in obj.rest:
             w = first_difference(
                 candidate.leg(obj),
-                compose(candidate.leg(pair(i, n)), gd.triple_proj[(obj, n)]),
+                compose(candidate.leg(pair(i, n)), coord(gd, i, n, *set(obj.rest) - {n})),
             )
             if w is not None:
                 ok = False
@@ -804,7 +814,7 @@ class TestGluedPropertiesThroughLinks:
                 cones.append(Cone(apex, {obj: compose(h, leg) for obj, leg in glued.legs.items()}))
             for cone in cones:
                 rows = check_glued_properties(gd, cone).entries
-                assert rows == _glued_properties_reference(gd, cone).entries
+                assert rows == on_nerve(gd, _glued_properties_reference(gd, cone).entries)
                 failing |= {e.name for e in rows if not e.ok}
         assert failing == {
             "a-pair-factors",

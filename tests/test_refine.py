@@ -5,6 +5,7 @@ import pytest
 
 from topoglue.errors import CompositionMismatch, HypothesisBFailed, MissingComponent
 from topoglue.fintop import (
+    FiniteSpace,
     SpaceMap,
     compose,
     enumerate_continuous_maps,
@@ -23,7 +24,7 @@ from topoglue.fixtures import (
     trivial_data,
 )
 from topoglue import refine as refine_mod
-from topoglue.gdata import Report, _add_continuity, functor_of
+from topoglue.gdata import EMPTY, Report, _add_continuity, derive_triple_maps, functor_of, make_gluing_data
 from topoglue.glidx import (
     GlGen,
     compose_path,
@@ -383,3 +384,105 @@ class TestFrozenRefinementLayer:
         assert copy.gamma.table == r.gamma.table and copy.components == r.components
         assert check_refinement(copy).passed
         assert (meta_copy.index, meta_copy.node, meta_copy.edge) == (meta.index, meta.node, meta.edge)
+
+
+def _two_points(overlapping: bool):
+    """Two one-point patches: over a one-point overlap, or over empty overlaps (no pair in the nerve)."""
+    patch = {"1": pt("P1", "a"), "2": pt("P2", "b")}
+    if overlapping:
+        overlap = {("1", "2"): pt("O12", "o"), ("2", "1"): pt("O21", "o")}
+        anchor = {
+            ("1", "2"): SpaceMap(overlap[("1", "2")], patch["1"], {"o": "a"}),
+            ("2", "1"): SpaceMap(overlap[("2", "1")], patch["2"], {"o": "b"}),
+        }
+        transition = {
+            ("1", "2"): SpaceMap(overlap[("1", "2")], overlap[("2", "1")], {"o": "o"}),
+            ("2", "1"): SpaceMap(overlap[("2", "1")], overlap[("1", "2")], {"o": "o"}),
+        }
+    else:
+        overlap = {key: EMPTY for key in (("1", "2"), ("2", "1"))}
+        anchor = {(i, j): SpaceMap(EMPTY, patch[i], {}) for i, j in overlap}
+        transition = {key: SpaceMap(EMPTY, EMPTY, {}) for key in overlap}
+    return functor_of(derive_triple_maps(make_gluing_data(("1", "2"), patch, overlap, anchor, transition)))
+
+
+class TestRefinementOntoAnEmptyOverlap:
+    """A coarse overlap with no points under a fine overlap with points admits no component."""
+
+    gamma = IndexMap(("1", "2"), ("1", "2"), {"1": "1", "2": "2"})
+
+    def _patches(self, fine, coarse):
+        return {
+            single(i): SpaceMap(fine.space(single(i)), coarse.space(single(i)), {x: min(coarse.space(single(i)).points) for x in fine.space(single(i)).points})
+            for i in ("1", "2")
+        }
+
+    def test_complete_refinement_raises_at_the_empty_overlap(self):
+        fine, coarse = _two_points(True), _two_points(False)
+        with pytest.raises(MissingComponent, match=r"^pair component \[1,2\] not uniquely forced at 'o'$"):
+            complete_refinement(self.gamma, fine, coarse, self._patches(fine, coarse))
+
+    def test_check_refinement_fails_without_the_component(self):
+        fine, coarse = _two_points(True), _two_points(False)
+        r = Refinement(self.gamma, fine, coarse, self._patches(fine, coarse))
+        with pytest.raises(MissingComponent, match=r"no component at \[1,2\]"):
+            r.component(pair("1", "2"))
+        rep = check_refinement(r)
+        assert not rep.passed
+        failing = {(e.name, e.subject) for e in rep.failures()}
+        assert ("component-present", "[1]->[1,2]") in failing
+        assert ("component-present", "[2]->[2,1]") in failing
+
+    def test_empty_fine_overlaps_need_no_component(self):
+        fine, coarse = _two_points(False), _two_points(False)
+        r = complete_refinement(self.gamma, fine, coarse, self._patches(fine, coarse))
+        assert set(r.components) == {single("1"), single("2")}
+        assert r.component(pair("1", "2")) == SpaceMap(EMPTY, EMPTY, {})
+        assert check_refinement(r).passed
+        # into the overlapping datum, the coarse overlap has points: its component is lifted
+        r = complete_refinement(self.gamma, fine, _two_points(True), self._patches(fine, _two_points(True)))
+        assert check_refinement(r).passed
+
+
+def _point_node(name: str, *points: str):
+    space = FiniteSpace(name, points, {x: {x} for x in points})
+    return functor_of(trivial_data(space, "1"))
+
+
+def _node_refinement(fine, coarse, table):
+    gamma = IndexMap(("1",), ("1",), {"1": "1"})
+    return Refinement(gamma, fine, coarse, {single("1"): SpaceMap(fine.space(single("1")), coarse.space(single("1")), table)})
+
+
+class TestPushoutOverAnEmptyComposedTriple:
+    def test_a_triple_node_with_points_over_an_empty_pullback_raises(self):
+        # [1] has two points; [1,2] lands on x and [1,3] on y, so the composed
+        # triple [1|{2,3}] is empty, while the triple node has a point
+        node = {
+            single("1"): _point_node("X1", "x", "y"),
+            single("2"): _point_node("X2", "u"),
+            single("3"): _point_node("X3", "v"),
+            pair("1", "2"): _point_node("O12", "p"),
+            pair("2", "1"): _point_node("O21", "p"),
+            pair("1", "3"): _point_node("O13", "q"),
+            pair("3", "1"): _point_node("O31", "q"),
+            pair("2", "3"): _point_node("O23"),
+            pair("3", "2"): _point_node("O32"),
+            normalize(("1", "2", "3")): _point_node("T", "t"),
+        }
+        images = {("1", "2"): "x", ("1", "3"): "y", ("2", "1"): "u", ("3", "1"): "v"}
+        edge = {}
+        for i, j in [(i, j) for i in "123" for j in "123" if i != j]:
+            a, b = single(i), pair(i, j)
+            table = {p: images[(i, j)] for p in node[b].space(single("1")).points}
+            edge[(a, b)] = _node_refinement(node[b], node[a], table)
+            back = pair(j, i)
+            points = node[b].space(single("1")).points
+            edge[(back, b)] = _node_refinement(node[b], node[back], {p: p for p in points})
+        t = normalize(("1", "2", "3"))
+        edge[(pair("1", "2"), t)] = _node_refinement(node[t], node[pair("1", "2")], {"t": "p"})
+        edge[(pair("1", "3"), t)] = _node_refinement(node[t], node[pair("1", "3")], {"t": "q"})
+        meta = GdfGluingData(("1", "2", "3"), node, edge)
+        with pytest.raises(HypothesisBFailed, match="lands outside the pullback") as info:
+            compose_gdf(meta)
+        assert info.value.key == ("1", "2", "3")
