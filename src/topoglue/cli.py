@@ -210,9 +210,9 @@ def _cmd_site_check(doc, targets, opts):
             if not ok:
                 failures.append(f"round {n}: composition axiom failed ({kind})")
             v = cover_mod.random_space(rng, max_points=5, space_id=f"v{n}")
-            maps = fintop.enumerate_continuous_maps(v, base, opts.budget)
-            phi = rng.choice(maps) if maps else None
-            if phi is not None:
+            tables = fintop.continuous_images(v, base, opts.budget)
+            if tables:
+                phi = fintop.SpaceMap(v, base, dict(zip(sorted(v.points), rng.choice(tables))))
                 pulled, ok = cover_mod.site_axiom_basechange(c, phi)
                 if not ok:
                     failures.append(f"round {n}: base-change axiom failed ({kind})")
@@ -287,6 +287,19 @@ def _default_opts():
     return _build_parser().parse_args([COMMANDS[0], ""])
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no less than ``least``."""
+
+    def number(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    number.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return number
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="topoglue",
@@ -295,8 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("file", help="declaration document")
     p.add_argument("targets", nargs="*", help="declared names the command acts on")
-    p.add_argument("--budget", type=int, default=fintop.DEFAULT_MAP_BUDGET,
-                   help="search budget for enumeration oracles: point "
+    p.add_argument("--budget", type=_at_least(0), default=fintop.DEFAULT_MAP_BUDGET,
+                   help="search budget for enumeration oracles: point or link-class "
                    "assignments each search may try (search nodes)")
     p.add_argument("--derive-triples", action="store_true",
                    help="fill missing triple transitions when uniquely forced")
@@ -305,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=cover_mod.KINDS, default=None,
                    help="covering kind override")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized batches")
-    p.add_argument("--count", type=int, default=25, help="rounds for randomized batches")
+    p.add_argument("--count", type=_at_least(1), default=25,
+                   help="rounds for randomized batches")
     p.add_argument("--machine", action="store_true", help="emit a JSON report")
     return p
 

@@ -260,6 +260,22 @@ def disagreement(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> str | N
     return min(x for x, a, b in zip(points, ours, theirs) if a != b)
 
 
+def paired_values(f: SpaceMap, g: SpaceMap) -> list[tuple[str, str]]:
+    """The pairs (f(x), g(x)) over the points x of f's domain, which g shares.
+
+    A gap in either table, or a value of f outside its codomain, raises
+    UnknownPoint (``_table_gap``); the values of g are left to the caller.
+    """
+    ftable, gtable = f.table, g.table
+    try:
+        pairs = [(ftable[x], gtable[x]) for x in f.dom.points]
+    except KeyError:
+        raise _table_gap((f, g)) from None
+    if not {y for y, _ in pairs} <= f.cod.points:
+        raise _table_gap((f, g))
+    return pairs
+
+
 def discontinuities(f: SpaceMap) -> list[str]:
     """The sorted points x where f(min_open(x)) is not inside min_open(f(x)).
 
@@ -658,22 +674,28 @@ def _allowed_images(
     return allowed
 
 
-def enumerate_continuous_maps(
+def continuous_images(
     a: FiniteSpace, b: FiniteSpace, budget: int = DEFAULT_MAP_BUDGET
-) -> list[SpaceMap]:
-    """All continuous maps a -> b, in lexicographic table order.
+) -> list[tuple[str, ...]]:
+    """The tables of all continuous maps a -> b, as image tuples over ``sorted(a.points)``.
 
-    The search assigns the sorted points of ``a`` in turn and offers each
-    the images ``_allowed_images`` leaves it, in sorted order.  ``budget``
-    bounds the number of point assignments tried (search nodes).
+    The tuples come in lexicographic order.  The search assigns the sorted
+    points of ``a`` in turn and offers each the images ``_allowed_images``
+    leaves it, in sorted order.  ``budget`` bounds the number of point
+    assignments tried (search nodes).
     """
     dom = sorted(a.points)
     allowed = _allowed_images(dom, a.min_open, b)
     search = f"map search {a.space_id!r} -> {b.space_id!r}"
-    return [
-        SpaceMap(a, b, dict(zip(dom, img)))
-        for img in backtrack(search, len(dom), lambda img: sorted(allowed(img)), budget)
-    ]
+    return list(backtrack(search, len(dom), lambda img: sorted(allowed(img)), budget))
+
+
+def enumerate_continuous_maps(
+    a: FiniteSpace, b: FiniteSpace, budget: int = DEFAULT_MAP_BUDGET
+) -> list[SpaceMap]:
+    """All continuous maps a -> b, in lexicographic table order (``continuous_images``)."""
+    dom = sorted(a.points)
+    return [SpaceMap(a, b, dict(zip(dom, img))) for img in continuous_images(a, b, budget)]
 
 
 def _signature(space: FiniteSpace) -> dict[str, tuple[int, int]]:

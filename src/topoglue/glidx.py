@@ -35,8 +35,10 @@ class GlObject:
     rest: tuple[str, ...]  # () single, (j,) pair, (j,k) sorted triple
 
     def __post_init__(self):
-        # every table lookup hashes its key: compute the generated hash's value once
+        # every table lookup hashes its key and every sort by repr builds its
+        # display string: compute each once
         object.__setattr__(self, "_hash", hash((self.head, self.rest)))
+        object.__setattr__(self, "_display", "[" + ",".join((self.head,) + self.rest) + "]")
 
     def __hash__(self):
         return self._hash
@@ -46,10 +48,10 @@ class GlObject:
         return 1 + len(self.rest)
 
     def display(self) -> str:
-        return "[" + ",".join((self.head,) + self.rest) + "]"
+        return self._display
 
     def __repr__(self):
-        return self.display()
+        return self._display
 
 
 @lru_cache(maxsize=None)

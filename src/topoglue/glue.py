@@ -42,7 +42,6 @@ from .fintop import (
     compose,
     disagreement,
     discontinuities,
-    enumerate_continuous_maps,
     failure_witnesses,
     is_open,
     non_embedding_points,
@@ -349,16 +348,16 @@ def mediate(gd: GluingData, glued: Cone, cone: Cone) -> SpaceMap:
 
     The cone's patch legs are typed first (``_typed_legs``).  For each patch i
     and point x, the glued point ``glued.leg([i])(x)`` is sent to
-    ``cone.leg([i])(x)``.  A glued point no patch point reaches has no
+    ``cone.leg([i])(x)``, the pairs read from both tables at once
+    (``fintop.paired_values``).  A glued point no patch point reaches has no
     provenance; one sent to two apex points means the cone conditions were
     violated.  Continuity is automatic from the final topology but still
     checked.
     """
     values: dict[str, set[str]] = {qp: set() for qp in glued.apex.points}
     for obj, into_apex in _typed_legs(gd, cone, map(single, gd.index)).items():
-        into_glued = glued.leg(obj)
-        for x in gd.patch[obj.head].points:
-            values[into_glued(x)].add(into_apex(x))
+        for qp, y in fintop.paired_values(glued.leg(obj), into_apex):
+            values[qp].add(y)
     table: dict[str, str] = {}
     for qp in sorted(values):
         if not values[qp]:
@@ -392,40 +391,38 @@ def enumerate_cones(
 
     A family is compatible when the legs of patches i and j agree on every
     overlap point u: leg_i(anchor_ij(u)) == leg_j(anchor_ji(transition_ij(u))).
-    One search assigns the patch points (i, x), for i in index order and x in
-    sorted patch points, with the map search's order constraint inside each
-    patch; each overlap link is an equality with the linked point assigned
-    first.  Families come out in the order of the Cartesian product of the
-    per-patch map lists, and ``budget`` bounds the point assignments tried.
+    The patch points (i, x), for i in index order and x in sorted patch
+    points, fall into link classes: the oracle's own union-find over the
+    overlap links (``_links``), independent of the quotient ``glue`` builds.
+    Every point of a class takes one image, so one search assigns the
+    classes in order of their first member, each with the union of its
+    members' minimal-open relations, under the map search's order
+    constraint (a map of finite spaces is continuous iff it keeps every such
+    pair, Stong 1966).  Families come out in the order of the Cartesian
+    product of the per-patch map lists: two families first differ at the
+    first member of the first class they differ on.  ``budget`` bounds the
+    class assignments tried.
     """
-    idx = gd.index
-    patch_points = [(i, sorted(gd.patch[i].points)) for i in idx]
-    order = [(i, x) for i, pts in patch_points for x in pts]
-    pos = {ix: p for p, ix in enumerate(order)}
-    min_open = {(i, x): [(i, z) for z in gd.patch[i].min_open[x]] for i, x in order}
-    allowed = fintop._allowed_images(order, min_open, apex)
-    # equal[p]: earlier positions whose image the point at p must share
-    equal: list[set[int]] = [set() for _ in order]
-    for (i, j), links in _links(gd).items():
-        for _, x, y in links:
-            p, q = sorted((pos[(i, x)], pos[(j, y)]))
-            if p != q:
-                equal[q].add(p)
-
-    def images(img: list) -> list[str]:
-        ok = allowed(img)
-        for q in equal[len(img)]:
-            ok = ok & {img[q]}
-        return sorted(ok)
-
+    patch_points = [(i, sorted(gd.patch[i].points)) for i in gd.index]
+    pos = {ix: p for p, ix in enumerate((i, x) for i, pts in patch_points for x in pts)}
+    links = fintop._UnionFind(range(len(pos)))  # a class's root is its first member
+    for (i, j), pairs in _links(gd).items():
+        for _, x, y in pairs:
+            links.union(pos[(i, x)], pos[(j, y)])
+    number = {r: c for c, r in enumerate(sorted({links.find(p) for p in pos.values()}))}
+    cls = {ix: number[links.find(p)] for ix, p in pos.items()}  # the link class of each patch point
+    min_open: list[set[int]] = [set() for _ in number]
+    for (i, x), c in cls.items():
+        min_open[c].update(cls[(i, z)] for z in gd.patch[i].min_open[x])
+    allowed = fintop._allowed_images(range(len(number)), min_open, apex)
     search = f"cone search into {apex.space_id!r}"
-    families = []
-    for img in fintop.backtrack(search, len(order), images, budget):
-        rest = iter(img)  # each zip stops at the end of pts, taking its patch's images only
-        families.append(
-            {i: SpaceMap(gd.patch[i], apex, dict(zip(pts, rest))) for i, pts in patch_points}
+    classes = [(i, [(x, cls[(i, x)]) for x in pts]) for i, pts in patch_points]
+    return [
+        {i: SpaceMap(gd.patch[i], apex, {x: img[c] for x, c in xs}) for i, xs in classes}
+        for img in fintop.backtrack(
+            search, len(number), lambda img: sorted(allowed(img)), budget
         )
-    return families
+    ]
 
 
 def verify_universal(
@@ -439,14 +436,17 @@ def verify_universal(
     The candidate must itself be a cone with continuous legs.  For each apex,
     every compatible patch-leg family is enumerated and the continuous maps
     out of the glued space commuting with all legs are counted; exactly one
-    must exist and it must agree with ``mediate``.  The count is a hash join:
-    each candidate h is filed under its restriction tuple, the tables of
-    h . leg_i over the sorted points of every patch i, and each family is
-    looked up under the tuple of its own leg tables.  The tables are compared
-    alone because h . leg_i and the family's leg i both run from patch i to
-    the apex.  Both searches per apex, the maps out of the glued space and
-    ``enumerate_cones``, count point assignments against ``budget``, so an
-    apex too large to search ends in SearchBudgetExceeded.
+    must exist and it must agree with ``mediate``.  The count is a hash join
+    on tables: each candidate h, an image tuple over the sorted glued points
+    (``fintop.continuous_images``), is filed under its restriction tuple, the
+    tables of h . leg_i over the sorted points of every patch i, and each
+    family is looked up under the tuple of its own leg tables.  The tables
+    are compared alone because h . leg_i and the family's leg i both run from
+    patch i to the apex, and only the one mediator of a family is compared
+    with ``mediate``, as a table.  The map search out of the glued space
+    counts point assignments against ``budget`` and ``enumerate_cones``
+    counts link-class assignments, so an apex too large to search ends in
+    SearchBudgetExceeded.
 
     SIERP and the indiscrete 2-point space I2 suffice once the candidate C is
     a cone with continuous legs.  Write Q for the glued space and m: Q -> C
@@ -480,16 +480,18 @@ def verify_universal(
     is_cone = witness is None
     rep.add("candidate-is-cone", glued.apex.space_id, is_cone, witness)
     patch_points = [(i, sorted(gd.patch[i].points)) for i in gd.index]
-    # the glued point each patch point lands on, in restriction-tuple order
-    route = [glued.leg(single(i))(x) for i, pts in patch_points for x in pts]
+    glued_points = sorted(glued.apex.points)
+    at = {q: n for n, q in enumerate(glued_points)}
+    # the position of the glued point each patch point lands on, in restriction-tuple order
+    route = [at[glued.leg(single(i))(x)] for i, pts in patch_points for x in pts]
     for apex in apexes:
-        by_restriction: dict[tuple[str, ...], list[SpaceMap]] = {}
-        for h in enumerate_continuous_maps(glued.apex, apex, budget):
-            by_restriction.setdefault(tuple(h.table[q] for q in route), []).append(h)
+        by_restriction: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for h in fintop.continuous_images(glued.apex, apex, budget):
+            by_restriction.setdefault(tuple([h[n] for n in route]), []).append(h)
         families = enumerate_cones(gd, apex, budget)
         rep.cones_checked += len(families)
         for fam in families:
-            key = tuple(fam[i].table[x] for i, pts in patch_points for x in pts)
+            key = tuple([fam[i].table[x] for i, pts in patch_points for x in pts])
             mediators = by_restriction.get(key, [])
             if len(mediators) != 1:
                 rep.add(
@@ -509,7 +511,7 @@ def verify_universal(
             except NotCovering as exc:
                 rep.add("mediate-agrees", apex.space_id, False, str(exc))
                 continue
-            if disagreement([mu], [mediators[0]]) is not None:
+            if tuple([mu.table[q] for q in glued_points]) != mediators[0]:
                 rep.add("mediate-agrees", apex.space_id, False, "mediate differs from oracle")
         rep.add("apex-done", apex.space_id, True)
     return rep

@@ -649,6 +649,22 @@ class TestInputErrors:
         code, out, _ = run_cli(capsys, "cover-check", str(f), "TWOARCS", "--kind", "open")
         assert code == 0 and out.count("ok   leg-open") == 2
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--count", "-3", "argument --count: must be at least 1, got -3"),
+            ("--count", "0", "argument --count: must be at least 1, got 0"),
+            ("--budget", "-1", "argument --budget: must be at least 0, got -1"),
+        ],
+    )
+    def test_nonsense_batch_options_are_rejected(self, capsys, circle_file, option, value, message):
+        with pytest.raises(SystemExit) as info:
+            main(["site-check", circle_file, option, value])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"topoglue: error: {message}\n")
+        assert "Traceback" not in captured.err
+
 
 class TestMetaErrors:
     """A malformed meta gluing ends in a typed input error, never a traceback."""

@@ -19,6 +19,7 @@ from topoglue.errors import (
     NotCovering,
     NotEquivalence,
     SearchBudgetExceeded,
+    UnknownPoint,
 )
 from topoglue.fintop import (
     SpaceMap,
@@ -911,6 +912,41 @@ class TestMediate:
         with pytest.raises(IllDefined):
             mediate(gd, glued, cone)
 
+    @staticmethod
+    def _with_leg_table(cone, i, edit):
+        """A copy of the cone whose leg [i] has its table passed through ``edit``."""
+        legs = dict(cone.legs)
+        leg = legs[single(i)]
+        table = dict(leg.table)
+        edit(table)
+        legs[single(i)] = SpaceMap(leg.dom, leg.cod, table)
+        return Cone(cone.apex, legs)
+
+    def test_patch_leg_with_a_gap_names_the_point(self):
+        gd = gd_circ()
+        glued = glue(gd)
+        cone = self._with_leg_table(glued, "1", lambda t: t.pop("m"))
+        with pytest.raises(UnknownPoint) as info:
+            mediate(gd, glued, cone)
+        assert str(info.value) == "'m' is not a point of 'arcA'"
+
+    def test_patch_leg_with_a_stray_value_is_ill_defined(self):
+        # l@1 and l@2 are one glued point, which the stray value sends two ways
+        gd = gd_circ()
+        glued = glue(gd)
+        cone = self._with_leg_table(glued, "1", lambda t: t.update(l="zzz"))
+        with pytest.raises(IllDefined) as info:
+            mediate(gd, glued, cone)
+        assert str(info.value) == "cone legs disagree on identified points: ('l@1', ['l@1', 'zzz'])"
+
+    def test_glued_leg_with_a_stray_value_names_it(self):
+        gd = gd_circ()
+        glued = glue(gd)
+        candidate = self._with_leg_table(glued, "1", lambda t: t.update(m="zzz"))
+        with pytest.raises(UnknownPoint) as info:
+            mediate(gd, candidate, glued)
+        assert str(info.value) == f"'zzz' is not a point of {glued.space.space_id!r}"
+
 
 def _mediate_by_tags(gd, glued, cone):
     """``mediate`` as it was: each glued point's class, with the patch parsed from each tag."""
@@ -1196,18 +1232,29 @@ class TestConeSearch:
 
     def test_budget_counts_point_assignments(self):
         gd = gd_circ()
-        # patch 1 (l, m, r) takes 2 + 3 + 5 nodes for its 5 legs; patch 2 takes
-        # 5 + 8 + 7, its l and r being linked to patch 1: 30 nodes for 7 families
-        assert len(enumerate_cones(gd, sierp(), budget=30)) == 7
+        # one node per link class assigned, the classes being {l@1, l@2}, {m@1},
+        # {r@1, r@2}, {m@2}: l takes 2 nodes, m@1 then 3 (b under l = b, t or b
+        # under t), r 5 (t or b under m = b, t under t), and m@2 7 (b unless l
+        # and r are both t): 17 nodes for 7 families
+        assert len(enumerate_cones(gd, sierp(), budget=17)) == 7
         with pytest.raises(SearchBudgetExceeded) as info:
-            enumerate_cones(gd, sierp(), budget=29)
+            enumerate_cones(gd, sierp(), budget=16)
         assert (info.value.search, info.value.used, info.value.limit) == (
-            "cone search into 'SIERP'", 30, 29
+            "cone search into 'SIERP'", 17, 16
         )
 
+    def test_linked_points_share_one_node(self):
+        # the cylinder into SIERP: 1031 nodes when every patch point was assigned
+        gd = cylinder_data("1")
+        assert len(enumerate_cones(gd, sierp(), budget=425)) == 124
+        with pytest.raises(SearchBudgetExceeded) as info:
+            enumerate_cones(gd, sierp(), budget=424)
+        assert info.value.used == 425
+
     def test_budget_bounds_the_search_into_a_large_apex(self):
-        # the glued cylinder as its own apex needs more than 10**6 nodes; every
-        # point assignment counts, so the search stops at the limit
+        # the glued cylinder as its own apex has 382 268 families, so the class
+        # search needs more nodes than that; every class assignment counts, so
+        # the search stops at the limit
         gd = cylinder_data("1")
         apex = glue(gd).space
         with pytest.raises(SearchBudgetExceeded) as info:
