@@ -64,9 +64,14 @@ class FiniteSpace:
 
 @dataclass(frozen=True, init=False)
 class SpaceMap:
-    """A point-to-point table between two finite spaces (not necessarily continuous).
+    """A total map between two finite spaces, given by its point table (not necessarily continuous).
 
-    The map keeps a read-only copy of the table.
+    The table's keys must be exactly the points of ``dom`` and its values
+    points of ``cod``, else UnknownPoint names the least domain point the
+    table misses, else the least key outside the domain, else the least
+    value outside the codomain, whatever order the table was built in.
+    Every reader can therefore trust the table.  The map keeps a read-only
+    copy of it.
     """
 
     dom: FiniteSpace
@@ -74,9 +79,18 @@ class SpaceMap:
     table: Mapping[str, str] = field(hash=False)
 
     def __init__(self, dom: FiniteSpace, cod: FiniteSpace, table: Mapping[str, str]):
+        own = dict(table)
+        if own.keys() != dom.points or not cod.points.issuperset(own.values()):
+            missing, extra = dom.points - own.keys(), own.keys() - dom.points
+            if missing:
+                raise UnknownPoint(f"{min(missing)!r} of {dom.space_id!r} has no image")
+            if extra:
+                raise UnknownPoint(f"{min(extra)!r} is not a point of {dom.space_id!r}")
+            stray = set(own.values()) - cod.points
+            raise UnknownPoint(f"{min(stray)!r} is not a point of {cod.space_id!r}")
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "table", read_only(table))
+        object.__setattr__(self, "table", MappingProxyType(own))
 
     def __call__(self, point: str) -> str:
         try:
@@ -143,20 +157,6 @@ def is_open(space: FiniteSpace, subset: Iterable[str]) -> bool:
     return all(space.min_open[x] <= sub for x in sub)
 
 
-def make_map(dom: FiniteSpace, cod: FiniteSpace, table: Mapping[str, str]) -> SpaceMap:
-    """Build a validated total map (every domain point mapped into the codomain)."""
-    tbl = dict(table)
-    if set(tbl) != set(dom.points):
-        missing = dom.points - set(tbl)
-        extra = set(tbl) - dom.points
-        bad = sorted(missing or extra)[0]
-        raise UnknownPoint(f"table does not match domain {dom.space_id!r} at {bad!r}")
-    for x, y in tbl.items():
-        if y not in cod.points:
-            raise UnknownPoint(f"{y!r} is not a point of codomain {cod.space_id!r}")
-    return SpaceMap(dom, cod, tbl)
-
-
 def identity_map(space: FiniteSpace) -> SpaceMap:
     return SpaceMap(space, space, {x: x for x in space.points})
 
@@ -167,12 +167,8 @@ def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
         raise CompositionMismatch(
             f"cannot compose {g!r} after {f!r}: middle spaces differ"
         )
-    outer, inner = g.table, f.table
-    try:
-        table = {x: outer[inner[x]] for x in f.dom.points}
-    except KeyError:
-        raise _table_gap((f, g)) from None
-    return SpaceMap(f.dom, g.cod, table)
+    outer = g.table
+    return SpaceMap(f.dom, g.cod, {x: outer[y] for x, y in f.table.items()})
 
 
 def _composite(path: Sequence[SpaceMap]) -> SpaceMap:
@@ -183,30 +179,12 @@ def _composite(path: Sequence[SpaceMap]) -> SpaceMap:
     return out
 
 
-def _table_gap(maps: Sequence[SpaceMap]) -> UnknownPoint:
-    """The UnknownPoint for a failed table read along ``maps``, listed innermost first.
-
-    It names the least domain point missing from the first table that misses
-    one, else the least value outside its codomain of the first map with one,
-    so a gap is named the same way whatever order the points were read in.
-    """
-    for m in maps:
-        missing = m.dom.points - m.table.keys()
-        if missing:
-            return UnknownPoint(f"{min(missing)!r} is not a point of {m.dom.space_id!r}")
-    for m in maps:
-        stray = {m.table[x] for x in m.dom.points} - m.cod.points
-        if stray:
-            return UnknownPoint(f"{min(stray)!r} is not a point of {m.cod.space_id!r}")
-    return UnknownPoint(f"a table read along {list(maps)!r} leaves its space")  # a bad min_open
-
-
 def _same(a: FiniteSpace, b: FiniteSpace) -> bool:
     return a is b or a == b
 
 
 def _images(path: Sequence[SpaceMap], points: list[str]) -> list[str]:
-    """The images of ``points`` along a composable path, read from the tables; KeyError on a table gap."""
+    """The images of ``points`` along a composable path, read from the tables."""
     for m in reversed(path):
         table = m.table
         points = [table[x] for x in points]
@@ -238,7 +216,7 @@ def disagreement(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> str | N
     ``(g, f)`` is g after f.  The answer is the least domain point where the
     two composites differ, or ``"<endpoint mismatch>"`` when their domains
     or codomains differ.  A path whose middle spaces differ raises
-    CompositionMismatch, and a table gap UnknownPoint, as ``compose`` does.
+    CompositionMismatch, as ``compose`` does.
 
     Composable paths (``composable``) out of a space with no points are one
     map, decided before any table is read.  Otherwise the two image lists
@@ -251,29 +229,10 @@ def disagreement(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> str | N
     points = list(left[-1].dom.points)
     if not points:
         return None
-    try:
-        ours, theirs = _images(left, points), _images(right, points)
-    except KeyError:
-        raise _table_gap([*reversed(left), *reversed(right)]) from None
+    ours, theirs = _images(left, points), _images(right, points)
     if ours == theirs:
         return None
     return min(x for x, a, b in zip(points, ours, theirs) if a != b)
-
-
-def paired_values(f: SpaceMap, g: SpaceMap) -> list[tuple[str, str]]:
-    """The pairs (f(x), g(x)) over the points x of f's domain, which g shares.
-
-    A gap in either table, or a value of f outside its codomain, raises
-    UnknownPoint (``_table_gap``); the values of g are left to the caller.
-    """
-    ftable, gtable = f.table, g.table
-    try:
-        pairs = [(ftable[x], gtable[x]) for x in f.dom.points]
-    except KeyError:
-        raise _table_gap((f, g)) from None
-    if not {y for y, _ in pairs} <= f.cod.points:
-        raise _table_gap((f, g))
-    return pairs
 
 
 def discontinuities(f: SpaceMap) -> list[str]:
@@ -283,12 +242,9 @@ def discontinuities(f: SpaceMap) -> list[str]:
     """
     table, cod_open = f.table, f.cod.min_open
     broken = []
-    try:
-        for x, ux in f.dom.min_open.items():
-            if not cod_open[table[x]].issuperset([table[z] for z in ux]):
-                broken.append(x)
-    except KeyError:
-        raise _table_gap((f,)) from None
+    for x, ux in f.dom.min_open.items():
+        if not cod_open[table[x]].issuperset([table[z] for z in ux]):
+            broken.append(x)
     broken.sort()
     return broken
 
@@ -314,17 +270,12 @@ def non_open_points(f: SpaceMap) -> list[str]:
 
     The list is empty iff f is an open map.
     """
-    table, cod_open, cod_points = f.table, f.cod.min_open, f.cod.points
+    table, cod_open = f.table, f.cod.min_open
     closed = []
-    try:
-        for x, ux in f.dom.min_open.items():
-            img = {table[z] for z in ux}
-            if not img <= cod_points:
-                raise _table_gap((f,))
-            if not all(cod_open[y] <= img for y in img):
-                closed.append(x)
-    except KeyError:
-        raise _table_gap((f,)) from None
+    for x, ux in f.dom.min_open.items():
+        img = {table[z] for z in ux}
+        if not all(cod_open[y] <= img for y in img):
+            closed.append(x)
     closed.sort()
     return closed
 
@@ -336,13 +287,10 @@ def non_embedding_points(f: SpaceMap) -> list[str]:
     """
     table, cod_open = f.table, f.cod.min_open
     misfits = []
-    try:
-        full_image = {table[x] for x in f.dom.points}
-        for x, ux in f.dom.min_open.items():
-            if {table[z] for z in ux} != cod_open[table[x]] & full_image:
-                misfits.append(x)
-    except KeyError:
-        raise _table_gap((f,)) from None
+    full_image = set(table.values())
+    for x, ux in f.dom.min_open.items():
+        if {table[z] for z in ux} != cod_open[table[x]] & full_image:
+            misfits.append(x)
     misfits.sort()
     return misfits
 
@@ -454,30 +402,14 @@ def pullback(
     such names.  Two pairs that would get one name (a point name holding
     ``,``) raise DuplicateName, the first such pair in sorted order.  The
     space is named ``space_id``, by default ``A*B`` for the domains A of
-    ``f`` and B of ``g``.  A table gap or a value outside the codomain
-    raises UnknownPoint (``_table_gap``).
+    ``f`` and B of ``g``.
     """
     if f.cod != g.cod:
         raise CompositionMismatch("pullback needs maps into a common codomain")
-    ftable, gtable = f.table, g.table
     fiber: dict[str, list[str]] = {}
-    pairs = []
-    cod = f.cod.points
-    try:
-        for v in g.dom.points:
-            fiber.setdefault(gtable[v], []).append(v)
-        if not fiber.keys() <= cod:
-            raise _table_gap((g, f))
-        for u in f.dom.points:
-            y = ftable[u]
-            if y in fiber:  # so y is a point of cod
-                for v in fiber[y]:
-                    pairs.append((u, v))
-            elif y not in cod:
-                raise _table_gap((g, f))
-    except KeyError:
-        raise _table_gap((g, f)) from None
-    pairs.sort()
+    for v, y in g.table.items():
+        fiber.setdefault(y, []).append(v)
+    pairs = sorted((u, v) for u, y in f.table.items() for v in fiber.get(y, ()))
     pair_of: dict[str, tuple[str, str]] = {}
     name: dict[tuple[str, str], str] = {}
     for u, v in pairs:
@@ -514,9 +446,7 @@ def lift(
     ``want[n]`` and ``along[n]`` share a codomain, else CompositionMismatch.
     When some t has no such u or several, the first such t in sorted order
     is returned with its sorted candidates instead of a map, so that the
-    caller raises its own error.  Every table is read first: a gap or a value
-    outside a codomain raises UnknownPoint (``_table_gap``) before any t is
-    decided.
+    caller raises its own error.
     """
     dom, cod = want[0].dom, along[0].dom
     if len(want) != len(along) or any(
@@ -526,19 +456,11 @@ def lift(
             f"cannot lift {list(want)!r} along {list(along)!r}: endpoints differ"
         )
     fibers: dict[tuple[str, ...], list[str]] = {}
-    order = sorted(dom.points)
-    try:
-        for u in sorted(cod.points):
-            fibers.setdefault(tuple([a.table[u] for a in along]), []).append(u)
-        wanted = [tuple([w.table[t] for w in want]) for t in order]
-    except KeyError:
-        raise _table_gap((*along, *want)) from None
-    for n, a in enumerate(along):  # want[n] shares the codomain of a
-        if not {key[n] for keys in (fibers, wanted) for key in keys} <= a.cod.points:
-            raise _table_gap((*along, *want))
+    for u in sorted(cod.points):
+        fibers.setdefault(tuple([a.table[u] for a in along]), []).append(u)
     table = {}
-    for t, key in zip(order, wanted):
-        candidates = fibers.get(key, [])
+    for t in sorted(dom.points):
+        candidates = fibers.get(tuple([w.table[t] for w in want]), [])
         if len(candidates) != 1:
             return t, candidates
         table[t] = candidates[0]

@@ -86,7 +86,7 @@ class Report:
 
 def _require_empty(what: str, f: SpaceMap, cod: FiniteSpace) -> None:
     """Raise CompositionMismatch unless f, given out of an empty object, is the empty map into cod."""
-    if f.dom.points or f.table or not fintop._same(f.cod, cod):
+    if f.dom.points or not fintop._same(f.cod, cod):
         raise CompositionMismatch(
             f"{what} leaves an empty object: it must be the empty map into {cod.space_id!r}"
         )
@@ -517,7 +517,7 @@ class GluingFunctor:
     other edge as the empty table between its spaces (``space``, ``map``):
     the empty map when it runs out of an object outside the nerve.  An edge
     into the nerve out of an object outside it, which only unlawful data
-    has, so reads as a map with a table gap.
+    has, raises UnknownPoint in ``map``: no map runs from points to none.
     """
 
     data: GluingData

@@ -348,16 +348,16 @@ def mediate(gd: GluingData, glued: Cone, cone: Cone) -> SpaceMap:
 
     The cone's patch legs are typed first (``_typed_legs``).  For each patch i
     and point x, the glued point ``glued.leg([i])(x)`` is sent to
-    ``cone.leg([i])(x)``, the pairs read from both tables at once
-    (``fintop.paired_values``).  A glued point no patch point reaches has no
-    provenance; one sent to two apex points means the cone conditions were
-    violated.  Continuity is automatic from the final topology but still
-    checked.
+    ``cone.leg([i])(x)``; a point x outside the glued leg's domain raises
+    UnknownPoint.  A glued point no patch point reaches has no provenance;
+    one sent to two apex points means the cone conditions were violated.
+    Continuity is automatic from the final topology but still checked.
     """
     values: dict[str, set[str]] = {qp: set() for qp in glued.apex.points}
     for obj, into_apex in _typed_legs(gd, cone, map(single, gd.index)).items():
-        for qp, y in fintop.paired_values(glued.leg(obj), into_apex):
-            values[qp].add(y)
+        into_glued = glued.leg(obj)
+        for x, y in into_apex.table.items():
+            values[into_glued(x)].add(y)
     table: dict[str, str] = {}
     for qp in sorted(values):
         if not values[qp]:

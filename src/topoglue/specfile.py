@@ -64,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DuplicateName, ParseError, UnresolvedReference
-from .fintop import FiniteSpace, SpaceMap, from_opens, make_map, make_space
+from .fintop import FiniteSpace, SpaceMap, from_opens, make_space
 from .gdata import GluingData, GluingFunctor, derive_triple_maps, functor_of, make_gluing_data
 from .glidx import GlGen, GlObject, normalize
 from .glue import Cone, complete_cone
@@ -227,7 +227,7 @@ def _parse_map(block: _Block, doc: SpecDocument) -> tuple[str, SpaceMap]:
         src = src.strip()
         _once(block, first, src, no, src)
         table[src] = dst.strip()
-    return name.strip(), make_map(dom, cod, table)
+    return name.strip(), SpaceMap(dom, cod, table)
 
 
 def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:

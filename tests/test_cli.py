@@ -576,6 +576,14 @@ INPUT_ERRORS = {
         "space A\n  points: a\nend\nmap f: A A\n  a -> a\nend\n", ("validate",),
         "line 4: map header must read 'map NAME: DOM -> COD'",
     ),
+    "map-missing-a-point": (
+        "space A\n  points: a b\nend\nmap f: A -> A\n  a -> a\nend\n", ("validate",),
+        "'b' of 'A' has no image",
+    ),
+    "map-value-outside-the-codomain": (
+        "space A\n  points: a b\nend\nmap f: A -> A\n  a -> a\n  b -> zz\nend\n", ("validate",),
+        "'zz' is not a point of 'A'",
+    ),
     "gluing-without-index": (
         "space A\n  points: a\nend\ngluing G\n  patch 1: A\nend\n", ("validate",),
         "line 4: gluing needs an index line",

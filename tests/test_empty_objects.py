@@ -16,6 +16,7 @@ each stage visits grow with the nerve, not with |I|^3.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -26,7 +27,7 @@ import empty_reference as ref
 from cone_reference import dense_cone
 from conftest import digital_circle, digital_circle_data, mutate_transition, mutate_triple
 from topoglue import cover, dot, fintop, gdata, glidx, glue, refine
-from topoglue.errors import CompositionMismatch, TopoglueError
+from topoglue.errors import CompositionMismatch, TopoglueError, UnknownPoint
 from topoglue.fintop import FiniteSpace, SpaceMap, subspace
 from topoglue.fixtures import disc2, sierp, trivial_data
 from topoglue.gdata import EMPTY, derive_triple_maps, extract_data, functor_of, make_gluing_data
@@ -349,11 +350,12 @@ class TestMapsOutOfEmptyObjects:
         self._rejected(lambda: make_gluing_data(self.gd.index, self.gd.patch, **tables))
 
     def test_anchor_with_a_point_out_of_an_empty_overlap(self):
-        i, j = _empty_pair(self.gd)
+        # such an anchor is refused where it is built, so no datum can be given it
+        i, _ = _empty_pair(self.gd)
         x = min(self.gd.patch[i].points)
-        stray = SpaceMap(EMPTY, self.gd.patch[i], {x: x})
-        tables = self._tables(anchor=((i, j), stray))
-        self._rejected(lambda: make_gluing_data(self.gd.index, self.gd.patch, **tables))
+        with pytest.raises(UnknownPoint, match=re.escape(f"{x!r} is not a point of {EMPTY.space_id!r}")) as info:
+            SpaceMap(EMPTY, self.gd.patch[i], {x: x})
+        assert info.value.exit_code == 2
 
     def test_maps_into_an_equal_space_under_another_name_are_dropped(self):
         i, j = _empty_pair(self.gd)
@@ -384,12 +386,17 @@ class TestMapsOutOfEmptyObjects:
         i, j, k = _empty_triple(self.gd)
         patch = self.gd.patch[i]
         x = min(patch.points)
-        wrong = {
-            "cod": SpaceMap(EMPTY, patch, {}),
-            "dom": SpaceMap(patch, EMPTY, {}),
-            "table": SpaceMap(EMPTY, EMPTY, {x: x}),
+        wrong, refused = {
+            "cod": (lambda: SpaceMap(EMPTY, patch, {}), None),
+            # a map from points into no points, or out of no points with a table, cannot be built
+            "dom": (lambda: SpaceMap(patch, EMPTY, {}), f"{x!r} of {patch.space_id!r} has no image"),
+            "table": (lambda: SpaceMap(EMPTY, EMPTY, {x: x}), f"{x!r} is not a point of {EMPTY.space_id!r}"),
         }[where]
-        given = {**self.gd.triple_transition, (i, j, k): wrong}
+        if refused is not None:
+            with pytest.raises(UnknownPoint, match=re.escape(refused)):
+                wrong()
+            return
+        given = {**self.gd.triple_transition, (i, j, k): wrong()}
         tables = (self.gd.index, self.gd.patch, self.gd.overlap, self.gd.anchor, self.gd.transition)
         self._rejected(lambda: make_gluing_data(*tables, given))
 
@@ -463,8 +470,10 @@ class TestPullbackOfDisjointImages:
         for _ in range(60):
             f = subspace(base, rng.sample(points, rng.randint(0, 5)))[1]
             g = subspace(base, rng.sample(points, rng.randint(0, 5)))[1]
-            if rng.random() < 0.2:  # a table gap: the scan names it
-                g = SpaceMap(g.dom, g.cod, dict(list(g.table.items())[1:]))
+            if rng.random() < 0.2 and g.table:  # a table gap is refused where the map is built
+                gap = dict(list(g.table.items())[1:])
+                with pytest.raises(UnknownPoint, match=re.escape(f"{min(g.dom.points - gap.keys())!r} of ")):
+                    SpaceMap(g.dom, g.cod, gap)
             assert _outcome(fintop.pullback, f, g) == _outcome(ref.pullback, f, g)
             assert _outcome(fintop.pullback, f, g, "T") == _outcome(ref.pullback, f, g, "T")
 

@@ -38,7 +38,6 @@ from topoglue.fintop import (
     is_homeomorphism,
     is_open,
     lift,
-    make_map,
     make_space,
     non_embedding_points,
     non_open_points,
@@ -154,17 +153,17 @@ class TestAnalyzeMap:
         assert analyze_map(identity_map(sierp())) == ()
 
     def test_constant_collapse(self):
-        f = make_map(arc3(), pt(), {x: "p" for x in arc3().points})
+        f = SpaceMap(arc3(), pt(), {x: "p" for x in arc3().points})
         assert analyze_map(f) == (("injective", "l,m"), ("injective", "l,r"))
 
     def test_discrete_into_sierpinski(self):
-        f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
+        f = SpaceMap(disc2(), sierp(), {"a": "t", "b": "b"})
         assert _failed(f) == {"open", "embedding"}
         # oracle: the image of the open {b} is {b}, which is not in the lattice
         assert frozenset({"b"}) not in all_opens(sierp())
 
     def test_non_continuous(self):
-        f = make_map(sierp(), sierp(), {"t": "b", "b": "t"})
+        f = SpaceMap(sierp(), sierp(), {"t": "b", "b": "t"})
         assert "continuous" in _failed(f)
 
     @settings(max_examples=80, deadline=None)
@@ -173,10 +172,10 @@ class TestAnalyzeMap:
         b = data.draw(small_spaces(max_points=3))
         cod = sorted(b.points)
         if data.draw(st.booleans()):  # a bijection of b, so homeomorphisms occur
-            f = make_map(b, b, dict(zip(cod, data.draw(st.permutations(cod)))))
+            f = SpaceMap(b, b, dict(zip(cod, data.draw(st.permutations(cod)))))
         else:
             a = data.draw(small_spaces(max_points=4))
-            f = make_map(a, b, {x: data.draw(st.sampled_from(cod)) for x in sorted(a.points)})
+            f = SpaceMap(a, b, {x: data.draw(st.sampled_from(cod)) for x in sorted(a.points)})
         witnesses = analyze_map(f)
 
         def points(prop):
@@ -192,26 +191,28 @@ class TestAnalyzeMap:
         assert kinds == sorted(kinds, key=_WITNESS_ORDER.index)
         assert is_homeomorphism(f) == (witnesses == ())
 
-    def test_make_map_validates(self):
-        with pytest.raises(UnknownPoint):
-            make_map(sierp(), sierp(), {"t": "t"})
-        with pytest.raises(UnknownPoint):
-            make_map(sierp(), sierp(), {"t": "t", "b": "zzz"})
+    def test_space_map_validates(self):
+        with pytest.raises(UnknownPoint, match="^'b' of 'SIERP' has no image$"):
+            SpaceMap(sierp(), sierp(), {"t": "t"})
+        with pytest.raises(UnknownPoint, match="^'zzz' is not a point of 'SIERP'$"):
+            SpaceMap(sierp(), sierp(), {"t": "t", "b": "zzz"})
+        with pytest.raises(UnknownPoint, match="^'x' is not a point of 'SIERP'$"):
+            SpaceMap(sierp(), sierp(), {"t": "t", "b": "b", "x": "t"})
 
 
 class TestCompose:
     def test_identity_laws(self):
-        f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
+        f = SpaceMap(disc2(), sierp(), {"a": "t", "b": "b"})
         assert compose(f, identity_map(disc2())) == f
         assert compose(identity_map(sierp()), f) == f
 
     def test_constant_through(self):
-        f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
-        g = make_map(sierp(), pt(), {"t": "p", "b": "p"})
-        assert compose(g, f) == make_map(disc2(), pt(), {"a": "p", "b": "p"})
+        f = SpaceMap(disc2(), sierp(), {"a": "t", "b": "b"})
+        g = SpaceMap(sierp(), pt(), {"t": "p", "b": "p"})
+        assert compose(g, f) == SpaceMap(disc2(), pt(), {"a": "p", "b": "p"})
 
     def test_mismatch(self):
-        f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
+        f = SpaceMap(disc2(), sierp(), {"a": "t", "b": "b"})
         with pytest.raises(CompositionMismatch):
             compose(f, f)
 
@@ -279,17 +280,17 @@ class TestPullback:
         assert p1.table == p2.table
 
     def test_equal_inclusions(self):
-        f = make_map(disc2(), arc3(), {"a": "l", "b": "r"})
+        f = SpaceMap(disc2(), arc3(), {"a": "l", "b": "r"})
         sp, _, _ = pullback(f, f)
         assert len(sp.points) == 2
 
     def test_product_over_point(self):
-        to_pt = make_map(arc3(), pt(), {x: "p" for x in arc3().points})
+        to_pt = SpaceMap(arc3(), pt(), {x: "p" for x in arc3().points})
         sp, _, _ = pullback(to_pt, to_pt)
         assert len(sp.points) == 9
 
     def test_space_name(self):
-        f = make_map(disc2(), arc3(), {"a": "l", "b": "r"})
+        f = SpaceMap(disc2(), arc3(), {"a": "l", "b": "r"})
         assert pullback(f, f)[0].space_id == "DISC2*DISC2"
         sp, proj_f, proj_g = pullback(f, f, "T")
         assert sp.space_id == "T" and proj_f.dom is sp and proj_g.dom is sp
@@ -298,8 +299,8 @@ class TestPullback:
         # (a, "b,c") and ("a,b", c) would both be named "(a,b,c)"
         x = make_space("X", ["a", "a,b"], {"a": ["a"], "a,b": ["a,b"]})
         y = make_space("Y", ["b,c", "c"], {"b,c": ["b,c"], "c": ["c"]})
-        fx = make_map(x, pt(), {u: "p" for u in x.points})
-        fy = make_map(y, pt(), {v: "p" for v in y.points})
+        fx = SpaceMap(x, pt(), {u: "p" for u in x.points})
+        fy = SpaceMap(y, pt(), {v: "p" for v in y.points})
         with pytest.raises(DuplicateName) as info:
             pullback(fx, fy)
         assert info.value.exit_code == 2
@@ -311,8 +312,8 @@ class TestPullback:
     @given(small_spaces(max_points=3), small_spaces(max_points=3))
     def test_product_size(self, a, b):
         target = pt()
-        fa = make_map(a, target, {x: "p" for x in a.points})
-        fb = make_map(b, target, {x: "p" for x in b.points})
+        fa = SpaceMap(a, target, {x: "p" for x in a.points})
+        fb = SpaceMap(b, target, {x: "p" for x in b.points})
         sp, _, _ = pullback(fa, fb)
         assert len(sp.points) == len(a.points) * len(b.points)
 
@@ -614,7 +615,7 @@ class TestDiscontinuities:
         b = data.draw(small_spaces(max_points=3))
         cod = sorted(b.points)
         table = {x: data.draw(st.sampled_from(cod)) for x in sorted(a.points)}
-        f = make_map(a, b, table)
+        f = SpaceMap(a, b, table)
         witnesses = [x for prop, x in analyze_map(f) if prop == "continuous"]
         assert discontinuities(f) == witnesses
         # the open-set definition: the preimage of every open set is open
@@ -624,9 +625,9 @@ class TestDiscontinuities:
         assert continuous == (not witnesses)
 
     def test_table_gap_raises_unknown_point(self):
-        gap = SpaceMap(sierp(), sierp(), {"t": "t"})
-        with pytest.raises(UnknownPoint, match="'b' is not a point of 'SIERP'"):
-            discontinuities(gap)
+        # discontinuities reads the table unchecked, so a gap is refused where the map is built
+        with pytest.raises(UnknownPoint, match="^'b' of 'SIERP' has no image$"):
+            SpaceMap(sierp(), sierp(), {"t": "t"})
 
 
 def _random_map(data, dom, cod):
@@ -653,79 +654,64 @@ class TestDisagreement:
 
     def test_first_sorted_witness(self):
         a = make_space("A", "pqrs", {x: [x] for x in "pqrs"})
-        f = make_map(a, disc2(), {"p": "a", "q": "a", "r": "a", "s": "a"})
-        g = make_map(a, disc2(), {"p": "a", "q": "b", "r": "a", "s": "b"})
+        f = SpaceMap(a, disc2(), {"p": "a", "q": "a", "r": "a", "s": "a"})
+        g = SpaceMap(a, disc2(), {"p": "a", "q": "b", "r": "a", "s": "b"})
         assert disagreement([f], [g]) == "q"
         assert disagreement([identity_map(disc2()), f], [g]) == "q"
 
     def test_endpoint_mismatch(self):
-        f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
+        f = SpaceMap(disc2(), sierp(), {"a": "t", "b": "b"})
         assert disagreement([f], [identity_map(disc2())]) == "<endpoint mismatch>"
         assert disagreement([identity_map(sierp()), f], [f]) is None
 
     def test_mistyped_path_raises_composition_mismatch(self):
-        f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
+        f = SpaceMap(disc2(), sierp(), {"a": "t", "b": "b"})
         with pytest.raises(CompositionMismatch, match="middle spaces differ"):
             disagreement([f, f], [f])
         with pytest.raises(CompositionMismatch):
             disagreement([f], [f, f])
 
     def test_table_gap_raises_unknown_point(self):
-        gap = SpaceMap(disc2(), sierp(), {"a": "t"})
-        full = make_map(disc2(), sierp(), {"a": "t", "b": "t"})
-        with pytest.raises(UnknownPoint, match="'b' is not a point of 'DISC2'"):
-            disagreement([full], [gap])
-        with pytest.raises(UnknownPoint, match="'b' is not a point of 'DISC2'"):
-            disagreement([identity_map(sierp()), gap], [full])
+        # disagreement reads the tables unchecked, so a gap is refused where the map is built
+        with pytest.raises(UnknownPoint, match="^'b' of 'DISC2' has no image$"):
+            SpaceMap(disc2(), sierp(), {"a": "t"})
 
 
 _LEAST_GAP = """
 from topoglue.errors import UnknownPoint
-from topoglue.fintop import SpaceMap, compose, disagreement, identity_map, make_space
+from topoglue.fintop import SpaceMap, make_space
 
 a = make_space("A", "pqrs", {x: [x] for x in "pqrs"})
-f = SpaceMap(a, a, {"p": "p", "q": "q"})
-for call in (
-    lambda: compose(identity_map(a), f),
-    lambda: disagreement([f], [identity_map(a)]),
-    lambda: disagreement([identity_map(a), f], [identity_map(a)]),
+for table in (
+    {"p": "p", "q": "q"},
+    {"q": "q", "p": "p", "y": "p", "z": "zz"},
+    {"p": "p", "q": "q", "r": "r", "s": "s", "z": "p", "y": "q"},
+    {"p": "w", "q": "v", "r": "r", "s": "s"},
 ):
     try:
-        call()
+        SpaceMap(a, a, table)
     except UnknownPoint as exc:
         print(exc)
 """
 
 
 class TestTableGaps:
-    """A table gap raises UnknownPoint naming the least missing point or stray value."""
+    """A table with a gap, a key outside the domain or a value outside the codomain is refused where the map is built.
+
+    The UnknownPoint names the least missing domain point, else the least
+    key outside the domain, else the least stray value.
+    """
 
     def test_value_outside_the_codomain(self):
-        f = SpaceMap(sierp(), sierp(), {"t": "zzz", "b": "b"})
-        for check in (
-            discontinuities, non_open_points, non_embedding_points, analyze_map, is_homeomorphism,
-        ):
-            with pytest.raises(UnknownPoint, match="'zzz' is not a point of 'SIERP'"):
-                check(f)
-        with pytest.raises(UnknownPoint, match="'zzz' is not a point of 'SIERP'"):
-            compose(identity_map(sierp()), f)
+        # compose, disagreement and collisions read the tables unchecked, so a stray value stops here
+        with pytest.raises(UnknownPoint, match="^'zzz' is not a point of 'SIERP'$"):
+            SpaceMap(sierp(), sierp(), {"t": "zzz", "b": "b"})
 
     def test_value_outside_the_codomain_in_pullback_and_lift(self):
-        f = SpaceMap(disc2(), sierp(), {"a": "zzz", "b": "t"})
-        g = SpaceMap(sierp(), sierp(), {"t": "zzz", "b": "b"})
-        ok_f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
-        ok_g = identity_map(sierp())
-        calls = [
-            (pullback, f, g),
-            (pullback, f, ok_g),  # the stray value is in the first map only
-            (pullback, ok_f, g),  # and in the second map only
-            (lift, [f], [f]),
-            (lift, [f], [ok_f]),  # a wanted value no fiber holds
-            (lift, [ok_f], [f]),
-        ]
-        for fn, *args in calls:
-            with pytest.raises(UnknownPoint, match="'zzz' is not a point of 'SIERP'"):
-                fn(*args)
+        # a stray value in the first map of a pullback or lift, or in the second, stops where it is built
+        for dom, table in ((disc2(), {"a": "zzz", "b": "t"}), (sierp(), {"t": "zzz", "b": "b"})):
+            with pytest.raises(UnknownPoint, match="^'zzz' is not a point of 'SIERP'$"):
+                SpaceMap(dom, sierp(), table)
 
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_least_missing_point_under_every_hash_seed(self, seed):
@@ -738,28 +724,51 @@ class TestTableGaps:
         out = subprocess.run(
             [sys.executable, "-c", _LEAST_GAP], env=env, capture_output=True, text=True, check=True
         ).stdout
-        assert out.splitlines() == ["'r' is not a point of 'A'"] * 3
+        assert out.splitlines() == [
+            "'r' of 'A' has no image",
+            "'r' of 'A' has no image",
+            "'y' is not a point of 'A'",
+            "'v' is not a point of 'A'",
+        ]
 
 
 def _hand_map(data, dom, cod):
-    """A table between two spaces with random gaps and values outside ``cod``."""
+    """A hand-built map between two spaces.
+
+    The table is drawn point by point with random gaps, keys outside ``dom``
+    and values outside ``cod``.  Such a table must raise UnknownPoint where
+    the map is built, naming the least missing point, else the least stray
+    key, else the least stray value; its faults are then redrawn inside
+    ``cod`` and the well-typed map is returned.
+    """
     table = {}
     for x in sorted(dom.points):
-        kind = data.draw(st.sampled_from(["point", "point", "point", "gap", "stray"]))
-        if kind == "point":
-            table[x] = data.draw(st.sampled_from(sorted(cod.points)))
-        elif kind == "stray":
-            table[x] = data.draw(st.sampled_from(["zzz", "p9"]))
+        kind = data.draw(st.sampled_from(["point", "point", "point", "gap", "stray", "key"]))
+        if kind == "gap":
+            continue
+        if kind == "key":
+            table[data.draw(st.sampled_from(["zzz", "p9"]))] = x
+        table[x] = data.draw(st.sampled_from(["zzz", "p9"] if kind == "stray" else sorted(cod.points)))
+    missing, keys = dom.points - table.keys(), table.keys() - dom.points
+    values = set(table.values()) - cod.points
+    if missing or keys or values:
+        expected = (
+            f"{min(missing)!r} of {dom.space_id!r} has no image" if missing
+            else f"{min(keys)!r} is not a point of {dom.space_id!r}" if keys
+            else f"{min(values)!r} is not a point of {cod.space_id!r}"
+        )
+        with pytest.raises(UnknownPoint) as info:
+            SpaceMap(dom, cod, table)
+        assert str(info.value) == expected
+        table = {
+            x: table[x] if table.get(x) in cod.points else data.draw(st.sampled_from(sorted(cod.points)))
+            for x in sorted(dom.points)
+        }
     return SpaceMap(dom, cod, table)
 
 
-def _has_gap(m):
-    """Whether a domain point of m has no value, or a value outside the codomain."""
-    return any(x not in m.table or m.table[x] not in m.cod.points for x in m.dom.points)
-
-
 class TestHandBuiltMapsFuzz:
-    """Every reading function returns or raises a TopoglueError on a hand-built table."""
+    """A hand-built table is refused at construction, or every reading function returns or raises a TopoglueError."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())
@@ -788,10 +797,7 @@ class TestHandBuiltMapsFuzz:
             try:
                 fn(*args)
             except TopoglueError:
-                continue
-            if fn in (pullback, lift):  # every table they are given is read whole
-                maps = [m for arg in args for m in (arg if isinstance(arg, list) else [arg])]
-                assert not any(map(_has_gap, maps)), (fn.__name__, maps)
+                pass
 
 
 class TestFrozen:
@@ -805,7 +811,7 @@ class TestFrozen:
         assert sp.min_open["b"] == {"t", "b"} and f("t") == "t"
 
     def test_attributes_are_frozen(self):
-        f = make_map(disc2(), sierp(), {"a": "t", "b": "b"})
+        f = SpaceMap(disc2(), sierp(), {"a": "t", "b": "b"})
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.table = {"a": "b", "b": "b"}
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -9,7 +9,7 @@ from paths import coord, find_path, realize
 from test_glue import self_weld_arc
 from topoglue import gdata
 from topoglue.errors import NotDetermined, UnresolvedReference, ValidationFailed
-from topoglue.fintop import SpaceMap, compose, identity_map, make_map, make_space, subspace
+from topoglue.fintop import SpaceMap, compose, identity_map, make_space, subspace
 from topoglue.fixtures import arc3, cylinder_data, disc2, gd_circ, pt, trivial_data
 from topoglue.gdata import (
     GluingData,
@@ -167,7 +167,7 @@ def _ambiguous_instance():
     d23 = disc2()
     d32 = disc2()
     def m(dom, cod, table):
-        return make_map(dom, cod, table)
+        return SpaceMap(dom, cod, table)
     return make_gluing_data(
         ["1", "2", "3"],
         patch={"1": d, "2": d, "3": d},
@@ -270,9 +270,9 @@ def _constant_anchor_data(triples_for=("1", "2")):
         (i, j): make_space(f"O{i}{j}", ["0", "1"], {"0": ["0"], "1": ["1"]})
         for i in idx for j in idx if i != j
     }
-    anchor = {key: make_map(sp, patch[key[0]], {"0": "p", "1": "p"}) for key, sp in overlap.items()}
+    anchor = {key: SpaceMap(sp, patch[key[0]], {"0": "p", "1": "p"}) for key, sp in overlap.items()}
     transition = {
-        (i, j): make_map(sp, overlap[(j, i)], {x: str((int(x) + e[(i, j)] + e[(j, i)]) % 2) for x in "01"})
+        (i, j): SpaceMap(sp, overlap[(j, i)], {x: str((int(x) + e[(i, j)] + e[(j, i)]) % 2) for x in "01"})
         for (i, j), sp in overlap.items()
     }
     bare = make_gluing_data(idx, patch, overlap, anchor, transition)
@@ -289,7 +289,7 @@ def _constant_anchor_data(triples_for=("1", "2")):
                 q for q in cod.points
                 if coord(bare, j, i, k)(q) == ji and coord(bare, j, k, i)(q) == jk
             ]
-        triples[(i, j, k)] = make_map(dom, cod, table)
+        triples[(i, j, k)] = SpaceMap(dom, cod, table)
     return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition, triples))
 
 
@@ -308,10 +308,10 @@ def _sub_pullback_data():
         ["1", "2"],
         patch={"1": d, "2": p},
         overlap={("1", "2"): d, ("2", "1"): p},
-        anchor={("1", "2"): make_map(d, d, {"a": "a", "b": "b"}), ("2", "1"): make_map(p, p, {"p": "p"})},
+        anchor={("1", "2"): SpaceMap(d, d, {"a": "a", "b": "b"}), ("2", "1"): SpaceMap(p, p, {"p": "p"})},
         transition={
-            ("1", "2"): make_map(d, p, {"a": "p", "b": "p"}),
-            ("2", "1"): make_map(p, d, {"p": "a"}),
+            ("1", "2"): SpaceMap(d, p, {"a": "p", "b": "p"}),
+            ("2", "1"): SpaceMap(p, d, {"p": "a"}),
         },
     )
     obj = normalize(("1", "1", "2"))

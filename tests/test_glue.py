@@ -32,7 +32,6 @@ from topoglue.fintop import (
     identity_map,
     is_homeomorphism,
     is_open,
-    make_map,
     make_space,
     quotient,
 )
@@ -84,12 +83,12 @@ def one_point_weld():
             patch={"1": d1, "2": d2},
             overlap={("1", "2"): p12, ("2", "1"): p21},
             anchor={
-                ("1", "2"): make_map(p12, d1, {"p": "a"}),
-                ("2", "1"): make_map(p21, d2, {"p": "a"}),
+                ("1", "2"): SpaceMap(p12, d1, {"p": "a"}),
+                ("2", "1"): SpaceMap(p21, d2, {"p": "a"}),
             },
             transition={
-                ("1", "2"): make_map(p12, p21, {"p": "p"}),
-                ("2", "1"): make_map(p21, p12, {"p": "p"}),
+                ("1", "2"): SpaceMap(p12, p21, {"p": "p"}),
+                ("2", "1"): SpaceMap(p21, p12, {"p": "p"}),
             },
         )
     )
@@ -119,12 +118,12 @@ def self_weld_arc():
             patch={"1": a, "2": a},
             overlap={("1", "2"): ov1, ("2", "1"): ov2},
             anchor={
-                ("1", "2"): make_map(ov1, a, fold1),
-                ("2", "1"): make_map(ov2, a, fold2),
+                ("1", "2"): SpaceMap(ov1, a, fold1),
+                ("2", "1"): SpaceMap(ov2, a, fold2),
             },
             transition={
-                ("1", "2"): make_map(ov1, ov2, swap),
-                ("2", "1"): make_map(ov2, ov1, swap),
+                ("1", "2"): SpaceMap(ov1, ov2, swap),
+                ("2", "1"): SpaceMap(ov2, ov1, swap),
             },
         )
     )
@@ -156,18 +155,18 @@ def three_patch_chain():
             ("1", "3"): empty, ("3", "1"): empty,
         },
         anchor={
-            ("1", "2"): make_map(p12, d, {"p": "a"}),
-            ("2", "1"): make_map(p21, d, {"p": "a"}),
-            ("2", "3"): make_map(p23, d, {"p": "a"}),
-            ("3", "2"): make_map(p32, d, {"p": "a"}),
+            ("1", "2"): SpaceMap(p12, d, {"p": "a"}),
+            ("2", "1"): SpaceMap(p21, d, {"p": "a"}),
+            ("2", "3"): SpaceMap(p23, d, {"p": "a"}),
+            ("3", "2"): SpaceMap(p32, d, {"p": "a"}),
             ("1", "3"): empty_map(d),
             ("3", "1"): empty_map(d),
         },
         transition={
-            ("1", "2"): make_map(p12, p21, {"p": "p"}),
-            ("2", "1"): make_map(p21, p12, {"p": "p"}),
-            ("2", "3"): make_map(p23, p32, {"p": "p"}),
-            ("3", "2"): make_map(p32, p23, {"p": "p"}),
+            ("1", "2"): SpaceMap(p12, p21, {"p": "p"}),
+            ("2", "1"): SpaceMap(p21, p12, {"p": "p"}),
+            ("2", "3"): SpaceMap(p23, p32, {"p": "p"}),
+            ("3", "2"): SpaceMap(p32, p23, {"p": "p"}),
             ("1", "3"): empty_map(empty),
             ("3", "1"): empty_map(empty),
         },
@@ -645,7 +644,7 @@ class TestConeErrors:
         }
         candidate = Cone(bigger, legs)
         cone = complete_cone(
-            gd, pt(), {i: make_map(gd.patch[i], pt(), {x: "p" for x in gd.patch[i].points})
+            gd, pt(), {i: SpaceMap(gd.patch[i], pt(), {x: "p" for x in gd.patch[i].points})
                        for i in gd.index},
         )
         with pytest.raises(NotCovering):
@@ -867,7 +866,7 @@ class TestMediate:
         target = pt()
         cone = complete_cone(
             gd, target,
-            {i: make_map(gd.patch[i], target, {x: "p" for x in gd.patch[i].points})
+            {i: SpaceMap(gd.patch[i], target, {x: "p" for x in gd.patch[i].points})
              for i in gd.index},
         )
         mu = mediate(gd, glued, cone)
@@ -880,8 +879,8 @@ class TestMediate:
         cone = complete_cone(
             gd, target,
             {
-                "1": make_map(gd.patch["1"], target, {"l": "l", "m": "ma", "r": "r"}),
-                "2": make_map(gd.patch["2"], target, {"l": "l", "m": "mb", "r": "r"}),
+                "1": SpaceMap(gd.patch["1"], target, {"l": "l", "m": "ma", "r": "r"}),
+                "2": SpaceMap(gd.patch["2"], target, {"l": "l", "m": "mb", "r": "r"}),
             },
         )
         mu = mediate(gd, glued, cone)
@@ -905,8 +904,8 @@ class TestMediate:
         glued = glue(gd)
         target = disc2()
         legs = {
-            "1": make_map(gd.patch["1"], target, {x: "a" for x in gd.patch["1"].points}),
-            "2": make_map(gd.patch["2"], target, {x: "b" for x in gd.patch["2"].points}),
+            "1": SpaceMap(gd.patch["1"], target, {x: "a" for x in gd.patch["1"].points}),
+            "2": SpaceMap(gd.patch["2"], target, {x: "b" for x in gd.patch["2"].points}),
         }
         cone = complete_cone(gd, target, legs)
         with pytest.raises(IllDefined):
@@ -923,28 +922,28 @@ class TestMediate:
         return Cone(cone.apex, legs)
 
     def test_patch_leg_with_a_gap_names_the_point(self):
-        gd = gd_circ()
-        glued = glue(gd)
-        cone = self._with_leg_table(glued, "1", lambda t: t.pop("m"))
+        # the gap is refused where the leg is built, before any cone holds it
+        glued = glue(gd_circ())
         with pytest.raises(UnknownPoint) as info:
-            mediate(gd, glued, cone)
-        assert str(info.value) == "'m' is not a point of 'arcA'"
+            self._with_leg_table(glued, "1", lambda t: t.pop("m"))
+        assert str(info.value) == "'m' of 'arcA' has no image"
 
     def test_patch_leg_with_a_stray_value_is_ill_defined(self):
-        # l@1 and l@2 are one glued point, which the stray value sends two ways
         gd = gd_circ()
         glued = glue(gd)
-        cone = self._with_leg_table(glued, "1", lambda t: t.update(l="zzz"))
+        with pytest.raises(UnknownPoint) as info:
+            self._with_leg_table(glued, "1", lambda t: t.update(l="zzz"))
+        assert str(info.value) == f"'zzz' is not a point of {glued.space.space_id!r}"
+        # l@1 and l@2 are one glued point, which a leg sending l elsewhere sends two ways
+        cone = self._with_leg_table(glued, "1", lambda t: t.update(l="m@1"))
         with pytest.raises(IllDefined) as info:
             mediate(gd, glued, cone)
-        assert str(info.value) == "cone legs disagree on identified points: ('l@1', ['l@1', 'zzz'])"
+        assert str(info.value) == "cone legs disagree on identified points: ('l@1', ['l@1', 'm@1'])"
 
     def test_glued_leg_with_a_stray_value_names_it(self):
-        gd = gd_circ()
-        glued = glue(gd)
-        candidate = self._with_leg_table(glued, "1", lambda t: t.update(m="zzz"))
+        glued = glue(gd_circ())
         with pytest.raises(UnknownPoint) as info:
-            mediate(gd, candidate, glued)
+            self._with_leg_table(glued, "1", lambda t: t.update(m="zzz"))
         assert str(info.value) == f"'zzz' is not a point of {glued.space.space_id!r}"
 
 
@@ -1305,7 +1304,7 @@ class TestMediatorHashJoin:
         space = make_space(
             "CIRC+z", glued.space.points | {"z"}, {**glued.space.min_open, "z": {"z"}}
         )
-        incl = make_map(glued.space, space, {x: x for x in glued.space.points})
+        incl = SpaceMap(glued.space, space, {x: x for x in glued.space.points})
         legs = {i: compose(incl, glued.leg(single(i))) for i in gd.index}
         candidate = complete_cone(gd, space, legs)
         rep = verify_universal(gd, candidate, apexes=[disc2()])
@@ -1320,7 +1319,7 @@ class TestMediatorHashJoin:
         space = make_space(
             "CIRC+z", glued.space.points | {"z"}, {**glued.space.min_open, "z": {"z"}}
         )
-        incl = make_map(glued.space, space, {x: x for x in glued.space.points})
+        incl = SpaceMap(glued.space, space, {x: x for x in glued.space.points})
         legs = {i: compose(incl, glued.leg(single(i))) for i in gd.index}
         candidate = complete_cone(gd, space, legs)
         rep = verify_universal(gd, candidate, apexes=[pt()])
@@ -1370,12 +1369,12 @@ class TestCheckOtop:
                 patch={"1": s, "2": pt("P2")},
                 overlap={("1", "2"): p1, ("2", "1"): p2},
                 anchor={
-                    ("1", "2"): make_map(p1, s, {"p": "b"}),
-                    ("2", "1"): make_map(p2, pt("P2"), {"p": "p"}),
+                    ("1", "2"): SpaceMap(p1, s, {"p": "b"}),
+                    ("2", "1"): SpaceMap(p2, pt("P2"), {"p": "p"}),
                 },
                 transition={
-                    ("1", "2"): make_map(p1, p2, {"p": "p"}),
-                    ("2", "1"): make_map(p2, p1, {"p": "p"}),
+                    ("1", "2"): SpaceMap(p1, p2, {"p": "p"}),
+                    ("2", "1"): SpaceMap(p2, p1, {"p": "p"}),
                 },
             )
         )

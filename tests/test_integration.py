@@ -163,7 +163,7 @@ class TestOneReportType:
 
 
 class TestFintopReadsMaps:
-    """Table gaps and map-property witnesses are decided in ``fintop`` alone."""
+    """Point lookups and map-property witnesses are decided in ``fintop`` alone."""
 
     def test_only_fintop_catches_lookups_and_formats_witnesses(self):
         sources = {
@@ -171,5 +171,8 @@ class TestFintopReadsMaps:
             for info in pkgutil.iter_modules(topoglue.__path__)
         }
         assert [name for name, src in sources.items() if "except KeyError" in src] == ["fintop"]
+        # a SpaceMap is total and typed when built: only SpaceMap.__call__ meets a point outside it
+        assert sources["fintop"].count("except KeyError") == 1
+        assert not {"_table_gap", "paired_values", "make_map"} & set(vars(importlib.import_module("topoglue.fintop")))
         assert [name for name, src in sources.items() if "str(analyze_map(" in src] == ["fintop"]
         assert sources["fintop"].count("str(analyze_map(") == 1

@@ -16,7 +16,7 @@ from test_gdata import _ambiguous_instance
 from test_glue import self_weld_arc, three_patch_chain
 from topoglue import cover, glidx
 from topoglue.errors import CompositionMismatch, MissingComponent, NotDetermined, TopoglueError
-from topoglue.fintop import SpaceMap, compose, identity_map, lift, make_map, make_space, pullback
+from topoglue.fintop import SpaceMap, compose, identity_map, lift, make_space, pullback
 from topoglue.fixtures import arc3, cylinder_data, disc2, gd_circ, pt, torus_meta
 from topoglue.gdata import derive_triple_maps, functor_of, make_gluing_data
 from topoglue.glidx import normalize, pair, single
@@ -26,42 +26,42 @@ from topoglue.refine import IndexMap, complete_refinement, reindex_object
 def _fold():
     """ARC3 onto DISC2 with both ends over a: every fiber size 0, 1 and 2 occurs."""
     two = make_space("TWO", ["a", "b", "c"], {"a": ["a"], "b": ["b"], "c": ["c"]})
-    return make_map(arc3(), two, {"l": "a", "m": "b", "r": "a"})
+    return SpaceMap(arc3(), two, {"l": "a", "m": "b", "r": "a"})
 
 
 class TestLift:
     def test_one_map_lifts_through_singleton_fibers(self):
-        f = make_map(disc2(), arc3(), {"a": "l", "b": "r"})
-        want = make_map(pt(), arc3(), {"p": "r"})
+        f = SpaceMap(disc2(), arc3(), {"a": "l", "b": "r"})
+        want = SpaceMap(pt(), arc3(), {"p": "r"})
         lifted = lift([want], [f])
         assert isinstance(lifted, SpaceMap)
         assert (lifted.dom, lifted.cod, lifted.table) == (pt(), disc2(), {"p": "b"})
 
     def test_two_maps_pair_into_the_pullback(self):
-        f = make_map(disc2(), arc3(), {"a": "l", "b": "r"})
+        f = SpaceMap(disc2(), arc3(), {"a": "l", "b": "r"})
         sp, pf, pg = pullback(f, identity_map(arc3()))
-        swap = make_map(disc2(), disc2(), {"a": "b", "b": "a"})
+        swap = SpaceMap(disc2(), disc2(), {"a": "b", "b": "a"})
         lifted = lift([swap, compose(f, swap)], [pf, pg])
         assert isinstance(lifted, SpaceMap)
         assert (lifted.dom, lifted.cod, lifted.table) == (disc2(), sp, {"a": "(b,r)", "b": "(a,l)"})
 
     def test_miss_with_no_candidate(self):
-        want = make_map(pt(), _fold().cod, {"p": "c"})
+        want = SpaceMap(pt(), _fold().cod, {"p": "c"})
         assert lift([want], [_fold()]) == ("p", [])
 
     def test_miss_with_two_candidates(self):
         fold = _fold()
-        want = make_map(disc2(), fold.cod, {"a": "b", "b": "a"})
+        want = SpaceMap(disc2(), fold.cod, {"a": "b", "b": "a"})
         # a lifts to m; b has the two candidates l and r
         assert lift([want], [fold]) == ("b", ["l", "r"])
 
     @pytest.mark.parametrize("case", ["codomains", "along-domains", "want-domains", "lengths"])
     def test_mistyped_maps(self, case):
         fold = _fold()
-        want = make_map(pt(), fold.cod, {"p": "b"})
-        other = make_map(disc2(), fold.cod, {"a": "b", "b": "b"})
+        want = SpaceMap(pt(), fold.cod, {"p": "b"})
+        other = SpaceMap(disc2(), fold.cod, {"a": "b", "b": "b"})
         cases = {
-            "codomains": ([make_map(pt(), arc3(), {"p": "m"})], [fold]),
+            "codomains": ([SpaceMap(pt(), arc3(), {"p": "m"})], [fold]),
             "along-domains": ([want, want], [fold, other]),
             "want-domains": ([want, other], [fold, fold]),
             "lengths": ([want, want], [fold]),

@@ -11,7 +11,6 @@ from topoglue.fintop import (
     enumerate_continuous_maps,
     find_homeomorphism,
     identity_map,
-    make_map,
 )
 from topoglue.fixtures import (
     arc3,
@@ -200,7 +199,7 @@ class TestInducedMap:
         fine = functor_of(trivial_data(arc3(), "1"))
         coarse = functor_of(trivial_data(pt(), "1"))
         gamma = IndexMap(("1",), ("1",), {"1": "1"})
-        rho = make_map(arc3(), pt(), {x: "p" for x in arc3().points})
+        rho = SpaceMap(arc3(), pt(), {x: "p" for x in arc3().points})
         r = Refinement(gamma, fine, coarse, {single("1"): rho})
         mu = induced_map(r, glue(fine.data), glue(coarse.data))
         assert set(mu.table.values()) == {"p@1"}
@@ -224,7 +223,7 @@ class TestInducedMap:
         fine = functor_of(gd_circ())
         coarse = functor_of(trivial_data(circle4(), "0"))
         gamma = IndexMap(("0",), ("1", "2"), {"0": "1"})
-        rho = make_map(
+        rho = SpaceMap(
             fine.space(single("1")), circle4(), {"l": "l", "m": "ma", "r": "r"}
         )
         r = Refinement(gamma, fine, coarse, {single("0"): rho})
