@@ -41,14 +41,14 @@ KINDS = ("gluing", "open")
 
 @dataclass(frozen=True)
 class Covering:
-    """A base space with a family of (patch, leg) pairs; ``family`` is held as a tuple."""
+    """A base space with a family of (patch, leg) pairs; ``family`` is held as a tuple of pairs."""
 
     base: FiniteSpace
     family: tuple[tuple[FiniteSpace, SpaceMap], ...]
     kind: str = "gluing"
 
     def __post_init__(self):
-        object.__setattr__(self, "family", tuple(self.family))
+        object.__setattr__(self, "family", tuple((patch, leg) for patch, leg in self.family))
 
     def legs(self) -> list[SpaceMap]:
         return [leg for _, leg in self.family]

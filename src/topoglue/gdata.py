@@ -17,7 +17,9 @@ edges between them and their faces, in the index category's order; every
 later stage walks it, so an empty overlap or triple costs nothing.
 
 All stored maps are the continuous direction; the index-category arrows they
-realize point the other way.
+realize point the other way.  ``GluingData.map`` is the one reader of the
+map of a generator edge, and the gluing functor (``GluingFunctor``) is a
+view of its datum: its spaces and maps are the datum's.
 
 A datum is frozen: its tables are read-only copies of what it was built
 from.  So it has one verdict, and ``validate`` computes its rows once per
@@ -244,6 +246,24 @@ class GluingData:
             return self.overlap[(obj.head, obj.rest[0])]
         return self.triple_space.get(obj, EMPTY)
 
+    def map(self, a: GlObject, b: GlObject) -> SpaceMap:
+        """The map realizing the generator edge a -> b, from b's space to a's.
+
+        A nerve edge reads its stored map (``_generator_image``), and a tau3
+        edge whose triple transition is missing raises ValidationFailed with
+        the ``triple-present`` rows of ``validate``.  For a == b it is the
+        identity.  Any other edge runs out of an object outside the nerve,
+        so its map is the empty one; an edge into the nerve out of such an
+        object, which only unlawful data has, raises UnknownPoint, as no map
+        runs from points to none.
+        """
+        gen = self.nerve.edges.get((a, b))
+        if gen is not None:
+            return _generator_image(self, gen)
+        if a == b:
+            return identity_map(self.space_of(a))
+        return SpaceMap(self.space_of(b), self.space_of(a), {})
+
 
 def _nerve_triples(gd: GluingData) -> tuple[dict, dict, dict]:
     """The triple tables of a datum whose pair tables are set, as its nerve keeps them.
@@ -345,22 +365,22 @@ def make_gluing_data(
     )
 
 
-def _coords(gd: GluingData, keys: Iterable[tuple[str, str, str]]) -> dict[tuple[str, str, str], SpaceMap]:
-    """The map from the space of each triple (i,j,k) of the nerve in ``keys`` onto overlap (i,j):
-    the stored pullback projection, or the identity when the tuple collapses to the pair (i,j)."""
-    coords = {}
-    for key in keys:
-        obj = normalize(key)
-        if obj.arity == 3:
-            coords[key] = gd.triple_proj[(obj, key[1])]
-        else:
-            coords[key] = identity_map(gd.space_of(obj))
-    return coords
+def _coord(gd: GluingData, key: tuple[str, str, str]) -> SpaceMap:
+    """The coordinate map of a triple (i,j,k): its space onto overlap (i,j), along the eta3 edge."""
+    i, j, _ = key
+    return gd.map(pair(i, j), normalize(key))
 
 
-def _coord(gd: GluingData, coords: Mapping, key: tuple[str, str, str]) -> SpaceMap:
-    """The coordinate map of any triple: from ``coords`` on the nerve, else the empty map."""
-    return coords[key] if key in coords else SpaceMap(EMPTY, gd.overlap[key[:2]], {})
+def _fwd(gd: GluingData, key: tuple[str, str, str]) -> SpaceMap:
+    """The transition of a triple (i,j,k): its space into that of (j,i,k), along the tau3 edge."""
+    i, j, k = key
+    return gd.map(normalize((j, i, k)), normalize(key))
+
+
+def _at(gd: GluingData, maps: Mapping, read: Callable, key: tuple[str, str, str]) -> SpaceMap:
+    """The map of ``maps`` at a triple, or ``read(gd, key)`` at one ``maps`` lacks:
+    the empty map, for a triple outside the nerve."""
+    return maps[key] if key in maps else read(gd, key)
 
 
 def derive_triple_maps(gd: GluingData) -> GluingData:
@@ -376,13 +396,13 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
     the empty space, and the lift into it finds no candidate.
     """
     derived = dict(gd.triple_transition)
-    coords = _coords(gd, [key for key in gd.nerve.triples if key[0] != key[1]])
+    coords = {key: _coord(gd, key) for key in gd.nerve.triples if key[0] != key[1]}
     for key, coord in coords.items():
         i, j, k = key
         if key in derived:
             continue
         want = compose(gd.transition[(i, j)], coord)
-        lifted = fintop.lift([want], [_coord(gd, coords, (j, i, k))])
+        lifted = fintop.lift([want], [_at(gd, coords, _coord, (j, i, k))])
         if not isinstance(lifted, SpaceMap):
             raise NotDetermined(*key, *lifted)
         derived[key] = lifted
@@ -483,69 +503,57 @@ def _check_laws(gd: GluingData) -> Report:
         rep.add("transition-inverse", f"({i},{j})", w is None, w)
     if not _triples_present(gd, rep):
         return rep
-    coords = _coords(gd, nerve.triples)
-    fwds = {
-        key: identity_map(gd.space_of(normalize(key))) if key[0] == key[1] else gd.triple_transition[key]
-        for key in nerve.triples
-    }
 
-    def fwd(key):
-        """The transition out of the space of key into that of (j,i,k)."""
-        if key in fwds:
-            return fwds[key]
-        return SpaceMap(EMPTY, gd.space_of(normalize((key[1], key[0], key[2]))), {})
-
+    # each nerve triple's two maps, read once
+    fwds = {key: _fwd(gd, key) for key in nerve.triples}
+    coords = {key: _coord(gd, key) for key in nerve.triples}
     for key, f in fwds.items():
         i, j, k = key
         sub = f"({i},{j},{k})"
         _add_continuity(rep, "triple-continuous", sub, f)
-        w = disagreement((fwd((j, k, i)), f), (fwd((i, k, j)),))
+        w = disagreement((_at(gd, fwds, _fwd, (j, k, i)), f), (_at(gd, fwds, _fwd, (i, k, j)),))
         rep.add("cocycle", sub, w is None, w)
-        w = disagreement((_coord(gd, coords, (j, i, k)), f), (gd.transition[(i, j)], coords[key]))
+        w = disagreement((_at(gd, coords, _coord, (j, i, k)), f), (gd.transition[(i, j)], coords[key]))
         rep.add("projection-square", sub, w is None, w)
     return rep
 
 
 @dataclass(frozen=True)
 class GluingFunctor:
-    """Realization of gluing data on the nerve of its index category.
+    """Realization of gluing data on its index category: a view of the datum.
 
-    ``obj`` maps every object of the datum's nerve to its space; ``gen`` maps
-    the endpoints of every edge of the nerve to the continuous map realizing
-    it (running from the codomain's space to the domain's space).  Both are
-    read-only copies.  Any other object reads as the empty space, and any
-    other edge as the empty table between its spaces (``space``, ``map``):
-    the empty map when it runs out of an object outside the nerve.  An edge
-    into the nerve out of an object outside it, which only unlawful data
-    has, raises UnknownPoint in ``map``: no map runs from points to none.
+    ``space`` is the datum's space at an object and ``map`` its map of a
+    generator edge (``GluingData.map``); nothing is copied out of the datum.
+    Building the view raises ValidationFailed, with the ``triple-present``
+    rows of ``validate``, when a triple transition is missing, as that
+    leaves a generator edge without a map.
     """
 
     data: GluingData
-    obj: Mapping[GlObject, FiniteSpace]
-    gen: Mapping[tuple[GlObject, GlObject], SpaceMap]
 
-    __hash__ = None  # the tables are not hashable
+    __hash__ = None  # the datum's tables are not hashable
 
     def __post_init__(self):
-        object.__setattr__(self, "obj", read_only(self.obj))
-        object.__setattr__(self, "gen", read_only(self.gen))
+        _require_triples(self.data)
 
     @property
     def index(self) -> tuple[str, ...]:
         return self.data.index
 
     def space(self, obj: GlObject) -> FiniteSpace:
-        return self.obj[obj] if obj in self.obj else self.data.space_of(obj)
+        return self.data.space_of(obj)
 
     def map(self, a: GlObject, b: GlObject) -> SpaceMap:
-        """The map realizing the generator edge a -> b, from b's space to a's."""
-        if (a, b) in self.gen:
-            return self.gen[(a, b)]
-        return SpaceMap(self.space(b), self.space(a), {})
+        """The map realizing the generator edge a -> b, from b's space to a's (``GluingData.map``)."""
+        return self.data.map(a, b)
 
 
 def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
-    """The map realizing a non-identity generator (an entry of ``Nerve.edges``)."""
+    """The map realizing a non-identity generator (an entry of ``Nerve.edges``).
+
+    A tau3 edge whose triple transition is missing raises ValidationFailed
+    with the ``triple-present`` rows of ``validate``.
+    """
     if gen.kind == "eta":
         return gd.anchor[gen.indices]
     if gen.kind == "tau":
@@ -553,25 +561,13 @@ def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
     if gen.kind == "eta3":
         i, j, k, n = gen.indices
         return gd.triple_proj[(normalize((i, j, k)), n)]
-    return gd.triple_transition[gen.indices]  # a tau3 edge has i != j
-
-
-def functor_tables(gd: GluingData) -> GluingFunctor:
-    """Realize the data as tables over its nerve without validating it first.
-
-    Only a missing triple transition, which leaves a generator without a
-    map, raises ValidationFailed, with the ``triple-present`` rows of
-    ``validate``.
-    """
-    _require_triples(gd)
-    nerve = gd.nerve
-    obj_table = {o: gd.space_of(o) for o in nerve.objects}
-    gen_table = {dc: _generator_image(gd, gen) for dc, gen in nerve.edges.items()}
-    return GluingFunctor(gd, obj_table, gen_table)
+    if gen.indices not in gd.triple_transition:  # a tau3 edge, i != j
+        _require_triples(gd)
+    return gd.triple_transition[gen.indices]
 
 
 def functor_of(gd: GluingData) -> GluingFunctor:
-    """Validate the data and realize it as tables over its nerve.
+    """Validate the data and realize it as a functor (``GluingFunctor``).
 
     ``validate`` is the only law check.  When the triple tables come from
     ``make_gluing_data`` (``derive_triple_maps`` copies them), a passing
@@ -588,13 +584,13 @@ def functor_of(gd: GluingData) -> GluingFunctor:
     projection-square at (i,k,j) and transition-inverse at (i,k) give q the
     (i,k)-coordinate of p, and a pullback point is fixed by its two
     coordinates.  Off the nerve every instance runs out of an empty space,
-    so it holds.  The tables are coherent: raw generators share endpoints
+    so it holds.  The maps are coherent: raw generators share endpoints
     only as eta3 pairs, which read the same projection.
     """
     report = validate(gd)
     if not report.passed:
         raise ValidationFailed(report)
-    return functor_tables(gd)
+    return GluingFunctor(gd)
 
 
 def _pair_tables(index: tuple[str, ...], space_at: Callable, map_at: Callable) -> tuple[dict, ...]:
@@ -614,12 +610,12 @@ def _pair_tables(index: tuple[str, ...], space_at: Callable, map_at: Callable) -
 
 
 def extract_data(fun: GluingFunctor) -> GluingData:
-    """Read the gluing data back off the functor tables (round trip)."""
+    """Read the gluing data back off the functor's spaces and maps (round trip)."""
     idx = fun.index
     tables = _pair_tables(idx, fun.space, fun.map)
     triple_transition = {
         (i, j, k): fun.map(normalize((j, i, k)), normalize((i, j, k)))
-        for i, j, k in _triple_keys(idx, fun.obj)
+        for i, j, k in fun.data.nerve.triples
         if i != j
     }
     return make_gluing_data(idx, *tables, triple_transition)

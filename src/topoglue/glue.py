@@ -48,7 +48,7 @@ from .fintop import (
     non_open_points,
     read_only,
 )
-from .gdata import GluingData, Report, _generator_image, _require_triples, validate
+from .gdata import GluingData, Report, _require_triples, validate
 from .glidx import GlObject, single
 
 CONE_MODES = ("full", "figure3", "figure4")
@@ -200,16 +200,16 @@ def complete_cone(
     """Extend patch legs to a full leg family using the forced factorizations.
 
     Each pair and triple leg of the nerve, pairs first, is its first face's
-    leg composed with the map of the edge between them (``Nerve.faces``).
+    leg composed with the map of the edge between them (``Nerve.faces``,
+    ``GluingData.map``).
     """
     legs: dict[GlObject, SpaceMap] = {}
     for i in gd.index:
         if i not in single_legs:
             raise MissingLeg(f"no leg for patch {i!r}")
         legs[single(i)] = single_legs[i]
-    edges = gd.nerve.edges
     for obj, (a, *_) in gd.nerve.faces.items():
-        legs[obj] = compose(legs[a], _generator_image(gd, edges[(a, obj)]))
+        legs[obj] = compose(legs[a], gd.map(a, obj))
     return Cone(apex, legs)
 
 
@@ -231,7 +231,7 @@ def _cone_edges(gd: GluingData, mode: str) -> list[tuple[GlObject, GlObject, Spa
             i, j = gen.indices
             edges.append((single(j), b, compose(gd.anchor[(j, i)], gd.transition[(i, j)])))
         elif gen.kind != "tau3" or mode == "full":
-            edges.append((a, b, _generator_image(gd, gen)))
+            edges.append((a, b, gd.map(a, b)))
     return edges
 
 
@@ -244,10 +244,11 @@ def _typed_legs(gd: GluingData, cone: Cone, objs: Iterable[GlObject]) -> dict[Gl
     """
     legs = {a: cone.leg(a) for a in objs}
     for a, leg in legs.items():
+        # the same space is mostly the same object: test that before comparing tables
         space = gd.space_of(a)
-        if leg.dom != space:
+        if leg.dom is not space and leg.dom != space:
             raise CompositionMismatch(f"the leg of {a} does not start at {space.space_id!r}")
-        if leg.cod != cone.apex:
+        if leg.cod is not cone.apex and leg.cod != cone.apex:
             raise CompositionMismatch(
                 f"the leg of {a} does not land in the apex {cone.apex.space_id!r}"
             )
@@ -307,9 +308,8 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
     rep = Report()
     idx = gd.index
     legs = _typed_legs(gd, candidate, gd.nerve.objects)
-    edges = gd.nerve.edges
     for obj, faces in gd.nerve.faces.items():
-        paths = [[legs[a], _generator_image(gd, edges[(a, obj)])] for a in faces]
+        paths = [[legs[a], gd.map(a, obj)] for a in faces]
         failed = [w for p in paths if (w := disagreement(p, [legs[obj]])) is not None]
         if obj.arity == 2:
             name, subject = "a-pair-factors", f"({obj.head},{obj.rest[0]})"
@@ -346,18 +346,19 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
 def mediate(gd: GluingData, glued: Cone, cone: Cone) -> SpaceMap:
     """The unique map from the glued space matching the cone's patch legs.
 
-    The cone's patch legs are typed first (``_typed_legs``).  For each patch i
-    and point x, the glued point ``glued.leg([i])(x)`` is sent to
-    ``cone.leg([i])(x)``; a point x outside the glued leg's domain raises
-    UnknownPoint.  A glued point no patch point reaches has no provenance;
+    The patch legs of both cones are typed first (``_typed_legs``), so a
+    missing or mistyped leg raises.  For each patch i and point x, the glued
+    point ``glued.leg([i])(x)`` is sent to ``cone.leg([i])(x)``.  A glued
+    point no patch point reaches has no provenance;
     one sent to two apex points means the cone conditions were violated.
     Continuity is automatic from the final topology but still checked.
     """
+    patches = list(map(single, gd.index))
+    into_glued = _typed_legs(gd, glued, patches)
     values: dict[str, set[str]] = {qp: set() for qp in glued.apex.points}
-    for obj, into_apex in _typed_legs(gd, cone, map(single, gd.index)).items():
-        into_glued = glued.leg(obj)
+    for obj, into_apex in _typed_legs(gd, cone, patches).items():
         for x, y in into_apex.table.items():
-            values[into_glued(x)].add(y)
+            values[into_glued[obj](x)].add(y)
     table: dict[str, str] = {}
     for qp in sorted(values):
         if not values[qp]:

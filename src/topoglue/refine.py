@@ -5,7 +5,9 @@ A refinement relates a fine gluing functor (over index set J) to a coarse one
 over I.  Components run in the continuous direction, from the fine functor's
 space at the reindexed object to the coarse functor's space; this matches the
 computable orientation of the worked fixtures, and the opposite-category
-bookkeeping stays implicit.
+bookkeeping stays implicit.  A generator reindexed through gamma is itself a
+generator or an identity, so the fine functor's map of it is
+``GluingFunctor.map`` on the reindexed endpoints.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .glue import Cone, GluedSpace, glue, mediate
 
 @dataclass(frozen=True)
 class IndexMap:
-    """A total map between index sets; ``table`` is a read-only copy."""
+    """A total map between index sets; ``source`` and ``target`` are tuples and ``table`` a read-only copy."""
 
     source: tuple[str, ...]
     target: tuple[str, ...]
@@ -56,6 +58,8 @@ class IndexMap:
     __hash__ = None  # the table is not hashable
 
     def __post_init__(self):
+        object.__setattr__(self, "source", tuple(self.source))
+        object.__setattr__(self, "target", tuple(self.target))
         object.__setattr__(self, "table", read_only(self.table))
         for i in self.source:
             if i not in self.table:
@@ -70,16 +74,6 @@ class IndexMap:
 def reindex_object(gamma: IndexMap, obj: GlObject) -> GlObject:
     raw = (obj.head,) + obj.rest
     return normalize(tuple(gamma(i) for i in raw))
-
-
-def _reindexed_map(gamma: IndexMap, fun: GluingFunctor, a: GlObject, b: GlObject) -> SpaceMap:
-    """The map of ``fun`` realizing the reindexed generator a -> b.
-
-    A reindexed generator is itself a generator or an identity, so this is a
-    map of ``fun`` (``GluingFunctor.map``) or the identity on its space.
-    """
-    fa, fb = reindex_object(gamma, a), reindex_object(gamma, b)
-    return identity_map(fun.space(fa)) if fa == fb else fun.map(fa, fb)
 
 
 @dataclass(frozen=True)
@@ -182,8 +176,9 @@ def complete_refinement(
         if obj in comps:
             continue
         faces = glidx.faces_of(obj)
+        fine_obj = reindex_object(gamma, obj)
         lifted = lift(
-            [compose(comps[a], _reindexed_map(gamma, fine, a, obj)) for a in faces],
+            [compose(comps[a], fine.map(reindex_object(gamma, a), fine_obj)) for a in faces],
             [coarse.map(a, obj) for a in faces],
         )
         if not isinstance(lifted, SpaceMap):
@@ -216,9 +211,8 @@ def check_refinement(r: Refinement) -> Report:
         except MissingComponent as exc:
             rep.add("component-present", f"{a}->{b}", False, str(exc))
             continue
-        w = disagreement(
-            [rho_a, _reindexed_map(r.gamma, r.fine, a, b)], [r.coarse.map(a, b), rho_b]
-        )
+        fine_map = r.fine.map(reindex_object(r.gamma, a), reindex_object(r.gamma, b))
+        w = disagreement([rho_a, fine_map], [r.coarse.map(a, b), rho_b])
         rep.add("naturality", f"{a}->{b}", w is None, w)
     for obj, comp in sorted(r.components.items(), key=lambda kv: repr(kv[0])):
         _add_continuity(rep, "component-continuous", repr(obj), comp)
@@ -230,8 +224,10 @@ def paste(outer: Refinement, inner: Refinement) -> Refinement:
 
     ``inner`` runs from the finest functor to the middle one and ``outer``
     from the middle one to the coarsest; the paste runs finest to coarsest.
+    The two middle functors must realize equal data, maps included, else
+    ``MissingComponent``.
     """
-    if inner.coarse.obj != outer.fine.obj:
+    if inner.coarse.data != outer.fine.data:
         raise MissingComponent("pasted refinements do not share a middle functor")
     gamma = IndexMap(
         outer.gamma.source,
@@ -336,7 +332,7 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
 
     for (a, b), r in sorted(meta.edge.items(), key=lambda kv: repr(kv[0])):
         coarse, fine = node_at(a), node_at(b)
-        if r.coarse.obj != coarse.obj or r.fine.obj != fine.obj:
+        if r.coarse.data != coarse.data or r.fine.data != fine.data:
             raise CompositionMismatch(
                 f"the refinement on edge {a}->{b} does not run from node {b} to node {a}"
             )

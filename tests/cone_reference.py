@@ -21,7 +21,7 @@ from __future__ import annotations
 from paths import coord
 from topoglue import glidx
 from topoglue.fintop import SpaceMap, compose, disagreement
-from topoglue.gdata import EMPTY, functor_tables
+from topoglue.gdata import EMPTY, GluingFunctor
 from topoglue.glidx import pair, single
 from topoglue.glue import Cone, _typed_legs
 
@@ -52,7 +52,7 @@ def cone_edges(gd, mode):
     triangles [i,n] -> [i|{j,k}].  ``figure4``: the same, with each transition
     triangle in its through-the-patch form [j] -> [i,j]."""
     if mode == "full":
-        fun = functor_tables(gd)
+        fun = GluingFunctor(gd)
         return [(a, b, fun.map(a, b)) for a, b in glidx.edges(gd.index)]
     idx = gd.index
     edges = []

@@ -289,6 +289,14 @@ class TestRandomizedSite:
 
 
 class TestFrozenCovering:
+    def test_family_members_are_tuple_copies(self):
+        sp, inc = two_arc_covering().family[0]
+        member = [sp, inc]
+        c = Covering(circle4(), [member], "open")
+        member[1] = identity_map(circle4())
+        assert c.family == ((sp, inc),) and isinstance(c.family[0], tuple)
+        assert hash(c) == hash(Covering(circle4(), [(sp, inc)], "open"))
+
     def test_family_is_a_tuple_copy_and_fields_are_frozen(self):
         family = list(two_arc_covering().family)
         c = Covering(circle4(), family, "open")

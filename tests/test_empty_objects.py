@@ -550,6 +550,8 @@ class TestVisitsGrowWithTheNerve:
     def test_each_stage_visits_at_most_2_2_times_more_at_twice_the_arcs(self, monkeypatch):
         small = _stage_visits(12, monkeypatch)
         large = _stage_visits(24, monkeypatch)
+        # functor_of is validate, whose verdict the datum keeps, and a view of the datum
+        assert small.pop("functor_of") == large.pop("functor_of") == 0
         growth = {name: large[name] / small[name] for name in small}
         assert all(small.values())
         assert max(growth.values()) <= 2.2, growth

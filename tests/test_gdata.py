@@ -24,6 +24,7 @@ from topoglue.glidx import (
     GlGen,
     edges,
     normalize,
+    objects,
     pair,
     raw_generators,
     relation_instances,
@@ -110,10 +111,9 @@ class TestFrozenDatum:
         with pytest.raises(dataclasses.FrozenInstanceError):
             entry.ok = not entry.ok
         fun = functor_of(gd)
-        with pytest.raises(TypeError):
-            fun.gen[next(iter(fun.gen))] = None
-        with pytest.raises(TypeError):
-            fun.obj[next(iter(fun.obj))] = None
+        assert fun.data is gd
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fun.data = gd_circ()
 
 
 class TestValidateOnce:
@@ -412,6 +412,56 @@ class TestFunctorOf:
         bad = _mutated_transition(gd, ("2", "1"), {"a": "b", "b": "a"})
         with pytest.raises(ValidationFailed):
             functor_of(bad)
+
+
+def _reference_map(gd, a, b, gen):
+    """The map of the generator edge a -> b read off the datum's tables, not through ``map``."""
+    if gen.kind == "eta":
+        return gd.anchor[gen.indices]
+    if gen.kind == "tau":
+        return gd.transition[gen.indices]
+    if gen.kind == "eta3":
+        i, j, k, n = gen.indices
+        return coord(gd, i, n, k if n == j else j)
+    if not gd.stores(b):
+        return SpaceMap(gdata.EMPTY, gd.space_of(a), {})
+    return gd.triple_transition[gen.indices]
+
+
+class TestMapParity:
+    """``GluingData.map`` on every generator edge of the index category, against the tables."""
+
+    @staticmethod
+    def _data():
+        rng = random.Random(13)
+        data = [random_lawful_data(rng) for _ in range(12)]
+        return data + [gd_circ(), cylinder_data("1"), digital_circle_data(16, 4), digital_circle_data(24, 6)]
+
+    def test_every_generator_edge_reads_its_table(self):
+        off_nerve = 0
+        for gd in self._data():
+            assert validate(gd).passed
+            for (a, b), gen in edges(gd.index).items():
+                assert gd.map(a, b) == _reference_map(gd, a, b, gen), (a, b, gen)
+                if not gd.stores(b):
+                    off_nerve += 1
+                    assert gd.map(a, b) == SpaceMap(gdata.EMPTY, gd.space_of(a), {})
+            for obj in objects(gd.index):
+                assert gd.map(obj, obj) == identity_map(gd.space_of(obj))
+        assert off_nerve  # the digital circles have empty overlaps
+
+    def test_a_missing_triple_transition_is_a_failed_validation(self):
+        gd = digital_circle_data(16, 4)
+        bare = dataclasses.replace(gd, triple_transition={})
+        (a, b), gen = next(
+            (ab, gen) for ab, gen in gd.nerve.edges.items() if gen.kind == "tau3"
+        )
+        with pytest.raises(ValidationFailed) as info:
+            bare.map(a, b)
+        rows = info.value.report.entries
+        assert rows and {e.name for e in rows} == {"triple-present"}
+        assert all(not e.ok for e in rows)
+        assert gd.map(a, b) == gd.triple_transition[gen.indices]
 
 
 class TestEvaluate:

@@ -47,9 +47,9 @@ from topoglue.fixtures import (
     trivial_data,
 )
 from topoglue.gdata import (
+    GluingFunctor,
     Report,
     derive_triple_maps,
-    functor_tables,
     make_gluing_data,
     validate,
 )
@@ -459,7 +459,7 @@ class TestCheckCone:
 
 def _morphism_maps(gd):
     """(a, b, F(a -> b)) for every ordered object pair with a morphism, along a BFS path."""
-    fun = functor_tables(gd)
+    fun = GluingFunctor(gd)
     objs = glidx.objects(gd.index)
     out = []
     for a in objs:
@@ -565,7 +565,7 @@ class TestFullConeEdgeCheck:
 
         monkeypatch.setattr(glue_mod, "compose", counting_compose)
         assert check_cone(gd, cone, "full")
-        assert len(calls) <= len(glidx.objects(gd.index)) + len(functor_tables(gd).gen)
+        assert len(calls) <= len(glidx.objects(gd.index)) + len(gd.nerve.edges)
 
 
 class TestConeEdgesMatchTableReference:
@@ -898,6 +898,16 @@ class TestMediate:
         with pytest.raises(CompositionMismatch) as info:
             mediate(gd, glued, Cone(glued.space, legs))
         assert str(info.value) == "the leg of [1] does not start at 'arcA'"
+
+    def test_glued_cone_legs_are_typed(self):
+        # a glued cone whose leg [2] lands outside its apex is refused, not read
+        gd = gd_circ()
+        glued = glue(gd)
+        legs = dict(glued.legs)
+        legs[single("2")] = SpaceMap(gd.patch["2"], pt(), {x: "p" for x in gd.patch["2"].points})
+        with pytest.raises(CompositionMismatch) as info:
+            mediate(gd, Cone(glued.apex, legs), glued)
+        assert str(info.value) == f"the leg of [2] does not land in the apex {glued.apex.space_id!r}"
 
     def test_incompatible_cone_is_ill_defined(self):
         gd = gd_circ()

@@ -6,6 +6,7 @@ so the full triple-transition machinery (cocycle, projection squares,
 derivation) runs through non-trivial slots.
 """
 
+import dataclasses
 import importlib
 import inspect
 import itertools
@@ -17,7 +18,7 @@ import topoglue
 from topoglue.cover import Covering, check_covering, functor_of_covering
 from topoglue.fintop import find_homeomorphism, is_homeomorphism, subspace
 from topoglue.fixtures import circle4, disc2, gd_circ, pt, sierp, torus_meta
-from topoglue.gdata import Report, functor_of, validate
+from topoglue.gdata import GluingFunctor, Report, functor_of, validate
 from topoglue.glidx import normalize, verify_relations
 from topoglue.glue import (
     CONE_MODES,
@@ -176,3 +177,22 @@ class TestFintopReadsMaps:
         assert not {"_table_gap", "paired_values", "make_map"} & set(vars(importlib.import_module("topoglue.fintop")))
         assert [name for name, src in sources.items() if "str(analyze_map(" in src] == ["fintop"]
         assert sources["fintop"].count("str(analyze_map(") == 1
+
+
+class TestOneMapReader:
+    """The map of a generator edge is read in one place: ``GluingData.map``."""
+
+    def test_only_gdata_names_the_generator_reader(self):
+        names = [
+            info.name
+            for info in pkgutil.iter_modules(topoglue.__path__)
+            if "_generator_image" in inspect.getsource(importlib.import_module(f"topoglue.{info.name}"))
+        ]
+        assert names == ["gdata"]
+
+    def test_the_functor_is_a_view_of_its_datum(self):
+        assert [f.name for f in dataclasses.fields(GluingFunctor)] == ["data"]
+        gdata = importlib.import_module("topoglue.gdata")
+        refine = importlib.import_module("topoglue.refine")
+        assert not {"functor_tables", "_coords"} & set(vars(gdata))
+        assert "_reindexed_map" not in vars(refine)

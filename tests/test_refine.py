@@ -55,6 +55,15 @@ from test_glue import self_weld_arc
 
 
 class TestReindex:
+    def test_index_sets_are_tuple_copies(self):
+        source, target = ["1"], ["1"]
+        gamma = IndexMap(source, target, {"1": "1"})
+        source.append("2")
+        target.clear()
+        assert gamma.source == ("1",) and gamma.target == ("1",)
+        with pytest.raises(TypeError):
+            hash(gamma)  # the table is not hashable
+
     def test_identity(self):
         gamma = IndexMap(("1", "2"), ("1", "2"), {"1": "1", "2": "2"})
         assert all(reindex_object(gamma, o) == o for o in objects(gamma.source))
@@ -271,6 +280,23 @@ class TestPaste:
         assert rep.passed, str(rep)
         assert pasted.fine is t12.fine
         assert pasted.coarse is incl2.coarse
+
+    def test_middle_functors_with_other_maps_do_not_paste(self):
+        # same spaces as gd_circ, transitions swapping a and b: another functor
+        gd = gd_circ()
+        swap = {
+            (i, j): SpaceMap(gd.overlap[(i, j)], gd.overlap[(j, i)], {"a": "b", "b": "a"})
+            for i, j in gd.nerve.pairs
+            if i != j
+        }
+        anchor = {key: gd.anchor[key] for key in swap}
+        overlap = {key: gd.overlap[key] for key in swap}
+        swapped = derive_triple_maps(make_gluing_data(gd.index, gd.patch, overlap, anchor, swap))
+        plain, other = functor_of(gd), functor_of(swapped)
+        assert all(plain.space(o) == other.space(o) for o in gd.nerve.objects)
+        assert check_refinement(paste(identity_refinement(plain), identity_refinement(functor_of(gd)))).passed
+        with pytest.raises(MissingComponent, match="do not share a middle functor"):
+            paste(identity_refinement(plain), identity_refinement(other))
 
 
 class TestComposeGdf:
