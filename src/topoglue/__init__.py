@@ -3,8 +3,8 @@
 Modules:
   fintop   finite spaces, maps, subspace/coproduct/pullback/quotient,
            brute-force enumeration oracles
-  glidx    the gluing index category (normalized objects, generator edges,
-           faces), built once per index set
+  glidx    the gluing index category (normalized objects, generator edges),
+           built once per index set, and its full subcategories
   gdata    concrete gluing data, its validator, and the functor realization
   glue     glued quotient spaces, cones, mediating maps, universal property
   refine   reindexing, refinements, induced maps, meta gluing composition

@@ -34,7 +34,7 @@ from .fintop import (
 )
 from .gdata import EMPTY, GluingData, Report, derive_triple_maps, make_gluing_data
 from .glidx import single
-from .glue import Cone, GluedSpace, _meeting, glue, mediate
+from .glue import Cone, GluedSpace, _meeting, _non_open_data, glue, mediate
 
 KINDS = ("gluing", "open")
 
@@ -157,13 +157,8 @@ def covering_of_glued(gd: GluingData, glued: GluedSpace) -> Covering:
     The kind is open exactly when every anchor and transition of the datum is
     an open map.
     """
-    all_open = not any(
-        non_open_points(table[key])
-        for table in (gd.anchor, gd.transition)
-        for key in gd.nerve.pairs
-    )
     family = [(gd.patch[i], glued.leg(single(i))) for i in gd.index]
-    return Covering(glued.space, family, "open" if all_open else "gluing")
+    return Covering(glued.space, family, "gluing" if _non_open_data(gd) else "open")
 
 
 def site_axiom_iso(phi: SpaceMap) -> bool:

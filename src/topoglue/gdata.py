@@ -12,9 +12,10 @@ that have points, and their anchors, transitions, projections and triple
 transitions.  Any other object reads as the one shared empty space ``EMPTY``
 and its maps as empty maps, so a map given out of such an object must be
 that empty map, into the right space, or construction raises
-CompositionMismatch.  The datum's ``nerve`` lists its objects, the generator
-edges between them and their faces, in the index category's order; every
-later stage walks it, so an empty overlap or triple costs nothing.
+CompositionMismatch.  The datum's ``nerve`` is the full subcategory of the
+index category on its objects (a ``glidx.Category``): its objects and the
+generator edges between them, in the index category's order; every later
+stage walks it, so an empty overlap or triple costs nothing.
 
 All stored maps are the continuous direction; the index-category arrows they
 realize point the other way.  ``GluingData.map`` is the one reader of the
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 from . import fintop, glidx
 from .errors import CompositionMismatch, NotDetermined, UnresolvedReference, ValidationFailed
@@ -127,51 +128,16 @@ def _nerve_pairs(index, patch, overlap, anchor, transition) -> tuple[dict, dict,
     return spaces, anchors, transitions
 
 
-class Nerve(NamedTuple):
-    """What a datum stores, as a full subcategory of the index category, and the law rows' subjects.
-
-    ``objects``, ``edges`` and ``faces`` are ``glidx.restrict`` to every
-    patch and to the pair and triple objects whose spaces have points.
-    ``pairs`` are the ordered pairs (i, j) whose object ([i] when i == j) is
-    one of them, and ``triples`` the ordered triples (i, j, k) whose normal
-    object is, both in index order.
-    """
-
-    objects: tuple[GlObject, ...]
-    edges: Mapping[tuple[GlObject, GlObject], GlGen]
-    faces: Mapping[GlObject, tuple[GlObject, ...]]
-    pairs: tuple[tuple[str, str], ...]
-    triples: tuple[tuple[str, str, str], ...]
-
-
 @lru_cache(maxsize=64)
-def _nerve(index: tuple[str, ...], pairs: frozenset, triples: frozenset) -> Nerve:
-    """The nerve of the data over ``index`` that store these pairs (i, j) and triple objects.
+def _nerve(index: tuple[str, ...], pairs: frozenset, triples: frozenset) -> glidx.Category:
+    """The nerve of the data over ``index`` that store these pairs (i, j) and triple objects:
+    ``glidx.restrict`` to every patch and to the pair and triple objects whose spaces have points.
 
     It depends on nothing else, so it is built once per such shape, as
     ``glidx`` builds the whole index category once per index set.
     """
-    pos = {i: n for n, i in enumerate(index)}
-    ordered = tuple(sorted(pairs, key=lambda ij: (pos[ij[0]], pos[ij[1]])))
-    objects = [single(i) for i in index] + [pair(i, j) for i, j in ordered if i != j] + list(triples)
-    cat = glidx.restrict(index, objects)
-    return Nerve(cat.objects, cat.edges, cat.faces, ordered, _triple_keys(index, cat.objects))
-
-
-def _triple_keys(index: tuple[str, ...], objects: Iterable[GlObject]) -> tuple[tuple[str, ...], ...]:
-    """The ordered triples whose normal object is among ``objects``, in index order:
-    (i,i,i) for [i], (i,j,j) for [i,j], and (i,j,k), (i,k,j) for [i|{j,k}]."""
-    keys = []
-    for obj in objects:
-        i = obj.head
-        if obj.arity == 3:
-            j, k = obj.rest
-            keys += [(i, j, k), (i, k, j)]
-        else:
-            j = obj.rest[0] if obj.rest else i
-            keys.append((i, j, j))
-    pos = {i: n for n, i in enumerate(index)}
-    return tuple(sorted(keys, key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]])))
+    objects = [single(i) for i in index] + [pair(i, j) for i, j in pairs if i != j] + list(triples)
+    return glidx.restrict(index, objects)
 
 
 @dataclass(frozen=True)
@@ -211,8 +177,8 @@ class GluingData:
             object.__setattr__(self, name, read_only(table))
 
     @cached_property
-    def nerve(self) -> Nerve:
-        """The objects this datum stores, with their edges, faces and law subjects (``_nerve``)."""
+    def nerve(self) -> glidx.Category:
+        """The objects this datum stores, with their edges and law subjects (``_nerve``)."""
         return _nerve(self.index, self._pairs, frozenset(self.triple_space))
 
     @cached_property
@@ -377,12 +343,6 @@ def _fwd(gd: GluingData, key: tuple[str, str, str]) -> SpaceMap:
     return gd.map(normalize((j, i, k)), normalize(key))
 
 
-def _at(gd: GluingData, maps: Mapping, read: Callable, key: tuple[str, str, str]) -> SpaceMap:
-    """The map of ``maps`` at a triple, or ``read(gd, key)`` at one ``maps`` lacks:
-    the empty map, for a triple outside the nerve."""
-    return maps[key] if key in maps else read(gd, key)
-
-
 def derive_triple_maps(gd: GluingData) -> GluingData:
     """Fill every missing triple transition with its unique compatible map.
 
@@ -391,7 +351,7 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
     (i,j)-coordinate (``fintop.lift``).  Anything but exactly one candidate
     raises ``NotDetermined``: the map must then be supplied explicitly.
 
-    Only the triples of the nerve need a map (``Nerve.triples``); each has
+    Only the triples of the nerve need a map (``Category.triples``); each has
     points, so each is lifted.  A square partner outside the nerve reads as
     the empty space, and the lift into it finds no candidate.
     """
@@ -402,7 +362,8 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
         if key in derived:
             continue
         want = compose(gd.transition[(i, j)], coord)
-        lifted = fintop.lift([want], [_at(gd, coords, _coord, (j, i, k))])
+        partner = coords[(j, i, k)] if (j, i, k) in coords else _coord(gd, (j, i, k))
+        lifted = fintop.lift([want], [partner])
         if not isinstance(lifted, SpaceMap):
             raise NotDetermined(*key, *lifted)
         derived[key] = lifted
@@ -423,6 +384,22 @@ def _triples_present(gd: GluingData, rep: Report) -> bool:
     for key in missing:
         rep.add("triple-present", str(key), False, "missing triple transition")
     return not missing
+
+
+def _triples_typed(gd: GluingData, rep: Report) -> bool:
+    """Add a failing ``triple-typing`` row per nerve triple transition (i, j, k), i != j, that
+    does not run from the space of (i,j,k) to that of (j,i,k); True if none is."""
+    typed = True
+    for i, j, k in gd.nerve.triples:
+        if i == j:
+            continue  # (i,i,k) reads the identity
+        f = gd.triple_transition[(i, j, k)]
+        dom, cod = gd.space_of(normalize((i, j, k))), gd.space_of(normalize((j, i, k)))
+        if not (fintop._same(f.dom, dom) and fintop._same(f.cod, cod)):
+            typed = False
+            witness = f"{f.dom.space_id} -> {f.cod.space_id}, not {dom.space_id} -> {cod.space_id}"
+            rep.add("triple-typing", f"({i},{j},{k})", False, witness)
+    return typed
 
 
 def _require_triples(gd: GluingData) -> None:
@@ -458,10 +435,11 @@ def _check_laws(gd: GluingData) -> Report:
     index category, never identified with it) and are flagged for the reader.
 
     The pass walks the nerve: its degenerate triples, its pairs and its
-    triples (``Nerve``).  Every map out of an object outside the nerve is
-    the empty map into the right space, so every clause there holds and
-    has no row.  A partner outside the nerve of a triple in it reads as
-    the empty map.
+    triples (``glidx.Category``).  Every map out of an object outside the
+    nerve is the empty map into the right space, so every clause there
+    holds and has no row.  Once every triple transition is typed, each runs
+    into a space with points, so every partner a clause reads is in the
+    nerve too.
     """
     nerve = gd.nerve
     rep = Report()
@@ -501,7 +479,7 @@ def _check_laws(gd: GluingData) -> Report:
             [gd.transition[(j, i)], gd.transition[(i, j)]], [identity_map(gd.overlap[(i, j)])]
         )
         rep.add("transition-inverse", f"({i},{j})", w is None, w)
-    if not _triples_present(gd, rep):
+    if not _triples_present(gd, rep) or not _triples_typed(gd, rep):
         return rep
 
     # each nerve triple's two maps, read once
@@ -511,9 +489,9 @@ def _check_laws(gd: GluingData) -> Report:
         i, j, k = key
         sub = f"({i},{j},{k})"
         _add_continuity(rep, "triple-continuous", sub, f)
-        w = disagreement((_at(gd, fwds, _fwd, (j, k, i)), f), (_at(gd, fwds, _fwd, (i, k, j)),))
+        w = disagreement((fwds[(j, k, i)], f), (fwds[(i, k, j)],))
         rep.add("cocycle", sub, w is None, w)
-        w = disagreement((_at(gd, coords, _coord, (j, i, k)), f), (gd.transition[(i, j)], coords[key]))
+        w = disagreement((coords[(j, i, k)], f), (gd.transition[(i, j)], coords[key]))
         rep.add("projection-square", sub, w is None, w)
     return rep
 
@@ -549,7 +527,7 @@ class GluingFunctor:
 
 
 def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
-    """The map realizing a non-identity generator (an entry of ``Nerve.edges``).
+    """The map realizing a non-identity generator (an entry of the nerve's ``edges``).
 
     A tau3 edge whose triple transition is missing raises ValidationFailed
     with the ``triple-present`` rows of ``validate``.

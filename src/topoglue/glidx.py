@@ -6,19 +6,20 @@ distinct indices (either of which may equal i).  Normalization applies
 (i,i) -> i, (i,j,j) -> (i,j) and (i,j,k) -> (i,k,j).
 
 The category is thin: between any two objects there is at most one morphism,
-so a morphism is its endpoint pair.  The objects, edges and faces of an index
-set are built once and returned read-only; ``restrict`` builds those of a
-full subcategory from the generators into its objects alone, which is how a
-gluing datum gets its nerve.  Generator paths appear only where
-the relation families are listed (``relation_instances``) and checked
-(``compose_path``), so that a realization can evaluate each side of a relation
-along its own path.
+so a morphism is its endpoint pair.  The objects and edges of an index set
+are built once and returned read-only; ``restrict`` builds those of a full
+subcategory from the generators into its objects alone, which is how a
+gluing datum gets its nerve.  An object's faces (``faces_of``) and the raw
+index tuples naming it (``raw_triples``) are read off the object itself.
+Generator paths appear only where the relation families are listed
+(``relation_instances``) and checked (``compose_path``), so that a
+realization can evaluate each side of a relation along its own path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -144,11 +145,33 @@ def raw_generators(index: Iterable[str]) -> list[GlGen]:
 
 @dataclass(frozen=True)
 class Category:
-    """The objects, generator edges and faces of one index set, or of a full subcategory of it."""
+    """The objects and generator edges of one index set, or of a full subcategory of it.
+
+    ``pairs`` ((i, i) for [i], (i, j) for [i,j]) and ``triples`` (``raw_triples``)
+    are the index tuples naming its objects, in label order: a gluing datum's law subjects.
+    """
 
     objects: tuple[GlObject, ...]
     edges: Mapping[tuple[GlObject, GlObject], GlGen]
-    faces: Mapping[GlObject, tuple[GlObject, ...]]
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted(t[:2] for o in self.objects if o.arity < 3 for t in raw_triples(o)))
+
+    @cached_property
+    def triples(self) -> tuple[tuple[str, str, str], ...]:
+        return tuple(sorted(t for o in self.objects for t in raw_triples(o)))
+
+
+def raw_triples(obj: GlObject) -> tuple[tuple[str, str, str], ...]:
+    """The raw 3-tuples normalizing to ``obj``: (i,i,i) for [i], (i,j,j) for [i,j],
+    and (i,j,k), (i,k,j) for [i|{j,k}]."""
+    i = obj.head
+    if obj.arity == 3:
+        j, k = obj.rest
+        return ((i, j, k), (i, k, j))
+    j = obj.rest[0] if obj.rest else i
+    return ((i, j, j),)
 
 
 def _raw_slots(obj: GlObject, pos: Mapping[str, int]) -> list[tuple[int, str, tuple, GlObject]]:
@@ -156,31 +179,22 @@ def _raw_slots(obj: GlObject, pos: Mapping[str, int]) -> list[tuple[int, str, tu
 
     The position is the generator's place in ``raw_generators``.  An index
     tuple's generators have its normal object as codomain, so they
-    are those of the tuples normalizing to ``obj``: (i,j) and (i,j,j) for
-    [i,j], (i,j,k) and (i,k,j) for [i|{j,k}].  The domains are those of
-    ``GlGen.dom``; the generators into [i], the eta3 of (i,j,j) and the tau3
-    of (i,i,k) start at their codomain.
+    are those of the tuples normalizing to ``obj``: (i,j) for [i,j], and the
+    eta3 and tau3 slots of its ``raw_triples``.  The domains are those of
+    ``GlGen.dom``; a generator starting at ``obj`` is its identity.
     """
     n, i = len(pos), obj.head
-    if obj.arity == 1:
-        return []
+    slots = []
     if obj.arity == 2:
         j = obj.rest[0]
         at = 2 * (pos[i] * n + pos[j])
-        tau3 = 2 * n * n + 3 * ((pos[i] * n + pos[j]) * n + pos[j]) + 2
-        return [
-            (at, "eta", (i, j), single(i)),
-            (at + 1, "tau", (i, j), pair(j, i)),
-            (tau3, "tau3", (i, j, j), normalize((j, i, j))),
-        ]
-    slots = []
-    for j, k in (obj.rest, obj.rest[::-1]):
+        slots += [(at, "eta", (i, j), single(i)), (at + 1, "tau", (i, j), pair(j, i))]
+    for i, j, k in raw_triples(obj):
         at = 2 * n * n + 3 * ((pos[i] * n + pos[j]) * n + pos[k])
         slots.append((at, "eta3", (i, j, k, j), pair(i, j)))
         slots.append((at + 1, "eta3", (i, j, k, k), pair(i, k)))
-        if j != i:
-            slots.append((at + 2, "tau3", (i, j, k), normalize((j, i, k))))
-    return slots
+        slots.append((at + 2, "tau3", (i, j, k), normalize((j, i, k))))
+    return [slot for slot in slots if slot[3] != obj]
 
 
 def display_order(obj: GlObject) -> tuple:
@@ -191,10 +205,9 @@ def display_order(obj: GlObject) -> tuple:
 def restrict(index: Iterable[str], objs: Iterable[GlObject]) -> Category:
     """The full subcategory of the index category on ``objs``.
 
-    Its objects, edges and faces are those of ``objects``, ``edges`` and
-    ``faces`` restricted in order to ``objs``: an edge is kept when both its
-    endpoints are, and a face list keeps the faces of kept edges.  Only the
-    raw generators into ``objs`` are read (``_raw_slots``), so the cost
+    Its objects and edges are those of ``objects`` and ``edges`` restricted
+    in order to ``objs``: an edge is kept when both its endpoints are.  Only
+    the raw generators into ``objs`` are read (``_raw_slots``), so the cost
     follows the number of objects, not |I|^3.
     """
     idx = sorted(set(index))
@@ -211,12 +224,7 @@ def restrict(index: Iterable[str], objs: Iterable[GlObject]) -> Category:
     for _, kind, indices, d, c in slots:
         if (d, c) not in first:
             first[(d, c)] = GlGen(kind, indices)
-    into: dict[GlObject, list[GlObject]] = {o: [] for o in kept}
-    for (d, c), gen in first.items():
-        if gen.kind != "tau" and gen.kind != "tau3":
-            into[c].append(d)
-    faces = {o: tuple(into[o]) for o in kept if into[o]}
-    return Category(tuple(kept), MappingProxyType(first), MappingProxyType(faces))
+    return Category(tuple(kept), MappingProxyType(first))
 
 
 @lru_cache(maxsize=None)
@@ -239,14 +247,9 @@ def edges(index: Iterable[str]) -> Mapping[tuple[GlObject, GlObject], GlGen]:
     return _of(index).edges
 
 
-def faces(index: Iterable[str]) -> Mapping[GlObject, tuple[GlObject, ...]]:
-    """Each pair and triple object, in display order, to the sources of its eta and eta3 edges:
-    ``[i,j] -> ([i],)`` and ``[i|{j,k}] -> ([i,j], [i,k])``, where ``[i,i]`` reads ``[i]``."""
-    return _of(index).faces
-
-
 def faces_of(obj: GlObject) -> tuple[GlObject, ...]:
-    """The faces of one pair or triple object, as ``faces`` lists them over any index holding it."""
+    """The sources of the eta and eta3 edges into a pair or triple object:
+    ``[i,j] -> ([i],)`` and ``[i|{j,k}] -> ([i,j], [i,k])``, where ``[i,i]`` reads ``[i]``."""
     if obj.arity == 2:
         return (single(obj.head),)
     return tuple(pair(obj.head, n) for n in obj.rest)

@@ -12,7 +12,7 @@ anchor is not injective, so ``glue`` checks the raw relation with
 symmetric, transitive), and raises ``NotEquivalence``, a cocycle diagnostic
 naming the first failing row's witness, instead of silently closing it.
 
-Everything here walks the datum's nerve (``gdata.Nerve``): a cone has one
+Everything here walks the datum's nerve (a ``glidx.Category``): a cone has one
 leg per object of the nerve, and a triangle, factorization or overlap out
 of an object outside it runs out of the empty space, so it holds and is not
 checked.  Only (e) of the glued-object properties looks further: two
@@ -49,7 +49,7 @@ from .fintop import (
     read_only,
 )
 from .gdata import GluingData, Report, _require_triples, validate
-from .glidx import GlObject, single
+from .glidx import GlObject, faces_of, single
 
 CONE_MODES = ("full", "figure3", "figure4")
 
@@ -200,7 +200,7 @@ def complete_cone(
     """Extend patch legs to a full leg family using the forced factorizations.
 
     Each pair and triple leg of the nerve, pairs first, is its first face's
-    leg composed with the map of the edge between them (``Nerve.faces``,
+    leg composed with the map of the edge between them (``glidx.faces_of``,
     ``GluingData.map``).
     """
     legs: dict[GlObject, SpaceMap] = {}
@@ -208,7 +208,8 @@ def complete_cone(
         if i not in single_legs:
             raise MissingLeg(f"no leg for patch {i!r}")
         legs[single(i)] = single_legs[i]
-    for obj, (a, *_) in gd.nerve.faces.items():
+    for obj in (o for o in gd.nerve.objects if o.arity > 1):
+        a = faces_of(obj)[0]
         legs[obj] = compose(legs[a], gd.map(a, obj))
     return Cone(apex, legs)
 
@@ -308,8 +309,8 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
     rep = Report()
     idx = gd.index
     legs = _typed_legs(gd, candidate, gd.nerve.objects)
-    for obj, faces in gd.nerve.faces.items():
-        paths = [[legs[a], gd.map(a, obj)] for a in faces]
+    for obj in (o for o in gd.nerve.objects if o.arity > 1):
+        paths = [[legs[a], gd.map(a, obj)] for a in faces_of(obj)]
         failed = [w for p in paths if (w := disagreement(p, [legs[obj]])) is not None]
         if obj.arity == 2:
             name, subject = "a-pair-factors", f"({obj.head},{obj.rest[0]})"
@@ -518,6 +519,17 @@ def verify_universal(
     return rep
 
 
+def _non_open_data(gd: GluingData) -> list[tuple[str, tuple[str, str]]]:
+    """The anchors, then the transitions, of the nerve's pairs that are not open maps, as (kind, key):
+    the data is open iff there is none, as every map off the nerve is empty, so open."""
+    return [
+        (kind, key)
+        for kind, table in (("anchor", gd.anchor), ("transition", gd.transition))
+        for key in gd.nerve.pairs
+        if non_open_points(table[key])
+    ]
+
+
 class OtopReport(Report):
     """A report that also says whether all anchors and transitions are open.
 
@@ -541,10 +553,8 @@ def check_otop(gd: GluingData, glued: Cone) -> OtopReport:
     """
     legs = _typed_legs(gd, glued, map(single, gd.index))
     rep = OtopReport()
-    for kind, table in (("anchor", gd.anchor), ("transition", gd.transition)):
-        for key in gd.nerve.pairs:
-            if non_open_points(table[key]):
-                rep.add("data-open", f"{kind}{key}", False, "not an open map")
+    for kind, key in _non_open_data(gd):
+        rep.add("data-open", f"{kind}{key}", False, "not an open map")
     covered = set()
     for obj, leg in legs.items():
         w = failure_witnesses(leg, discontinuities, collisions, non_embedding_points)

@@ -171,7 +171,7 @@ def complete_refinement(
     for i in gamma.source:
         if single(i) not in comps:
             raise MissingComponent(f"patch component for {i!r} must be given")
-    walk = [*coarse.data.nerve.faces, *_stranded(gamma, fine, coarse)]
+    walk = [*(o for o in coarse.data.nerve.objects if o.arity > 1), *_stranded(gamma, fine, coarse)]
     for obj in sorted(walk, key=glidx.display_order):
         if obj in comps:
             continue

@@ -1,7 +1,7 @@
 """Cone legs and cone triangles spelled out table by table: the reference for tests.
 
 The library walks the index category's generator edges (``glidx.edges`` and
-``glidx.faces``) to build cone legs and to list the triangles each cone mode
+``glidx.faces_of``) to build cone legs and to list the triangles each cone mode
 compares.  These helpers keep the hand-built versions, which read the anchor,
 transition and projection tables directly, so that a test can compare the
 two.

@@ -89,6 +89,18 @@ class TestValidateCommand:
         assert "projection-square" in out
         assert "(l,a)" in out
 
+    def test_mistyped_triple_transition_fails_a_row(self, capsys, tmp_path):
+        # a given triple transition (1,2,2) into PT, not into the space of (2,1,2)
+        bad = "space PT\n  points: p\n  opens: p\nend\n\nmap bad: D12 -> PT\n  a -> p\n  b -> p\nend\n\n"
+        doc = CIRCLE_DOC.replace("gluing CIRC", bad + "gluing CIRC", 1).replace(
+            "  transition 2 1: t21\nend", "  transition 2 1: t21\n  triple 1 2 2: bad\nend", 1
+        )
+        f = tmp_path / "mistyped.glue"
+        f.write_text(doc)
+        code, out, err = run_cli(capsys, "validate", str(f), "CIRC", "--derive-triples")
+        assert (code, err) == (1, "")
+        assert "FAIL triple-typing (1,2,2) (witness: D12 -> PT, not D12 -> T[2,1,2])" in out
+
 
 class TestComposeCommand:
     def test_torus_meta(self, capsys, torus_file):

@@ -200,23 +200,26 @@ MUTATIONS = {"anchor": _mutated_anchor, "transition": mutate_transition, "triple
 
 
 def _restricted(gd):
-    """``glidx``'s objects, edges, faces and law subjects restricted in order to what ``gd`` stores."""
+    """``glidx``'s objects, edges and law subjects restricted in order to what ``gd`` stores,
+    with the sources of the kept eta and eta3 edges into each object as its faces."""
     kept = [o for o in glidx.objects(gd.index) if o.arity == 1 or gd.space_of(o).points]
     members = set(kept)
     edges = [(dc, g) for dc, g in glidx.edges(gd.index).items() if members.issuperset(dc)]
-    faces = [
-        (o, tuple(f for f in fs if f in members))
-        for o, fs in glidx.faces(gd.index).items()
-        if o in members
-    ]
+    into: dict = {}
+    for (d, c), g in edges:
+        if g.kind in ("eta", "eta3"):
+            into.setdefault(c, []).append(d)
+    faces = [(o, tuple(into[o])) for o in kept if o in into]
     pairs = [(i, j) for i, j in product(gd.index, repeat=2) if pair(i, j) in members]
     triples = [key for key in product(gd.index, repeat=3) if normalize(key) in members]
-    return tuple(kept), edges, [(o, fs) for o, fs in faces if fs], pairs, triples
+    return tuple(kept), edges, faces, pairs, triples
 
 
 def _nerve_lists(gd):
+    """The nerve's objects, edges, faces (``glidx.faces_of`` of each pair and triple) and law subjects."""
     nerve = gd.nerve
-    return nerve.objects, list(nerve.edges.items()), list(nerve.faces.items()), list(nerve.pairs), list(nerve.triples)
+    faces = [(o, glidx.faces_of(o)) for o in nerve.objects if o.arity > 1]
+    return nerve.objects, list(nerve.edges.items()), faces, list(nerve.pairs), list(nerve.triples)
 
 
 class TestSameAsReference:

@@ -7,7 +7,7 @@ import pytest
 from conftest import digital_circle_data, mutate_transition, mutate_triple, random_lawful_data
 from paths import coord, find_path, realize
 from test_glue import self_weld_arc
-from topoglue import gdata
+from topoglue import gdata, glidx
 from topoglue.errors import NotDetermined, UnresolvedReference, ValidationFailed
 from topoglue.fintop import SpaceMap, compose, identity_map, make_space, subspace
 from topoglue.fixtures import arc3, cylinder_data, disc2, gd_circ, pt, trivial_data
@@ -80,6 +80,54 @@ class TestValidate:
         rep = validate(stripped)
         assert not rep.passed
         assert any(e.name == "triple-present" for e in rep.failures())
+
+    def test_mistyped_triple_transition_fails_a_row(self):
+        gd = gd_circ()
+        old = gd.triple_transition[("1", "2", "2")]
+        into_pt = SpaceMap(old.dom, pt(), dict.fromkeys(old.dom.points, "p"))
+        bad = dataclasses.replace(gd, triple_transition={**gd.triple_transition, ("1", "2", "2"): into_pt})
+        rep = validate(bad)
+        assert [(e.name, e.subject) for e in rep.failures()] == [("triple-typing", "(1,2,2)")]
+        assert rep.entries[-1].witness == "DISC2 -> PT, not DISC2 -> T[2,1,2]"
+
+
+def _triple_keys(index, objects):
+    """The ordered triples whose normal object is among ``objects``, in index order, as the
+    nerve listed its triple law subjects before it was a ``glidx.Category``."""
+    keys = []
+    for obj in objects:
+        i = obj.head
+        if obj.arity == 3:
+            j, k = obj.rest
+            keys += [(i, j, k), (i, k, j)]
+        else:
+            j = obj.rest[0] if obj.rest else i
+            keys.append((i, j, j))
+    pos = {i: n for n, i in enumerate(index)}
+    return tuple(sorted(keys, key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]])))
+
+
+class TestLawSubjects:
+    """``Category.pairs`` and ``triples``, read off the objects, are the law subjects the nerve listed."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_whole_index_category(self, n):
+        idx = tuple("abcd"[:n])
+        cat = glidx.restrict(idx, objects(idx))
+        assert cat.pairs == tuple(itertools.product(idx, repeat=2))
+        assert cat.triples == tuple(itertools.product(idx, repeat=3)) == _triple_keys(idx, cat.objects)
+
+    def test_seeded_lawful_data_and_circles_with_empty_overlaps(self):
+        rng = random.Random(5)
+        data = [random_lawful_data(rng) for _ in range(12)]
+        data += [digital_circle_data(16, 4), digital_circle_data(24, 6)]
+        assert any(not space.points for gd in data for space in gd.overlap.values())
+        for gd in data:
+            pos = {i: n for n, i in enumerate(gd.index)}
+            stored = [key for key, space in gd.overlap.items() if key[0] == key[1] or space.points]
+            assert isinstance(gd.nerve, glidx.Category)
+            assert gd.nerve.pairs == tuple(sorted(stored, key=lambda ij: (pos[ij[0]], pos[ij[1]])))
+            assert gd.nerve.triples == _triple_keys(gd.index, gd.nerve.objects)
 
 
 TABLES = ("patch", "overlap", "anchor", "transition", "triple_space", "triple_proj", "triple_transition")

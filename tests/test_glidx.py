@@ -14,7 +14,6 @@ from topoglue.glidx import (
     GlObject,
     compose_path,
     edges,
-    faces,
     normalize,
     objects,
     pair,
@@ -141,35 +140,35 @@ class TestGenerators:
 
 class TestFaces:
     def test_shapes(self):
-        table = faces(I3)
-        assert table[pair("2", "3")] == (single("2"),)
-        assert table[normalize(("1", "2", "3"))] == (pair("1", "2"), pair("1", "3"))
-        assert table[normalize(("2", "1", "3"))] == (pair("2", "1"), pair("2", "3"))
+        assert glidx.faces_of(pair("2", "3")) == (single("2"),)
+        assert glidx.faces_of(normalize(("1", "2", "3"))) == (pair("1", "2"), pair("1", "3"))
+        assert glidx.faces_of(normalize(("2", "1", "3"))) == (pair("2", "1"), pair("2", "3"))
 
     def test_degenerate_triple(self):
         # [i|{i,k}] has the patch [i] and the pair [i,k] as faces, in the order of rest
-        assert faces(I3)[normalize(("1", "1", "3"))] == (single("1"), pair("1", "3"))
-        assert faces(I3)[normalize(("3", "1", "3"))] == (pair("3", "1"), single("3"))
+        assert glidx.faces_of(normalize(("1", "1", "3"))) == (single("1"), pair("1", "3"))
+        assert glidx.faces_of(normalize(("3", "1", "3"))) == (pair("3", "1"), single("3"))
 
     @pytest.mark.parametrize("idx", [("i",), I2, I3, ("1", "2", "3", "4")])
-    def test_pairs_before_triples_each_with_the_sources_of_its_eta_edges(self, idx):
-        table = faces(idx)
-        assert list(table) == [o for o in objects(idx) if o.arity > 1]
-        for obj, sources in table.items():
+    def test_faces_are_the_sources_of_the_eta_edges_into_each_object(self, idx):
+        into: dict = {}
+        for (d, c), g in edges(idx).items():
+            if g.kind in ("eta", "eta3"):
+                into.setdefault(c, []).append(d)
+        assert list(into) == [o for o in objects(idx) if o.arity > 1]
+        for obj, sources in into.items():
             ns = (obj.head,) if obj.arity == 2 else obj.rest
-            assert sources == tuple(pair(obj.head, n) for n in ns)
-            into = [(d, g.kind) for (d, c), g in edges(idx).items() if c == obj]
-            assert [d for d, kind in into if kind in ("eta", "eta3")] == list(sources)
+            assert glidx.faces_of(obj) == tuple(sources) == tuple(pair(obj.head, n) for n in ns)
 
     @pytest.mark.parametrize("idx", [I2, I3, ("1", "2", "3", "4")])
-    def test_one_object_at_a_time_and_in_display_order(self, idx):
-        assert all(glidx.faces_of(obj) == sources for obj, sources in faces(idx).items())
+    def test_objects_in_display_order(self, idx):
         assert list(objects(idx)) == sorted(objects(idx), key=glidx.display_order)
 
     def test_built_once_and_read_only(self):
-        assert faces(I3) is faces(reversed(I3))
+        assert objects(I3) is objects(reversed(I3))
+        assert edges(I3) is edges(reversed(I3))
         with pytest.raises(TypeError):
-            faces(I3)[pair("1", "2")] = (single("2"),)
+            edges(I3)[(single("1"), pair("1", "2"))] = GlGen("tau", ("1", "2"))
 
 
 class TestHom:

@@ -6,11 +6,13 @@ so the full triple-transition machinery (cocycle, projection squares,
 derivation) runs through non-trivial slots.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import itertools
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +198,27 @@ class TestOneMapReader:
         refine = importlib.import_module("topoglue.refine")
         assert not {"functor_tables", "_coords"} & set(vars(gdata))
         assert "_reindexed_map" not in vars(refine)
+
+
+class TestOneIndexCategoryType:
+    """A datum's nerve is a ``glidx.Category``, which keeps objects and edges alone."""
+
+    def test_no_second_nerve_type_and_no_stored_faces(self):
+        gdata = importlib.import_module("topoglue.gdata")
+        glidx = importlib.import_module("topoglue.glidx")
+        assert not {"Nerve", "_triple_keys"} & set(vars(gdata))
+        assert "faces" not in vars(glidx)
+        assert [f.name for f in dataclasses.fields(glidx.Category)] == ["objects", "edges"]
+        assert isinstance(gd_circ().nerve, glidx.Category)
+
+
+class TestPython310Syntax:
+    """Every module parses as Python 3.10, the oldest version ``pyproject.toml`` allows."""
+
+    @pytest.mark.parametrize("folder", ["src/topoglue", "tests"])
+    def test_modules_parse(self, folder):
+        root = Path(__file__).resolve().parent.parent / folder
+        paths = sorted(root.rglob("*.py"))
+        assert paths
+        for path in paths:
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
