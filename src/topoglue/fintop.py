@@ -226,9 +226,13 @@ def disagreement(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> str | N
         _composite(left)  # a path whose middle spaces differ raises here
         _composite(right)
         return "<endpoint mismatch>"
-    points = list(left[-1].dom.points)
-    if not points:
-        return None
+    return _first_difference(left, right, list(left[-1].dom.points))
+
+
+def _first_difference(left: Sequence[SpaceMap], right: Sequence[SpaceMap], points: list[str]) -> str | None:
+    """The least of ``points`` where two composable paths, listed as ``disagreement`` takes
+    them, send a point to different images; None if there is none.  ``points``
+    are those of the paths' common domain, and an empty path is its identity."""
     ours, theirs = _images(left, points), _images(right, points)
     if ours == theirs:
         return None
@@ -247,6 +251,15 @@ def discontinuities(f: SpaceMap) -> list[str]:
             broken.append(x)
     broken.sort()
     return broken
+
+
+def is_continuous(f: SpaceMap) -> bool:
+    """Whether f(min_open(x)) lies inside min_open(f(x)) for every x; the first failure stops."""
+    table, cod_open = f.table, f.cod.min_open
+    for x, ux in f.dom.min_open.items():
+        if not cod_open[table[x]].issuperset(map(table.__getitem__, ux)):
+            return False
+    return True
 
 
 def collisions(f: SpaceMap) -> list[str]:

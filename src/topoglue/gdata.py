@@ -26,12 +26,16 @@ A datum is frozen: its tables are read-only copies of what it was built
 from.  So it has one verdict, and ``validate`` computes its rows once per
 datum (as ``glue`` builds the patches' disjoint union once);
 ``dataclasses.replace`` and ``derive_triple_maps`` build a new datum, which
-gets its own.
+gets its own.  Building a datum checks its pair tables once
+(``make_gluing_data``, or ``__post_init__`` for a direct or replaced one);
+``derive_triple_maps`` shares the checked tables of the datum it copies.
+``validate`` first types every map of the nerve, and stops after those
+rows if one is mistyped; then every law compares tables point by point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Iterable, Mapping
@@ -42,7 +46,6 @@ from .fintop import (
     FiniteSpace,
     SpaceMap,
     compose,
-    disagreement,
     discontinuities,
     failure_witnesses,
     identity_map,
@@ -50,6 +53,7 @@ from .fintop import (
 )
 from .glidx import GlGen, GlObject, normalize, pair, single
 
+_TABLES = ("patch", "overlap", "anchor", "transition", "triple_space", "triple_proj", "triple_transition")
 EMPTY = FiniteSpace("empty", (), {})  # the space of every object outside a datum's nerve
 _NOTHING = identity_map(EMPTY)
 
@@ -167,14 +171,23 @@ class GluingData:
 
     def __post_init__(self):
         index = tuple(self.index)
+        pairs = _nerve_pairs(index, self.patch, self.overlap, self.anchor, self.transition)
+        triples = _nerve_triples(index, pairs[0], self.triple_space, self.triple_proj, self.triple_transition)
+        self._hold(index, *map(read_only, (self.patch, *pairs, *triples)))
+
+    def _hold(self, index: tuple[str, ...], *tables: Mapping) -> None:
+        """Set the index and then the tables, in field order, as they are."""
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "patch", read_only(self.patch))
-        tables = _nerve_pairs(index, self.patch, self.overlap, self.anchor, self.transition)
-        for name, table in zip(("overlap", "anchor", "transition"), tables):
-            object.__setattr__(self, name, read_only(table))
-        names = ("triple_space", "triple_proj", "triple_transition")
-        for name, table in zip(names, _nerve_triples(self)):
-            object.__setattr__(self, name, read_only(table))
+        for name, table in zip(_TABLES, tables):
+            object.__setattr__(self, name, table)
+
+    @classmethod
+    def _checked(cls, index: tuple[str, ...], *tables: Mapping) -> GluingData:
+        """A datum from read-only tables, in field order, that are already kept as its nerve
+        keeps them (``_nerve_pairs``, ``_nerve_triples``): held as they are, not checked again."""
+        gd = object.__new__(cls)
+        gd._hold(index, *tables)
+        return gd
 
     @cached_property
     def nerve(self) -> glidx.Category:
@@ -231,32 +244,34 @@ class GluingData:
         return SpaceMap(self.space_of(b), self.space_of(a), {})
 
 
-def _nerve_triples(gd: GluingData) -> tuple[dict, dict, dict]:
-    """The triple tables of a datum whose pair tables are set, as its nerve keeps them.
+def _nerve_triples(index, overlap, triple_space, triple_proj, triple_transition) -> tuple[dict, dict, dict]:
+    """The triple tables of a datum with this ``overlap`` table (``_nerve_pairs``), as its nerve keeps them.
 
-    It runs while the triple tables are still as given.  A triple space
-    with no points is dropped, and so is a projection out of it or a triple
-    transition (i, j, k), i != j, out of an object the datum does not store,
-    once ``_require_empty`` finds it the empty map into overlap (i,n) or the
-    space of (j,i,k).
+    A triple space with no points is dropped, and so is a projection out of
+    it or a triple transition (i, j, k), i != j, out of an object the datum
+    does not store, once ``_require_empty`` finds it the empty map into
+    overlap (i,n) or the space of (j,i,k).
     """
-    spaces = {obj: sp for obj, sp in gd.triple_space.items() if sp.points}
+    spaces = {obj: sp for obj, sp in triple_space.items() if sp.points}
     projs = {}
-    for (obj, n), f in gd.triple_proj.items():
+    for (obj, n), f in triple_proj.items():
         if obj in spaces:
             projs[(obj, n)] = f
         else:
-            _require_empty(f"projection {obj!r} -> [{obj.head},{n}]", f, gd.overlap[(obj.head, n)])
-    labels, pairs = set(gd.index), gd._pairs
+            _require_empty(f"projection {obj!r} -> [{obj.head},{n}]", f, overlap[(obj.head, n)])
+    labels = set(index)
     transitions = {}
-    for key, f in gd.triple_transition.items():
+    for key, f in triple_transition.items():
         if len(key) != 3 or key[0] == key[1] or not labels.issuperset(key):
             transitions[key] = f  # not the key of a transition the laws read
-        elif normalize(key) in spaces or (key[1] == key[2] and key[:2] in pairs):
+            continue
+        i, j, k = key
+        if normalize(key) in spaces or (j == k and overlap[(i, j)].points):
             transitions[key] = f
         else:
-            i, j, k = key
-            _require_empty(f"triple transition {key}", f, gd.space_of(normalize((j, i, k))))
+            partner = normalize((j, i, k))
+            cod = overlap[(j, i)] if partner.arity == 2 else spaces.get(partner, EMPTY)
+            _require_empty(f"triple transition {key}", f, cod)
     return spaces, projs, transitions
 
 
@@ -266,7 +281,8 @@ def _triple_tables(index, overlap, anchor):
     The space of [i|{j,k}] is the pullback of anchors (i,j) and (i,k), so it
     has points only when both overlaps do.  Only those anchor pairs are
     pulled back: per label i, the pairs of its overlaps with points, (i,i)
-    among them.
+    among them, whose anchors land in one space.  Any other pair has a
+    mistyped anchor, which fails ``validate``'s ``anchor-typing`` row.
     """
     near: dict[str, list[str]] = {i: [] for i in index}
     for (i, j), space in overlap.items():  # in index order
@@ -277,8 +293,10 @@ def _triple_tables(index, overlap, anchor):
     for i in index:
         for a, j in enumerate(near[i]):
             for k in near[i][a + 1:]:
-                tag = f"T[{i},{j},{k}]"
-                space, proj_j, proj_k = fintop.pullback(anchor[(i, j)], anchor[(i, k)], tag)
+                f, g = anchor[(i, j)], anchor[(i, k)]
+                if not fintop._same(f.cod, g.cod):
+                    continue
+                space, proj_j, proj_k = fintop.pullback(f, g, f"T[{i},{j},{k}]")
                 if space.points:
                     obj = normalize((i, j, k))
                     spaces[obj], projs[(obj, j)], projs[(obj, k)] = space, proj_j, proj_k
@@ -317,30 +335,15 @@ def make_gluing_data(
         overlap.setdefault((i, i), patch[i])
         anchor.setdefault((i, i), identity_map(patch[i]))
         transition.setdefault((i, i), identity_map(overlap[(i, i)]))
-    overlap, anchor, transition = _nerve_pairs(idx, patch, overlap, anchor, transition)
-    spaces, projs = _triple_tables(idx, overlap, anchor)
-    return GluingData(
-        index=idx,
-        patch=patch,
-        overlap=overlap,
-        anchor=anchor,
-        transition=transition,
-        triple_space=spaces,
-        triple_proj=projs,
-        triple_transition=dict(triple_transition or {}),
-    )
+    pairs = _nerve_pairs(idx, patch, overlap, anchor, transition)
+    triples = _nerve_triples(idx, pairs[0], *_triple_tables(idx, *pairs[:2]), triple_transition or {})
+    return GluingData._checked(idx, *map(read_only, (patch, *pairs, *triples)))
 
 
 def _coord(gd: GluingData, key: tuple[str, str, str]) -> SpaceMap:
     """The coordinate map of a triple (i,j,k): its space onto overlap (i,j), along the eta3 edge."""
     i, j, _ = key
     return gd.map(pair(i, j), normalize(key))
-
-
-def _fwd(gd: GluingData, key: tuple[str, str, str]) -> SpaceMap:
-    """The transition of a triple (i,j,k): its space into that of (j,i,k), along the tau3 edge."""
-    i, j, k = key
-    return gd.map(normalize((j, i, k)), normalize(key))
 
 
 def derive_triple_maps(gd: GluingData) -> GluingData:
@@ -353,8 +356,14 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
 
     Only the triples of the nerve need a map (``Category.triples``); each has
     points, so each is lifted.  A square partner outside the nerve reads as
-    the empty space, and the lift into it finds no candidate.
+    the empty space, and the lift into it finds no candidate.  When an
+    anchor or transition of the nerve is mistyped (``_pair_typed``), nothing
+    is lifted and ``gd`` is returned: that map fails a typing row of
+    ``validate``.  Otherwise the new datum shares the tables of ``gd``,
+    which are already checked.
     """
+    if not all(all(_pair_typed(gd, i, j)) for i, j in gd.nerve.pairs):
+        return gd
     derived = dict(gd.triple_transition)
     coords = {key: _coord(gd, key) for key in gd.nerve.triples if key[0] != key[1]}
     for key, coord in coords.items():
@@ -367,12 +376,14 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
         if not isinstance(lifted, SpaceMap):
             raise NotDetermined(*key, *lifted)
         derived[key] = lifted
-    return replace(gd, triple_transition=derived)
+    tables = (gd.patch, gd.overlap, gd.anchor, gd.transition, gd.triple_space, gd.triple_proj)
+    return GluingData._checked(gd.index, *tables, read_only(derived))
 
 
 def _add_continuity(rep: Report, name: str, subject: str, f: SpaceMap) -> None:
-    """One continuity row, witnessed by ``fintop.failure_witnesses``."""
-    w = failure_witnesses(f, discontinuities)
+    """One continuity row: a scan that stops at the first failure (``fintop.is_continuous``),
+    witnessed on failure by ``fintop.failure_witnesses``."""
+    w = None if fintop.is_continuous(f) else failure_witnesses(f, discontinuities)
     rep.add(name, subject, w is None, w)
 
 
@@ -386,19 +397,49 @@ def _triples_present(gd: GluingData, rep: Report) -> bool:
     return not missing
 
 
+def _mistyped(f: SpaceMap, dom: FiniteSpace, cod: FiniteSpace) -> str | None:
+    """None when f runs from ``dom`` to ``cod``, else the witness of its failing typing row."""
+    if fintop._same(f.dom, dom) and fintop._same(f.cod, cod):
+        return None
+    return f"{f.dom.space_id} -> {f.cod.space_id}, not {dom.space_id} -> {cod.space_id}"
+
+
+def _pair_typed(gd: GluingData, i: str, j: str) -> tuple[bool, bool]:
+    """Whether anchor (i,j) runs from overlap (i,j) into patch i, and whether
+    transition (i,j) runs from overlap (i,j) into overlap (j,i)."""
+    over = gd.overlap[(i, j)]
+    return (
+        _mistyped(gd.anchor[(i, j)], over, gd.patch[i]) is None,
+        _mistyped(gd.transition[(i, j)], over, gd.overlap[(j, i)]) is None,
+    )
+
+
 def _triples_typed(gd: GluingData, rep: Report) -> bool:
-    """Add a failing ``triple-typing`` row per nerve triple transition (i, j, k), i != j, that
-    does not run from the space of (i,j,k) to that of (j,i,k); True if none is."""
+    """Add a failing row per nerve triple map that does not run between the spaces its laws
+    read; True if none does.
+
+    A ``projection-typing`` row (i,j,k), j != k, for the (i,j)-coordinate
+    of (i,j,k), which runs from the space of (i,j,k) onto overlap (i,j); a
+    ``triple-typing`` row (i,j,k), i != j, for a triple transition, which
+    runs from the space of (i,j,k) to that of (j,i,k).  A missing triple
+    transition is left to ``triple-present``.
+    """
     typed = True
     for i, j, k in gd.nerve.triples:
-        if i == j:
-            continue  # (i,i,k) reads the identity
-        f = gd.triple_transition[(i, j, k)]
-        dom, cod = gd.space_of(normalize((i, j, k))), gd.space_of(normalize((j, i, k)))
-        if not (fintop._same(f.dom, dom) and fintop._same(f.cod, cod)):
-            typed = False
-            witness = f"{f.dom.space_id} -> {f.cod.space_id}, not {dom.space_id} -> {cod.space_id}"
-            rep.add("triple-typing", f"({i},{j},{k})", False, witness)
+        obj, sub = normalize((i, j, k)), f"({i},{j},{k})"
+        space = gd.space_of(obj)
+        if j != k:
+            proj = gd.triple_proj.get((obj, j))
+            w = "missing" if proj is None else _mistyped(proj, space, gd.overlap[(i, j)])
+            if w is not None:
+                typed = False
+                rep.add("projection-typing", sub, False, w)
+        f = gd.triple_transition.get((i, j, k)) if i != j else None  # (i,i,k) reads the identity
+        if f is not None:
+            w = _mistyped(f, space, gd.space_of(normalize((j, i, k))))
+            if w is not None:
+                typed = False
+                rep.add("triple-typing", sub, False, w)
     return typed
 
 
@@ -414,19 +455,32 @@ def validate(gd: GluingData) -> Report:
 
     The rows come from one clause pass per datum (``_check_laws``), run on
     first use and kept by the frozen datum; so ``functor_of`` and
-    ``glue.build_relation`` reuse a verdict already reached.
+    ``glue.build_relation`` reuse a verdict already reached.  The pass types
+    every map of the nerve first and stops after the typing rows if one
+    fails; only then does it compare tables, point by point.
     """
     return Report(list(gd._law_rows))
 
 
+def _is_identity(f: SpaceMap, space: FiniteSpace) -> bool:
+    """Whether f is the identity of ``space``: typed so, and ``table[x] == x`` for every x."""
+    return (
+        fintop._same(f.dom, space)
+        and fintop._same(f.cod, space)
+        and all(x == y for x, y in f.table.items())
+    )
+
+
 def _check_laws(gd: GluingData) -> Report:
-    """The clause pass behind ``validate``.
+    """The clause pass behind ``validate``: first typing, then table compares.
 
     a) the diagonal overlap is the patch; b) diagonal anchor and transition
-    are identities; continuity of every anchor and transition; the inverse law
-    for opposite transitions; presence of all triple transitions; the cocycle
-    law for composed triple transitions; and the projection square tying
-    triple transitions to pair transitions.
+    are identities; typing and continuity of every anchor and transition;
+    typing of every triple projection and given triple transition
+    (``_triples_typed``); the inverse law for opposite transitions; presence
+    of all triple transitions; the cocycle law for composed triple
+    transitions; and the projection square tying triple transitions to pair
+    transitions.
 
     The transition out of the [i,j,k]-space always lands in the [j,i,k]-space
     (first two indices swapped, third carried along); the cocycle and
@@ -437,9 +491,14 @@ def _check_laws(gd: GluingData) -> Report:
     The pass walks the nerve: its degenerate triples, its pairs and its
     triples (``glidx.Category``).  Every map out of an object outside the
     nerve is the empty map into the right space, so every clause there
-    holds and has no row.  Once every triple transition is typed, each runs
+    holds and has no row.  The pass returns after the typing rows when a
+    diagonal overlap is not its patch or a map of the nerve is mistyped, as
+    it does after a failing ``triple-present`` row.  Typed, every map runs
     into a space with points, so every partner a clause reads is in the
-    nerve too.
+    nerve too, and every composite meets: each law row compares the tables
+    point by point (``fintop._first_difference``, as ``fintop.disagreement``
+    compares composable paths), reading each triple's two maps once
+    (``GluingData.map``; an identity edge is the empty path, read from no table).
     """
     nerve = gd.nerve
     rep = Report()
@@ -449,49 +508,54 @@ def _check_laws(gd: GluingData) -> Report:
                 "degenerate-triple", repr(obj), True,
                 "kept distinct from its pair object; canonically isomorphic",
             )
+    typed = True
     for i in gd.index:
         sub = f"({i},{i})"
-        rep.add("overlap-diagonal", sub, gd.overlap[(i, i)] == gd.patch[i])
-        rep.add(
-            "anchor-diagonal",
-            sub,
-            disagreement([gd.anchor[(i, i)]], [identity_map(gd.patch[i])]) is None,
-        )
-        rep.add(
-            "transition-diagonal",
-            sub,
-            disagreement([gd.transition[(i, i)]], [identity_map(gd.overlap[(i, i)])]) is None,
-        )
+        patch, over = gd.patch[i], gd.overlap[(i, i)]
+        same = over == patch
+        typed = typed and same
+        rep.add("overlap-diagonal", sub, same)
+        rep.add("anchor-diagonal", sub, _is_identity(gd.anchor[(i, i)], patch))
+        rep.add("transition-diagonal", sub, _is_identity(gd.transition[(i, i)], over))
     for i, j in nerve.pairs:
         sub = f"({i},{j})"
-        a = gd.anchor[(i, j)]
-        t = gd.transition[(i, j)]
-        ok_a = a.dom == gd.overlap[(i, j)] and a.cod == gd.patch[i]
-        ok_t = t.dom == gd.overlap[(i, j)] and t.cod == gd.overlap[(j, i)]
+        ok_a, ok_t = _pair_typed(gd, i, j)
+        typed = typed and ok_a and ok_t
         rep.add("anchor-typing", sub, ok_a)
         rep.add("transition-typing", sub, ok_t)
         if ok_a:
-            _add_continuity(rep, "anchor-continuous", sub, a)
+            _add_continuity(rep, "anchor-continuous", sub, gd.anchor[(i, j)])
         if ok_t:
-            _add_continuity(rep, "transition-continuous", sub, t)
-    for i, j in nerve.pairs:
-        w = disagreement(
-            [gd.transition[(j, i)], gd.transition[(i, j)]], [identity_map(gd.overlap[(i, j)])]
-        )
-        rep.add("transition-inverse", f"({i},{j})", w is None, w)
-    if not _triples_present(gd, rep) or not _triples_typed(gd, rep):
+            _add_continuity(rep, "transition-continuous", sub, gd.transition[(i, j)])
+    if not (_triples_typed(gd, rep) and typed):
         return rep
 
-    # each nerve triple's two maps, read once
-    fwds = {key: _fwd(gd, key) for key in nerve.triples}
-    coords = {key: _coord(gd, key) for key in nerve.triples}
+    for i, j in nerve.pairs:
+        there = gd.transition[(i, j)]
+        w = fintop._first_difference((gd.transition[(j, i)], there), (), list(there.dom.points))
+        rep.add("transition-inverse", f"({i},{j})", w is None, w)
+    if not _triples_present(gd, rep):
+        return rep
+
+    # each nerve triple's two maps, read once, each as a path of maps; the identities, the
+    # transition of (i,i,k) and the (i,j)-coordinate of (i,j,j), are the empty path
+    fwds, coords = {}, {}
+    for key in nerve.triples:
+        i, j, k = key
+        obj = normalize(key)
+        fwds[key] = () if i == j else (gd.map(normalize((j, i, k)), obj),)
+        coords[key] = () if j == k else (gd.map(pair(i, j), obj),)
     for key, f in fwds.items():
         i, j, k = key
         sub = f"({i},{j},{k})"
-        _add_continuity(rep, "triple-continuous", sub, f)
-        w = disagreement((fwds[(j, k, i)], f), (fwds[(i, k, j)],))
+        if f:
+            _add_continuity(rep, "triple-continuous", sub, f[0])
+        else:
+            rep.add("triple-continuous", sub, True)
+        points = list(gd.space_of(normalize(key)).points)
+        w = fintop._first_difference((*fwds[(j, k, i)], *f), fwds[(i, k, j)], points)
         rep.add("cocycle", sub, w is None, w)
-        w = disagreement((coords[(j, i, k)], f), (gd.transition[(i, j)], coords[key]))
+        w = fintop._first_difference((*coords[(j, i, k)], *f), (gd.transition[(i, j)], *coords[key]), points)
         rep.add("projection-square", sub, w is None, w)
     return rep
 

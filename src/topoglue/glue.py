@@ -48,7 +48,7 @@ from .fintop import (
     non_open_points,
     read_only,
 )
-from .gdata import GluingData, Report, _require_triples, validate
+from .gdata import GluingData, Report, _pair_typed, _require_triples, validate
 from .glidx import GlObject, faces_of, single
 
 CONE_MODES = ("full", "figure3", "figure4")
@@ -403,8 +403,14 @@ def enumerate_cones(
     pair, Stong 1966).  Families come out in the order of the Cartesian
     product of the per-patch map lists: two families first differ at the
     first member of the first class they differ on.  ``budget`` bounds the
-    class assignments tried.
+    class assignments tried.  The maps the links read are typed first
+    (``gdata._pair_typed``): data that need not have passed ``validate`` may
+    send a link out of its patches, and a mistyped map raises
+    CompositionMismatch.
     """
+    for i, j in gd.nerve.pairs:
+        if not (all(_pair_typed(gd, i, j)) and _pair_typed(gd, j, i)[0]):
+            raise CompositionMismatch(f"the maps linking patches {i!r} and {j!r} are mistyped")
     patch_points = [(i, sorted(gd.patch[i].points)) for i in gd.index]
     pos = {ix: p for p, ix in enumerate((i, x) for i, pts in patch_points for x in pts)}
     links = fintop._UnionFind(range(len(pos)))  # a class's root is its first member

@@ -101,6 +101,22 @@ class TestValidateCommand:
         assert (code, err) == (1, "")
         assert "FAIL triple-typing (1,2,2) (witness: D12 -> PT, not D12 -> T[2,1,2])" in out
 
+    @pytest.mark.parametrize("kind", ["anchor", "transition"])
+    @pytest.mark.parametrize("derive", [[], ["--derive-triples"]])
+    def test_mistyped_pair_map_fails_a_row(self, capsys, tmp_path, kind, derive):
+        # a pair map D12 -> PT: no law reads it, and no triple transition is lifted over it;
+        # the document ends with the gluing, as a cone over it composes its maps when parsed
+        bad = "space PT\n  points: p\n  opens: p\nend\n\nmap bad: D12 -> PT\n  a -> p\n  b -> p\nend\n\n"
+        given = {"anchor": "  anchor 1 2: a12\n", "transition": "  transition 1 2: t12\n"}[kind]
+        doc = CIRCLE_DOC[: CIRCLE_DOC.index("space C4")].replace("gluing CIRC", bad + "gluing CIRC", 1)
+        doc = doc.replace(given, f"  {kind} 1 2: bad\n", 1)
+        f = tmp_path / "mistyped.glue"
+        f.write_text(doc)
+        code, out, err = run_cli(capsys, "validate", str(f), "CIRC", *derive)
+        assert (code, err) == (1, "")
+        assert f"FAIL {kind}-typing (1,2)" in out
+        assert "transition-inverse" not in out and "cocycle" not in out
+
 
 class TestComposeCommand:
     def test_torus_meta(self, capsys, torus_file):

@@ -1,16 +1,38 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import law_reference
 from conftest import digital_circle_data, mutate_transition, mutate_triple, random_lawful_data
 from paths import coord, find_path, realize
 from test_glue import self_weld_arc
 from topoglue import gdata, glidx
-from topoglue.errors import NotDetermined, UnresolvedReference, ValidationFailed
+from topoglue.errors import (
+    CompositionMismatch,
+    NotDetermined,
+    TopoglueError,
+    UnresolvedReference,
+    ValidationFailed,
+)
 from topoglue.fintop import SpaceMap, compose, identity_map, make_space, subspace
-from topoglue.fixtures import arc3, cylinder_data, disc2, gd_circ, pt, trivial_data
+from topoglue.fixtures import (
+    arc3,
+    boundary_data,
+    circle4,
+    cylinder_data,
+    disc2,
+    gd_circ,
+    indisc2,
+    pt,
+    sequential_torus_data,
+    sierp,
+    trivial_data,
+)
 from topoglue.gdata import (
     GluingData,
     derive_triple_maps,
@@ -19,7 +41,7 @@ from topoglue.gdata import (
     make_gluing_data,
     validate,
 )
-from topoglue.glue import glue
+from topoglue.glue import CONE_MODES, check_cone, check_glued_properties, check_otop, glue, verify_universal
 from topoglue.glidx import (
     GlGen,
     edges,
@@ -621,3 +643,233 @@ class TestRoundTrip:
                     fwd = realize(fun, tau_ij.dom, (tau_ij,))
                     bwd = realize(fun, tau_ji.dom, (tau_ji,))
                     assert compose(bwd, fwd) == identity_map(gd.overlap[(i, j)])
+
+
+class TestMistypedPairMaps:
+    """A mistyped anchor, transition or projection fails a typing row, and no law reads it."""
+
+    def _rows(self, gd):
+        rep = validate(gd)
+        assert not any(e.name in ("transition-inverse", "cocycle") for e in rep.entries)
+        return [(e.name, e.subject, e.witness) for e in rep.failures()]
+
+    def _failures(self, gd):
+        return [row[:2] for row in self._rows(gd)]
+
+    def test_transition_into_another_space(self):
+        gd = gd_circ()
+        old = gd.transition[("1", "2")]
+        into_pt = SpaceMap(old.dom, pt(), dict.fromkeys(old.dom.points, "p"))
+        swapped = {**gd.transition, ("1", "2"): into_pt}
+        assert self._failures(dataclasses.replace(gd, transition=swapped)) == [
+            ("transition-typing", "(1,2)")
+        ]
+        # not lifted over: the triple transitions are left to validate, which stops at typing
+        built = make_gluing_data(gd.index, gd.patch, gd.overlap, gd.anchor, swapped)
+        assert derive_triple_maps(built) is built
+        assert self._failures(built) == [("transition-typing", "(1,2)")]
+
+    def test_anchor_into_another_space(self):
+        gd = gd_circ()
+        old = gd.anchor[("1", "2")]
+        into_pt = SpaceMap(old.dom, pt(), dict.fromkeys(old.dom.points, "p"))
+        anchor = {**gd.anchor, ("1", "2"): into_pt}
+        built = make_gluing_data(gd.index, gd.patch, gd.overlap, anchor, gd.transition)
+        assert self._failures(derive_triple_maps(built)) == [("anchor-typing", "(1,2)")]
+
+    def test_diagonal_overlap_that_is_not_the_patch(self):
+        gd = gd_circ()
+        overlap = {**gd.overlap, ("1", "1"): disc2()}
+        built = derive_triple_maps(make_gluing_data(gd.index, gd.patch, overlap, gd.anchor, gd.transition))
+        # the identities of patch 1 given at (1,1) no longer type, nor does the projection of
+        # [1|{1,2}] onto overlap (1,1): where composing them raised, each fails a row
+        assert self._failures(built) == [
+            ("overlap-diagonal", "(1,1)"),
+            ("transition-diagonal", "(1,1)"),
+            ("anchor-typing", "(1,1)"),
+            ("transition-typing", "(1,1)"),
+            ("projection-typing", "(1,1,2)"),
+        ]
+
+    def test_projection_into_another_space(self):
+        gd = digital_circle_data(12, 3)
+        obj = normalize(("0", "0", "1"))
+        old = gd.triple_proj[(obj, "1")]  # the (0,1)-coordinate of (0,1,0)
+        wrong = SpaceMap(old.dom, pt(), dict.fromkeys(old.dom.points, "p"))
+        bad = dataclasses.replace(gd, triple_proj={**gd.triple_proj, (obj, "1"): wrong})
+        witness = f"T[0,0,1] -> PT, not T[0,0,1] -> {old.cod.space_id}"
+        assert self._rows(bad) == [("projection-typing", "(0,1,0)", witness)]
+        missing = {key: f for key, f in gd.triple_proj.items() if key != (obj, "1")}
+        bare = dataclasses.replace(gd, triple_proj=missing)
+        assert self._rows(bare) == [("projection-typing", "(0,1,0)", "missing")]
+
+
+def _law_outcome(check, gd):
+    """The rows a law pass returns, or the type and message of what it raises."""
+    try:
+        return "rows", check(gd).entries
+    except (TopoglueError, KeyError) as exc:
+        return "raises", type(exc).__name__, str(exc)
+
+
+def _redirections(gd):
+    """Every datum that differs from ``gd`` in one point of one off-diagonal anchor, transition
+    or triple transition, built as the benchmark's mutants are: a redirected pair map through
+    ``make_gluing_data`` and ``derive_triple_maps`` (left underived where that raises
+    NotDetermined), a redirected triple transition given to ``make_gluing_data``."""
+    pairs = {"anchor": gd.anchor, "transition": gd.transition}
+    for name, table in (*pairs.items(), ("triple_transition", gd.triple_transition)):
+        for key, f in table.items():
+            if name in pairs and key[0] == key[1]:
+                continue
+            for x in sorted(f.dom.points):
+                for y in sorted(f.cod.points - {f.table[x]}):
+                    changed = {**table, key: SpaceMap(f.dom, f.cod, {**f.table, x: y})}
+                    data = make_gluing_data(gd.index, gd.patch, gd.overlap, **{**pairs, name: changed})
+                    if name not in pairs:
+                        yield data
+                        continue
+                    try:
+                        yield derive_triple_maps(data)
+                    except NotDetermined:
+                        yield data
+
+
+class TestLawPassAgainstReference:
+    """On data whose maps are typed, the law pass gives the reference's rows, or its error.
+
+    The reference (``law_reference.check_laws``) composes every path through
+    ``fintop.disagreement`` and compares each diagonal map with a fresh
+    ``identity_map``; the library reads the tables of typed maps directly.
+    """
+
+    def test_every_redirection_of_the_m12k3_covering_data(self):
+        gd = digital_circle_data(12, 3)
+        failed = Counter()
+        seen = 0
+        for data in _redirections(gd):
+            outcome = _law_outcome(gdata._check_laws, data)
+            assert outcome == _law_outcome(law_reference.check_laws, data)
+            seen += 1
+            failed.update(e.name for e in outcome[1] if not e.ok)
+        assert seen > 250
+        # the guard reads every law: each clause fails on some redirection
+        for clause in ("anchor-continuous", "transition-inverse", "triple-present", "cocycle",
+                       "projection-square", "triple-continuous"):
+            assert failed[clause], clause
+
+    def test_fixtures_seeded_data_and_circles_with_empty_overlaps(self):
+        rng = random.Random(23)
+        data = [gd_circ(), cylinder_data("1"), boundary_data("1"), sequential_torus_data()]
+        data += [random_lawful_data(rng) for _ in range(25)]
+        data += [digital_circle_data(16, 4), digital_circle_data(24, 6)]
+        assert any(not space.points for gd in data for space in gd.overlap.values())
+        for gd in data:
+            for variant in (gd, dataclasses.replace(gd, triple_transition={})):
+                expected = _law_outcome(law_reference.check_laws, variant)
+                assert _law_outcome(gdata._check_laws, variant) == expected
+
+
+class TestConstructionPasses:
+    """``make_gluing_data`` runs the pair pass once, and ``derive_triple_maps`` copies a checked datum."""
+
+    def _counted(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(gdata, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        for name in ("_nerve_pairs", "_nerve_triples"):
+            monkeypatch.setattr(gdata, name, counted(name))
+        return calls
+
+    def test_one_pair_pass_per_covering_datum(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        gd = digital_circle_data(12, 3)
+        assert calls == {"_nerve_pairs": 1, "_nerve_triples": 1}
+        calls.clear()
+        derived = derive_triple_maps(dataclasses.replace(gd, triple_transition={}))
+        assert calls == {"_nerve_pairs": 1, "_nerve_triples": 1}  # replace checks; derive does not
+        assert derived == gd
+
+    def test_derived_datum_is_read_only(self):
+        gd = derive_triple_maps(dataclasses.replace(gd_circ(), triple_transition={}))
+        for name in TABLES:
+            table = getattr(gd, name)
+            with pytest.raises(TypeError):
+                table[next(iter(table))] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gd.triple_transition = {}
+
+    def test_tables_given_to_make_gluing_data_are_copied(self):
+        gd = gd_circ()
+        given = {name: dict(getattr(gd, name)) for name in ("patch", "overlap", "anchor", "transition")}
+        triples = dict(gd.triple_transition)
+        built = make_gluing_data(gd.index, **given, triple_transition=triples)
+        for table in (*given.values(), triples):
+            table.clear()
+        assert built == gd and validate(built).passed
+
+    def test_replace_still_checks_a_map_out_of_an_empty_overlap(self):
+        gd = digital_circle_data(16, 4)
+        i, j = next(key for key, space in gd.overlap.items() if not space.points)
+        with pytest.raises(CompositionMismatch, match="leaves an empty object"):
+            dataclasses.replace(gd, anchor={**gd.anchor, (i, j): identity_map(gd.patch[i])})
+
+
+FUZZ_SPACES = (pt(), sierp(), disc2(), indisc2(), arc3(), circle4())
+
+
+def _nerve_slots(gd):
+    """The (table, key) of every map of the nerve: the anchors and transitions of its pairs,
+    then its triple projections and triple transitions."""
+    return (
+        [("anchor", key) for key in gd.nerve.pairs]
+        + [("transition", key) for key in gd.nerve.pairs]
+        + [("triple_proj", key) for key in gd.triple_proj]
+        + [("triple_transition", key) for key in gd.triple_transition]
+    )
+
+
+@st.composite
+def swapped_data(draw):
+    """Seeded lawful data, and a copy with one map of its nerve swapped for a map between
+    fixture spaces or the datum's own patches and overlaps, built through ``replace``."""
+    seed = draw(st.integers(min_value=0, max_value=40))
+    gd = gd_circ() if seed == 0 else random_lawful_data(random.Random(seed))
+    name, key = draw(st.sampled_from(_nerve_slots(gd)))
+    pool = FUZZ_SPACES + tuple(gd.patch.values()) + tuple(sp for sp in gd.overlap.values() if sp.points)
+    dom, cod = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    points = sorted(dom.points)
+    images = draw(st.lists(st.sampled_from(sorted(cod.points)), min_size=len(points), max_size=len(points)))
+    swapped = SpaceMap(dom, cod, dict(zip(points, images)))
+    return gd, dataclasses.replace(gd, **{name: {**getattr(gd, name), key: swapped}})
+
+
+class TestSwappedMapFuzz:
+    """Data with one nerve map swapped ends in a report or a typed error in every check."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(swapped_data())
+    def test_every_check_returns_or_raises_a_typed_error(self, case):
+        gd, bad = case
+        assert isinstance(validate(bad), gdata.Report)
+        glued = glue(gd)
+        calls = [lambda: glue(bad)]
+        calls += [lambda mode=mode: check_cone(bad, glued, mode) for mode in CONE_MODES]
+        calls += [
+            lambda: check_glued_properties(bad, glued),
+            lambda: check_otop(bad, glued),
+            lambda: verify_universal(bad, glued, budget=500),
+        ]
+        for call in calls:
+            try:
+                call()
+            except TopoglueError:
+                pass
