@@ -26,13 +26,12 @@ from .fintop import (
     compose,
     discontinuities,
     failure_witnesses,
-    identity_map,
     is_homeomorphism,
     lift,
     non_open_points,
     pullback,
 )
-from .gdata import EMPTY, GluingData, Report, derive_triple_maps, make_gluing_data
+from .gdata import GluingData, Report, derive_triple_maps, make_gluing_data
 from .glidx import single
 from .glue import Cone, GluedSpace, _meeting, _non_open_data, glue, mediate
 
@@ -86,7 +85,8 @@ def data_of_covering(c: Covering) -> GluingData:
     pairs with the projections as anchors, and transitions swap coordinates.
     A pullback has points exactly when the two leg images meet, so only
     those leg pairs are pulled back, found from the base points each leg
-    image holds; every other overlap is the empty one, with empty maps.
+    image holds, and only they get entries: every other pair is left out,
+    so its overlap is the empty one (``make_gluing_data``).
     """
     idx = [str(n) for n in range(len(c.family))]
     patch = {i: sp for i, (sp, _) in zip(idx, c.family)}
@@ -95,10 +95,7 @@ def data_of_covering(c: Covering) -> GluingData:
     pullbacks = {
         (i, j): pullback(legs[i], legs[j]) for i in idx for j in idx if i != j and (i, j) in meet
     }
-    none = {i: SpaceMap(EMPTY, patch[i], {}) for i in idx}
-    overlap = {(i, j): EMPTY for i in idx for j in idx if i != j}
-    anchor = {(i, j): none[i] for i, j in overlap}
-    transition = dict.fromkeys(overlap, identity_map(EMPTY))
+    overlap, anchor, transition = {}, {}, {}
     for (i, j), (sp, pi, pj) in pullbacks.items():
         _, pj_back, pi_back = pullbacks[(j, i)]
         overlap[(i, j)], anchor[(i, j)] = sp, pi

@@ -1,4 +1,4 @@
-"""Concrete gluing data over finite spaces and its functor realization.
+"""Concrete gluing data over finite spaces: the paper's gluing-data functor.
 
 A gluing datum over an index set I consists of a patch space per index, an
 overlap space with an anchor map into the first patch per ordered pair, a
@@ -9,18 +9,20 @@ freedom to choose any pullback is resolved by this fixed representative.
 
 A datum stores only its nerve: every patch, the overlaps and triple spaces
 that have points, and their anchors, transitions, projections and triple
-transitions.  Any other object reads as the one shared empty space ``EMPTY``
-and its maps as empty maps, so a map given out of such an object must be
-that empty map, into the right space, or construction raises
-CompositionMismatch.  The datum's ``nerve`` is the full subcategory of the
-index category on its objects (a ``glidx.Category``): its objects and the
-generator edges between them, in the index category's order; every later
-stage walks it, so an empty overlap or triple costs nothing.
+transitions.  The pair tables are keyed by the nerve's pairs only, and a pair
+given no overlap has the empty one.  Any other object reads as the one
+shared empty space ``EMPTY`` and its maps as empty maps, so a map given out
+of such an object must be that empty map, into the right space, or
+construction raises CompositionMismatch.  The datum's ``nerve`` is the full
+subcategory of the index category on its objects (a ``glidx.Category``): its
+objects and the generator edges between them, in the index category's order;
+every later stage walks it, so an empty overlap or triple costs nothing.
 
 All stored maps are the continuous direction; the index-category arrows they
 realize point the other way.  ``GluingData.map`` is the one reader of the
-map of a generator edge, and the gluing functor (``GluingFunctor``) is a
-view of its datum: its spaces and maps are the datum's.
+map of a generator edge.  The paper's gluing-data functor is the validated
+datum itself: ``GluingFunctor`` (``functor_of``) holds a datum that passes
+``validate``, and its spaces and maps are the datum's.
 
 A datum is frozen: its tables are read-only copies of what it was built
 from.  So it has one verdict, and ``validate`` computes its rows once per
@@ -37,8 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import fintop, glidx
 from .errors import CompositionMismatch, NotDetermined, UnresolvedReference, ValidationFailed
@@ -55,7 +56,6 @@ from .glidx import GlGen, GlObject, normalize, pair, single
 
 _TABLES = ("patch", "overlap", "anchor", "transition", "triple_space", "triple_proj", "triple_transition")
 EMPTY = FiniteSpace("empty", (), {})  # the space of every object outside a datum's nerve
-_NOTHING = identity_map(EMPTY)
 
 
 @dataclass(frozen=True)
@@ -100,36 +100,32 @@ def _require_empty(what: str, f: SpaceMap, cod: FiniteSpace) -> None:
 
 
 def _nerve_pairs(index, patch, overlap, anchor, transition) -> tuple[dict, dict, dict]:
-    """The overlap, anchor and transition tables of a datum, one entry per ordered pair in index order.
+    """The overlap, anchor and transition tables of a datum's nerve pairs, in index order.
 
-    Every ordered pair needs all three entries, else UnresolvedReference.
-    An off-diagonal overlap with no points leaves the nerve: its anchor must
-    be the empty map into the patch and its transition the empty map into
-    the opposite overlap, else CompositionMismatch.  Such a pair's entries
-    become the shared ``EMPTY``, the patch's one empty anchor and the
-    empty map into the opposite overlap (shared when that is ``EMPTY``).
+    An ordered pair given no overlap has the empty one.  The nerve's pairs
+    are the diagonal ones and those whose overlap has points; each needs its
+    overlap, anchor and transition, else UnresolvedReference.  An entry
+    given for any other pair is checked once and dropped: its anchor must be
+    the empty map into the patch and its transition the empty map into the
+    opposite overlap, else CompositionMismatch.  Keys off the index are
+    ignored.
     """
-    pairs = list(product(index, repeat=2))
-    tables = (overlap, anchor, transition)
-    missing = [key for key in pairs for table in tables if key not in table]
-    if missing:
-        raise UnresolvedReference(
-            f"gluing data is missing entries for pairs {sorted(set(missing))}"
-        )
-    kept = {key: overlap[key] for key in pairs if key[0] == key[1] or overlap[key].points}
-    no_anchor = {i: SpaceMap(EMPTY, patch[i], {}) for i in index}
-    spaces, anchors, transitions = {}, {}, {}
-    for i, j in pairs:
-        key = (i, j)
-        if key in kept:
-            spaces[key], anchors[key], transitions[key] = kept[key], anchor[key], transition[key]
-            continue
-        back = kept.get((j, i), EMPTY)
-        _require_empty(f"anchor ({i},{j})", anchor[key], patch[i])
-        _require_empty(f"transition ({i},{j})", transition[key], back)
-        spaces[key], anchors[key] = EMPTY, no_anchor[i]
-        transitions[key] = _NOTHING if back is EMPTY else SpaceMap(EMPTY, back, {})
-    return spaces, anchors, transitions
+    pos = {label: n for n, label in enumerate(index)}
+    given = {(i, i) for i in index}
+    for table in (overlap, anchor, transition):
+        given.update(key for key in table if len(key) == 2 and key[0] in pos and key[1] in pos)
+    keys = sorted(given, key=lambda key: (pos[key[0]], pos[key[1]]))
+    pairs = [key for key in keys if key[0] == key[1] or key in overlap and overlap[key].points]
+    unmapped = [key for key in pairs if not (key in overlap and key in anchor and key in transition)]
+    if unmapped:
+        raise UnresolvedReference(f"the nerve pairs {unmapped} need an overlap, an anchor and a transition")
+    spaces = {key: overlap[key] for key in pairs}
+    for i, j in (key for key in keys if key not in spaces):
+        if (i, j) in anchor:
+            _require_empty(f"anchor ({i},{j})", anchor[(i, j)], patch[i])
+        if (i, j) in transition:
+            _require_empty(f"transition ({i},{j})", transition[(i, j)], spaces.get((j, i), EMPTY))
+    return spaces, {key: anchor[key] for key in pairs}, {key: transition[key] for key in pairs}
 
 
 @lru_cache(maxsize=64)
@@ -148,14 +144,18 @@ def _nerve(index: tuple[str, ...], pairs: frozenset, triples: frozenset) -> glid
 class GluingData:
     """Gluing data, lawful or not: its nerve's tables, held as read-only copies.
 
-    ``overlap``, ``anchor`` and ``transition`` have an entry for every
-    ordered pair; those outside the nerve are the shared empty space and
-    empty maps (``_nerve_pairs``).
+    ``overlap``, ``anchor`` and ``transition`` are keyed by the nerve's
+    pairs only, in index order: the diagonal pairs and those whose overlap
+    has points (``_nerve_pairs``).  Any other pair is not a key; its
+    overlap reads as ``EMPTY`` through ``space_of`` and its maps as empty
+    maps through ``map``.
     ``triple_space`` and ``triple_proj`` hold the triple spaces with points
     and their projections, and ``triple_transition`` is keyed by the triples
     (i, j, k) with i != j whose normal object the datum stores.  Building a
     datum drops what is given for an object outside the nerve, after
-    checking it is empty (``_nerve_pairs`` and ``_nerve_triples``).
+    checking it is empty (``_nerve_pairs`` and ``_nerve_triples``).  A
+    datum that passes ``validate`` is the paper's gluing-data functor
+    itself: ``GluingFunctor`` only reads it on the index category.
     """
 
     index: tuple[str, ...]
@@ -192,12 +192,7 @@ class GluingData:
     @cached_property
     def nerve(self) -> glidx.Category:
         """The objects this datum stores, with their edges and law subjects (``_nerve``)."""
-        return _nerve(self.index, self._pairs, frozenset(self.triple_space))
-
-    @cached_property
-    def _pairs(self) -> frozenset[tuple[str, str]]:
-        """The ordered pairs (i, j) of the nerve: the diagonal ones and those whose overlap has points."""
-        return frozenset(key for key, space in self.overlap.items() if key[0] == key[1] or space.points)
+        return _nerve(self.index, frozenset(self.overlap), frozenset(self.triple_space))
 
     @cached_property
     def _law_rows(self) -> tuple[CheckEntry, ...]:
@@ -215,14 +210,14 @@ class GluingData:
         if obj.arity == 1:
             return obj.head in self.patch
         if obj.arity == 2:
-            return (obj.head, obj.rest[0]) in self._pairs
+            return (obj.head, obj.rest[0]) in self.overlap
         return obj in self.triple_space
 
     def space_of(self, obj: GlObject) -> FiniteSpace:
         if obj.arity == 1:
             return self.patch[obj.head]
         if obj.arity == 2:
-            return self.overlap[(obj.head, obj.rest[0])]
+            return self.overlap.get((obj.head, obj.rest[0]), EMPTY)
         return self.triple_space.get(obj, EMPTY)
 
     def map(self, a: GlObject, b: GlObject) -> SpaceMap:
@@ -250,7 +245,8 @@ def _nerve_triples(index, overlap, triple_space, triple_proj, triple_transition)
     A triple space with no points is dropped, and so is a projection out of
     it or a triple transition (i, j, k), i != j, out of an object the datum
     does not store, once ``_require_empty`` finds it the empty map into
-    overlap (i,n) or the space of (j,i,k).
+    overlap (i,n) or the space of (j,i,k); an overlap that is not a key of
+    ``overlap`` is ``EMPTY``.
     """
     spaces = {obj: sp for obj, sp in triple_space.items() if sp.points}
     projs = {}
@@ -258,7 +254,7 @@ def _nerve_triples(index, overlap, triple_space, triple_proj, triple_transition)
         if obj in spaces:
             projs[(obj, n)] = f
         else:
-            _require_empty(f"projection {obj!r} -> [{obj.head},{n}]", f, overlap[(obj.head, n)])
+            _require_empty(f"projection {obj!r} -> [{obj.head},{n}]", f, overlap.get((obj.head, n), EMPTY))
     labels = set(index)
     transitions = {}
     for key, f in triple_transition.items():
@@ -266,11 +262,11 @@ def _nerve_triples(index, overlap, triple_space, triple_proj, triple_transition)
             transitions[key] = f  # not the key of a transition the laws read
             continue
         i, j, k = key
-        if normalize(key) in spaces or (j == k and overlap[(i, j)].points):
+        if normalize(key) in spaces or (j == k and (i, j) in overlap):
             transitions[key] = f
         else:
             partner = normalize((j, i, k))
-            cod = overlap[(j, i)] if partner.arity == 2 else spaces.get(partner, EMPTY)
+            cod = overlap.get((j, i), EMPTY) if partner.arity == 2 else spaces.get(partner, EMPTY)
             _require_empty(f"triple transition {key}", f, cod)
     return spaces, projs, transitions
 
@@ -285,7 +281,7 @@ def _triple_tables(index, overlap, anchor):
     mistyped anchor, which fails ``validate``'s ``anchor-typing`` row.
     """
     near: dict[str, list[str]] = {i: [] for i in index}
-    for (i, j), space in overlap.items():  # in index order
+    for (i, j), space in overlap.items():  # the nerve's pairs, in index order
         if space.points:
             near[i].append(j)
     spaces: dict[GlObject, FiniteSpace] = {}
@@ -303,6 +299,19 @@ def _triple_tables(index, overlap, anchor):
     return spaces, projs
 
 
+def _index_labels(index: Iterable[str], patch: Mapping[str, FiniteSpace]) -> tuple[str, ...]:
+    """The index of a datum, sorted: UnresolvedReference for a label holding '@' or without a patch."""
+    idx = tuple(sorted(set(index)))
+    for label in idx:
+        if "@" in label:
+            # '@' separates point tags from patch labels in the coproduct
+            raise UnresolvedReference(f"index label {label!r} must not contain '@'")
+    unpatched = sorted(set(idx) - set(patch))
+    if unpatched:
+        raise UnresolvedReference(f"no patch for index labels {unpatched}")
+    return idx
+
+
 def make_gluing_data(
     index: Iterable[str],
     patch: Mapping[str, FiniteSpace],
@@ -314,20 +323,14 @@ def make_gluing_data(
     """Assemble gluing data, filling the forced diagonal entries.
 
     Diagonal overlaps default to the patches with identity anchor and
-    transition.  Every ordered pair needs its overlap, anchor and
-    transition.  Triple spaces and their projections are computed as the
-    canonical pullbacks, for the triples with points; triple transitions
-    are taken as given (use ``derive_triple_maps`` to fill them when they
-    are forced).
+    transition.  An ordered pair given no overlap has the empty one, so
+    only the pairs whose overlap has points need their entries; an entry
+    given for an empty pair is checked once and dropped (``_nerve_pairs``).
+    Triple spaces and their projections are computed as the canonical
+    pullbacks, for the triples with points; triple transitions are taken as
+    given (use ``derive_triple_maps`` to fill them when they are forced).
     """
-    idx = tuple(sorted(set(index)))
-    for label in idx:
-        if "@" in label:
-            # '@' separates point tags from patch labels in the coproduct
-            raise UnresolvedReference(f"index label {label!r} must not contain '@'")
-    unpatched = sorted(set(idx) - set(patch))
-    if unpatched:
-        raise UnresolvedReference(f"no patch for index labels {unpatched}")
+    idx = _index_labels(index, patch)
     overlap = dict(overlap)
     anchor = dict(anchor)
     transition = dict(transition)
@@ -405,12 +408,12 @@ def _mistyped(f: SpaceMap, dom: FiniteSpace, cod: FiniteSpace) -> str | None:
 
 
 def _pair_typed(gd: GluingData, i: str, j: str) -> tuple[bool, bool]:
-    """Whether anchor (i,j) runs from overlap (i,j) into patch i, and whether
-    transition (i,j) runs from overlap (i,j) into overlap (j,i)."""
+    """Whether anchor (i,j) of a nerve pair runs from overlap (i,j) into patch i, and whether
+    transition (i,j) runs from overlap (i,j) into overlap (j,i), ``EMPTY`` off the nerve."""
     over = gd.overlap[(i, j)]
     return (
         _mistyped(gd.anchor[(i, j)], over, gd.patch[i]) is None,
-        _mistyped(gd.transition[(i, j)], over, gd.overlap[(j, i)]) is None,
+        _mistyped(gd.transition[(i, j)], over, gd.overlap.get((j, i), EMPTY)) is None,
     )
 
 
@@ -430,7 +433,7 @@ def _triples_typed(gd: GluingData, rep: Report) -> bool:
         space = gd.space_of(obj)
         if j != k:
             proj = gd.triple_proj.get((obj, j))
-            w = "missing" if proj is None else _mistyped(proj, space, gd.overlap[(i, j)])
+            w = "missing" if proj is None else _mistyped(proj, space, gd.overlap.get((i, j), EMPTY))
             if w is not None:
                 typed = False
                 rep.add("projection-typing", sub, False, w)
@@ -562,13 +565,27 @@ def _check_laws(gd: GluingData) -> Report:
 
 @dataclass(frozen=True)
 class GluingFunctor:
-    """Realization of gluing data on its index category: a view of the datum.
+    """The paper's gluing-data functor: the validated datum itself, read on its index category.
 
-    ``space`` is the datum's space at an object and ``map`` its map of a
-    generator edge (``GluingData.map``); nothing is copied out of the datum.
-    Building the view raises ValidationFailed, with the ``triple-present``
-    rows of ``validate``, when a triple transition is missing, as that
-    leaves a generator edge without a map.
+    Only a datum that passes ``validate`` (kept per datum) builds one, else
+    ValidationFailed with its report.  ``space`` and ``map`` are the datum's
+    (``GluingData.map``); nothing is copied out of it.  When the triple
+    tables come from ``make_gluing_data`` (``derive_triple_maps`` copies
+    them), a passing report implies the relation families of
+    ``glidx.verify_relations`` on the tables; write t(..) for triple
+    transitions.  (a) identity generators have no table entry, so a
+    realization reads them as identities; the diagonal clauses tie that to
+    the diagonal data.  (b) is transition-inverse, (c1) cocycle and (e)
+    projection-square, clause for clause.  (d) holds by construction: each
+    triple space is the pullback of anchors (i,j) and (i,k).  (c2): for a
+    point p of [i,j,k], q = t(j,i,k) t(i,j,k) p has the (i,j)-coordinate of
+    p by projection-square at (i,j,k) and (j,i,k) and transition-inverse at
+    (i,j); cocycle at (i,j,k) and (j,i,k) gives t(i,k,j) q = t(i,k,j) p, so
+    projection-square at (i,k,j) and transition-inverse at (i,k) give q the
+    (i,k)-coordinate of p, and a pullback point is fixed by its two
+    coordinates.  Off the nerve every instance runs out of an empty space,
+    so it holds.  The maps are coherent: raw generators share endpoints only
+    as eta3 pairs, which read the same projection.
     """
 
     data: GluingData
@@ -576,7 +593,9 @@ class GluingFunctor:
     __hash__ = None  # the datum's tables are not hashable
 
     def __post_init__(self):
-        _require_triples(self.data)
+        report = validate(self.data)
+        if not report.passed:
+            raise ValidationFailed(report)
 
     @property
     def index(self) -> tuple[str, ...]:
@@ -609,55 +628,5 @@ def _generator_image(gd: GluingData, gen: GlGen) -> SpaceMap:
 
 
 def functor_of(gd: GluingData) -> GluingFunctor:
-    """Validate the data and realize it as a functor (``GluingFunctor``).
-
-    ``validate`` is the only law check.  When the triple tables come from
-    ``make_gluing_data`` (``derive_triple_maps`` copies them), a passing
-    report implies the relation families of ``glidx.verify_relations`` on
-    the tables; write t(..) for triple transitions.  (a) identity generators
-    have no table entry, so a realization reads them as identities; the
-    diagonal clauses tie that to the diagonal data.  (b) is
-    transition-inverse, (c1) cocycle and (e) projection-square, clause for
-    clause.  (d) holds by construction: each
-    triple space is the pullback of anchors (i,j) and (i,k).  (c2): for a
-    point p of [i,j,k], q = t(j,i,k) t(i,j,k) p has the (i,j)-coordinate of
-    p by projection-square at (i,j,k) and (j,i,k) and transition-inverse at
-    (i,j); cocycle at (i,j,k) and (j,i,k) gives t(i,k,j) q = t(i,k,j) p, so
-    projection-square at (i,k,j) and transition-inverse at (i,k) give q the
-    (i,k)-coordinate of p, and a pullback point is fixed by its two
-    coordinates.  Off the nerve every instance runs out of an empty space,
-    so it holds.  The maps are coherent: raw generators share endpoints
-    only as eta3 pairs, which read the same projection.
-    """
-    report = validate(gd)
-    if not report.passed:
-        raise ValidationFailed(report)
+    """The gluing-data functor of a lawful datum (``GluingFunctor``): ValidationFailed unless it validates."""
     return GluingFunctor(gd)
-
-
-def _pair_tables(index: tuple[str, ...], space_at: Callable, map_at: Callable) -> tuple[dict, ...]:
-    """The patch, overlap, anchor and transition tables of the datum a functor realizes.
-
-    ``space_at`` gives the space at an object and ``map_at(a, b)`` the map
-    realizing the generator edge a -> b.  Every space is read before any map
-    and every anchor before any transition; the diagonal entries are left to
-    ``make_gluing_data``.
-    """
-    pairs = [(i, j) for i in index for j in index if i != j]
-    patch = {i: space_at(single(i)) for i in index}
-    overlap = {(i, j): space_at(pair(i, j)) for i, j in pairs}
-    anchor = {(i, j): map_at(single(i), pair(i, j)) for i, j in pairs}
-    transition = {(i, j): map_at(pair(j, i), pair(i, j)) for i, j in pairs}
-    return patch, overlap, anchor, transition
-
-
-def extract_data(fun: GluingFunctor) -> GluingData:
-    """Read the gluing data back off the functor's spaces and maps (round trip)."""
-    idx = fun.index
-    tables = _pair_tables(idx, fun.space, fun.map)
-    triple_transition = {
-        (i, j, k): fun.map(normalize((j, i, k)), normalize((i, j, k)))
-        for i, j, k in fun.data.nerve.triples
-        if i != j
-    }
-    return make_gluing_data(idx, *tables, triple_transition)

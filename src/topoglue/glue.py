@@ -49,7 +49,7 @@ from .fintop import (
     read_only,
 )
 from .gdata import GluingData, Report, _pair_typed, _require_triples, validate
-from .glidx import GlObject, faces_of, single
+from .glidx import GlObject, faces_of, pair, single
 
 CONE_MODES = ("full", "figure3", "figure4")
 
@@ -112,11 +112,13 @@ def _links(gd: GluingData) -> dict[tuple[str, str], list[tuple[str, str, str]]]:
 
     For each sorted point u of overlap (i, j), the link (u, x, y) identifies
     x = anchor_ij(u) in patch i with y = anchor_ji(transition_ij(u)) in
-    patch j.
+    patch j.  Only unlawful data has (j, i) outside the nerve; anchor_ji is
+    then the empty map (``GluingData.map``), which raises UnknownPoint.
     """
     links = {}
     for i, j in gd.nerve.pairs:
-        anchor_ij, anchor_ji = gd.anchor[(i, j)], gd.anchor[(j, i)]
+        anchor_ij = gd.anchor[(i, j)]
+        anchor_ji = gd.anchor[(j, i)] if (j, i) in gd.anchor else gd.map(single(j), pair(j, i))
         trans = gd.transition[(i, j)]
         links[(i, j)] = [
             (u, anchor_ij(u), anchor_ji(trans(u))) for u in sorted(gd.overlap[(i, j)].points)

@@ -2,7 +2,9 @@
 
 A refinement relates a fine gluing functor (over index set J) to a coarse one
 (over I) through an index map gamma: I -> J and one component map per object
-over I.  Components run in the continuous direction, from the fine functor's
+over I.  A gluing functor is the validated datum itself (``GluingFunctor``
+holds a datum that passes ``validate``), so its spaces and maps are the
+datum's.  Components run in the continuous direction, from the fine functor's
 space at the reindexed object to the coarse functor's space; this matches the
 computable orientation of the worked fixtures, and the opposite-category
 bookkeeping stays implicit.  A generator reindexed through gamma is itself a
@@ -38,7 +40,6 @@ from .gdata import (
     GluingFunctor,
     Report,
     _add_continuity,
-    _pair_tables,
     derive_triple_maps,
     functor_of,
     make_gluing_data,
@@ -350,7 +351,13 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
             raise MissingComponent(f"meta gluing has no edge for {a}->{b}")
         return _induced_map(meta.edge[(a, b)], glued[b], glued[a])
 
-    composed = derive_triple_maps(make_gluing_data(idx, *_pair_tables(idx, space_at, induced)))
+    # every space is read before any map, and every anchor before any transition
+    pairs = [(i, j) for i in idx for j in idx if i != j]
+    patch = {i: space_at(single(i)) for i in idx}
+    overlap = {(i, j): space_at(pair(i, j)) for i, j in pairs}
+    anchor = {(i, j): induced(single(i), pair(i, j)) for i, j in pairs}
+    transition = {(i, j): induced(pair(j, i), pair(i, j)) for i, j in pairs}
+    composed = derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition))
     fun = functor_of(composed)
     labels = set(idx)
     triples = {obj for obj in fun.data.nerve.objects if obj.arity == 3}

@@ -4,7 +4,10 @@ A document is a sequence of named blocks, one declaration per line, closed by
 ``end``.  Comments start with ``#`` and blank lines separate nothing.  All
 references are by name and resolved at parse time; forward references are not
 allowed, so a document reads top to bottom.  A key appears at most once per
-block; only ``opens`` and a covering's ``leg`` repeat.
+block; only ``opens`` and a covering's ``leg`` repeat.  A gluing names the
+overlap, anchor and transition of every ordered pair of distinct labels (the
+diagonal ones default to the patch and identities), even where the overlap
+is empty; ``make_gluing_data`` itself reads an omitted pair as empty.
 
     space ARC3
       points: l m r
@@ -62,10 +65,11 @@ block; only ``opens`` and a covering's ``leg`` repeat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DuplicateName, ParseError, UnresolvedReference
 from .fintop import FiniteSpace, SpaceMap, from_opens, make_space
-from .gdata import GluingData, GluingFunctor, derive_triple_maps, functor_of, make_gluing_data
+from .gdata import GluingData, GluingFunctor, _index_labels, derive_triple_maps, functor_of, make_gluing_data
 from .glidx import GlGen, GlObject, normalize
 from .glue import Cone, complete_cone
 from .refine import GdfGluingData, IndexMap, Refinement, complete_refinement
@@ -74,9 +78,19 @@ from .cover import KINDS, Covering
 
 @dataclass
 class ConeDecl:
+    """A declared cone over gluing ``over``, completed when first read (``glue.complete_cone``;
+    the declared legs override the completed ones): parsing composes no map of the gluing."""
+
     name: str
     over: str
-    cone: Cone
+    gluing: GluingData
+    apex: FiniteSpace
+    legs: dict[GlObject, SpaceMap]
+
+    @cached_property
+    def cone(self) -> Cone:
+        single_legs = {obj.head: leg for obj, leg in self.legs.items() if obj.arity == 1}
+        return Cone(self.apex, {**complete_cone(self.gluing, self.apex, single_legs).legs, **self.legs})
 
 
 @dataclass
@@ -258,7 +272,15 @@ def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:
     if not index:
         raise ParseError(block.line_no, "gluing needs an index line")
     _check_labels(labels, index)
-    data = make_gluing_data(index, patch, overlap, anchor, transition, triples)
+    # the format names every ordered pair; the library reads an omitted pair as an empty overlap
+    idx = _index_labels(index, patch)
+    missing = sorted(
+        (i, j) for i in idx for j in idx
+        if i != j and not ((i, j) in overlap and (i, j) in anchor and (i, j) in transition)
+    )
+    if missing:
+        raise UnresolvedReference(f"gluing data is missing entries for pairs {missing}")
+    data = make_gluing_data(idx, patch, overlap, anchor, transition, triples)
     if derive:
         data = derive_triple_maps(data)
     return data
@@ -284,7 +306,6 @@ def _parse_cone(block: _Block, doc: SpecDocument) -> ConeDecl:
     over = None
     apex = None
     legs: dict[GlObject, SpaceMap] = {}
-    single_legs: dict[str, SpaceMap] = {}
     labels: list[tuple[int, list[str]]] = []
     for no, key, value in _entries(block):
         fields = key.split()
@@ -294,19 +315,14 @@ def _parse_cone(block: _Block, doc: SpecDocument) -> ConeDecl:
         elif key == "apex":
             apex = _need(doc.spaces, value, "space", no)
         elif fields[0] == "leg":
-            obj = _parse_object(no, fields[1:])
-            legs[obj] = _need(doc.maps, value, "map", no)
-            if obj.arity == 1:
-                single_legs[obj.head] = legs[obj]
+            legs[_parse_object(no, fields[1:])] = _need(doc.maps, value, "map", no)
         else:
             raise ParseError(no, f"unknown cone entry {key!r}")
     if over is None or apex is None:
         raise ParseError(block.line_no, "cone needs 'over' and 'apex'")
     gd = _need(doc.gluings, over, "gluing", block.line_no)
     _check_labels(labels, gd.index, f"the index of gluing {over!r}")
-    # the declared legs override the completed ones before the cone is built
-    legs = {**complete_cone(gd, apex, single_legs).legs, **legs}
-    return ConeDecl(block.name, over, Cone(apex, legs))
+    return ConeDecl(block.name, over, gd, apex, legs)
 
 
 def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:

@@ -11,17 +11,18 @@ two.
 - ``cone_failure`` is the first failing triangle of a mode, as (a, b, point).
 
 Each runs over every object of the index category.  A datum stores only its
-nerve, so an object outside it reads as the empty space and its projections
-as empty maps (``paths.coord``), and ``dense_cone`` gives a cone the empty
-leg there.
+nerve, so an object outside it reads as the empty space and its anchors,
+transitions and projections as empty maps (``paths.anchor``,
+``paths.transition``, ``paths.coord``), and ``dense_cone`` gives a cone the
+empty leg there.
 """
 
 from __future__ import annotations
 
-from paths import coord
+from paths import anchor, coord, transition
 from topoglue import glidx
 from topoglue.fintop import SpaceMap, compose, disagreement
-from topoglue.gdata import EMPTY, GluingFunctor
+from topoglue.gdata import EMPTY
 from topoglue.glidx import pair, single
 from topoglue.glue import Cone, _typed_legs
 
@@ -38,7 +39,7 @@ def complete_cone(gd, apex, single_legs) -> Cone:
     for i in gd.index:
         for j in gd.index:
             if i != j:
-                legs[pair(i, j)] = compose(legs[single(i)], gd.anchor[(i, j)])
+                legs[pair(i, j)] = compose(legs[single(i)], anchor(gd, i, j))
     for obj in glidx.objects(gd.index):
         if obj.arity == 3:
             j, k = obj.rest
@@ -52,17 +53,16 @@ def cone_edges(gd, mode):
     triangles [i,n] -> [i|{j,k}].  ``figure4``: the same, with each transition
     triangle in its through-the-patch form [j] -> [i,j]."""
     if mode == "full":
-        fun = GluingFunctor(gd)
-        return [(a, b, fun.map(a, b)) for a, b in glidx.edges(gd.index)]
+        return [(a, b, gd.map(a, b)) for a, b in glidx.edges(gd.index)]
     idx = gd.index
     edges = []
     for i in idx:
         for j in idx:
-            edges.append((single(i), pair(i, j), gd.anchor[(i, j)]))
+            edges.append((single(i), pair(i, j), anchor(gd, i, j)))
             if mode == "figure3":
-                edges.append((pair(j, i), pair(i, j), gd.transition[(i, j)]))
+                edges.append((pair(j, i), pair(i, j), transition(gd, i, j)))
             else:
-                through = compose(gd.anchor[(j, i)], gd.transition[(i, j)])
+                through = compose(anchor(gd, j, i), transition(gd, i, j))
                 edges.append((single(j), pair(i, j), through))
     for obj in glidx.objects(idx):
         if obj.arity == 3:

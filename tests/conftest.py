@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import strategies as st
@@ -61,15 +62,26 @@ def digital_circle(m: int):
     return fintop.make_space(f"DC{m}", table, table)
 
 
-def digital_circle_data(m: int, k: int):
-    """Canonical data of DC_m covered by k open arcs; neighbouring arcs share o_s, c_s, o_s+1."""
+def digital_circle_covering(m: int, k: int):
+    """DC_m covered by k open arcs; neighbouring arcs share o_s, c_s, o_s+1."""
     base = digital_circle(m)
     family = []
     for j in range(k):
         lo, hi = j * m // k, (j + 1) * m // k
         arc = [f"o{s % m}" for s in range(lo, hi + 2)] + [f"c{s % m}" for s in range(lo, hi + 1)]
         family.append(fintop.subspace(base, arc))
-    return cover.data_of_covering(cover.Covering(base, family, "open"))
+    return cover.Covering(base, family, "open")
+
+
+def digital_circle_data(m: int, k: int):
+    """Canonical data of DC_m covered by k open arcs (``digital_circle_covering``)."""
+    return cover.data_of_covering(digital_circle_covering(m, k))
+
+
+def absent_pairs(gd):
+    """The ordered pairs of the index off the datum's nerve, in index order: those whose overlap is empty."""
+    nerve = set(gd.nerve.pairs)
+    return [key for key in product(gd.index, repeat=2) if key not in nerve]
 
 
 def mutate_transition(rng, gd):

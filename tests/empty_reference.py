@@ -11,7 +11,8 @@ triple transition is lifted, and every map property comes from one full
 ``analyze_map``, which keeps its own flags beside the witnesses in a
 ``MapRecord`` (``is_homeomorphism`` is its ``homeomorphism``).  An object
 outside the nerve reads as the empty space, its maps as empty maps
-(``paths.coord``, ``triple_map``) and a cone's leg there as the empty leg
+(``paths.overlap``, ``paths.anchor``, ``paths.transition``, ``paths.coord``,
+``triple_map``) and a cone's leg there as the empty leg
 (``cone_reference.dense_cone``).  ``on_nerve`` keeps the rows the library
 gives: those about the nerve's objects, and every failing one.
 """
@@ -23,7 +24,9 @@ from dataclasses import dataclass, replace
 
 from cone_reference import dense_cone
 from oracles import first_difference
-from paths import coord
+from itertools import product
+
+from paths import anchor, coord, overlap, transition
 from topoglue import fintop, glidx
 from topoglue.errors import CompositionMismatch, DuplicateName, NotDetermined
 from topoglue.fintop import (
@@ -163,15 +166,15 @@ def pullback(f, g, space_id=None):
     return sp, proj_f, proj_g
 
 
-def triple_tables(index, overlap, anchor):
+def triple_tables(gd: GluingData):
     spaces, projs = {}, {}
-    for obj in glidx.objects(index):
+    for obj in glidx.objects(gd.index):
         if obj.arity != 3:
             continue
         i = obj.head
         j, k = obj.rest
         spaces[obj], projs[(obj, j)], projs[(obj, k)] = pullback(
-            anchor[(i, j)], anchor[(i, k)], f"T[{i},{j},{k}]"
+            anchor(gd, i, j), anchor(gd, i, k), f"T[{i},{j},{k}]"
         )
     return spaces, projs
 
@@ -184,7 +187,7 @@ def derive_triple_maps(gd: GluingData) -> dict:
             for k in gd.index:
                 if i == j or (i, j, k) in derived:
                     continue
-                want = compose(gd.transition[(i, j)], coord(gd, i, j, k))
+                want = compose(transition(gd, i, j), coord(gd, i, j, k))
                 lifted = lift([want], [coord(gd, j, i, k)])
                 if not isinstance(lifted, SpaceMap):
                     raise NotDetermined(i, j, k, *lifted)
@@ -234,10 +237,10 @@ def check_laws(gd: GluingData) -> Report:
         )
     for i in gd.index:
         for j in gd.index:
-            a = gd.anchor[(i, j)]
-            t = gd.transition[(i, j)]
-            ok_a = a.dom == gd.overlap[(i, j)] and a.cod == gd.patch[i]
-            ok_t = t.dom == gd.overlap[(i, j)] and t.cod == gd.overlap[(j, i)]
+            a = anchor(gd, i, j)
+            t = transition(gd, i, j)
+            ok_a = a.dom == overlap(gd, i, j) and a.cod == gd.patch[i]
+            ok_t = t.dom == overlap(gd, i, j) and t.cod == overlap(gd, j, i)
             rep.add("anchor-typing", f"({i},{j})", ok_a)
             rep.add("transition-typing", f"({i},{j})", ok_t)
             if ok_a:
@@ -247,7 +250,7 @@ def check_laws(gd: GluingData) -> Report:
     for i in gd.index:
         for j in gd.index:
             w = disagreement(
-                [gd.transition[(j, i)], gd.transition[(i, j)]], [identity_map(gd.overlap[(i, j)])]
+                [transition(gd, j, i), transition(gd, i, j)], [identity_map(overlap(gd, i, j))]
             )
             rep.add("transition-inverse", f"({i},{j})", w is None, w)
     if not _triples_present(gd, rep):
@@ -261,7 +264,7 @@ def check_laws(gd: GluingData) -> Report:
                 w = disagreement([triple_map(gd, j, k, i), fwd], [triple_map(gd, i, k, j)])
                 rep.add("cocycle", sub, w is None, w)
                 w = disagreement(
-                    [coord(gd, j, i, k), fwd], [gd.transition[(i, j)], coord(gd, i, j, k)]
+                    [coord(gd, j, i, k), fwd], [transition(gd, i, j), coord(gd, i, j, k)]
                 )
                 rep.add("projection-square", sub, w is None, w)
     return rep
@@ -272,7 +275,7 @@ def complete_cone(gd, apex, single_legs) -> Cone:
     for i in gd.index:
         for j in gd.index:
             if i != j:
-                legs[pair(i, j)] = compose(legs[single(i)], gd.anchor[(i, j)])
+                legs[pair(i, j)] = compose(legs[single(i)], anchor(gd, i, j))
     for obj in glidx.objects(gd.index):
         if obj.arity == 3:
             i, (j, k) = obj.head, obj.rest
@@ -288,7 +291,7 @@ def cone_edges(gd, mode):
     for (a, b), gen in glidx.edges(gd.index).items():
         if gen.kind == "tau" and mode == "figure4":
             i, j = gen.indices
-            edges.append((single(j), b, compose(gd.anchor[(j, i)], gd.transition[(i, j)])))
+            edges.append((single(j), b, compose(anchor(gd, j, i), transition(gd, i, j))))
         elif gen.kind != "tau3" or mode == "full":
             f = _generator_image(gd, gen) if gd.stores(b) else SpaceMap(EMPTY, gd.space_of(a), {})
             edges.append((a, b, f))
@@ -310,8 +313,8 @@ def _links(gd):
     """The links (u, anchor_ij(u), anchor_ji(transition_ij(u))) of every ordered pair."""
     return {
         (i, j): [
-            (u, gd.anchor[(i, j)](u), gd.anchor[(j, i)](gd.transition[(i, j)](u)))
-            for u in sorted(gd.overlap[(i, j)].points)
+            (u, anchor(gd, i, j)(u), anchor(gd, j, i)(transition(gd, i, j)(u)))
+            for u in sorted(overlap(gd, i, j).points)
         ]
         for i in gd.index
         for j in gd.index
@@ -328,7 +331,7 @@ def check_glued_properties(gd, candidate) -> Report:
         i = obj.head
         if obj.arity == 2:
             name, subject = "a-pair-factors", f"({i},{obj.rest[0]})"
-            paths = [[legs[single(i)], gd.anchor[(i, obj.rest[0])]]]
+            paths = [[legs[single(i)], anchor(gd, i, obj.rest[0])]]
         else:
             name, subject = "b-triple-factors", repr(obj)
             j, k = obj.rest
@@ -364,9 +367,9 @@ def check_glued_properties(gd, candidate) -> Report:
 def check_otop(gd, glued) -> OtopReport:
     legs = _typed_legs(gd, glued, map(single, gd.index))
     rep = OtopReport()
-    for kind, table in (("anchor", gd.anchor), ("transition", gd.transition)):
-        for key in sorted(table):  # every ordered pair
-            if not analyze_map(table[key]).open_map:
+    for kind, table in (("anchor", anchor), ("transition", transition)):
+        for key in product(gd.index, repeat=2):  # every ordered pair
+            if not analyze_map(table(gd, *key)).open_map:
                 rep.add("data-open", f"{kind}{key}", False, "not an open map")
     covered = set()
     for obj, leg in legs.items():

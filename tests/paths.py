@@ -18,9 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from topoglue import glidx
-from topoglue.fintop import SpaceMap, compose, identity_map
+from topoglue.fintop import FiniteSpace, SpaceMap, compose, identity_map
 from topoglue.gdata import EMPTY, GluingData, GluingFunctor
-from topoglue.glidx import GlGen, GlObject, normalize
+from topoglue.glidx import GlGen, GlObject, normalize, pair, single
 from topoglue.refine import IndexMap, reindex_object
 
 Path = tuple[GlGen, ...]
@@ -79,6 +79,27 @@ def reindex(gamma: IndexMap, dom: GlObject, path: Path) -> tuple[GlObject, Path]
     )
 
 
+def overlap(gd: GluingData, i: str, j: str) -> FiniteSpace:
+    """Overlap (i,j): its table entry for a pair of the nerve, else the empty space ``space_of`` gives."""
+    if (i, j) in gd.overlap:
+        return gd.overlap[(i, j)]
+    return gd.space_of(pair(i, j))
+
+
+def anchor(gd: GluingData, i: str, j: str) -> SpaceMap:
+    """Anchor (i,j): its table entry for a pair of the nerve, else the empty map ``GluingData.map`` gives."""
+    if (i, j) in gd.anchor:
+        return gd.anchor[(i, j)]
+    return gd.map(single(i), pair(i, j))
+
+
+def transition(gd: GluingData, i: str, j: str) -> SpaceMap:
+    """Transition (i,j): its table entry for a pair of the nerve, else the empty map ``GluingData.map`` gives."""
+    if (i, j) in gd.transition:
+        return gd.transition[(i, j)]
+    return gd.map(pair(j, i), pair(i, j))
+
+
 def coord(gd: GluingData, i: str, j: str, k: str) -> SpaceMap:
     """The map from the space of [i,j,k] onto overlap (i,j).
 
@@ -88,7 +109,7 @@ def coord(gd: GluingData, i: str, j: str, k: str) -> SpaceMap:
     """
     obj = normalize((i, j, k))
     if not gd.stores(obj):
-        return SpaceMap(EMPTY, gd.overlap[(i, j)], {})
+        return SpaceMap(EMPTY, gd.space_of(pair(i, j)), {})
     if obj.arity == 3:
         return gd.triple_proj[(obj, j)]
     return identity_map(gd.space_of(obj))

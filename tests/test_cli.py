@@ -105,7 +105,7 @@ class TestValidateCommand:
     @pytest.mark.parametrize("derive", [[], ["--derive-triples"]])
     def test_mistyped_pair_map_fails_a_row(self, capsys, tmp_path, kind, derive):
         # a pair map D12 -> PT: no law reads it, and no triple transition is lifted over it;
-        # the document ends with the gluing, as a cone over it composes its maps when parsed
+        # the document ends with the gluing (the test below keeps its cone blocks)
         bad = "space PT\n  points: p\n  opens: p\nend\n\nmap bad: D12 -> PT\n  a -> p\n  b -> p\nend\n\n"
         given = {"anchor": "  anchor 1 2: a12\n", "transition": "  transition 1 2: t12\n"}[kind]
         doc = CIRCLE_DOC[: CIRCLE_DOC.index("space C4")].replace("gluing CIRC", bad + "gluing CIRC", 1)
@@ -116,6 +116,27 @@ class TestValidateCommand:
         assert (code, err) == (1, "")
         assert f"FAIL {kind}-typing (1,2)" in out
         assert "transition-inverse" not in out and "cocycle" not in out
+
+
+    @pytest.mark.parametrize("kind", ["anchor", "transition"])
+    def test_mistyped_pair_map_under_a_declared_cone_fails_a_row(self, capsys, tmp_path, kind):
+        # cone PARAM over CIRC is completed only when a command reads it, so the mistyped map
+        # is composed by no parse: validate gives the typing row, as without the cone blocks
+        bad = "space PT\n  points: p\n  opens: p\nend\n\nmap bad: D12 -> PT\n  a -> p\n  b -> p\nend\n\n"
+        given = {"anchor": "  anchor 1 2: a12\n", "transition": "  transition 1 2: t12\n"}[kind]
+        doc = CIRCLE_DOC.replace("gluing CIRC", bad + "gluing CIRC", 1).replace(given, f"  {kind} 1 2: bad\n", 1)
+        assert "cone PARAM\n  over: CIRC" in doc
+        f = tmp_path / "mistyped.glue"
+        f.write_text(doc)
+        for derive in ([], ["--derive-triples"]):
+            code, out, err = run_cli(capsys, "validate", str(f), "CIRC", *derive)
+            assert (code, err) == (1, "")
+            assert f"FAIL {kind}-typing (1,2)" in out
+        code, _, err = run_cli(capsys, "mediate", str(f), "CIRC", "PARAM")
+        assert code == 1 and err.startswith("check failed: validation failed")
+        # a command that checks the cone itself composes the mistyped map: a typed input error
+        code, out, err = run_cli(capsys, "check-cone", str(f), "PARAM")
+        assert (code, out) == (2, "") and err.startswith("error: cannot compose")
 
 
 class TestComposeCommand:

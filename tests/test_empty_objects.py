@@ -25,12 +25,20 @@ import pytest
 
 import empty_reference as ref
 from cone_reference import dense_cone
-from conftest import digital_circle, digital_circle_data, mutate_transition, mutate_triple
+from conftest import (
+    absent_pairs,
+    digital_circle,
+    digital_circle_covering,
+    digital_circle_data,
+    mutate_transition,
+    mutate_triple,
+    random_lawful_data,
+)
 from topoglue import cover, dot, fintop, gdata, glidx, glue, refine
-from topoglue.errors import CompositionMismatch, TopoglueError, UnknownPoint
+from topoglue.errors import CompositionMismatch, TopoglueError, UnknownPoint, UnresolvedReference
 from topoglue.fintop import FiniteSpace, SpaceMap, subspace
-from topoglue.fixtures import disc2, sierp, trivial_data
-from topoglue.gdata import EMPTY, derive_triple_maps, extract_data, functor_of, make_gluing_data
+from topoglue.fixtures import cylinder_data, disc2, gd_circ, sierp, trivial_data
+from topoglue.gdata import EMPTY, derive_triple_maps, functor_of, make_gluing_data
 from topoglue.glidx import normalize, pair, single
 from topoglue.glue import CONE_MODES, Cone
 
@@ -128,9 +136,8 @@ def _same_everywhere(gd, cones=()):
     derived = _maps(lambda d: derive_triple_maps(d).triple_transition, bare)
     dense = _maps(ref.derive_triple_maps, bare)
     assert derived == _on_nerve_maps(dense, lambda key: gd.stores(normalize(key)))
-    tables = (gd.index, gd.overlap, gd.anchor)
-    assert _outcome(gdata._triple_tables, *tables) == _outcome(
-        lambda *a: _nonempty_triples(ref.triple_tables(*a)), *tables
+    assert _outcome(gdata._triple_tables, gd.index, gd.overlap, gd.anchor) == _outcome(
+        lambda: _nonempty_triples(ref.triple_tables(gd))
     )
     for cone in cones:
         for mode in CONE_MODES:
@@ -286,26 +293,100 @@ class TestRoundTrips:
             copied = [dict(t) for t in tables[2:]]
             assert make_gluing_data(gd.index, gd.patch, *copied, dict(gd.triple_transition)) == gd
 
-    def test_extract_data_gives_the_datum_back(self):
-        for gd in self._data():
-            assert extract_data(functor_of(gd)) == gd
-
     def test_absent_pairs_read_as_the_shared_empty_space(self):
         gd = digital_circle_data(24, 6)
-        absent = [key for key in product(gd.index, repeat=2) if not gd.overlap[key].points]
-        assert absent and len(gd.overlap) == 36 and len(gd.nerve.pairs) == 6 + 12
+        absent = absent_pairs(gd)
+        assert len(absent) == 36 - 18 and len(gd.overlap) == len(gd.nerve.pairs) == 6 + 12
         for i, j in absent:
-            assert gd.overlap[(i, j)] is EMPTY
-            assert gd.anchor[(i, j)] == SpaceMap(EMPTY, gd.patch[i], {})
-            assert gd.transition[(i, j)] == SpaceMap(EMPTY, EMPTY, {})
+            assert (i, j) not in gd.overlap and (i, j) not in gd.anchor and (i, j) not in gd.transition
             assert gd.space_of(pair(i, j)) is EMPTY
+            assert gd.map(single(i), pair(i, j)) == SpaceMap(EMPTY, gd.patch[i], {})
+            assert gd.map(pair(j, i), pair(i, j)) == SpaceMap(EMPTY, EMPTY, {})
+            with pytest.raises(KeyError):
+                gd.anchor[(i, j)]
         assert ("0", "9") not in gd.overlap
         with pytest.raises(KeyError):
             gd.overlap[("0", "9")]
 
 
+class TestOmittedPairs:
+    """The pair tables hold the nerve's pairs only, and an omitted pair is the empty overlap."""
+
+    @staticmethod
+    def _data():
+        rng = random.Random(29)
+        data = [random_lawful_data(rng) for _ in range(12)]
+        return data + [gd_circ(), cylinder_data("1"), digital_circle_data(16, 4), digital_circle_data(24, 6)]
+
+    @staticmethod
+    def _with_empty_entries(gd):
+        """The datum's pair tables with an explicit empty entry for every absent pair, each
+        through its own empty space: the overlap, its anchor into the patch, and its
+        transition into the opposite (also empty) overlap."""
+        overlap, anchor, transition = dict(gd.overlap), dict(gd.anchor), dict(gd.transition)
+        for i, j in absent_pairs(gd):
+            overlap[(i, j)] = FiniteSpace(f"E{i},{j}", (), {})
+            anchor[(i, j)] = SpaceMap(overlap[(i, j)], gd.patch[i], {})
+            transition[(i, j)] = SpaceMap(overlap[(i, j)], FiniteSpace(f"E{j},{i}", (), {}), {})
+        return overlap, anchor, transition
+
+    def test_omitted_pairs_give_the_datum_explicit_empty_entries_give(self):
+        data = self._data()
+        assert sum(len(absent_pairs(gd)) for gd in data) >= 20
+        for gd in data:
+            dense = self._with_empty_entries(gd)
+            sparse = (gd.overlap, gd.anchor, gd.transition)
+            for triples in (gd.triple_transition, None):
+                built = make_gluing_data(gd.index, gd.patch, *sparse, triples)
+                assert built == make_gluing_data(gd.index, gd.patch, *dense, triples)
+                assert (built if triples else derive_triple_maps(built)) == gd
+
+    def test_pair_tables_hold_the_nerve_pairs(self):
+        for gd in self._data():
+            dense = make_gluing_data(gd.index, gd.patch, *self._with_empty_entries(gd), gd.triple_transition)
+            for datum in (gd, dense):
+                pairs = datum.nerve.pairs
+                assert len(datum.overlap) == len(datum.anchor) == len(datum.transition) == len(pairs)
+                assert tuple(datum.overlap) == tuple(datum.anchor) == tuple(datum.transition) == pairs
+        gd = digital_circle_data(4 * 48, 48)
+        assert len(gd.overlap) == len(gd.anchor) == len(gd.transition) == 3 * 48 < 48 * 48
+
+    def test_nerve_pair_without_its_maps_is_unresolved(self):
+        gd = digital_circle_data(16, 4)
+        i, j = next(key for key in gd.nerve.pairs if key[0] != key[1])
+        anchor = {key: f for key, f in gd.anchor.items() if key != (i, j)}
+        with pytest.raises(UnresolvedReference, match=re.escape(f"[{(i, j)!r}] need an overlap, an anchor")):
+            make_gluing_data(gd.index, gd.patch, gd.overlap, anchor, gd.transition)
+
+    def test_data_of_covering_builds_maps_linear_in_the_arcs(self, monkeypatch):
+        """``SpaceMap`` constructions in ``data_of_covering`` on DC_{4k}: doubling k at most
+        about doubles them, and no map is given out of an empty overlap."""
+        built, emptied = Counter(), Counter()
+        init, require = SpaceMap.__init__, gdata._require_empty
+
+        def counted_init(self, *args, **kwargs):
+            built[None] += 1
+            init(self, *args, **kwargs)
+
+        def counted_require(*args):
+            emptied[None] += 1
+            return require(*args)
+
+        monkeypatch.setattr(SpaceMap, "__init__", counted_init)
+        monkeypatch.setattr(gdata, "_require_empty", counted_require)
+        counts = {}
+        for k in (12, 24, 48):
+            c = digital_circle_covering(4 * k, k)
+            built.clear()
+            gd = cover.data_of_covering(c)
+            counts[k] = built[None]
+            assert len(gd.overlap) == 3 * k
+        assert emptied[None] == 0
+        assert counts[24] <= 2.2 * counts[12] and counts[48] <= 2.2 * counts[24], counts
+
+
 def _empty_pair(gd):
-    return next(key for key in product(gd.index, repeat=2) if not gd.overlap[key].points)
+    return absent_pairs(gd)[0]
 
 
 def _empty_triple(gd):
@@ -314,7 +395,7 @@ def _empty_triple(gd):
         (i, j, k)
         for i, j, k in product(gd.index, repeat=3)
         if i not in (j, k) and j < k
-        and gd.overlap[(i, j)].points and gd.overlap[(i, k)].points
+        and gd.space_of(pair(i, j)).points and gd.space_of(pair(i, k)).points
         and not gd.stores(normalize((i, j, k)))
     )
 
@@ -369,7 +450,7 @@ class TestMapsOutOfEmptyObjects:
             transition=((i, j), SpaceMap(named, FiniteSpace("there", (), {}), {})),
         )
         rebuilt = make_gluing_data(self.gd.index, self.gd.patch, **tables, triple_transition=self.gd.triple_transition)
-        assert rebuilt == self.gd and rebuilt.overlap[(i, j)] is EMPTY
+        assert rebuilt == self.gd and (i, j) not in rebuilt.overlap and rebuilt.space_of(pair(i, j)) is EMPTY
 
     def test_projection_into_the_wrong_space(self):
         i, j, k = _empty_triple(self.gd)
@@ -408,7 +489,7 @@ class TestMapsOutOfEmptyObjects:
         gd, glued = self.gd, glue.glue(self.gd)
         i = next(
             i for i in gd.index
-            if bool(gd.overlap[(i, min(set(gd.index) - {i}))].points) == (first_overlap == "has points")
+            if bool(gd.space_of(pair(i, min(set(gd.index) - {i}))).points) == (first_overlap == "has points")
         )
         other = next(j for j in gd.index if j != i)
         singles = {n: glued.leg(single(n)) for n in gd.index}
@@ -419,7 +500,7 @@ class TestMapsOutOfEmptyObjects:
             assert got == _outcome(ref.complete_cone, gd, glued.apex, singles)
         else:
             # the dense loop meets the empty overlap's anchor first; the nerve, its first overlap with points
-            j = next(j for j in gd.index if j != i and gd.overlap[(i, j)].points)
+            j = next(j for j in gd.index if j != i and (i, j) in gd.overlap)
             assert got == _outcome(fintop.compose, singles[i], gd.anchor[(i, j)])
             assert got[:2] == ("raises", "CompositionMismatch")
 

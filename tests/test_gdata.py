@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import law_reference
-from conftest import digital_circle_data, mutate_transition, mutate_triple, random_lawful_data
+from conftest import absent_pairs, digital_circle_data, mutate_transition, mutate_triple, random_lawful_data
 from paths import coord, find_path, realize
 from test_glue import self_weld_arc
 from topoglue import gdata, glidx
@@ -36,7 +36,6 @@ from topoglue.fixtures import (
 from topoglue.gdata import (
     GluingData,
     derive_triple_maps,
-    extract_data,
     functor_of,
     make_gluing_data,
     validate,
@@ -143,10 +142,11 @@ class TestLawSubjects:
         rng = random.Random(5)
         data = [random_lawful_data(rng) for _ in range(12)]
         data += [digital_circle_data(16, 4), digital_circle_data(24, 6)]
-        assert any(not space.points for gd in data for space in gd.overlap.values())
+        assert any(absent_pairs(gd) for gd in data)
         for gd in data:
             pos = {i: n for n, i in enumerate(gd.index)}
-            stored = [key for key, space in gd.overlap.items() if key[0] == key[1] or space.points]
+            keys = itertools.product(gd.index, repeat=2)
+            stored = [key for key in keys if key[0] == key[1] or gd.space_of(pair(*key)).points]
             assert isinstance(gd.nerve, glidx.Category)
             assert gd.nerve.pairs == tuple(sorted(stored, key=lambda ij: (pos[ij[0]], pos[ij[1]])))
             assert gd.nerve.triples == _triple_keys(gd.index, gd.nerve.objects)
@@ -485,11 +485,12 @@ class TestFunctorOf:
 
 
 def _reference_map(gd, a, b, gen):
-    """The map of the generator edge a -> b read off the datum's tables, not through ``map``."""
-    if gen.kind == "eta":
-        return gd.anchor[gen.indices]
-    if gen.kind == "tau":
-        return gd.transition[gen.indices]
+    """The map of the generator edge a -> b read off the datum's tables, not through ``map``;
+    an anchor or transition out of a pair off the nerve, which no table keys, is the empty map."""
+    if gen.kind in ("eta", "tau"):
+        if gen.indices not in gd.overlap:
+            return SpaceMap(gdata.EMPTY, gd.space_of(a), {})
+        return (gd.anchor if gen.kind == "eta" else gd.transition)[gen.indices]
     if gen.kind == "eta3":
         i, j, k, n = gen.indices
         return coord(gd, i, n, k if n == j else j)
@@ -610,28 +611,6 @@ class TestRepresentativeInvariance:
 
 
 class TestRoundTrip:
-    def test_circle_extracts_to_itself(self):
-        gd = gd_circ()
-        fun = functor_of(gd)
-        back = extract_data(fun)
-        assert back.index == gd.index
-        assert back.patch == gd.patch
-        assert back.overlap == gd.overlap
-        assert back.anchor == gd.anchor
-        assert back.transition == gd.transition
-        assert back.triple_transition == gd.triple_transition
-        assert validate(back).passed
-
-    def test_random_lawful_data_round_trips(self):
-        rng = random.Random(7)
-        for _ in range(10):
-            gd = random_lawful_data(rng)
-            fun = functor_of(gd)
-            back = extract_data(fun)
-            assert back.anchor == gd.anchor
-            assert back.transition == gd.transition
-            assert back.triple_transition == gd.triple_transition
-
     def test_transition_invertibility(self):
         rng = random.Random(11)
         for _ in range(8):
@@ -642,7 +621,7 @@ class TestRoundTrip:
                     tau_ij, tau_ji = GlGen("tau", (i, j)), GlGen("tau", (j, i))
                     fwd = realize(fun, tau_ij.dom, (tau_ij,))
                     bwd = realize(fun, tau_ji.dom, (tau_ji,))
-                    assert compose(bwd, fwd) == identity_map(gd.overlap[(i, j)])
+                    assert compose(bwd, fwd) == identity_map(gd.space_of(pair(i, j)))
 
 
 class TestMistypedPairMaps:
@@ -763,7 +742,7 @@ class TestLawPassAgainstReference:
         data = [gd_circ(), cylinder_data("1"), boundary_data("1"), sequential_torus_data()]
         data += [random_lawful_data(rng) for _ in range(25)]
         data += [digital_circle_data(16, 4), digital_circle_data(24, 6)]
-        assert any(not space.points for gd in data for space in gd.overlap.values())
+        assert any(absent_pairs(gd) for gd in data)
         for gd in data:
             for variant in (gd, dataclasses.replace(gd, triple_transition={})):
                 expected = _law_outcome(law_reference.check_laws, variant)
@@ -818,7 +797,7 @@ class TestConstructionPasses:
 
     def test_replace_still_checks_a_map_out_of_an_empty_overlap(self):
         gd = digital_circle_data(16, 4)
-        i, j = next(key for key, space in gd.overlap.items() if not space.points)
+        i, j = absent_pairs(gd)[0]
         with pytest.raises(CompositionMismatch, match="leaves an empty object"):
             dataclasses.replace(gd, anchor={**gd.anchor, (i, j): identity_map(gd.patch[i])})
 
@@ -852,6 +831,23 @@ def swapped_data(draw):
     return gd, dataclasses.replace(gd, **{name: {**getattr(gd, name), key: swapped}})
 
 
+def _every_check_ends_typed(bad, glued):
+    """Every check on ``bad``, against the glued cone of the lawful datum, returns or raises a typed error."""
+    assert isinstance(validate(bad), gdata.Report)
+    calls = [lambda: glue(bad)]
+    calls += [lambda mode=mode: check_cone(bad, glued, mode) for mode in CONE_MODES]
+    calls += [
+        lambda: check_glued_properties(bad, glued),
+        lambda: check_otop(bad, glued),
+        lambda: verify_universal(bad, glued, budget=500),
+    ]
+    for call in calls:
+        try:
+            call()
+        except TopoglueError:
+            pass
+
+
 class TestSwappedMapFuzz:
     """Data with one nerve map swapped ends in a report or a typed error in every check."""
 
@@ -859,17 +855,27 @@ class TestSwappedMapFuzz:
     @given(swapped_data())
     def test_every_check_returns_or_raises_a_typed_error(self, case):
         gd, bad = case
-        assert isinstance(validate(bad), gdata.Report)
-        glued = glue(gd)
-        calls = [lambda: glue(bad)]
-        calls += [lambda mode=mode: check_cone(bad, glued, mode) for mode in CONE_MODES]
-        calls += [
-            lambda: check_glued_properties(bad, glued),
-            lambda: check_otop(bad, glued),
-            lambda: verify_universal(bad, glued, budget=500),
-        ]
-        for call in calls:
-            try:
-                call()
-            except TopoglueError:
-                pass
+        _every_check_ends_typed(bad, glue(gd))
+
+
+class TestOneWayPairs:
+    """Data given an overlap (i, j) with points but no entry for (j, i), so that (j, i) is off
+    its nerve and no table has it, ends in a report or a typed error in every check."""
+
+    def test_every_check_returns_or_raises_a_typed_error(self):
+        rng = random.Random(41)
+        data = [gd_circ(), digital_circle_data(12, 3)] + [random_lawful_data(rng) for _ in range(15)]
+        seen = 0
+        for gd in data:
+            glued = glue(gd)
+            for i, j in (key for key in gd.nerve.pairs if key[0] != key[1]):
+                tables = [
+                    {key: v for key, v in getattr(gd, name).items() if key != (j, i)}
+                    for name in ("overlap", "anchor", "transition")
+                ]
+                bad = derive_triple_maps(make_gluing_data(gd.index, gd.patch, *tables))
+                assert (i, j) in bad.overlap and not bad.stores(pair(j, i))
+                assert ("transition-typing", f"({i},{j})") in [(e.name, e.subject) for e in validate(bad).failures()]
+                _every_check_ends_typed(bad, glued)
+                seen += 1
+        assert seen >= 20

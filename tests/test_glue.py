@@ -9,7 +9,7 @@ import cone_reference
 from conftest import digital_circle, digital_circle_data, random_lawful_data
 from oracles import first_difference
 from empty_reference import on_nerve
-from paths import coord, find_path, realize
+from paths import anchor, coord, find_path, realize, transition
 from topoglue import fintop, glidx
 from topoglue import glue as glue_mod
 from topoglue.errors import (
@@ -729,7 +729,7 @@ def _glued_properties_reference(gd, candidate):
     """``check_glued_properties`` with its own anchor and transition loops: the reference.
 
     It walks every object of the index category, reading one outside the
-    nerve as the empty space (``cone_reference.dense_cone``, ``coord``).
+    nerve as the empty space (``cone_reference.dense_cone``; ``anchor``, ``transition``, ``coord``).
     """
     rep = Report()
     idx = gd.index
@@ -740,7 +740,7 @@ def _glued_properties_reference(gd, candidate):
                 continue
             w = first_difference(
                 candidate.leg(pair(i, j)),
-                compose(candidate.leg(single(i)), gd.anchor[(i, j)]),
+                compose(candidate.leg(single(i)), anchor(gd, i, j)),
             )
             rep.add("a-pair-factors", f"({i},{j})", w is None, w)
     for obj in glidx.objects(idx):
@@ -760,10 +760,10 @@ def _glued_properties_reference(gd, candidate):
         rep.add("b-triple-factors", repr(obj), ok, wit)
     for i in idx:
         for j in idx:
-            lhs = compose(candidate.leg(single(i)), gd.anchor[(i, j)])
+            lhs = compose(candidate.leg(single(i)), anchor(gd, i, j))
             rhs = compose(
-                compose(candidate.leg(single(j)), gd.anchor[(j, i)]),
-                gd.transition[(i, j)],
+                compose(candidate.leg(single(j)), anchor(gd, j, i)),
+                transition(gd, i, j),
             )
             w = first_difference(lhs, rhs)
             rep.add("c-overlap-agree", f"({i},{j})", w is None, w)
@@ -776,8 +776,8 @@ def _glued_properties_reference(gd, candidate):
         for j in idx:
             img_i = candidate.leg(single(i)).image()
             img_j = candidate.leg(single(j)).image()
-            via_ij = compose(candidate.leg(single(i)), gd.anchor[(i, j)]).image()
-            via_ji = compose(candidate.leg(single(j)), gd.anchor[(j, i)]).image()
+            via_ij = compose(candidate.leg(single(i)), anchor(gd, i, j)).image()
+            via_ji = compose(candidate.leg(single(j)), anchor(gd, j, i)).image()
             ok = via_ij == via_ji == (img_i & img_j)
             rep.add(
                 "e-intersections",
@@ -1174,8 +1174,8 @@ def _product_cones(gd, apex):
     for combo in itertools.product(*per_patch):
         legs = dict(zip(gd.index, combo))
         if all(
-            compose(legs[i], gd.anchor[(i, j)])
-            == compose(compose(legs[j], gd.anchor[(j, i)]), gd.transition[(i, j)])
+            compose(legs[i], anchor(gd, i, j))
+            == compose(compose(legs[j], anchor(gd, j, i)), transition(gd, i, j))
             for i in gd.index
             for j in gd.index
         ):

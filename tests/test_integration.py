@@ -212,6 +212,27 @@ class TestOneIndexCategoryType:
         assert isinstance(gd_circ().nerve, glidx.Category)
 
 
+class TestSparsePairTables:
+    """A datum's pair tables hold its nerve's pairs only; the document format alone asks for every pair."""
+
+    @staticmethod
+    def _sources():
+        return {
+            info.name: inspect.getsource(importlib.import_module(f"topoglue.{info.name}"))
+            for info in pkgutil.iter_modules(topoglue.__path__)
+        }
+
+    def test_no_dense_pair_readers_left(self):
+        gdata = importlib.import_module("topoglue.gdata")
+        cover = importlib.import_module("topoglue.cover")
+        assert not {"extract_data", "_NOTHING"} & set(vars(gdata))
+        assert "EMPTY" not in inspect.getsource(cover.data_of_covering)
+
+    def test_only_the_parser_asks_for_every_pair(self):
+        names = [name for name, text in self._sources().items() if "missing entries for pairs" in text]
+        assert names == ["specfile"]
+
+
 class TestPython310Syntax:
     """Every module parses as Python 3.10, the oldest version ``pyproject.toml`` allows."""
 

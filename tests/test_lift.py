@@ -11,7 +11,7 @@ import random
 import pytest
 
 from conftest import digital_circle_data, mutate_transition, random_lawful_data
-from paths import coord, find_path, realize, reindex
+from paths import anchor, coord, find_path, realize, reindex, transition
 from test_gdata import _ambiguous_instance
 from test_glue import self_weld_arc, three_patch_chain
 from topoglue import cover, glidx
@@ -83,7 +83,7 @@ def _scan_derive(gd):
                 cod_sp = gd.space_of(normalize((j, i, k)))
                 out_coord = coord(gd, i, j, k)
                 in_coord = coord(gd, j, i, k)
-                phi = gd.transition[(i, j)]
+                phi = transition(gd, i, j)
                 table = {}
                 for t in sorted(dom_sp.points):
                     target = phi(out_coord(t))
@@ -106,10 +106,10 @@ def _loop_complete(gamma, fine, coarse, components):
             fine_sp = fine.space(reindex_object(gamma, obj))
             eta = find_path(gamma.source, single(i), obj)
             known = compose(comps[single(i)], realize(fine, *reindex(gamma, single(i), eta)))
-            anchor = coarse.data.anchor[(i, j)]
+            anchor_ij = anchor(coarse.data, i, j)
             fibers = {}
-            for u in sorted(anchor.dom.points):
-                fibers.setdefault(anchor(u), []).append(u)
+            for u in sorted(anchor_ij.dom.points):
+                fibers.setdefault(anchor_ij(u), []).append(u)
             table = {}
             for t in sorted(fine_sp.points):
                 cand = fibers.get(known(t), [])
