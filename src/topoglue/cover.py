@@ -31,7 +31,7 @@ from .fintop import (
     non_open_points,
     pullback,
 )
-from .gdata import GluingData, Report, derive_triple_maps, make_gluing_data
+from .gdata import GluingData, Report, derive_triple_maps
 from .glidx import single
 from .glue import Cone, GluedSpace, _meeting, _non_open_data, glue, mediate
 
@@ -86,7 +86,7 @@ def data_of_covering(c: Covering) -> GluingData:
     A pullback has points exactly when the two leg images meet, so only
     those leg pairs are pulled back, found from the base points each leg
     image holds, and only they get entries: every other pair is left out,
-    so its overlap is the empty one (``make_gluing_data``).
+    so its overlap is the empty one (``GluingData``).
     """
     idx = [str(n) for n in range(len(c.family))]
     patch = {i: sp for i, (sp, _) in zip(idx, c.family)}
@@ -101,7 +101,7 @@ def data_of_covering(c: Covering) -> GluingData:
         overlap[(i, j)], anchor[(i, j)] = sp, pi
         transition[(i, j)] = lift([pj, pi], [pj_back, pi_back])
         assert isinstance(transition[(i, j)], SpaceMap), "a swapped pair is a pullback point"
-    return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition))
+    return derive_triple_maps(GluingData(idx, patch, overlap, anchor, transition))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ two-point discrete space ``_ends``.
 from __future__ import annotations
 
 from .fintop import FiniteSpace, SpaceMap, make_space
-from .gdata import GluingData, GluingFunctor, derive_triple_maps, functor_of, make_gluing_data
+from .gdata import GluingData, GluingFunctor, derive_triple_maps, functor_of
 from .glidx import normalize, pair, single
 from .glue import Cone, glue
 from .refine import GdfGluingData, IndexMap, complete_refinement, identity_refinement
@@ -91,7 +91,7 @@ def _two_patches(
     ``a12`` and ``a21`` are the anchor tables into p1 and p2; each transition
     sends an overlap point to the point of the same name in the other overlap.
     """
-    data = make_gluing_data(
+    data = GluingData(
         ["1", "2"],
         patch={"1": p1, "2": p2},
         overlap={("1", "2"): o12, ("2", "1"): o21},
@@ -114,7 +114,7 @@ def trivial_data(space: FiniteSpace | None = None, label: str = "1") -> GluingDa
     """A single patch and nothing else."""
     sp = space if space is not None else arc3()
     return derive_triple_maps(
-        make_gluing_data([label], patch={label: sp}, overlap={}, anchor={}, transition={})
+        GluingData([label], patch={label: sp}, overlap={}, anchor={}, transition={})
     )
 
 

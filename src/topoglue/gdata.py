@@ -5,7 +5,10 @@ overlap space with an anchor map into the first patch per ordered pair, a
 transition map between opposite overlaps, and a transition per ordered index
 triple between the canonical triple spaces.  The triple space of [i,j,k] is
 always the pullback of the two anchors out of overlaps (i,j) and (i,k); the
-freedom to choose any pullback is resolved by this fixed representative.
+freedom to choose any pullback is resolved by this fixed representative.  So
+a datum is built from its pairs and triple transitions alone
+(``GluingData(...)``, also ``make_gluing_data``): it works out its triple
+spaces and their projections, which no caller gives.
 
 A datum stores only its nerve: every patch, the overlaps and triple spaces
 that have points, and their anchors, transitions, projections and triple
@@ -28,8 +31,7 @@ A datum is frozen: its tables are read-only copies of what it was built
 from.  So it has one verdict, and ``validate`` computes its rows once per
 datum (as ``glue`` builds the patches' disjoint union once);
 ``dataclasses.replace`` and ``derive_triple_maps`` build a new datum, which
-gets its own.  Building a datum checks its pair tables once
-(``make_gluing_data``, or ``__post_init__`` for a direct or replaced one);
+gets its own.  Building a datum checks its pair tables once;
 ``derive_triple_maps`` shares the checked tables of the datum it copies.
 ``validate`` first types every map of the nerve, and stops after those
 rows if one is mistyped; then every law compares tables point by point.
@@ -54,7 +56,7 @@ from .fintop import (
 )
 from .glidx import GlGen, GlObject, normalize, pair, single
 
-_TABLES = ("patch", "overlap", "anchor", "transition", "triple_space", "triple_proj", "triple_transition")
+_TABLES = ("patch", "overlap", "anchor", "transition", "triple_transition", "triple_space", "triple_proj")
 EMPTY = FiniteSpace("empty", (), {})  # the space of every object outside a datum's nerve
 
 
@@ -144,16 +146,15 @@ def _nerve(index: tuple[str, ...], pairs: frozenset, triples: frozenset) -> glid
 class GluingData:
     """Gluing data, lawful or not: its nerve's tables, held as read-only copies.
 
-    ``overlap``, ``anchor`` and ``transition`` are keyed by the nerve's
-    pairs only, in index order: the diagonal pairs and those whose overlap
-    has points (``_nerve_pairs``).  Any other pair is not a key; its
-    overlap reads as ``EMPTY`` through ``space_of`` and its maps as empty
-    maps through ``map``.
-    ``triple_space`` and ``triple_proj`` hold the triple spaces with points
-    and their projections, and ``triple_transition`` is keyed by the triples
-    (i, j, k) with i != j whose normal object the datum stores.  Building a
-    datum drops what is given for an object outside the nerve, after
-    checking it is empty (``_nerve_pairs`` and ``_nerve_triples``).  A
+    The one constructor.  The index is sorted (``_index_labels``), and
+    diagonal overlaps default to the patches with identity anchor and
+    transition.  ``overlap``, ``anchor`` and ``transition`` are keyed by
+    the nerve's pairs only, in index order (``_nerve_pairs``); any other
+    pair reads as ``EMPTY`` through ``space_of`` and its maps as empty maps
+    through ``map``.  ``triple_space`` and ``triple_proj`` are worked out,
+    not given: the canonical pullbacks of anchor pairs (``_triple_tables``).
+    ``triple_transition`` is taken as given, keyed by the triples (i, j, k),
+    i != j, whose normal object the datum stores (``_nerve_triples``).  A
     datum that passes ``validate`` is the paper's gluing-data functor
     itself: ``GluingFunctor`` only reads it on the index category.
     """
@@ -163,17 +164,23 @@ class GluingData:
     overlap: Mapping[tuple[str, str], FiniteSpace]
     anchor: Mapping[tuple[str, str], SpaceMap]
     transition: Mapping[tuple[str, str], SpaceMap]
-    triple_space: Mapping[GlObject, FiniteSpace]
-    triple_proj: Mapping[tuple[GlObject, str], SpaceMap]
-    triple_transition: Mapping[tuple[str, str, str], SpaceMap]
+    triple_transition: Mapping[tuple[str, str, str], SpaceMap] = field(default_factory=dict)
+    triple_space: Mapping[GlObject, FiniteSpace] = field(init=False)
+    triple_proj: Mapping[tuple[GlObject, str], SpaceMap] = field(init=False)
 
     __hash__ = None  # the tables are not hashable
 
     def __post_init__(self):
-        index = tuple(self.index)
-        pairs = _nerve_pairs(index, self.patch, self.overlap, self.anchor, self.transition)
-        triples = _nerve_triples(index, pairs[0], self.triple_space, self.triple_proj, self.triple_transition)
-        self._hold(index, *map(read_only, (self.patch, *pairs, *triples)))
+        index = _index_labels(self.index, self.patch)
+        overlap, anchor, transition = dict(self.overlap), dict(self.anchor), dict(self.transition)
+        for i in index:
+            overlap.setdefault((i, i), self.patch[i])
+            anchor.setdefault((i, i), identity_map(self.patch[i]))
+            transition.setdefault((i, i), identity_map(overlap[(i, i)]))
+        pairs = _nerve_pairs(index, self.patch, overlap, anchor, transition)
+        spaces, projs = _triple_tables(index, *pairs[:2])
+        triples = _nerve_triples(index, pairs[0], spaces, self.triple_transition)
+        self._hold(index, *map(read_only, (self.patch, *pairs, triples, spaces, projs)))
 
     def _hold(self, index: tuple[str, ...], *tables: Mapping) -> None:
         """Set the index and then the tables, in field order, as they are."""
@@ -239,27 +246,20 @@ class GluingData:
         return SpaceMap(self.space_of(b), self.space_of(a), {})
 
 
-def _nerve_triples(index, overlap, triple_space, triple_proj, triple_transition) -> tuple[dict, dict, dict]:
-    """The triple tables of a datum with this ``overlap`` table (``_nerve_pairs``), as its nerve keeps them.
+def _nerve_triples(index, overlap, spaces, triple_transition) -> dict:
+    """The triple transitions of a datum with these ``overlap`` and triple ``spaces`` tables
+    (``_nerve_pairs``, ``_triple_tables``), as its nerve keeps them.
 
-    A triple space with no points is dropped, and so is a projection out of
-    it or a triple transition (i, j, k), i != j, out of an object the datum
-    does not store, once ``_require_empty`` finds it the empty map into
-    overlap (i,n) or the space of (j,i,k); an overlap that is not a key of
-    ``overlap`` is ``EMPTY``.
+    A key no law reads is ignored: one not of three labels of the index, or
+    (i, i, k), which reads the identity.  A triple transition (i, j, k) out
+    of an object the datum does not store is dropped, once
+    ``_require_empty`` finds it the empty map into the space of (j,i,k); an
+    object that is not a key of ``overlap`` or ``spaces`` is ``EMPTY``.
     """
-    spaces = {obj: sp for obj, sp in triple_space.items() if sp.points}
-    projs = {}
-    for (obj, n), f in triple_proj.items():
-        if obj in spaces:
-            projs[(obj, n)] = f
-        else:
-            _require_empty(f"projection {obj!r} -> [{obj.head},{n}]", f, overlap.get((obj.head, n), EMPTY))
     labels = set(index)
     transitions = {}
     for key, f in triple_transition.items():
         if len(key) != 3 or key[0] == key[1] or not labels.issuperset(key):
-            transitions[key] = f  # not the key of a transition the laws read
             continue
         i, j, k = key
         if normalize(key) in spaces or (j == k and (i, j) in overlap):
@@ -268,7 +268,7 @@ def _nerve_triples(index, overlap, triple_space, triple_proj, triple_transition)
             partner = normalize((j, i, k))
             cod = overlap.get((j, i), EMPTY) if partner.arity == 2 else spaces.get(partner, EMPTY)
             _require_empty(f"triple transition {key}", f, cod)
-    return spaces, projs, transitions
+    return transitions
 
 
 def _triple_tables(index, overlap, anchor):
@@ -278,7 +278,9 @@ def _triple_tables(index, overlap, anchor):
     has points only when both overlaps do.  Only those anchor pairs are
     pulled back: per label i, the pairs of its overlaps with points, (i,i)
     among them, whose anchors land in one space.  Any other pair has a
-    mistyped anchor, which fails ``validate``'s ``anchor-typing`` row.
+    mistyped anchor, which fails ``validate``'s ``anchor-typing`` row.  A
+    projection runs onto its anchor's domain, so it is mistyped only when
+    that anchor is.
     """
     near: dict[str, list[str]] = {i: [] for i in index}
     for (i, j), space in overlap.items():  # the nerve's pairs, in index order
@@ -320,27 +322,8 @@ def make_gluing_data(
     transition: Mapping[tuple[str, str], SpaceMap],
     triple_transition: Mapping[tuple[str, str, str], SpaceMap] | None = None,
 ) -> GluingData:
-    """Assemble gluing data, filling the forced diagonal entries.
-
-    Diagonal overlaps default to the patches with identity anchor and
-    transition.  An ordered pair given no overlap has the empty one, so
-    only the pairs whose overlap has points need their entries; an entry
-    given for an empty pair is checked once and dropped (``_nerve_pairs``).
-    Triple spaces and their projections are computed as the canonical
-    pullbacks, for the triples with points; triple transitions are taken as
-    given (use ``derive_triple_maps`` to fill them when they are forced).
-    """
-    idx = _index_labels(index, patch)
-    overlap = dict(overlap)
-    anchor = dict(anchor)
-    transition = dict(transition)
-    for i in idx:
-        overlap.setdefault((i, i), patch[i])
-        anchor.setdefault((i, i), identity_map(patch[i]))
-        transition.setdefault((i, i), identity_map(overlap[(i, i)]))
-    pairs = _nerve_pairs(idx, patch, overlap, anchor, transition)
-    triples = _nerve_triples(idx, pairs[0], *_triple_tables(idx, *pairs[:2]), triple_transition or {})
-    return GluingData._checked(idx, *map(read_only, (patch, *pairs, *triples)))
+    """``GluingData(...)``, with no triple transitions for ``None``."""
+    return GluingData(index, patch, overlap, anchor, transition, triple_transition or {})
 
 
 def _coord(gd: GluingData, key: tuple[str, str, str]) -> SpaceMap:
@@ -379,8 +362,8 @@ def derive_triple_maps(gd: GluingData) -> GluingData:
         if not isinstance(lifted, SpaceMap):
             raise NotDetermined(*key, *lifted)
         derived[key] = lifted
-    tables = (gd.patch, gd.overlap, gd.anchor, gd.transition, gd.triple_space, gd.triple_proj)
-    return GluingData._checked(gd.index, *tables, read_only(derived))
+    tables = (gd.overlap, gd.anchor, gd.transition, read_only(derived), gd.triple_space, gd.triple_proj)
+    return GluingData._checked(gd.index, gd.patch, *tables)
 
 
 def _add_continuity(rep: Report, name: str, subject: str, f: SpaceMap) -> None:
@@ -401,10 +384,18 @@ def _triples_present(gd: GluingData, rep: Report) -> bool:
 
 
 def _mistyped(f: SpaceMap, dom: FiniteSpace, cod: FiniteSpace) -> str | None:
-    """None when f runs from ``dom`` to ``cod``, else the witness of its failing typing row."""
+    """None when f runs from ``dom`` to ``cod``, else the witness of its failing typing row.
+
+    The witness names both ends by their ids, and then each end that is
+    another space under the expected id, which the ids alone would hide.
+    """
     if fintop._same(f.dom, dom) and fintop._same(f.cod, cod):
         return None
-    return f"{f.dom.space_id} -> {f.cod.space_id}, not {dom.space_id} -> {cod.space_id}"
+    w = f"{f.dom.space_id} -> {f.cod.space_id}, not {dom.space_id} -> {cod.space_id}"
+    for end, got, want in (("domain", f.dom, dom), ("codomain", f.cod, cod)):
+        if got.space_id == want.space_id and not fintop._same(got, want):
+            w += f"; its {end} is another space named {got.space_id!r}"
+    return w
 
 
 def _pair_typed(gd: GluingData, i: str, j: str) -> tuple[bool, bool]:
@@ -418,31 +409,22 @@ def _pair_typed(gd: GluingData, i: str, j: str) -> tuple[bool, bool]:
 
 
 def _triples_typed(gd: GluingData, rep: Report) -> bool:
-    """Add a failing row per nerve triple map that does not run between the spaces its laws
-    read; True if none does.
+    """Add a failing ``triple-typing`` row (i,j,k) per given triple transition of the nerve
+    that does not run from the space of (i,j,k) to that of (j,i,k); True if none does.
 
-    A ``projection-typing`` row (i,j,k), j != k, for the (i,j)-coordinate
-    of (i,j,k), which runs from the space of (i,j,k) onto overlap (i,j); a
-    ``triple-typing`` row (i,j,k), i != j, for a triple transition, which
-    runs from the space of (i,j,k) to that of (j,i,k).  A missing triple
-    transition is left to ``triple-present``.
+    (i,i,k) reads the identity, and a missing triple transition is left to
+    ``triple-present``.  The projections need no row: each runs onto its
+    anchor's domain (``_triple_tables``), so it is mistyped only when that
+    anchor fails ``anchor-typing``.
     """
     typed = True
     for i, j, k in gd.nerve.triples:
-        obj, sub = normalize((i, j, k)), f"({i},{j},{k})"
-        space = gd.space_of(obj)
-        if j != k:
-            proj = gd.triple_proj.get((obj, j))
-            w = "missing" if proj is None else _mistyped(proj, space, gd.overlap.get((i, j), EMPTY))
-            if w is not None:
-                typed = False
-                rep.add("projection-typing", sub, False, w)
-        f = gd.triple_transition.get((i, j, k)) if i != j else None  # (i,i,k) reads the identity
+        f = gd.triple_transition.get((i, j, k)) if i != j else None
         if f is not None:
-            w = _mistyped(f, space, gd.space_of(normalize((j, i, k))))
+            w = _mistyped(f, gd.space_of(normalize((i, j, k))), gd.space_of(normalize((j, i, k))))
             if w is not None:
                 typed = False
-                rep.add("triple-typing", sub, False, w)
+                rep.add("triple-typing", f"({i},{j},{k})", False, w)
     return typed
 
 
@@ -479,11 +461,10 @@ def _check_laws(gd: GluingData) -> Report:
 
     a) the diagonal overlap is the patch; b) diagonal anchor and transition
     are identities; typing and continuity of every anchor and transition;
-    typing of every triple projection and given triple transition
-    (``_triples_typed``); the inverse law for opposite transitions; presence
-    of all triple transitions; the cocycle law for composed triple
-    transitions; and the projection square tying triple transitions to pair
-    transitions.
+    typing of every given triple transition (``_triples_typed``); the
+    inverse law for opposite transitions; presence of all triple
+    transitions; the cocycle law for composed triple transitions; and the
+    projection square tying triple transitions to pair transitions.
 
     The transition out of the [i,j,k]-space always lands in the [j,i,k]-space
     (first two indices swapped, third carried along); the cocycle and
@@ -569,13 +550,11 @@ class GluingFunctor:
 
     Only a datum that passes ``validate`` (kept per datum) builds one, else
     ValidationFailed with its report.  ``space`` and ``map`` are the datum's
-    (``GluingData.map``); nothing is copied out of it.  When the triple
-    tables come from ``make_gluing_data`` (``derive_triple_maps`` copies
-    them), a passing report implies the relation families of
-    ``glidx.verify_relations`` on the tables; write t(..) for triple
-    transitions.  (a) identity generators have no table entry, so a
-    realization reads them as identities; the diagonal clauses tie that to
-    the diagonal data.  (b) is transition-inverse, (c1) cocycle and (e)
+    (``GluingData.map``); nothing is copied out of it.  A passing report
+    implies the relation families of ``glidx.verify_relations`` on the
+    tables; write t(..) for triple transitions.  (a) identity generators
+    have no table entry, so a realization reads them as identities; the
+    diagonal clauses tie that to the diagonal data.  (b) is transition-inverse, (c1) cocycle and (e)
     projection-square, clause for clause.  (d) holds by construction: each
     triple space is the pullback of anchors (i,j) and (i,k).  (c2): for a
     point p of [i,j,k], q = t(j,i,k) t(i,j,k) p has the (i,j)-coordinate of

@@ -49,7 +49,7 @@ from .fintop import (
     read_only,
 )
 from .gdata import GluingData, Report, _pair_typed, _require_triples, validate
-from .glidx import GlObject, faces_of, pair, single
+from .glidx import GlObject, faces_of, single
 
 CONE_MODES = ("full", "figure3", "figure4")
 
@@ -112,14 +112,17 @@ def _links(gd: GluingData) -> dict[tuple[str, str], list[tuple[str, str, str]]]:
 
     For each sorted point u of overlap (i, j), the link (u, x, y) identifies
     x = anchor_ij(u) in patch i with y = anchor_ji(transition_ij(u)) in
-    patch j.  Only unlawful data has (j, i) outside the nerve; anchor_ji is
-    then the empty map (``GluingData.map``), which raises UnknownPoint.
+    patch j.  The maps a link reads are typed first (``gdata._pair_typed``):
+    data that need not have passed ``validate`` may send a link out of its
+    patches, and a mistyped map raises CompositionMismatch naming the pair.
+    Typed, transition (i, j) lands in an overlap with points, so (j, i) is
+    in the nerve too.
     """
     links = {}
     for i, j in gd.nerve.pairs:
-        anchor_ij = gd.anchor[(i, j)]
-        anchor_ji = gd.anchor[(j, i)] if (j, i) in gd.anchor else gd.map(single(j), pair(j, i))
-        trans = gd.transition[(i, j)]
+        if not (all(_pair_typed(gd, i, j)) and _pair_typed(gd, j, i)[0]):
+            raise CompositionMismatch(f"the maps linking patches {i!r} and {j!r} are mistyped")
+        anchor_ij, anchor_ji, trans = gd.anchor[(i, j)], gd.anchor[(j, i)], gd.transition[(i, j)]
         links[(i, j)] = [
             (u, anchor_ij(u), anchor_ji(trans(u))) for u in sorted(gd.overlap[(i, j)].points)
         ]
@@ -405,14 +408,9 @@ def enumerate_cones(
     pair, Stong 1966).  Families come out in the order of the Cartesian
     product of the per-patch map lists: two families first differ at the
     first member of the first class they differ on.  ``budget`` bounds the
-    class assignments tried.  The maps the links read are typed first
-    (``gdata._pair_typed``): data that need not have passed ``validate`` may
-    send a link out of its patches, and a mistyped map raises
-    CompositionMismatch.
+    class assignments tried.  A mistyped map a link reads raises
+    CompositionMismatch (``_links``).
     """
-    for i, j in gd.nerve.pairs:
-        if not (all(_pair_typed(gd, i, j)) and _pair_typed(gd, j, i)[0]):
-            raise CompositionMismatch(f"the maps linking patches {i!r} and {j!r} are mistyped")
     patch_points = [(i, sorted(gd.patch[i].points)) for i in gd.index]
     pos = {ix: p for p, ix in enumerate((i, x) for i, pts in patch_points for x in pts)}
     links = fintop._UnionFind(range(len(pos)))  # a class's root is its first member

@@ -37,12 +37,12 @@ from .fintop import (
 )
 from .gdata import (
     EMPTY,
+    GluingData,
     GluingFunctor,
     Report,
     _add_continuity,
     derive_triple_maps,
     functor_of,
-    make_gluing_data,
 )
 from .glidx import GlObject, normalize, pair, single
 from .glue import Cone, GluedSpace, glue, mediate
@@ -357,7 +357,7 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
     overlap = {(i, j): space_at(pair(i, j)) for i, j in pairs}
     anchor = {(i, j): induced(single(i), pair(i, j)) for i, j in pairs}
     transition = {(i, j): induced(pair(j, i), pair(i, j)) for i, j in pairs}
-    composed = derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition))
+    composed = derive_triple_maps(GluingData(idx, patch, overlap, anchor, transition))
     fun = functor_of(composed)
     labels = set(idx)
     triples = {obj for obj in fun.data.nerve.objects if obj.arity == 3}

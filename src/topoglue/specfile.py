@@ -7,7 +7,7 @@ allowed, so a document reads top to bottom.  A key appears at most once per
 block; only ``opens`` and a covering's ``leg`` repeat.  A gluing names the
 overlap, anchor and transition of every ordered pair of distinct labels (the
 diagonal ones default to the patch and identities), even where the overlap
-is empty; ``make_gluing_data`` itself reads an omitted pair as empty.
+is empty; ``GluingData`` itself reads an omitted pair as empty.
 
     space ARC3
       points: l m r
@@ -69,7 +69,7 @@ from functools import cached_property
 
 from .errors import DuplicateName, ParseError, UnresolvedReference
 from .fintop import FiniteSpace, SpaceMap, from_opens, make_space
-from .gdata import GluingData, GluingFunctor, _index_labels, derive_triple_maps, functor_of, make_gluing_data
+from .gdata import GluingData, GluingFunctor, _index_labels, derive_triple_maps, functor_of
 from .glidx import GlGen, GlObject, normalize
 from .glue import Cone, complete_cone
 from .refine import GdfGluingData, IndexMap, Refinement, complete_refinement
@@ -280,7 +280,7 @@ def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:
     )
     if missing:
         raise UnresolvedReference(f"gluing data is missing entries for pairs {missing}")
-    data = make_gluing_data(idx, patch, overlap, anchor, transition, triples)
+    data = GluingData(idx, patch, overlap, anchor, transition, triples)
     if derive:
         data = derive_triple_maps(data)
     return data

@@ -103,10 +103,7 @@ def mutate_transition(rng, gd):
     table[x] = other
     new_transition = dict(gd.transition)
     new_transition[key] = SpaceMap(old.dom, old.cod, table)
-    return GluingData(
-        gd.index, gd.patch, gd.overlap, gd.anchor, new_transition,
-        gd.triple_space, gd.triple_proj, gd.triple_transition,
-    )
+    return GluingData(gd.index, gd.patch, gd.overlap, gd.anchor, new_transition, gd.triple_transition)
 
 
 def mutate_triple(rng, gd):
@@ -126,7 +123,4 @@ def mutate_triple(rng, gd):
     table[x] = other
     new_triples = dict(gd.triple_transition)
     new_triples[key] = SpaceMap(old.dom, old.cod, table)
-    return GluingData(
-        gd.index, gd.patch, gd.overlap, gd.anchor, gd.transition,
-        gd.triple_space, gd.triple_proj, new_triples,
-    )
+    return GluingData(gd.index, gd.patch, gd.overlap, gd.anchor, gd.transition, new_triples)

@@ -44,6 +44,10 @@ def _triples_typed(gd: GluingData, rep: Report) -> bool:
         if not (fintop._same(f.dom, dom) and fintop._same(f.cod, cod)):
             typed = False
             witness = f"{f.dom.space_id} -> {f.cod.space_id}, not {dom.space_id} -> {cod.space_id}"
+            if f.dom.space_id == dom.space_id and f.dom != dom:
+                witness += f"; its domain is another space named {dom.space_id!r}"
+            if f.cod.space_id == cod.space_id and f.cod != cod:
+                witness += f"; its codomain is another space named {cod.space_id!r}"
             rep.add("triple-typing", f"({i},{j},{k})", False, witness)
     return typed
 

@@ -138,6 +138,17 @@ class TestValidateCommand:
         code, out, err = run_cli(capsys, "check-cone", str(f), "PARAM")
         assert (code, out) == (2, "") and err.startswith("error: cannot compose")
 
+    def test_check_glued_names_the_pair_of_a_mistyped_transition(self, capsys, tmp_path):
+        # check-glued reads the overlap links of data it does not validate: a transition
+        # D12 -> PT is a typed input error that names its pair, not a point missing from D21
+        bad = "space PT\n  points: p\n  opens: p\nend\n\nmap bad: D12 -> PT\n  a -> p\n  b -> p\nend\n\n"
+        doc = (EXAMPLES / "circle.glue").read_text().replace("gluing CIRC", bad + "gluing CIRC", 1)
+        f = tmp_path / "mistyped.glue"
+        f.write_text(doc.replace("  transition 1 2: t12\n", "  transition 1 2: bad\n", 1))
+        code, out, err = run_cli(capsys, "check-glued", str(f), "PARAM")
+        assert (code, out) == (2, "")
+        assert err == "error: the maps linking patches '1' and '2' are mistyped\n"
+
 
 class TestComposeCommand:
     def test_torus_meta(self, capsys, torus_file):

@@ -19,7 +19,7 @@ from topoglue.errors import (
     UnresolvedReference,
     ValidationFailed,
 )
-from topoglue.fintop import SpaceMap, compose, identity_map, make_space, subspace
+from topoglue.fintop import SpaceMap, compose, enumerate_continuous_maps, identity_map, make_space
 from topoglue.fixtures import (
     arc3,
     boundary_data,
@@ -63,8 +63,6 @@ def _mutated_transition(gd, key, table):
         overlap=gd.overlap,
         anchor=gd.anchor,
         transition=new_transition,
-        triple_space=gd.triple_space,
-        triple_proj=gd.triple_proj,
         triple_transition=gd.triple_transition,
     )
 
@@ -94,8 +92,6 @@ class TestValidate:
             overlap=gd.overlap,
             anchor=gd.anchor,
             transition=gd.transition,
-            triple_space=gd.triple_space,
-            triple_proj=gd.triple_proj,
             triple_transition={},
         )
         rep = validate(stripped)
@@ -110,6 +106,21 @@ class TestValidate:
         rep = validate(bad)
         assert [(e.name, e.subject) for e in rep.failures()] == [("triple-typing", "(1,2,2)")]
         assert rep.entries[-1].witness == "DISC2 -> PT, not DISC2 -> T[2,1,2]"
+
+    def test_a_stale_triple_transition_names_the_other_space_of_the_same_name(self):
+        # anchor (1,2) moved through replace: T[1,1,2] is a new pullback under the old
+        # name, so the triple transitions given for the old one no longer type
+        gd = gd_circ()
+        f = gd.anchor[("1", "2")]
+        collapsed = SpaceMap(f.dom, f.cod, {"a": "l", "b": "l"})
+        moved = dataclasses.replace(gd, anchor={**gd.anchor, ("1", "2"): collapsed})
+        assert [(e.name, e.subject, e.witness) for e in validate(moved).failures()] == [
+            ("triple-typing", "(1,2,1)",
+             "T[1,1,2] -> DISC2, not T[1,1,2] -> DISC2; its domain is another space named 'T[1,1,2]'"),
+            ("triple-typing", "(2,1,1)",
+             "DISC2 -> T[1,1,2], not DISC2 -> T[1,1,2]; its codomain is another space named 'T[1,1,2]'"),
+        ]
+        assert law_reference.check_laws(moved).failures() == validate(moved).failures()
 
 
 def _triple_keys(index, objects):
@@ -152,7 +163,8 @@ class TestLawSubjects:
             assert gd.nerve.triples == _triple_keys(gd.index, gd.nerve.objects)
 
 
-TABLES = ("patch", "overlap", "anchor", "transition", "triple_space", "triple_proj", "triple_transition")
+TABLES = ("patch", "overlap", "anchor", "transition", "triple_transition", "triple_space", "triple_proj")
+GIVEN = TABLES[:5]  # the tables a datum is built from; it works out the other two
 
 
 class TestFrozenDatum:
@@ -168,7 +180,7 @@ class TestFrozenDatum:
 
     def test_constructor_tables_are_copied(self):
         gd = gd_circ()
-        tables = {name: dict(getattr(gd, name)) for name in TABLES}
+        tables = {name: dict(getattr(gd, name)) for name in GIVEN}
         copy = GluingData(list(gd.index), **tables)
         for table in tables.values():
             table.clear()
@@ -265,17 +277,52 @@ def _ambiguous_instance():
     )
 
 
+def _fixture_data():
+    return [
+        gd_circ(), cylinder_data("1"), boundary_data("1"), sequential_torus_data(), self_weld_arc(),
+        trivial_data(arc3()), digital_circle_data(12, 3), digital_circle_data(24, 6), _constant_anchor_data(),
+    ]
+
+
 class TestMakeGluingData:
-    def test_index_label_with_at_sign(self):
+    @pytest.mark.parametrize("build", [make_gluing_data, GluingData])
+    def test_index_label_with_at_sign(self, build):
         sp = arc3()
         with pytest.raises(UnresolvedReference, match="must not contain '@'") as info:
-            make_gluing_data(["a@b"], patch={"a@b": sp}, overlap={}, anchor={}, transition={})
+            build(["a@b"], patch={"a@b": sp}, overlap={}, anchor={}, transition={})
         assert info.value.exit_code == 2
 
-    def test_index_label_without_patch(self):
+    @pytest.mark.parametrize("build", [make_gluing_data, GluingData])
+    def test_index_label_without_patch(self, build):
         with pytest.raises(UnresolvedReference, match=r"no patch for index labels \['2'\]") as info:
-            make_gluing_data(["1", "2"], patch={"1": arc3()}, overlap={}, anchor={}, transition={})
+            build(["1", "2"], patch={"1": arc3()}, overlap={}, anchor={}, transition={})
         assert info.value.exit_code == 2
+
+    def test_the_constructor_is_given_the_pairs_and_triple_transitions_only(self):
+        init = [f.name for f in dataclasses.fields(GluingData) if f.init]
+        assert init == ["index", "patch", "overlap", "anchor", "transition", "triple_transition"]
+
+    def test_the_constructor_rebuilds_every_fixture(self):
+        for gd in _fixture_data():
+            given = (gd.index, gd.patch, gd.overlap, gd.anchor, gd.transition, gd.triple_transition)
+            assert GluingData(*given) == gd == make_gluing_data(*given)
+            assert GluingData(*given[:5]) == make_gluing_data(*given[:5])
+
+    def test_the_direct_constructor_fills_the_diagonals(self):
+        sp = arc3()
+        gd = GluingData(["1"], patch={"1": sp}, overlap={}, anchor={}, transition={})  # no triple transitions
+        assert gd == trivial_data(sp) and validate(gd).passed
+        assert gd.overlap == {("1", "1"): sp} and gd.transition == {("1", "1"): identity_map(sp)}
+
+    def test_unread_triple_transition_keys_are_dropped(self):
+        # (1,1,2) reads the identity, (1,2,9) is off the index, (1,2) is not a triple
+        gd = gd_circ()
+        m = gd.triple_transition[("1", "2", "2")]
+        given = (gd.index, gd.patch, gd.overlap, gd.anchor, gd.transition)
+        unread = {("1", "1", "2"): m, ("1", "2", "9"): m, ("1", "2"): m}
+        bare = make_gluing_data(*given, unread)
+        assert bare.triple_transition == {} and bare == make_gluing_data(*given)
+        assert make_gluing_data(*given, {**gd.triple_transition, **unread}) == gd
 
     def test_triple_projections_start_at_the_named_triple_space(self):
         gd = digital_circle_data(12, 3)
@@ -363,37 +410,18 @@ def _constant_anchor_data(triples_for=("1", "2")):
     return derive_triple_maps(make_gluing_data(idx, patch, overlap, anchor, transition, triples))
 
 
-def _sub_pullback_data():
-    """Two patches whose degenerate triple [1,{1,2}] keeps only part of its pullback.
-
-    With the triple tables of ``make_gluing_data``, cocycle and
-    projection-square at (i,j,i) and (j,i,i) already imply transition-inverse
-    at (i,j), so no such datum fails that clause alone.  Here overlap (1,2) =
-    {a, b} folds onto overlap (2,1) = {p}, t21 sends p back to a, and the
-    triple space of [1,{1,2}] keeps only the point over a: t21 . t12 moves b,
-    and every other clause holds.
-    """
-    d, p = disc2(), pt("P", "p")
-    gd = make_gluing_data(
-        ["1", "2"],
-        patch={"1": d, "2": p},
-        overlap={("1", "2"): d, ("2", "1"): p},
-        anchor={("1", "2"): SpaceMap(d, d, {"a": "a", "b": "b"}), ("2", "1"): SpaceMap(p, p, {"p": "p"})},
-        transition={
-            ("1", "2"): SpaceMap(d, p, {"a": "p", "b": "p"}),
-            ("2", "1"): SpaceMap(p, d, {"p": "a"}),
-        },
-    )
-    obj = normalize(("1", "1", "2"))
-    part, incl = subspace(gd.triple_space[obj], ["(a,a)"])
-    projs = {(obj, n): compose(gd.triple_proj[(obj, n)], incl) for n in ("1", "2")}
-    return derive_triple_maps(
-        dataclasses.replace(
-            gd,
-            triple_space={**gd.triple_space, obj: part},
-            triple_proj={**gd.triple_proj, **projs},
-        )
-    )
+def _redirected_anchors(gd, rng=None, count=None):
+    """``dataclasses.replace(gd, anchor=...)`` for each continuous map an off-diagonal anchor of
+    ``gd`` can be sent to instead, or for a seeded sample of ``count`` of them.  Each keeps the
+    triple transitions of ``gd``, given between the triple spaces of the old anchors."""
+    moves = [
+        (key, g)
+        for key, f in gd.anchor.items() if key[0] != key[1]
+        for g in enumerate_continuous_maps(f.dom, f.cod) if g != f
+    ]
+    if count is not None:
+        moves = rng.sample(moves, count)
+    return [dataclasses.replace(gd, anchor={**gd.anchor, key: g}) for key, g in moves]
 
 
 class TestValidateImpliesFunctoriality:
@@ -414,14 +442,18 @@ class TestValidateImpliesFunctoriality:
         moved = [m for gd in lawful for _ in range(2) if (m := mutate_transition(rng, gd))]
         mutants = moved + [m for gd in lawful for _ in range(2) if (m := mutate_triple(rng, gd))]
         mutants.append(_constant_anchor_data(triples_for=("1", "3")))
-        mutants.append(_sub_pullback_data())
-        return lawful, mutants
+        redirected = _redirected_anchors(gd_circ()) + _redirected_anchors(cylinder_data("1"), rng, 40)
+        rederived = [derive_triple_maps(dataclasses.replace(gd, triple_transition={})) for gd in redirected]
+        return lawful, mutants + redirected + rederived
 
-    def test_a_mutant_fails_transition_inverse_alone(self):
-        rep = validate(_sub_pullback_data())
-        assert [(e.name, e.subject, e.witness) for e in rep.failures()] == [
-            ("transition-inverse", "(1,2)", "b")
-        ]
+    def test_a_redirected_anchor_moves_its_triple_spaces(self):
+        # the triple spaces are the pullbacks of the new anchors, so the triple transitions
+        # given for the old ones fail to type, and those derived anew validate
+        redirected = _redirected_anchors(gd_circ())
+        assert len(redirected) == 16
+        for gd in redirected:
+            assert {e.name for e in validate(gd).failures()} == {"triple-typing"}
+            assert validate(derive_triple_maps(dataclasses.replace(gd, triple_transition={}))).passed
 
     def test_relations_hold_wherever_validate_passes(self):
         lawful, mutants = self._corpus()
@@ -625,7 +657,7 @@ class TestRoundTrip:
 
 
 class TestMistypedPairMaps:
-    """A mistyped anchor, transition or projection fails a typing row, and no law reads it."""
+    """A mistyped anchor or transition fails a typing row, and no law reads it."""
 
     def _rows(self, gd):
         rep = validate(gd)
@@ -660,27 +692,14 @@ class TestMistypedPairMaps:
         gd = gd_circ()
         overlap = {**gd.overlap, ("1", "1"): disc2()}
         built = derive_triple_maps(make_gluing_data(gd.index, gd.patch, overlap, gd.anchor, gd.transition))
-        # the identities of patch 1 given at (1,1) no longer type, nor does the projection of
-        # [1|{1,2}] onto overlap (1,1): where composing them raised, each fails a row
+        # the identities of patch 1 given at (1,1) no longer type: where composing them
+        # raised, each fails a row
         assert self._failures(built) == [
             ("overlap-diagonal", "(1,1)"),
             ("transition-diagonal", "(1,1)"),
             ("anchor-typing", "(1,1)"),
             ("transition-typing", "(1,1)"),
-            ("projection-typing", "(1,1,2)"),
         ]
-
-    def test_projection_into_another_space(self):
-        gd = digital_circle_data(12, 3)
-        obj = normalize(("0", "0", "1"))
-        old = gd.triple_proj[(obj, "1")]  # the (0,1)-coordinate of (0,1,0)
-        wrong = SpaceMap(old.dom, pt(), dict.fromkeys(old.dom.points, "p"))
-        bad = dataclasses.replace(gd, triple_proj={**gd.triple_proj, (obj, "1"): wrong})
-        witness = f"T[0,0,1] -> PT, not T[0,0,1] -> {old.cod.space_id}"
-        assert self._rows(bad) == [("projection-typing", "(0,1,0)", witness)]
-        missing = {key: f for key, f in gd.triple_proj.items() if key != (obj, "1")}
-        bare = dataclasses.replace(gd, triple_proj=missing)
-        assert self._rows(bare) == [("projection-typing", "(0,1,0)", "missing")]
 
 
 def _law_outcome(check, gd):
@@ -806,20 +825,29 @@ FUZZ_SPACES = (pt(), sierp(), disc2(), indisc2(), arc3(), circle4())
 
 
 def _nerve_slots(gd):
-    """The (table, key) of every map of the nerve: the anchors and transitions of its pairs,
-    then its triple projections and triple transitions."""
+    """The (table, key) of every map of the nerve a datum is given: the anchors and
+    transitions of its pairs, then its triple transitions."""
     return (
         [("anchor", key) for key in gd.nerve.pairs]
         + [("transition", key) for key in gd.nerve.pairs]
-        + [("triple_proj", key) for key in gd.triple_proj]
         + [("triple_transition", key) for key in gd.triple_transition]
     )
+
+
+def _replaced(gd, name, key, f):
+    """``gd`` with map ``f`` at ``key`` of table ``name``, built through ``replace``, or the
+    CompositionMismatch that building it raises: a swapped anchor can empty a triple object
+    that is given a triple transition with points."""
+    try:
+        return dataclasses.replace(gd, **{name: {**getattr(gd, name), key: f}})
+    except CompositionMismatch as exc:
+        return exc
 
 
 @st.composite
 def swapped_data(draw):
     """Seeded lawful data, and a copy with one map of its nerve swapped for a map between
-    fixture spaces or the datum's own patches and overlaps, built through ``replace``."""
+    fixture spaces or the datum's own patches and overlaps (``_replaced``)."""
     seed = draw(st.integers(min_value=0, max_value=40))
     gd = gd_circ() if seed == 0 else random_lawful_data(random.Random(seed))
     name, key = draw(st.sampled_from(_nerve_slots(gd)))
@@ -828,7 +856,7 @@ def swapped_data(draw):
     points = sorted(dom.points)
     images = draw(st.lists(st.sampled_from(sorted(cod.points)), min_size=len(points), max_size=len(points)))
     swapped = SpaceMap(dom, cod, dict(zip(points, images)))
-    return gd, dataclasses.replace(gd, **{name: {**getattr(gd, name), key: swapped}})
+    return gd, _replaced(gd, name, key, swapped)
 
 
 def _every_check_ends_typed(bad, glued):
@@ -849,13 +877,15 @@ def _every_check_ends_typed(bad, glued):
 
 
 class TestSwappedMapFuzz:
-    """Data with one nerve map swapped ends in a report or a typed error in every check."""
+    """Data with one nerve map swapped ends in a typed error when it is built, or else in a
+    report or a typed error in every check."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(swapped_data())
     def test_every_check_returns_or_raises_a_typed_error(self, case):
         gd, bad = case
-        _every_check_ends_typed(bad, glue(gd))
+        if not isinstance(bad, CompositionMismatch):
+            _every_check_ends_typed(bad, glue(gd))
 
 
 class TestOneWayPairs:
