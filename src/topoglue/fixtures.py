@@ -15,7 +15,7 @@ from .fintop import FiniteSpace, SpaceMap, make_space
 from .gdata import GluingData, GluingFunctor, derive_triple_maps, functor_of
 from .glidx import normalize, pair, single
 from .glue import Cone, glue
-from .refine import GdfGluingData, IndexMap, complete_refinement, identity_refinement
+from .refine import GdfGluingData, IndexMap, Refinement, identity_refinement
 
 ARC = ("l", "m", "r")
 CIRCLE4 = ("l", "ma", "r", "mb")
@@ -154,7 +154,7 @@ def torus_meta():
             single(i): _name_map(fine.space(single(i)), coarse.space(single(i)))
             for i in ("1", "2")
         }
-        return complete_refinement(gamma, fine, coarse, singles)
+        return Refinement(gamma, fine, coarse, singles)
 
     incl1 = inclusion_refinement(bnd1, cyl1)
     incl2 = inclusion_refinement(bnd2, cyl2)
@@ -213,8 +213,8 @@ def counter_meta():
     """The torus meta gluing with one triple node replaced by a point.
 
     The replacement node still refines its neighbours (all components are the
-    constant maps onto a compatible family of points; ``complete_refinement``
-    reads the triple ones off the triple projections), but its glued space is
+    constant maps onto a compatible family of points; ``Refinement`` lifts
+    the triple ones into the triple pullbacks when built), but its glued space is
     a single point, so the pushout condition at that triple must fail.
     """
     meta, _ = torus_meta()
@@ -228,7 +228,7 @@ def counter_meta():
             for obj in coarse.data.nerve.objects
             if obj.arity < 3
         }
-        return complete_refinement(gamma, point_fun, coarse, comps)
+        return Refinement(gamma, point_fun, coarse, comps)
 
     t112 = normalize(("1", "1", "2"))
     edges = dict(meta.edge)

@@ -25,7 +25,6 @@ from .errors import (
     ValidationFailed,
 )
 from .fintop import (
-    FiniteSpace,
     SpaceMap,
     analyze_map,
     compose,
@@ -79,9 +78,19 @@ def reindex_object(gamma: IndexMap, obj: GlObject) -> GlObject:
 
 @dataclass(frozen=True)
 class Refinement:
-    """An index map with one component per coarse object, fine-to-coarse.
+    """An index map with one component per coarse object, fine-to-coarse, completed when built.
 
-    Frozen: ``components`` is a read-only copy of the table it was built from.
+    ``gamma`` runs from the coarse index to the fine one, else
+    ``CompositionMismatch``.  Every patch component must be given.  A
+    missing pair or triple component is lifted along the coarse functor's
+    generator edges into it from its faces (``glidx.faces_of``): the patch
+    of its head for a pair, and its two pair coordinates for a triple.
+    Pairs come before triples, in display order, over the coarse nerve and
+    the objects outside it whose fine space has points (``_stranded``).
+    Anything not uniquely forced raises ``MissingComponent``; so does every
+    such object outside the nerve, as nothing lifts into its empty space.
+
+    Frozen: ``components`` is a read-only copy of the completed table.
     """
 
     gamma: IndexMap
@@ -92,27 +101,47 @@ class Refinement:
     __hash__ = None  # the component table is not hashable
 
     def __post_init__(self):
-        object.__setattr__(self, "components", read_only(self.components))
+        gamma, fine, coarse = self.gamma, self.fine, self.coarse
+        if set(gamma.source) != set(coarse.index) or set(gamma.target) != set(fine.index):
+            raise CompositionMismatch(
+                f"the index map runs from {gamma.source} to {gamma.target}, "
+                f"not from the coarse index {coarse.index} to the fine index {fine.index}"
+            )
+        comps = dict(self.components)
+        for i in gamma.source:
+            if single(i) not in comps:
+                raise MissingComponent(f"patch component for {i!r} must be given")
+        walk = [o for o in coarse.data.nerve.objects if o.arity > 1 and o not in comps]
+        for obj in sorted([*walk, *_stranded(gamma, fine, coarse)], key=glidx.display_order):
+            faces = glidx.faces_of(obj)
+            fine_obj = reindex_object(gamma, obj)
+            lifted = lift(
+                [compose(comps[a], fine.map(reindex_object(gamma, a), fine_obj)) for a in faces],
+                [coarse.map(a, obj) for a in faces],
+            )
+            if not isinstance(lifted, SpaceMap):
+                raise MissingComponent(
+                    f"pair component {obj} not uniquely forced at {lifted[0]!r}"
+                    if obj.arity == 2
+                    else f"triple component {obj} coordinates fall outside the pullback at {lifted[0]!r}"
+                )
+            comps[obj] = lifted
+        object.__setattr__(self, "components", read_only(comps))
 
     def component(self, obj: GlObject) -> SpaceMap:
-        """The component at ``obj``.
+        """The component at ``obj``: the table's, else the empty map out of the fine space.
 
-        Outside the coarse nerve, where the coarse space is empty, it is the
-        empty map when the fine space at the reindexed object is empty too;
-        when that has points no component exists, and ``MissingComponent``
-        is raised as for any component not given.
+        Construction gives every object of the coarse nerve a component, and
+        raises at every other object whose fine space has points, so off the
+        table the fine space has none.
         """
         if obj in self.components:
             return self.components[obj]
-        if not self.coarse.data.stores(obj):
-            space = self.fine.space(reindex_object(self.gamma, obj))
-            if not space.points:
-                return SpaceMap(space, EMPTY, {})
-        raise MissingComponent(f"refinement has no component at {obj}")
+        return SpaceMap(self.fine.space(reindex_object(self.gamma, obj)), EMPTY, {})
 
 
 def _stranded(gamma: IndexMap, fine: GluingFunctor, coarse: GluingFunctor) -> list[GlObject]:
-    """The coarse objects outside the coarse nerve whose reindexed fine space has points, in display order.
+    """The coarse objects outside the coarse nerve whose reindexed fine space has points.
 
     No component exists at such an object: it would run from those points
     into the empty space.  Read are the pair objects (i, j) whose reindexed
@@ -138,10 +167,7 @@ def _stranded(gamma: IndexMap, fine: GluingFunctor, coarse: GluingFunctor) -> li
         near[i].append(j)
     for i, labels in near.items():
         objs += [normalize((i, j, k)) for n, j in enumerate(labels) for k in labels[n + 1:]]
-    return sorted(
-        (o for o in objs if not data.stores(o) and fine.space(reindex_object(gamma, o)).points),
-        key=glidx.display_order,
-    )
+    return [o for o in objs if not data.stores(o) and fine.space(reindex_object(gamma, o)).points]
 
 
 def identity_refinement(fun: GluingFunctor) -> Refinement:
@@ -150,70 +176,16 @@ def identity_refinement(fun: GluingFunctor) -> Refinement:
     return Refinement(gamma, fun, fun, comps)
 
 
-def complete_refinement(
-    gamma: IndexMap,
-    fine: GluingFunctor,
-    coarse: GluingFunctor,
-    components: Mapping[GlObject, SpaceMap],
-) -> Refinement:
-    """Fill missing pair and triple components where commutation forces them.
-
-    Pairs come before triples, over the coarse nerve and the objects
-    outside it whose fine space has points (``_stranded``).  A missing
-    component at ``obj`` is lifted along the coarse functor's generator
-    edges into ``obj`` from its faces (``glidx.faces_of``): the patch of its
-    head for a pair, and its two pair coordinates for a triple.  Anything
-    not uniquely forced raises ``MissingComponent``; so does every object
-    outside the nerve with fine points, as nothing lifts into its empty
-    space.  At any other object outside the nerve the component is the
-    empty map (``Refinement.component``).
-    """
-    comps = dict(components)
-    for i in gamma.source:
-        if single(i) not in comps:
-            raise MissingComponent(f"patch component for {i!r} must be given")
-    walk = [*(o for o in coarse.data.nerve.objects if o.arity > 1), *_stranded(gamma, fine, coarse)]
-    for obj in sorted(walk, key=glidx.display_order):
-        if obj in comps:
-            continue
-        faces = glidx.faces_of(obj)
-        fine_obj = reindex_object(gamma, obj)
-        lifted = lift(
-            [compose(comps[a], fine.map(reindex_object(gamma, a), fine_obj)) for a in faces],
-            [coarse.map(a, obj) for a in faces],
-        )
-        if not isinstance(lifted, SpaceMap):
-            raise MissingComponent(
-                f"pair component {obj} not uniquely forced at {lifted[0]!r}"
-                if obj.arity == 2
-                else f"triple component {obj} coordinates fall outside the pullback at {lifted[0]!r}"
-            )
-        comps[obj] = lifted
-    return Refinement(gamma, fine, coarse, comps)
-
-
 def check_refinement(r: Refinement) -> Report:
-    """Verify every naturality square over the coarse nerve's generator edges.
+    """Verify every naturality square over the coarse nerve's generator edges, then the components' continuity.
 
-    The edges between the nerve's objects and those outside it whose fine
-    space has points (``_stranded``) are checked too: no component exists at
-    the latter, so each such edge gives a failing ``component-present`` row
-    unless a component is given.  Any other square into an object outside
-    the nerve runs out of the empty space, so it commutes.
+    A square into an object outside the nerve runs out of the empty space
+    (``Refinement`` raised at any other when built), so it commutes.
     """
     rep = Report()
-    nerve = r.coarse.data.nerve
-    stranded = _stranded(r.gamma, r.fine, r.coarse)
-    edges = glidx.restrict(r.coarse.index, [*nerve.objects, *stranded]).edges if stranded else nerve.edges
-    for a, b in sorted(edges, key=lambda ab: (repr(ab[0]), repr(ab[1]))):
-        try:
-            rho_a = r.component(a)
-            rho_b = r.component(b)
-        except MissingComponent as exc:
-            rep.add("component-present", f"{a}->{b}", False, str(exc))
-            continue
+    for a, b in sorted(r.coarse.data.nerve.edges, key=lambda ab: (repr(ab[0]), repr(ab[1]))):
         fine_map = r.fine.map(reindex_object(r.gamma, a), reindex_object(r.gamma, b))
-        w = disagreement([rho_a, fine_map], [r.coarse.map(a, b), rho_b])
+        w = disagreement([r.component(a), fine_map], [r.coarse.map(a, b), r.component(b)])
         rep.add("naturality", f"{a}->{b}", w is None, w)
     for obj, comp in sorted(r.components.items(), key=lambda kv: repr(kv[0])):
         _add_continuity(rep, "component-continuous", repr(obj), comp)
@@ -308,7 +280,10 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
     Every edge a -> b must run from fine functor ``node[b]`` to coarse functor
     ``node[a]`` (else ``CompositionMismatch``) and check.  Patches and overlaps
     of the composed datum are glued node spaces; anchors and transitions are
-    the induced maps of the eta and tau edges.  Triple spaces are the
+    the induced maps of the eta and tau edges.  Only the pair nodes whose
+    glued space has points give overlaps: a pair with no node, or with an
+    empty one, is an empty overlap, so the cost follows the meta's nodes,
+    not |I|^2.  Triple spaces are the
     canonical pullbacks of the composed anchors, with transitions derived, and
     the composed datum must validate.  For each triple node present, the map
     into the pullback of its glued pair spaces assembled from the eta3 edges
@@ -316,7 +291,8 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
     walked are those of the composed datum's nerve and every triple node
     with points; a node with no points over a composed triple with none
     maps isomorphically, so it has no row.  The tau3 edges
-    are checked but not read.  A missing node or read edge raises
+    are checked but not read.  A missing patch node, node at either end of
+    an edge, opposite node of an overlap or read edge raises
     ``MissingComponent``.
     """
     rep = Report()
@@ -342,24 +318,27 @@ def compose_gdf(meta: GdfGluingData) -> tuple[GluingFunctor, Report]:
         if not edge_rep.passed:
             raise ValidationFailed(edge_rep, f"edge {a}->{b} does not check")
 
-    def space_at(obj: GlObject) -> FiniteSpace:
-        node_at(obj)  # MissingComponent unless obj is a node
-        return glued[obj].space
-
     def induced(a: GlObject, b: GlObject) -> SpaceMap:
+        node_at(a)  # the opposite pair of an overlap may have no node
         if (a, b) not in meta.edge:
             raise MissingComponent(f"meta gluing has no edge for {a}->{b}")
         return _induced_map(meta.edge[(a, b)], glued[b], glued[a])
 
     # every space is read before any map, and every anchor before any transition
-    pairs = [(i, j) for i in idx for j in idx if i != j]
-    patch = {i: space_at(single(i)) for i in idx}
-    overlap = {(i, j): space_at(pair(i, j)) for i, j in pairs}
+    for i in idx:
+        node_at(single(i))  # every patch is a node
+    patch = {i: glued[single(i)].space for i in idx}
+    labels = set(idx)
+    pairs = sorted(
+        (obj.head, obj.rest[0])
+        for obj, g in glued.items()
+        if obj.arity == 2 and labels.issuperset((obj.head, *obj.rest)) and g.space.points
+    )
+    overlap = {(i, j): glued[pair(i, j)].space for i, j in pairs}
     anchor = {(i, j): induced(single(i), pair(i, j)) for i, j in pairs}
     transition = {(i, j): induced(pair(j, i), pair(i, j)) for i, j in pairs}
     composed = derive_triple_maps(GluingData(idx, patch, overlap, anchor, transition))
     fun = functor_of(composed)
-    labels = set(idx)
     triples = {obj for obj in fun.data.nerve.objects if obj.arity == 3}
     triples.update(
         obj for obj in meta.node

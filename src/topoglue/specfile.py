@@ -72,7 +72,7 @@ from .fintop import FiniteSpace, SpaceMap, from_opens, make_space
 from .gdata import GluingData, GluingFunctor, _index_labels, derive_triple_maps, functor_of
 from .glidx import GlGen, GlObject, normalize
 from .glue import Cone, complete_cone
-from .refine import GdfGluingData, IndexMap, Refinement, complete_refinement
+from .refine import GdfGluingData, IndexMap, Refinement
 from .cover import KINDS, Covering
 
 
@@ -348,7 +348,7 @@ def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:
         raise ParseError(block.line_no, "refinement needs 'fine' and 'coarse'")
     _check_labels(labels, coarse.index, "the index of the coarse gluing")
     gamma = IndexMap(coarse.index, fine.index, gamma_table)
-    return complete_refinement(gamma, fine, coarse, components)
+    return Refinement(gamma, fine, coarse, components)
 
 
 def _parse_gen(line_no: int, fields: list[str]) -> GlGen:

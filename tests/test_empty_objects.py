@@ -613,7 +613,7 @@ def _stage_visits(k, monkeypatch):
     stage("functor_of_covering", cover.functor_of_covering, c)
     gamma = refine.IndexMap(gd.index, gd.index, {i: i for i in gd.index})
     patches = {single(i): fintop.identity_map(gd.patch[i]) for i in gd.index}
-    r = stage("complete_refinement", refine.complete_refinement, gamma, fun, fun, patches)
+    r = stage("Refinement", refine.Refinement, gamma, fun, fun, patches)
     stage("check_refinement", refine.check_refinement, r)
     stage("render_gluing", dot.render_gluing, "G", gd, glued)
     return visits

@@ -2,7 +2,7 @@
 
 The differential tests keep the loops that ``lift`` replaced as test-only
 references: the codomain scan of ``derive_triple_maps``, the fiber dict and
-the pair-name membership test of ``complete_refinement``, and the coordinate
+the pair-name membership test of the completion in ``Refinement``, and the coordinate
 swap of ``data_of_covering``.
 """
 
@@ -20,7 +20,7 @@ from topoglue.fintop import SpaceMap, compose, identity_map, lift, make_space, p
 from topoglue.fixtures import arc3, cylinder_data, disc2, gd_circ, pt, torus_meta
 from topoglue.gdata import derive_triple_maps, functor_of, make_gluing_data
 from topoglue.glidx import normalize, pair, single
-from topoglue.refine import IndexMap, complete_refinement, reindex_object
+from topoglue.refine import IndexMap, Refinement, reindex_object
 
 
 def _fold():
@@ -96,7 +96,7 @@ def _scan_derive(gd):
 
 
 def _loop_complete(gamma, fine, coarse, components):
-    """``complete_refinement`` with its fiber dict and pair-name test: the reference."""
+    """The completion of ``Refinement`` with its fiber dict and pair-name test: the reference."""
     comps = dict(components)
     for i in gamma.source:
         for j in gamma.source:
@@ -221,7 +221,7 @@ class TestDifferential:
             expected = _on_nerve(
                 _outcome(_loop_complete, *case), lambda obj: coarse.data.stores(obj) or obj in given
             )
-            assert _outcome(lambda *a: complete_refinement(*a).components, *case) == expected
+            assert _outcome(lambda *a: Refinement(*a).components, *case) == expected
             outcomes.append(isinstance(expected, dict))
         assert any(outcomes) and not all(outcomes)
 

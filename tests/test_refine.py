@@ -41,7 +41,6 @@ from topoglue.refine import (
     IndexMap,
     Refinement,
     check_refinement,
-    complete_refinement,
     compose_gdf,
     identity_refinement,
     induced_map,
@@ -104,14 +103,8 @@ def _check_refinement_reference(r):
     rep = Report()
     by_endpoints = sorted(edges(r.gamma.source).items(), key=lambda e: (repr(e[0][0]), repr(e[0][1])))
     for (a, b), gen in by_endpoints:
-        try:
-            rho_a = r.component(a)
-            rho_b = r.component(b)
-        except MissingComponent as exc:
-            rep.add("component-present", f"{a}->{b}", False, str(exc))
-            continue
-        lhs = compose(rho_a, realize(r.fine, *reindex(r.gamma, a, (gen,))))
-        rhs = compose(realize(r.coarse, a, (gen,)), rho_b)
+        lhs = compose(r.component(a), realize(r.fine, *reindex(r.gamma, a, (gen,))))
+        rhs = compose(realize(r.coarse, a, (gen,)), r.component(b))
         w = first_difference(lhs, rhs)
         rep.add("naturality", f"{a}->{b}", w is None, w)
     for obj, comp in sorted(r.components.items(), key=lambda kv: repr(kv[0])):
@@ -134,14 +127,20 @@ class TestCheckRefinement:
             table[x] = rng.choice(sorted(comps[obj].cod.points - {table[x]}))
             moved = SpaceMap(comps[obj].dom, comps[obj].cod, table)
             cases.append(Refinement(r.gamma, r.fine, r.coarse, {**comps, obj: moved}))
-            del comps[rng.choice(sorted(comps, key=repr))]
-            cases.append(Refinement(r.gamma, r.fine, r.coarse, comps))
+            # a dropped pair or triple component is lifted back; a dropped patch one is missing
+            dropped = rng.choice(sorted(comps, key=repr))
+            del comps[dropped]
+            if dropped.arity == 1:
+                with pytest.raises(MissingComponent, match=f"patch component for '{dropped.head}'"):
+                    Refinement(r.gamma, r.fine, r.coarse, comps)
+            else:
+                assert Refinement(r.gamma, r.fine, r.coarse, comps).components == r.components
         verdicts = set()
         for r in cases:
             rep = check_refinement(r)
             assert rep.entries == _check_refinement_reference(r).entries
             verdicts |= {(e.name, e.ok) for e in rep.entries}
-        assert {("naturality", False), ("component-present", False)} <= verdicts
+        assert ("naturality", False) in verdicts
 
     def test_identity_refinement(self):
         fun = functor_of(gd_circ())
@@ -173,9 +172,15 @@ class TestCompleteRefinement:
         meta, _ = torus_meta()
         r = meta.edge[(single("1"), pair("1", "2"))]
         singles = {o: c for o, c in r.components.items() if o.arity == 1}
-        rebuilt = complete_refinement(r.gamma, r.fine, r.coarse, singles)
+        rebuilt = Refinement(r.gamma, r.fine, r.coarse, singles)
         for obj in objects(("1", "2")):
             assert first_difference(rebuilt.component(obj), r.component(obj)) is None
+
+    @pytest.mark.parametrize("fixture", [lambda: torus_meta()[0], counter_meta], ids=["torus", "counter"])
+    def test_every_meta_edge_rebuilds_from_its_patch_components(self, fixture):
+        for key, r in fixture().edge.items():
+            patches = {o: c for o, c in r.components.items() if o.arity == 1}
+            assert Refinement(r.gamma, r.fine, r.coarse, patches).components == r.components, key
 
     def test_not_forced_when_anchor_collapses(self):
         fun = functor_of(self_weld_arc())
@@ -184,7 +189,33 @@ class TestCompleteRefinement:
             single(i): identity_map(fun.space(single(i))) for i in ("1", "2")
         }
         with pytest.raises(MissingComponent):
-            complete_refinement(gamma, fun, fun, singles)
+            Refinement(gamma, fun, fun, singles)
+
+    def test_a_missing_patch_component_raises(self):
+        fun = functor_of(gd_circ())
+        gamma = IndexMap(fun.index, fun.index, {i: i for i in fun.index})
+        with pytest.raises(MissingComponent, match=r"^patch component for '2' must be given$"):
+            Refinement(gamma, fun, fun, {single("1"): identity_map(fun.space(single("1")))})
+
+    def test_an_index_map_off_the_coarse_index_is_a_composition_mismatch(self):
+        fun = functor_of(gd_circ())
+        gamma = IndexMap(("1", "3"), ("1", "2"), {"1": "1", "3": "2"})
+        singles = {single(i): identity_map(fun.space(single(i))) for i in ("1", "2")}
+        with pytest.raises(
+            CompositionMismatch,
+            match=r"^the index map runs from \('1', '3'\) to \('1', '2'\), not from the coarse index \('1', '2'\) ",
+        ):
+            Refinement(gamma, fun, fun, singles)
+
+    def test_an_index_map_off_the_fine_index_is_a_composition_mismatch(self):
+        fun = functor_of(gd_circ())
+        gamma = IndexMap(("1", "2"), ("1", "3"), {"1": "1", "2": "3"})
+        singles = {single(i): identity_map(fun.space(single(i))) for i in ("1", "2")}
+        with pytest.raises(
+            CompositionMismatch,
+            match=r"to \('1', '3'\), not from the coarse index \('1', '2'\) to the fine index \('1', '2'\)$",
+        ):
+            Refinement(gamma, fun, fun, singles)
 
 
 class TestInducedMap:
@@ -250,7 +281,7 @@ class TestInducedMap:
             single("1"): SpaceMap(gd.patch["2"], gd.patch["1"], {x: x for x in arc3().points}),
             single("2"): SpaceMap(gd.patch["1"], gd.patch["2"], {x: x for x in arc3().points}),
         }
-        r = complete_refinement(gamma, fun, fun, singles)
+        r = Refinement(gamma, fun, fun, singles)
         assert check_refinement(r).passed
         glued_fine = glue(r.fine.data)
         glued_coarse = glue(r.coarse.data)
@@ -442,30 +473,28 @@ class TestRefinementOntoAnEmptyOverlap:
             for i in ("1", "2")
         }
 
-    def test_complete_refinement_raises_at_the_empty_overlap(self):
+    def test_construction_raises_at_the_empty_overlap(self):
         fine, coarse = _two_points(True), _two_points(False)
         with pytest.raises(MissingComponent, match=r"^pair component \[1,2\] not uniquely forced at 'o'$"):
-            complete_refinement(self.gamma, fine, coarse, self._patches(fine, coarse))
+            Refinement(self.gamma, fine, coarse, self._patches(fine, coarse))
 
-    def test_check_refinement_fails_without_the_component(self):
-        fine, coarse = _two_points(True), _two_points(False)
+    def test_construction_fails_without_the_component(self):
+        # retargeting a refinement onto the empty overlaps builds it anew: its
+        # pair components, given, still have no empty space to land in
+        fine, coarse = _two_points(True), _two_points(True)
         r = Refinement(self.gamma, fine, coarse, self._patches(fine, coarse))
-        with pytest.raises(MissingComponent, match=r"no component at \[1,2\]"):
-            r.component(pair("1", "2"))
-        rep = check_refinement(r)
-        assert not rep.passed
-        failing = {(e.name, e.subject) for e in rep.failures()}
-        assert ("component-present", "[1]->[1,2]") in failing
-        assert ("component-present", "[2]->[2,1]") in failing
+        assert check_refinement(r).passed and pair("1", "2") in r.components
+        with pytest.raises(MissingComponent, match=r"^pair component \[1,2\] not uniquely forced at 'o'$"):
+            dataclasses.replace(r, coarse=_two_points(False))
 
     def test_empty_fine_overlaps_need_no_component(self):
         fine, coarse = _two_points(False), _two_points(False)
-        r = complete_refinement(self.gamma, fine, coarse, self._patches(fine, coarse))
+        r = Refinement(self.gamma, fine, coarse, self._patches(fine, coarse))
         assert set(r.components) == {single("1"), single("2")}
         assert r.component(pair("1", "2")) == SpaceMap(EMPTY, EMPTY, {})
         assert check_refinement(r).passed
         # into the overlapping datum, the coarse overlap has points: its component is lifted
-        r = complete_refinement(self.gamma, fine, _two_points(True), self._patches(fine, _two_points(True)))
+        r = Refinement(self.gamma, fine, _two_points(True), self._patches(fine, _two_points(True)))
         assert check_refinement(r).passed
 
 
@@ -479,35 +508,63 @@ def _node_refinement(fine, coarse, table):
     return Refinement(gamma, fine, coarse, {single("1"): SpaceMap(fine.space(single("1")), coarse.space(single("1")), table)})
 
 
+def _empty_triple_meta(with_empty_pairs: bool) -> GdfGluingData:
+    """[1] has two points; [1,2] lands on x and [1,3] on y, so the composed
+    triple [1|{2,3}] is empty, while the triple node has a point.  The pair
+    nodes [2,3] and [3,2] have no points; without ``with_empty_pairs`` they
+    and their edges are left out."""
+    node = {
+        single("1"): _point_node("X1", "x", "y"),
+        single("2"): _point_node("X2", "u"),
+        single("3"): _point_node("X3", "v"),
+        pair("1", "2"): _point_node("O12", "p"),
+        pair("2", "1"): _point_node("O21", "p"),
+        pair("1", "3"): _point_node("O13", "q"),
+        pair("3", "1"): _point_node("O31", "q"),
+        normalize(("1", "2", "3")): _point_node("T", "t"),
+    }
+    images = {("1", "2"): "x", ("1", "3"): "y", ("2", "1"): "u", ("3", "1"): "v"}
+    if with_empty_pairs:
+        node[pair("2", "3")] = _point_node("O23")
+        node[pair("3", "2")] = _point_node("O32")
+    edge = {}
+    for i, j in [(i, j) for i in "123" for j in "123" if i != j and pair(i, j) in node]:
+        a, b = single(i), pair(i, j)
+        table = {p: images[(i, j)] for p in node[b].space(single("1")).points}
+        edge[(a, b)] = _node_refinement(node[b], node[a], table)
+        back = pair(j, i)
+        points = node[b].space(single("1")).points
+        edge[(back, b)] = _node_refinement(node[b], node[back], {p: p for p in points})
+    t = normalize(("1", "2", "3"))
+    edge[(pair("1", "2"), t)] = _node_refinement(node[t], node[pair("1", "2")], {"t": "p"})
+    edge[(pair("1", "3"), t)] = _node_refinement(node[t], node[pair("1", "3")], {"t": "q"})
+    return GdfGluingData(("1", "2", "3"), node, edge)
+
+
 class TestPushoutOverAnEmptyComposedTriple:
-    def test_a_triple_node_with_points_over_an_empty_pullback_raises(self):
-        # [1] has two points; [1,2] lands on x and [1,3] on y, so the composed
-        # triple [1|{2,3}] is empty, while the triple node has a point
-        node = {
-            single("1"): _point_node("X1", "x", "y"),
-            single("2"): _point_node("X2", "u"),
-            single("3"): _point_node("X3", "v"),
-            pair("1", "2"): _point_node("O12", "p"),
-            pair("2", "1"): _point_node("O21", "p"),
-            pair("1", "3"): _point_node("O13", "q"),
-            pair("3", "1"): _point_node("O31", "q"),
-            pair("2", "3"): _point_node("O23"),
-            pair("3", "2"): _point_node("O32"),
-            normalize(("1", "2", "3")): _point_node("T", "t"),
-        }
-        images = {("1", "2"): "x", ("1", "3"): "y", ("2", "1"): "u", ("3", "1"): "v"}
-        edge = {}
-        for i, j in [(i, j) for i in "123" for j in "123" if i != j]:
-            a, b = single(i), pair(i, j)
-            table = {p: images[(i, j)] for p in node[b].space(single("1")).points}
-            edge[(a, b)] = _node_refinement(node[b], node[a], table)
-            back = pair(j, i)
-            points = node[b].space(single("1")).points
-            edge[(back, b)] = _node_refinement(node[b], node[back], {p: p for p in points})
-        t = normalize(("1", "2", "3"))
-        edge[(pair("1", "2"), t)] = _node_refinement(node[t], node[pair("1", "2")], {"t": "p"})
-        edge[(pair("1", "3"), t)] = _node_refinement(node[t], node[pair("1", "3")], {"t": "q"})
-        meta = GdfGluingData(("1", "2", "3"), node, edge)
-        with pytest.raises(HypothesisBFailed, match="lands outside the pullback") as info:
-            compose_gdf(meta)
+    @pytest.mark.parametrize("with_empty_pairs", [True, False], ids=["all-pairs", "sparse"])
+    def test_a_triple_node_with_points_over_an_empty_pullback_raises(self, with_empty_pairs):
+        with pytest.raises(HypothesisBFailed, match="'t@1' lands outside the pullback") as info:
+            compose_gdf(_empty_triple_meta(with_empty_pairs))
         assert info.value.key == ("1", "2", "3")
+
+    def test_a_meta_may_omit_its_empty_pair_nodes(self):
+        # without the triple node both metas compose, to the same datum
+        composed = []
+        for with_empty_pairs in (True, False):
+            meta = _empty_triple_meta(with_empty_pairs)
+            t = normalize(("1", "2", "3"))
+            node = {obj: fun for obj, fun in meta.node.items() if obj != t}
+            edge = {key: r for key, r in meta.edge.items() if t not in key}
+            fun, rep = compose_gdf(GdfGluingData(meta.index, node, edge))
+            assert rep.passed, str(rep)
+            composed.append(fun.data)
+        assert composed[0] == composed[1]
+        assert not composed[1].stores(pair("2", "3"))
+
+    def test_an_overlap_without_its_opposite_node_is_a_missing_component(self):
+        meta = _empty_triple_meta(False)
+        node = {obj: fun for obj, fun in meta.node.items() if obj != pair("2", "1")}
+        edge = {key: r for key, r in meta.edge.items() if pair("2", "1") not in key}
+        with pytest.raises(MissingComponent, match=r"meta gluing has no node for \[2,1\]"):
+            compose_gdf(GdfGluingData(meta.index, node, edge))
