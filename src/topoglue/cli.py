@@ -172,7 +172,7 @@ def _cmd_compose(doc, targets, opts):
 
 def _cmd_cover_check(doc, targets, opts):
     name = _one_target("cover-check", targets)
-    c = _named(doc.coverings, "covering", name).covering
+    c = _named(doc.coverings, "covering", name)
     if opts.kind:
         c = cover_mod.Covering(c.base, c.family, opts.kind)
     return _checked("cover-check", name, cover_mod.check_covering(c))
@@ -180,7 +180,7 @@ def _cmd_cover_check(doc, targets, opts):
 
 def _cmd_cover_functor(doc, targets, opts):
     name = _one_target("cover-functor", targets)
-    c = _named(doc.coverings, "covering", name).covering
+    c = _named(doc.coverings, "covering", name)
     result = cover_mod.functor_of_covering(c)
     tail = [f"glued space has {len(result.glued.space.points)} points"]
     return _checked("cover-functor", name, result.report, tail=tail)

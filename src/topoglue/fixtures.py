@@ -15,7 +15,7 @@ from .fintop import FiniteSpace, SpaceMap, make_space
 from .gdata import GluingData, GluingFunctor, derive_triple_maps, functor_of
 from .glidx import normalize, pair, single
 from .glue import Cone, glue
-from .refine import GdfGluingData, IndexMap, Refinement, identity_refinement
+from .refine import GdfGluingData, Refinement, identity_refinement
 
 ARC = ("l", "m", "r")
 CIRCLE4 = ("l", "ma", "r", "mb")
@@ -147,7 +147,7 @@ def torus_meta():
     cyl2 = functor_of(cylinder_data("2"))
     bnd1 = functor_of(boundary_data("1"))
     bnd2 = functor_of(boundary_data("2"))
-    gamma = IndexMap(("1", "2"), ("1", "2"), {"1": "1", "2": "2"})
+    gamma = {"1": "1", "2": "2"}
 
     def inclusion_refinement(fine, coarse):
         singles = {
@@ -220,7 +220,7 @@ def counter_meta():
     meta, _ = torus_meta()
     p = pt("collapse", "p")
     point_fun = functor_of(trivial_data(p, "1"))
-    gamma = IndexMap(("1", "2"), ("1",), {"1": "1", "2": "1"})
+    gamma = {"1": "1", "2": "1"}
 
     def const_refinement(coarse: GluingFunctor):
         comps = {

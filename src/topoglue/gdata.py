@@ -10,7 +10,7 @@ a datum is built from its pairs and triple transitions alone
 (``GluingData(...)``, also ``make_gluing_data``): it works out its triple
 spaces and their projections, which no caller gives.
 
-A datum stores only its nerve: every patch, the overlaps and triple spaces
+A datum stores only its nerve: its patches, the overlaps and triple spaces
 that have points, and their anchors, transitions, projections and triple
 transitions.  The pair tables are keyed by the nerve's pairs only, and a pair
 given no overlap has the empty one.  Any other object reads as the one
@@ -156,7 +156,8 @@ class GluingData:
     ``triple_transition`` is taken as given, keyed by the triples (i, j, k),
     i != j, whose normal object the datum stores (``_nerve_triples``).  A
     datum that passes ``validate`` is the paper's gluing-data functor
-    itself: ``GluingFunctor`` only reads it on the index category.
+    itself: ``GluingFunctor`` only reads it on the index category.  A patch
+    off the index is dropped, as a pair off it is.
     """
 
     index: tuple[str, ...]
@@ -180,7 +181,8 @@ class GluingData:
         pairs = _nerve_pairs(index, self.patch, overlap, anchor, transition)
         spaces, projs = _triple_tables(index, *pairs[:2])
         triples = _nerve_triples(index, pairs[0], spaces, self.triple_transition)
-        self._hold(index, *map(read_only, (self.patch, *pairs, triples, spaces, projs)))
+        patch = {i: self.patch[i] for i in index}
+        self._hold(index, *map(read_only, (patch, *pairs, triples, spaces, projs)))
 
     def _hold(self, index: tuple[str, ...], *tables: Mapping) -> None:
         """Set the index and then the tables, in field order, as they are."""
@@ -302,12 +304,14 @@ def _triple_tables(index, overlap, anchor):
 
 
 def _index_labels(index: Iterable[str], patch: Mapping[str, FiniteSpace]) -> tuple[str, ...]:
-    """The index of a datum, sorted: UnresolvedReference for a label holding '@' or without a patch."""
+    """The index of a datum, sorted: UnresolvedReference for a label holding '@' or ',', or without a patch."""
     idx = tuple(sorted(set(index)))
     for label in idx:
-        if "@" in label:
-            # '@' separates point tags from patch labels in the coproduct
-            raise UnresolvedReference(f"index label {label!r} must not contain '@'")
+        # '@' separates point tags from patch labels in the coproduct, and ','
+        # the labels in object names ([i,j]) and row subjects ((i,j))
+        for sep in "@,":
+            if sep in label:
+                raise UnresolvedReference(f"index label {label!r} must not contain {sep!r}")
     unpatched = sorted(set(idx) - set(patch))
     if unpatched:
         raise UnresolvedReference(f"no patch for index labels {unpatched}")

@@ -2,12 +2,14 @@
 
 A refinement relates a fine gluing functor (over index set J) to a coarse one
 (over I) through an index map gamma: I -> J and one component map per object
-over I.  A gluing functor is the validated datum itself (``GluingFunctor``
-holds a datum that passes ``validate``), so its spaces and maps are the
-datum's.  Components run in the continuous direction, from the fine functor's
-space at the reindexed object to the coarse functor's space; this matches the
-computable orientation of the worked fixtures, and the opposite-category
-bookkeeping stays implicit.  A generator reindexed through gamma is itself a
+over I.  The index map is a plain table from label to label, keyed by the
+coarse index: its ends are the two functors' indices.  A gluing functor is
+the validated datum itself (``GluingFunctor`` holds a datum that passes
+``validate``), so its spaces and maps are the datum's.  Components run in
+the continuous direction, from the fine functor's space at the reindexed
+object to the coarse functor's space; this matches the computable
+orientation of the worked fixtures, and the opposite-category bookkeeping
+stays implicit.  A generator reindexed through gamma is itself a
 generator or an identity, so the fine functor's map of it is
 ``GluingFunctor.map`` on the reindexed endpoints.
 """
@@ -47,68 +49,49 @@ from .glidx import GlObject, normalize, pair, single
 from .glue import Cone, GluedSpace, glue, mediate
 
 
-@dataclass(frozen=True)
-class IndexMap:
-    """A total map between index sets; ``source`` and ``target`` are tuples and ``table`` a read-only copy."""
-
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    table: Mapping[str, str]
-
-    __hash__ = None  # the table is not hashable
-
-    def __post_init__(self):
-        object.__setattr__(self, "source", tuple(self.source))
-        object.__setattr__(self, "target", tuple(self.target))
-        object.__setattr__(self, "table", read_only(self.table))
-        for i in self.source:
-            if i not in self.table:
-                raise MissingComponent(f"index map undefined at {i!r}")
-            if self.table[i] not in self.target:
-                raise MissingComponent(f"index map leaves target at {i!r}")
-
-    def __call__(self, i: str) -> str:
-        return self.table[i]
-
-
-def reindex_object(gamma: IndexMap, obj: GlObject) -> GlObject:
+def reindex_object(gamma: Mapping[str, str], obj: GlObject) -> GlObject:
     raw = (obj.head,) + obj.rest
-    return normalize(tuple(gamma(i) for i in raw))
+    return normalize(tuple(gamma[i] for i in raw))
 
 
 @dataclass(frozen=True)
 class Refinement:
     """An index map with one component per coarse object, fine-to-coarse, completed when built.
 
-    ``gamma`` runs from the coarse index to the fine one, else
-    ``CompositionMismatch``.  Every patch component must be given.  A
-    missing pair or triple component is lifted along the coarse functor's
-    generator edges into it from its faces (``glidx.faces_of``): the patch
-    of its head for a pair, and its two pair coordinates for a triple.
-    Pairs come before triples, in display order, over the coarse nerve and
-    the objects outside it whose fine space has points (``_stranded``).
-    Anything not uniquely forced raises ``MissingComponent``; so does every
-    such object outside the nerve, as nothing lifts into its empty space.
+    ``gamma`` is a table from the coarse index into the fine one: a label
+    of the coarse index without an entry, or whose entry is off the fine
+    index, raises ``MissingComponent``, and entries at other labels are
+    dropped.  Every patch component must be given.  A missing pair or
+    triple component is lifted along the coarse functor's generator edges
+    into it from its faces (``glidx.faces_of``): the patch of its head for a
+    pair, and its two pair coordinates for a triple.  Pairs come before
+    triples, in display order, over the coarse nerve and the objects outside
+    it whose fine space has points (``_stranded``).  Anything not uniquely
+    forced raises ``MissingComponent``; so does every such object outside
+    the nerve, as nothing lifts into its empty space.
 
-    Frozen: ``components`` is a read-only copy of the completed table.
+    Frozen: ``gamma`` is a read-only copy keyed by the coarse index, and
+    ``components`` a read-only copy of the completed table.
     """
 
-    gamma: IndexMap
+    gamma: Mapping[str, str]
     fine: GluingFunctor
     coarse: GluingFunctor
     components: Mapping[GlObject, SpaceMap]
 
-    __hash__ = None  # the component table is not hashable
+    __hash__ = None  # the tables are not hashable
 
     def __post_init__(self):
-        gamma, fine, coarse = self.gamma, self.fine, self.coarse
-        if set(gamma.source) != set(coarse.index) or set(gamma.target) != set(fine.index):
-            raise CompositionMismatch(
-                f"the index map runs from {gamma.source} to {gamma.target}, "
-                f"not from the coarse index {coarse.index} to the fine index {fine.index}"
-            )
+        fine, coarse = self.fine, self.coarse
+        for i in coarse.index:
+            if i not in self.gamma:
+                raise MissingComponent(f"index map undefined at {i!r}")
+            if self.gamma[i] not in fine.index:
+                raise MissingComponent(f"index map leaves target at {i!r}")
+        gamma = read_only({i: self.gamma[i] for i in coarse.index})
+        object.__setattr__(self, "gamma", gamma)
         comps = dict(self.components)
-        for i in gamma.source:
+        for i in coarse.index:
             if single(i) not in comps:
                 raise MissingComponent(f"patch component for {i!r} must be given")
         walk = [o for o in coarse.data.nerve.objects if o.arity > 1 and o not in comps]
@@ -140,7 +123,7 @@ class Refinement:
         return SpaceMap(self.fine.space(reindex_object(self.gamma, obj)), EMPTY, {})
 
 
-def _stranded(gamma: IndexMap, fine: GluingFunctor, coarse: GluingFunctor) -> list[GlObject]:
+def _stranded(gamma: Mapping[str, str], fine: GluingFunctor, coarse: GluingFunctor) -> list[GlObject]:
     """The coarse objects outside the coarse nerve whose reindexed fine space has points.
 
     No component exists at such an object: it would run from those points
@@ -155,7 +138,7 @@ def _stranded(gamma: IndexMap, fine: GluingFunctor, coarse: GluingFunctor) -> li
     data = coarse.data
     preimage: dict[str, list[str]] = {}
     for i in data.index:
-        preimage.setdefault(gamma(i), []).append(i)
+        preimage.setdefault(gamma[i], []).append(i)
     objs = [
         pair(i, j)
         for a, b in fine.data.nerve.pairs
@@ -171,9 +154,8 @@ def _stranded(gamma: IndexMap, fine: GluingFunctor, coarse: GluingFunctor) -> li
 
 
 def identity_refinement(fun: GluingFunctor) -> Refinement:
-    gamma = IndexMap(fun.index, fun.index, {i: i for i in fun.index})
     comps = {o: identity_map(fun.space(o)) for o in fun.data.nerve.objects}
-    return Refinement(gamma, fun, fun, comps)
+    return Refinement({i: i for i in fun.index}, fun, fun, comps)
 
 
 def check_refinement(r: Refinement) -> Report:
@@ -202,11 +184,7 @@ def paste(outer: Refinement, inner: Refinement) -> Refinement:
     """
     if inner.coarse.data != outer.fine.data:
         raise MissingComponent("pasted refinements do not share a middle functor")
-    gamma = IndexMap(
-        outer.gamma.source,
-        inner.gamma.target,
-        {i: inner.gamma(outer.gamma(i)) for i in outer.gamma.source},
-    )
+    gamma = {i: inner.gamma[j] for i, j in outer.gamma.items()}
     comps = {}
     for obj in outer.coarse.data.nerve.objects:
         mid = reindex_object(outer.gamma, obj)
@@ -234,7 +212,7 @@ def _induced_map(r: Refinement, glued_fine: GluedSpace, glued_coarse: GluedSpace
     """``induced_map`` for a refinement already checked."""
     legs: dict[str, SpaceMap] = {}
     for j in r.fine.index:
-        sources = [i for i in r.gamma.source if r.gamma(i) == j]
+        sources = [i for i in r.coarse.index if r.gamma[i] == j]
         if not sources:
             raise MissingComponent(
                 f"index map misses fine index {j!r}; induced map is not determined"

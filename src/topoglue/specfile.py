@@ -72,7 +72,7 @@ from .fintop import FiniteSpace, SpaceMap, from_opens, make_space
 from .gdata import GluingData, GluingFunctor, _index_labels, derive_triple_maps, functor_of
 from .glidx import GlGen, GlObject, normalize
 from .glue import Cone, complete_cone
-from .refine import GdfGluingData, IndexMap, Refinement
+from .refine import GdfGluingData, Refinement
 from .cover import KINDS, Covering
 
 
@@ -94,12 +94,6 @@ class ConeDecl:
 
 
 @dataclass
-class CoveringDecl:
-    name: str
-    covering: Covering
-
-
-@dataclass
 class SpecDocument:
     spaces: dict[str, FiniteSpace] = field(default_factory=dict)
     maps: dict[str, SpaceMap] = field(default_factory=dict)
@@ -107,7 +101,7 @@ class SpecDocument:
     cones: dict[str, ConeDecl] = field(default_factory=dict)
     refinements: dict[str, Refinement] = field(default_factory=dict)
     metas: dict[str, GdfGluingData] = field(default_factory=dict)
-    coverings: dict[str, CoveringDecl] = field(default_factory=dict)
+    coverings: dict[str, Covering] = field(default_factory=dict)
     order: list[tuple[str, str]] = field(default_factory=list)
     sources: dict[tuple[str, str], list[str]] = field(default_factory=dict)
 
@@ -328,7 +322,7 @@ def _parse_cone(block: _Block, doc: SpecDocument) -> ConeDecl:
 def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:
     fine = None
     coarse = None
-    gamma_table: dict[str, str] = {}
+    gamma: dict[str, str] = {}
     components: dict[GlObject, SpaceMap] = {}
     labels: list[tuple[int, list[str]]] = []
     for no, key, value in _entries(block):
@@ -339,7 +333,7 @@ def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:
         elif key == "coarse":
             coarse = functor_of(_need(doc.gluings, value, "gluing", no))
         elif fields[0] == "gamma" and len(fields) == 2:
-            gamma_table[fields[1]] = value
+            gamma[fields[1]] = value
         elif fields[0] == "component":
             components[_parse_object(no, fields[1:])] = _need(doc.maps, value, "map", no)
         else:
@@ -347,7 +341,6 @@ def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:
     if fine is None or coarse is None:
         raise ParseError(block.line_no, "refinement needs 'fine' and 'coarse'")
     _check_labels(labels, coarse.index, "the index of the coarse gluing")
-    gamma = IndexMap(coarse.index, fine.index, gamma_table)
     return Refinement(gamma, fine, coarse, components)
 
 
@@ -389,7 +382,7 @@ def _parse_meta(block: _Block, doc: SpecDocument) -> GdfGluingData:
     return GdfGluingData(tuple(sorted(set(index))), node, edge)
 
 
-def _parse_covering(block: _Block, doc: SpecDocument) -> CoveringDecl:
+def _parse_covering(block: _Block, doc: SpecDocument) -> Covering:
     base = None
     kind = "gluing"
     family = []
@@ -407,7 +400,7 @@ def _parse_covering(block: _Block, doc: SpecDocument) -> CoveringDecl:
             raise ParseError(no, f"unknown covering entry {key!r}")
     if base is None:
         raise ParseError(block.line_no, "covering needs a base")
-    return CoveringDecl(block.name, Covering(base, family, kind))
+    return Covering(base, family, kind)
 
 
 def parse_spec(text: str, derive_triples: bool = False) -> SpecDocument:

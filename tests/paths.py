@@ -16,12 +16,13 @@ start object; the empty path is the identity.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Mapping
 
 from topoglue import glidx
 from topoglue.fintop import FiniteSpace, SpaceMap, compose, identity_map
 from topoglue.gdata import EMPTY, GluingData, GluingFunctor
 from topoglue.glidx import GlGen, GlObject, normalize, pair, single
-from topoglue.refine import IndexMap, reindex_object
+from topoglue.refine import reindex_object
 
 Path = tuple[GlGen, ...]
 
@@ -72,10 +73,10 @@ def realize(fun: GluingFunctor, dom: GlObject, path: Path) -> SpaceMap:
     return out
 
 
-def reindex(gamma: IndexMap, dom: GlObject, path: Path) -> tuple[GlObject, Path]:
+def reindex(gamma: Mapping[str, str], dom: GlObject, path: Path) -> tuple[GlObject, Path]:
     """The image of the path out of ``dom``: every generator's indices mapped through gamma."""
     return reindex_object(gamma, dom), tuple(
-        GlGen(gen.kind, tuple(gamma(i) for i in gen.indices)) for gen in path
+        GlGen(gen.kind, tuple(gamma[i] for i in gen.indices)) for gen in path
     )
 
 

@@ -533,6 +533,30 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "validate", str(f), "LABELS")
         assert (code, out, err) == (2, "", message)
 
+    @pytest.mark.parametrize("machine", [False, True], ids=["text", "machine"])
+    def test_index_label_with_a_comma_is_rejected(self, capsys, tmp_path, machine):
+        # the pair (a,b) and the patch a,b would both be the object [a,b]: the
+        # document glued, printing two 'leg [a,b]' lines and losing one leg from --machine
+        labels = ("a", "b", "a,b")
+        lines = [
+            "space P", "  points: p", "  opens: p", "end",
+            "space O", "  points: o", "  opens: o", "end",
+            "space E", "  points:", "end",
+            "map anchor: O -> P", "  o -> p", "end",
+            "map flip: O -> O", "  o -> o", "end",
+            "map none: E -> P", "end",
+            "map idle: E -> E", "end",
+            "gluing G", "  index: " + " ".join(labels), *(f"  patch {i}: P" for i in labels),
+        ]
+        for i, j in itertools.permutations(labels, 2):
+            over, maps = ("O", ("anchor", "flip")) if {i, j} == {"a", "b"} else ("E", ("none", "idle"))
+            lines += [f"  overlap {i} {j}: {over}", f"  anchor {i} {j}: {maps[0]}", f"  transition {i} {j}: {maps[1]}"]
+        f = tmp_path / "comma.glue"
+        f.write_text("\n".join([*lines, "end", ""]))
+        argv = ["glue", str(f), "G", "--derive-triples"] + (["--machine"] if machine else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: index label 'a,b' must not contain ','\n")
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -1006,8 +1030,11 @@ class TestGeneratedDocuments:
         def gluing_name(i, j):
             return names[i] if i == j else overlap[(i, j)]
 
-        if any("@" in label for label in labels):
-            assert all((code, out) == (2, "") and "must not contain '@'" in err for code, out, err in runs)
+        # the first sorted label holding '@' or ',' is rejected, '@' before ','
+        rejected = [label for label in sorted(set(labels)) if "@" in label or "," in label]
+        if rejected:
+            sep = "@" if "@" in rejected[0] else ","
+            assert all((code, out) == (2, "") and f"must not contain {sep!r}" in err for code, out, err in runs)
             return
         if _pullbacks_collide(gluing_name, labels):
             assert all((code, out) == (2, "") and "both get the name" in err for code, out, err in runs)
@@ -1036,7 +1063,7 @@ class TestGeneratedDocuments:
             return
         rows = {(e["name"], e["subject"]): e["ok"] for e in json.loads(cover_out)["data"]["entries"]}
         assert cover_code in (0, 1) and rows[("glued-size", "points")]
-        covering = parse_spec(text).coverings["COV"].covering
+        covering = parse_spec(text).coverings["COV"]
         gd = cover_mod.data_of_covering(covering)
         for (i, j), space in gd.overlap.items():
             assert len(space.points) == len(cover_name(int(i), int(j)))

@@ -611,7 +611,7 @@ def _stage_visits(k, monkeypatch):
     stage("check_glued_properties", glue.check_glued_properties, gd, glued)
     stage("check_otop", glue.check_otop, gd, glued)
     stage("functor_of_covering", cover.functor_of_covering, c)
-    gamma = refine.IndexMap(gd.index, gd.index, {i: i for i in gd.index})
+    gamma = {i: i for i in gd.index}
     patches = {single(i): fintop.identity_map(gd.patch[i]) for i in gd.index}
     r = stage("Refinement", refine.Refinement, gamma, fun, fun, patches)
     stage("check_refinement", refine.check_refinement, r)

@@ -293,6 +293,14 @@ class TestMakeGluingData:
         assert info.value.exit_code == 2
 
     @pytest.mark.parametrize("build", [make_gluing_data, GluingData])
+    def test_index_label_with_comma(self, build):
+        # ',' joins the labels of object names: the pair (a,b) and the patch a,b are both [a,b]
+        patch = {label: arc3() for label in ("a", "b", "a,b")}
+        with pytest.raises(UnresolvedReference, match=r"^index label 'a,b' must not contain ','$") as info:
+            build(["a", "b", "a,b"], patch=patch, overlap={}, anchor={}, transition={})
+        assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize("build", [make_gluing_data, GluingData])
     def test_index_label_without_patch(self, build):
         with pytest.raises(UnresolvedReference, match=r"no patch for index labels \['2'\]") as info:
             build(["1", "2"], patch={"1": arc3()}, overlap={}, anchor={}, transition={})
@@ -313,6 +321,11 @@ class TestMakeGluingData:
         gd = GluingData(["1"], patch={"1": sp}, overlap={}, anchor={}, transition={})  # no triple transitions
         assert gd == trivial_data(sp) and validate(gd).passed
         assert gd.overlap == {("1", "1"): sp} and gd.transition == {("1", "1"): identity_map(sp)}
+
+    def test_patches_off_the_index_are_dropped(self):
+        gd = GluingData(["1"], {"1": arc3(), "2": sierp()}, {}, {}, {})
+        assert dict(gd.patch) == {"1": arc3()} and not gd.stores(single("2"))
+        assert gd == GluingData(["1"], {"1": arc3()}, {}, {}, {})
 
     def test_unread_triple_transition_keys_are_dropped(self):
         # (1,1,2) reads the identity, (1,2,9) is off the index, (1,2) is not a triple

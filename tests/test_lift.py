@@ -20,7 +20,7 @@ from topoglue.fintop import SpaceMap, compose, identity_map, lift, make_space, p
 from topoglue.fixtures import arc3, cylinder_data, disc2, gd_circ, pt, torus_meta
 from topoglue.gdata import derive_triple_maps, functor_of, make_gluing_data
 from topoglue.glidx import normalize, pair, single
-from topoglue.refine import IndexMap, Refinement, reindex_object
+from topoglue.refine import Refinement, reindex_object
 
 
 def _fold():
@@ -98,13 +98,13 @@ def _scan_derive(gd):
 def _loop_complete(gamma, fine, coarse, components):
     """The completion of ``Refinement`` with its fiber dict and pair-name test: the reference."""
     comps = dict(components)
-    for i in gamma.source:
-        for j in gamma.source:
+    for i in coarse.index:
+        for j in coarse.index:
             obj = pair(i, j)
             if obj in comps or obj.arity == 1:
                 continue
             fine_sp = fine.space(reindex_object(gamma, obj))
-            eta = find_path(gamma.source, single(i), obj)
+            eta = find_path(coarse.index, single(i), obj)
             known = compose(comps[single(i)], realize(fine, *reindex(gamma, single(i), eta)))
             anchor_ij = anchor(coarse.data, i, j)
             fibers = {}
@@ -117,7 +117,7 @@ def _loop_complete(gamma, fine, coarse, components):
                     raise MissingComponent(f"pair component {obj} not uniquely forced at {t!r}")
                 table[t] = cand[0]
             comps[obj] = SpaceMap(fine_sp, coarse.space(obj), table)
-    for obj in glidx.objects(gamma.source):
+    for obj in glidx.objects(coarse.index):
         if obj.arity != 3 or obj in comps:
             continue
         i = obj.head
@@ -126,7 +126,7 @@ def _loop_complete(gamma, fine, coarse, components):
         target = coarse.space(obj)
         legs = {}
         for n in (j, k):
-            eta3 = find_path(gamma.source, pair(i, n), obj)
+            eta3 = find_path(coarse.index, pair(i, n), obj)
             legs[n] = compose(comps[pair(i, n)], realize(fine, *reindex(gamma, pair(i, n), eta3)))
         table = {}
         for t in sorted(fine_sp.points):
@@ -200,7 +200,7 @@ class TestDifferential:
         cases = []
         funs = [functor_of(gd) for gd in DATASETS.values()] + [functor_of(self_weld_arc())]
         for fun in funs:
-            gamma = IndexMap(fun.index, fun.index, {i: i for i in fun.index})
+            gamma = {i: i for i in fun.index}
             # identity patch components, then random ones: most pair
             # components are then not forced
             for shuffle in (False, True):

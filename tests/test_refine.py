@@ -38,7 +38,6 @@ from topoglue.glidx import (
 from topoglue.glue import complete_cone, glue, mediate
 from topoglue.refine import (
     GdfGluingData,
-    IndexMap,
     Refinement,
     check_refinement,
     compose_gdf,
@@ -54,32 +53,33 @@ from test_glue import self_weld_arc
 
 
 class TestReindex:
-    def test_index_sets_are_tuple_copies(self):
-        source, target = ["1"], ["1"]
-        gamma = IndexMap(source, target, {"1": "1"})
-        source.append("2")
-        target.clear()
-        assert gamma.source == ("1",) and gamma.target == ("1",)
+    def test_gamma_is_a_read_only_copy(self):
+        fun = functor_of(gd_circ())
+        gamma = {"1": "1", "2": "2"}
+        r = Refinement(gamma, fun, fun, {o: identity_map(fun.space(o)) for o in fun.data.nerve.objects})
+        gamma["1"] = "2"
+        gamma.clear()
+        assert dict(r.gamma) == {"1": "1", "2": "2"}
         with pytest.raises(TypeError):
-            hash(gamma)  # the table is not hashable
+            r.gamma["1"] = "2"
 
     def test_identity(self):
-        gamma = IndexMap(("1", "2"), ("1", "2"), {"1": "1", "2": "2"})
-        assert all(reindex_object(gamma, o) == o for o in objects(gamma.source))
-        for g in raw_generators(gamma.source):
+        gamma = {"1": "1", "2": "2"}
+        assert all(reindex_object(gamma, o) == o for o in objects(("1", "2")))
+        for g in raw_generators(("1", "2")):
             assert reindex(gamma, g.dom, (g,)) == (g.dom, (g,))
 
     def test_constant_collapses_pairs(self):
-        gamma = IndexMap(("1", "2"), ("*",), {"1": "*", "2": "*"})
-        objs = {o: reindex_object(gamma, o) for o in objects(gamma.source)}
+        gamma = {"1": "*", "2": "*"}
+        objs = {o: reindex_object(gamma, o) for o in objects(("1", "2"))}
         assert objs[pair("1", "2")] == single("*")
         eta = GlGen("eta", ("1", "2"))
         dom, path = reindex(gamma, eta.dom, (eta,))
         assert dom == compose_path(dom, path) == single("*")
 
     def test_injective_relabel(self):
-        gamma = IndexMap(("1", "2"), ("1", "2", "3"), {"1": "1", "2": "2"})
-        objs = {o: reindex_object(gamma, o) for o in objects(gamma.source)}
+        gamma = {"1": "1", "2": "2"}
+        objs = {o: reindex_object(gamma, o) for o in objects(("1", "2"))}
         assert objs[pair("1", "2")] == pair("1", "2")
         assert objs[normalize(("1", "1", "2"))] == normalize(("1", "1", "2"))
 
@@ -92,7 +92,7 @@ class TestReindex:
             nj = rng.randint(1, 3)
             src = tuple(f"s{k}" for k in range(ni))
             dst = tuple(f"d{k}" for k in range(nj))
-            gamma = IndexMap(src, dst, {i: rng.choice(dst) for i in src})
+            gamma = {i: rng.choice(dst) for i in src}
             for label, dom, lhs, rhs in relation_instances(src):
                 ml = compose_path(*reindex(gamma, dom, lhs))
                 assert ml == compose_path(*reindex(gamma, dom, rhs)), label
@@ -101,7 +101,7 @@ class TestReindex:
 def _check_refinement_reference(r):
     """``check_refinement`` realizing each generator edge and its reindexed path: the reference."""
     rep = Report()
-    by_endpoints = sorted(edges(r.gamma.source).items(), key=lambda e: (repr(e[0][0]), repr(e[0][1])))
+    by_endpoints = sorted(edges(r.coarse.index).items(), key=lambda e: (repr(e[0][0]), repr(e[0][1])))
     for (a, b), gen in by_endpoints:
         lhs = compose(r.component(a), realize(r.fine, *reindex(r.gamma, a, (gen,))))
         rhs = compose(realize(r.coarse, a, (gen,)), r.component(b))
@@ -184,7 +184,7 @@ class TestCompleteRefinement:
 
     def test_not_forced_when_anchor_collapses(self):
         fun = functor_of(self_weld_arc())
-        gamma = IndexMap(("1", "2"), ("1", "2"), {"1": "1", "2": "2"})
+        gamma = {"1": "1", "2": "2"}
         singles = {
             single(i): identity_map(fun.space(single(i))) for i in ("1", "2")
         }
@@ -193,29 +193,28 @@ class TestCompleteRefinement:
 
     def test_a_missing_patch_component_raises(self):
         fun = functor_of(gd_circ())
-        gamma = IndexMap(fun.index, fun.index, {i: i for i in fun.index})
+        gamma = {i: i for i in fun.index}
         with pytest.raises(MissingComponent, match=r"^patch component for '2' must be given$"):
             Refinement(gamma, fun, fun, {single("1"): identity_map(fun.space(single("1")))})
 
-    def test_an_index_map_off_the_coarse_index_is_a_composition_mismatch(self):
+    def test_an_index_map_undefined_on_the_coarse_index_is_a_missing_component(self):
         fun = functor_of(gd_circ())
-        gamma = IndexMap(("1", "3"), ("1", "2"), {"1": "1", "3": "2"})
         singles = {single(i): identity_map(fun.space(single(i))) for i in ("1", "2")}
-        with pytest.raises(
-            CompositionMismatch,
-            match=r"^the index map runs from \('1', '3'\) to \('1', '2'\), not from the coarse index \('1', '2'\) ",
-        ):
-            Refinement(gamma, fun, fun, singles)
+        with pytest.raises(MissingComponent, match=r"^index map undefined at '2'$"):
+            Refinement({"1": "1", "3": "2"}, fun, fun, singles)
 
-    def test_an_index_map_off_the_fine_index_is_a_composition_mismatch(self):
+    def test_an_index_map_off_the_fine_index_is_a_missing_component(self):
         fun = functor_of(gd_circ())
-        gamma = IndexMap(("1", "2"), ("1", "3"), {"1": "1", "2": "3"})
         singles = {single(i): identity_map(fun.space(single(i))) for i in ("1", "2")}
-        with pytest.raises(
-            CompositionMismatch,
-            match=r"to \('1', '3'\), not from the coarse index \('1', '2'\) to the fine index \('1', '2'\)$",
-        ):
-            Refinement(gamma, fun, fun, singles)
+        with pytest.raises(MissingComponent, match=r"^index map leaves target at '2'$"):
+            Refinement({"1": "1", "2": "3"}, fun, fun, singles)
+
+    def test_an_index_map_key_off_the_coarse_index_is_dropped(self):
+        fun = functor_of(gd_circ())
+        singles = {single(i): identity_map(fun.space(single(i))) for i in ("1", "2")}
+        r = Refinement({"1": "1", "2": "2", "3": "1"}, fun, fun, singles)
+        assert dict(r.gamma) == {"1": "1", "2": "2"}
+        assert r == Refinement({"1": "1", "2": "2"}, fun, fun, singles)
 
 
 class TestInducedMap:
@@ -238,9 +237,8 @@ class TestInducedMap:
     def test_collapse_onto_trivial_coarse(self):
         fine = functor_of(trivial_data(arc3(), "1"))
         coarse = functor_of(trivial_data(pt(), "1"))
-        gamma = IndexMap(("1",), ("1",), {"1": "1"})
         rho = SpaceMap(arc3(), pt(), {x: "p" for x in arc3().points})
-        r = Refinement(gamma, fine, coarse, {single("1"): rho})
+        r = Refinement({"1": "1"}, fine, coarse, {single("1"): rho})
         mu = induced_map(r, glue(fine.data), glue(coarse.data))
         assert set(mu.table.values()) == {"p@1"}
 
@@ -262,7 +260,7 @@ class TestInducedMap:
     def test_gamma_must_reach_every_fine_index(self):
         fine = functor_of(gd_circ())
         coarse = functor_of(trivial_data(circle4(), "0"))
-        gamma = IndexMap(("0",), ("1", "2"), {"0": "1"})
+        gamma = {"0": "1"}
         rho = SpaceMap(
             fine.space(single("1")), circle4(), {"l": "l", "m": "ma", "r": "r"}
         )
@@ -276,7 +274,7 @@ class TestInducedMap:
         # arc patches of the circle gluing
         gd = gd_circ()
         fun = functor_of(gd)
-        gamma = IndexMap(("1", "2"), ("1", "2"), {"1": "2", "2": "1"})
+        gamma = {"1": "2", "2": "1"}
         singles = {
             single("1"): SpaceMap(gd.patch["2"], gd.patch["1"], {x: x for x in arc3().points}),
             single("2"): SpaceMap(gd.patch["1"], gd.patch["2"], {x: x for x in arc3().points}),
@@ -290,8 +288,8 @@ class TestInducedMap:
         commuting = []
         for h in enumerate_continuous_maps(glued_fine.space, glued_coarse.space):
             ok = True
-            for i in r.gamma.source:
-                lhs = compose(h, glued_fine.leg(single(r.gamma(i))))
+            for i, j in r.gamma.items():
+                lhs = compose(h, glued_fine.leg(single(j)))
                 rhs = compose(glued_coarse.leg(single(i)), r.component(single(i)))
                 if first_difference(lhs, rhs) is not None:
                     ok = False
@@ -311,6 +309,21 @@ class TestPaste:
         assert rep.passed, str(rep)
         assert pasted.fine is t12.fine
         assert pasted.coarse is incl2.coarse
+
+    @pytest.mark.parametrize(
+        "fixture, composed",
+        [(lambda: torus_meta()[0], {"1": "1", "2": "2"}), (counter_meta, {"1": "1", "2": "1"})],
+        ids=["torus", "counter"],
+    )
+    def test_pasted_index_map_is_the_composed_table(self, fixture, composed):
+        # edges [1] -> [1,2] and [1,2] -> [1|{1,2}]; the counter meta's
+        # second edge sends both labels onto its point node's one label
+        meta = fixture()
+        outer = meta.edge[(single("1"), pair("1", "2"))]
+        inner = meta.edge[(pair("1", "2"), normalize(("1", "1", "2")))]
+        pasted = paste(outer, inner)
+        assert dict(pasted.gamma) == {i: inner.gamma[j] for i, j in outer.gamma.items()} == composed
+        assert check_refinement(pasted).passed
 
     def test_middle_functors_with_other_maps_do_not_paste(self):
         # same spaces as gd_circ, transitions swapping a and b: another functor
@@ -414,12 +427,12 @@ class TestFrozenRefinementLayer:
         with pytest.raises(TypeError):
             r.components[single("1")] = r.components[single("1")]
         with pytest.raises(TypeError):
-            r.gamma.table["1"] = "2"
+            r.gamma["1"] = "2"
         with pytest.raises(AttributeError):
             meta.node.clear()
         with pytest.raises(TypeError):
             meta.edge[(single("1"), pair("1", "2"))] = r
-        for value in (r, r.gamma, meta):
+        for value in (r, meta):
             for f in dataclasses.fields(value):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(value, f.name, getattr(value, f.name))
@@ -429,15 +442,14 @@ class TestFrozenRefinementLayer:
     def test_constructor_tables_are_copied(self):
         meta, _ = torus_meta()
         r = meta.edge[(single("1"), pair("1", "2"))]
-        table = dict(r.gamma.table)
-        gamma = IndexMap(r.gamma.source, r.gamma.target, table)
+        table = dict(r.gamma)
         comps = dict(r.components)
-        copy = Refinement(gamma, r.fine, r.coarse, comps)
+        copy = Refinement(table, r.fine, r.coarse, comps)
         node, edge = dict(meta.node), dict(meta.edge)
         meta_copy = GdfGluingData(list(meta.index), node, edge)
         for d in (table, comps, node, edge):
             d.clear()
-        assert copy.gamma.table == r.gamma.table and copy.components == r.components
+        assert copy.gamma == r.gamma and copy.components == r.components
         assert check_refinement(copy).passed
         assert (meta_copy.index, meta_copy.node, meta_copy.edge) == (meta.index, meta.node, meta.edge)
 
@@ -465,7 +477,7 @@ def _two_points(overlapping: bool):
 class TestRefinementOntoAnEmptyOverlap:
     """A coarse overlap with no points under a fine overlap with points admits no component."""
 
-    gamma = IndexMap(("1", "2"), ("1", "2"), {"1": "1", "2": "2"})
+    gamma = {"1": "1", "2": "2"}
 
     def _patches(self, fine, coarse):
         return {
@@ -504,8 +516,7 @@ def _point_node(name: str, *points: str):
 
 
 def _node_refinement(fine, coarse, table):
-    gamma = IndexMap(("1",), ("1",), {"1": "1"})
-    return Refinement(gamma, fine, coarse, {single("1"): SpaceMap(fine.space(single("1")), coarse.space(single("1")), table)})
+    return Refinement({"1": "1"}, fine, coarse, {single("1"): SpaceMap(fine.space(single("1")), coarse.space(single("1")), table)})
 
 
 def _empty_triple_meta(with_empty_pairs: bool) -> GdfGluingData:

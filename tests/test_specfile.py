@@ -208,7 +208,7 @@ class TestEntryKeys:
     def test_opens_and_covering_legs_repeat(self):
         doc = parse_spec((EXAMPLES / "circle.glue").read_text())
         assert len(doc.spaces["D12"].points) == 2
-        assert len(doc.coverings["TWOARCS"].covering.family) == 2
+        assert len(doc.coverings["TWOARCS"].family) == 2
 
 
 class TestRoundTrip:
