@@ -22,8 +22,9 @@ patches whose legs meet over an empty overlap fail it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import fintop
 from .errors import (
@@ -59,15 +60,21 @@ class Cone:
     """An apex with one leg per index-category object, in the continuous direction.
 
     Frozen: ``legs`` is a read-only copy of the table the cone was built from.
+    The cone hashes its apex and its leg pairs, computed on first use and kept.
     """
 
     apex: FiniteSpace
     legs: Mapping[GlObject, SpaceMap]
 
-    __hash__ = None  # the leg table is not hashable
-
     def __post_init__(self):
         object.__setattr__(self, "legs", read_only(self.legs))
+
+    def __hash__(self):
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> int:
+        return hash((self.apex, frozenset(self.legs.items())))
 
     def leg(self, obj: GlObject) -> SpaceMap:
         if obj not in self.legs:
@@ -80,18 +87,24 @@ class GluedSpace(Cone):
     """The glued quotient as a cone, with the raw overlap relation and each point's class.
 
     ``classes[q]`` holds the tagged patch points (``x@i``) that land on q;
-    like ``legs``, the table is a read-only copy.
+    like ``legs``, the table is a read-only copy.  The hash adds the relation
+    and the class pairs to the cone's.
     """
 
     relation: tuple[tuple[str, str], ...]
     classes: Mapping[str, frozenset[str]]
 
-    __hash__ = None
-
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "relation", tuple(self.relation))
         object.__setattr__(self, "classes", read_only(self.classes))
+
+    __hash__ = Cone.__hash__
+
+    @cached_property
+    def _content_hash(self) -> int:
+        legs = frozenset(self.legs.items())
+        return hash((self.apex, legs, self.relation, frozenset(self.classes.items())))
 
     @property
     def space(self) -> FiniteSpace:
@@ -349,30 +362,65 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
     return rep
 
 
+def _patch_points(gd: GluingData) -> list[tuple[str, list[str]]]:
+    """Each patch in index order with its sorted points: the order of every family key."""
+    return [(i, sorted(gd.patch[i].points)) for i in gd.index]
+
+
+def _route(
+    patch_points: Sequence[tuple[str, list[str]]],
+    legs: Mapping[GlObject, SpaceMap],
+    glued_points: Sequence[str],
+) -> list[int]:
+    """The position in ``glued_points`` of the point each patch point's leg lands on."""
+    at = {q: n for n, q in enumerate(glued_points)}
+    return [at[legs[single(i)].table[x]] for i, pts in patch_points for x in pts]
+
+
+def _mediator_images(
+    glued_points: Sequence[str], route: Sequence[int], key: Sequence[str]
+) -> tuple[str, ...]:
+    """The images of ``glued_points`` under the map a patch-leg family induces.
+
+    The k-th patch point lands on glued point ``glued_points[route[k]]``
+    (``_route``) and on apex point ``key[k]``, so the glued point is sent
+    there.  In the order of ``glued_points``, the first point no patch point
+    reaches has no provenance (NotCovering), and the first sent to two apex
+    points means the cone conditions were violated (IllDefined).
+    """
+    values: list[set[str]] = [set() for _ in glued_points]
+    for n, y in zip(route, key):
+        values[n].add(y)
+    images = []
+    for q, ys in zip(glued_points, values):
+        if not ys:
+            raise NotCovering(f"glued point {q!r} has no provenance")
+        if len(ys) != 1:
+            raise IllDefined((q, sorted(ys)))
+        (y,) = ys
+        images.append(y)
+    return tuple(images)
+
+
 def mediate(gd: GluingData, glued: Cone, cone: Cone) -> SpaceMap:
     """The unique map from the glued space matching the cone's patch legs.
 
     The patch legs of both cones are typed first (``_typed_legs``), so a
     missing or mistyped leg raises.  For each patch i and point x, the glued
-    point ``glued.leg([i])(x)`` is sent to ``cone.leg([i])(x)``.  A glued
-    point no patch point reaches has no provenance;
-    one sent to two apex points means the cone conditions were violated.
-    Continuity is automatic from the final topology but still checked.
+    point ``glued.leg([i])(x)`` is sent to ``cone.leg([i])(x)``
+    (``_mediator_images``, which ``verify_universal`` shares).  A glued point
+    no patch point reaches has no provenance; one sent to two apex points
+    means the cone conditions were violated.  Continuity is automatic from
+    the final topology but still checked.
     """
     patches = list(map(single, gd.index))
     into_glued = _typed_legs(gd, glued, patches)
-    values: dict[str, set[str]] = {qp: set() for qp in glued.apex.points}
-    for obj, into_apex in _typed_legs(gd, cone, patches).items():
-        for x, y in into_apex.table.items():
-            values[into_glued[obj](x)].add(y)
-    table: dict[str, str] = {}
-    for qp in sorted(values):
-        if not values[qp]:
-            raise NotCovering(f"glued point {qp!r} has no provenance")
-        if len(values[qp]) != 1:
-            raise IllDefined((qp, sorted(values[qp])))
-        (table[qp],) = values[qp]
-    mu = SpaceMap(glued.apex, cone.apex, table)
+    into_apex = _typed_legs(gd, cone, patches)
+    patch_points = _patch_points(gd)
+    glued_points = sorted(glued.apex.points)
+    key = [into_apex[single(i)].table[x] for i, pts in patch_points for x in pts]
+    images = _mediator_images(glued_points, _route(patch_points, into_glued, glued_points), key)
+    mu = SpaceMap(glued.apex, cone.apex, dict(zip(glued_points, images)))
     if fintop.discontinuities(mu):
         raise IllDefined((glued.apex.space_id, "mediating map not continuous", analyze_map(mu)))
     return mu
@@ -391,27 +439,25 @@ def default_apexes() -> list[FiniteSpace]:
     return [pt(), sierp(), disc2(), arc3()]
 
 
-def enumerate_cones(
-    gd: GluingData, apex: FiniteSpace, budget: int = fintop.DEFAULT_MAP_BUDGET
-) -> list[dict[str, SpaceMap]]:
-    """All compatible patch-leg families into an apex (brute-force oracle).
+def _cone_search(
+    gd: GluingData, apex: FiniteSpace, budget: int
+) -> tuple[list[tuple[str, list[tuple[str, int]]]], Iterator[tuple[str, ...]]]:
+    """The link classes of the patch points, and a lazy search for class images into an apex.
 
-    A family is compatible when the legs of patches i and j agree on every
-    overlap point u: leg_i(anchor_ij(u)) == leg_j(anchor_ji(transition_ij(u))).
-    The patch points (i, x), for i in index order and x in sorted patch
-    points, fall into link classes: the oracle's own union-find over the
-    overlap links (``_links``), independent of the quotient ``glue`` builds.
-    Every point of a class takes one image, so one search assigns the
-    classes in order of their first member, each with the union of its
-    members' minimal-open relations, under the map search's order
-    constraint (a map of finite spaces is continuous iff it keeps every such
-    pair, Stong 1966).  Families come out in the order of the Cartesian
-    product of the per-patch map lists: two families first differ at the
-    first member of the first class they differ on.  ``budget`` bounds the
-    class assignments tried.  A mistyped map a link reads raises
-    CompositionMismatch (``_links``).
+    ``classes`` lists each patch, in index order, with its sorted points and
+    the link class of each.  The patch points (i, x) fall into link classes
+    by the oracle's own union-find over the overlap links (``_links``),
+    independent of the quotient ``glue`` builds; classes are numbered in
+    order of their first member.  Every point of a class takes one image,
+    so the search (``fintop.backtrack``) assigns the classes in turn, each
+    with the union of its members' minimal-open relations, under the map
+    search's order constraint (a map of finite spaces is continuous iff it
+    keeps every such pair, Stong 1966).  It yields one image per class for
+    each compatible family; ``budget`` bounds the class assignments tried.
+    A mistyped map a link reads raises CompositionMismatch here, before the
+    search starts.
     """
-    patch_points = [(i, sorted(gd.patch[i].points)) for i in gd.index]
+    patch_points = _patch_points(gd)
     pos = {ix: p for p, ix in enumerate((i, x) for i, pts in patch_points for x in pts)}
     links = fintop._UnionFind(range(len(pos)))  # a class's root is its first member
     for (i, j), pairs in _links(gd).items():
@@ -425,11 +471,27 @@ def enumerate_cones(
     allowed = fintop._allowed_images(range(len(number)), min_open, apex)
     search = f"cone search into {apex.space_id!r}"
     classes = [(i, [(x, cls[(i, x)]) for x in pts]) for i, pts in patch_points]
+    return classes, fintop.backtrack(search, len(number), lambda img: sorted(allowed(img)), budget)
+
+
+def enumerate_cones(
+    gd: GluingData, apex: FiniteSpace, budget: int = fintop.DEFAULT_MAP_BUDGET
+) -> list[dict[str, SpaceMap]]:
+    """All compatible patch-leg families into an apex (brute-force oracle).
+
+    A family is compatible when the legs of patches i and j agree on every
+    overlap point u: leg_i(anchor_ij(u)) == leg_j(anchor_ji(transition_ij(u))).
+    The list holds, as patch maps, every class image the link-class search
+    (``_cone_search``) yields.  Families come out in the order of the
+    Cartesian product of the per-patch map lists: two families first differ
+    at the first member of the first class they differ on.  ``budget``
+    bounds the class assignments tried.  A mistyped map a link reads raises
+    CompositionMismatch (``_links``).
+    """
+    classes, images = _cone_search(gd, apex, budget)
     return [
         {i: SpaceMap(gd.patch[i], apex, {x: img[c] for x, c in xs}) for i, xs in classes}
-        for img in fintop.backtrack(
-            search, len(number), lambda img: sorted(allowed(img)), budget
-        )
+        for img in images
     ]
 
 
@@ -442,7 +504,7 @@ def verify_universal(
     """Oracle for the universal property: every cone has exactly one mediator.
 
     The candidate must itself be a cone with continuous legs.  For each apex,
-    every compatible patch-leg family is enumerated and the continuous maps
+    every compatible patch-leg family is checked and the continuous maps
     out of the glued space commuting with all legs are counted; exactly one
     must exist and it must agree with ``mediate``.  The count is a hash join
     on tables: each candidate h, an image tuple over the sorted glued points
@@ -450,11 +512,19 @@ def verify_universal(
     tables of h . leg_i over the sorted points of every patch i, and each
     family is looked up under the tuple of its own leg tables.  The tables
     are compared alone because h . leg_i and the family's leg i both run from
-    patch i to the apex, and only the one mediator of a family is compared
-    with ``mediate``, as a table.  The map search out of the glued space
-    counts point assignments against ``budget`` and ``enumerate_cones``
-    counts link-class assignments, so an apex too large to search ends in
-    SearchBudgetExceeded.
+    patch i to the apex.
+
+    The families stream from the link-class search (``_cone_search``) one
+    class-image tuple at a time, and are neither held together nor built
+    into maps: a family's key reads each patch point's class image.  The one
+    mediator of a family is compared, as a table, with the map
+    ``_mediator_images`` reads off the family through the glued patch legs'
+    positions (``_route``): ``mediate``'s own logic, with the legs typed
+    once by the cone check.  That map needs no continuity check, as the
+    mediator it must equal is continuous.  The map search out of the glued
+    space runs first and counts point assignments against ``budget``, and
+    the cone search counts link-class assignments, so an apex too large to
+    search ends in SearchBudgetExceeded.
 
     SIERP and the indiscrete 2-point space I2 suffice once the candidate C is
     a cone with continuous legs.  Write Q for the glued space and m: Q -> C
@@ -487,39 +557,32 @@ def verify_universal(
         )
     is_cone = witness is None
     rep.add("candidate-is-cone", glued.apex.space_id, is_cone, witness)
-    patch_points = [(i, sorted(gd.patch[i].points)) for i in gd.index]
     glued_points = sorted(glued.apex.points)
-    at = {q: n for n, q in enumerate(glued_points)}
-    # the position of the glued point each patch point lands on, in restriction-tuple order
-    route = [at[glued.leg(single(i))(x)] for i, pts in patch_points for x in pts]
+    route = _route(_patch_points(gd), glued.legs, glued_points)
     for apex in apexes:
         by_restriction: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for h in fintop.continuous_images(glued.apex, apex, budget):
             by_restriction.setdefault(tuple([h[n] for n in route]), []).append(h)
-        families = enumerate_cones(gd, apex, budget)
-        rep.cones_checked += len(families)
-        for fam in families:
-            key = tuple([fam[i].table[x] for i, pts in patch_points for x in pts])
+        classes, images = _cone_search(gd, apex, budget)
+        flat = [c for _, xs in classes for _, c in xs]  # each patch point's class, in route order
+        for img in images:
+            rep.cones_checked += 1
+            key = tuple([img[c] for c in flat])
             mediators = by_restriction.get(key, [])
             if len(mediators) != 1:
-                rep.add(
-                    "unique-mediator",
-                    apex.space_id,
-                    False,
-                    f"{len(mediators)} mediators for legs "
-                    + str({i: sorted(fam[i].table.items()) for i in gd.index}),
-                )
+                legs = {i: [(x, img[c]) for x, c in xs] for i, xs in classes}
+                witness = f"{len(mediators)} mediators for legs {legs}"
+                rep.add("unique-mediator", apex.space_id, False, witness)
                 continue
             if not is_cone:
                 continue
-            # mediate reads only the patch legs, so the family needs no completion;
-            # it finds no provenance for a candidate point the legs miss
+            # a candidate point the legs miss has no provenance
             try:
-                mu = mediate(gd, glued, Cone(apex, {single(i): leg for i, leg in fam.items()}))
+                mu = _mediator_images(glued_points, route, key)
             except NotCovering as exc:
                 rep.add("mediate-agrees", apex.space_id, False, str(exc))
                 continue
-            if tuple([mu.table[q] for q in glued_points]) != mediators[0]:
+            if mu != mediators[0]:
                 rep.add("mediate-agrees", apex.space_id, False, "mediate differs from oracle")
         rep.add("apex-done", apex.space_id, True)
     return rep
