@@ -1372,9 +1372,10 @@ class TestMediatorHashJoin:
 
     def test_streaming_matches_the_scan_on_seeded_candidates(self):
         # the glued cone, a finer and a coarser quotient, and the glued space
-        # plus an isolated point, against every apex kind the oracle meets;
-        # the cylinder skips ARC3 and I2, where the scan pairs 421 and 4096
-        # candidates with as many families
+        # plus one or two isolated points, against every apex kind the oracle
+        # meets; the finer quotient plus a point is no cone, yet has a point
+        # no leg reaches; the cylinder skips ARC3 and I2, where the scan pairs
+        # 421 and 4096 candidates with as many families
         rng = random.Random(71)
         every = [pt(), sierp(), disc2(), arc3(), indisc2()]
         runs = [(random_lawful_data(random.Random(seed)), every) for seed in range(20)]
@@ -1383,12 +1384,15 @@ class TestMediatorHashJoin:
         for gd, apexes in runs:
             glued = glue(gd)
             linked = [p for p in glued.relation if p[0] != p[1]]
-            candidates = [glued, self._quotient_candidate(gd, rng.sample(linked, len(linked) // 2))]
+            finer = self._quotient_candidate(gd, rng.sample(linked, len(linked) // 2))
+            candidates = [glued, finer]
             union = sorted(gd._union[0].points)
             if len(union) > 1:
                 merged = list(glued.relation) + [tuple(rng.sample(union, 2))]
                 candidates.append(self._quotient_candidate(gd, merged))
-            candidates.append(self._plus_isolated_point(gd, glued))
+            candidates.append(self._plus_isolated_points(gd, glued, ["z"]))
+            candidates.append(self._plus_isolated_points(gd, glued, ["y", "z"]))
+            candidates.append(self._plus_isolated_points(gd, finer, ["z"]))
             for candidate in candidates:
                 rep = verify_universal(gd, candidate, apexes)
                 assert rep == _scan_report(gd, candidate, apexes)
@@ -1398,12 +1402,12 @@ class TestMediatorHashJoin:
         assert total > 2500
 
     @staticmethod
-    def _plus_isolated_point(gd, glued):
-        z = "z"
-        assert z not in glued.space.points
-        space = make_space("Q+z", glued.space.points | {z}, {**glued.space.min_open, z: {z}})
-        incl = SpaceMap(glued.space, space, {x: x for x in glued.space.points})
-        return complete_cone(gd, space, {i: compose(incl, glued.leg(single(i))) for i in gd.index})
+    def _plus_isolated_points(gd, cone, extra):
+        assert cone.apex.points.isdisjoint(extra)
+        min_open = {**cone.apex.min_open, **{z: {z} for z in extra}}
+        space = make_space("Q+" + "".join(extra), cone.apex.points | set(extra), min_open)
+        incl = SpaceMap(cone.apex, space, {x: x for x in cone.apex.points})
+        return complete_cone(gd, space, {i: compose(incl, cone.leg(single(i))) for i in gd.index})
 
     def test_families_stream_through_the_oracle(self):
         # held as a list of SpaceMap families, the cylinder's 4221 cones into
