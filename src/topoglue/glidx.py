@@ -48,9 +48,6 @@ class GlObject:
     def arity(self) -> int:
         return 1 + len(self.rest)
 
-    def display(self) -> str:
-        return self._display
-
     def __repr__(self):
         return self._display
 

@@ -21,6 +21,7 @@ patches whose legs meet over an empty overlap fail it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -473,8 +474,8 @@ def verify_universal(
     out of the glued space commuting with all legs are counted; exactly one
     must exist and it must agree with ``mediate``.  The count is a hash join
     on tables: each candidate h, an image tuple over the sorted glued points
-    (``fintop.continuous_images``), is filed under its restriction tuple, the
-    tables of h . leg_i over the sorted points of every patch i, and each
+    (``fintop.continuous_images``), is counted under its restriction tuple,
+    the tables of h . leg_i over the sorted points of every patch i, and each
     family is looked up under the tuple of its own leg tables.  The tables
     are compared alone because h . leg_i and the family's leg i both run from
     patch i to the apex.
@@ -492,15 +493,22 @@ def verify_universal(
     search counts link-class assignments, so an apex too large to search
     ends in SearchBudgetExceeded.
 
-    SIERP and the indiscrete 2-point space I2 suffice once the candidate C is
-    a cone with continuous legs.  Write Q for the glued space and m: Q -> C
-    for its mediating map; C is a colimit iff m is a homeomorphism.  Every
-    function into I2 is continuous, so every function on Q gives a cone into
-    I2.  If the legs miss a point of C, two maps C -> I2 that differ only
-    there mediate the same cone.  If m(q) = m(q') for q != q', no map
-    mediates the cone separating q from q'.  So I2 makes m a bijection.  An
-    open U of Q gives the cone of U's indicator Q -> SIERP; its only
-    candidate mediator is continuous iff m(U) is open, so SIERP makes m open.
+    With no ``apexes`` named (the CLI never names any) the apexes are PT,
+    SIERP, DISC2, ARC3 and the candidate's own apex.  The first four are T0,
+    so a pass with them says nothing about cones into spaces that are not:
+    ``trivial_data(indisc2())`` with its constant cone into PT passes with
+    the defaults (9 cones) and fails with PT, SIERP and I2 named (7 cones).
+
+    Named as apexes, SIERP and the indiscrete 2-point space I2 suffice once
+    the candidate C is a cone with continuous legs.  Write Q for the glued
+    space and m: Q -> C for its mediating map; C is a colimit iff m is a
+    homeomorphism.  Every function into I2 is continuous, so every function
+    on Q gives a cone into I2.  If the legs miss a point of C, two maps
+    C -> I2 that differ only there mediate the same cone.  If m(q) = m(q')
+    for q != q', no map mediates the cone separating q from q'.  So I2 makes
+    m a bijection.  An open U of Q gives the cone of U's indicator
+    Q -> SIERP; its only candidate mediator is continuous iff m(U) is open,
+    so SIERP makes m open.
     """
     rep = UniversalReport()
     if apexes is None:
@@ -532,18 +540,18 @@ def verify_universal(
     reached = set(route)
     uncovered = next((q for n, q in enumerate(glued_points) if n not in reached), None)
     for apex in apexes:
-        by_restriction: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for h in fintop.continuous_images(glued.apex, apex, budget):
-            by_restriction.setdefault(tuple([h[n] for n in route]), []).append(h)
+        mediators = Counter(
+            tuple([h[n] for n in route]) for h in fintop.continuous_images(glued.apex, apex, budget)
+        )
         classes, images = _cone_search(gd, apex, budget)
         flat = [c for _, xs in classes for _, c in xs]  # each patch point's class, in route order
         for img in images:
             rep.cones_checked += 1
             key = tuple([img[c] for c in flat])
-            mediators = by_restriction.get(key, [])
-            if len(mediators) != 1:
+            count = mediators[key]
+            if count != 1:
                 legs = {i: [(x, img[c]) for x, c in xs] for i, xs in classes}
-                witness = f"{len(mediators)} mediators for legs {legs}"
+                witness = f"{count} mediators for legs {legs}"
                 rep.add("unique-mediator", apex.space_id, False, witness)
                 continue
             if is_cone and uncovered is not None:

@@ -118,6 +118,7 @@ class _Block:
         self.name = name
         self.line_no = line_no
         self.lines: list[tuple[int, str]] = []
+        self.key_words: list[tuple[int, list[str]]] = []  # (line_no, words of the key), kept by _entries
 
 
 def _split_blocks(text: str) -> list[_Block]:
@@ -144,13 +145,6 @@ def _split_blocks(text: str) -> list[_Block]:
     return blocks
 
 
-def _kv(line_no: int, line: str) -> tuple[str, str]:
-    key, colon, value = line.partition(":")
-    if not colon or not key.strip():
-        raise ParseError(line_no, f"expected 'key: value', got {line!r}")
-    return " ".join(key.split()), value.strip()
-
-
 # entries keyed by an index-category object: "leg 1 2 3" repeats "leg 1 3 2"
 _OBJECT_KEYS = {"cone": "leg", "refinement": "component", "meta": "node"}
 
@@ -164,27 +158,33 @@ def _once(block: _Block, first: dict, entry, line_no: int, shown: str) -> None:
 
 
 def _entries(block: _Block, repeatable: tuple[str, ...] = ()):
-    """Yield ``(line_no, key, value)`` for each ``key: value`` line.
+    """Yield ``(line_no, key, words, entry, value)`` for each ``key: value`` line.
 
-    A key given twice in one block raises ``DuplicateName`` naming both lines,
-    except the keys in ``repeatable``.  Object keys (``leg``, ``component``,
-    ``node``) repeat when they name one normalized object, ``edge`` keys when
-    their generators share endpoints.
+    ``words`` is the key split into words, kept on the block for
+    ``_check_labels``.  ``entry`` is the normalized object of an object key
+    (``leg``, ``component``, ``node``), the ``(dom, cod)`` pair of a meta
+    ``edge`` key's generator, else the key.  An entry given twice in one block
+    raises ``DuplicateName`` naming both lines, except the keys in
+    ``repeatable``.
     """
     first: dict = {}
     for no, line in block.lines:
-        key, value = _kv(no, line)
-        fields = key.split()
-        if fields[0] == _OBJECT_KEYS.get(block.kind):
-            entry = _parse_object(no, fields[1:])
-        elif block.kind == "meta" and fields[0] == "edge":
-            gen = _parse_gen(no, fields[1:])
+        key, colon, value = line.partition(":")
+        words = key.split()
+        if not colon or not words:
+            raise ParseError(no, f"expected 'key: value', got {line!r}")
+        key = " ".join(words)
+        block.key_words.append((no, words))
+        if words[0] == _OBJECT_KEYS.get(block.kind):
+            entry = _parse_object(no, words[1:])
+        elif block.kind == "meta" and words[0] == "edge":
+            gen = _parse_gen(no, words[1:])
             entry = (gen.dom, gen.cod)
         else:
             entry = key
         if key not in repeatable:
             _once(block, first, entry, no, key)
-        yield no, key, value
+        yield no, key, words, entry, value.strip()
 
 
 def _need(doc_table: dict, name: str, what: str, line_no: int):
@@ -197,14 +197,13 @@ def _parse_space(block: _Block) -> FiniteSpace:
     points: list[str] = []
     minopen: dict[str, list[str]] = {}
     opens: list[list[str]] = []
-    for no, key, value in _entries(block, repeatable=("opens",)):
-        fields = key.split()
+    for no, key, words, _, value in _entries(block, repeatable=("opens",)):
         if key == "points":
             points = value.split()
         elif key == "opens":
             opens.append(value.split())
-        elif fields[0] == "minopen" and len(fields) == 2:
-            minopen[fields[1]] = value.split()
+        elif words[0] == "minopen" and len(words) == 2:
+            minopen[words[1]] = value.split()
         else:
             raise ParseError(no, f"unknown space entry {key!r}")
     if minopen and opens:
@@ -245,27 +244,24 @@ def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:
     anchor = {}
     transition = {}
     triples = {}
-    labels: list[tuple[int, list[str]]] = []
-    for no, key, value in _entries(block):
-        fields = key.split()
-        labels.append((no, fields[1:]))
+    for no, key, words, _, value in _entries(block):
         if key == "index":
             index = value.split()
-        elif fields[0] == "patch" and len(fields) == 2:
-            patch[fields[1]] = _need(doc.spaces, value, "space", no)
-        elif fields[0] == "overlap" and len(fields) == 3:
-            overlap[(fields[1], fields[2])] = _need(doc.spaces, value, "space", no)
-        elif fields[0] == "anchor" and len(fields) == 3:
-            anchor[(fields[1], fields[2])] = _need(doc.maps, value, "map", no)
-        elif fields[0] == "transition" and len(fields) == 3:
-            transition[(fields[1], fields[2])] = _need(doc.maps, value, "map", no)
-        elif fields[0] == "triple" and len(fields) == 4:
-            triples[(fields[1], fields[2], fields[3])] = _need(doc.maps, value, "map", no)
+        elif words[0] == "patch" and len(words) == 2:
+            patch[words[1]] = _need(doc.spaces, value, "space", no)
+        elif words[0] == "overlap" and len(words) == 3:
+            overlap[(words[1], words[2])] = _need(doc.spaces, value, "space", no)
+        elif words[0] == "anchor" and len(words) == 3:
+            anchor[(words[1], words[2])] = _need(doc.maps, value, "map", no)
+        elif words[0] == "transition" and len(words) == 3:
+            transition[(words[1], words[2])] = _need(doc.maps, value, "map", no)
+        elif words[0] == "triple" and len(words) == 4:
+            triples[(words[1], words[2], words[3])] = _need(doc.maps, value, "map", no)
         else:
             raise ParseError(no, f"unknown gluing entry {key!r}")
     if not index:
         raise ParseError(block.line_no, "gluing needs an index line")
-    _check_labels(labels, index)
+    _check_labels(block, index)
     # the format names every ordered pair; the library reads an omitted pair as an empty overlap
     idx = _index_labels(index, patch)
     missing = sorted(
@@ -280,12 +276,13 @@ def _parse_gluing(block: _Block, doc: SpecDocument, derive: bool) -> GluingData:
     return data
 
 
-def _check_labels(
-    labels: list[tuple[int, list[str]]], index: list[str] | tuple[str, ...], where: str = "'index:'"
-) -> None:
-    """Raise ``UnresolvedReference`` for the first entry label that is not in ``index``."""
-    for no, entry_labels in labels:
-        for label in entry_labels:
+def _check_labels(block: _Block, index: list[str] | tuple[str, ...], where: str = "'index:'") -> None:
+    """Raise ``UnresolvedReference`` for the first entry label that is not in ``index``.
+
+    A key's labels are its words after the first, or after the generator kind for an ``edge``.
+    """
+    for no, words in block.key_words:
+        for label in words[2:] if words[0] == "edge" else words[1:]:
             if label not in index:
                 raise UnresolvedReference(f"line {no}: index label {label!r} is not in {where}")
 
@@ -300,22 +297,19 @@ def _parse_cone(block: _Block, doc: SpecDocument) -> ConeDecl:
     over = None
     apex = None
     legs: dict[GlObject, SpaceMap] = {}
-    labels: list[tuple[int, list[str]]] = []
-    for no, key, value in _entries(block):
-        fields = key.split()
-        labels.append((no, fields[1:]))
+    for no, key, words, entry, value in _entries(block):
         if key == "over":
             over = value
         elif key == "apex":
             apex = _need(doc.spaces, value, "space", no)
-        elif fields[0] == "leg":
-            legs[_parse_object(no, fields[1:])] = _need(doc.maps, value, "map", no)
+        elif words[0] == "leg":
+            legs[entry] = _need(doc.maps, value, "map", no)
         else:
             raise ParseError(no, f"unknown cone entry {key!r}")
     if over is None or apex is None:
         raise ParseError(block.line_no, "cone needs 'over' and 'apex'")
     gd = _need(doc.gluings, over, "gluing", block.line_no)
-    _check_labels(labels, gd.index, f"the index of gluing {over!r}")
+    _check_labels(block, gd.index, f"the index of gluing {over!r}")
     return ConeDecl(block.name, over, gd, apex, legs)
 
 
@@ -324,23 +318,20 @@ def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:
     coarse = None
     gamma: dict[str, str] = {}
     components: dict[GlObject, SpaceMap] = {}
-    labels: list[tuple[int, list[str]]] = []
-    for no, key, value in _entries(block):
-        fields = key.split()
-        labels.append((no, fields[1:]))
+    for no, key, words, entry, value in _entries(block):
         if key == "fine":
             fine = functor_of(_need(doc.gluings, value, "gluing", no))
         elif key == "coarse":
             coarse = functor_of(_need(doc.gluings, value, "gluing", no))
-        elif fields[0] == "gamma" and len(fields) == 2:
-            gamma[fields[1]] = value
-        elif fields[0] == "component":
-            components[_parse_object(no, fields[1:])] = _need(doc.maps, value, "map", no)
+        elif words[0] == "gamma" and len(words) == 2:
+            gamma[words[1]] = value
+        elif words[0] == "component":
+            components[entry] = _need(doc.maps, value, "map", no)
         else:
             raise ParseError(no, f"unknown refinement entry {key!r}")
     if fine is None or coarse is None:
         raise ParseError(block.line_no, "refinement needs 'fine' and 'coarse'")
-    _check_labels(labels, coarse.index, "the index of the coarse gluing")
+    _check_labels(block, coarse.index, "the index of the coarse gluing")
     return Refinement(gamma, fine, coarse, components)
 
 
@@ -360,25 +351,21 @@ def _parse_meta(block: _Block, doc: SpecDocument) -> GdfGluingData:
     index: list[str] = []
     node: dict[GlObject, GluingFunctor] = {}
     edge: dict[tuple[GlObject, GlObject], Refinement] = {}
-    labels: list[tuple[int, list[str]]] = []
-    for no, key, value in _entries(block):
-        fields = key.split()
-        labels.append((no, fields[2:] if fields[0] == "edge" else fields[1:]))
+    for no, key, words, entry, value in _entries(block):
         if key == "index":
             index = value.split()
-        elif fields[0] == "node":
-            obj = _parse_object(no, fields[1:])
-            node[obj] = functor_of(_need(doc.gluings, value, "gluing", no))
-        elif fields[0] == "edge":
-            gen = _parse_gen(no, fields[1:])
-            if gen.dom == gen.cod:
+        elif words[0] == "node":
+            node[entry] = functor_of(_need(doc.gluings, value, "gluing", no))
+        elif words[0] == "edge":
+            dom, cod = entry
+            if dom == cod:
                 raise ParseError(no, "edge generator is an identity")
-            edge[(gen.dom, gen.cod)] = _need(doc.refinements, value, "refinement", no)
+            edge[entry] = _need(doc.refinements, value, "refinement", no)
         else:
             raise ParseError(no, f"unknown meta entry {key!r}")
     if not index:
         raise ParseError(block.line_no, "meta needs an index line")
-    _check_labels(labels, index)
+    _check_labels(block, index)
     return GdfGluingData(tuple(sorted(set(index))), node, edge)
 
 
@@ -386,7 +373,7 @@ def _parse_covering(block: _Block, doc: SpecDocument) -> Covering:
     base = None
     kind = "gluing"
     family = []
-    for no, key, value in _entries(block, repeatable=("leg",)):
+    for no, key, _, _, value in _entries(block, repeatable=("leg",)):
         if key == "base":
             base = _need(doc.spaces, value, "space", no)
         elif key == "kind":

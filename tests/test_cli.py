@@ -509,6 +509,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: gluing data is missing entries")
 
+    def test_covering_that_misses_a_base_point_fails(self, capsys, tmp_path):
+        f = tmp_path / "one-arc.glue"
+        f.write_text(CIRCLE_DOC.replace("  leg: u2leg\n", ""))
+        code, out, err = run_cli(capsys, "cover-functor", str(f), "TWOARCS", "--derive-triples")
+        assert (code, out) == (1, "")
+        assert err.startswith("check failed: not a covering:\n")
+        assert [line for line in err.splitlines() if line.startswith("FAIL")] == ["FAIL coverage base (witness: cmb)"]
+
     def test_unknown_covering_kind(self, capsys, tmp_path):
         f = tmp_path / "kind.glue"
         f.write_text(CIRCLE_DOC.replace("kind: open", "kind: bogus"))
@@ -720,6 +728,20 @@ INPUT_ERRORS = {
         torus_document().replace(INCL1_HEAD, INCL1_HEAD + "  component 9: incl1p2\n"),
         ("check-refinement", "INCL1"),
         "line 362: index label '9' is not in the index of the coarse gluing",
+    ),
+    **{
+        f"unknown-{kind}-entry": (
+            f"{kind} X\n  bogus 1: x\nend\n", ("validate",), f"line 2: unknown {kind} entry 'bogus 1'",
+        )
+        for kind in ("gluing", "cone", "refinement", "meta", "covering")
+    },
+    "refinement-without-coarse": (
+        torus_document().replace(INCL1_HEAD, "refinement INCL1\n  fine: BND1\n"), ("check-refinement", "INCL1"),
+        "line 359: refinement needs 'fine' and 'coarse'",
+    ),
+    "meta-edge-without-generator": ("meta M\n  edge: R\nend\n", ("validate",), "line 2: edge needs a generator"),
+    "cone-without-a-patch-leg": (
+        CIRCLE_DOC.replace("  leg 2: psi2\n", ""), ("check-cone", "PARAM"), "no leg for patch '2'",
     ),
 }
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_spaces
+from conftest import digital_circle, small_spaces
 from oracles import all_opens, closure_opens, first_difference, min_open_from_lattice
 import topoglue
 from topoglue import cover, fintop
@@ -295,6 +295,12 @@ class TestPullback:
         sp, proj_f, proj_g = pullback(f, f, "T")
         assert sp.space_id == "T" and proj_f.dom is sp and proj_g.dom is sp
 
+    def test_maps_into_different_codomains_are_rejected(self):
+        f = SpaceMap(disc2(), arc3(), {"a": "l", "b": "r"})
+        g = SpaceMap(disc2(), sierp(), {"a": "t", "b": "b"})
+        with pytest.raises(CompositionMismatch, match="common codomain"):
+            pullback(f, g)
+
     def test_pair_name_collision_is_an_input_error(self):
         # (a, "b,c") and ("a,b", c) would both be named "(a,b,c)"
         x = make_space("X", ["a", "a,b"], {"a": ["a"], "a,b": ["a,b"]})
@@ -490,6 +496,12 @@ class TestFindHomeomorphism:
 
     def test_distinguishes_sierpinski_from_discrete(self):
         assert find_homeomorphism(sierp(), disc2()) is None
+
+    def test_same_signatures_without_a_homeomorphism(self):
+        # DC_8 and DC_4 + DC_4 share size and signature multiset, so only a full search says no
+        dc8, two_dc4 = digital_circle(8), disjoint_union([digital_circle(4), digital_circle(4)])[0]
+        assert find_homeomorphism(dc8, two_dc4) is None
+        assert find_homeomorphism(two_dc4, dc8) is None
 
     def test_budget(self):
         with pytest.raises(SearchBudgetExceeded):
