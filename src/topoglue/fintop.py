@@ -108,25 +108,31 @@ class SpaceMap:
 
 
 def make_space(space_id: str, points: Iterable[str], min_open: Mapping[str, Iterable[str]]) -> FiniteSpace:
-    """Build a validated finite space from a minimal-open table."""
+    """Build a validated finite space from a minimal-open table.
+
+    Each check names its least offending point, and the min_open(y) check
+    its least y, whatever the hash order; offenders are sorted only when
+    there is one.
+    """
     pts = frozenset(points)
-    table = {}
-    for x in pts:
-        if x not in min_open:
+    table = {x: frozenset(min_open[x]) for x in pts if x in min_open}
+    bad = [x for x in pts if x not in table or not table[x] <= pts]
+    if bad:
+        x = min(bad)
+        if x not in table:
             raise InvalidTopology(x, None, f"no minimal open given for {x!r}")
-        u = frozenset(min_open[x])
-        if not u <= pts:
-            raise InvalidTopology(x, u - pts, f"min_open({x!r}) leaves the point set")
-        table[x] = u
+        raise InvalidTopology(x, table[x] - pts, f"min_open({x!r}) leaves the point set")
     extra = set(min_open) - pts
     if extra:
         raise InvalidTopology(sorted(extra)[0], None, "table mentions unknown points")
-    for x in pts:
-        if x not in table[x]:
+    # a point's own-open check sorts before its min_open(y) checks
+    bad = [(x, 0, x) for x, u in table.items() if x not in u]
+    bad += [(x, 1, y) for x, u in table.items() for y in u if not table[y] <= u]
+    if bad:
+        x, wide, y = min(bad)
+        if not wide:
             raise InvalidTopology(x, x, f"{x!r} not in its own minimal open")
-        for y in table[x]:
-            if not table[y] <= table[x]:
-                raise InvalidTopology(x, y, f"min_open({y!r}) not inside min_open({x!r})")
+        raise InvalidTopology(x, y, f"min_open({y!r}) not inside min_open({x!r})")
     return FiniteSpace(space_id, pts, table)
 
 

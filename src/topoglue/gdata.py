@@ -135,11 +135,12 @@ def _nerve(index: tuple[str, ...], pairs: frozenset, triples: frozenset) -> glid
     """The nerve of the data over ``index`` that store these pairs (i, j) and triple objects:
     ``glidx.restrict`` to every patch and to the pair and triple objects whose spaces have points.
 
-    It depends on nothing else, so it is built once per such shape, as
+    ``restrict`` reads the objects alone; the index gives the patches.  The
+    nerve depends on nothing else, so it is built once per such shape, as
     ``glidx`` builds the whole index category once per index set.
     """
     objects = [single(i) for i in index] + [pair(i, j) for i, j in pairs if i != j] + list(triples)
-    return glidx.restrict(index, objects)
+    return glidx.restrict(objects)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ distinct indices (either of which may equal i).  Normalization applies
 (i,i) -> i, (i,j,j) -> (i,j) and (i,j,k) -> (i,k,j).
 
 The category is thin: between any two objects there is at most one morphism,
-so a morphism is its endpoint pair.  The objects and edges of an index set
-are built once and returned read-only; ``restrict`` builds those of a full
-subcategory from the generators into its objects alone, which is how a
-gluing datum gets its nerve.  An object's faces (``faces_of``) and the raw
-index tuples naming it (``raw_triples``) are read off the object itself.
-Generator paths appear only where the relation families are listed
+so a morphism is its endpoint pair.  The generator slots of one raw index
+tuple are written once (``_slots``): ``raw_generators`` lists them all, and
+``restrict`` builds the objects and edges of a full subcategory from the
+slots into its objects alone, ordered by their labels, so it needs no index.
+That is how a gluing datum gets its nerve; the whole category of an index
+set is built once and returned read-only.  An object's faces (``faces_of``)
+and the raw index tuples naming it (``raw_triples``) are read off the object
+itself.  Generator paths appear only where the relation families are listed
 (``relation_instances``) and checked (``compose_path``), so that a
 realization can evaluate each side of a relation along its own path.
 """
@@ -123,21 +125,20 @@ def compose_path(dom: GlObject, path: Iterable[GlGen]) -> GlObject:
     return cod
 
 
+def _slots(raw: tuple[str, ...]) -> tuple[GlGen, ...]:
+    """The generator slots of one raw index tuple, in raw order: eta and tau for a pair
+    (i,j), and eta3 into [i,j], eta3 into [i,k] and tau3 for a triple (i,j,k)."""
+    if len(raw) == 2:
+        return (GlGen("eta", raw), GlGen("tau", raw))
+    i, j, k = raw
+    return (GlGen("eta3", (i, j, k, j)), GlGen("eta3", (i, j, k, k)), GlGen("tau3", raw))
+
+
 def raw_generators(index: Iterable[str]) -> list[GlGen]:
-    """Every generator slot, one per index tuple: 2|I|^2 + 3|I|^3 entries."""
+    """Every generator slot in raw order: the ``_slots`` of each pair, then of each
+    triple, tuples in label order; 2|I|^2 + 3|I|^3 entries."""
     idx = sorted(set(index))
-    gens = []
-    for i in idx:
-        for j in idx:
-            gens.append(GlGen("eta", (i, j)))
-            gens.append(GlGen("tau", (i, j)))
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                gens.append(GlGen("eta3", (i, j, k, j)))
-                gens.append(GlGen("eta3", (i, j, k, k)))
-                gens.append(GlGen("tau3", (i, j, k)))
-    return gens
+    return [gen for n in (2, 3) for raw in product(idx, repeat=n) for gen in _slots(raw)]
 
 
 @dataclass(frozen=True)
@@ -171,27 +172,21 @@ def raw_triples(obj: GlObject) -> tuple[tuple[str, str, str], ...]:
     return ((i, j, j),)
 
 
-def _raw_slots(obj: GlObject, pos: Mapping[str, int]) -> list[tuple[int, str, tuple, GlObject]]:
-    """The raw generators into ``obj`` that are not identities, as (position, kind, indices, domain).
+@lru_cache(maxsize=None)
+def _raw_slots(obj: GlObject) -> tuple[tuple[tuple, GlGen, GlObject], ...]:
+    """The raw generators into ``obj`` that are not identities, as (key, generator, domain).
 
-    The position is the generator's place in ``raw_generators``.  An index
-    tuple's generators have its normal object as codomain, so they
-    are those of the tuples normalizing to ``obj``: (i,j) for [i,j], and the
-    eta3 and tau3 slots of its ``raw_triples``.  The domains are those of
-    ``GlGen.dom``; a generator starting at ``obj`` is its identity.
+    An index tuple's generators have its normal object as codomain, so they
+    are the ``_slots`` of the tuples normalizing to ``obj``: (i,j) for [i,j],
+    and its ``raw_triples``.  The key (tuple length, raw tuple, slot number)
+    orders slots as ``raw_generators`` lists them over any sorted index.  The
+    domains are ``GlGen.dom``; a generator starting at ``obj`` is its identity.
     """
-    n, i = len(pos), obj.head
-    slots = []
+    raws = raw_triples(obj)
     if obj.arity == 2:
-        j = obj.rest[0]
-        at = 2 * (pos[i] * n + pos[j])
-        slots += [(at, "eta", (i, j), single(i)), (at + 1, "tau", (i, j), pair(j, i))]
-    for i, j, k in raw_triples(obj):
-        at = 2 * n * n + 3 * ((pos[i] * n + pos[j]) * n + pos[k])
-        slots.append((at, "eta3", (i, j, k, j), pair(i, j)))
-        slots.append((at + 1, "eta3", (i, j, k, k), pair(i, k)))
-        slots.append((at + 2, "tau3", (i, j, k), normalize((j, i, k))))
-    return [slot for slot in slots if slot[3] != obj]
+        raws = ((obj.head, obj.rest[0]),) + raws
+    slots = (((len(raw), raw, n), gen, gen.dom) for raw in raws for n, gen in enumerate(_slots(raw)))
+    return tuple(slot for slot in slots if slot[2] != obj)
 
 
 def display_order(obj: GlObject) -> tuple:
@@ -199,35 +194,30 @@ def display_order(obj: GlObject) -> tuple:
     return (obj.arity, obj.head, obj.rest)
 
 
-def restrict(index: Iterable[str], objs: Iterable[GlObject]) -> Category:
+def restrict(objs: Iterable[GlObject]) -> Category:
     """The full subcategory of the index category on ``objs``.
 
     Its objects and edges are those of ``objects`` and ``edges`` restricted
     in order to ``objs``: an edge is kept when both its endpoints are.  Only
-    the raw generators into ``objs`` are read (``_raw_slots``), so the cost
-    follows the number of objects, not |I|^3.
+    the raw generators into ``objs`` are read (``_raw_slots``, from the one
+    slot rule ``_slots``), so the cost follows the number of objects, not
+    |I|^3.  Raw order is the order of the slots' keys, which name labels, not
+    positions, so the objects alone are the argument.
     """
-    idx = sorted(set(index))
-    pos = {i: n for n, i in enumerate(idx)}
     kept = sorted(set(objs), key=display_order)
     members = set(kept)
-    slots = sorted(
-        (at, kind, indices, d, c)
-        for c in kept
-        for at, kind, indices, d in _raw_slots(c, pos)
-        if d in members
-    )
+    # keys are distinct (each raw tuple normalizes to one object), so the sort reads keys alone
+    slots = sorted((key, d, c, gen) for c in kept for key, gen, d in _raw_slots(c) if d in members)
     first: dict[tuple[GlObject, GlObject], GlGen] = {}
-    for _, kind, indices, d, c in slots:
-        if (d, c) not in first:
-            first[(d, c)] = GlGen(kind, indices)
+    for _, d, c, gen in slots:
+        first.setdefault((d, c), gen)
     return Category(tuple(kept), MappingProxyType(first))
 
 
 @lru_cache(maxsize=None)
 def _category(idx: tuple[str, ...]) -> Category:
     # every object is the normal form of some 3-tuple: (i,i,i) -> [i], (i,j,j) -> [i,j]
-    return restrict(idx, {normalize(raw) for raw in product(idx, repeat=3)})
+    return restrict({normalize(raw) for raw in product(idx, repeat=3)})
 
 
 def _of(index: Iterable[str]) -> Category:
@@ -252,22 +242,6 @@ def faces_of(obj: GlObject) -> tuple[GlObject, ...]:
     return tuple(pair(obj.head, n) for n in obj.rest)
 
 
-def _eta(i, j):
-    return GlGen("eta", (i, j))
-
-
-def _tau(i, j):
-    return GlGen("tau", (i, j))
-
-
-def _eta3(i, j, k, n):
-    return GlGen("eta3", (i, j, k, n))
-
-
-def _tau3(i, j, k):
-    return GlGen("tau3", (i, j, k))
-
-
 def relation_instances(
     index: Iterable[str],
 ) -> Iterator[tuple[str, GlObject, tuple[GlGen, ...], tuple[GlGen, ...]]]:
@@ -285,38 +259,35 @@ def relation_instances(
     """
     idx = sorted(set(index))
     for i in idx:
-        yield f"(a) eta({i},{i})", single(i), (_eta(i, i),), ()
-        yield f"(a) tau({i},{i})", single(i), (_tau(i, i),), ()
-    for i in idx:
-        for j in idx:
-            yield f"(b) tau({i},{j}).tau({j},{i})", pair(i, j), (_tau(j, i), _tau(i, j)), ()
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                yield (
-                    f"(c1) at ({i},{j},{k})",
-                    normalize((k, i, j)),
-                    (_tau3(j, k, i), _tau3(i, j, k)),
-                    (_tau3(i, k, j),),
-                )
-                yield (
-                    f"(c2) at ({i},{j},{k})",
-                    normalize((i, j, k)),
-                    (_tau3(j, i, k), _tau3(i, j, k)),
-                    (),
-                )
-                yield (
-                    f"(d) at ({i},{j},{k})",
-                    single(i),
-                    (_eta(i, j), _eta3(i, j, k, j)),
-                    (_eta(i, k), _eta3(i, j, k, k)),
-                )
-                yield (
-                    f"(e) at ({i},{j},{k})",
-                    pair(j, i),
-                    (_eta3(j, i, k, i), _tau3(i, j, k)),
-                    (_tau(i, j), _eta3(i, j, k, j)),
-                )
+        yield f"(a) eta({i},{i})", single(i), (GlGen("eta", (i, i)),), ()
+        yield f"(a) tau({i},{i})", single(i), (GlGen("tau", (i, i)),), ()
+    for i, j in product(idx, repeat=2):
+        yield f"(b) tau({i},{j}).tau({j},{i})", pair(i, j), (GlGen("tau", (j, i)), GlGen("tau", (i, j))), ()
+    for i, j, k in product(idx, repeat=3):
+        yield (
+            f"(c1) at ({i},{j},{k})",
+            normalize((k, i, j)),
+            (GlGen("tau3", (j, k, i)), GlGen("tau3", (i, j, k))),
+            (GlGen("tau3", (i, k, j)),),
+        )
+        yield (
+            f"(c2) at ({i},{j},{k})",
+            normalize((i, j, k)),
+            (GlGen("tau3", (j, i, k)), GlGen("tau3", (i, j, k))),
+            (),
+        )
+        yield (
+            f"(d) at ({i},{j},{k})",
+            single(i),
+            (GlGen("eta", (i, j)), GlGen("eta3", (i, j, k, j))),
+            (GlGen("eta", (i, k)), GlGen("eta3", (i, j, k, k))),
+        )
+        yield (
+            f"(e) at ({i},{j},{k})",
+            pair(j, i),
+            (GlGen("eta3", (j, i, k, i)), GlGen("tau3", (i, j, k))),
+            (GlGen("tau", (i, j)), GlGen("eta3", (i, j, k, j))),
+        )
 
 
 @lru_cache(maxsize=None)

@@ -400,6 +400,31 @@ class TestClosedPipe:
         assert err == ""  # no traceback
 
 
+class TestHashSeeds:
+    """``make_space`` names its least offending point, whatever the hash seed."""
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("minopen a: a", "no minimal open given for 'b'"),
+            ("minopen a: b\nminopen b: c\nminopen c: a\nminopen d: d", "'a' not in its own minimal open"),
+            (
+                "minopen a: a b c\nminopen b: b d\nminopen c: c d\nminopen d: d",
+                "min_open('b') not inside min_open('a')",
+            ),
+        ],
+    )
+    def test_invalid_space_names_the_least_bad_point(self, tmp_path, table, message):
+        f = tmp_path / "doc.glue"
+        f.write_text(f"space X\npoints: a b c d\n{table}\nend\n")
+        pythonpath = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+        for seed in "0123":
+            env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": seed}
+            argv = [sys.executable, "-m", "topoglue.cli", "validate", str(f)]
+            run = subprocess.run(argv, capture_output=True, encoding="utf-8", env=env, timeout=60)
+            assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {message}\n"), seed
+
+
 # The README's nine commands plus the four other report commands, on the
 # committed examples; paths are relative to the repository root.
 GOLDEN_COMMANDS = (

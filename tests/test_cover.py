@@ -15,7 +15,7 @@ from topoglue.cover import (
     site_axiom_compose,
     site_axiom_iso,
 )
-from topoglue.errors import UnknownPoint
+from topoglue.errors import UnknownPoint, ValidationFailed
 from topoglue.fintop import (
     SpaceMap,
     compose,
@@ -75,6 +75,21 @@ class TestCheckCovering:
         rep = check_covering(full)
         assert not rep.passed
         assert any(e.name == "leg-open" and not e.ok for e in rep.entries)
+
+    def test_unknown_kind_is_one_failing_row(self):
+        c = Covering(sierp(), [(sierp(), identity_map(sierp()))], "weird")
+        assert [str(e) for e in check_covering(c).entries] == ["FAIL kind weird (witness: unknown kind)"]
+
+    def test_leg_off_its_patch_fails_typing_and_covers_nothing(self):
+        # leg 0 starts at the subspace {l}, not at its patch PT: its one row is
+        # leg-typing, and its image is not counted, so l is left uncovered
+        left, incl_l = subspace(arc3(), {"l"})
+        right, incl_r = subspace(arc3(), {"r"})
+        rep = check_covering(Covering(arc3(), [(pt(), incl_l), (right, incl_r)], "gluing"))
+        rows = [str(e) for e in rep.entries]
+        assert rows[0] == "FAIL leg-typing leg0(PT)"
+        assert not any("leg0" in row for row in rows[1:])
+        assert rows[-1] == "FAIL coverage base (witness: l)"
 
 
 class TestFunctorOfCovering:
@@ -222,6 +237,19 @@ class TestSiteAxioms:
         out, ok = site_axiom_compose(c, subs)
         assert not ok
 
+    def test_compose_needs_one_subcovering_per_patch(self):
+        c = two_arc_covering()
+        patch = c.family[0][0]
+        with pytest.raises(ValidationFailed) as info:
+            site_axiom_compose(c, [Covering(patch, [(patch, identity_map(patch))], c.kind)])
+        assert info.value.message == "one subcovering per patch required"
+
+    def test_compose_with_a_subcovering_of_another_space_is_empty_and_fails(self):
+        c = two_arc_covering()
+        subs = [Covering(sierp(), [(sierp(), identity_map(sierp()))], c.kind) for _ in c.family]
+        out, ok = site_axiom_compose(c, subs)
+        assert (out, ok) == (Covering(c.base, [], c.kind), False)
+
     def test_basechange_identity(self):
         c = two_arc_covering()
         out, ok = site_axiom_basechange(c, identity_map(circle4()))
@@ -246,6 +274,11 @@ class TestSiteAxioms:
         assert ok
         sizes = sorted(len(sp.points) for sp, _ in out.family)
         assert sizes == [1, 1]
+
+    def test_basechange_needs_a_map_into_the_base(self):
+        with pytest.raises(ValidationFailed) as info:
+            site_axiom_basechange(two_arc_covering(), SpaceMap(pt(), sierp(), {"p": "t"}))
+        assert info.value.message == "map must land in the covering's base"
 
 
 class TestCoveringOfGluedRandom:

@@ -216,6 +216,11 @@ class TestCompose:
         with pytest.raises(CompositionMismatch):
             compose(f, f)
 
+    def test_calling_a_map_off_its_domain_raises_unknown_point(self):
+        f = SpaceMap(pt(), sierp(), {"p": "t"})
+        with pytest.raises(UnknownPoint, match="^'zz' is not a point of 'PT'$"):
+            f("zz")
+
 
 class TestDisjointUnion:
     def test_single(self):
@@ -255,6 +260,11 @@ class TestDisjointUnion:
         assert total.points == {"t@a", "b@a", "t@b", "b@b"}
         assert eps_b.table == {"t": "t@b", "b": "b@b"}
         assert total.min_open["b@a"] == {"t@a", "b@a"}
+
+    @pytest.mark.parametrize("tags", [["a"], ["a", "a"]])
+    def test_tags_must_be_distinct_and_one_per_space(self, tags):
+        with pytest.raises(ValueError, match="^tags must be distinct and match the space list$"):
+            disjoint_union([pt(), sierp()], tags)
 
 
 class TestSubspace:

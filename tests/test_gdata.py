@@ -145,7 +145,7 @@ class TestLawSubjects:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_whole_index_category(self, n):
         idx = tuple("abcd"[:n])
-        cat = glidx.restrict(idx, objects(idx))
+        cat = glidx.restrict(objects(idx))
         assert cat.pairs == tuple(itertools.product(idx, repeat=2))
         assert cat.triples == tuple(itertools.product(idx, repeat=3)) == _triple_keys(idx, cat.objects)
 

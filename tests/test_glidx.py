@@ -1,9 +1,11 @@
+import random
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import digital_circle_data, random_lawful_data
 from oracles import all_tuples, tuple_equivalence
 from paths import find_path
 from topoglue import glidx
@@ -129,13 +131,38 @@ class TestGenerators:
             assert g.dom in objects(I3)
             assert g.cod in objects(I3)
 
+    @staticmethod
+    def _first_raw_edges(index, objs):
+        """The reference: walk ``raw_generators`` in order, keeping the first
+        non-identity generator per endpoint pair whose ends are both in ``objs``."""
+        kept, first = set(objs), {}
+        for g in raw_generators(index):
+            if g.dom != g.cod and g.dom in kept and g.cod in kept:
+                first.setdefault((g.dom, g.cod), g)
+        return list(first.items())
+
     @pytest.mark.parametrize("idx", [("i",), I2, I3])
     def test_edges_are_the_first_raw_generator_per_endpoint_pair(self, idx):
-        raw = raw_generators(idx)
-        first = edges(idx)
-        assert set(first) == {(g.dom, g.cod) for g in raw if g.dom != g.cod}
-        for (d, c), gen in first.items():
-            assert gen == next(g for g in raw if (g.dom, g.cod) == (d, c))
+        assert list(edges(idx).items()) == self._first_raw_edges(idx, objects(idx))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_restricted_edges_are_the_first_raw_generators_in_order(self, n):
+        # [a]->[a,a,b] has the slots eta3(a,a,b,a) and eta3(a,b,a,a): raw order
+        # picks the first, and the edge list follows that order too
+        idx = tuple("abcde"[:n])
+        rng = random.Random(n)
+        for _ in range(30):
+            objs = [o for o in objects(idx) if o.arity == 1 or rng.random() < 0.5]
+            rng.shuffle(objs)
+            assert list(glidx.restrict(objs).edges.items()) == self._first_raw_edges(idx, objs)
+
+    def test_nerve_edges_are_the_first_raw_generators_in_order(self):
+        rng = random.Random(3)
+        data = [random_lawful_data(rng) for _ in range(12)] + [digital_circle_data(24, 6)]
+        for gd in data:
+            expected = self._first_raw_edges(gd.index, gd.nerve.objects)
+            assert list(gd.nerve.edges.items()) == expected
+            assert list(glidx.restrict(gd.nerve.objects).edges.items()) == expected
 
 
 class TestFaces:

@@ -636,6 +636,11 @@ class TestConeEdgesMatchTableReference:
 
 
 class TestConeErrors:
+    def test_unknown_mode(self):
+        gd = gd_circ()
+        with pytest.raises(ValueError, match="^unknown cone mode 'bogus'$"):
+            check_cone(gd, glue(gd), "bogus")
+
     def test_missing_leg(self):
         from topoglue.errors import MissingLeg
 

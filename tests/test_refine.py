@@ -242,9 +242,9 @@ class TestInducedMap:
         mu = induced_map(r, glue(fine.data), glue(coarse.data))
         assert set(mu.table.values()) == {"p@1"}
 
-    def test_failing_refinement_is_rejected(self):
-        from topoglue.errors import ValidationFailed
-
+    @staticmethod
+    def _torus_with_a_failing_edge():
+        """``torus_meta()`` and its edge [1]->[1,2] with two points of the [1,2] component swapped."""
         meta, _ = torus_meta()
         r = meta.edge[(single("1"), pair("1", "2"))]
         bad_comps = dict(r.components)
@@ -253,9 +253,23 @@ class TestInducedMap:
         table = dict(old.table)
         table["l|l"], table["r|l"] = table["r|l"], table["l|l"]
         bad_comps[obj] = SpaceMap(old.dom, old.cod, table)
-        bad = Refinement(r.gamma, r.fine, r.coarse, bad_comps)
+        return meta, Refinement(r.gamma, r.fine, r.coarse, bad_comps)
+
+    def test_failing_refinement_is_rejected(self):
+        from topoglue.errors import ValidationFailed
+
+        _, bad = self._torus_with_a_failing_edge()
         with pytest.raises(ValidationFailed):
-            induced_map(bad, glue(r.fine.data), glue(r.coarse.data))
+            induced_map(bad, glue(bad.fine.data), glue(bad.coarse.data))
+
+    def test_failing_edge_stops_compose_gdf(self):
+        from topoglue.errors import ValidationFailed
+
+        meta, bad = self._torus_with_a_failing_edge()
+        edge = {**meta.edge, (single("1"), pair("1", "2")): bad}
+        with pytest.raises(ValidationFailed) as info:
+            compose_gdf(GdfGluingData(meta.index, meta.node, edge))
+        assert info.value.message == "edge [1]->[1,2] does not check"
 
     def test_gamma_must_reach_every_fine_index(self):
         fine = functor_of(gd_circ())

@@ -3,7 +3,8 @@ from pathlib import Path
 import pytest
 
 from topoglue.errors import DuplicateName, ParseError, UnresolvedReference
-from topoglue.fixtures import gd_circ, sierp
+from topoglue.fintop import SpaceMap
+from topoglue.fixtures import gd_circ, pt, sierp
 from topoglue.specfile import parse_spec, serialize
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -241,3 +242,10 @@ class TestRoundTrip:
     def test_serialize_deterministic(self):
         doc = parse_spec(CIRCLE)
         assert serialize(doc) == serialize(parse_spec(CIRCLE))
+
+    def test_map_out_of_an_undeclared_space_is_refused(self):
+        doc = parse_spec("space S\n  points: t b\n  opens: t\nend\n")
+        doc.maps["f"] = SpaceMap(pt(), doc.spaces["S"], {"p": "t"})
+        doc.order.append(("map", "f"))
+        with pytest.raises(UnresolvedReference, match="^space 'PT' is not declared in the document$"):
+            serialize(doc)
