@@ -213,7 +213,9 @@ def random_covering(rng, base: FiniteSpace, kind: str = "gluing") -> Covering:
     """A random covering of a base by subspace inclusions.
 
     For the open kind the patches are unions of minimal opens, so every
-    inclusion is an open map.
+    inclusion is an open map.  Each round covers a new point, as a subset
+    missing every uncovered point is given one, so at most |points| rounds
+    are run.
     """
     points = sorted(base.points)
     family = []
@@ -236,6 +238,4 @@ def random_covering(rng, base: FiniteSpace, kind: str = "gluing") -> Covering:
         sp, incl = fintop.subspace(base, subset)
         family.append((sp, incl))
         covered |= subset
-        if len(family) > 3 * len(points):
-            break
     return Covering(base, family, kind)

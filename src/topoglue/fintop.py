@@ -507,10 +507,11 @@ def quotient(
 ) -> tuple[FiniteSpace, SpaceMap]:
     """Quotient by the pair graph, carrying the final topology.
 
-    Classes are named by their lexicographically least member.  The minimal
-    open of a class is the least saturated open hull of its members: grow by
-    minimal opens, saturate under the equivalence, repeat to a fixpoint, then
-    push forward to classes.
+    Classes are named by their lexicographically least member.  Class rep(x)
+    meets class rep(z) for each z in U(x), and a class's minimal open is the
+    set of classes it reaches.  Their members make the least saturated open
+    holding the class, so this is the final topology: the specialization
+    preorder is the image preorder's transitive closure (Barmak, LNM 2032).
     """
     uf = _UnionFind(space.points)
     for x, y in pairs:
@@ -518,26 +519,17 @@ def quotient(
         space.require(y)
         uf.union(x, y)
     rep = {x: uf.find(x) for x in space.points}
-    members: dict[str, set[str]] = {}
+    meets: dict[str, set[str]] = {r: set() for r in rep.values()}
     for x, r in rep.items():
-        members.setdefault(r, set()).add(x)
-
-    def hull(start: set[str]) -> frozenset[str]:
-        cur = set(start)
-        while True:
-            grown = set()
-            for x in cur:
-                grown |= space.min_open[x]
-            for x in list(grown):
-                grown |= members[rep[x]]
-            if grown == cur:
-                return frozenset(cur)
-            cur = grown
-
-    table = {
-        r: frozenset(rep[x] for x in hull(mem)) for r, mem in members.items()
-    }
-    q = make_space(f"{space.space_id}/~", members.keys(), table)
+        meets[r].update(rep[z] for z in space.min_open[x])
+    table = {}
+    for r in meets:
+        reached, todo = {r}, [r]
+        while todo:
+            todo += meets[todo.pop()] - reached
+            reached.update(todo)
+        table[r] = reached
+    q = make_space(f"{space.space_id}/~", meets, table)
     projection = SpaceMap(space, q, dict(rep))
     return q, projection
 

@@ -112,11 +112,11 @@ def _nerve_pairs(index, patch, overlap, anchor, transition) -> tuple[dict, dict,
     opposite overlap, else CompositionMismatch.  Keys off the index are
     ignored.
     """
-    pos = {label: n for n, label in enumerate(index)}
+    labels = set(index)
     given = {(i, i) for i in index}
     for table in (overlap, anchor, transition):
-        given.update(key for key in table if len(key) == 2 and key[0] in pos and key[1] in pos)
-    keys = sorted(given, key=lambda key: (pos[key[0]], pos[key[1]]))
+        given.update(key for key in table if len(key) == 2 and key[0] in labels and key[1] in labels)
+    keys = sorted(given)
     pairs = [key for key in keys if key[0] == key[1] or key in overlap and overlap[key].points]
     unmapped = [key for key in pairs if not (key in overlap and key in anchor and key in transition)]
     if unmapped:

@@ -345,8 +345,7 @@ def check_glued_properties(gd: GluingData, candidate: Cone) -> Report:
     missing = sorted(candidate.apex.points.difference(*images.values()))
     rep.add("d-covering", "all", not missing, missing[0] if missing else None)
     meeting = set(links) | _meeting(images)
-    pos = {i: n for n, i in enumerate(idx)}
-    for i, j in sorted(meeting, key=lambda ij: (pos[ij[0]], pos[ij[1]])):
+    for i, j in sorted(meeting):
         via_ij = {legs[single(i)](x) for _, x, _ in links.get((i, j), ())}
         via_ji = {legs[single(j)](x) for _, x, _ in links.get((j, i), ())}
         both = images[i] & images[j]

@@ -305,6 +305,48 @@ digraph CIRC {
         assert "refines" in out
 
 
+_REAL_BASECHANGE = cover_mod.site_axiom_basechange
+
+
+def _failing_report():
+    rep = Report()
+    rep.add("coverage", "all", False)
+    return rep
+
+
+def _basechange_to_open(c, phi):
+    pulled, ok = _REAL_BASECHANGE(c, phi)
+    return cover_mod.Covering(pulled.base, pulled.family, "open"), ok
+
+
+class TestSiteCheckFailures:
+    """Each site-check failure line, with one ``cover`` function made to fail."""
+
+    @pytest.mark.parametrize(
+        "name, fake, line",
+        [
+            ("check_covering", lambda c: _failing_report(), "round 0: generated covering invalid (gluing)"),
+            ("site_axiom_iso", lambda f: False, "round 0: iso axiom failed (gluing)"),
+            ("site_axiom_compose", lambda c, subs: (None, False), "round 0: composition axiom failed (gluing)"),
+            (
+                "site_axiom_basechange",
+                lambda c, phi: (_REAL_BASECHANGE(c, phi)[0], False),
+                "round 0: base-change axiom failed (gluing)",
+            ),
+            ("site_axiom_basechange", _basechange_to_open, "round 0: base-change changed the kind"),
+        ],
+        ids=["covering", "iso", "compose", "basechange", "kind"],
+    )
+    def test_failure_line(self, capsys, monkeypatch, circle_file, name, fake, line):
+        monkeypatch.setattr(cover_mod, name, fake)
+        code, out, _ = run_cli(
+            capsys, "site-check", circle_file, "--count", "1", "--seed", "7", "--kind", "gluing"
+        )
+        assert code == 1
+        checked = 0 if name == "check_covering" else 1
+        assert out.splitlines() == ["FAIL site-check seed=7", f"{checked} random coverings checked", line]
+
+
 class TestDisjointPatches:
     """A gluing whose overlaps are all empty: every report walks the two patches alone."""
 
@@ -387,17 +429,29 @@ class TestDisjointPatches:
 
 
 class TestClosedPipe:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+
     def test_a_reader_that_stops_early_ends_no_run_in_a_traceback(self):
         # more output than a pipe holds, so the child is still writing when the pipe closes
         labels = "index:" + ",".join("abcdefghij")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
         argv = [sys.executable, "-m", "topoglue.cli", "render-dot", str(EXAMPLES / "circle.glue"), labels]
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env) as child:
             assert child.stdout.readline() == b"digraph gluing_index {\n"
             child.stdout.close()
             err = child.stderr.read().decode()
             assert child.wait(timeout=60) == 0
         assert err == ""  # no traceback
+
+    def test_a_reader_gone_before_the_first_write_ends_with_exit_0(self):
+        argv = [sys.executable, "-m", "topoglue.cli", "render-dot", str(EXAMPLES / "circle.glue"), "index:a,b,c,d,e"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=self.env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert run.returncode == 0
+        assert run.stderr == b""
 
 
 class TestHashSeeds:

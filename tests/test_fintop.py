@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import digital_circle, small_spaces
+import quotient_reference
+from conftest import digital_circle, digital_circle_data, small_spaces
 from oracles import all_opens, closure_opens, first_difference, min_open_from_lattice
 import topoglue
 from topoglue import cover, fintop
@@ -45,8 +46,20 @@ from topoglue.fintop import (
     quotient,
     subspace,
 )
-from topoglue.fixtures import arc3, circle4, disc2, pt, sierp, sq9, torus_meta
-from topoglue.glue import glue
+from topoglue.fixtures import (
+    arc3,
+    boundary_data,
+    circle4,
+    cylinder_data,
+    disc2,
+    gd_circ,
+    pt,
+    sequential_torus_data,
+    sierp,
+    sq9,
+    torus_meta,
+)
+from topoglue.glue import build_relation, glue
 from topoglue.refine import compose_gdf
 
 
@@ -385,9 +398,56 @@ class TestQuotient:
                 pre = {x for x in total.points if proj(x) in sub}
                 assert is_open(q, sub) == is_open(total, pre)
 
-    def test_unknown_point_in_pairs(self):
-        with pytest.raises(UnknownPoint):
-            quotient(disc2(), [("a", "zzz")])
+    @staticmethod
+    def _same_as_reference(space, pairs):
+        q, proj = quotient(space, pairs)
+        ref_q, ref_proj = quotient_reference.quotient(space, pairs)
+        assert q.space_id == ref_q.space_id
+        assert q.points == ref_q.points
+        assert dict(q.min_open) == dict(ref_q.min_open)
+        assert proj.dom is space and proj.cod is q
+        assert dict(proj.table) == dict(ref_proj.table)
+
+    def test_same_as_the_hull_reference_on_random_spaces(self):
+        rng = random.Random(34)
+        for n in range(300):
+            sp = cover.random_space(rng, 9, space_id=f"R{n}")
+            points = sorted(sp.points)
+            pairs = [(rng.choice(points), rng.choice(points)) for _ in range(rng.randint(0, 6))]
+            self._same_as_reference(sp, pairs)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            gd_circ,
+            lambda: cylinder_data("1"),
+            lambda: boundary_data("1"),
+            sequential_torus_data,
+            lambda: digital_circle_data(12, 3),
+            lambda: digital_circle_data(48, 6),
+            lambda: digital_circle_data(96, 24),
+        ],
+        ids=["circ", "cylinder", "boundary", "torus", "m12k3", "m48k6", "m96k24"],
+    )
+    def test_same_as_the_hull_reference_on_glued_unions(self, make):
+        gd = make()
+        self._same_as_reference(gd._union[0], build_relation(gd))
+
+    @pytest.mark.parametrize(
+        "pairs, bad",
+        [
+            ([("a", "zzz")], "zzz"),
+            ([("zzz", "a")], "zzz"),
+            ([("zzz", "yyy")], "zzz"),
+            ([("a", "b"), ("b", "yyy"), ("zzz", "a")], "yyy"),
+        ],
+    )
+    def test_unknown_point_in_pairs(self, pairs, bad):
+        with pytest.raises(UnknownPoint) as got:
+            quotient(disc2(), pairs)
+        with pytest.raises(UnknownPoint) as ref:
+            quotient_reference.quotient(disc2(), pairs)
+        assert str(got.value) == str(ref.value) == f"{bad!r} is not a point of 'DISC2'"
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -617,6 +677,11 @@ class TestHomeomorphismSearch:
             assert any(z in earlier for z in sq9().min_open[x]) or any(
                 x in sq9().min_open[z] for z in earlier
             )
+
+
+class TestRepr:
+    def test_a_space_shows_its_name_and_size(self):
+        assert repr(arc3()) == "FiniteSpace('ARC3', 3 points)"
 
 
 class TestHashable:

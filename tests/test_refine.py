@@ -8,6 +8,7 @@ from topoglue.fintop import (
     FiniteSpace,
     SpaceMap,
     compose,
+    disjoint_union,
     enumerate_continuous_maps,
     find_homeomorphism,
     identity_map,
@@ -35,7 +36,7 @@ from topoglue.glidx import (
     relation_instances,
     single,
 )
-from topoglue.glue import complete_cone, glue, mediate
+from topoglue.glue import GluedSpace, complete_cone, glue, mediate
 from topoglue.refine import (
     GdfGluingData,
     Refinement,
@@ -254,6 +255,34 @@ class TestInducedMap:
         table["l|l"], table["r|l"] = table["r|l"], table["l|l"]
         bad_comps[obj] = SpaceMap(old.dom, old.cod, table)
         return meta, Refinement(r.gamma, r.fine, r.coarse, bad_comps)
+
+    @staticmethod
+    def _point_onto_both_arcs():
+        """The point refining the two-arc circle: both arcs collapse onto it, p going to l in each."""
+        fine = functor_of(trivial_data(pt(), "1"))
+        coarse = functor_of(gd_circ())
+        comps = {single(i): SpaceMap(pt(), coarse.space(single(i)), {"p": "l"}) for i in ("1", "2")}
+        return Refinement({"1": "1", "2": "1"}, fine, coarse, comps)
+
+    def test_collapsed_indices_agree_on_the_glued_circle(self):
+        r = self._point_onto_both_arcs()
+        assert check_refinement(r).passed
+        mu = induced_map(r, glue(r.fine.data), glue(r.coarse.data))
+        assert mu.table == {"p@1": "l@1"}
+
+    def test_collapsed_indices_disagree_off_the_coarse_gluing(self):
+        r = self._point_onto_both_arcs()
+        data = r.coarse.data
+        total, injections = disjoint_union([data.patch[i] for i in data.index], data.index)
+        apart = GluedSpace(
+            total,
+            {single(i): inj for i, inj in zip(data.index, injections)},
+            (),
+            {x: frozenset({x}) for x in total.points},
+        )
+        with pytest.raises(MissingComponent) as info:
+            induced_map(r, glue(r.fine.data), apart)
+        assert str(info.value) == "collapsed indices ['1', '2'] disagree on the leg for '1'"
 
     def test_failing_refinement_is_rejected(self):
         from topoglue.errors import ValidationFailed
