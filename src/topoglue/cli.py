@@ -101,12 +101,11 @@ def _cmd_glue(doc, targets, opts):
 def _cmd_check_cone(doc, targets, opts):
     name = _one_target("check-cone", targets)
     decl = _named(doc.cones, "cone", name)
-    gd = _named(doc.gluings, "gluing", decl.over)
     modes = [opts.mode] if opts.mode else list(glue_mod.CONE_MODES)
     verdicts, missing = {}, None
     for m in modes:
         try:
-            verdicts[m] = glue_mod.check_cone(gd, decl.cone, m)
+            verdicts[m] = glue_mod.check_cone(decl.gluing, decl.cone, m)
         except ValidationFailed as exc:  # full mode without every triple transition
             if opts.mode:
                 raise
@@ -121,8 +120,7 @@ def _cmd_check_cone(doc, targets, opts):
 def _cmd_check_glued(doc, targets, opts):
     name = _one_target("check-glued", targets)
     decl = _named(doc.cones, "cone", name)
-    gd = _named(doc.gluings, "gluing", decl.over)
-    return _checked("check-glued", name, glue_mod.check_glued_properties(gd, decl.cone))
+    return _checked("check-glued", name, glue_mod.check_glued_properties(decl.gluing, decl.cone))
 
 
 def _cmd_mediate(doc, targets, opts):
@@ -331,6 +329,9 @@ def main(argv=None) -> int:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {opts.file!r} is not UTF-8: {exc}", file=sys.stderr)
         return 2
     try:
         doc = parse_spec(text, derive_triples=opts.derive_triples)

@@ -98,10 +98,8 @@ class SpaceMap:
         except KeyError:
             raise UnknownPoint(f"{point!r} is not a point of {self.dom.space_id!r}") from None
 
-    def image(self, subset: Iterable[str] | None = None) -> frozenset[str]:
-        if subset is None:
-            subset = self.dom.points
-        return frozenset(self(x) for x in subset)
+    def image(self) -> frozenset[str]:
+        return frozenset(self.table.values())
 
     def __repr__(self):
         return f"SpaceMap({self.dom.space_id!r} -> {self.cod.space_id!r})"
@@ -177,42 +175,16 @@ def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
     return SpaceMap(f.dom, g.cod, {x: outer[y] for x, y in f.table.items()})
 
 
-def _composite(path: Sequence[SpaceMap]) -> SpaceMap:
-    """The composite of a path listed outermost first: ``(g, f)`` is g after f."""
-    out = path[-1]
-    for outer in reversed(path[:-1]):
-        out = compose(outer, out)
-    return out
-
-
 def _same(a: FiniteSpace, b: FiniteSpace) -> bool:
     return a is b or a == b
 
 
 def _images(path: Sequence[SpaceMap], points: list[str]) -> list[str]:
-    """The images of ``points`` along a composable path, read from the tables."""
+    """The images of ``points`` along a typed path, read from the tables."""
     for m in reversed(path):
         table = m.table
         points = [table[x] for x in points]
     return points
-
-
-def composable(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> bool:
-    """Whether each path's consecutive maps meet and the two paths share their endpoints.
-
-    Each path lists its maps outermost first, as ``disagreement`` takes
-    them.  Two composable paths out of a space with no points are the one
-    map out of it: a diagram out of an empty space commutes exactly when it
-    is typed, and ``disagreement`` answers None for it without reading a
-    table.
-    """
-    for path in (left, right):
-        inner = path[-1]
-        for outer in path[-2::-1]:
-            if not _same(outer.dom, inner.cod):
-                return False
-            inner = outer
-    return _same(left[-1].dom, right[-1].dom) and _same(left[0].cod, right[0].cod)
 
 
 def disagreement(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> str | None:
@@ -222,21 +194,25 @@ def disagreement(left: Sequence[SpaceMap], right: Sequence[SpaceMap]) -> str | N
     ``(g, f)`` is g after f.  The answer is the least domain point where the
     two composites differ, or ``"<endpoint mismatch>"`` when their domains
     or codomains differ.  A path whose middle spaces differ raises
-    CompositionMismatch, as ``compose`` does.
+    CompositionMismatch, as ``compose`` does: the left path is checked
+    first, and within a path the innermost junction first.
 
-    Composable paths (``composable``) out of a space with no points are one
-    map, decided before any table is read.  Otherwise the two image lists
-    are read straight from the tables and compared.
+    Typed paths out of a space with no points are one map, decided before
+    any table is read.  Otherwise the two image lists are read straight from
+    the tables and compared.
     """
-    if not composable(left, right):
-        _composite(left)  # a path whose middle spaces differ raises here
-        _composite(right)
+    for path in (left, right):
+        for n in range(len(path) - 1, 0, -1):
+            outer, inner = path[n - 1], path[n]
+            if not _same(outer.dom, inner.cod):
+                compose(outer, inner)  # raises CompositionMismatch
+    if not (_same(left[-1].dom, right[-1].dom) and _same(left[0].cod, right[0].cod)):
         return "<endpoint mismatch>"
     return _first_difference(left, right, list(left[-1].dom.points))
 
 
 def _first_difference(left: Sequence[SpaceMap], right: Sequence[SpaceMap], points: list[str]) -> str | None:
-    """The least of ``points`` where two composable paths, listed as ``disagreement`` takes
+    """The least of ``points`` where two typed paths, listed as ``disagreement`` takes
     them, send a point to different images; None if there is none.  ``points``
     are those of the paths' common domain, and an empty path is its identity."""
     ours, theirs = _images(left, points), _images(right, points)
@@ -327,7 +303,8 @@ def analyze_map(f: SpaceMap) -> tuple[tuple[str, str], ...]:
 
     Each property has its own helper (``discontinuities``, ``collisions``,
     ``non_open_points``, ``non_embedding_points``), for a caller that asks
-    about one property alone.  The tuple is empty iff ``is_homeomorphism(f)``.
+    about one property alone.  The tuple is empty exactly when f is a
+    homeomorphism, and ``is_homeomorphism`` reads its verdict from here.
     """
     broken = discontinuities(f)
     clashes = collisions(f)
@@ -343,13 +320,8 @@ def analyze_map(f: SpaceMap) -> tuple[tuple[str, str], ...]:
 
 
 def is_homeomorphism(f: SpaceMap) -> bool:
-    """Whether f is continuous, injective, surjective and open; the first failure stops."""
-    return (
-        not discontinuities(f)
-        and not collisions(f)
-        and f.image() == f.cod.points
-        and not non_open_points(f)
-    )
+    """Whether f is continuous, injective, surjective and open: ``analyze_map`` finds no witness."""
+    return not analyze_map(f)
 
 
 def failure_witnesses(f: SpaceMap, *tests: Callable[[SpaceMap], list]) -> str | None:

@@ -486,7 +486,7 @@ def _check_laws(gd: GluingData) -> Report:
     into a space with points, so every partner a clause reads is in the
     nerve too, and every composite meets: each law row compares the tables
     point by point (``fintop._first_difference``, as ``fintop.disagreement``
-    compares composable paths), reading each triple's two maps once
+    compares typed paths), reading each triple's two maps once
     (``GluingData.map``; an identity edge is the empty path, read from no table).
     """
     nerve = gd.nerve

@@ -78,11 +78,9 @@ from .cover import KINDS, Covering
 
 @dataclass
 class ConeDecl:
-    """A declared cone over gluing ``over``, completed when first read (``glue.complete_cone``;
+    """A declared cone over ``gluing``, completed when first read (``glue.complete_cone``;
     the declared legs override the completed ones): parsing composes no map of the gluing."""
 
-    name: str
-    over: str
     gluing: GluingData
     apex: FiniteSpace
     legs: dict[GlObject, SpaceMap]
@@ -310,7 +308,7 @@ def _parse_cone(block: _Block, doc: SpecDocument) -> ConeDecl:
         raise ParseError(block.line_no, "cone needs 'over' and 'apex'")
     gd = _need(doc.gluings, over, "gluing", block.line_no)
     _check_labels(block, gd.index, f"the index of gluing {over!r}")
-    return ConeDecl(block.name, over, gd, apex, legs)
+    return ConeDecl(gd, apex, legs)
 
 
 def _parse_refinement(block: _Block, doc: SpecDocument) -> Refinement:

@@ -5,8 +5,9 @@ of an object outside it is the empty map, so it needs no row, triangle or
 lift.  The library also asks a map only for the property a row needs.  These
 helpers keep the dense versions, which run every object of the index
 category through the same path, so that a test can compare the two: every
-composite goes through ``compose`` and every comparison through a scan of
-the composites (``disagreement``), every pullback scans its fibers, every
+composite goes through ``compose`` (``composite``), every image is read
+point by point (``image``), every comparison is a scan of the composites
+(``disagreement``), every pullback scans its fibers, every
 triple transition is lifted, and every map property comes from one full
 ``analyze_map``, which keeps its own flags beside the witnesses in a
 ``MapRecord`` (``is_homeomorphism`` is its ``homeomorphism``).  An object
@@ -27,7 +28,7 @@ from oracles import first_difference
 from itertools import product
 
 from paths import anchor, coord, overlap, transition
-from topoglue import fintop, glidx
+from topoglue import glidx
 from topoglue.errors import CompositionMismatch, DuplicateName, NotDetermined
 from topoglue.fintop import (
     SpaceMap,
@@ -61,9 +62,22 @@ def on_nerve(gd: GluingData, rows) -> list:
     ]
 
 
+def composite(path):
+    """The composite of a path listed outermost first, through ``compose``."""
+    out = path[-1]
+    for outer in reversed(path[:-1]):
+        out = compose(outer, out)
+    return out
+
+
+def image(f: SpaceMap, subset) -> frozenset:
+    """The image of ``subset`` under f, one point at a time."""
+    return frozenset(f(x) for x in subset)
+
+
 def disagreement(left, right):
     """Compose both paths and scan the sorted points."""
-    return first_difference(fintop._composite(left), fintop._composite(right))
+    return first_difference(composite(left), composite(right))
 
 
 @dataclass(frozen=True)
@@ -119,14 +133,14 @@ def analyze_map(f: SpaceMap) -> MapRecord:
             seen[y] = x
     open_map = True
     for x in sorted(f.dom.points):
-        if not is_open(f.cod, f.image(f.dom.min_open[x])):
+        if not is_open(f.cod, image(f, f.dom.min_open[x])):
             open_map = False
             witnesses.append(("open", x))
-    full_image = f.image()
+    full_image = image(f, f.dom.points)
     embedding = injective and continuous
     if embedding:
         for x in sorted(f.dom.points):
-            if f.image(f.dom.min_open[x]) != f.cod.min_open[f(x)] & full_image:
+            if image(f, f.dom.min_open[x]) != f.cod.min_open[f(x)] & full_image:
                 embedding = False
                 witnesses.append(("embedding", x))
     if full_image != f.cod.points:

@@ -554,6 +554,26 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "validate", "/nonexistent/x.glue")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "bad", [b"\xff\xfe", b"\xe2\x82", b"\xed\xa0\x80"],
+        ids=["invalid-start-byte", "truncated-sequence", "encoded-surrogate"],
+    )
+    def test_file_not_utf8_is_input_error(self, capsys, tmp_path, bad):
+        f = tmp_path / "bad.glue"
+        f.write_bytes(b"space A\n  points: " + bad + b"\nend\n")
+        code, out, err = run_cli(capsys, "validate", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {str(f)!r} is not UTF-8: ") and err.count("\n") == 1
+
+    def test_file_not_utf8_ends_in_no_traceback(self, tmp_path):
+        f = tmp_path / "bad.glue"
+        f.write_bytes(b"space A\n  points: \xff\xfe\nend\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "topoglue.cli", "validate", str(f)]
+        run = subprocess.run(argv, capture_output=True, encoding="utf-8", env=env, timeout=60)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert "Traceback" not in run.stderr and run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+
     def test_budget_exhaustion(self, capsys, circle_file):
         code, _, _ = run_cli(
             capsys, "verify-universal", circle_file, "CIRC",

@@ -204,6 +204,30 @@ class TestAnalyzeMap:
         assert kinds == sorted(kinds, key=_WITNESS_ORDER.index)
         assert is_homeomorphism(f) == (witnesses == ())
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_homeomorphism_against_the_lattice_oracle(self, data):
+        # f is a homeomorphism iff it is a bijection carrying the opens of its domain onto those of its codomain
+        b = data.draw(small_spaces(max_points=4))
+        cod = sorted(b.points)
+        # bijections half the time; injections onto fewer points reach the open embeddings that miss a point
+        kind = data.draw(st.sampled_from(["self", "same points", "fewer points", "any"]))
+        if kind == "any":
+            f = _random_map(data, data.draw(small_spaces(max_points=4)), b)
+        else:
+            pts = sorted(data.draw(st.sets(st.sampled_from(cod), min_size=1))) if kind == "fewer points" else cod
+            gens = data.draw(st.lists(st.sets(st.sampled_from(pts)), max_size=6))
+            a = b if kind == "self" else from_opens("A", pts, gens)
+            f = SpaceMap(a, b, dict(zip(pts, data.draw(st.permutations(pts)))))
+        bijective = sorted(f.table.values()) == cod
+        images = {frozenset(f(x) for x in u) for u in all_opens(f.dom)}
+        assert is_homeomorphism(f) == (bijective and images == all_opens(b))
+
+    def test_open_embedding_that_misses_a_point(self):
+        _, incl = subspace(sierp(), {"t"})
+        assert analyze_map(incl) == (("surjective", "b"),)
+        assert not is_homeomorphism(incl)
+
     def test_space_map_validates(self):
         with pytest.raises(UnknownPoint, match="^'b' of 'SIERP' has no image$"):
             SpaceMap(sierp(), sierp(), {"t": "t"})
@@ -748,7 +772,10 @@ class TestDisagreement:
 
     def test_endpoint_mismatch(self):
         f = SpaceMap(disc2(), sierp(), {"a": "t", "b": "b"})
+        h = SpaceMap(sierp(), pt(), {"t": "p", "b": "p"})
         assert disagreement([f], [identity_map(disc2())]) == "<endpoint mismatch>"
+        assert disagreement([h, f], [f]) == "<endpoint mismatch>"  # typed paths, codomains differ
+        assert disagreement([f], [identity_map(sierp())]) == "<endpoint mismatch>"  # domains differ
         assert disagreement([identity_map(sierp()), f], [f]) is None
 
     def test_mistyped_path_raises_composition_mismatch(self):
@@ -757,6 +784,36 @@ class TestDisagreement:
             disagreement([f, f], [f])
         with pytest.raises(CompositionMismatch):
             disagreement([f], [f, f])
+
+    @staticmethod
+    def _mistyped():
+        """f: DISC2 -> SIERP; g: DISC2 -> PT and k: ARC3 -> PT, which meet f only in type."""
+        f = SpaceMap(disc2(), sierp(), {"a": "t", "b": "b"})
+        g = SpaceMap(disc2(), pt(), {"a": "p", "b": "p"})
+        k = SpaceMap(arc3(), pt(), {x: "p" for x in arc3().points})
+        return f, g, k
+
+    def test_mistyped_two_map_path_text(self):
+        f, g, k = self._mistyped()
+        left = r"^cannot compose SpaceMap\('DISC2' -> 'PT'\) after SpaceMap\('DISC2' -> 'SIERP'\): middle spaces differ$"
+        with pytest.raises(CompositionMismatch, match=left):
+            disagreement([g, f], [g])
+        with pytest.raises(CompositionMismatch, match=left):
+            disagreement([g], [g, f])
+        # both paths mistyped: the left path's junction is reported, in either order
+        with pytest.raises(CompositionMismatch, match=left):
+            disagreement([g, f], [k, f])
+        with pytest.raises(CompositionMismatch, match=r"^cannot compose SpaceMap\('ARC3' -> 'PT'\) after SpaceMap\('DISC2' -> 'SIERP'\): middle"):
+            disagreement([k, f], [g, f])
+
+    def test_three_map_path_reports_its_innermost_bad_junction(self):
+        f, g, k = self._mistyped()
+        with pytest.raises(CompositionMismatch, match=r"^cannot compose SpaceMap\('DISC2' -> 'PT'\) after SpaceMap\('DISC2' -> 'SIERP'\)"):
+            disagreement([k, g, f], [g])
+        # only the outer junction is bad: the message names the two maps that meet there
+        h = SpaceMap(sierp(), pt(), {"t": "p", "b": "p"})
+        with pytest.raises(CompositionMismatch, match=r"^cannot compose SpaceMap\('ARC3' -> 'PT'\) after SpaceMap\('SIERP' -> 'PT'\)"):
+            disagreement([k, h, f], [g])
 
     def test_table_gap_raises_unknown_point(self):
         # disagreement reads the tables unchecked, so a gap is refused where the map is built
