@@ -11,7 +11,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import cover as cover_mod
 from . import dot, fintop, gdata, glue as glue_mod, refine as refine_mod
@@ -48,7 +48,7 @@ class RunReport:
 
 
 def _rows(rep: gdata.Report) -> list[dict]:
-    return [asdict(e) for e in rep.entries]
+    return [e._asdict() for e in rep.entries]
 
 
 def _checked(command, target, rep: gdata.Report, head=(), tail=(), **data) -> RunReport:

@@ -22,10 +22,12 @@ objects and the generator edges between them, in the index category's order;
 every later stage walks it, so an empty overlap or triple costs nothing.
 
 All stored maps are the continuous direction; the index-category arrows they
-realize point the other way.  ``GluingData.map`` is the one reader of the
-map of a generator edge.  The paper's gluing-data functor is the validated
-datum itself: ``GluingFunctor`` (``functor_of``) holds a datum that passes
-``validate``, and its spaces and maps are the datum's.
+realize point the other way.  ``GluingData.map`` is the reader of the map of
+a generator edge for every caller that walks edges; the law pass reads each
+triple's two maps straight from the triple tables, by label tuple.  The
+paper's gluing-data functor is the validated datum itself: ``GluingFunctor``
+(``functor_of``) holds a datum that passes ``validate``, and its spaces and
+maps are the datum's.
 
 A datum is frozen: its tables are read-only copies of what it was built
 from.  So it has one verdict, and ``validate`` computes its rows once per
@@ -39,9 +41,9 @@ rows if one is mistyped; then every law compares tables point by point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import fintop, glidx
 from .errors import CompositionMismatch, NotDetermined, UnresolvedReference, ValidationFailed
@@ -60,12 +62,16 @@ _TABLES = ("patch", "overlap", "anchor", "transition", "triple_transition", "tri
 EMPTY = FiniteSpace("empty", (), {})  # the space of every object outside a datum's nerve
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
+    """One check row: a named tuple, so it is cheap to build, hashable and read-only."""
+
     name: str
     subject: str
     ok: bool
     witness: str | None = None
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __str__(self):
         status = "ok" if self.ok else "FAIL"
@@ -175,10 +181,12 @@ class GluingData:
     def __post_init__(self):
         index = _index_labels(self.index, self.patch)
         overlap, anchor, transition = dict(self.overlap), dict(self.anchor), dict(self.transition)
-        for i in index:
+        for i in index:  # not setdefault: it would build each identity even where one is given
             overlap.setdefault((i, i), self.patch[i])
-            anchor.setdefault((i, i), identity_map(self.patch[i]))
-            transition.setdefault((i, i), identity_map(overlap[(i, i)]))
+            if (i, i) not in anchor:
+                anchor[(i, i)] = identity_map(self.patch[i])
+            if (i, i) not in transition:
+                transition[(i, i)] = identity_map(overlap[(i, i)])
         pairs = _nerve_pairs(index, self.patch, overlap, anchor, transition)
         spaces, projs = _triple_tables(index, *pairs[:2])
         triples = _nerve_triples(index, pairs[0], spaces, self.triple_transition)
@@ -486,8 +494,12 @@ def _check_laws(gd: GluingData) -> Report:
     into a space with points, so every partner a clause reads is in the
     nerve too, and every composite meets: each law row compares the tables
     point by point (``fintop._first_difference``, as ``fintop.disagreement``
-    compares typed paths), reading each triple's two maps once
-    (``GluingData.map``; an identity edge is the empty path, read from no table).
+    compares typed paths).  Each triple's two maps are read once, by label
+    tuple: ``triple_transition[(i,j,k)]`` and ``triple_proj[([i,j,k], j)]``,
+    the maps ``GluingData.map`` gives on its tau3 and eta3 edges (an identity
+    edge is the empty path, read from no table).  Neither read misses: a
+    missing triple transition has ended the pass at ``triple-present``, and
+    every triple of the nerve has both projections (``_triple_tables``).
     """
     nerve = gd.nerve
     rep = Report()
@@ -526,14 +538,13 @@ def _check_laws(gd: GluingData) -> Report:
     if not _triples_present(gd, rep):
         return rep
 
-    # each nerve triple's two maps, read once, each as a path of maps; the identities, the
-    # transition of (i,i,k) and the (i,j)-coordinate of (i,j,j), are the empty path
+    # each nerve triple's two maps, read once by key, each as a path of maps; the identities,
+    # the transition of (i,i,k) and the (i,j)-coordinate of (i,j,j), are the empty path
     fwds, coords = {}, {}
     for key in nerve.triples:
         i, j, k = key
-        obj = normalize(key)
-        fwds[key] = () if i == j else (gd.map(normalize((j, i, k)), obj),)
-        coords[key] = () if j == k else (gd.map(pair(i, j), obj),)
+        fwds[key] = () if i == j else (gd.triple_transition[key],)
+        coords[key] = () if j == k else (gd.triple_proj[(normalize(key), j)],)
     for key, f in fwds.items():
         i, j, k = key
         sub = f"({i},{j},{k})"

@@ -96,16 +96,7 @@ class GlGen:
 
     @property
     def dom(self) -> GlObject:
-        if self.kind == "eta":
-            return single(self.indices[0])
-        if self.kind == "tau":
-            i, j = self.indices
-            return normalize((j, i))
-        if self.kind == "eta3":
-            i, j, k, n = self.indices
-            return normalize((i, n))
-        i, j, k = self.indices
-        return normalize((j, i, k))
+        return _dom(self.kind, self.indices)
 
     @property
     def cod(self) -> GlObject:
@@ -125,20 +116,34 @@ def compose_path(dom: GlObject, path: Iterable[GlGen]) -> GlObject:
     return cod
 
 
-def _slots(raw: tuple[str, ...]) -> tuple[GlGen, ...]:
-    """The generator slots of one raw index tuple, in raw order: eta and tau for a pair
-    (i,j), and eta3 into [i,j], eta3 into [i,k] and tau3 for a triple (i,j,k)."""
+def _dom(kind: str, indices: tuple[str, ...]) -> GlObject:
+    """The domain of the generator slot (kind, indices) (``GlGen``)."""
+    if kind == "eta":
+        return single(indices[0])
+    if kind == "tau":
+        i, j = indices
+        return normalize((j, i))
+    if kind == "eta3":
+        i, j, k, n = indices
+        return normalize((i, n))
+    i, j, k = indices
+    return normalize((j, i, k))
+
+
+def _slots(raw: tuple[str, ...]) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The generator slots of one raw index tuple, in raw order, as (kind, indices): eta and
+    tau for a pair (i,j), and eta3 into [i,j], eta3 into [i,k] and tau3 for a triple (i,j,k)."""
     if len(raw) == 2:
-        return (GlGen("eta", raw), GlGen("tau", raw))
+        return (("eta", raw), ("tau", raw))
     i, j, k = raw
-    return (GlGen("eta3", (i, j, k, j)), GlGen("eta3", (i, j, k, k)), GlGen("tau3", raw))
+    return (("eta3", (i, j, k, j)), ("eta3", (i, j, k, k)), ("tau3", raw))
 
 
 def raw_generators(index: Iterable[str]) -> list[GlGen]:
     """Every generator slot in raw order: the ``_slots`` of each pair, then of each
     triple, tuples in label order; 2|I|^2 + 3|I|^3 entries."""
     idx = sorted(set(index))
-    return [gen for n in (2, 3) for raw in product(idx, repeat=n) for gen in _slots(raw)]
+    return [GlGen(*slot) for n in (2, 3) for raw in product(idx, repeat=n) for slot in _slots(raw)]
 
 
 @dataclass(frozen=True)
@@ -179,14 +184,15 @@ def _raw_slots(obj: GlObject) -> tuple[tuple[tuple, GlGen, GlObject], ...]:
     An index tuple's generators have its normal object as codomain, so they
     are the ``_slots`` of the tuples normalizing to ``obj``: (i,j) for [i,j],
     and its ``raw_triples``.  The key (tuple length, raw tuple, slot number)
-    orders slots as ``raw_generators`` lists them over any sorted index.  The
-    domains are ``GlGen.dom``; a generator starting at ``obj`` is its identity.
+    orders slots as ``raw_generators`` lists them over any sorted index.  A
+    slot's domain is read first (``_dom``, as ``GlGen.dom`` reads it): a slot
+    starting at ``obj`` is an identity, and no generator is built for it.
     """
     raws = raw_triples(obj)
     if obj.arity == 2:
         raws = ((obj.head, obj.rest[0]),) + raws
-    slots = (((len(raw), raw, n), gen, gen.dom) for raw in raws for n, gen in enumerate(_slots(raw)))
-    return tuple(slot for slot in slots if slot[2] != obj)
+    slots = ((raw, n, slot, _dom(*slot)) for raw in raws for n, slot in enumerate(_slots(raw)))
+    return tuple(((len(raw), raw, n), GlGen(*slot), dom) for raw, n, slot, dom in slots if dom != obj)
 
 
 def display_order(obj: GlObject) -> tuple:

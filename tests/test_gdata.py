@@ -198,6 +198,39 @@ class TestFrozenDatum:
             fun.data = gd_circ()
 
 
+class TestCheckEntry:
+    """A row is a named tuple: equal rows are one key, and its dict and string forms are fixed."""
+
+    def _rows(self):
+        passing = validate(gd_circ()).entries
+        failing = validate(_mutated_transition(gd_circ(), ("1", "2"), {"a": "b", "b": "b"})).failures()
+        return passing, failing
+
+    def test_equal_rows_hash_equal(self):
+        passing, failing = self._rows()
+        for row in passing + failing:
+            twin = gdata.CheckEntry(row.name, row.subject, row.ok, row.witness)
+            assert twin == row and hash(twin) == hash(row)
+            assert len({row, twin}) == 1
+
+    def test_rows_round_trip_through_their_dict(self):
+        passing, failing = self._rows()
+        for row in passing + failing:
+            assert list(row._asdict()) == ["name", "subject", "ok", "witness"]
+            assert gdata.CheckEntry(**row._asdict()) == row
+
+    def test_string_form(self):
+        assert str(gdata.CheckEntry("anchor-typing", "(1,2)", True)) == "ok   anchor-typing (1,2)"
+        row = gdata.CheckEntry("cocycle", "(1,2,3)", False, "p: q != r")
+        assert str(row) == "FAIL cocycle (1,2,3) (witness: p: q != r)"
+        assert repr(row) == "CheckEntry(name='cocycle', subject='(1,2,3)', ok=False, witness='p: q != r')"
+        passing, failing = self._rows()
+        plain = [e for e in passing if e.witness is None]
+        assert plain and all(str(e) == f"ok   {e.name} {e.subject}" for e in plain)
+        witnessed = [e for e in failing if e.witness is not None]
+        assert witnessed and all(str(e) == f"FAIL {e.name} {e.subject} (witness: {e.witness})" for e in witnessed)
+
+
 class TestValidateOnce:
     """A frozen datum has one verdict: its clause pass runs once, on first use."""
 
@@ -723,27 +756,42 @@ def _law_outcome(check, gd):
         return "raises", type(exc).__name__, str(exc)
 
 
-def _redirections(gd):
-    """Every datum that differs from ``gd`` in one point of one off-diagonal anchor, transition
-    or triple transition, built as the benchmark's mutants are: a redirected pair map through
-    ``make_gluing_data`` and ``derive_triple_maps`` (left underived where that raises
-    NotDetermined), a redirected triple transition given to ``make_gluing_data``."""
+def _redirection_sites(gd):
+    """Every (table, key, point, image) that redirects one point of one off-diagonal anchor,
+    transition or triple transition of ``gd``, in table, key and point order."""
+    tables = ("anchor", "transition", "triple_transition")
+    return [
+        (name, key, x, y)
+        for name in tables
+        for key, f in getattr(gd, name).items()
+        if name == "triple_transition" or key[0] != key[1]
+        for x in sorted(f.dom.points)
+        for y in sorted(f.cod.points - {f.table[x]})
+    ]
+
+
+def _redirected(gd, site):
+    """``gd`` with one point redirected (``_redirection_sites``), built as the benchmark's mutants
+    are: a redirected pair map through ``make_gluing_data`` and ``derive_triple_maps`` (left
+    underived where that raises NotDetermined), a redirected triple transition given to
+    ``make_gluing_data``."""
+    name, key, x, y = site
     pairs = {"anchor": gd.anchor, "transition": gd.transition}
-    for name, table in (*pairs.items(), ("triple_transition", gd.triple_transition)):
-        for key, f in table.items():
-            if name in pairs and key[0] == key[1]:
-                continue
-            for x in sorted(f.dom.points):
-                for y in sorted(f.cod.points - {f.table[x]}):
-                    changed = {**table, key: SpaceMap(f.dom, f.cod, {**f.table, x: y})}
-                    data = make_gluing_data(gd.index, gd.patch, gd.overlap, **{**pairs, name: changed})
-                    if name not in pairs:
-                        yield data
-                        continue
-                    try:
-                        yield derive_triple_maps(data)
-                    except NotDetermined:
-                        yield data
+    table = getattr(gd, name)
+    f = table[key]
+    changed = {**table, key: SpaceMap(f.dom, f.cod, {**f.table, x: y})}
+    data = make_gluing_data(gd.index, gd.patch, gd.overlap, **{**pairs, name: changed})
+    if name not in pairs:
+        return data
+    try:
+        return derive_triple_maps(data)
+    except NotDetermined:
+        return data
+
+
+def _redirections(gd):
+    """Every datum that differs from ``gd`` in one redirected point (``_redirected``)."""
+    return (_redirected(gd, site) for site in _redirection_sites(gd))
 
 
 class TestLawPassAgainstReference:
@@ -767,6 +815,21 @@ class TestLawPassAgainstReference:
         # the guard reads every law: each clause fails on some redirection
         for clause in ("anchor-continuous", "transition-inverse", "triple-present", "cocycle",
                        "projection-square", "triple-continuous"):
+            assert failed[clause], clause
+
+    @pytest.mark.parametrize("m, k, seed", [(24, 4, 24), (48, 6, 48)])
+    def test_a_seeded_sample_of_the_redirections_at_the_benchmark_sizes(self, m, k, seed):
+        # the benchmark's larger covering data: the triple clauses read the maps by key, the
+        # reference through ``GluingData.map``
+        gd = digital_circle_data(m, k)
+        sites = _redirection_sites(gd)
+        failed = Counter()
+        for site in random.Random(seed).sample(sites, 60):
+            data = _redirected(gd, site)
+            outcome = _law_outcome(gdata._check_laws, data)
+            assert outcome == _law_outcome(law_reference.check_laws, data), site
+            failed.update(e.name for e in outcome[1] if not e.ok)
+        for clause in ("transition-inverse", "cocycle", "projection-square"):
             assert failed[clause], clause
 
     def test_fixtures_seeded_data_and_circles_with_empty_overlaps(self):
@@ -825,6 +888,29 @@ class TestConstructionPasses:
         built = make_gluing_data(gd.index, **given, triple_transition=triples)
         for table in (*given.values(), triples):
             table.clear()
+        assert built == gd and validate(built).passed
+
+    def test_given_diagonals_build_no_identity(self, monkeypatch):
+        calls = Counter()
+        real = gdata.identity_map
+
+        def counted(space):
+            calls[space.space_id] += 1
+            return real(space)
+
+        gd = digital_circle_data(12, 3)
+        monkeypatch.setattr(gdata, "identity_map", counted)
+        given = {name: dict(getattr(gd, name)) for name in GIVEN}
+        assert GluingData(gd.index, **given) == gd
+        assert not calls
+        for name in ("anchor", "transition"):
+            for i in gd.index:
+                del given[name][(i, i)]
+        built = GluingData(gd.index, **given)
+        assert sum(calls.values()) == 2 * len(gd.index)
+        for i in gd.index:
+            assert built.anchor[(i, i)] == real(gd.patch[i])
+            assert built.transition[(i, i)] == real(gd.overlap[(i, i)])
         assert built == gd and validate(built).passed
 
     def test_replace_still_checks_a_map_out_of_an_empty_overlap(self):

@@ -156,6 +156,21 @@ class TestGenerators:
             rng.shuffle(objs)
             assert list(glidx.restrict(objs).edges.items()) == self._first_raw_edges(idx, objs)
 
+    def test_restrict_on_every_object_set_over_three_labels(self):
+        # every set of pair and triple objects with every patch, as each caller passes them (a
+        # nerve, the whole category): the objects in display order, and the edges the first raw
+        # generators in order; a set is a bit mask over the objects in display order
+        everything = objects(I3)
+        bit = {o: 1 << n for n, o in enumerate(everything)}
+        full = [(e, g, bit[e[0]] | bit[e[1]]) for e, g in self._first_raw_edges(I3, everything)]
+        patches = (1 << 3) - 1
+        assert all(o.arity == 1 for o in everything[:3])
+        for mask in range(patches, 1 << len(everything), 1 << 3):
+            objs = tuple(o for o in everything if bit[o] & mask)
+            cat = glidx.restrict(reversed(objs))
+            assert cat.objects == objs
+            assert list(cat.edges.items()) == [(e, g) for e, g, ends in full if ends & mask == ends]
+
     def test_nerve_edges_are_the_first_raw_generators_in_order(self):
         rng = random.Random(3)
         data = [random_lawful_data(rng) for _ in range(12)] + [digital_circle_data(24, 6)]
